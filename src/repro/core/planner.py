@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro.core.recycle import recycle_mine_detailed
 from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta
@@ -43,13 +45,15 @@ from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
 from repro.mining.registry import get_miner, has_miner
 from repro.resilience import (
-    REASON_CIRCUIT_OPEN,
     REASON_FUP_INSERT_ONLY,
     REASON_UPDATE_FAILED,
     UPDATE_PATCH,
     DegradationReport,
     ResilienceConfig,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.parallel import ParallelEngine
 
 #: The four sound paths to a support-level pattern set.
 PATH_FILTER = "filter"
@@ -186,9 +190,9 @@ def execute_plan(
     strategy: str = "mcp",
     counters: CostCounters | None = None,
     backend: str = "bitset",
-    jobs: int = 1,
     resilience: ResilienceConfig | None = None,
     degradation: DegradationReport | None = None,
+    engine: "ParallelEngine | None" = None,
 ) -> PatternSet:
     """Carry out ``plan``, returning the full pattern set at ``new_support``.
 
@@ -196,12 +200,12 @@ def execute_plan(
     ``"naive"``); the recycling path resolves it to a recycling
     adaptation via :func:`resolve_recycling_algorithm`. ``backend``
     selects the compression claiming implementation on that path.
-    ``jobs > 1`` fans the recycle and mine paths out through the sharded
-    engine (:mod:`repro.parallel`); the filter path never mines, so it
-    never shards. ``resilience`` threads a retry budget and fault
-    injector into that engine and, when it carries a circuit breaker,
-    skips straight to serial while the breaker is open; every rung
-    descended is recorded on ``degradation`` (when given).
+    An ``engine`` of more than one job (a
+    :class:`~repro.parallel.ParallelEngine`, e.g. from
+    :func:`~repro.core.recycle.sharded_engine`) fans the recycle and mine
+    paths out across shards, behind its retry budget, fault injector and
+    circuit breaker; the filter path never mines, so it never shards.
+    Every rung descended is recorded on ``degradation`` (when given).
 
     The update path additionally honors the ``update.patch`` fault point
     and guarantees atomicity-of-outcome: any failure mid-patch falls
@@ -218,8 +222,6 @@ def execute_plan(
             return plan.feedstock.filter_min_support(new_support).expand()
         return plan.feedstock.filter_min_support(new_support)
     if plan.path == PATH_RECYCLE:
-        from repro.core.recycle import recycle_mine_detailed
-
         assert plan.feedstock is not None
         outcome = recycle_mine_detailed(
             db,
@@ -229,8 +231,7 @@ def execute_plan(
             strategy=strategy,
             counters=counters,
             backend=backend,
-            jobs=jobs,
-            resilience=resilience,
+            engine=engine,
         )
         if degradation is not None:
             degradation.extend(outcome.degradation)
@@ -264,8 +265,6 @@ def execute_plan(
             # compress the *new* database and the recycling miner
             # recounts every support exactly, so stale feedstock
             # supports cost performance, never correctness.
-            from repro.core.recycle import recycle_mine_detailed
-
             outcome = recycle_mine_detailed(
                 db,
                 plan.feedstock,
@@ -274,8 +273,7 @@ def execute_plan(
                 strategy=strategy,
                 counters=counters,
                 backend=backend,
-                jobs=jobs,
-                resilience=resilience,
+                engine=engine,
             )
             if degradation is not None:
                 degradation.extend(outcome.degradation)
@@ -293,30 +291,13 @@ def execute_plan(
             if counters is not None:
                 counters.add("update_fallbacks")
     name = resolve_baseline_algorithm(algorithm)
-    if jobs > 1:
-        resilience = resilience or ResilienceConfig()
-        breaker = resilience.breaker
-        if breaker is not None and not breaker.allow():
-            if degradation is not None:
-                degradation.record("parallel", "serial", REASON_CIRCUIT_OPEN)
-            if counters is not None:
-                counters.add("parallel_circuit_skips")
-        else:
-            from repro.parallel import ParallelEngine
-
-            outcome = ParallelEngine(
-                jobs,
-                retry_policy=resilience.retry,
-                fault_injector=resilience.faults,
-            ).mine(db, new_support, algorithm=name, counters=counters, backend=backend)
-            if breaker is not None:
-                if outcome.fallback:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
-            if degradation is not None:
-                degradation.extend(outcome.degradation)
-            return outcome.patterns
+    if engine is not None and engine.jobs > 1:
+        outcome = engine.mine(
+            db, new_support, algorithm=name, counters=counters, backend=backend
+        )
+        if degradation is not None:
+            degradation.extend(outcome.degradation)
+        return outcome.patterns
     return get_miner(name, kind="baseline").mine(db, new_support, counters)
 
 

@@ -13,7 +13,7 @@ naive RP-Mine and Recycle-Eclat) resolve through the single
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.compression import CompressionResult, compress
 from repro.core.groups import GroupedDatabase
@@ -24,11 +24,10 @@ from repro.errors import MiningError, RecycleError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
 from repro.mining.registry import MinerView, get_miner
-from repro.resilience import (
-    REASON_CIRCUIT_OPEN,
-    DegradationReport,
-    ResilienceConfig,
-)
+from repro.resilience import DegradationReport, ResilienceConfig
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.parallel import ParallelEngine
 
 #: A recycling miner maps (grouped db, min support, counters) -> patterns.
 RecyclingMiner = Callable[[GroupedDatabase, int, CostCounters | None], PatternSet]
@@ -101,6 +100,24 @@ def recycle_mine(
     ).patterns
 
 
+def sharded_engine(
+    jobs: int, resilience: ResilienceConfig | None = None
+) -> "ParallelEngine | None":
+    """The engine a ``jobs > 1`` call fans out through (``None``: in-process).
+
+    It carries ``resilience``'s retry budget, fault injector and circuit
+    breaker.
+    """
+    if jobs <= 1:
+        return None
+    # The deliberate upward edge: core reaches into repro.parallel only
+    # here, lazily, mirroring how the sharded engine reaches back down
+    # into the planner inside its workers.
+    from repro.parallel import ParallelEngine
+
+    return ParallelEngine.from_resilience(jobs, resilience)
+
+
 def recycle_mine_detailed(
     db: TransactionDatabase,
     old_patterns: "PatternSet | CondensedPatternSet",
@@ -111,6 +128,7 @@ def recycle_mine_detailed(
     backend: str = "bitset",
     jobs: int = 1,
     resilience: ResilienceConfig | None = None,
+    engine: "ParallelEngine | None" = None,
 ) -> RecycleOutcome:
     """Like :func:`recycle_mine` but also returns compression statistics.
 
@@ -119,6 +137,9 @@ def recycle_mine_detailed(
     supports, which the condensed *entries* already are — so they feed
     the compressor directly, without expanding the full set. (Phase 2
     re-counts exactly; the feedstock subset never changes the answer.)
+    A caller-built ``engine`` (the service's, wired to its warehouse)
+    replaces the one ``jobs`` and ``resilience`` would build; an engine
+    of one job never shards, so Phase 2 then runs in-process.
     """
     spec = get_miner_spec(algorithm)
     if isinstance(old_patterns, CondensedPatternSet):
@@ -127,28 +148,11 @@ def recycle_mine_detailed(
         raise RecycleError(
             "no patterns to recycle — mine with a baseline algorithm instead"
         )
-    resilience = resilience or ResilienceConfig()
-    degradation = DegradationReport()
-    breaker = resilience.breaker
-    if jobs > 1 and breaker is not None and not breaker.allow():
-        # An open breaker demotes the whole request to the serial path
-        # below, without spinning up (and re-crashing) worker processes.
-        degradation.record("parallel", "serial", REASON_CIRCUIT_OPEN)
-        if counters is not None:
-            counters.add("parallel_circuit_skips")
-        jobs = 1
-    if jobs > 1:
-        # The deliberate upward edge: core reaches into repro.parallel
-        # only here, lazily, mirroring how the sharded engine reaches
-        # back down into the planner inside its workers.
-        from repro.parallel import ParallelEngine
-
+    if engine is None:
+        engine = sharded_engine(jobs, resilience)
+    if engine is not None and engine.jobs > 1:
         strategy_name = strategy if isinstance(strategy, str) else strategy.name
-        outcome = ParallelEngine(
-            jobs,
-            retry_policy=resilience.retry,
-            fault_injector=resilience.faults,
-        ).recycle_mine(
+        outcome = engine.recycle_mine(
             db,
             old_patterns,
             min_support,
@@ -157,20 +161,12 @@ def recycle_mine_detailed(
             counters=counters,
             backend=backend,
         )
-        if breaker is not None:
-            if outcome.fallback:
-                breaker.record_failure()
-            else:
-                breaker.record_success()
-        degradation.extend(outcome.degradation)
         assert outcome.compression is not None
         return RecycleOutcome(
             patterns=outcome.patterns,
             compression=outcome.compression,
-            degradation=degradation,
+            degradation=outcome.degradation,
         )
     compression = compress(db, old_patterns, strategy, counters, backend=backend)
     patterns = spec.mine(compression.compressed, min_support, counters)
-    return RecycleOutcome(
-        patterns=patterns, compression=compression, degradation=degradation
-    )
+    return RecycleOutcome(patterns=patterns, compression=compression)

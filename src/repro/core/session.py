@@ -36,6 +36,7 @@ from repro.core.planner import (
     plan_update_path,
     resolve_recycling_algorithm,
 )
+from repro.core.recycle import sharded_engine
 from repro.data.items import ItemTable
 from repro.data.patterns import REPRESENTATIONS, CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
@@ -302,9 +303,9 @@ class MiningSession:
             strategy=self.strategy,
             counters=counters,
             backend=self.backend,
-            jobs=self.jobs,
             resilience=self.resilience,
             degradation=degradation,
+            engine=sharded_engine(self.jobs, self.resilience),
         )
 
         result = constraints.filter_patterns(support_patterns, self.context)

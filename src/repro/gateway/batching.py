@@ -2,8 +2,8 @@
 
 The service's single-flight coalescing only merges *byte-identical*
 requests. The gateway generalizes it: every queued request on the same
-database fingerprint with the same algorithm / strategy / backend / jobs
-is **compatible**, whatever support it asks for. A :class:`BatchPlan`
+database fingerprint with the same jobs is **compatible**, whatever
+support it asks for. A :class:`BatchPlan`
 mines once at the group's minimum absolute support and serves every
 member by ``filter_min_support`` over the shared result.
 
@@ -11,8 +11,8 @@ This is exact, not approximate — the same Section 2 case analysis the
 planner runs: the full frequent-pattern set at the minimum support is a
 superset of the set at every member's (higher-or-equal) support, so a
 support filter over it *is* each member's answer, bit for bit. The
-batching-correctness property test pins this across every miner,
-strategy, backend and warehouse representation.
+batching-correctness property test pins this across warehouse
+representations (closed / NDI).
 
 The economics are the paper's recycle-and-reuse argument applied at
 request granularity: the warehouse amortizes mining across *time* (one

@@ -86,7 +86,7 @@ class GatewayRequest:
     def tenant(self) -> str:
         return self.request.tenant
 
-    def batch_key(self) -> tuple[str, str, str, str, int]:
+    def batch_key(self) -> tuple[str, int]:
         """The cross-request batching compatibility key.
 
         Two requests are *compatible* — one shared mine can serve both
@@ -95,7 +95,8 @@ class GatewayRequest:
         :class:`~repro.data.versioned.VersionedDatabase`, the bare
         database fingerprint otherwise — two versions of one tenant's
         evolving database never share a batch) with
-        the same algorithm, strategy, backend and jobs. Support is
+        the same jobs. Every request is served by the same kernel, so
+        the miner is not part of the key. Support is
         deliberately absent: the batch mines once at the group's minimum
         absolute support and serves every member by
         ``filter_min_support``, which is exact because the full frequent
@@ -104,13 +105,7 @@ class GatewayRequest:
         coalescing (same key *and* same support) to whole support
         ladders.
         """
-        return (
-            self.request.version_fingerprint(),
-            self.request.algorithm,
-            self.request.strategy,
-            self.request.backend,
-            self.request.jobs,
-        )
+        return (self.request.version_fingerprint(), self.request.jobs)
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,6 @@ def synthesize_traffic(
     db: TransactionDatabase,
     supports: "list[int]",
     config: TrafficConfig | None = None,
-    algorithm: str = "hmine",
-    strategy: str = "mcp",
-    backend: str = "bitset",
 ) -> "list[tuple[float, GatewayRequest]]":
     """Build a deterministic ``(arrival_offset, request)`` trace.
 
@@ -154,9 +151,6 @@ def synthesize_traffic(
                 db=db,
                 support=support,
                 tenant=session_tenant,
-                algorithm=algorithm,
-                strategy=strategy,
-                backend=backend,
                 jobs=cfg.jobs,
             ),
             priority=session_priority,

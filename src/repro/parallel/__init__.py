@@ -16,7 +16,9 @@ The subsystem in three modules, one per pass boundary:
 The engine sits above :mod:`repro.core` (it drives the planner
 trichotomy inside workers) and below :mod:`repro.service` (which fans
 heavy requests out through it); ``recycle_mine(..., jobs=N)`` and the
-CLI ``--jobs`` flag are the front doors.
+CLI ``--jobs`` flag are the front doors. The engine owns the circuit
+breaker guard, so every ``jobs > 1`` path — mine, recycle and the update
+path's recycle — is gated in one place.
 """
 
 from repro.parallel.executor import (
@@ -24,8 +26,6 @@ from repro.parallel.executor import (
     ParallelOutcome,
     ShardOutcome,
     ShardTask,
-    parallel_mine,
-    parallel_recycle_mine,
     run_shard_task,
 )
 from repro.parallel.merge import (
@@ -53,8 +53,6 @@ __all__ = [
     "ShardTask",
     "count_pattern_support",
     "merge_shard_patterns",
-    "parallel_mine",
-    "parallel_recycle_mine",
     "run_shard_task",
     "scale_local_support",
     "tight_candidate_bound",

@@ -70,14 +70,17 @@ from repro.parallel.merge import MergeResult, merge_shard_patterns
 from repro.parallel.sharding import Shard, ShardPlanner
 from repro.resilience import (
     MERGE_COUNT,
+    REASON_CIRCUIT_OPEN,
     REASON_DEADLINE,
     REASON_MERGE_FAILED,
     REASON_SHARD_FAILED,
     REASON_WORKER_ERROR,
     SHARD_CRASH,
     SHARD_SLOW,
+    CircuitBreaker,
     DegradationReport,
     FaultInjector,
+    ResilienceConfig,
     RetryPolicy,
 )
 
@@ -128,9 +131,8 @@ class ShardTask:
     global run had nothing to recycle); otherwise the shard groups *are*
     the compressed database and the recycling miner consumes them
     directly. ``fail`` makes the worker raise (a crash, injected by the
-    ``shard.crash`` fault point or the legacy ``failure_injection``
-    hook); ``delay_seconds`` makes it sleep first (a straggler, injected
-    by ``shard.slow``).
+    ``shard.crash`` fault point); ``delay_seconds`` makes it sleep first
+    (a straggler, injected by ``shard.slow``).
     """
 
     shard: Shard
@@ -162,9 +164,7 @@ def run_shard_task(task: ShardTask) -> dict[str, object]:
     executor the property tests use.
     """
     if task.fail:
-        raise ParallelError(
-            f"injected failure in shard {task.shard.index} (test hook)"
-        )
+        raise ParallelError(f"injected failure in shard {task.shard.index}")
     counters = CostCounters()
     started = time.perf_counter()
     if task.delay_seconds > 0:
@@ -324,9 +324,15 @@ class ParallelEngine:
         evaluates ``shard.crash`` and ``shard.slow`` once per shard
         *attempt* (so an ``on_calls=(1,)`` crash is healed by the first
         retry) and fires ``merge.count`` once per merge pass.
-    failure_injection:
-        Legacy hook: shard indices whose tasks always raise inside the
-        worker (unconditional, unlike the injector's scheduled faults).
+    breaker:
+        Optional :class:`~repro.resilience.CircuitBreaker` guarding the
+        parallel pass: while it is open a ``jobs > 1`` run goes straight
+        to the serial path (counted as ``parallel_circuit_skips``), and
+        every attempted run records its success or fallback on it.
+
+    :attr:`last_outcome` holds the outcome of the most recent run, so a
+    caller that hands the engine down a call chain can read back how the
+    run was served.
     """
 
     def __init__(
@@ -339,7 +345,7 @@ class ParallelEngine:
         on_shard_result: ShardResultFn | None = None,
         retry_policy: RetryPolicy | None = None,
         fault_injector: FaultInjector | None = None,
-        failure_injection: Iterable[int] = (),
+        breaker: CircuitBreaker | None = None,
     ) -> None:
         if jobs < 1:
             raise ParallelError(f"jobs must be >= 1, got {jobs}")
@@ -354,7 +360,22 @@ class ParallelEngine:
         self.on_shard_result = on_shard_result
         self.retry_policy = retry_policy or RetryPolicy()
         self.faults = fault_injector
-        self.failure_injection = frozenset(failure_injection)
+        self.breaker = breaker
+        self.last_outcome: ParallelOutcome | None = None
+
+    @classmethod
+    def from_resilience(
+        cls, jobs: int, resilience: ResilienceConfig | None, **kwargs
+    ) -> "ParallelEngine":
+        """An engine with ``resilience``'s retry budget, faults and breaker."""
+        resilience = resilience or ResilienceConfig()
+        return cls(
+            jobs,
+            retry_policy=resilience.retry,
+            fault_injector=resilience.faults,
+            breaker=resilience.breaker,
+            **kwargs,
+        )
 
     # ------------------------------------------------------------------
     # public entry points
@@ -459,22 +480,90 @@ class ParallelEngine:
         started: float,
         phase1_seconds: float,
     ) -> ParallelOutcome:
+        """The shard pass behind the circuit breaker; records the outcome."""
+        guarded = self.jobs > 1 and self.breaker is not None
+        if guarded and not self.breaker.allow():
+            # An open breaker demotes the run to the serial path without
+            # spinning up (and re-crashing) worker processes.
+            if counters is not None:
+                counters.add("parallel_circuit_skips")
+            degradation = DegradationReport()
+            degradation.record("parallel", "serial", REASON_CIRCUIT_OPEN)
+            outcome = self._serial_outcome(
+                serial, path, compression, started, degradation=degradation
+            )
+        else:
+            outcome = self._shard_and_merge(
+                grouped=grouped,
+                min_support=min_support,
+                algorithm=algorithm,
+                strategy=strategy,
+                backend=backend,
+                single_group_shortcut=single_group_shortcut,
+                scratch=scratch,
+                counters=counters,
+                serial=serial,
+                path=path,
+                compression=compression,
+                started=started,
+                phase1_seconds=phase1_seconds,
+            )
+            if guarded:
+                if outcome.fallback:
+                    self.breaker.record_failure()
+                else:
+                    self.breaker.record_success()
+        self.last_outcome = outcome
+        return outcome
+
+    def _serial_outcome(
+        self,
+        serial: Callable[[], PatternSet],
+        path: str,
+        compression: CompressionResult | None,
+        started: float,
+        degradation: DegradationReport | None = None,
+        fallback_reason: str | None = None,
+    ) -> ParallelOutcome:
+        """Answer in-process; ``fallback_reason`` marks a failed shard pass."""
+        patterns = serial()
+        elapsed = time.perf_counter() - started
+        return ParallelOutcome(
+            patterns=patterns,
+            path=path,
+            requested_jobs=self.jobs,
+            jobs=1,
+            compression=compression,
+            fallback=fallback_reason is not None,
+            fallback_reason=fallback_reason,
+            elapsed_seconds=elapsed,
+            critical_path_seconds=elapsed,
+            degradation=degradation or DegradationReport(),
+        )
+
+    def _shard_and_merge(
+        self,
+        *,
+        grouped: GroupedDatabase,
+        min_support: int,
+        algorithm: str,
+        strategy: str,
+        backend: str,
+        single_group_shortcut: bool,
+        scratch: bool,
+        counters: CostCounters | None,
+        serial: Callable[[], PatternSet],
+        path: str,
+        compression: CompressionResult | None,
+        started: float,
+        phase1_seconds: float,
+    ) -> ParallelOutcome:
         total = grouped.tuple_count()
         plan = None
         if self.jobs > 1 and total >= max(2, self.jobs):
             plan = ShardPlanner(self.jobs).plan(grouped)
         if plan is None or plan.effective_jobs <= 1:
-            patterns = serial()
-            elapsed = time.perf_counter() - started
-            return ParallelOutcome(
-                patterns=patterns,
-                path=path,
-                requested_jobs=self.jobs,
-                jobs=1,
-                compression=compression,
-                elapsed_seconds=elapsed,
-                critical_path_seconds=elapsed,
-            )
+            return self._serial_outcome(serial, path, compression, started)
 
         tasks = []
         for shard in plan.shards:
@@ -645,19 +734,13 @@ class ParallelEngine:
             counters.add("parallel_fallbacks")
         degradation = DegradationReport()
         degradation.record("parallel", "serial", code)
-        patterns = serial()
-        elapsed = time.perf_counter() - started
-        return ParallelOutcome(
-            patterns=patterns,
-            path=path,
-            requested_jobs=self.jobs,
-            jobs=1,
-            compression=compression,
-            fallback=True,
-            fallback_reason=reason,
-            elapsed_seconds=elapsed,
-            critical_path_seconds=elapsed,
+        return self._serial_outcome(
+            serial,
+            path,
+            compression,
+            started,
             degradation=degradation,
+            fallback_reason=reason,
         )
 
     # ------------------------------------------------------------------
@@ -670,14 +753,11 @@ class ParallelEngine:
         ``on_calls=(1,)`` fails the first attempt and heals on retry —
         the transient-crash scenario the retry path exists for.
         """
-        fail = task.shard.index in self.failure_injection
-        delay = 0.0
-        if self.faults is not None:
-            if self.faults.evaluate(SHARD_CRASH) is not None:
-                fail = True
-            slow = self.faults.evaluate(SHARD_SLOW)
-            if slow is not None:
-                delay = slow.delay_seconds
+        if self.faults is None:
+            return task
+        fail = self.faults.evaluate(SHARD_CRASH) is not None
+        slow = self.faults.evaluate(SHARD_SLOW)
+        delay = slow.delay_seconds if slow is not None else 0.0
         if fail == task.fail and delay == task.delay_seconds:
             return task
         return dataclasses.replace(task, fail=fail, delay_seconds=delay)
@@ -830,34 +910,3 @@ class ParallelEngine:
             )
         if delay > 0:
             time.sleep(delay)
-
-
-def parallel_recycle_mine(
-    db: TransactionDatabase,
-    old_patterns: PatternSet,
-    min_support: int,
-    jobs: int,
-    algorithm: str = "hmine",
-    strategy: str = "mcp",
-    counters: CostCounters | None = None,
-    backend: str = "bitset",
-    **engine_kwargs: object,
-) -> PatternSet:
-    """One-call parallel recycling; see :class:`ParallelEngine`."""
-    engine = ParallelEngine(jobs, **engine_kwargs)  # type: ignore[arg-type]
-    return engine.recycle_mine(
-        db, old_patterns, min_support, algorithm, strategy, counters, backend
-    ).patterns
-
-
-def parallel_mine(
-    db: TransactionDatabase,
-    min_support: int,
-    jobs: int,
-    algorithm: str = "hmine",
-    counters: CostCounters | None = None,
-    **engine_kwargs: object,
-) -> PatternSet:
-    """One-call parallel from-scratch mining; see :class:`ParallelEngine`."""
-    engine = ParallelEngine(jobs, **engine_kwargs)  # type: ignore[arg-type]
-    return engine.mine(db, min_support, algorithm, counters=counters).patterns

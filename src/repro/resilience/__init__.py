@@ -79,11 +79,10 @@ from repro.resilience.retry import (
 class ResilienceConfig:
     """The resilience knobs a caller threads through the stack.
 
-    ``retry`` and ``faults`` are handed to every
-    :class:`~repro.parallel.ParallelEngine` built on the caller's
-    behalf; ``breaker`` is consulted before each parallel attempt and
-    fed its outcome. All three default to ``None`` (engine defaults
-    apply; no injection; no breaker).
+    All three are handed to every :class:`~repro.parallel.ParallelEngine`
+    built on the caller's behalf; the engine consults ``breaker`` before
+    each parallel attempt and feeds it the outcome. All three default to
+    ``None`` (engine defaults apply; no injection; no breaker).
     """
 
     retry: RetryPolicy | None = None

@@ -13,8 +13,8 @@ already paid for.
 Three service-level mechanisms ride on top:
 
 * **Single-flight coalescing.** Identical requests (same database
-  fingerprint, absolute support, algorithm, strategy and backend) that are in
-  flight at the same time share one underlying computation; followers
+  fingerprint, absolute support and jobs) that are in flight at the
+  same time share one underlying computation; followers
   attach to the leader's future instead of mining again. De-duplication
   happens at submit time in the caller's thread, so even requests that
   are still queued behind a busy pool coalesce. A leader that fails
@@ -30,9 +30,9 @@ Three service-level mechanisms ride on top:
   (``recycle→mine: feedstock_quarantined``), and a warehouse that lost
   its disk keeps serving from memory (``warehouse→memory_only:
   write_failed``). The :class:`~repro.resilience.ResilienceConfig`
-  threads retry/backoff budgets and a
-  :class:`~repro.resilience.FaultInjector` into every engine the service
-  builds.
+  threads retry/backoff budgets, a
+  :class:`~repro.resilience.FaultInjector` and the breaker into every
+  engine the service builds.
 * **Service statistics.** Every response is folded into a thread-safe
   :class:`ServiceStats`: per-path counts (filter hits / recycles /
   misses), coalesced request count, underlying computation count,
@@ -40,10 +40,18 @@ Three service-level mechanisms ride on top:
   long-running service never grows stats memory without bound),
   degraded-response counts by reason, and the circuit breaker's live
   state.
+
+Requests do not choose the miner. Every request is served by the
+planner's default kernel (H-Mine, Recycle-HM with MCP compression on
+the bitset backend); the registry's miners all return the same pattern
+sets, so the choice changes cost, never the answer. The paper's miner
+comparison stays available through :func:`~repro.core.recycle.recycle_mine`,
+:class:`~repro.core.session.MiningSession` and the CLI.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -53,7 +61,6 @@ from repro.core.planner import (
     PATH_FILTER,
     PATH_MINE,
     PATH_RECYCLE,
-    PATH_UPDATE,
     MiningPlan,
     execute_plan,
     plan_support_path,
@@ -66,9 +73,8 @@ from repro.errors import ReproError
 from repro.metrics.counters import CostCounters
 from repro.metrics.reservoir import LatencyReservoir
 from repro.mining.patterns import PatternSet
-from repro.mining.registry import has_miner
+from repro.parallel import ParallelEngine
 from repro.resilience import (
-    REASON_CIRCUIT_OPEN,
     REASON_FEEDSTOCK_QUARANTINED,
     REASON_WAREHOUSE_READ_FAILED,
     REASON_WRITE_FAILED,
@@ -98,9 +104,6 @@ class MineRequest:
     db: TransactionDatabase
     support: float | int
     tenant: str = "anonymous"
-    algorithm: str = "hmine"
-    strategy: str = "mcp"
-    backend: str = "bitset"
     jobs: int = 1
     version: VersionedDatabase | None = None
 
@@ -388,18 +391,19 @@ class MiningService:
     max_workers:
         Worker-pool width for concurrent requests.
     parallel_engine_factory:
-        Optional hook building the sharded engine for ``jobs > 1``
-        requests, called as ``factory(jobs, shard_feedstock,
-        on_shard_result)``. Tests use it to inject failures or force the
-        inline executor; ``None`` builds a standard
-        :class:`~repro.parallel.ParallelEngine` configured from
-        ``resilience``.
+        Optional hook building the sharded engine for a request, called
+        as ``factory(jobs, shard_feedstock, on_shard_result)``. Tests use
+        it to inject failures or force the inline executor; ``None``
+        builds a standard :class:`~repro.parallel.ParallelEngine` from
+        ``resilience``. Either way the engine is guarded by the
+        service's breaker.
     resilience:
         Retry/backoff budget and fault injector threaded into every
         engine the service builds, plus (optionally) the circuit
         breaker guarding the parallel path. When the config carries no
-        breaker a default one is created, so breaker state is always
-        live in :class:`ServiceStats`.
+        breaker a default one is added to it, so the breaker
+        :class:`ServiceStats` reports is the one every parallel path
+        (mine, recycle, update-path recycle) consults.
     """
 
     def __init__(
@@ -413,16 +417,18 @@ class MiningService:
             raise ReproError(f"max_workers must be >= 1, got {max_workers}")
         self.warehouse = warehouse
         self._parallel_engine_factory = parallel_engine_factory
-        self.resilience = resilience or ResilienceConfig()
-        self.breaker = self.resilience.breaker or CircuitBreaker()
+        resilience = resilience or ResilienceConfig()
+        if resilience.breaker is None:
+            resilience = dataclasses.replace(resilience, breaker=CircuitBreaker())
+        self.resilience = resilience
         self.stats = ServiceStats()
-        self.stats.attach_breaker(self.breaker)
+        self.stats.attach_breaker(resilience.breaker)
         if warehouse is not None:
             self.stats.attach_warehouse(warehouse)
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-mining"
         )
-        self._inflight: dict[tuple[str, int, str, str, str, int], Future] = {}
+        self._inflight: dict[tuple[str, int, int], Future] = {}
         self._inflight_lock = threading.Lock()
         self._closed = False
 
@@ -438,10 +444,6 @@ class MiningService:
         """
         if self._closed:
             raise ReproError("service is closed")
-        if request.algorithm != "naive" and not has_miner(
-            request.algorithm, kind="baseline"
-        ):
-            raise ReproError(f"unknown algorithm {request.algorithm!r}")
         if request.jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {request.jobs}")
         if request.version is not None:
@@ -454,14 +456,7 @@ class MiningService:
             # cold restart of the chain object can find ancestors later.
             self._record_lineage(request.version)
         absolute = request.absolute_support()
-        key = (
-            request.db.fingerprint(),
-            absolute,
-            request.algorithm,
-            request.strategy,
-            request.backend,
-            request.jobs,
-        )
+        key = (request.db.fingerprint(), absolute, request.jobs)
         with self._inflight_lock:
             leader = self._inflight.get(key)
             coalesced = leader is not None
@@ -575,7 +570,7 @@ class MiningService:
     # ------------------------------------------------------------------
     def _run_leader(
         self,
-        key: tuple[str, int, str, str, str, int],
+        key: tuple[str, int, int],
         request: MineRequest,
         absolute: int,
         leader: "Future[_Computation]",
@@ -657,56 +652,19 @@ class MiningService:
                 hit.feedstock if hit is not None else None,
                 hit.absolute_support if hit is not None else None,
             )
-        jobs = 1
-        parallel_fallback = False
-        if plan.path == PATH_UPDATE:
-            # The update path runs through execute_plan whole: FUP is
-            # inherently serial, and the recycle-mode patch threads
-            # jobs/resilience into its own engine. Any mid-patch failure
-            # degrades to a scratch mine inside execute_plan.
-            patterns = execute_plan(
-                plan,
-                request.db,
-                absolute,
-                algorithm=request.algorithm,
-                strategy=request.strategy,
-                counters=counters,
-                backend=request.backend,
-                jobs=request.jobs,
-                resilience=self.resilience,
-                degradation=degradation,
-            )
-        elif request.jobs > 1 and plan.path != PATH_FILTER:
-            if not self.breaker.allow():
-                degradation.record("parallel", "serial", REASON_CIRCUIT_OPEN)
-                counters.add("parallel_circuit_skips")
-                patterns = execute_plan(
-                    plan,
-                    request.db,
-                    absolute,
-                    algorithm=request.algorithm,
-                    strategy=request.strategy,
-                    counters=counters,
-                    backend=request.backend,
-                )
-            else:
-                jobs, parallel_fallback, patterns = self._compute_parallel(
-                    request, absolute, plan, counters, degradation
-                )
-                if parallel_fallback:
-                    self.breaker.record_failure()
-                else:
-                    self.breaker.record_success()
-        else:
-            patterns = execute_plan(
-                plan,
-                request.db,
-                absolute,
-                algorithm=request.algorithm,
-                strategy=request.strategy,
-                counters=counters,
-                backend=request.backend,
-            )
+        engine = self._engine(request.jobs)
+        patterns = execute_plan(
+            plan,
+            request.db,
+            absolute,
+            counters=counters,
+            resilience=self.resilience,
+            degradation=degradation,
+            engine=engine,
+        )
+        # The engine records how it served the run (its shard count, or
+        # one job after a fallback or an open breaker); None: it never ran.
+        outcome = engine.last_outcome
         if self.warehouse is not None and plan.path != PATH_FILTER:
             # Filter results are cheap derivations of an existing entry;
             # storing them would only dilute the byte budget. Mined and
@@ -725,8 +683,8 @@ class MiningService:
             patterns=patterns,
             counters=counters,
             elapsed_seconds=elapsed,
-            jobs=jobs,
-            parallel_fallback=parallel_fallback,
+            jobs=outcome.jobs if outcome is not None else 1,
+            parallel_fallback=outcome is not None and outcome.fallback,
             degradation=degradation,
             update_mode=plan.update_mode,
             feedstock_distance=plan.distance,
@@ -770,76 +728,37 @@ class MiningService:
             return MiningPlan(PATH_MINE)
         return MiningPlan(PATH_RECYCLE, hit.feedstock, hit.absolute_support)
 
-    def _compute_parallel(
-        self,
-        request: MineRequest,
-        absolute: int,
-        plan,
-        counters: CostCounters,
-        degradation: DegradationReport,
-    ) -> tuple[int, bool, PatternSet]:
-        """Fan a heavy request out through the sharded engine.
+    def _engine(self, jobs: int) -> ParallelEngine:
+        """The sharded engine for one request, guarded by the service breaker.
 
         The warehouse rides along per shard: each worker's feedstock is
         sliced by its shard fingerprint going out, and each fresh shard
         result is banked coming back — one tenant's heavy request warms
-        the shards for everyone else's.
+        the shards for everyone else's. A one-job engine is never run.
         """
-        from repro.core.planner import PATH_RECYCLE
-        from repro.parallel import ParallelEngine
-
-        shard_feedstock = None
-        on_shard_result = None
+        shard_feedstock = on_shard_result = None
         if self.warehouse is not None:
-            warehouse = self.warehouse
-
-            def shard_feedstock(fingerprint: str, local_support: int):
-                try:
-                    hit = warehouse.best_feedstock(fingerprint, local_support)
-                except ReproError:
-                    return None  # a failed shard read is just a cold shard
-                if hit is None:
-                    return None
-                # Condensed entries cross the shard boundary as-is; the
-                # executor serializes their entries and rehydrates the
-                # condensed set inside the worker.
-                return hit.feedstock, hit.absolute_support
-
-            def on_shard_result(
-                fingerprint: str, local_support: int, patterns: PatternSet
-            ) -> None:
-                warehouse.put(fingerprint, local_support, patterns)
-
-        if self._parallel_engine_factory is not None:
-            engine = self._parallel_engine_factory(
-                request.jobs, shard_feedstock, on_shard_result
-            )
-        else:
-            engine = ParallelEngine(
-                request.jobs,
+            shard_feedstock = self._shard_feedstock
+            on_shard_result = self.warehouse.put
+        if self._parallel_engine_factory is None:
+            return ParallelEngine.from_resilience(
+                jobs,
+                self.resilience,
                 shard_feedstock=shard_feedstock,
                 on_shard_result=on_shard_result,
-                retry_policy=self.resilience.retry,
-                fault_injector=self.resilience.faults,
             )
-        if plan.path == PATH_RECYCLE:
-            outcome = engine.recycle_mine(
-                request.db,
-                plan.feedstock,
-                absolute,
-                algorithm=request.algorithm,
-                strategy=request.strategy,
-                counters=counters,
-                backend=request.backend,
-            )
-        else:
-            outcome = engine.mine(
-                request.db,
-                absolute,
-                algorithm=request.algorithm,
-                strategy=request.strategy,
-                counters=counters,
-                backend=request.backend,
-            )
-        degradation.extend(outcome.degradation)
-        return outcome.jobs, outcome.fallback, outcome.patterns
+        engine = self._parallel_engine_factory(jobs, shard_feedstock, on_shard_result)
+        engine.breaker = self.resilience.breaker
+        return engine
+
+    def _shard_feedstock(self, fingerprint: str, local_support: int):
+        try:
+            hit = self.warehouse.best_feedstock(fingerprint, local_support)
+        except ReproError:
+            return None  # a failed shard read is just a cold shard
+        if hit is None:
+            return None
+        # Condensed entries cross the shard boundary as-is; the executor
+        # serializes their entries and rehydrates the condensed set
+        # inside the worker.
+        return hit.feedstock, hit.absolute_support

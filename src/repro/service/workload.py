@@ -8,8 +8,6 @@ reproduced from a plain text artifact::
     {
       "dataset": "weather",
       "seed": 0,
-      "algorithm": "hmine",
-      "strategy": "mcp",
       "requests": [
         {"tenant": "alice", "support": 0.05},
         {"tenant": "bob",   "support": 0.02},
@@ -18,8 +16,13 @@ reproduced from a plain text artifact::
     }
 
 Top-level keys are defaults; each request may override ``dataset``,
-``seed``, ``algorithm``, ``strategy`` and ``jobs`` (worker processes for
-the sharded engine). Databases are resolved through
+``seed`` and ``jobs`` (worker processes for the sharded engine, at
+least 1); ``seed`` and ``jobs`` must be integers. A workload does not
+choose the miner: the service serves every request with its one kernel
+(the paper's miner comparison runs through ``repro recycle
+--algorithm`` and :func:`~repro.core.recycle.recycle_mine`). Unknown
+keys are ignored, so files that still carry ``algorithm`` or
+``strategy`` replay with identical answers. Databases are resolved through
 the built-in dataset catalog and materialized once per (dataset, seed),
 so every request for the same dataset shares one
 :class:`TransactionDatabase` object (and therefore one fingerprint and
@@ -93,7 +96,7 @@ def parse_workload_items(spec: dict) -> "list[MineRequest | DeltaOp]":
         if dataset is None:
             raise DataError(f"request #{index} has no dataset (and no default)")
         dataset = str(dataset)
-        seed = int(entry.get("seed", spec.get("seed", 0)))
+        seed = _integer(index, "seed", entry.get("seed", spec.get("seed", 0)))
         op = entry.get("op")
         if op is not None:
             items.append(_parse_op(index, entry, op, dataset, seed,
@@ -104,6 +107,9 @@ def parse_workload_items(spec: dict) -> "list[MineRequest | DeltaOp]":
             raise DataError(f"request #{index} has no support")
         if isinstance(support, bool) or not isinstance(support, (int, float)):
             raise DataError(f"request #{index}: support must be a number")
+        jobs = _integer(index, "jobs", entry.get("jobs", spec.get("jobs", 1)))
+        if jobs < 1:
+            raise DataError(f"request #{index}: jobs must be >= 1, got {jobs}")
         version = resolve_version(dataset, seed)
         items.append(
             MineRequest(
@@ -113,13 +119,17 @@ def parse_workload_items(spec: dict) -> "list[MineRequest | DeltaOp]":
                 # library-wide support convention).
                 support=support,
                 tenant=str(entry.get("tenant", f"user-{index}")),
-                algorithm=str(entry.get("algorithm", spec.get("algorithm", "hmine"))),
-                strategy=str(entry.get("strategy", spec.get("strategy", "mcp"))),
-                jobs=int(entry.get("jobs", spec.get("jobs", 1))),
+                jobs=jobs,
                 version=version,
             )
         )
     return items
+
+
+def _integer(index: int, key: str, value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"request #{index}: {key} must be an integer, got {value!r}")
+    return value
 
 
 def _parse_op(

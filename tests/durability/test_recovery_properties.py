@@ -1,7 +1,7 @@
 """Hypothesis property: persist → kill → recover → bit-identical serving.
 
-For every combination of baseline miner × compression strategy ×
-warehouse representation × persistence fault point × kill offset, a
+For every combination of warehouse representation × persistence fault
+point × kill offset, a
 service generation that persists its warehouse and chain, dies at an
 injected persistence fault, and is rebuilt from the directory alone
 must serve the post-delta request with *bit-identical* patterns to the
@@ -21,8 +21,6 @@ from repro.mining.registry import get_miner
 from repro.resilience import PERSIST_FAULT_POINTS, FaultInjector
 from repro.service import MineRequest, MiningService, PatternWarehouse
 
-ALGORITHMS = ("hmine", "fpgrowth", "eclat")
-STRATEGIES = ("mcp", "mlp")
 REPRESENTATIONS = ("full", "closed", "ndi")
 SUPPORT = 8
 
@@ -34,7 +32,7 @@ def make_db(seed: int) -> TransactionDatabase:
     )
 
 
-def run_generation(directory, db, algorithm, strategy, representation, faults):
+def run_generation(directory, db, representation, faults):
     """One service generation: mine v0 versioned, advance by one delta.
 
     Injected persistence faults are absorbed by the warehouse's
@@ -49,22 +47,14 @@ def run_generation(directory, db, algorithm, strategy, representation, faults):
     )
     with MiningService(warehouse=warehouse) as service:
         v0 = VersionedDatabase(db)
-        service.execute(
-            MineRequest(
-                db=db,
-                support=SUPPORT,
-                algorithm=algorithm,
-                strategy=strategy,
-                version=v0,
-            )
-        )
+        service.execute(MineRequest(db=db, support=SUPPORT, version=v0))
         v1 = service.apply_delta(
             v0, DatabaseDelta(appends=((1, 2, 4), (3, 5)))
         )
     return v1
 
 
-def serve_after_restart(directory, v1, algorithm, strategy, representation):
+def serve_after_restart(directory, v1, representation):
     """Rebuild the service from the directory and serve v1 unversioned."""
     warehouse = PatternWarehouse(
         directory=directory, representation=representation
@@ -74,35 +64,27 @@ def serve_after_restart(directory, v1, algorithm, strategy, representation):
             MineRequest(
                 db=TransactionDatabase(v1.db.transactions, tids=v1.db.tids),
                 support=SUPPORT,
-                algorithm=algorithm,
-                strategy=strategy,
             )
         )
 
 
 @settings(max_examples=20, deadline=None)
 @given(
-    algorithm=st.sampled_from(ALGORITHMS),
-    strategy=st.sampled_from(STRATEGIES),
     representation=st.sampled_from(REPRESENTATIONS),
     point=st.sampled_from(PERSIST_FAULT_POINTS),
     offset=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=3),
 )
 def test_kill_then_recover_serves_bit_identical_patterns(
-    tmp_path_factory, algorithm, strategy, representation, point, offset, seed
+    tmp_path_factory, representation, point, offset, seed
 ):
     db = make_db(seed)
-    scratch = get_miner(algorithm, kind="baseline")
+    scratch = get_miner("fpgrowth", kind="baseline")
 
     # Ground truth: the uninterrupted persist → restart → serve run.
     clean_dir = tmp_path_factory.mktemp("clean")
-    v1 = run_generation(
-        clean_dir, db, algorithm, strategy, representation, faults=None
-    )
-    expected = serve_after_restart(
-        clean_dir, v1, algorithm, strategy, representation
-    )
+    v1 = run_generation(clean_dir, db, representation, faults=None)
+    expected = serve_after_restart(clean_dir, v1, representation)
     assert expected.path == "update"
     assert expected.patterns == scratch.mine(v1.db, SUPPORT)
 
@@ -110,16 +92,12 @@ def test_kill_then_recover_serves_bit_identical_patterns(
     # offset), then recovery from whatever reached the disk.
     crash_dir = tmp_path_factory.mktemp("crash")
     faults = FaultInjector(seed=seed).inject(point, on_calls=(offset,))
-    v1_crash = run_generation(
-        crash_dir, db, algorithm, strategy, representation, faults
-    )
+    v1_crash = run_generation(crash_dir, db, representation, faults)
     assert v1_crash.fingerprint() == v1.fingerprint()
-    response = serve_after_restart(
-        crash_dir, v1_crash, algorithm, strategy, representation
-    )
+    response = serve_after_restart(crash_dir, v1_crash, representation)
     # The one non-negotiable: bit-identical patterns, whatever survived.
     assert response.patterns == expected.patterns, (
-        f"{algorithm}/{strategy}/{representation} {point}@{offset} seed={seed}"
+        f"{representation} {point}@{offset} seed={seed}"
         f" served via {response.path}"
     )
     assert response.path in ("update", "mine")

@@ -5,8 +5,7 @@ compatible requests served through one gateway batch (one mine at the
 group-minimum support, members served by ``filter_min_support``) must
 equal — pattern for pattern, support count for support count — the
 responses an isolated synchronous :class:`MiningService` produces for
-the same requests, across miner × strategy × backend × warehouse
-representation (closed / NDI).
+the same requests, across warehouse representations (closed / NDI).
 """
 
 from __future__ import annotations
@@ -28,25 +27,15 @@ small_databases = st.lists(
 @given(
     transactions=small_databases,
     supports=st.lists(st.integers(1, 8), min_size=2, max_size=5),
-    algorithm=st.sampled_from(["apriori", "eclat", "fpgrowth", "hmine"]),
-    strategy=st.sampled_from(["mcp", "mlp"]),
-    backend=st.sampled_from(["python", "bitset"]),
     representation=st.sampled_from(["closed", "ndi"]),
 )
 @settings(max_examples=25, deadline=None)
 def test_batched_group_equals_independent_serving(
-    transactions, supports, algorithm, strategy, backend, representation
+    transactions, supports, representation
 ):
     db = TransactionDatabase(transactions)
     requests = [
-        MineRequest(
-            db=db,
-            support=support,
-            tenant=f"tenant-{i}",
-            algorithm=algorithm,
-            strategy=strategy,
-            backend=backend,
-        )
+        MineRequest(db=db, support=support, tenant=f"tenant-{i}")
         for i, support in enumerate(supports)
     ]
 

@@ -285,8 +285,6 @@ class TestLifecycle:
 
     def test_validation_failures_raise_instead_of_queueing(self, db, service):
         gw = MiningGateway(service, start=False)
-        with pytest.raises(GatewayError, match="unknown algorithm"):
-            gw.submit(MineRequest(db=db, support=10, algorithm="magic"))
         with pytest.raises(GatewayError, match="jobs"):
             gw.submit(MineRequest(db=db, support=10, jobs=0))
         with pytest.raises(GatewayError, match="priority"):

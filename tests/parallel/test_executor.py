@@ -20,6 +20,7 @@ from repro.parallel import (
     run_shard_task,
 )
 from repro.parallel.executor import patterns_to_rows, rows_to_patterns
+from repro.resilience import SHARD_CRASH, FaultInjector
 
 
 def db() -> TransactionDatabase:
@@ -148,7 +149,9 @@ class TestParallelEngine:
         old = mine_bruteforce(database, 4)
         counters = CostCounters()
         outcome = ParallelEngine(
-            2, executor="inline", failure_injection=(0,)
+            2,
+            executor="inline",
+            fault_injector=FaultInjector().inject(SHARD_CRASH, probability=1.0),
         ).recycle_mine(database, old, 2, counters=counters)
         assert outcome.fallback
         assert "injected failure" in outcome.fallback_reason

@@ -19,6 +19,7 @@ from repro.data.transactions import TransactionDatabase
 from repro.mining.bruteforce import mine_bruteforce
 from repro.mining.registry import iter_miners
 from repro.parallel import ParallelEngine
+from repro.resilience import SHARD_CRASH, FaultInjector
 
 RECYCLING_NAMES = sorted(spec.name for spec in iter_miners("recycling"))
 JOBS = (1, 2, 4)
@@ -89,7 +90,9 @@ def test_crash_fallback_still_matches(transactions, xi_old, xi_new):
         return
     reference = recycle_mine(db, old_patterns, xi_new)
     outcome = ParallelEngine(
-        4, executor="inline", failure_injection=(0, 2)
+        4,
+        executor="inline",
+        fault_injector=FaultInjector().inject(SHARD_CRASH, probability=1.0),
     ).recycle_mine(db, old_patterns, xi_new)
     assert outcome.patterns == reference
 

@@ -98,6 +98,8 @@ def run_slow_under_deadline(db, algorithm, strategy, old_patterns):
 
 
 def run_corrupt_feedstock(db, algorithm, strategy, old_patterns):
+    # The service serves every request with its one kernel, so only the
+    # engine profiles vary ``algorithm`` and ``strategy``.
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         fingerprint = db.fingerprint()
@@ -110,14 +112,7 @@ def run_corrupt_feedstock(db, algorithm, strategy, old_patterns):
         warehouse = PatternWarehouse(directory=directory)
         assert warehouse.has_quarantined(fingerprint)
         with MiningService(warehouse=warehouse) as service:
-            response = service.execute(
-                MineRequest(
-                    db=db,
-                    support=NEW_SUPPORT,
-                    algorithm=algorithm,
-                    strategy=strategy,
-                )
-            )
+            response = service.execute(MineRequest(db=db, support=NEW_SUPPORT))
         # The would-be recycle degrades to a scratch mine, by name.
         assert response.path == "mine"
         assert response.degradation.reasons() == [
@@ -146,10 +141,6 @@ def test_fault_profiles_never_change_the_answer(algorithm, strategy, profile, se
     old_patterns = serial_answer(db, OLD_SUPPORT)
     if len(old_patterns) == 0:
         return  # nothing to recycle at this seed; vacuous
-    # The service path validates baseline names; recycling-only names
-    # ("naive") are exercised through the engine profiles instead.
-    if profile == "corrupt_feedstock" and algorithm == "naive":
-        profile = "crash_attempt_1"
     patterns, degradation = RUNNERS[profile](
         db, algorithm, strategy, old_patterns
     )

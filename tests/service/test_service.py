@@ -11,6 +11,7 @@ import repro.core.planner as planner_module
 from repro.data.synthetic import QuestParams, quest_database
 from repro.errors import ReproError
 from repro.mining.hmine import mine_hmine
+from repro.resilience import SHARD_CRASH, FaultInjector
 from repro.service import MineRequest, MiningService, PatternWarehouse
 from repro.storage.disk import patterns_byte_size
 
@@ -45,11 +46,6 @@ class TestSingleRequests:
             second = service.execute(MineRequest(db=db, support=12))
             assert second.path == "mine"
             assert service.stats.mine_runs == 2
-
-    def test_unknown_algorithm_rejected_at_submit(self, db):
-        with MiningService() as service:
-            with pytest.raises(ReproError, match="unknown algorithm"):
-                service.submit(MineRequest(db=db, support=12, algorithm="magic"))
 
     def test_closed_service_rejects_requests(self, db):
         service = MiningService()
@@ -113,7 +109,9 @@ class TestParallelRequests:
         in the service stats."""
         with MiningService(
             warehouse=PatternWarehouse(),
-            parallel_engine_factory=self._inline_factory(failure_injection=(0,)),
+            parallel_engine_factory=self._inline_factory(
+                fault_injector=FaultInjector().inject(SHARD_CRASH, probability=1.0)
+            ),
         ) as service:
             response = service.execute(MineRequest(db=db, support=10, jobs=2))
             assert response.parallel_fallback

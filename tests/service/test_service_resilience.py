@@ -9,6 +9,7 @@ import pytest
 
 import repro.core.planner as planner_module
 from repro.data.synthetic import QuestParams, quest_database
+from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.errors import MiningError
 from repro.mining.hmine import mine_hmine
 from repro.resilience import (
@@ -80,7 +81,8 @@ class TestCircuitBreaker:
         with MiningService(
             warehouse=None,  # keep every request on the mine path
             parallel_engine_factory=inline_factory(
-                failure_injection=(0,), retry_policy=no_wait()
+                fault_injector=FaultInjector().inject(SHARD_CRASH, probability=1.0),
+                retry_policy=no_wait(),
             ),
             resilience=ResilienceConfig(breaker=breaker),
         ) as service:
@@ -119,13 +121,17 @@ class TestCircuitBreaker:
             from repro.parallel import ParallelEngine
 
             calls["n"] += 1
-            inject = (0,) if calls["n"] == 1 else ()
+            crash = (
+                FaultInjector().inject(SHARD_CRASH, probability=1.0)
+                if calls["n"] == 1
+                else None
+            )
             return ParallelEngine(
                 jobs,
                 executor="inline",
                 shard_feedstock=shard_feedstock,
                 on_shard_result=on_shard_result,
-                failure_injection=inject,
+                fault_injector=crash,
                 retry_policy=no_wait(),
             )
 
@@ -140,6 +146,38 @@ class TestCircuitBreaker:
             trial = service.execute(MineRequest(db=db, support=10, jobs=2))
             assert not trial.parallel_fallback and trial.jobs == 2
             assert breaker.state == "closed"
+
+    def test_update_path_recycle_shares_the_service_breaker(self, db):
+        """The update path's sharded recycle is guarded by the same breaker
+        ServiceStats reports: crashing update-path runs trip it."""
+        crash = FaultInjector().inject(SHARD_CRASH, probability=1.0)
+        with MiningService(
+            warehouse=PatternWarehouse(),
+            parallel_engine_factory=inline_factory(
+                fault_injector=crash, retry_policy=no_wait()
+            ),
+        ) as service:
+            v0 = VersionedDatabase.initial(db)
+            service.execute(MineRequest(db=db, support=10, version=v0))
+            threshold = CircuitBreaker().failure_threshold  # the default
+            for run in range(1, threshold + 1):
+                assert service.stats.snapshot()["breaker_open"] == 0.0
+                # A mixed delta rules FUP out: recycle-mode update.
+                delta = DatabaseDelta(
+                    appends=db.transactions[run : run + 3],
+                    deletes=frozenset(db.tids[run * 5 : run * 5 + 2]),
+                )
+                version = service.apply_delta(v0, delta)
+                response = service.execute(
+                    MineRequest(db=version.db, support=10, version=version, jobs=2)
+                )
+                assert response.path == "update"
+                assert response.update_mode == "recycle"
+                assert response.parallel_fallback and response.jobs == 1
+                assert response.patterns == mine_hmine(version.db, 10)
+            snapshot = service.stats.snapshot()
+            assert snapshot["breaker_open"] == 1.0
+            assert snapshot["breaker_trips"] == 1.0
 
 
 class TestWarehouseDegradation:

@@ -27,10 +27,17 @@ def _spec(**overrides) -> dict:
 
 class TestParsing:
     def test_defaults_flow_into_requests(self):
-        requests = parse_workload(_spec(algorithm="fpgrowth", strategy="mlp"))
+        """Top-level keys are defaults; the retired miner keys, top-level
+        or per request, are ignored, so old files parse to the same
+        requests (and therefore the same answers)."""
+        plain = parse_workload(_spec(jobs=2))
+        legacy = _spec(jobs=2, algorithm="fpgrowth", strategy="mlp")
+        legacy["requests"][1]["algorithm"] = "eclat"
+        requests = parse_workload(legacy)
         assert [r.tenant for r in requests] == ["alice", "bob"]
-        assert all(r.algorithm == "fpgrowth" for r in requests)
-        assert all(r.strategy == "mlp" for r in requests)
+        assert [
+            (r.tenant, r.support, r.jobs, r.db.fingerprint()) for r in requests
+        ] == [(r.tenant, r.support, r.jobs, r.db.fingerprint()) for r in plain]
 
     def test_requests_share_one_database_object(self):
         """Same (dataset, seed) must resolve to one object, so fingerprint
@@ -58,6 +65,19 @@ class TestParsing:
             ({"requests": [{"tenant": "x"}]}, "no support"),
             ({"requests": [{"support": 0.5, "dataset": "mars"}]}, "unknown dataset"),
             ({"dataset": None, "requests": [{"support": 0.5}]}, "no dataset"),
+            (
+                {"requests": [{"support": 0.05, "jobs": "two"}]},
+                "request #0: jobs must be an integer",
+            ),
+            ({"jobs": 1.5}, "request #0: jobs must be an integer"),
+            (
+                {"requests": [{"support": 0.5, "seed": "x"}]},
+                "request #0: seed must be an integer",
+            ),
+            (
+                {"requests": [{"support": 0.5}, {"support": 0.5, "jobs": 0}]},
+                "request #1: jobs must be >= 1",
+            ),
         ],
     )
     def test_malformed_workloads_rejected(self, mutation, message):
