@@ -62,17 +62,6 @@ MEMORY_FIGURES: dict[int, str] = {
 _ALGORITHM_TAGS = {"hmine": "HM", "fpgrowth": "FP", "treeprojection": "TP"}
 
 
-def _work(run: MiningRun) -> int:
-    """Machine-independent cost: visits + scans + projections plus the
-    algorithm-specific extras (matrix updates, tidset intersections)."""
-    extras = run.counters.as_dict()
-    return (
-        run.counters.total_work()
-        + extras.get("matrix_updates", 0)
-        + extras.get("tidset_intersections", 0)
-    )
-
-
 def _check_same(baseline: MiningRun, candidate: MiningRun, where: str) -> None:
     if baseline.patterns != candidate.patterns:
         raise BenchmarkError(
@@ -182,8 +171,8 @@ def figure_series(
                 mlp.seconds,
                 speedup(base, mcp),
                 speedup(base, mlp),
-                _work(base),
-                _work(mcp),
+                base.counters.total_work(),
+                mcp.counters.total_work(),
             ]
         )
     return headers, rows
@@ -475,7 +464,7 @@ def miner_sweep(dataset: str, seed: int = 0) -> tuple[list[str], list[list[objec
                 spec.backend,
                 "yes" if spec.supports_memory_budget else "-",
                 run.seconds,
-                _work(run),
+                run.counters.total_work(),
                 run.pattern_count,
             ]
         )
@@ -585,7 +574,7 @@ def service_benchmark(
                         f"{cold.pattern_count} patterns)"
                     )
                 warm_work = response.counters.total_work() if not response.coalesced else 0
-                cold_work = _work(cold)
+                cold_work = cold.counters.total_work()
                 total_warm += warm_work
                 total_cold += cold_work
                 rows.append(

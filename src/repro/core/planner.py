@@ -28,6 +28,11 @@ database).
 The planner is pure (no I/O, no mining); :func:`execute_plan` carries a
 plan out.  Splitting the two keeps the decision testable in isolation
 and lets callers report *what* they decided before paying for it.
+
+A call that names no algorithm (``algorithm=None``, as every service
+call does) runs the **serving kernel**: :data:`SERVING_BASELINE` for
+cold mines and :data:`SERVING_RECYCLING` for recycles. The paper's
+miners stay selectable by name.
 """
 
 from __future__ import annotations
@@ -71,6 +76,13 @@ UPDATE_RECYCLE = "recycle"
 #: (``BENCH_incremental.json``) records the measured crossover next to
 #: this modeled one.
 UPDATE_CHURN_CUTOFF = 0.5
+
+#: The serving kernel: ``eclat-bitset`` for cold mines and RP-Mine
+#: (``naive``, the grouped bitset kernel) for recycles. Every registry
+#: miner returns the same pattern sets; these two measured fastest on the
+#: end-to-end benchmark's inputs (docs/service.md has the timings).
+SERVING_BASELINE = "eclat-bitset"
+SERVING_RECYCLING = "naive"
 
 
 @dataclass(frozen=True)
@@ -186,7 +198,7 @@ def execute_plan(
     plan: MiningPlan,
     db: TransactionDatabase,
     new_support: int,
-    algorithm: str = "hmine",
+    algorithm: str | None = None,
     strategy: str = "mcp",
     counters: CostCounters | None = None,
     backend: str = "bitset",
@@ -198,7 +210,8 @@ def execute_plan(
 
     ``algorithm`` is a baseline name from the miner registry (or
     ``"naive"``); the recycling path resolves it to a recycling
-    adaptation via :func:`resolve_recycling_algorithm`. ``backend``
+    adaptation via :func:`resolve_recycling_algorithm`. ``None`` (the
+    default) runs the serving kernel on every path. ``backend``
     selects the compression claiming implementation on that path.
     An ``engine`` of more than one job (a
     :class:`~repro.parallel.ParallelEngine`, e.g. from
@@ -222,20 +235,10 @@ def execute_plan(
             return plan.feedstock.filter_min_support(new_support).expand()
         return plan.feedstock.filter_min_support(new_support)
     if plan.path == PATH_RECYCLE:
-        assert plan.feedstock is not None
-        outcome = recycle_mine_detailed(
-            db,
-            plan.feedstock,
-            new_support,
-            algorithm=resolve_recycling_algorithm(algorithm),
-            strategy=strategy,
-            counters=counters,
-            backend=backend,
-            engine=engine,
+        return _recycle(
+            plan, db, new_support, algorithm, strategy, counters, backend,
+            degradation, engine,
         )
-        if degradation is not None:
-            degradation.extend(outcome.degradation)
-        return outcome.patterns
     if plan.path == PATH_UPDATE:
         assert plan.feedstock is not None and plan.delta is not None
         try:
@@ -265,19 +268,10 @@ def execute_plan(
             # compress the *new* database and the recycling miner
             # recounts every support exactly, so stale feedstock
             # supports cost performance, never correctness.
-            outcome = recycle_mine_detailed(
-                db,
-                plan.feedstock,
-                new_support,
-                algorithm=resolve_recycling_algorithm(algorithm),
-                strategy=strategy,
-                counters=counters,
-                backend=backend,
-                engine=engine,
+            return _recycle(
+                plan, db, new_support, algorithm, strategy, counters, backend,
+                degradation, engine,
             )
-            if degradation is not None:
-                degradation.extend(outcome.degradation)
-            return outcome.patterns
         except ReproError:
             # A failed update must degrade to a clean scratch mine —
             # never serve a half-patched pattern set. (If FUP already
@@ -290,34 +284,82 @@ def execute_plan(
                 degradation.record(PATH_UPDATE, PATH_MINE, REASON_UPDATE_FAILED)
             if counters is not None:
                 counters.add("update_fallbacks")
-    name = resolve_baseline_algorithm(algorithm)
     if engine is not None and engine.jobs > 1:
+        # The engine resolves ``algorithm`` itself, so a serving-kernel
+        # run (None) still reaches the shards that plan locally.
         outcome = engine.mine(
-            db, new_support, algorithm=name, counters=counters, backend=backend
+            db, new_support, algorithm=algorithm, counters=counters, backend=backend
         )
         if degradation is not None:
             degradation.extend(outcome.degradation)
         return outcome.patterns
+    name = resolve_baseline_algorithm(algorithm)
     return get_miner(name, kind="baseline").mine(db, new_support, counters)
 
 
-def resolve_baseline_algorithm(algorithm: str) -> str:
+def _recycle(
+    plan: MiningPlan,
+    db: TransactionDatabase,
+    new_support: int,
+    algorithm: str | None,
+    strategy: str,
+    counters: CostCounters | None,
+    backend: str,
+    degradation: DegradationReport | None,
+    engine: "ParallelEngine | None",
+) -> PatternSet:
+    """Compress ``db`` with the plan's feedstock and mine the groups."""
+    assert plan.feedstock is not None
+    if engine is not None and engine.jobs > 1:
+        outcome = engine.recycle_mine(
+            db,
+            plan.feedstock,
+            new_support,
+            algorithm=algorithm,
+            strategy=strategy,
+            counters=counters,
+            backend=backend,
+        )
+    else:
+        outcome = recycle_mine_detailed(
+            db,
+            plan.feedstock,
+            new_support,
+            algorithm=resolve_recycling_algorithm(algorithm),
+            strategy=strategy,
+            counters=counters,
+            backend=backend,
+        )
+    if degradation is not None:
+        degradation.extend(outcome.degradation)
+    return outcome.patterns
+
+
+def resolve_baseline_algorithm(algorithm: str | None) -> str:
     """The registry baseline name backing ``algorithm``.
 
-    ``"naive"`` has no baseline form (RP-Mine needs a compressed
-    database), so it mines its initial iteration with H-Mine.
+    ``None`` is the serving kernel's :data:`SERVING_BASELINE`.
+    ``"naive"`` names RP-Mine, which the paper runs only on recycled
+    iterations: it accepts a plain database (as one residual group) but
+    has no groups to exploit there, so the initial iteration mines with
+    H-Mine.
     """
+    if algorithm is None:
+        return SERVING_BASELINE
     return "hmine" if algorithm == "naive" else algorithm
 
 
-def resolve_recycling_algorithm(algorithm: str) -> str:
+def resolve_recycling_algorithm(algorithm: str | None) -> str:
     """The registry recycling name backing a baseline ``algorithm``.
 
-    Exact match first; then the base name before any ``-backend`` suffix
+    ``None`` is the serving kernel's :data:`SERVING_RECYCLING`. Otherwise
+    exact match first; then the base name before any ``-backend`` suffix
     (``eclat-bitset`` recycles with Recycle-Eclat); then Recycle-HM, so
     every baseline algorithm still gets a sound (if not specialized)
     recycling path.
     """
+    if algorithm is None:
+        return SERVING_RECYCLING
     if has_miner(algorithm, kind="recycling"):
         return algorithm
     base = algorithm.split("-", 1)[0]

@@ -128,7 +128,6 @@ def recycle_mine_detailed(
     backend: str = "bitset",
     jobs: int = 1,
     resilience: ResilienceConfig | None = None,
-    engine: "ParallelEngine | None" = None,
 ) -> RecycleOutcome:
     """Like :func:`recycle_mine` but also returns compression statistics.
 
@@ -137,9 +136,6 @@ def recycle_mine_detailed(
     supports, which the condensed *entries* already are — so they feed
     the compressor directly, without expanding the full set. (Phase 2
     re-counts exactly; the feedstock subset never changes the answer.)
-    A caller-built ``engine`` (the service's, wired to its warehouse)
-    replaces the one ``jobs`` and ``resilience`` would build; an engine
-    of one job never shards, so Phase 2 then runs in-process.
     """
     spec = get_miner_spec(algorithm)
     if isinstance(old_patterns, CondensedPatternSet):
@@ -148,9 +144,8 @@ def recycle_mine_detailed(
         raise RecycleError(
             "no patterns to recycle — mine with a baseline algorithm instead"
         )
-    if engine is None:
-        engine = sharded_engine(jobs, resilience)
-    if engine is not None and engine.jobs > 1:
+    engine = sharded_engine(jobs, resilience)
+    if engine is not None:
         strategy_name = strategy if isinstance(strategy, str) else strategy.name
         outcome = engine.recycle_mine(
             db,

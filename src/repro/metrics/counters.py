@@ -79,8 +79,21 @@ class CostCounters:
             self._extra[name] = self._extra.get(name, 0) + amount
 
     def total_work(self) -> int:
-        """A single scalar proxy for CPU cost (visits + scans + projections)."""
-        return self.item_visits + self.tuple_scans + self.projections
+        """A single scalar proxy for CPU cost.
+
+        Visits + scans + projections, plus the vertical and matrix
+        kernels' own steps (the ``tidset_intersections`` and
+        ``matrix_updates`` extras), whose search never touches the
+        first three.
+        """
+        extra = self._extra
+        return (
+            self.item_visits
+            + self.tuple_scans
+            + self.projections
+            + extra.get("tidset_intersections", 0)
+            + extra.get("matrix_updates", 0)
+        )
 
     def total_io(self) -> int:
         """A single scalar proxy for I/O cost (bytes moved)."""

@@ -132,12 +132,14 @@ class ShardTask:
     the compressed database and the recycling miner consumes them
     directly. ``fail`` makes the worker raise (a crash, injected by the
     ``shard.crash`` fault point); ``delay_seconds`` makes it sleep first
-    (a straggler, injected by ``shard.slow``).
+    (a straggler, injected by ``shard.slow``). ``algorithm=None`` is the
+    planner's serving kernel, resolved per mode, so a shard that plans
+    locally runs the serving pair on every path.
     """
 
     shard: Shard
     local_support: int
-    algorithm: str = "hmine"
+    algorithm: str | None = None
     strategy: str = "mcp"
     backend: str = "bitset"
     single_group_shortcut: bool = True
@@ -330,6 +332,10 @@ class ParallelEngine:
         to the serial path (counted as ``parallel_circuit_skips``), and
         every attempted run records its success or fallback on it.
 
+    ``algorithm`` on :meth:`mine` / :meth:`recycle_mine` is a registry
+    name, or ``None`` (the default) for the planner's serving kernel, on
+    the shards and on the serial fallback alike.
+
     :attr:`last_outcome` holds the outcome of the most recent run, so a
     caller that hands the engine down a call chain can read back how the
     run was served.
@@ -385,7 +391,7 @@ class ParallelEngine:
         db: TransactionDatabase,
         old_patterns: PatternSet,
         min_support: int,
-        algorithm: str = "hmine",
+        algorithm: str | None = None,
         strategy: str = "mcp",
         counters: CostCounters | None = None,
         backend: str = "bitset",
@@ -429,7 +435,7 @@ class ParallelEngine:
         self,
         db: TransactionDatabase,
         min_support: int,
-        algorithm: str = "hmine",
+        algorithm: str | None = None,
         strategy: str = "mcp",
         counters: CostCounters | None = None,
         backend: str = "bitset",
@@ -468,7 +474,7 @@ class ParallelEngine:
         *,
         grouped: GroupedDatabase,
         min_support: int,
-        algorithm: str,
+        algorithm: str | None,
         strategy: str,
         backend: str,
         single_group_shortcut: bool,
@@ -546,7 +552,7 @@ class ParallelEngine:
         *,
         grouped: GroupedDatabase,
         min_support: int,
-        algorithm: str,
+        algorithm: str | None,
         strategy: str,
         backend: str,
         single_group_shortcut: bool,

@@ -42,9 +42,11 @@ Three service-level mechanisms ride on top:
   state.
 
 Requests do not choose the miner. Every request is served by the
-planner's default kernel (H-Mine, Recycle-HM with MCP compression on
-the bitset backend); the registry's miners all return the same pattern
-sets, so the choice changes cost, never the answer. The paper's miner
+planner's serving kernel: cold mines run ``eclat-bitset``, recycles and
+update-recycles run the grouped bitset kernel (RP-Mine after MCP
+compression on the bitset backend), on the shards and the serial
+fallback alike. The registry's miners all return the same pattern sets,
+so the choice changes cost, never the answer. The paper's miner
 comparison stays available through :func:`~repro.core.recycle.recycle_mine`,
 :class:`~repro.core.session.MiningSession` and the CLI.
 """

@@ -8,14 +8,22 @@ from repro.core.planner import (
     PATH_FILTER,
     PATH_MINE,
     PATH_RECYCLE,
+    SERVING_BASELINE,
+    SERVING_RECYCLING,
+    UPDATE_FUP,
+    UPDATE_RECYCLE,
     execute_plan,
     plan_support_path,
+    plan_update_path,
     resolve_baseline_algorithm,
     resolve_recycling_algorithm,
 )
 from repro.data.synthetic import QuestParams, quest_database
+from repro.data.versioned import DatabaseDelta
+from repro.mining.fptree import mine_fpgrowth
 from repro.mining.hmine import mine_hmine
 from repro.mining.patterns import PatternSet
+from repro.mining.registry import MinerSpec, get_miner
 
 
 @pytest.fixture
@@ -70,6 +78,66 @@ class TestExecution:
         plan = plan_support_path(6, None, None)
         result = execute_plan(plan, db, 6, algorithm="eclat")
         assert result == mine_hmine(db, 6)
+
+
+class TestServingKernel:
+    """``algorithm=None`` (execute_plan's default) is the serving kernel."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """(kind, name) of every registry miner run, in order."""
+        calls: list[tuple[str, str]] = []
+        original = MinerSpec.mine
+
+        def spy(spec, source, min_support, counters=None):
+            calls.append((spec.kind, spec.name))
+            return original(spec, source, min_support, counters)
+
+        monkeypatch.setattr(MinerSpec, "mine", spy)
+        return calls
+
+    def test_none_resolves_to_the_serving_pair(self):
+        assert resolve_baseline_algorithm(None) == SERVING_BASELINE == "eclat-bitset"
+        assert resolve_recycling_algorithm(None) == SERVING_RECYCLING == "naive"
+        assert get_miner(SERVING_BASELINE).backend == "bitset"
+        assert get_miner(SERVING_RECYCLING, kind="recycling").needs_compressed
+
+    @pytest.mark.parametrize(
+        ("new_support", "path", "expected"),
+        [
+            (12, PATH_FILTER, []),
+            (5, PATH_RECYCLE, [("recycling", SERVING_RECYCLING)]),
+        ],
+    )
+    def test_support_paths(self, db, ran, new_support, path, expected):
+        plan = plan_support_path(new_support, mine_fpgrowth(db, 8), 8)
+        assert plan.path == path
+        assert execute_plan(plan, db, new_support) == mine_fpgrowth(db, new_support)
+        assert ran == expected
+
+    def test_mine_path(self, db, ran):
+        plan = plan_support_path(6, None, None)
+        assert execute_plan(plan, db, 6) == mine_fpgrowth(db, 6)
+        assert ran == [("baseline", SERVING_BASELINE)]
+
+    @pytest.mark.parametrize(
+        ("deletes", "mode", "expected"),
+        [
+            (0, UPDATE_FUP, []),
+            (2, UPDATE_RECYCLE, [("recycling", SERVING_RECYCLING)]),
+        ],
+    )
+    def test_update_paths(self, db, ran, deletes, mode, expected):
+        delta = DatabaseDelta(
+            appends=db.transactions[:4], deletes=frozenset(db.tids[:deletes])
+        )
+        new_db = delta.apply(db)
+        plan = plan_update_path(
+            8, mine_fpgrowth(db, 8), 8, db, delta, len(new_db)
+        )
+        assert plan.update_mode == mode
+        assert execute_plan(plan, new_db, 8) == mine_fpgrowth(new_db, 8)
+        assert ran == expected
 
 
 class TestAlgorithmResolution:

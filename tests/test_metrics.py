@@ -56,6 +56,33 @@ class TestCounters:
         assert counters.total_work() == 16
         assert counters.total_io() == 150
 
+    def test_total_work_charges_the_vertical_and_matrix_kernels(self):
+        """Eclat's intersections and TreeProjection's matrix updates are
+        work; other extras (group counts, I/O, service tallies) are not."""
+        counters = CostCounters(item_visits=10, tuple_scans=5, projections=1)
+        counters.add("tidset_intersections", 7)
+        counters.add("matrix_updates", 3)
+        counters.add("parallel_fallbacks", 100)
+        assert counters.total_work() == 26
+
+    def test_eclat_bitset_search_is_visible_in_total_work(self):
+        """A cold eclat-bitset mine costs more than its one database scan,
+        and more at a lower support."""
+        from repro.data.synthetic import QuestParams, quest_database
+        from repro.mining.registry import get_miner
+
+        db = quest_database(
+            QuestParams(n_transactions=80, n_items=20, avg_transaction_length=5),
+            seed=1,
+        )
+        scan = len(db) + db.total_items()
+        works = []
+        for support in (20, 5):
+            counters = CostCounters()
+            get_miner("eclat-bitset").mine(db, support, counters)
+            works.append(counters.total_work())
+        assert scan < works[0] < works[1]
+
     def test_reset(self):
         counters = CostCounters(item_visits=9)
         counters.add("custom", 2)
