@@ -142,8 +142,18 @@ class PatternSet:
         return result
 
     def filter_min_support(self, min_support: int) -> "PatternSet":
-        """Patterns whose support is at least ``min_support``."""
-        return self.filter(lambda _items, support: support >= min_support)
+        """Patterns whose support is at least ``min_support``.
+
+        Always a new set: the planner's filter path serves this straight
+        from a warehouse entry's cached expansion.
+        """
+        result = PatternSet()
+        result._supports = {
+            items: support
+            for items, support in self._supports.items()
+            if support >= min_support
+        }
+        return result
 
     def maximal(self) -> "PatternSet":
         """The maximal patterns (no frequent superset in this set)."""
@@ -246,8 +256,9 @@ class CondensedPatternSet:
     Both condensations are *threshold independent*: whether a pattern is
     closed (or derivable) does not change when the support threshold is
     raised, so :meth:`filter_min_support` can tighten the threshold by
-    filtering the entries alone — the warehouse filter path never needs
-    the full set.
+    filtering the entries alone. (The planner's filter path instead
+    filters the cached :meth:`expand` of the stored entry, so repeated
+    hits on one entry pay for its expansion once.)
 
     >>> full = PatternSet({frozenset({1}): 3, frozenset({2}): 3,
     ...                    frozenset({1, 2}): 3})
@@ -493,15 +504,30 @@ class CondensedPatternSet:
         """Every subset of a closed set, support = max over closed supersets.
 
         Iterating entries by descending support makes the first writer
-        the maximum, so each subset is assigned exactly once.
+        the maximum, so each subset is assigned exactly once. Each entry
+        is walked as a set-enumeration tree: items are removed in index
+        order, so every subset is reached by exactly one path. A subset
+        already written was written by an earlier (no less frequent)
+        entry together with all of its own subsets, so its whole subtree
+        is skipped — the walk costs O(output * maxlen), not Σ 2^|entry|.
         """
         expanded: dict[Pattern, int] = {}
         by_support = sorted(self._entries.items(), key=lambda kv: -kv[1])
         for entry, support in by_support:
+            if entry in expanded:
+                continue
+            expanded[entry] = support
             ordered = sorted(entry)
-            for size in range(1, len(ordered) + 1):
-                for combo in combinations(ordered, size):
-                    expanded.setdefault(frozenset(combo), support)
+            width = len(ordered)
+            stack = [(entry, 0)]
+            while stack:
+                current, start = stack.pop()
+                for index in range(start, width):
+                    sub = current.difference((ordered[index],))
+                    if sub and sub not in expanded:
+                        expanded[sub] = support
+                        if index + 1 < width:
+                            stack.append((sub, index + 1))
         result = PatternSet()
         result._supports = expanded
         return result
@@ -619,8 +645,8 @@ class CondensedPatternSet:
 
         Closedness and derivability do not depend on the threshold, so
         filtering the entries yields exactly the condensed form of the
-        filtered full set — the warm filter path stays condensed
-        end-to-end.
+        filtered full set, without expanding anything. The result is a
+        new object with no expansion cached.
         """
         threshold = max(min_support, self.absolute_support)
         entries = {p: s for p, s in self._entries.items() if s >= threshold}

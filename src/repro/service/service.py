@@ -643,9 +643,9 @@ class MiningService:
             version = self.warehouse.restore_version(request.db)
         hit = self._find_feedstock(fingerprint, absolute, degradation, version=version)
         # The plan consumes the warehouse entry in its stored (condensed)
-        # form: a filter answers straight off the condensed set, and the
-        # recycle path claims compression from the entries without ever
-        # materializing the full expansion.
+        # form: a filter answers off the entry's cached expansion (built
+        # on the first hit), and the recycle path claims compression from
+        # the entries without ever materializing the full expansion.
         if hit is not None and hit.distance > 0:
             plan = self._plan_from_ancestor(request, absolute, hit, version)
         else:

@@ -91,9 +91,10 @@ class WarehouseHit:
 
     ``feedstock`` is the stored (possibly condensed) object — what the
     planner consumes directly; the recycle path feeds its entries to the
-    compressor and the filter path filters them, neither expanding the
-    full set. :attr:`patterns` materializes the exact frequent set for
-    callers that need it (the expansion is cached on the entry).
+    compressor without expanding them, and the filter path filters the
+    entry's cached expansion. :attr:`patterns` materializes the exact
+    frequent set for callers that need it (the expansion is cached on the
+    entry).
     """
 
     fingerprint: str

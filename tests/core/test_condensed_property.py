@@ -9,9 +9,15 @@ The load-bearing invariants, over hypothesis-generated databases:
    feedstock is the exact frequent set or its closed/NDI condensation.
 3. **Condensed miners** — the registry's condensed miners (python and
    bitset backends) equal condensing a from-scratch full mine.
+4. **Closed expansion by definition** — the set-enumeration walk of
+   ``_expand_closed`` equals writing every subset of every entry in
+   descending-support order, first writer wins, over *any* entry map
+   (nested, tied, not closed), not only over genuine closed sets.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,3 +104,42 @@ def test_condensed_miners_match_condensing_a_full_mine(transactions, xi):
         )
         assert mined == expected, f"{name} diverged from condense(full)"
         assert mined.expand() == full, f"{name} expansion diverged"
+
+
+def expand_closed_by_definition(entries):
+    """Every subset of every entry; the first in descending support wins."""
+    expanded = {}
+    for entry, support in sorted(entries.items(), key=lambda kv: -kv[1]):
+        ordered = sorted(entry)
+        for size in range(1, len(ordered) + 1):
+            for combo in combinations(ordered, size):
+                expanded.setdefault(frozenset(combo), support)
+    return expanded
+
+
+@st.composite
+def entry_maps(draw):
+    """Entry maps a closed set, a corrupt file or a bad caller could hold.
+
+    Each top-level set is followed by some of its own subsets, so entries
+    nest; supports come from a narrow range, so they tie; and nothing
+    forces a subset's support above its superset's, so many maps are not
+    closed (or not even anti-monotone).
+    """
+    entries = {}
+    tops = draw(
+        st.lists(st.frozensets(st.integers(0, 9), min_size=1, max_size=7), max_size=6)
+    )
+    for top in tops:
+        entries[top] = draw(st.integers(0, 6))
+        ordered = sorted(top)
+        for keep in draw(st.lists(st.sets(st.sampled_from(ordered), min_size=1), max_size=3)):
+            entries[frozenset(keep)] = draw(st.integers(0, 6))
+    return entries
+
+
+@given(entries=entry_maps(), xi=st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_closed_expansion_equals_the_definition(entries, xi):
+    condensed = CondensedPatternSet("closed", entries, xi)
+    assert condensed._expand_closed().as_dict() == expand_closed_by_definition(entries)
