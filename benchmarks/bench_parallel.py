@@ -20,6 +20,12 @@ wall-clock by the contention factor, making per-shard timings — and any
 wall-clock ratio — meaningless.  The ``speedup_basis`` and ``cpus``
 fields record which basis each row used.
 
+Each row also records ``serving_serial_seconds``: one serial run of the
+service's serving kernel (``eclat-bitset`` for ``mine``, compression plus
+the grouped bitset kernel for ``recycle``) on the same input and support.
+It is the number a sharded run must beat to be worth serving; the
+service answers every request in-process because none does.
+
 Results go to ``BENCH_parallel.json`` at the repo root and are archived
 as a stamped snapshot under ``.bench_history/<commit>/`` for the trend
 pipeline (``repro report``).
@@ -62,6 +68,7 @@ def main() -> int:
                     f"jobs={row['jobs']} shards={row['shards']} "
                     f"wall {row['wall_seconds']:7.3f}s  "
                     f"critical {row['critical_path_seconds']:7.3f}s  "
+                    f"serving serial {row['serving_serial_seconds']:7.3f}s  "
                     f"speedup {row['speedup']:.2f}x ({row['speedup_basis']})"
                 )
 

@@ -929,9 +929,16 @@ def parallel_speedup_rows(
     least ``jobs`` CPUs; otherwise the critical path from the *inline*
     executor, whose sequential shard timings are free of the CPU
     contention that inflates concurrent workers sharing one core.
+
+    Every row also carries ``serving_serial_seconds``: one serial run of
+    the service's serving kernel on the same input and support
+    (``eclat-bitset`` for ``mine``; compression plus the grouped bitset
+    kernel for ``recycle``), the baseline a sharded run has to beat to be
+    worth serving.
     """
     import os
 
+    from repro.core.planner import PATH_MINE, PATH_RECYCLE, MiningPlan, execute_plan
     from repro.data.transactions import TransactionDatabase
     from repro.parallel import ParallelEngine
 
@@ -947,6 +954,14 @@ def parallel_speedup_rows(
     if scale > 1:
         db = TransactionDatabase(list(db) * scale)
         absolute *= scale
+    plan = (
+        MiningPlan(PATH_RECYCLE, workload.old_patterns, workload.xi_old_absolute)
+        if task == "recycle"
+        else MiningPlan(PATH_MINE)
+    )
+    started = time.perf_counter()
+    serving = execute_plan(plan, db, absolute)
+    serving_seconds = round(time.perf_counter() - started, 4)
     rows: list[dict[str, object]] = []
     reference = None
     serial_seconds = 0.0
@@ -964,6 +979,10 @@ def parallel_speedup_rows(
                 f"{outcome.fallback_reason}"
             )
         if reference is None:
+            if outcome.patterns != serving:
+                raise BenchmarkError(
+                    f"parallel {dataset} serving kernel diverged from serial"
+                )
             reference = outcome.patterns
             serial_seconds = outcome.elapsed_seconds
         identical = outcome.patterns == reference
@@ -995,6 +1014,7 @@ def parallel_speedup_rows(
                 "executor": executor,
                 "wall_seconds": round(outcome.elapsed_seconds, 4),
                 "critical_path_seconds": round(outcome.critical_path_seconds, 4),
+                "serving_serial_seconds": serving_seconds,
                 "speedup_basis": basis,
                 "cpus": cpus,
                 "speedup": round(serial_seconds / effective, 2) if effective else 0.0,

@@ -306,17 +306,6 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     from repro.service.workload import load_workload_items, serve_workload
 
     items = load_workload_items(args.workload)
-    if args.jobs > 1:
-        import dataclasses
-
-        # The CLI value is a default: requests that set their own jobs
-        # in the workload file keep it. Delta operations pass through.
-        items = [
-            dataclasses.replace(item, jobs=args.jobs)
-            if isinstance(item, MineRequest) and item.jobs == 1
-            else item
-            for item in items
-        ]
     warehouse = (
         None
         if args.cold
@@ -378,22 +367,12 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             f"{stats['updates']:.0f} update-path responses "
             f"(rate {stats['update_rate']:.2f})"
         )
-    if stats["parallel_runs"] or stats["parallel_fallbacks"]:
-        print(
-            f"parallel: {stats['parallel_runs']:.0f} sharded runs, "
-            f"{stats['parallel_fallbacks']:.0f} fallbacks to in-process"
-        )
     if stats["degraded"]:
         degradations = service.stats.degradation_summary()
         details = ", ".join(
             f"{label} ×{count}" for label, count in degradations.items()
         )
         print(f"degraded: {stats['degraded']:.0f} responses ({details})")
-    if stats["breaker_open"]:
-        print(
-            f"circuit breaker: open ({stats['breaker_trips']:.0f} trips) — "
-            "parallel requests are being served serially"
-        )
     if warehouse is not None:
         wh = warehouse.stats()
         print(
@@ -719,9 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="warehouse byte budget (default: unbounded)")
     serve.add_argument("--warehouse-dir", default=None,
                        help="directory for a disk-backed (persistent) warehouse")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="default worker processes per request "
-                            "(workload entries may override)")
     serve.add_argument("--cold", action="store_true",
                        help="disable the warehouse (every request mines)")
     serve.add_argument("--representation", default="closed",

@@ -2,8 +2,8 @@
 
 The service's single-flight coalescing only merges *byte-identical*
 requests. The gateway generalizes it: every queued request on the same
-database fingerprint with the same jobs is **compatible**, whatever
-support it asks for. A :class:`BatchPlan`
+database version is **compatible**, whatever support (or ``jobs``) it
+asks for. A :class:`BatchPlan`
 mines once at the group's minimum absolute support and serves every
 member by ``filter_min_support`` over the shared result.
 
@@ -109,7 +109,5 @@ def member_response(
         coalesced=True,
         elapsed_seconds=shared.elapsed_seconds,
         counters=shared.counters,
-        jobs=shared.jobs,
-        parallel_fallback=shared.parallel_fallback,
         degradation=shared.degradation,
     )

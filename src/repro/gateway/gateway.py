@@ -18,8 +18,7 @@ front of it:
   :class:`~repro.gateway.request.GatewayResponse`\\ s, counted in
   :class:`~repro.gateway.stats.GatewayStats`, never silent.
 * **Cross-request batching** — at dispatch, every queued request
-  compatible with the dequeued leader (same database fingerprint and
-  jobs) joins one
+  compatible with the dequeued leader (same database version) joins one
   :class:`~repro.gateway.batching.BatchPlan`: mine once at the group's
   minimum support, serve each member exactly via ``filter_min_support``.
 * **Per-tenant fairness** — weighted deficit-round-robin dequeue inside

@@ -205,7 +205,7 @@ class PriorityRequestQueue:
         return None
 
     def take_compatible(
-        self, key: tuple, limit: int | None = None
+        self, key: str, limit: int | None = None
     ) -> list[QueueEntry]:
         """Remove and return every queued entry batch-compatible with ``key``.
 

@@ -86,26 +86,25 @@ class GatewayRequest:
     def tenant(self) -> str:
         return self.request.tenant
 
-    def batch_key(self) -> tuple[str, int]:
+    def batch_key(self) -> str:
         """The cross-request batching compatibility key.
 
         Two requests are *compatible* — one shared mine can serve both
-        exactly — when they target the same database *version* (the
+        exactly — when they target the same database *version*: the
         chain head's fingerprint when the request carries a
         :class:`~repro.data.versioned.VersionedDatabase`, the bare
-        database fingerprint otherwise — two versions of one tenant's
-        evolving database never share a batch) with
-        the same jobs. Every request is served by the same kernel, so
-        the miner is not part of the key. Support is
-        deliberately absent: the batch mines once at the group's minimum
-        absolute support and serves every member by
-        ``filter_min_support``, which is exact because the full frequent
-        set at a lower threshold is a superset of the set at any higher
-        one. This generalizes the service's byte-identical single-flight
-        coalescing (same key *and* same support) to whole support
-        ladders.
+        database fingerprint otherwise, so two versions of one tenant's
+        evolving database never share a batch. Every request is served
+        in-process by the same kernel, so neither the miner nor ``jobs``
+        is part of the key. Support is deliberately absent: the batch
+        mines once at the group's minimum absolute support and serves
+        every member by ``filter_min_support``, which is exact because
+        the full frequent set at a lower threshold is a superset of the
+        set at any higher one. This generalizes the service's
+        single-flight coalescing (same key *and* same support) to whole
+        support ladders.
         """
-        return (self.request.version_fingerprint(), self.request.jobs)
+        return self.request.version_fingerprint()
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,13 @@ The subsystem in three modules, one per pass boundary:
     budgeting, and the exact global recount over the grouped database.
 
 The engine sits above :mod:`repro.core` (it drives the planner
-trichotomy inside workers) and below :mod:`repro.service` (which fans
-heavy requests out through it); ``recycle_mine(..., jobs=N)`` and the
-CLI ``--jobs`` flag are the front doors. The engine owns the circuit
-breaker guard, so every ``jobs > 1`` path — mine, recycle and the update
-path's recycle — is gated in one place.
+trichotomy inside workers); ``recycle_mine(..., jobs=N)``,
+``MiningSession(jobs=N)`` and the CLI ``mine`` / ``recycle --jobs`` flag
+are the front doors. :mod:`repro.service` does not use it: the service
+answers every request in-process, which measured faster on the serving
+kernels. The engine owns the circuit breaker guard, so every ``jobs > 1``
+path — mine, recycle and the update path's recycle — is gated in one
+place.
 """
 
 from repro.parallel.executor import (

@@ -14,8 +14,8 @@ its :class:`~repro.metrics.counters.CostCounters` as a name→int dict,
 rebuilt and merged via ``CostCounters.merge`` on return.
 
 Inside a worker the existing planner trichotomy applies: a shard that
-arrives with warehouse feedstock (sliced per shard fingerprint by the
-service) runs :func:`~repro.core.planner.plan_support_path` /
+arrives with feedstock (sliced per shard fingerprint by the caller's
+``shard_feedstock`` hook) runs :func:`~repro.core.planner.plan_support_path` /
 ``execute_plan`` — filter, recycle or mine, whichever is cheapest and
 sound *for that shard* — while a shard without feedstock mines its slice
 of the grouped database directly with the chosen recycling miner (the
@@ -89,14 +89,13 @@ PatternRows = tuple[tuple[tuple[int, ...], int], ...]
 
 #: Optional per-shard feedstock source: (fingerprint, local_support) ->
 #: (patterns, absolute_support) or None, where patterns may be a plain
-#: or condensed set. The service wires this to
-#: ``PatternWarehouse.best_feedstock``.
+#: or condensed set, e.g. a ``PatternWarehouse.best_feedstock`` lookup.
 ShardFeedstockFn = Callable[
     [str, int], "tuple[PatternSet | CondensedPatternSet, int] | None"
 ]
 
 #: Optional sink for fresh shard results: (fingerprint, local_support,
-#: patterns). The service wires this to ``PatternWarehouse.put``.
+#: patterns), e.g. ``PatternWarehouse.put``.
 ShardResultFn = Callable[[str, int, PatternSet], None]
 
 
@@ -831,9 +830,9 @@ class ParallelEngine:
         deadline = self._deadline(start)
         completed: dict[int, dict[str, object]] = {}
         pending = list(tasks)
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(tasks))
-        ) as pool:
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(tasks)))
+        missed = False
+        try:
             while pending:
                 futures = {}
                 for task in pending:
@@ -852,8 +851,7 @@ class ParallelEngine:
                     if future.exception() is None:
                         results.append(future.result())
                 if not_done:
-                    for future in not_done:
-                        future.cancel()
+                    missed = True
                     raise ShardPassError(
                         f"shard pass missed its {self.timeout_seconds}s "
                         f"deadline ({len(not_done)} of {len(futures)} shards "
@@ -880,6 +878,11 @@ class ParallelEngine:
                     )
                     retry.append(task)
                 pending = retry
+        finally:
+            # A missed deadline must not wait for the straggler: leaving
+            # the pool without joining it is what makes timeout_seconds a
+            # bound on the call, not on the slowest shard.
+            pool.shutdown(wait=not missed, cancel_futures=missed)
         return [completed[task.shard.index] for task in tasks]
 
     def _budget_retry(

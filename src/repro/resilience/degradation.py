@@ -1,8 +1,8 @@
 """Structured record of how a request was degraded, and why.
 
 "Failure is not an error" runs through the whole stack — the parallel
-engine falls back to serial, the service skips an open-circuit parallel
-path, the warehouse serves a miss where quarantined feedstock used to
+engine falls back to serial or skips an open-circuit parallel path, the
+warehouse serves a miss where quarantined feedstock used to
 be, write-throughs degrade to memory-only. Each of those is the *right*
 behavior, but an operator (and the acceptance tests) must be able to see
 that it happened. A :class:`DegradationReport` is that audit trail: an

@@ -90,9 +90,9 @@ class RetryPolicy:
 class CircuitBreaker:
     """Trip the parallel path to serial after consecutive whole-run failures.
 
-    Thread-safe; one breaker is shared by every request of a
-    :class:`~repro.service.MiningService` (or every iteration of a
-    session), which is exactly what makes it useful: a systemic problem
+    Thread-safe; one breaker is shared by every iteration of a
+    :class:`~repro.core.session.MiningSession` (or every run of an
+    engine), which is exactly what makes it useful: a systemic problem
     — a poisoned worker pool, an overloaded host — stops being
     rediscovered by every request at full retry cost.
     """

@@ -2,7 +2,8 @@
 
 :class:`MiningService` is the front door of the multi-user platform from
 Section 2 of the paper: tenants submit :class:`MineRequest`s, a worker
-pool executes them, and a shared :class:`PatternWarehouse` turns one
+pool executes them (a blocking :meth:`MiningService.execute` computes
+on its caller's thread), and a shared :class:`PatternWarehouse` turns one
 tenant's results into everyone else's feedstock. Each request is planned
 with the same :mod:`repro.core.planner` decision the interactive
 session uses — filter a cached superset, recycle a cached subset,
@@ -13,8 +14,8 @@ already paid for.
 Three service-level mechanisms ride on top:
 
 * **Single-flight coalescing.** Identical requests (same database
-  fingerprint, absolute support and jobs) that are in flight at the
-  same time share one underlying computation; followers
+  fingerprint and absolute support) that are in flight at the same
+  time share one underlying computation; followers
   attach to the leader's future instead of mining again. De-duplication
   happens at submit time in the caller's thread, so even requests that
   are still queued behind a busy pool coalesce. A leader that fails
@@ -22,40 +23,41 @@ Three service-level mechanisms ride on top:
   cleared first, so the next identical submit starts fresh.
 * **A degradation ladder, not a cliff.** Every response carries a
   :class:`~repro.resilience.DegradationReport` naming each rung the
-  request descended: a :class:`~repro.resilience.CircuitBreaker` trips
-  the parallel path to serial for a cooldown after consecutive whole-run
-  fallbacks (``parallel→serial: circuit_open``), a failed warehouse read
-  degrades to a miss (``feedstock→miss: warehouse_read_failed``), a miss
+  request descended: a failed warehouse read degrades to a miss
+  (``feedstock→miss: warehouse_read_failed``), a miss
   where quarantined feedstock used to be is named
   (``recycle→mine: feedstock_quarantined``), and a warehouse that lost
   its disk keeps serving from memory (``warehouse→memory_only:
-  write_failed``). The :class:`~repro.resilience.ResilienceConfig`
-  threads retry/backoff budgets, a
-  :class:`~repro.resilience.FaultInjector` and the breaker into every
-  engine the service builds.
+  write_failed``), and a failed update patch falls back to a clean
+  mine (``update→mine: update_failed``). The
+  :class:`~repro.resilience.ResilienceConfig`'s
+  :class:`~repro.resilience.FaultInjector` reaches the update patch.
 * **Service statistics.** Every response is folded into a thread-safe
   :class:`ServiceStats`: per-path counts (filter hits / recycles /
   misses), coalesced request count, underlying computation count,
   latency quantiles (p50/p95/p99 off a fixed-size reservoir, so a
   long-running service never grows stats memory without bound),
-  degraded-response counts by reason, and the circuit breaker's live
-  state.
+  and degraded-response counts by reason.
 
-Requests do not choose the miner. Every request is served by the
-planner's serving kernel: cold mines run ``eclat-bitset``, recycles and
-update-recycles run the grouped bitset kernel (RP-Mine after MCP
-compression on the bitset backend), on the shards and the serial
-fallback alike. The registry's miners all return the same pattern sets,
-so the choice changes cost, never the answer. The paper's miner
-comparison stays available through :func:`~repro.core.recycle.recycle_mine`,
+Requests do not choose the miner or the parallelism. Every request is
+served in-process by the planner's serving kernel: cold mines run
+``eclat-bitset``, recycles and update-recycles run the grouped bitset
+kernel (RP-Mine after MCP compression on the bitset backend). A
+request's ``jobs`` is validated but does not change how it is computed:
+on these kernels the two-pass sharded scheme lost to one serial pass on
+every measured input but one (``docs/parallel.md``). The registry's miners all
+return the same pattern sets, so the choice changes cost, never the
+answer. The paper's miner comparison and the sharded engine stay
+available through :func:`~repro.core.recycle.recycle_mine`,
 :class:`~repro.core.session.MiningSession` and the CLI.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -75,12 +77,10 @@ from repro.errors import ReproError
 from repro.metrics.counters import CostCounters
 from repro.metrics.reservoir import LatencyReservoir
 from repro.mining.patterns import PatternSet
-from repro.parallel import ParallelEngine
 from repro.resilience import (
     REASON_FEEDSTOCK_QUARANTINED,
     REASON_WAREHOUSE_READ_FAILED,
     REASON_WRITE_FAILED,
-    CircuitBreaker,
     DegradationReport,
     ResilienceConfig,
 )
@@ -101,6 +101,10 @@ class MineRequest:
     be served from a chain *ancestor*'s entry via the planner's update
     path; the version's database must be the request's database
     (validated at submit).
+
+    ``jobs`` is accepted (an integer >= 1) for workload compatibility;
+    the service computes every request in-process, so requests that
+    differ only in ``jobs`` share one computation.
     """
 
     db: TransactionDatabase
@@ -145,8 +149,6 @@ class MineResponse:
     coalesced: bool
     elapsed_seconds: float
     counters: CostCounters
-    jobs: int = 1
-    parallel_fallback: bool = False
     degradation: DegradationReport = field(default_factory=DegradationReport)
     #: Update-path detail: which patch engine ran ("fup" | "recycle"),
     #: and the delta distance to the ancestor whose entry was patched.
@@ -168,8 +170,6 @@ class _Computation:
     patterns: PatternSet
     counters: CostCounters
     elapsed_seconds: float
-    jobs: int = 1
-    parallel_fallback: bool = False
     degradation: DegradationReport = field(default_factory=DegradationReport)
     update_mode: str | None = None
     feedstock_distance: int = 0
@@ -190,8 +190,6 @@ class ServiceStats:
         self.mine_runs = 0
         self.recycle_runs = 0
         self.update_runs = 0
-        self.parallel_runs = 0
-        self.parallel_fallbacks = 0
         self.degraded = 0
         #: Version-chain traffic: deltas applied through the service and
         #: chains registered with the warehouse lineage registry.
@@ -199,13 +197,8 @@ class ServiceStats:
         self.versions_registered = 0
         self._degradation_reasons: dict[str, int] = {}
         self._latencies = LatencyReservoir()
-        self._breaker: CircuitBreaker | None = None
         self._warehouse: PatternWarehouse | None = None
         self._gauge_sources: list[object] = []
-
-    def attach_breaker(self, breaker: CircuitBreaker) -> None:
-        """Surface a circuit breaker's live state in :meth:`snapshot`."""
-        self._breaker = breaker
 
     def attach_warehouse(self, warehouse: PatternWarehouse) -> None:
         """Surface warehouse storage gauges in :meth:`snapshot`."""
@@ -243,10 +236,6 @@ class ServiceStats:
                     self.recycle_runs += 1
                 elif response.path == "update":
                     self.update_runs += 1
-                if response.jobs > 1:
-                    self.parallel_runs += 1
-                if response.parallel_fallback:
-                    self.parallel_fallbacks += 1
             if response.degradation.degraded:
                 self.degraded += 1
                 for label in response.degradation.reasons():
@@ -322,11 +311,6 @@ class ServiceStats:
         for source in list(self._gauge_sources):
             external_gauges.update(source.gauges())
         with self._lock:
-            breaker = (
-                self._breaker.snapshot()
-                if self._breaker is not None
-                else {"state": "closed", "trips": 0}
-            )
             return {
                 "requests": self.requests,
                 "filter_hits": self.filter_hits,
@@ -338,8 +322,6 @@ class ServiceStats:
                 "mine_runs": self.mine_runs,
                 "recycle_runs": self.recycle_runs,
                 "update_runs": self.update_runs,
-                "parallel_runs": self.parallel_runs,
-                "parallel_fallbacks": self.parallel_fallbacks,
                 "degraded": self.degraded,
                 "deltas_applied": self.deltas_applied,
                 "versions_registered": self.versions_registered,
@@ -348,8 +330,6 @@ class ServiceStats:
                 "update_rate": rates["update"],
                 "mine_rate": rates["mine"],
                 "degraded_rate": rates["degraded"],
-                "breaker_open": float(breaker["state"] != "closed"),
-                "breaker_trips": float(breaker["trips"]),
                 "latency_p50_s": p50,
                 "latency_p95_s": p95,
                 "latency_p99_s": p99,
@@ -391,46 +371,30 @@ class MiningService:
         (every non-coalesced request mines from scratch — the "cold"
         baseline the benchmarks compare against).
     max_workers:
-        Worker-pool width for concurrent requests.
-    parallel_engine_factory:
-        Optional hook building the sharded engine for a request, called
-        as ``factory(jobs, shard_feedstock, on_shard_result)``. Tests use
-        it to inject failures or force the inline executor; ``None``
-        builds a standard :class:`~repro.parallel.ParallelEngine` from
-        ``resilience``. Either way the engine is guarded by the
-        service's breaker.
+        Worker-pool width for submitted requests. A leader arriving
+        through :meth:`execute` runs on the calling thread instead.
     resilience:
-        Retry/backoff budget and fault injector threaded into every
-        engine the service builds, plus (optionally) the circuit
-        breaker guarding the parallel path. When the config carries no
-        breaker a default one is added to it, so the breaker
-        :class:`ServiceStats` reports is the one every parallel path
-        (mine, recycle, update-path recycle) consults.
+        Handed to :func:`~repro.core.planner.execute_plan`; its fault
+        injector arms the update patch (``update.patch``).
     """
 
     def __init__(
         self,
         warehouse: PatternWarehouse | None = None,
         max_workers: int = 4,
-        parallel_engine_factory=None,
         resilience: ResilienceConfig | None = None,
     ) -> None:
         if max_workers < 1:
             raise ReproError(f"max_workers must be >= 1, got {max_workers}")
         self.warehouse = warehouse
-        self._parallel_engine_factory = parallel_engine_factory
-        resilience = resilience or ResilienceConfig()
-        if resilience.breaker is None:
-            resilience = dataclasses.replace(resilience, breaker=CircuitBreaker())
-        self.resilience = resilience
+        self.resilience = resilience or ResilienceConfig()
         self.stats = ServiceStats()
-        self.stats.attach_breaker(resilience.breaker)
         if warehouse is not None:
             self.stats.attach_warehouse(warehouse)
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-mining"
         )
-        self._inflight: dict[tuple[str, int, int], Future] = {}
+        self._inflight: dict[tuple[str, int], Future] = {}
         self._inflight_lock = threading.Lock()
         self._closed = False
 
@@ -444,6 +408,30 @@ class MiningService:
         is already in flight the returned future simply wraps the
         leader's computation.
         """
+        response, lead = self._admit(request)
+        if lead is not None:
+            self._executor.submit(lead)
+        return response
+
+    def execute(self, request: MineRequest) -> MineResponse:
+        """Submit and wait: the blocking single-request entry point.
+
+        A request that leads its computation runs it on the calling
+        thread, which would otherwise only wait for a pool thread: the
+        work stays on the caller's CPU instead of moving to whichever
+        CPU the woken pool thread lands on.
+        """
+        response, lead = self._admit(request)
+        if lead is not None:
+            lead()
+        return response.result()
+
+    def _admit(
+        self, request: MineRequest
+    ) -> tuple["Future[MineResponse]", Callable[[], None] | None]:
+        """Validate and coalesce ``request``: its response future, plus
+        the call that computes it when it leads (``None`` when it joined
+        a computation already in flight)."""
         if self._closed:
             raise ReproError("service is closed")
         if request.jobs < 1:
@@ -458,14 +446,13 @@ class MiningService:
             # cold restart of the chain object can find ancestors later.
             self._record_lineage(request.version)
         absolute = request.absolute_support()
-        key = (request.db.fingerprint(), absolute, request.jobs)
+        key = (request.db.fingerprint(), absolute)
         with self._inflight_lock:
             leader = self._inflight.get(key)
             coalesced = leader is not None
             if leader is None:
                 leader = Future()
                 self._inflight[key] = leader
-                self._executor.submit(self._run_leader, key, request, absolute, leader)
 
         submitted = time.perf_counter()
         response_future: "Future[MineResponse]" = Future()
@@ -489,8 +476,6 @@ class MiningService:
                     else computation.elapsed_seconds
                 ),
                 counters=computation.counters,
-                jobs=computation.jobs,
-                parallel_fallback=computation.parallel_fallback,
                 degradation=computation.degradation,
                 update_mode=computation.update_mode,
                 feedstock_distance=computation.feedstock_distance,
@@ -499,11 +484,11 @@ class MiningService:
             response_future.set_result(response)
 
         leader.add_done_callback(_deliver)
-        return response_future
-
-    def execute(self, request: MineRequest) -> MineResponse:
-        """Submit and wait: the blocking single-request entry point."""
-        return self.submit(request).result()
+        if coalesced:
+            return response_future, None
+        return response_future, functools.partial(
+            self._run_leader, key, request, absolute, leader
+        )
 
     def execute_many(self, requests: list[MineRequest]) -> list[MineResponse]:
         """Submit every request up front, then gather in request order."""
@@ -572,7 +557,7 @@ class MiningService:
     # ------------------------------------------------------------------
     def _run_leader(
         self,
-        key: tuple[str, int, int],
+        key: tuple[str, int],
         request: MineRequest,
         absolute: int,
         leader: "Future[_Computation]",
@@ -654,7 +639,6 @@ class MiningService:
                 hit.feedstock if hit is not None else None,
                 hit.absolute_support if hit is not None else None,
             )
-        engine = self._engine(request.jobs)
         patterns = execute_plan(
             plan,
             request.db,
@@ -662,11 +646,7 @@ class MiningService:
             counters=counters,
             resilience=self.resilience,
             degradation=degradation,
-            engine=engine,
         )
-        # The engine records how it served the run (its shard count, or
-        # one job after a fallback or an open breaker); None: it never ran.
-        outcome = engine.last_outcome
         if self.warehouse is not None and plan.path != PATH_FILTER:
             # Filter results are cheap derivations of an existing entry;
             # storing them would only dilute the byte budget. Mined and
@@ -685,8 +665,6 @@ class MiningService:
             patterns=patterns,
             counters=counters,
             elapsed_seconds=elapsed,
-            jobs=outcome.jobs if outcome is not None else 1,
-            parallel_fallback=outcome is not None and outcome.fallback,
             degradation=degradation,
             update_mode=plan.update_mode,
             feedstock_distance=plan.distance,
@@ -729,38 +707,3 @@ class MiningService:
         if len(hit.feedstock) == 0:
             return MiningPlan(PATH_MINE)
         return MiningPlan(PATH_RECYCLE, hit.feedstock, hit.absolute_support)
-
-    def _engine(self, jobs: int) -> ParallelEngine:
-        """The sharded engine for one request, guarded by the service breaker.
-
-        The warehouse rides along per shard: each worker's feedstock is
-        sliced by its shard fingerprint going out, and each fresh shard
-        result is banked coming back — one tenant's heavy request warms
-        the shards for everyone else's. A one-job engine is never run.
-        """
-        shard_feedstock = on_shard_result = None
-        if self.warehouse is not None:
-            shard_feedstock = self._shard_feedstock
-            on_shard_result = self.warehouse.put
-        if self._parallel_engine_factory is None:
-            return ParallelEngine.from_resilience(
-                jobs,
-                self.resilience,
-                shard_feedstock=shard_feedstock,
-                on_shard_result=on_shard_result,
-            )
-        engine = self._parallel_engine_factory(jobs, shard_feedstock, on_shard_result)
-        engine.breaker = self.resilience.breaker
-        return engine
-
-    def _shard_feedstock(self, fingerprint: str, local_support: int):
-        try:
-            hit = self.warehouse.best_feedstock(fingerprint, local_support)
-        except ReproError:
-            return None  # a failed shard read is just a cold shard
-        if hit is None:
-            return None
-        # Condensed entries cross the shard boundary as-is; the executor
-        # serializes their entries and rehydrates the condensed set
-        # inside the worker.
-        return hit.feedstock, hit.absolute_support

@@ -16,9 +16,10 @@ reproduced from a plain text artifact::
     }
 
 Top-level keys are defaults; each request may override ``dataset``,
-``seed`` and ``jobs`` (worker processes for the sharded engine, at
-least 1); ``seed`` and ``jobs`` must be integers. A workload does not
-choose the miner: the service serves every request with its one kernel
+``seed`` and ``jobs`` (at least 1; accepted for compatibility, the
+service computes every request in-process); ``seed`` and ``jobs`` must
+be integers. A workload does not choose the miner: the service serves
+every request with its one kernel
 (the paper's miner comparison runs through ``repro recycle
 --algorithm`` and :func:`~repro.core.recycle.recycle_mine`). Unknown
 keys are ignored, so files that still carry ``algorithm`` or

@@ -15,6 +15,7 @@ from repro.bench.experiments import (
     MEMORY_FIGURES,
     figure_series,
     memory_limited_figure,
+    parallel_speedup_rows,
     run_experiment,
     service_benchmark,
     service_load_rows,
@@ -103,6 +104,16 @@ class TestExperimentShapes:
         headers, rows = two_step_cold_start("connect4")
         assert [row[0] for row in rows] == ["direct", "two-step"]
         assert rows[0][5] == rows[1][5]
+
+    def test_parallel_rows_carry_the_serving_serial_baseline(self):
+        rows = parallel_speedup_rows(
+            "connect4", jobs_grid=(1, 2), task="recycle", executor="inline"
+        )
+        assert [row["jobs"] for row in rows] == [1, 2]
+        assert all(row["identical"] for row in rows)
+        # One serial serving-kernel run per input, repeated on each row.
+        assert len({row["serving_serial_seconds"] for row in rows}) == 1
+        assert rows[0]["serving_serial_seconds"] > 0
 
     def test_run_experiment_dispatch_unknown(self):
         with pytest.raises(BenchmarkError, match="unknown figure"):

@@ -7,6 +7,8 @@ they exercise exactly the code paths a production failure takes.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.data.transactions import TransactionDatabase
@@ -15,11 +17,13 @@ from repro.mining.bruteforce import mine_bruteforce
 from repro.parallel import ParallelEngine
 from repro.resilience import (
     MERGE_COUNT,
+    REASON_CIRCUIT_OPEN,
     REASON_DEADLINE,
     REASON_MERGE_FAILED,
     REASON_SHARD_FAILED,
     SHARD_CRASH,
     SHARD_SLOW,
+    CircuitBreaker,
     FaultInjector,
     RetryPolicy,
 )
@@ -170,6 +174,28 @@ class TestDeadline:
         assert "deadline" in outcome.fallback_reason
         assert outcome.patterns == expected()
 
+    def test_process_deadline_bounds_the_call_not_the_straggler(self):
+        """A missed deadline returns the serial answer without waiting
+        for the straggler's worker to finish its sleep."""
+        faults = FaultInjector().inject(
+            SHARD_SLOW, probability=1.0, delay_seconds=1.0
+        )
+        engine = ParallelEngine(
+            2,
+            timeout_seconds=0.2,
+            retry_policy=fast_retry(),
+            fault_injector=faults,
+        )
+        started = time.perf_counter()
+        outcome = engine.mine(db(), SUPPORT)
+        elapsed = time.perf_counter() - started
+        assert outcome.fallback
+        assert outcome.degradation.reasons() == [
+            f"parallel→serial: {REASON_DEADLINE}"
+        ]
+        assert outcome.patterns == expected()
+        assert elapsed < 0.8
+
     def test_slow_fault_within_deadline_just_runs_slower(self):
         faults = FaultInjector().inject(
             SHARD_SLOW, on_calls=(1,), delay_seconds=0.05
@@ -214,3 +240,67 @@ class TestFaultFreeBaseline:
         bare = ParallelEngine(2, executor=executor).mine(db(), SUPPORT)
         assert armed.patterns == bare.patterns == expected()
         assert not armed.fallback and not bare.fallback
+
+
+class FakeClock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class TestCircuitBreaker:
+    """The breaker guards the engine's shard pass; it trips on whole-run
+    fallbacks, never on per-shard retries that heal."""
+
+    @staticmethod
+    def crashing_engine(breaker: CircuitBreaker, faults=None) -> ParallelEngine:
+        return ParallelEngine(
+            2,
+            executor="inline",
+            retry_policy=fast_retry(max_attempts=1),
+            fault_injector=faults,
+            breaker=breaker,
+        )
+
+    def test_trips_after_consecutive_fallbacks(self):
+        """Two fallbacks trip the breaker; the next run goes serial with
+        a circuit_open step and never reaches a shard."""
+        breaker = CircuitBreaker(
+            failure_threshold=2, cooldown_seconds=60.0, clock=FakeClock()
+        )
+        faults = FaultInjector().inject(SHARD_CRASH, probability=1.0)
+        engine = self.crashing_engine(breaker, faults)
+        for _ in range(2):
+            outcome = engine.mine(db(), SUPPORT)
+            assert outcome.fallback
+            assert outcome.degradation.reasons() == [
+                f"parallel→serial: {REASON_SHARD_FAILED}"
+            ]
+        assert breaker.state == "open" and breaker.trips == 1
+        fired = faults.fired(SHARD_CRASH)
+        counters = CostCounters()
+        tripped = engine.mine(db(), SUPPORT, counters=counters)
+        assert not tripped.fallback  # never attempted
+        assert tripped.jobs == 1 and not tripped.shards
+        assert tripped.degradation.reasons() == [
+            f"parallel→serial: {REASON_CIRCUIT_OPEN}"
+        ]
+        assert tripped.patterns == expected()
+        assert counters.as_dict()["parallel_circuit_skips"] == 1
+        assert faults.fired(SHARD_CRASH) == fired
+
+    def test_half_open_success_closes(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(
+            failure_threshold=1, cooldown_seconds=30.0, clock=clock
+        )
+        crash = FaultInjector().inject(SHARD_CRASH, probability=1.0)
+        assert self.crashing_engine(breaker, crash).mine(db(), SUPPORT).fallback
+        assert breaker.state == "open"
+        clock.now = 30.0  # cooldown over: one half-open trial is allowed
+        trial = self.crashing_engine(breaker).mine(db(), SUPPORT)
+        assert not trial.fallback and trial.jobs == 2
+        assert trial.patterns == expected()
+        assert breaker.state == "closed"

@@ -6,6 +6,12 @@ The CI ``chaos`` job runs this module across a fixed seed matrix
 variable set, every profile runs once under seed 0 — the same code path,
 one leg of the matrix.
 
+The service serves every request in-process, so the shard faults of the
+``crash`` and ``slow`` profiles fire in the engine leg, which replays the
+same support ladder through ``execute_plan`` on a two-job
+:class:`~repro.parallel.ParallelEngine`. The service and gateway legs
+keep their ``jobs=2`` requests and meet the warehouse faults.
+
 The invariant under test is the resilience layer's contract: faults may
 change *how* a request is served (retries, serial fallback, quarantine,
 a miss instead of a hit) — recorded on the degradation ladder — but
@@ -19,10 +25,12 @@ import os
 
 import pytest
 
+from repro.core.planner import execute_plan, plan_support_path
 from repro.data.io import write_patterns_with_support
 from repro.data.synthetic import QuestParams, quest_database
 from repro.mining.hmine import mine_hmine
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
+from repro.parallel import ParallelEngine
 from repro.resilience import (
     SHARD_CRASH,
     SHARD_SLOW,
@@ -60,6 +68,48 @@ def chaos_injector(profile: str) -> FaultInjector:
     return injector
 
 
+def chaos_retry() -> RetryPolicy:
+    return RetryPolicy(
+        max_attempts=3,
+        base_delay_seconds=0.001,
+        max_delay_seconds=0.01,
+        jitter_fraction=0.25,
+    )
+
+
+@pytest.mark.parametrize("profile", ACTIVE_PROFILES)
+def test_chaos_engine_ladder_returns_only_exact_answers(profile):
+    """The engine leg: the ladder's mine and recycles fan out over two
+    shards while the profile crashes or stalls them; retries, deadline
+    fallbacks and serial answers must all equal the fault-free set."""
+    db = quest_database(
+        QuestParams(n_transactions=100, n_items=30, avg_transaction_length=6),
+        seed=SEED,
+    )
+    expected = {support: mine_hmine(db, support) for support in set(SUPPORTS)}
+    faults = chaos_injector(profile)
+    retry = chaos_retry()
+    engine = ParallelEngine(
+        2,
+        executor="inline",
+        timeout_seconds=0.05 if profile == "slow" else None,
+        retry_policy=retry,
+        fault_injector=faults,
+    )
+    resilience = ResilienceConfig(retry=retry, faults=faults)
+    feedstock = feedstock_support = None
+    for support in SUPPORTS:
+        plan = plan_support_path(support, feedstock, feedstock_support)
+        patterns = execute_plan(
+            plan, db, support, resilience=resilience, engine=engine
+        )
+        assert patterns == expected[support], (
+            f"profile={profile} seed={SEED} support={support} "
+            f"served via {plan.path}"
+        )
+        feedstock, feedstock_support = patterns, support
+
+
 @pytest.mark.parametrize("profile", ACTIVE_PROFILES)
 def test_chaos_run_returns_only_exact_answers(profile, tmp_path):
     db = quest_database(
@@ -68,31 +118,11 @@ def test_chaos_run_returns_only_exact_answers(profile, tmp_path):
     )
     expected = {support: mine_hmine(db, support) for support in set(SUPPORTS)}
     faults = chaos_injector(profile)
-    retry = RetryPolicy(
-        max_attempts=3,
-        base_delay_seconds=0.001,
-        max_delay_seconds=0.01,
-        jitter_fraction=0.25,
-    )
+    retry = chaos_retry()
 
     warehouse = PatternWarehouse(directory=tmp_path, fault_injector=faults)
-
-    def factory(jobs, shard_feedstock, on_shard_result):
-        from repro.parallel import ParallelEngine
-
-        return ParallelEngine(
-            jobs,
-            executor="inline",
-            timeout_seconds=0.05 if profile == "slow" else None,
-            shard_feedstock=shard_feedstock,
-            on_shard_result=on_shard_result,
-            retry_policy=retry,
-            fault_injector=faults,
-        )
-
     with MiningService(
         warehouse=warehouse,
-        parallel_engine_factory=factory,
         resilience=ResilienceConfig(retry=retry, faults=faults),
     ) as service:
         for support in SUPPORTS:
@@ -123,30 +153,10 @@ def test_chaos_gateway_batches_survive_faults(profile, tmp_path):
     )
     expected = {support: mine_hmine(db, support) for support in set(SUPPORTS)}
     faults = chaos_injector(profile)
-    retry = RetryPolicy(
-        max_attempts=3,
-        base_delay_seconds=0.001,
-        max_delay_seconds=0.01,
-        jitter_fraction=0.25,
-    )
+    retry = chaos_retry()
     warehouse = PatternWarehouse(directory=tmp_path, fault_injector=faults)
-
-    def factory(jobs, shard_feedstock, on_shard_result):
-        from repro.parallel import ParallelEngine
-
-        return ParallelEngine(
-            jobs,
-            executor="inline",
-            timeout_seconds=0.05 if profile == "slow" else None,
-            shard_feedstock=shard_feedstock,
-            on_shard_result=on_shard_result,
-            retry_policy=retry,
-            fault_injector=faults,
-        )
-
     with MiningService(
         warehouse=warehouse,
-        parallel_engine_factory=factory,
         resilience=ResilienceConfig(retry=retry, faults=faults),
     ) as service:
         gateway = MiningGateway(service, start=False)
@@ -196,12 +206,7 @@ def test_chaos_update_path_degrades_to_clean_remine(profile, tmp_path):
         faults.inject(UPDATE_PATCH, probability=1.0)
     elif profile == "slow":
         faults.inject(UPDATE_PATCH, probability=1.0, delay_seconds=0.01)
-    retry = RetryPolicy(
-        max_attempts=3,
-        base_delay_seconds=0.001,
-        max_delay_seconds=0.01,
-        jitter_fraction=0.25,
-    )
+    retry = chaos_retry()
     warehouse = PatternWarehouse(directory=tmp_path, fault_injector=faults)
     with MiningService(
         warehouse=warehouse,

@@ -11,7 +11,6 @@ import repro.core.planner as planner_module
 from repro.data.synthetic import QuestParams, quest_database
 from repro.errors import ReproError
 from repro.mining.hmine import mine_hmine
-from repro.resilience import SHARD_CRASH, FaultInjector
 from repro.service import MineRequest, MiningService, PatternWarehouse
 from repro.storage.disk import patterns_byte_size
 
@@ -65,60 +64,23 @@ class TestSingleRequests:
 
 
 class TestParallelRequests:
-    @staticmethod
-    def _inline_factory(**extra):
-        """Engine factory running the real worker code path in-process."""
-        from repro.parallel import ParallelEngine
-
-        def factory(jobs, shard_feedstock, on_shard_result):
-            return ParallelEngine(
-                jobs,
-                executor="inline",
-                shard_feedstock=shard_feedstock,
-                on_shard_result=on_shard_result,
-                **extra,
-            )
-
-        return factory
+    """``jobs > 1`` is accepted and served in-process, with the same
+    answers and warehouse reuse as a one-job request."""
 
     def test_parallel_mine_matches_serial(self, db):
-        with MiningService(
-            warehouse=PatternWarehouse(),
-            parallel_engine_factory=self._inline_factory(),
-        ) as service:
+        with MiningService(warehouse=PatternWarehouse()) as service:
             response = service.execute(MineRequest(db=db, support=10, jobs=2))
-            assert response.jobs == 2 and not response.parallel_fallback
+            assert response.path == "mine"
             assert response.patterns == mine_hmine(db, 10)
-            snapshot = service.stats.snapshot()
-            assert snapshot["parallel_runs"] == 1
-            assert snapshot["parallel_fallbacks"] == 0
+            assert "parallel_shards" not in response.counters.as_dict()
+            assert service.stats.snapshot()["computations"] == 1
 
     def test_parallel_recycle_reuses_warehouse_feedstock(self, db):
-        with MiningService(
-            warehouse=PatternWarehouse(),
-            parallel_engine_factory=self._inline_factory(),
-        ) as service:
+        with MiningService(warehouse=PatternWarehouse()) as service:
             service.execute(MineRequest(db=db, support=12))
             relaxed = service.execute(MineRequest(db=db, support=6, jobs=2))
-            assert relaxed.path == "recycle" and relaxed.jobs == 2
+            assert relaxed.path == "recycle" and relaxed.feedstock_support == 12
             assert relaxed.patterns == mine_hmine(db, 6)
-
-    def test_worker_crash_degrades_to_serial_and_is_surfaced(self, db):
-        """Acceptance: a shard raising mid-mine falls back to the
-        in-process path with exact results, visible in the response and
-        in the service stats."""
-        with MiningService(
-            warehouse=PatternWarehouse(),
-            parallel_engine_factory=self._inline_factory(
-                fault_injector=FaultInjector().inject(SHARD_CRASH, probability=1.0)
-            ),
-        ) as service:
-            response = service.execute(MineRequest(db=db, support=10, jobs=2))
-            assert response.parallel_fallback
-            assert response.jobs == 1  # the run that produced the answer
-            assert response.patterns == mine_hmine(db, 10)
-            snapshot = service.stats.snapshot()
-            assert snapshot["parallel_fallbacks"] == 1
 
     def test_nonpositive_jobs_rejected_at_submit(self, db):
         with MiningService() as service:
@@ -204,6 +166,52 @@ class TestSingleFlight:
                     future.result(timeout=60)
         # A failed computation must not leave the in-flight slot occupied.
         assert not service._inflight
+
+    def test_execute_leads_on_the_calling_thread(self, db, monkeypatch):
+        """``execute`` computes on its caller's thread, ``submit`` on the
+        pool, and a submit arriving while an ``execute`` leads coalesces
+        onto it."""
+        started = threading.Event()
+        release = threading.Event()
+        real_get_miner = planner_module.get_miner
+        mine_threads: list[threading.Thread] = []
+
+        class GatedSpec:
+            def __init__(self, spec):
+                self._spec = spec
+
+            def mine(self, database, support, counters=None):
+                mine_threads.append(threading.current_thread())
+                started.set()
+                assert release.wait(timeout=30), "gate never released"
+                return self._spec.mine(database, support, counters)
+
+        monkeypatch.setattr(
+            planner_module,
+            "get_miner",
+            lambda name, kind="baseline": GatedSpec(real_get_miner(name, kind=kind)),
+        )
+        with MiningService(warehouse=None, max_workers=1) as service:
+            executed: list = []
+            caller = threading.Thread(
+                target=lambda: executed.append(
+                    service.execute(MineRequest(db=db, support=10, tenant="a"))
+                )
+            )
+            caller.start()
+            assert started.wait(timeout=30)
+            follower = service.submit(MineRequest(db=db, support=10, tenant="b"))
+            release.set()
+            caller.join(timeout=60)
+            assert follower.result(timeout=60).coalesced
+            assert mine_threads == [caller]
+
+            pooled = service.submit(MineRequest(db=db, support=11))
+            pooled.result(timeout=60)
+            assert mine_threads[-1] not in (caller, threading.current_thread())
+        assert not executed[0].coalesced
+        assert executed[0].patterns == mine_hmine(db, 10)
+        assert service.stats.computations == 2 and service.stats.coalesced == 1
 
 
 class TestConcurrency:

@@ -3,25 +3,27 @@
 Cold mines run ``eclat-bitset`` and recycles run the grouped bitset
 kernel. The registry's H-Mine baseline and Recycle-HM specs are patched
 to raise, so any serving path that still resolves to them (a default
-left behind, a shard planning locally, a serial fallback) fails loudly;
-every answer must still equal a scratch FP-growth mine.
+left behind) fails loudly; every answer must still equal a scratch
+FP-growth mine. Requests asking for ``jobs=2`` are served by the same
+in-process kernel: the sharded engine is patched to raise.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import threading
 
 import pytest
 
-from repro.core.planner import SERVING_BASELINE, SERVING_RECYCLING
+import repro.service.service as service_module
+from repro.core.planner import SERVING_BASELINE, SERVING_RECYCLING, execute_plan
 from repro.data.synthetic import QuestParams, quest_database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
+from repro.gateway import MiningGateway
 from repro.mining import registry
 from repro.mining.fptree import mine_fpgrowth
 from repro.parallel import ParallelEngine
-from repro.parallel.sharding import ShardPlanner
-from repro.resilience import SHARD_CRASH, FaultInjector, RetryPolicy
 from repro.service import MineRequest, MiningService, PatternWarehouse
 
 
@@ -61,36 +63,8 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def inline_factory(**extra):
-    """Engine factory running the worker code path in-process."""
-
-    def factory(jobs, shard_feedstock, on_shard_result):
-        return ParallelEngine(
-            jobs,
-            executor="inline",
-            shard_feedstock=shard_feedstock,
-            on_shard_result=on_shard_result,
-            **extra,
-        )
-
-    return factory
-
-
 def test_every_serial_path_runs_the_serving_kernel(db, kernel_calls):
-    v0 = VersionedDatabase.initial(db)
-    appended = v0.apply(DatabaseDelta.append(db.transactions[:4]))
-    mixed = appended.apply(
-        DatabaseDelta(
-            appends=db.transactions[10:13], deletes=frozenset(appended.db.tids[:3])
-        )
-    )
-    steps = [
-        (v0, 14, "mine"),
-        (v0, 18, "filter"),
-        (v0, 8, "recycle"),
-        (appended, 8, "update"),  # insert-only: FUP
-        (mixed, 8, "update"),  # with deletions: update/recycle
-    ]
+    steps = chain_steps(db)
     with MiningService(warehouse=PatternWarehouse()) as service:
         served = [
             service.execute(MineRequest(db=version.db, support=support, version=version))
@@ -104,48 +78,91 @@ def test_every_serial_path_runs_the_serving_kernel(db, kernel_calls):
     assert kernel_calls[SERVING_RECYCLING] == 2  # recycle + update/recycle
 
 
-def test_sharded_paths_and_fallbacks_run_the_serving_kernel(db, kernel_calls):
-    """jobs=2 with the warehouse shard hooks: scratch shards, shards that
-    plan locally on warehoused feedstock (one recycles, one mines), the
-    grouped shards of a recycle, and the serial fallback after a crash."""
-    other = quest_database(
-        QuestParams(n_transactions=100, n_items=25, avg_transaction_length=5),
-        seed=9,
+@pytest.fixture
+def no_sharding(monkeypatch):
+    """Make any use of the sharded engine fail the test."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the serving stack ran the sharded engine")
+
+    monkeypatch.setattr(ParallelEngine, "mine", refuse)
+    monkeypatch.setattr(ParallelEngine, "recycle_mine", refuse)
+
+
+def chain_steps(db):
+    """(version, support, path) covering every planner path once."""
+    v0 = VersionedDatabase.initial(db)
+    appended = v0.apply(DatabaseDelta.append(db.transactions[:4]))
+    mixed = appended.apply(
+        DatabaseDelta(
+            appends=db.transactions[10:13], deletes=frozenset(appended.db.tids[:3])
+        )
     )
-    warehouse = PatternWarehouse()
-    shard_plan = ShardPlanner(2).plan(db)
-    rich, barren = shard_plan.shards
-    local = shard_plan.local_support(rich, 16)
-    warehouse.put(rich.fingerprint(), local, mine_fpgrowth(rich.database(), local))
-    # An empty entry above every support: the shard must mine from scratch.
-    warehouse.put(barren.fingerprint(), len(db) + 1, mine_fpgrowth(db, len(db) + 1))
-    with MiningService(
-        warehouse=warehouse, parallel_engine_factory=inline_factory()
-    ) as service:
-        planned = service.execute(MineRequest(db=db, support=12, jobs=2))
-        recycled = service.execute(MineRequest(db=db, support=7, jobs=2))
-        scratch = service.execute(MineRequest(db=other, support=12, jobs=2))
-    served = [(planned, db, "mine"), (recycled, db, "recycle"), (scratch, other, "mine")]
-    for response, database, path in served:
-        assert response.path == path and response.jobs == 2
-        assert not response.parallel_fallback
-        assert response.patterns == mine_fpgrowth(database, response.absolute_support)
-    # The barren shard's local mine and two scratch shards; the rich
-    # shard's local recycle and the two grouped shards of the recycle.
-    assert kernel_calls == {SERVING_BASELINE: 3, SERVING_RECYCLING: 3}
+    return [
+        (v0, 14, "mine"),
+        (v0, 18, "filter"),
+        (v0, 8, "recycle"),
+        (appended, 8, "update"),  # insert-only: FUP
+        (mixed, 8, "update"),  # with deletions: update/recycle
+    ]
 
-    crash = FaultInjector().inject(SHARD_CRASH, probability=1.0)
-    with MiningService(
-        warehouse=PatternWarehouse(),
-        parallel_engine_factory=inline_factory(
-            fault_injector=crash, retry_policy=RetryPolicy(max_attempts=1)
-        ),
-    ) as service:
-        cold = service.execute(MineRequest(db=db, support=12, jobs=2))
-        relaxed = service.execute(MineRequest(db=db, support=7, jobs=2))
-    for response, path in ((cold, "mine"), (relaxed, "recycle")):
-        assert response.path == path and response.parallel_fallback
-        assert response.patterns == mine_fpgrowth(db, response.absolute_support)
-    # Plus one serial fallback each.
-    assert kernel_calls == {SERVING_BASELINE: 4, SERVING_RECYCLING: 4}
 
+def test_multi_job_requests_are_served_in_process(db, kernel_calls, no_sharding):
+    """jobs=2 runs the same serial serving kernel as jobs=1 on every
+    path, through the service and through a gateway batch."""
+    steps = chain_steps(db)
+    with MiningService(warehouse=PatternWarehouse()) as service:
+        served = [
+            service.execute(
+                MineRequest(db=version.db, support=support, version=version, jobs=2)
+            )
+            for version, support, _ in steps
+        ]
+    for response, (version, support, path) in zip(served, steps):
+        assert response.path == path
+        assert response.patterns == mine_fpgrowth(version.db, support)
+        assert response.counters.as_dict().get("parallel_shards", 0) == 0
+    assert [r.update_mode for r in served[3:]] == ["fup", "recycle"]
+    assert kernel_calls == {SERVING_BASELINE: 1, SERVING_RECYCLING: 2}
+
+    ladder = [(14, 2), (18, 1), (8, 2)]
+    with MiningService(warehouse=PatternWarehouse()) as service:
+        gateway = MiningGateway(service, start=False)
+        futures = [
+            gateway.submit(MineRequest(db=db, support=support, jobs=jobs))
+            for support, jobs in ladder
+        ]
+        gateway.drain()
+        outcomes = [future.result() for future in futures]
+        gateway.close()
+    # jobs is not part of the batch key: one batch mines at the minimum.
+    assert [(o.batched, o.batch_size, o.batch_support) for o in outcomes] == [
+        (True, 3, 8)
+    ] * 3
+    for outcome, (support, _) in zip(outcomes, ladder):
+        assert outcome.patterns == mine_fpgrowth(db, support)
+        assert outcome.response.counters.as_dict().get("parallel_shards", 0) == 0
+    assert kernel_calls == {SERVING_BASELINE: 2, SERVING_RECYCLING: 2}
+
+
+def test_requests_differing_only_in_jobs_share_one_computation(
+    db, monkeypatch, no_sharding
+):
+    """jobs is not part of the coalescing key: a one-job and a two-job
+    request in flight together are one computation."""
+    release = threading.Event()
+
+    def gated(*args, **kwargs):
+        assert release.wait(timeout=30), "gate never released"
+        return execute_plan(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "execute_plan", gated)
+    with MiningService(warehouse=PatternWarehouse()) as service:
+        first = service.submit(MineRequest(db=db, support=12, jobs=1))
+        second = service.submit(MineRequest(db=db, support=12, jobs=2))
+        release.set()
+        one, two = first.result(timeout=60), second.result(timeout=60)
+        snapshot = service.stats.snapshot()
+    assert not one.coalesced and two.coalesced
+    assert one.patterns == two.patterns == mine_fpgrowth(db, 12)
+    assert snapshot["computations"] == 1 and snapshot["coalesced"] == 1
