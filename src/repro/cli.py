@@ -16,6 +16,7 @@ Examples::
         --deadline 5 --priority interactive
     repro warehouse --dir ./wh --verify
     repro warehouse recover --dir ./wh
+    repro warehouse migrate --dir ./wh --representation closed
     repro warehouse --dir ./wh --gc --dry-run
     repro report archive --git-history
     repro report render --from-cached-data --output-dir report
@@ -387,12 +388,6 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
                 f"{wh['stored_bytes']} stored "
                 f"(condensation ×{warehouse.condensation_ratio():.1f})"
             )
-        if wh["migrated"]:
-            print(
-                f"warehouse: {wh['migrated']} entr"
-                f"{'y' if wh['migrated'] == 1 else 'ies'} migrated to "
-                f"{warehouse.representation} at load"
-            )
         if wh["quarantined"]:
             print(
                 f"warehouse: {wh['quarantined']} corrupt pattern file(s) "
@@ -419,21 +414,28 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
 
 
 def _command_warehouse(args: argparse.Namespace) -> int:
-    """Inspect, audit-recover, or garbage-collect a disk-backed warehouse."""
+    """Inspect, audit-recover, migrate or garbage-collect a disk-backed
+    warehouse."""
     from repro.service import PatternWarehouse
 
-    # Inspection must not rewrite files behind the user's back: the
-    # load-time migration a serving warehouse performs is disabled, and
-    # crash recovery runs in audit mode (counted, not applied) unless
-    # the invocation explicitly mutates — the `recover` verb repairs,
-    # and a non-dry `--gc` implies repairing first so collection never
-    # runs over an unresolved journal.
-    mutating = args.verb == "recover" or (args.gc and not args.dry_run)
+    # Inspection must not rewrite files behind the user's back: crash
+    # recovery runs in audit mode (counted, not applied) unless the
+    # invocation explicitly mutates — the `recover` and `migrate` verbs
+    # repair, and a non-dry `--gc` implies repairing first so collection
+    # never runs over an unresolved journal.
+    mutating = args.verb in ("recover", "migrate") or (args.gc and not args.dry_run)
     warehouse = PatternWarehouse(
-        directory=args.dir, migrate_on_load=False, repair_on_load=mutating
+        directory=args.dir,
+        representation=args.representation,
+        repair_on_load=mutating,
     )
     if args.verb == "recover":
         return _warehouse_recover(args, warehouse)
+    if args.verb == "migrate":
+        migrated = warehouse.migrate()
+        print(f"migrate: {migrated} of {len(warehouse)} entries re-written "
+              f"as {warehouse.representation} in {args.dir}")
+        return 0
     result = _warehouse_list(args, warehouse)
     if args.gc:
         _warehouse_gc(args, warehouse)
@@ -468,7 +470,8 @@ def _warehouse_list(args: argparse.Namespace, warehouse) -> int:
         f"(condensation ×{warehouse.condensation_ratio():.1f})"
     )
     if stats["quarantined"]:
-        print(f"{stats['quarantined']} corrupt pattern file(s) quarantined at load")
+        print(f"{stats['quarantined']} corrupt file(s) not loaded "
+              "(`repro warehouse recover` quarantines them)")
     if not args.verify:
         return 0
     failures = 0
@@ -732,12 +735,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect a disk-backed pattern warehouse (entries, "
              "representations, condensation; --verify audits integrity)",
     )
-    warehouse.add_argument("verb", nargs="?", choices=["list", "recover"],
+    warehouse.add_argument("verb", nargs="?",
+                           choices=["list", "recover", "migrate"],
                            default="list",
-                           help="list entries (default) or replay the "
-                                "journal and audit crash recovery")
+                           help="list entries (default), replay the "
+                                "journal and audit crash recovery, or "
+                                "re-write every entry in --representation")
     warehouse.add_argument("--dir", required=True,
                            help="the warehouse directory to inspect")
+    warehouse.add_argument("--representation", default="closed",
+                           choices=("full", "closed", "ndi"),
+                           help="with migrate: the representation entries "
+                                "are re-written in (default: closed; ndi "
+                                "falls back to closed for entries without "
+                                "a transaction count)")
     warehouse.add_argument("--gc", action="store_true",
                            help="garbage-collect dead lineage links and "
                                 "compact ancient chain hops")

@@ -23,9 +23,10 @@ layer that makes the whole recycling state durable:
     Pure GC planning: reachability pruning of dead lineage and
     compaction of ancient hops into composed records.
 :mod:`repro.durability.store`
-    :class:`DurableStore`, tying the above to one warehouse directory
-    with :meth:`~DurableStore.recover` — journal replay, stray-temp
-    sweep, quarantine, manifest + chain reload.
+    :class:`DurableStore`, the only reader and writer of one warehouse
+    directory and owner of its lineage and chain registries, with
+    :meth:`~DurableStore.recover` — journal replay, stray-temp sweep,
+    quarantine, manifest, chain and entry-file loading.
 
 Layering: imports :mod:`repro.data` and :mod:`repro.resilience` only;
 :mod:`repro.service` builds on it, never the other way around (enforced

@@ -72,7 +72,6 @@ from repro.core.planner import (
 )
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
-from repro.durability import record_from_node
 from repro.errors import ReproError
 from repro.metrics.counters import CostCounters
 from repro.metrics.reservoir import LatencyReservoir
@@ -352,7 +351,6 @@ class ServiceStats:
             "warehouse_stored_bytes": float(stats["stored_bytes"]),
             "warehouse_full_bytes": float(stats["full_bytes"]),
             "warehouse_condensation_ratio": self._warehouse.condensation_ratio(),
-            "warehouse_migrated": float(stats["migrated"]),
             "recovered_entries": float(stats["recovered_entries"]),
             "recovered_chains": float(stats["recovered_chains"]),
             "journal_replays": float(stats["journal_replays"]),
@@ -519,24 +517,8 @@ class MiningService:
         self.stats.record_version_registered()
 
     def _record_lineage(self, version: VersionedDatabase) -> None:
-        if self.warehouse is None:
-            return
-        for node in version.chain():
-            if node.parent is None or node.delta is None:
-                continue
-            fingerprint = node.fingerprint()
-            self.warehouse.record_lineage(
-                fingerprint,
-                node.parent.fingerprint(),
-                node.delta_fingerprint,
-                node.delta.size,
-            )
-            # Persist the hop itself, not just the routing link: the
-            # durable ChainRecord is what lets a *restarted* service
-            # rebuild this chain (restore_version) and keep serving the
-            # update path without the tenant resubmitting its history.
-            if not self.warehouse.has_chain(fingerprint):
-                self.warehouse.persist_chain(record_from_node(node))
+        if self.warehouse is not None:
+            self.warehouse.record_version(version)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -30,12 +30,12 @@ support-level :class:`~repro.mining.patterns.PatternSet`s keyed by
   cheapest option: the largest stored ``s <= r`` (smallest superset to
   filter), then the smallest stored ``s > r`` (largest subset to
   recycle), then a miss.
-* **Optionally disk-backed, and hardened against the disk.** Given a
-  directory, every entry is also written as an atomic, checksummed
-  pattern file (:func:`repro.data.io.write_warehouse_entry`, carrying a
-  ``# repr=`` header) and reloaded on construction; legacy full-set
-  files load fine and are re-written condensed (migration). A corrupt,
-  truncated or checksum-mismatched
+* **Optionally disk-backed, and hardened against the disk.** Every
+  byte on disk goes through a :class:`~repro.durability.DurableStore`:
+  given a directory, every entry is also written as a journaled,
+  checksummed pattern file and reloaded on construction; legacy
+  full-set files load as they are, and :meth:`migrate` re-writes them
+  condensed. A corrupt, truncated or checksum-mismatched
   file never crashes construction: it is **quarantined** — moved into
   ``<dir>/quarantine/`` and recorded on :attr:`quarantined` — while
   every healthy entry is served. A failed write-through degrades the
@@ -49,40 +49,34 @@ support-level :class:`~repro.mining.patterns.PatternSet`s keyed by
   which hold for any genuine full frequent-pattern set.
 
 A :class:`~repro.resilience.FaultInjector` can be armed on the
-constructor; the warehouse fires ``warehouse.read`` per file load and
-per feedstock lookup and ``warehouse.write`` per write-through, so the
-chaos suite drives the quarantine and degradation paths
+constructor; ``warehouse.read`` fires per feedstock lookup (and, in the
+store, per file load) and ``warehouse.write`` per entry write-through,
+so the chaos suite drives the quarantine and degradation paths
 deterministically.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from repro.data.io import read_warehouse_entry, write_warehouse_entry
 from repro.data.patterns import REPRESENTATIONS, CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import VersionedDatabase
-from repro.durability import ChainRecord, DurableStore, RecoveryReport
-from repro.durability.gc import GCReport, plan_gc
-from repro.errors import DataError, InjectedFaultError, StorageError
+from repro.durability import (
+    DurableStore,
+    GCReport,
+    RecoveryReport,
+    record_from_node,
+)
+from repro.durability.journal import OP_EVICT
+from repro.errors import DataError, StorageError
 from repro.mining.patterns import PatternSet
-from repro.resilience import WAREHOUSE_READ, WAREHOUSE_WRITE, FaultInjector
+from repro.resilience import WAREHOUSE_READ, FaultInjector
 from repro.storage.disk import patterns_byte_size
-
-logger = logging.getLogger(__name__)
-
-#: Filename pattern for disk-backed entries: <fingerprint>-<support>.patterns
-_FILE_SUFFIX = ".patterns"
-
-#: Subdirectory corrupt files are moved into (never scanned on load).
-QUARANTINE_DIR = "quarantine"
 
 
 @dataclass(frozen=True)
@@ -143,28 +137,27 @@ class PatternWarehouse:
     directory:
         Optional directory for persistence. Existing entries are loaded
         on construction (in deterministic filename order, so reloading
-        is reproducible); puts write through and evictions delete.
-        Unreadable or corrupt files are quarantined, never fatal.
+        is reproducible) as they are on disk; puts write through and
+        evictions delete. Unreadable or corrupt files are quarantined,
+        never fatal.
     fault_injector:
         Optional :class:`~repro.resilience.FaultInjector` armed at the
-        ``warehouse.read`` / ``warehouse.write`` fault points.
+        ``warehouse.read`` / ``warehouse.write`` fault points (and, via
+        the store, the ``persist.*`` points).
     representation:
         How new entries are stored: ``"closed"`` (default), ``"ndi"`` or
         ``"full"``. Condensation happens on :meth:`put`; reads expand
         lazily, so every consumer still sees exact full sets. An ``ndi``
         warehouse stores an entry as ``closed`` instead when the caller
         cannot supply the transaction count the deduction rules need.
-    migrate_on_load:
-        When persisting, re-write loaded entries whose on-disk
-        representation differs from ``representation`` (pre-condensation
-        full-set files get condensed on first load). Disable for
-        read-only inspection of an existing directory.
+        Loaded entries keep their own representation until
+        :meth:`migrate` re-writes them.
     repair_on_load:
-        When persisting, run full crash recovery before the directory
-        scan — replay pending journal records, sweep stray temp files,
-        quarantine torn chain/manifest files, compact the journal.
-        Disable for read-only inspection (``recover(apply=False)`` still
-        audits; the registries load identically either way).
+        When persisting, load through full crash recovery — replay
+        pending journal records, sweep stray temp files, move damaged
+        files into quarantine, compact the journal. Disable for
+        read-only inspection (``recover(apply=False)`` still audits;
+        entries and registries load identically either way).
     """
 
     def __init__(
@@ -173,7 +166,6 @@ class PatternWarehouse:
         directory: str | Path | None = None,
         fault_injector: FaultInjector | None = None,
         representation: str = "closed",
-        migrate_on_load: bool = True,
         repair_on_load: bool = True,
     ) -> None:
         if byte_budget is not None and byte_budget <= 0:
@@ -185,7 +177,6 @@ class PatternWarehouse:
             )
         self.byte_budget = byte_budget
         self.representation = representation
-        self.migrate_on_load = migrate_on_load
         self.directory = Path(directory) if directory is not None else None
         self.faults = fault_injector
         self._lock = threading.RLock()
@@ -196,43 +187,37 @@ class PatternWarehouse:
         self._entries: OrderedDict[
             tuple[str, int], tuple[CondensedPatternSet, int, int | None]
         ] = OrderedDict()
-        # child fingerprint -> (parent fingerprint, delta fingerprint,
-        # hop distance): the version-chain registry behind
-        # ancestor_feedstock(). Disk-backed warehouses mirror it in the
-        # durable store's manifest; memory-only warehouses keep it here.
-        self._lineage: dict[str, tuple[str, str | None, int]] = {}
         self._stored_bytes = 0
         self.evictions = 0
         self.rejections = 0
-        #: Entries re-written in a new representation at load time.
-        self.migrated = 0
-        #: (filename, reason) for every file quarantined at load time.
-        self.quarantined: list[tuple[str, str]] = []
-        self._quarantined_fingerprints: set[str] = set()
-        #: Why persistence was abandoned (None while disk-backed works).
-        self.memory_only_reason: str | None = None
         #: Durability gauges, served through :meth:`stats`.
         self.recovered_entries = 0
-        self.recovered_chains = 0
-        self.journal_replays = 0
         self.gc_dropped_links = 0
         self.gc_collapsed_hops = 0
-        #: The last :meth:`DurableStore.recover` outcome (None when
-        #: memory-only).
+        # Every file, the lineage registry and the chain records live in
+        # the store; without a directory it writes nothing.
+        self._store = DurableStore(self.directory, fault_injector)
+        #: The :meth:`DurableStore.recover` outcome (None when memory-only).
         self.recovery_report: RecoveryReport | None = None
-        self._store: DurableStore | None = None
+        #: (filename, reason) for every file quarantined at load time.
+        self.quarantined: list[tuple[str, str]] = []
         if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._store = DurableStore(self.directory, fault_injector)
             report = self._store.recover(apply=repair_on_load)
             self.recovery_report = report
-            self.recovered_chains = report.recovered_chains
-            self.journal_replays = report.journal_replays
-            self.quarantined.extend(report.quarantined)
-            self._lineage = self._store.lineage_links()
-            self._load_directory()
+            self.quarantined = report.quarantined
+            for fingerprint, condensed, full_bytes in report.entries:
+                size = patterns_byte_size(condensed)
+                if self.byte_budget is not None and size > self.byte_budget:
+                    self.rejections += 1
+                    continue
+                key = (fingerprint, condensed.absolute_support)
+                self._entries[key] = (condensed, size, full_bytes)
+                self._stored_bytes += size
+            # The entries now live here; the report keeps only counts.
+            report.entries.clear()
+            self._evict_to_budget()
             self.recovered_entries = len(self._entries)
-            if report.quarantined or self.quarantined:
+            if report.quarantined:
                 # Quarantine removed feedstock; links that can no longer
                 # route to any warehoused entry are dead weight.
                 self._prune_lineage()
@@ -288,21 +273,13 @@ class PatternWarehouse:
             self._entries[key] = (condensed, size, full_bytes)
             self._stored_bytes += size
             self._evict_to_budget()
-            if self._persisting():
-                try:
-                    if self.faults is not None:
-                        self.faults.fire(
-                            WAREHOUSE_WRITE, detail=f"writing {key}"
-                        )
-                    assert self._store is not None
-                    self._store.write_entry(
-                        fingerprint,
-                        absolute_support,
-                        condensed,
-                        full_bytes=full_bytes,
-                    )
-                except (OSError, InjectedFaultError) as exc:
-                    self._degrade_to_memory(f"write-through for {key} failed: {exc}")
+            self._store.write_through(
+                self._store.write_entry,
+                fingerprint,
+                absolute_support,
+                condensed,
+                full_bytes=full_bytes,
+            )
         return True
 
     def get(self, fingerprint: str, absolute_support: int) -> PatternSet | None:
@@ -400,18 +377,35 @@ class PatternWarehouse:
         """
         if child_fingerprint == parent_fingerprint:
             return
-        link = (parent_fingerprint, delta_fingerprint, max(0, distance))
         with self._lock:
-            if self._lineage.get(child_fingerprint) == link:
-                return
-            self._lineage[child_fingerprint] = link
-            if self._persisting() and self._store is not None:
-                try:
-                    self._store.record_link(child_fingerprint, *link)
-                except (OSError, InjectedFaultError) as exc:
-                    self._degrade_to_memory(
-                        f"lineage write-through for {child_fingerprint[:12]} "
-                        f"failed: {exc}"
+            self._store.write_through(
+                self._store.record_link,
+                child_fingerprint,
+                parent_fingerprint,
+                delta_fingerprint,
+                max(0, distance),
+            )
+
+    def record_version(self, version: VersionedDatabase) -> None:
+        """Record every hop of ``version``'s chain: its lineage link and,
+        when disk-backed, its durable chain record — what lets a restarted
+        service rebuild the chain (:meth:`restore_version`)."""
+        for node in version.chain():
+            if node.parent is None or node.delta is None:
+                continue
+            fingerprint = node.fingerprint()
+            self.record_lineage(
+                fingerprint,
+                node.parent.fingerprint(),
+                node.delta_fingerprint,
+                node.delta.size,
+            )
+            with self._lock:
+                if self._store.persisting and not self._store.has_chain(
+                    fingerprint
+                ):
+                    self._store.write_through(
+                        self._store.write_chain, record_from_node(node)
                     )
 
     def lineage_of(self, fingerprint: str) -> tuple[tuple[str, int], ...]:
@@ -420,20 +414,7 @@ class PatternWarehouse:
         Walks the recorded registry (cycle-guarded); the first element is
         always ``(fingerprint, 0)``.
         """
-        out: list[tuple[str, int]] = [(fingerprint, 0)]
-        seen = {fingerprint}
-        distance = 0
-        with self._lock:
-            current = fingerprint
-            while current in self._lineage:
-                parent, _delta_fp, hop = self._lineage[current]
-                if parent in seen:
-                    break
-                distance += hop
-                out.append((parent, distance))
-                seen.add(parent)
-                current = parent
-        return tuple(out)
+        return self._store.lineage_of(fingerprint)
 
     def ancestor_feedstock(
         self,
@@ -467,44 +448,18 @@ class PatternWarehouse:
     # ------------------------------------------------------------------
     # durable chains + garbage collection
     # ------------------------------------------------------------------
-    def persist_chain(self, record: ChainRecord) -> None:
-        """Write one version-chain hop through to the durable store.
-
-        Idempotent (the store skips identical records) and a no-op for
-        memory-only warehouses. A write failure degrades to memory-only
-        like any other write-through — the in-memory chain keeps
-        serving; only its durability is lost.
-        """
-        if not self._persisting() or self._store is None:
-            return
-        with self._lock:
-            try:
-                self._store.write_chain(record)
-            except (OSError, InjectedFaultError) as exc:
-                self._degrade_to_memory(
-                    f"chain write-through for {record.child[:12]} failed: {exc}"
-                )
-
-    def has_chain(self, child_fingerprint: str) -> bool:
-        """Whether a durable chain record exists for ``child_fingerprint``."""
-        return self._store is not None and self._store.has_chain(
-            child_fingerprint
-        )
-
     def restore_version(
         self, db: TransactionDatabase
     ) -> VersionedDatabase | None:
         """Rebuild ``db``'s version chain from durable chain records.
 
-        The recovery half of :meth:`persist_chain`: a restarted service
+        The recovery half of :meth:`record_version`: a restarted service
         hands an *unversioned* request's database here and gets back the
         pre-crash :class:`~repro.data.versioned.VersionedDatabase` chain
         (as deep as intact records reach), re-opening the planner's
         update path without the tenant resubmitting its history.
         ``None`` when nothing applies.
         """
-        if self._store is None:
-            return None
         try:
             return self._store.restore_version(db)
         except DataError:
@@ -523,57 +478,28 @@ class PatternWarehouse:
         """
         with self._lock:
             warehoused = {fp for fp, _support in self._entries}
-            if self._store is not None and self._persisting():
-                try:
-                    report = self._store.gc(warehoused, dry_run=dry_run)
-                except (OSError, InjectedFaultError) as exc:
-                    self._degrade_to_memory(f"gc failed: {exc}")
-                    return GCReport(0, 0, 0, 0, dry_run)
-                if not dry_run:
-                    self._lineage = self._store.lineage_links()
-            else:
-                plan = plan_gc(self._lineage, {}, warehoused)
-                report = GCReport(
-                    dropped_links=len(plan.dropped_links),
-                    collapsed_hops=plan.collapsed_hops,
-                    rewritten_chains=0,
-                    dropped_chain_files=0,
-                    dry_run=dry_run,
-                )
-                if not dry_run:
-                    for child in plan.dropped_links:
-                        self._lineage.pop(child, None)
-                    for child, link in plan.link_rewrites.items():
-                        self._lineage[child] = link
+            report = self._store.write_through(
+                self._store.gc, warehoused, dry_run=dry_run
+            )
+            if report is None:
+                return GCReport(0, 0, 0, 0, dry_run)
             if not dry_run:
                 self.gc_dropped_links += report.dropped_links
                 self.gc_collapsed_hops += report.collapsed_hops
             return report
 
-    def _prune_lineage(self) -> int:
+    def _prune_lineage(self) -> None:
         """Drop links/chains no warehoused entry can justify (no compaction).
 
         The cheap, automatic half of :meth:`gc`, run after evictions,
-        drops and load-time quarantine. Returns the number of links
-        dropped.
+        drops and load-time quarantine.
         """
         with self._lock:
             warehoused = {fp for fp, _support in self._entries}
-            chains = (
-                self._store.chain_records() if self._store is not None else {}
-            )
-            plan = plan_gc(self._lineage, chains, warehoused)
-            if not plan.dropped_links:
-                return 0
-            for child in plan.dropped_links:
-                self._lineage.pop(child, None)
-            if self._persisting() and self._store is not None:
-                try:
-                    self._store.drop_links(plan.dropped_links)
-                except (OSError, InjectedFaultError) as exc:
-                    self._degrade_to_memory(f"lineage prune failed: {exc}")
-            self.gc_dropped_links += len(plan.dropped_links)
-            return len(plan.dropped_links)
+            plan = self._store.plan_gc(warehoused)
+            if plan.dropped_links:
+                self._store.write_through(self._store.drop_links, plan.dropped_links)
+                self.gc_dropped_links += len(plan.dropped_links)
 
     # ------------------------------------------------------------------
     # integrity auditing
@@ -706,12 +632,9 @@ class PatternWarehouse:
             if entry is None:
                 return False
             self._stored_bytes -= entry[1]
-            if self._persisting():
-                try:
-                    assert self._store is not None
-                    self._store.remove_entry(fingerprint, absolute_support)
-                except (OSError, InjectedFaultError) as exc:
-                    self._degrade_to_memory(f"delete of {key} failed: {exc}")
+            self._store.write_through(
+                self._store.remove_entry, fingerprint, absolute_support
+            )
             self._prune_lineage()
         return True
 
@@ -736,6 +659,11 @@ class PatternWarehouse:
         with self._lock:
             return list(self._entries)
 
+    @property
+    def memory_only_reason(self) -> str | None:
+        """Why persistence was abandoned (None while disk-backed works)."""
+        return self._store.memory_only_reason
+
     def has_quarantined(self, fingerprint: str) -> bool:
         """Whether any file for ``fingerprint`` was quarantined at load.
 
@@ -743,8 +671,8 @@ class PatternWarehouse:
         where quarantined feedstock used to be is
         ``recycle→mine: feedstock_quarantined``, not a plain cold miss.
         """
-        with self._lock:
-            return fingerprint in self._quarantined_fingerprints
+        report = self.recovery_report
+        return report is not None and fingerprint in report.quarantined_fingerprints
 
     def stats(self) -> dict[str, int]:
         """Structural statistics (entry count, bytes, evictions, health).
@@ -755,6 +683,7 @@ class PatternWarehouse:
         ``full_bytes / stored_bytes`` is the byte-level condensation
         ratio the service and CLI report.
         """
+        report = self.recovery_report
         with self._lock:
             full_bytes = sum(
                 full if full is not None else size
@@ -767,18 +696,13 @@ class PatternWarehouse:
                 "byte_budget": self.byte_budget or 0,
                 "evictions": self.evictions,
                 "rejections": self.rejections,
-                "migrated": self.migrated,
                 "quarantined": len(self.quarantined),
                 "memory_only": int(self.memory_only_reason is not None),
-                "lineage_links": len(self._lineage),
-                "chain_records": (
-                    len(self._store.chain_records())
-                    if self._store is not None
-                    else 0
-                ),
+                "lineage_links": len(self._store.lineage_links()),
+                "chain_records": len(self._store.chain_records()),
                 "recovered_entries": self.recovered_entries,
-                "recovered_chains": self.recovered_chains,
-                "journal_replays": self.journal_replays,
+                "recovered_chains": report.recovered_chains if report else 0,
+                "journal_replays": report.journal_replays if report else 0,
                 "gc_dropped_links": self.gc_dropped_links,
                 "gc_collapsed_hops": self.gc_collapsed_hops,
             }
@@ -827,15 +751,47 @@ class PatternWarehouse:
             return rows
 
     # ------------------------------------------------------------------
+    # migration
+    # ------------------------------------------------------------------
+    def migrate(self) -> int:
+        """Re-write every entry stored in another representation; returns
+        how many were re-written (the ``repro warehouse migrate`` verb).
+
+        Each rewrite goes through the store's journaled, fsynced entry
+        write, and a failure raises, leaving every file in its old or new
+        form. A legacy file has no transaction count for the NDI
+        deduction rules (``supp({}) = |D|``), so ``ndi`` falls back to
+        ``closed`` for it.
+        """
+        migrated = 0
+        with self._lock:
+            for key, (condensed, size, full_bytes) in list(self._entries.items()):
+                target = self.representation
+                if target == "ndi" and condensed.n_transactions is None:
+                    target = "closed"
+                if condensed.representation == target:
+                    continue
+                full = condensed.expand()
+                if full_bytes is None:
+                    full_bytes = patterns_byte_size(full)
+                rewritten = CondensedPatternSet.condense(
+                    full,
+                    condensed.absolute_support,
+                    target,
+                    n_transactions=condensed.n_transactions,
+                    ndi_depth=condensed.ndi_depth,
+                )
+                self._store.write_entry(*key, rewritten, full_bytes=full_bytes)
+                new_size = patterns_byte_size(rewritten)
+                self._entries[key] = (rewritten, new_size, full_bytes)
+                self._stored_bytes += new_size - size
+                migrated += 1
+            self._evict_to_budget()
+        return migrated
+
+    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _persisting(self) -> bool:
-        return self.directory is not None and self.memory_only_reason is None
-
-    def _degrade_to_memory(self, reason: str) -> None:
-        self.memory_only_reason = reason
-        logger.warning("warehouse degraded to memory-only: %s", reason)
-
     def _evict_to_budget(self) -> None:
         if self.byte_budget is None:
             return
@@ -845,111 +801,8 @@ class PatternWarehouse:
             self._stored_bytes -= size
             self.evictions += 1
             evicted = True
-            if self._persisting():
-                try:
-                    assert self._store is not None
-                    self._store.remove_entry(key[0], key[1], op="evict")
-                except (OSError, InjectedFaultError) as exc:
-                    self._degrade_to_memory(f"eviction of {key} failed: {exc}")
+            self._store.write_through(self._store.remove_entry, *key, op=OP_EVICT)
         if evicted:
             # Eviction-aware lineage: an evicted ancestor's now-useless
             # links (ROADMAP open item 3) go with it.
             self._prune_lineage()
-
-    def _entry_path(self, key: tuple[str, int]) -> Path:
-        fingerprint, support = key
-        assert self.directory is not None
-        return self.directory / f"{fingerprint}-{support}{_FILE_SUFFIX}"
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a bad file aside and remember why; never raises."""
-        assert self.directory is not None
-        stem = path.name[: -len(_FILE_SUFFIX)]
-        fingerprint, sep, _support = stem.rpartition("-")
-        if sep and fingerprint:
-            self._quarantined_fingerprints.add(fingerprint)
-        self.quarantined.append((path.name, reason))
-        logger.warning("quarantining warehouse file %s: %s", path.name, reason)
-        target_dir = self.directory / QUARANTINE_DIR
-        try:
-            target_dir.mkdir(exist_ok=True)
-            os.replace(path, target_dir / path.name)
-        except OSError as exc:
-            # The file is bad *and* immovable; leaving it in place is
-            # still safe — it is simply never loaded into the store.
-            logger.warning(
-                "could not move %s into %s/: %s", path.name, QUARANTINE_DIR, exc
-            )
-
-    def _load_directory(self) -> None:
-        assert self.directory is not None
-        for path in sorted(self.directory.glob(f"*{_FILE_SUFFIX}")):
-            stem = path.name[: -len(_FILE_SUFFIX)]
-            fingerprint, sep, support_text = stem.rpartition("-")
-            if not sep or not fingerprint:
-                continue  # not a warehouse file
-            try:
-                if self.faults is not None:
-                    self.faults.fire(WAREHOUSE_READ, detail=f"loading {path.name}")
-                condensed, full_bytes = read_warehouse_entry(path)
-                if str(condensed.absolute_support) != support_text:
-                    raise DataError(
-                        f"filename support {support_text!r} disagrees with "
-                        f"header {condensed.absolute_support}"
-                    )
-            except (DataError, OSError, InjectedFaultError) as exc:
-                self._quarantine(path, str(exc))
-                continue
-            condensed, full_bytes, migrated = self._maybe_migrate(
-                path, condensed, full_bytes
-            )
-            size = patterns_byte_size(condensed)
-            if self.byte_budget is not None and size > self.byte_budget:
-                self.rejections += 1
-                continue
-            key = (fingerprint, condensed.absolute_support)
-            self._entries[key] = (condensed, size, full_bytes)
-            self._stored_bytes += size
-            if migrated:
-                self.migrated += 1
-        self._evict_to_budget()
-
-    def _maybe_migrate(
-        self,
-        path: Path,
-        condensed: CondensedPatternSet,
-        full_bytes: int | None,
-    ) -> tuple[CondensedPatternSet, int | None, bool]:
-        """Re-represent (and re-write) a loaded entry when the knob differs.
-
-        Pre-condensation full-set files are how existing directories
-        migrate: on first load they are condensed and re-written in the
-        new format. A legacy file carries no transaction count, so an
-        ``ndi`` warehouse migrates it to ``closed`` instead (the
-        deduction rules need ``supp({}) = |D|``). Re-writing reuses the
-        normal write-through path, degrading to memory-only on failure
-        rather than losing the loaded entry.
-        """
-        target = self.representation
-        if target == "ndi" and condensed.n_transactions is None:
-            target = "closed"
-        if not self.migrate_on_load or condensed.representation == target:
-            return condensed, full_bytes, False
-        full = condensed.expand()
-        if full_bytes is None:
-            full_bytes = patterns_byte_size(full)
-        migrated = CondensedPatternSet.condense(
-            full,
-            condensed.absolute_support,
-            target,
-            n_transactions=condensed.n_transactions,
-            ndi_depth=condensed.ndi_depth,
-        )
-        if self._persisting():
-            try:
-                write_warehouse_entry(migrated, path, full_bytes=full_bytes)
-            except OSError as exc:
-                self._degrade_to_memory(
-                    f"migration re-write of {path.name} failed: {exc}"
-                )
-        return migrated, full_bytes, True

@@ -6,11 +6,11 @@ Four concerns, one per class:
   condensed entry's modelled size — entries plus the fixed metadata
   header — never the size of the full set it reconstructs.
 * **Back-compat**: pre-condensation full-set ``.patterns`` files (with
-  and without the ``# sha256=`` integrity header) still load, and are
-  re-written condensed on first load; corrupt condensed files are
+  and without the ``# sha256=`` integrity header) still load, unchanged
+  on disk, and :meth:`PatternWarehouse.migrate` (``repro warehouse
+  migrate``) re-writes them condensed, falling back from ndi to closed
+  for header-less transaction counts; corrupt condensed files are
   quarantined exactly like corrupt full-set files.
-* **Migration**: the ``migrated`` counter, the ndi→closed fallback for
-  header-less transaction counts, and ``migrate_on_load=False``.
 * **Audits**: ``verify_entry`` still runs its checks against the exact
   expansion of a condensed entry.
 """
@@ -114,27 +114,27 @@ class TestBackCompat:
         assert warehouse.quarantined == []
         assert warehouse.get(db.fingerprint(), 4) == full
 
-    def test_legacy_file_rewritten_condensed_on_load(self, tmp_path, db, full):
+    def test_migrate_rewrites_legacy_file_condensed(self, tmp_path, db, full):
         path = self._legacy_file(tmp_path, db, full, checksum=True)
         warehouse = PatternWarehouse(directory=tmp_path, representation="closed")
-        assert warehouse.migrated == 1
+        assert warehouse.migrate() == 1
         condensed, full_bytes = read_warehouse_entry(path)
         assert condensed.representation == "closed"
         assert full_bytes == patterns_byte_size(full)
         assert condensed.expand() == full
-        # The second load finds the file already condensed: no migration.
+        assert warehouse.stored_bytes() == patterns_byte_size(condensed)
+        assert warehouse.get(db.fingerprint(), 4) == full
+        # The second run finds the file already condensed: no rewrite.
         again = PatternWarehouse(directory=tmp_path, representation="closed")
-        assert again.migrated == 0
+        assert again.migrate() == 0
         assert again.get(db.fingerprint(), 4) == full
 
-    def test_migrate_on_load_false_preserves_files(self, tmp_path, db, full):
+    def test_load_preserves_legacy_files(self, tmp_path, db, full):
         path = self._legacy_file(tmp_path, db, full, checksum=True)
         before = path.read_text()
-        warehouse = PatternWarehouse(
-            directory=tmp_path, representation="closed", migrate_on_load=False
-        )
-        assert warehouse.migrated == 0
+        warehouse = PatternWarehouse(directory=tmp_path, representation="closed")
         assert path.read_text() == before
+        assert warehouse.get_condensed(db.fingerprint(), 4).representation == "full"
         assert warehouse.get(db.fingerprint(), 4) == full
 
     def test_legacy_file_in_ndi_warehouse_falls_back_to_closed(
@@ -144,7 +144,7 @@ class TestBackCompat:
         rules need supp({}) = |D| — so the migration lands on closed."""
         path = self._legacy_file(tmp_path, db, full, checksum=True)
         warehouse = PatternWarehouse(directory=tmp_path, representation="ndi")
-        assert warehouse.migrated == 1
+        assert warehouse.migrate() == 1
         condensed, _ = read_warehouse_entry(path)
         assert condensed.representation == "closed"
         assert warehouse.get(db.fingerprint(), 4) == full
@@ -186,7 +186,6 @@ class TestRoundTrips:
         reborn = PatternWarehouse(
             directory=tmp_path, representation=representation
         )
-        assert reborn.migrated == 0
         stored = reborn.get_condensed(db.fingerprint(), 4)
         assert stored.representation == representation
         assert reborn.get(db.fingerprint(), 4) == full

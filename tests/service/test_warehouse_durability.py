@@ -3,10 +3,14 @@ drop/evict/quarantine, persisted chains, and the GC entry point."""
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
 from repro.data.synthetic import QuestParams, quest_database
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
-from repro.durability import record_from_node
 from repro.mining.hmine import mine_hmine
 from repro.service import PatternWarehouse
 
@@ -30,12 +34,7 @@ def seed_warehouse(directory, db):
     v0, v1, v2 = build_chain(db)
     warehouse = PatternWarehouse(directory=directory)
     warehouse.put(v0.fingerprint(), 6, mine_hmine(db, 6))
-    for node in (v1, v2):
-        record = record_from_node(node)
-        warehouse.record_lineage(
-            record.child, record.parent, record.delta_fingerprint(), record.size
-        )
-        warehouse.persist_chain(record)
+    warehouse.record_version(v2)
     return warehouse, (v0, v1, v2)
 
 
@@ -45,7 +44,7 @@ class TestRestartRecovery:
         _, (v0, v1, v2) = seed_warehouse(tmp_path, db)
         reopened = PatternWarehouse(directory=tmp_path)
         assert reopened.recovered_entries == 1
-        assert reopened.recovered_chains == 2
+        assert reopened.recovery_report.recovered_chains == 2
         assert reopened.get(v0.fingerprint(), 6) == mine_hmine(db, 6)
         # The lineage registry recovered: a request at v2 still routes
         # to v0's warehoused patterns two hops up.
@@ -69,6 +68,34 @@ class TestRestartRecovery:
         warehouse = PatternWarehouse()
         assert warehouse.restore_version(make_db()) is None
         assert warehouse.recovery_report is None
+
+    def test_memory_only_warehouse_routes_lineage_without_chains(self):
+        db = make_db()
+        v0, _v1, v2 = build_chain(db)
+        warehouse = PatternWarehouse()
+        warehouse.put(v0.fingerprint(), 6, mine_hmine(db, 6))
+        warehouse.record_version(v2)
+        assert warehouse.stats()["chain_records"] == 0
+        assert warehouse.restore_version(v2.db) is None
+        hit = warehouse.ancestor_feedstock(v2.fingerprint(), 6)
+        assert hit is not None and hit.fingerprint == v0.fingerprint()
+
+    @pytest.mark.parametrize(
+        "manifest", ["[]", '"x"', '{"format": 1, "lineage": []}']
+    )
+    def test_non_object_manifest_is_quarantined(self, tmp_path, manifest):
+        db = make_db()
+        warehouse = PatternWarehouse(directory=tmp_path)
+        warehouse.put(db.fingerprint(), 6, mine_hmine(db, 6))
+        warehouse.record_lineage("c" * 64, db.fingerprint(), None, 1)
+        (tmp_path / "MANIFEST").write_text(manifest)
+        reopened = PatternWarehouse(directory=tmp_path)
+        assert [name for name, _ in reopened.recovery_report.quarantined] == [
+            "MANIFEST"
+        ]
+        assert (tmp_path / "quarantine" / "MANIFEST").exists()
+        assert reopened.stats()["lineage_links"] == 0
+        assert reopened.get(db.fingerprint(), 6) == mine_hmine(db, 6)
 
     def test_stats_carry_the_durability_gauges(self, tmp_path):
         db = make_db()
@@ -100,7 +127,7 @@ class TestLineageHygiene:
         assert len(warehouse.lineage_of(v1.fingerprint())) == 1
         assert warehouse.gc_dropped_links == 2
         # And the dead chain files went with the links.
-        assert not warehouse.has_chain(v2.fingerprint())
+        assert warehouse.stats()["chain_records"] == 0
         assert list((tmp_path / "chains").glob("*.chain")) == []
 
     def test_drop_entry_keeps_links_other_entries_justify(self, tmp_path):
@@ -163,3 +190,28 @@ class TestWarehouseGC:
         report = warehouse.gc()
         assert report.dropped_links == 1
         assert len(warehouse.lineage_of("c" * 64)) == 1
+
+
+def test_concurrent_lineage_records_lose_nothing(tmp_path):
+    """The one lineage registry lives in the store, behind its own lock:
+    links recorded from many threads at once all land, in memory and in
+    the manifest."""
+    warehouse = PatternWarehouse(directory=tmp_path)
+    threads, per_thread = 8, 20
+
+    def record(thread: int) -> None:
+        for i in range(per_thread):
+            child = f"{thread:02d}{i:062d}"
+            warehouse.record_lineage(child, "p" * 64, None, 1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            for future in [pool.submit(record, t) for t in range(threads)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert warehouse.stats()["lineage_links"] == threads * per_thread
+    reopened = PatternWarehouse(directory=tmp_path)
+    assert reopened.stats()["lineage_links"] == threads * per_thread

@@ -14,7 +14,7 @@ from repro.errors import StorageError
 from repro.mining.hmine import mine_hmine
 from repro.mining.patterns import PatternSet
 from repro.service import PatternWarehouse
-from repro.service.warehouse import QUARANTINE_DIR
+from repro.durability.store import QUARANTINE_DIR
 from repro.resilience import WAREHOUSE_READ, WAREHOUSE_WRITE, FaultInjector
 
 

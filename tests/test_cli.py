@@ -320,6 +320,24 @@ class TestWarehouseCommand:
         assert path.read_text() == before
         assert "full" in capsys.readouterr().out
 
+    def test_migrate_verb_rewrites_legacy_files(self, tmp_path, capsys):
+        from repro.data.io import read_warehouse_entry, write_patterns_with_support
+        from repro.mining.hmine import mine_hmine
+
+        db = TransactionDatabase([[1, 2, 3, 4]] * 4 + [[1, 2]] * 4)
+        path = tmp_path / f"{db.fingerprint()}-4.patterns"
+        write_patterns_with_support(mine_hmine(db, 4), path, 4)
+        argv = ["warehouse", "migrate", "--dir", str(tmp_path),
+                "--representation", "ndi"]
+        assert main(argv) == 0
+        assert "1 of 1 entries re-written as ndi" in capsys.readouterr().out
+        # No transaction count in a legacy file: ndi falls back to closed.
+        condensed, _full_bytes = read_warehouse_entry(path)
+        assert condensed.representation == "closed"
+        assert condensed.expand() == mine_hmine(db, 4)
+        assert main(argv) == 0
+        assert "0 of 1 entries" in capsys.readouterr().out
+
 
 class TestReport:
     @pytest.fixture

@@ -111,6 +111,11 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
         "repro.trends",
     ),
     "repro.service": ("repro.gateway", "repro.trends"),
+    # Durable formats stay behind the warehouse: the service hands it
+    # versions and pattern sets, never chain records; and the warehouse
+    # is in-memory policy, every file read or written by DurableStore.
+    "repro.service.service": ("repro.durability",),
+    "repro.service.warehouse": ("repro.data.io",),
     "repro.gateway": ("repro.bench", "repro.trends"),
     "repro.bench": ("repro.trends",),
     "repro.trends": (
