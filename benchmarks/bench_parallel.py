@@ -20,9 +20,9 @@ wall-clock by the contention factor, making per-shard timings — and any
 wall-clock ratio — meaningless.  The ``speedup_basis`` and ``cpus``
 fields record which basis each row used.
 
-Each row also records ``serving_serial_seconds``: one serial run of the
-service's serving kernel (``eclat-bitset`` for ``mine``, compression plus
-the grouped bitset kernel for ``recycle``) on the same input and support.
+Each row also records ``serving_serial_seconds``: one serial run of what
+the service runs on the same input and support, a cold ``eclat-bitset``
+mine for either task (the service never recycles).
 It is the number a sharded run must beat to be worth serving; the
 service answers every request in-process because none does.
 

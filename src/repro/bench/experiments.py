@@ -931,14 +931,13 @@ def parallel_speedup_rows(
     contention that inflates concurrent workers sharing one core.
 
     Every row also carries ``serving_serial_seconds``: one serial run of
-    the service's serving kernel on the same input and support
-    (``eclat-bitset`` for ``mine``; compression plus the grouped bitset
-    kernel for ``recycle``), the baseline a sharded run has to beat to be
-    worth serving.
+    what the service runs on the same input and support, a cold
+    ``eclat-bitset`` mine for either task (the service never recycles),
+    the baseline a sharded run has to beat to be worth serving.
     """
     import os
 
-    from repro.core.planner import PATH_MINE, PATH_RECYCLE, MiningPlan, execute_plan
+    from repro.core.planner import PATH_MINE, MiningPlan, execute_plan
     from repro.data.transactions import TransactionDatabase
     from repro.parallel import ParallelEngine
 
@@ -954,13 +953,8 @@ def parallel_speedup_rows(
     if scale > 1:
         db = TransactionDatabase(list(db) * scale)
         absolute *= scale
-    plan = (
-        MiningPlan(PATH_RECYCLE, workload.old_patterns, workload.xi_old_absolute)
-        if task == "recycle"
-        else MiningPlan(PATH_MINE)
-    )
     started = time.perf_counter()
-    serving = execute_plan(plan, db, absolute)
+    serving = execute_plan(MiningPlan(PATH_MINE), db, absolute)
     serving_seconds = round(time.perf_counter() - started, 4)
     rows: list[dict[str, object]] = []
     reference = None

@@ -355,8 +355,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         stats = service.stats.snapshot()
     summary = (
         f"{stats['requests']:.0f} requests in {elapsed:.2f}s — "
-        f"{stats['filter_hits']:.0f} filter / {stats['recycles']:.0f} recycle / "
-        f"{stats['updates']:.0f} update / "
+        f"{stats['filter_hits']:.0f} filter / {stats['updates']:.0f} update / "
         f"{stats['misses']:.0f} mine, {stats['coalesced']:.0f} coalesced, "
         f"p50 {stats['latency_p50_s']:.4f}s, p95 {stats['latency_p95_s']:.4f}s"
     )

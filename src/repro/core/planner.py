@@ -30,9 +30,11 @@ plan out.  Splitting the two keeps the decision testable in isolation
 and lets callers report *what* they decided before paying for it.
 
 A call that names no algorithm (``algorithm=None``, as every service
-call does) runs the **serving kernel**: :data:`SERVING_BASELINE` for
-cold mines and :data:`SERVING_RECYCLING` for recycles. The paper's
-miners stay selectable by name.
+call does) mines with the **serving kernel**, :data:`SERVING_BASELINE`.
+The service plans only filter, mine and FUP updates: on this kernel a
+cold mine beats every recycle it measured (``docs/service.md``). The
+recycle paths stay for :class:`~repro.core.session.MiningSession` and the
+paper's miners, which stay selectable by name.
 """
 
 from __future__ import annotations
@@ -77,12 +79,10 @@ UPDATE_RECYCLE = "recycle"
 #: this modeled one.
 UPDATE_CHURN_CUTOFF = 0.5
 
-#: The serving kernel: ``eclat-bitset`` for cold mines and RP-Mine
-#: (``naive``, the grouped bitset kernel) for recycles. Every registry
-#: miner returns the same pattern sets; these two measured fastest on the
-#: end-to-end benchmark's inputs (docs/service.md has the timings).
+#: The serving kernel. Every registry miner returns the same pattern
+#: sets; ``eclat-bitset`` measured fastest on the end-to-end benchmark's
+#: inputs (docs/service.md has the timings).
 SERVING_BASELINE = "eclat-bitset"
-SERVING_RECYCLING = "naive"
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def execute_plan(
     ``algorithm`` is a baseline name from the miner registry (or
     ``"naive"``); the recycling path resolves it to a recycling
     adaptation via :func:`resolve_recycling_algorithm`. ``None`` (the
-    default) runs the serving kernel on every path. ``backend``
+    default) mines with the serving kernel. ``backend``
     selects the compression claiming implementation on that path.
     An ``engine`` of more than one job (a
     :class:`~repro.parallel.ParallelEngine`, e.g. from
@@ -352,14 +352,15 @@ def resolve_baseline_algorithm(algorithm: str | None) -> str:
 def resolve_recycling_algorithm(algorithm: str | None) -> str:
     """The registry recycling name backing a baseline ``algorithm``.
 
-    ``None`` is the serving kernel's :data:`SERVING_RECYCLING`. Otherwise
+    ``None`` is RP-Mine (``naive``) on the grouped bitset kernel, what
+    the sharded engine recycles with when no miner is named. Otherwise
     exact match first; then the base name before any ``-backend`` suffix
     (``eclat-bitset`` recycles with Recycle-Eclat); then Recycle-HM, so
     every baseline algorithm still gets a sound (if not specialized)
     recycling path.
     """
     if algorithm is None:
-        return SERVING_RECYCLING
+        return "naive"
     if has_miner(algorithm, kind="recycling"):
         return algorithm
     base = algorithm.split("-", 1)[0]

@@ -145,14 +145,18 @@ class PatternSet:
         """Patterns whose support is at least ``min_support``.
 
         Always a new set: the planner's filter path serves this straight
-        from a warehouse entry's cached expansion.
+        from a warehouse entry's cached expansion. When no support falls
+        below the threshold (every exact warehouse hit) it is a dict copy.
         """
         result = PatternSet()
-        result._supports = {
-            items: support
-            for items, support in self._supports.items()
-            if support >= min_support
-        }
+        if min(self._supports.values(), default=min_support) >= min_support:
+            result._supports = self._supports.copy()
+        else:
+            result._supports = {
+                items: support
+                for items, support in self._supports.items()
+                if support >= min_support
+            }
         return result
 
     def maximal(self) -> "PatternSet":

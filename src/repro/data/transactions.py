@@ -206,6 +206,8 @@ class TransactionDatabase:
         threshold is rounded up, matching the usual "support greater than
         or equal to" semantics on fractions.
         """
+        if isinstance(min_support, float) and not math.isfinite(min_support):
+            raise DataError(f"min_support must be finite, got {min_support}")
         if min_support <= 0:
             raise DataError(f"min_support must be positive, got {min_support}")
         if isinstance(min_support, float) and min_support <= 1.0:

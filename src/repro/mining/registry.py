@@ -46,6 +46,7 @@ anywhere in the package.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
@@ -106,6 +107,7 @@ class MinerSpec:
 
 _MINERS: dict[tuple[str, str], MinerSpec] = {}
 _bootstrapped = False
+_bootstrap_lock = threading.RLock()
 
 
 def register(spec: MinerSpec) -> MinerSpec:
@@ -230,12 +232,19 @@ def _bootstrap() -> None:
 
     Deferred so that ``repro.mining.registry`` can be imported from
     anywhere (including the modules being registered) without cycles.
+    The flag is set only once every miner is registered, and concurrent
+    first lookups (a service's worker pool) wait on the lock for it.
     """
     global _bootstrapped
     if _bootstrapped:
         return
-    _bootstrapped = True
+    with _bootstrap_lock:
+        if not _bootstrapped:
+            _register_builtins()
+            _bootstrapped = True
 
+
+def _register_builtins() -> None:
     from repro.core.naive import mine_rp
     from repro.core.recycle_eclat import mine_recycle_eclat
     from repro.core.recycle_fptree import mine_recycle_fptree

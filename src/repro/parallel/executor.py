@@ -131,9 +131,9 @@ class ShardTask:
     the compressed database and the recycling miner consumes them
     directly. ``fail`` makes the worker raise (a crash, injected by the
     ``shard.crash`` fault point); ``delay_seconds`` makes it sleep first
-    (a straggler, injected by ``shard.slow``). ``algorithm=None`` is the
-    planner's serving kernel, resolved per mode, so a shard that plans
-    locally runs the serving pair on every path.
+    (a straggler, injected by ``shard.slow``). ``algorithm=None`` is
+    resolved per mode by the planner: ``eclat-bitset`` for mines, the
+    grouped bitset kernel for recycles.
     """
 
     shard: Shard
@@ -332,7 +332,7 @@ class ParallelEngine:
         every attempted run records its success or fallback on it.
 
     ``algorithm`` on :meth:`mine` / :meth:`recycle_mine` is a registry
-    name, or ``None`` (the default) for the planner's serving kernel, on
+    name, or ``None`` (the default) for the planner's default kernels, on
     the shards and on the serial fallback alike.
 
     :attr:`last_outcome` holds the outcome of the most recent run, so a

@@ -3,9 +3,9 @@
 The shared-platform scenario of Section 2, as a subsystem: a
 :class:`PatternWarehouse` shelves every tenant's support-level results
 keyed by database fingerprint, and a :class:`MiningService` plans each
-incoming request against it — filter a cached superset, recycle a cached
-subset, or mine from scratch — with single-flight coalescing for
-identical concurrent requests. :mod:`repro.service.workload` replays
+incoming request against it — filter a cached superset, FUP-patch a
+chain ancestor's entry, or mine from scratch — with single-flight
+coalescing for identical concurrent requests. :mod:`repro.service.workload` replays
 JSON request traces through a service (the ``repro serve-batch`` CLI).
 """
 

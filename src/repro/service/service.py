@@ -6,10 +6,9 @@ pool executes them (a blocking :meth:`MiningService.execute` computes
 on its caller's thread), and a shared :class:`PatternWarehouse` turns one
 tenant's results into everyone else's feedstock. Each request is planned
 with the same :mod:`repro.core.planner` decision the interactive
-session uses — filter a cached superset, recycle a cached subset,
-*update*-patch a chain ancestor's entry across a database delta, or
-mine from scratch — so the service never re-derives what the warehouse
-already paid for.
+session uses — filter a cached superset, FUP-*update* a chain
+ancestor's entry across an insert-only delta, or mine from scratch — so
+the service never re-derives what the warehouse already paid for.
 
 Three service-level mechanisms ride on top:
 
@@ -26,23 +25,23 @@ Three service-level mechanisms ride on top:
   request descended: a failed warehouse read degrades to a miss
   (``feedstock→miss: warehouse_read_failed``), a miss
   where quarantined feedstock used to be is named
-  (``recycle→mine: feedstock_quarantined``), and a warehouse that lost
+  (``feedstock→mine: feedstock_quarantined``), and a warehouse that lost
   its disk keeps serving from memory (``warehouse→memory_only:
   write_failed``), and a failed update patch falls back to a clean
   mine (``update→mine: update_failed``). The
   :class:`~repro.resilience.ResilienceConfig`'s
   :class:`~repro.resilience.FaultInjector` reaches the update patch.
 * **Service statistics.** Every response is folded into a thread-safe
-  :class:`ServiceStats`: per-path counts (filter hits / recycles /
+  :class:`ServiceStats`: per-path counts (filter hits / updates /
   misses), coalesced request count, underlying computation count,
   latency quantiles (p50/p95/p99 off a fixed-size reservoir, so a
   long-running service never grows stats memory without bound),
   and degraded-response counts by reason.
 
 Requests do not choose the miner or the parallelism. Every request is
-served in-process by the planner's serving kernel: cold mines run
-``eclat-bitset``, recycles and update-recycles run the grouped bitset
-kernel (RP-Mine after MCP compression on the bitset backend). A
+served in-process by the planner's serving kernel, ``eclat-bitset``,
+and never recycled: on this kernel a cold mine beats MCP compression
+plus the grouped kernel on every measured input (``docs/service.md``). A
 request's ``jobs`` is validated but does not change how it is computed:
 on these kernels the two-pass sharded scheme lost to one serial pass on
 every measured input but one (``docs/parallel.md``). The registry's miners all
@@ -64,7 +63,8 @@ from dataclasses import dataclass, field
 from repro.core.planner import (
     PATH_FILTER,
     PATH_MINE,
-    PATH_RECYCLE,
+    PATH_UPDATE,
+    UPDATE_FUP,
     MiningPlan,
     execute_plan,
     plan_support_path,
@@ -141,7 +141,7 @@ class MineResponse:
     """
 
     tenant: str
-    path: str  # "filter" | "recycle" | "mine" | "update"
+    path: str  # "filter" | "mine" | "update"
     absolute_support: int
     feedstock_support: int | None
     patterns: PatternSet
@@ -149,7 +149,7 @@ class MineResponse:
     elapsed_seconds: float
     counters: CostCounters
     degradation: DegradationReport = field(default_factory=DegradationReport)
-    #: Update-path detail: which patch engine ran ("fup" | "recycle"),
+    #: Update-path detail: which patch engine ran (always "fup" here),
     #: and the delta distance to the ancestor whose entry was patched.
     update_mode: str | None = None
     feedstock_distance: int = 0
@@ -181,13 +181,11 @@ class ServiceStats:
         self._lock = threading.Lock()
         self.requests = 0
         self.filter_hits = 0
-        self.recycles = 0
         self.updates = 0
         self.misses = 0
         self.coalesced = 0
         self.computations = 0
         self.mine_runs = 0
-        self.recycle_runs = 0
         self.update_runs = 0
         self.degraded = 0
         #: Version-chain traffic: deltas applied through the service and
@@ -219,8 +217,6 @@ class ServiceStats:
             self.requests += 1
             if response.path == "filter":
                 self.filter_hits += 1
-            elif response.path == "recycle":
-                self.recycles += 1
             elif response.path == "update":
                 self.updates += 1
             else:
@@ -231,8 +227,6 @@ class ServiceStats:
                 self.computations += 1
                 if response.path == "mine":
                     self.mine_runs += 1
-                elif response.path == "recycle":
-                    self.recycle_runs += 1
                 elif response.path == "update":
                     self.update_runs += 1
             if response.degradation.degraded:
@@ -276,14 +270,12 @@ class ServiceStats:
             if self.requests == 0:
                 return {
                     "filter": 0.0,
-                    "recycle": 0.0,
                     "update": 0.0,
                     "mine": 0.0,
                     "degraded": 0.0,
                 }
             return {
                 "filter": self.filter_hits / self.requests,
-                "recycle": self.recycles / self.requests,
                 "update": self.updates / self.requests,
                 "mine": self.misses / self.requests,
                 "degraded": self.degraded / self.requests,
@@ -313,19 +305,16 @@ class ServiceStats:
             return {
                 "requests": self.requests,
                 "filter_hits": self.filter_hits,
-                "recycles": self.recycles,
                 "updates": self.updates,
                 "misses": self.misses,
                 "coalesced": self.coalesced,
                 "computations": self.computations,
                 "mine_runs": self.mine_runs,
-                "recycle_runs": self.recycle_runs,
                 "update_runs": self.update_runs,
                 "degraded": self.degraded,
                 "deltas_applied": self.deltas_applied,
                 "versions_registered": self.versions_registered,
                 "filter_rate": rates["filter"],
-                "recycle_rate": rates["recycle"],
                 "update_rate": rates["update"],
                 "mine_rate": rates["mine"],
                 "degraded_rate": rates["degraded"],
@@ -592,7 +581,7 @@ class MiningService:
         if hit is None and self.warehouse.has_quarantined(fingerprint):
             # Not a cold miss: this database *had* stored patterns, and
             # they were quarantined at load. Name the real reason.
-            degradation.record("recycle", "mine", REASON_FEEDSTOCK_QUARANTINED)
+            degradation.record("feedstock", "mine", REASON_FEEDSTOCK_QUARANTINED)
         return hit
 
     def _compute(
@@ -609,10 +598,6 @@ class MiningService:
             # update path instead of mining the new version cold.
             version = self.warehouse.restore_version(request.db)
         hit = self._find_feedstock(fingerprint, absolute, degradation, version=version)
-        # The plan consumes the warehouse entry in its stored (condensed)
-        # form: a filter answers off the entry's cached expansion (built
-        # on the first hit), and the recycle path claims compression from
-        # the entries without ever materializing the full expansion.
         if hit is not None and hit.distance > 0:
             plan = self._plan_from_ancestor(request, absolute, hit, version)
         else:
@@ -632,7 +617,7 @@ class MiningService:
         if self.warehouse is not None and plan.path != PATH_FILTER:
             # Filter results are cheap derivations of an existing entry;
             # storing them would only dilute the byte budget. Mined and
-            # recycled sets are new capital — shelve them.
+            # patched sets are new capital — shelve them.
             was_memory_only = self.warehouse.memory_only_reason is not None
             self.warehouse.put(
                 fingerprint, absolute, patterns, n_transactions=len(request.db)
@@ -659,33 +644,32 @@ class MiningService:
         hit,
         version: VersionedDatabase | None,
     ) -> MiningPlan:
-        """Turn an ancestor warehouse hit into an update (or fallback) plan.
+        """Turn an ancestor warehouse hit into an FUP update or a mine.
 
         ``version`` is the chain the feedstock lookup walked — the
         request's own, or one rebuilt from durable chain records for an
-        unversioned post-restart request. When it still holds the
-        ancestor, the exact delta is reconstructible and the full
-        FUP/recycle/mine arbitration applies. A registry-only hit (chain
-        gone, only the warehouse's lineage links survive) cannot rebuild
-        the ancestor database, so FUP is off the table — but recycling
-        the ancestor's patterns as compression vocabulary is still
-        sound, supports being mere utility estimates across versions.
+        unversioned post-restart request. Only when it still holds the
+        ancestor is the exact delta reconstructible, and only an FUP
+        patch is served: any other update (a delta with deletions, churn
+        past the cutoff) and a registry-only hit (chain gone, only the
+        warehouse's lineage links survive) mine cold, which beats
+        recycling the ancestor's patterns on the serving kernel.
         """
         ancestor = (
             version.ancestor(hit.fingerprint) if version is not None else None
         )
-        if ancestor is not None:
-            delta = version.delta_from(ancestor)
-            return plan_update_path(
-                absolute,
-                hit.feedstock,
-                hit.absolute_support,
-                ancestor.db,
-                delta,
-                len(request.db),
-                ancestor_fingerprint=hit.fingerprint,
-                distance=hit.distance,
-            )
-        if len(hit.feedstock) == 0:
+        if ancestor is None:
             return MiningPlan(PATH_MINE)
-        return MiningPlan(PATH_RECYCLE, hit.feedstock, hit.absolute_support)
+        plan = plan_update_path(
+            absolute,
+            hit.feedstock,
+            hit.absolute_support,
+            ancestor.db,
+            version.delta_from(ancestor),
+            len(request.db),
+            ancestor_fingerprint=hit.fingerprint,
+            distance=hit.distance,
+        )
+        if plan.path == PATH_UPDATE and plan.update_mode != UPDATE_FUP:
+            return MiningPlan(PATH_MINE)
+        return plan

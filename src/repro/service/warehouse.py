@@ -1,7 +1,7 @@
 """The pattern warehouse: a shared store of prior mining results.
 
 Section 2 of the paper describes a multi-user mining platform where one
-user's frequent patterns become another user's recycling feedstock.
+user's frequent patterns are reused for another user's request.
 :class:`PatternWarehouse` is that shared shelf: a thread-safe store of
 support-level :class:`~repro.mining.patterns.PatternSet`s keyed by
 ``(database fingerprint, absolute support)``.
@@ -23,13 +23,11 @@ support-level :class:`~repro.mining.patterns.PatternSet`s keyed by
   would exceed the budget. An entry larger than the whole budget is
   rejected outright.
 * **Lookups return the best feedstock**, not just exact hits. A stored
-  set mined at support ``s`` serves a request at support ``r`` two ways:
-  ``s <= r`` means the stored set is a superset of the answer — *filter*
-  it (an exact hit is the trivial case); ``s > r`` means it is a subset —
-  *recycle* it (compress + re-mine). :meth:`best_feedstock` prefers the
-  cheapest option: the largest stored ``s <= r`` (smallest superset to
-  filter), then the smallest stored ``s > r`` (largest subset to
-  recycle), then a miss.
+  set mined at support ``s <= r`` is a superset of the answer at support
+  ``r``: :meth:`best_feedstock` returns the largest such ``s`` (the
+  smallest superset to filter; an exact hit is the trivial case), else a
+  miss. An entry above ``r`` is never returned: recycling it loses to a
+  cold mine on the serving kernel (``docs/service.md``).
 * **Optionally disk-backed, and hardened against the disk.** Every
   byte on disk goes through a :class:`~repro.durability.DurableStore`:
   given a directory, every entry is also written as a journaled,
@@ -83,23 +81,21 @@ from repro.storage.disk import patterns_byte_size
 class WarehouseHit:
     """A usable feedstock found for a requested (fingerprint, support).
 
-    ``feedstock`` is the stored (possibly condensed) object — what the
-    planner consumes directly; the recycle path feeds its entries to the
-    compressor without expanding them, and the filter path filters the
-    entry's cached expansion. :attr:`patterns` materializes the exact
-    frequent set for callers that need it (the expansion is cached on the
-    entry).
+    ``feedstock`` is the stored (possibly condensed) object, mined at or
+    below the requested support — what the planner consumes directly;
+    the filter path filters the entry's cached expansion.
+    :attr:`patterns` materializes the exact frequent set for callers that
+    need it (the expansion is cached on the entry).
     """
 
     fingerprint: str
     absolute_support: int  # the support the stored set was mined at
     feedstock: "PatternSet | CondensedPatternSet"
-    exact: bool  # stored support == requested support
     #: Delta distance (rows appended + deleted) between the requested
     #: database version and the version the feedstock was mined on.
-    #: 0 means same version — the support trichotomy applies directly;
-    #: > 0 means the hit is a chain *ancestor* and only the update path
-    #: (or a recycle treating supports as estimates) may consume it.
+    #: 0 means same version — the filter path applies directly; > 0
+    #: means the hit is a chain *ancestor* and only the update path may
+    #: consume it.
     distance: int = 0
 
     @property
@@ -308,11 +304,10 @@ class PatternWarehouse:
     ) -> WarehouseHit | None:
         """The cheapest stored feedstock for a request at ``absolute_support``.
 
-        Preference order: largest stored support ``<= absolute_support``
-        (a superset — filtering it is exact and mining-free; an exact hit
-        is the degenerate case), then smallest stored support above it
-        (the closest subset — the best recycling feedstock), else
-        ``None``. The returned entry is touched for LRU purposes.
+        The largest stored support ``<= absolute_support`` (a superset —
+        filtering it is exact and mining-free; an exact hit is the
+        degenerate case), else ``None``. The returned entry is touched
+        for LRU purposes.
 
         An armed ``warehouse.read`` fault fires here (raising
         :class:`~repro.errors.InjectedFaultError`); the service treats
@@ -329,17 +324,14 @@ class PatternWarehouse:
     ) -> WarehouseHit | None:
         """The :meth:`best_feedstock` scan without the fault point."""
         with self._lock:
-            below: int | None = None
-            above: int | None = None
-            for fp, support in self._entries:
-                if fp != fingerprint:
-                    continue
-                if support <= absolute_support:
-                    if below is None or support > below:
-                        below = support
-                elif above is None or support < above:
-                    above = support
-            chosen = below if below is not None else above
+            chosen = max(
+                (
+                    support
+                    for fp, support in self._entries
+                    if fp == fingerprint and support <= absolute_support
+                ),
+                default=None,
+            )
             if chosen is None:
                 return None
             key = (fingerprint, chosen)
@@ -348,7 +340,6 @@ class PatternWarehouse:
                 fingerprint=fingerprint,
                 absolute_support=chosen,
                 feedstock=self._entries[key][0],
-                exact=chosen == absolute_support and distance == 0,
                 distance=distance,
             )
 
@@ -430,7 +421,9 @@ class PatternWarehouse:
         omitted, the warehouse's own recorded registry is walked. The
         scan stops at the *first* version with any stored entry — delta
         distance dominates the patch cost, so the nearest warehoused
-        ancestor beats a better-support hit further up the chain. Fires
+        ancestor beats a better-support hit further up the chain — and
+        returns its largest entry at or below ``absolute_support`` (the
+        only kind an FUP patch can consume), else ``None``. Fires
         ``warehouse.read`` once, like :meth:`best_feedstock`.
         """
         if self.faults is not None:
@@ -439,10 +432,12 @@ class PatternWarehouse:
             )
         if lineage is None:
             lineage = self.lineage_of(fingerprint)
-        for ancestor_fp, distance in lineage:
-            hit = self._scan_feedstock(ancestor_fp, absolute_support, distance)
-            if hit is not None:
-                return hit
+        with self._lock:
+            for ancestor_fp, distance in lineage:
+                if any(fp == ancestor_fp for fp, _ in self._entries):
+                    return self._scan_feedstock(
+                        ancestor_fp, absolute_support, distance
+                    )
         return None
 
     # ------------------------------------------------------------------
@@ -669,7 +664,7 @@ class PatternWarehouse:
 
         The service uses this to name the degradation precisely: a miss
         where quarantined feedstock used to be is
-        ``recycle→mine: feedstock_quarantined``, not a plain cold miss.
+        ``feedstock→mine: feedstock_quarantined``, not a plain cold miss.
         """
         report = self.recovery_report
         return report is not None and fingerprint in report.quarantined_fingerprints

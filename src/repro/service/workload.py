@@ -45,6 +45,7 @@ the planner's update path).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,6 +109,8 @@ def parse_workload_items(spec: dict) -> "list[MineRequest | DeltaOp]":
             raise DataError(f"request #{index} has no support")
         if isinstance(support, bool) or not isinstance(support, (int, float)):
             raise DataError(f"request #{index}: support must be a number")
+        if isinstance(support, float) and not math.isfinite(support):
+            raise DataError(f"request #{index}: support must be finite, got {support}")
         jobs = _integer(index, "jobs", entry.get("jobs", spec.get("jobs", 1)))
         if jobs < 1:
             raise DataError(f"request #{index}: jobs must be >= 1, got {jobs}")

@@ -105,13 +105,25 @@ class TestExperimentShapes:
         assert [row[0] for row in rows] == ["direct", "two-step"]
         assert rows[0][5] == rows[1][5]
 
-    def test_parallel_rows_carry_the_serving_serial_baseline(self):
+    def test_parallel_rows_carry_the_serving_serial_baseline(self, monkeypatch):
+        import repro.core.planner as planner
+
+        planned: list[str] = []
+        real = planner.execute_plan
+
+        def spy(plan, *args, **kwargs):
+            planned.append(plan.path)
+            return real(plan, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "execute_plan", spy)
         rows = parallel_speedup_rows(
             "connect4", jobs_grid=(1, 2), task="recycle", executor="inline"
         )
         assert [row["jobs"] for row in rows] == [1, 2]
         assert all(row["identical"] for row in rows)
-        # One serial serving-kernel run per input, repeated on each row.
+        # One serial run of what the service runs, a cold mine even for
+        # the recycle task, repeated on each row.
+        assert planned == ["mine"]
         assert len({row["serving_serial_seconds"] for row in rows}) == 1
         assert rows[0]["serving_serial_seconds"] > 0
 

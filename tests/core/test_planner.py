@@ -9,7 +9,6 @@ from repro.core.planner import (
     PATH_MINE,
     PATH_RECYCLE,
     SERVING_BASELINE,
-    SERVING_RECYCLING,
     UPDATE_FUP,
     UPDATE_RECYCLE,
     execute_plan,
@@ -81,7 +80,9 @@ class TestExecution:
 
 
 class TestServingKernel:
-    """``algorithm=None`` (execute_plan's default) is the serving kernel."""
+    """``algorithm=None`` (execute_plan's default) mines with the serving
+    kernel; a recycle plan, which only the session and the sharded engine
+    build, runs RP-Mine on the grouped bitset kernel."""
 
     @pytest.fixture
     def ran(self, monkeypatch):
@@ -98,15 +99,15 @@ class TestServingKernel:
 
     def test_none_resolves_to_the_serving_pair(self):
         assert resolve_baseline_algorithm(None) == SERVING_BASELINE == "eclat-bitset"
-        assert resolve_recycling_algorithm(None) == SERVING_RECYCLING == "naive"
+        assert resolve_recycling_algorithm(None) == "naive"
         assert get_miner(SERVING_BASELINE).backend == "bitset"
-        assert get_miner(SERVING_RECYCLING, kind="recycling").needs_compressed
+        assert get_miner("naive", kind="recycling").needs_compressed
 
     @pytest.mark.parametrize(
         ("new_support", "path", "expected"),
         [
             (12, PATH_FILTER, []),
-            (5, PATH_RECYCLE, [("recycling", SERVING_RECYCLING)]),
+            (5, PATH_RECYCLE, [("recycling", "naive")]),
         ],
     )
     def test_support_paths(self, db, ran, new_support, path, expected):
@@ -124,7 +125,7 @@ class TestServingKernel:
         ("deletes", "mode", "expected"),
         [
             (0, UPDATE_FUP, []),
-            (2, UPDATE_RECYCLE, [("recycling", SERVING_RECYCLING)]),
+            (2, UPDATE_RECYCLE, [("recycling", "naive")]),
         ],
     )
     def test_update_paths(self, db, ran, deletes, mode, expected):

@@ -117,6 +117,11 @@ class TestRelativeSupport:
         with pytest.raises(DataError):
             tiny_db.relative_to_absolute(0)
 
+    @pytest.mark.parametrize("support", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, tiny_db, support):
+        with pytest.raises(DataError, match="finite"):
+            tiny_db.relative_to_absolute(support)
+
     def test_minimum_is_one(self):
         db = TransactionDatabase([[1]])
         assert db.relative_to_absolute(0.0001) == 1

@@ -83,6 +83,19 @@ class TestDerivedSets:
 
         assert paper_old_patterns.filter_min_support(4) == mine_apriori(paper_db, 4)
 
+    @pytest.mark.parametrize("threshold", [0, 1, 3])
+    def test_filter_at_or_below_the_minimum_is_an_independent_copy(
+        self, paper_old_patterns, threshold
+    ):
+        """No support falls below the threshold (the lowest stored is 3):
+        the filter keeps every pattern, in a set of its own."""
+        before = paper_old_patterns.as_dict()
+        kept = paper_old_patterns.filter_min_support(threshold)
+        assert kept == paper_old_patterns and kept is not paper_old_patterns
+        kept.add([98, 99], 1)
+        assert paper_old_patterns.as_dict() == before
+        assert frozenset({98, 99}) not in paper_old_patterns
+
     def test_maximal(self, paper_old_patterns):
         maximal = {tuple(sorted(p)) for p in paper_old_patterns.maximal()}
         # fgc covers f, g, c, fg, gc; ae covers a, e; ec covers e, c.

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.recycle import RECYCLING_MINERS
 from repro.errors import MiningError
-from repro.mining import BASELINE_MINERS
+from repro.mining import BASELINE_MINERS, registry
 from repro.mining.registry import (
     MINERS,
     MinerSpec,
@@ -61,6 +64,34 @@ class TestRegistration:
         spec = get_miner("hmine", kind="baseline")
         with pytest.raises(MiningError, match="already registered"):
             register(spec)
+
+    def test_concurrent_first_lookups_see_every_miner(self, monkeypatch):
+        """Threads racing the first registry access (a fresh service's
+        worker pool) all find the built-in miners."""
+        monkeypatch.setattr(registry, "_MINERS", {})
+        monkeypatch.setattr(registry, "_bootstrapped", False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        start = threading.Barrier(8)
+        errors: list[BaseException] = []
+
+        def lookup() -> None:
+            start.wait(timeout=30)
+            try:
+                get_miner("eclat-bitset")
+            except MiningError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=lookup) for _ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(MiningError, match="unknown miner kind"):

@@ -49,7 +49,7 @@ _selected = os.environ.get("CHAOS_PROFILE")
 ACTIVE_PROFILES = (_selected,) if _selected in PROFILES else PROFILES
 
 #: Requests replayed under every profile: two tenants relaxing support,
-#: so the workload crosses the mine → filter → recycle trichotomy.
+#: so the workload crosses mine → filter, and the engine leg recycles.
 SUPPORTS = (14, 14, 9, 6)
 
 
@@ -193,10 +193,9 @@ def test_chaos_update_path_degrades_to_clean_remine(profile, tmp_path):
         seed=SEED,
     )
     v0 = VersionedDatabase.initial(db)
-    # A mixed delta, so the planner picks the recycling patch engine.
-    delta = DatabaseDelta(
-        appends=db.transactions[:6], deletes=frozenset(db.tids[:3])
-    )
+    # An insert-only delta, so the service patches with FUP (a delta
+    # with deletions would mine cold and never reach the patch).
+    delta = DatabaseDelta.append(db.transactions[:6])
     v1 = v0.apply(delta)
     expected = mine_hmine(v1.db, 10)
     faults = chaos_injector(profile)

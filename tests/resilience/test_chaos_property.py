@@ -113,10 +113,10 @@ def run_corrupt_feedstock(db, algorithm, strategy, old_patterns):
         assert warehouse.has_quarantined(fingerprint)
         with MiningService(warehouse=warehouse) as service:
             response = service.execute(MineRequest(db=db, support=NEW_SUPPORT))
-        # The would-be recycle degrades to a scratch mine, by name.
+        # The miss where feedstock used to be is named.
         assert response.path == "mine"
         assert response.degradation.reasons() == [
-            f"recycle→mine: {REASON_FEEDSTOCK_QUARANTINED}"
+            f"feedstock→mine: {REASON_FEEDSTOCK_QUARANTINED}"
         ]
         return response.patterns, response.degradation
 

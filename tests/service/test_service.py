@@ -23,14 +23,15 @@ def db():
 
 
 class TestSingleRequests:
-    def test_miss_then_filter_then_recycle(self, db):
+    def test_miss_then_filter_then_lower_support_mines(self, db):
         with MiningService(warehouse=PatternWarehouse()) as service:
             first = service.execute(MineRequest(db=db, support=12, tenant="alice"))
             assert first.path == "mine" and not first.coalesced
             again = service.execute(MineRequest(db=db, support=12, tenant="bob"))
             assert again.path == "filter" and again.feedstock_support == 12
+            # The entry at 12 is a subset of the answer at 5: not feedstock.
             relaxed = service.execute(MineRequest(db=db, support=5, tenant="carol"))
-            assert relaxed.path == "recycle" and relaxed.feedstock_support == 12
+            assert relaxed.path == "mine" and relaxed.feedstock_support is None
             for response, support in ((first, 12), (again, 12), (relaxed, 5)):
                 assert response.patterns == mine_hmine(db, support)
 
@@ -75,12 +76,12 @@ class TestParallelRequests:
             assert "parallel_shards" not in response.counters.as_dict()
             assert service.stats.snapshot()["computations"] == 1
 
-    def test_parallel_recycle_reuses_warehouse_feedstock(self, db):
+    def test_parallel_requests_reuse_warehouse_feedstock(self, db):
         with MiningService(warehouse=PatternWarehouse()) as service:
-            service.execute(MineRequest(db=db, support=12))
-            relaxed = service.execute(MineRequest(db=db, support=6, jobs=2))
-            assert relaxed.path == "recycle" and relaxed.feedstock_support == 12
-            assert relaxed.patterns == mine_hmine(db, 6)
+            service.execute(MineRequest(db=db, support=6))
+            tightened = service.execute(MineRequest(db=db, support=12, jobs=2))
+            assert tightened.path == "filter" and tightened.feedstock_support == 6
+            assert tightened.patterns == mine_hmine(db, 12)
 
     def test_nonpositive_jobs_rejected_at_submit(self, db):
         with MiningService() as service:
@@ -97,7 +98,6 @@ class TestStatsZeroGuards:
         assert stats.latency_quantile(0.95) == 0.0
         assert stats.path_rates() == {
             "filter": 0.0,
-            "recycle": 0.0,
             "update": 0.0,
             "mine": 0.0,
             "degraded": 0.0,
@@ -264,10 +264,7 @@ class TestConcurrency:
         # The warehouse + coalescing must have absorbed some of the traffic.
         assert snapshot["computations"] + snapshot["coalesced"] == snapshot["requests"]
         assert snapshot["misses"] < snapshot["requests"]
-        reused = (
-            snapshot["filter_hits"] + snapshot["recycles"] + snapshot["coalesced"]
-        )
-        assert reused > 0
+        assert snapshot["filter_hits"] + snapshot["coalesced"] > 0
 
     def test_stats_quantiles_monotonic(self, db):
         with MiningService(warehouse=PatternWarehouse()) as service:

@@ -58,7 +58,7 @@ class TestWarehouseDegradation:
             response = service.execute(MineRequest(db=db, support=8))
             assert response.path == "mine"
             assert response.degradation.reasons() == [
-                f"recycle→mine: {REASON_FEEDSTOCK_QUARANTINED}"
+                f"feedstock→mine: {REASON_FEEDSTOCK_QUARANTINED}"
             ]
             assert response.patterns == mine_hmine(db, 8)
 

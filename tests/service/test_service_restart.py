@@ -6,7 +6,9 @@ delta *without* mining the new version, kill every live object, rebuild
 the service from the directory alone, and ask for the post-delta
 database with **no version attached** — the request must be served via
 the planner's update path (not a scratch mine), with patterns identical
-to a fault-free scratch mine.
+to a fault-free scratch mine. The chain only appends, so the update is an
+FUP patch, which needs the ancestor's database rebuilt from the chain
+records.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ def make_db(seed: int = 1) -> TransactionDatabase:
 
 
 def persist_generation(directory, db):
-    """One pre-crash service generation; returns the post-delta version."""
+    """One pre-crash service generation; returns the version two
+    insert-only deltas past the mined one."""
     warehouse = PatternWarehouse(directory=directory)
     with MiningService(warehouse=warehouse) as service:
         v0 = VersionedDatabase(db)
@@ -39,7 +42,7 @@ def persist_generation(directory, db):
         v1 = service.apply_delta(
             v0, DatabaseDelta(appends=(tuple(range(1, 5)), (2, 5)))
         )
-        v2 = service.apply_delta(v1, DatabaseDelta(deletes=frozenset({0})))
+        v2 = service.apply_delta(v1, DatabaseDelta(appends=((1, 3, 6),)))
     return v2
 
 
@@ -66,6 +69,7 @@ def test_restarted_service_serves_update_path_without_remining(tmp_path):
             f"served via {response.path} "
             f"(degradation: {response.degradation.describe() or 'none'})"
         )
+        assert response.update_mode == "fup"
         assert response.feedstock_distance > 0
         assert response.patterns == expected
         snapshot = service.stats.snapshot()
@@ -95,7 +99,7 @@ def test_versioned_resubmit_still_beats_restored_chain(tmp_path):
         response = service.execute(
             MineRequest(db=v2.db, support=SUPPORT, version=v2)
         )
-        assert response.path == "update"
+        assert (response.path, response.update_mode) == ("update", "fup")
         assert response.patterns == mine_hmine(v2.db, SUPPORT)
 
 

@@ -70,7 +70,6 @@ class TestWarehouseLineage:
         assert hit is not None
         assert hit.fingerprint == v0.fingerprint()
         assert hit.distance == v1.delta.size
-        assert not hit.exact  # distance > 0 is never an exact hit
         # A same-version entry dominates any ancestor.
         new_patterns = mine_hmine(v1.db, 10)
         warehouse.put(v1.fingerprint(), 10, new_patterns)
@@ -78,7 +77,14 @@ class TestWarehouseLineage:
             v1.fingerprint(), 10, lineage=v1.lineage()
         )
         assert nearest.fingerprint == v1.fingerprint()
-        assert nearest.distance == 0 and nearest.exact
+        assert nearest.distance == 0
+        # Entries above the requested support are never feedstock, and
+        # the nearest warehoused version still ends the walk: v0's entry
+        # at 8 lies past v1's.
+        warehouse.put(v0.fingerprint(), 8, mine_hmine(db, 8))
+        assert warehouse.ancestor_feedstock(
+            v1.fingerprint(), 9, lineage=v1.lineage()
+        ) is None
 
     def test_unknown_chain_misses(self, db):
         warehouse = PatternWarehouse()
@@ -87,21 +93,29 @@ class TestWarehouseLineage:
 
 class TestServiceUpdatePath:
     def test_versioned_request_serves_update_bit_identically(self, db, chain):
-        v0, v1 = chain
-        expected = mine_hmine(v1.db, 10)
+        v0, mixed = chain
+        v1 = v0.apply(DatabaseDelta.append(db.transactions[:5]))
         with MiningService(warehouse=PatternWarehouse()) as service:
             service.execute(MineRequest(db=db, support=10, version=v0))
             response = service.execute(
                 MineRequest(db=v1.db, support=10, version=v1)
             )
             assert response.path == "update"
-            assert response.update_mode == "recycle"  # mixed delta
+            assert response.update_mode == "fup"  # insert-only delta
             assert response.feedstock_distance == v1.delta.size
-            assert response.patterns == expected
+            assert response.patterns == mine_hmine(v1.db, 10)
+            # A delta with deletions is not FUP-patchable: it mines cold,
+            # which is not a degradation.
+            cold = service.execute(
+                MineRequest(db=mixed.db, support=10, version=mixed)
+            )
+            assert (cold.path, cold.update_mode) == ("mine", None)
+            assert not cold.degradation.degraded
+            assert cold.patterns == mine_hmine(mixed.db, 10)
             snapshot = service.stats.snapshot()
             assert snapshot["updates"] == 1
             assert snapshot["update_runs"] == 1
-            assert service.stats.path_rates()["update"] == 0.5
+            assert service.stats.path_rates()["update"] == 1 / 3
 
     def test_insert_only_delta_uses_fup_mode(self, db):
         v0 = VersionedDatabase.initial(db)
@@ -193,6 +207,6 @@ class TestWorkloadOps:
             assert snapshot["deltas_applied"] == 2
             assert snapshot["versions_registered"] == 2
             # Ops are barriers: alice banks before bob plans, bob before
-            # carol, so both post-op requests ride the update path.
-            assert [r.path for r in responses] == ["mine", "update", "update"]
+            # carol. Bob's append is FUP-patched; carol's delete mines.
+            assert [r.path for r in responses] == ["mine", "update", "mine"]
             assert responses[2].patterns == mine_hmine(carol.db, 800)

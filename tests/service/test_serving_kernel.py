@@ -1,23 +1,28 @@
-"""The serving stack runs the planner's serving kernel on every path.
+"""A served request never compresses: it filters, mines cold or FUP-patches.
 
-Cold mines run ``eclat-bitset`` and recycles run the grouped bitset
-kernel. The registry's H-Mine baseline and Recycle-HM specs are patched
-to raise, so any serving path that still resolves to them (a default
-left behind) fails loudly; every answer must still equal a scratch
-FP-growth mine. Requests asking for ``jobs=2`` are served by the same
-in-process kernel: the sharded engine is patched to raise.
+MCP compression, the grouped kernel and every recycling miner in the
+registry are patched to raise, and so is the H-Mine baseline, so a
+served path that still recycles (or resolves to a default left behind)
+fails loudly. Cold mines run ``eclat-bitset``; a lower support, an update
+FUP cannot patch and a registry-only ancestor hit all mine cold. Every
+answer must still equal a scratch FP-growth mine. Requests asking for
+``jobs=2`` are served by the same in-process kernel: the sharded engine
+is patched to raise.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import sys
 import threading
 
 import pytest
 
+import repro.core.compression
 import repro.service.service as service_module
-from repro.core.planner import SERVING_BASELINE, SERVING_RECYCLING, execute_plan
+import repro.storage.projection
+from repro.core.planner import SERVING_BASELINE, execute_plan
 from repro.data.synthetic import QuestParams, quest_database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.gateway import MiningGateway
@@ -35,62 +40,57 @@ def db():
     )
 
 
+def _refuse(what):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"the serving stack ran {what}")
+
+    return refuse
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Refuse H-Mine / Recycle-HM; count the serving pair's calls."""
-    calls = {SERVING_BASELINE: 0, SERVING_RECYCLING: 0}
+    """Refuse compression, the grouped kernel, every recycling miner and
+    H-Mine; count the serving kernel's calls."""
+    refused = (repro.core.compression.compress, repro.storage.projection.mine_grouped)
+    for original in refused:
+        # Patch every module that bound the function by name, not only
+        # the one that defines it.
+        for module in list(sys.modules.values()):
+            for name, value in list(getattr(module, "__dict__", {}).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, _refuse(original.__name__))
+    for (kind, name), spec in list(registry._MINERS.items()):
+        if kind == "recycling" or name == "hmine":
+            monkeypatch.setitem(
+                registry._MINERS,
+                (kind, name),
+                dataclasses.replace(spec, fn=_refuse(f"{kind} {name}")),
+            )
+    calls = {SERVING_BASELINE: 0}
+    spec = registry.get_miner(SERVING_BASELINE)
 
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the serving stack ran H-Mine or Recycle-HM")
+    @functools.wraps(spec.fn)
+    def counted(*args, **kwargs):
+        calls[SERVING_BASELINE] += 1
+        return spec.fn(*args, **kwargs)
 
-    for kind in ("baseline", "recycling"):
-        spec = registry.get_miner("hmine", kind=kind)
-        monkeypatch.setitem(
-            registry._MINERS, (kind, "hmine"), dataclasses.replace(spec, fn=refuse)
-        )
-    serving = (("baseline", SERVING_BASELINE), ("recycling", SERVING_RECYCLING))
-    for kind, name in serving:
-        spec = registry.get_miner(name, kind=kind)
-
-        @functools.wraps(spec.fn)
-        def counted(*args, _fn=spec.fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setitem(
-            registry._MINERS, (kind, name), dataclasses.replace(spec, fn=counted)
-        )
+    monkeypatch.setitem(
+        registry._MINERS,
+        ("baseline", SERVING_BASELINE),
+        dataclasses.replace(spec, fn=counted),
+    )
     return calls
-
-
-def test_every_serial_path_runs_the_serving_kernel(db, kernel_calls):
-    steps = chain_steps(db)
-    with MiningService(warehouse=PatternWarehouse()) as service:
-        served = [
-            service.execute(MineRequest(db=version.db, support=support, version=version))
-            for version, support, _ in steps
-        ]
-    for response, (version, support, path) in zip(served, steps):
-        assert response.path == path
-        assert response.patterns == mine_fpgrowth(version.db, support)
-    assert [r.update_mode for r in served[3:]] == ["fup", "recycle"]
-    assert kernel_calls[SERVING_BASELINE] == 1  # the cold mine
-    assert kernel_calls[SERVING_RECYCLING] == 2  # recycle + update/recycle
 
 
 @pytest.fixture
 def no_sharding(monkeypatch):
     """Make any use of the sharded engine fail the test."""
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the serving stack ran the sharded engine")
-
-    monkeypatch.setattr(ParallelEngine, "mine", refuse)
-    monkeypatch.setattr(ParallelEngine, "recycle_mine", refuse)
+    for method in ("mine", "recycle_mine"):
+        monkeypatch.setattr(ParallelEngine, method, _refuse("the sharded engine"))
 
 
 def chain_steps(db):
-    """(version, support, path) covering every planner path once."""
+    """(version, support, path, registry_only) covering every request kind."""
     v0 = VersionedDatabase.initial(db)
     appended = v0.apply(DatabaseDelta.append(db.transactions[:4]))
     mixed = appended.apply(
@@ -98,32 +98,76 @@ def chain_steps(db):
             appends=db.transactions[10:13], deletes=frozenset(appended.db.tids[:3])
         )
     )
+    grown = mixed.apply(DatabaseDelta.append(db.transactions[20:24]))
     return [
-        (v0, 14, "mine"),
-        (v0, 18, "filter"),
-        (v0, 8, "recycle"),
-        (appended, 8, "update"),  # insert-only: FUP
-        (mixed, 8, "update"),  # with deletions: update/recycle
+        (v0, 14, "mine", False),
+        (v0, 18, "filter", False),
+        (v0, 8, "mine", False),  # lower support: the entry at 14 is not feedstock
+        (appended, 8, "update", False),  # insert-only: FUP
+        (mixed, 8, "mine", False),  # with deletions: FUP cannot patch it
+        (grown, 8, "mine", True),  # FUP-able, but the ancestor cannot be rebuilt
     ]
 
 
-def test_multi_job_requests_are_served_in_process(db, kernel_calls, no_sharding):
-    """jobs=2 runs the same serial serving kernel as jobs=1 on every
-    path, through the service and through a gateway batch."""
+#: The cold mines among the chain steps.
+COLD_MINES = 4
+
+
+def serve_chain(db, execute, jobs, monkeypatch):
+    """Serve every chain step through ``execute``; check each answer."""
     steps = chain_steps(db)
+    responses = []
+    for version, support, _path, registry_only in steps:
+        request = MineRequest(
+            db=version.db, support=support, version=version, jobs=jobs
+        )
+        with monkeypatch.context() as patch:
+            if registry_only:
+                # Only the warehouse's lineage links survive: the chain
+                # can no longer produce the ancestor's database.
+                patch.setattr(VersionedDatabase, "ancestor", lambda *_: None)
+            responses.append(execute(request))
+        assert responses[-1].patterns == mine_fpgrowth(version.db, support)
+    assert [r.path for r in responses] == [path for _v, _s, path, _r in steps]
+    return responses
+
+
+def serve_chain_through_gateway(db, jobs, monkeypatch):
     with MiningService(warehouse=PatternWarehouse()) as service:
-        served = [
-            service.execute(
-                MineRequest(db=version.db, support=support, version=version, jobs=2)
-            )
-            for version, support, _ in steps
-        ]
-    for response, (version, support, path) in zip(served, steps):
-        assert response.path == path
-        assert response.patterns == mine_fpgrowth(version.db, support)
+        gateway = MiningGateway(service, start=False)
+        responses = serve_chain(
+            db, lambda request: gateway.execute(request).response, jobs, monkeypatch
+        )
+        gateway.close()
+    return responses
+
+
+def test_every_serial_path_runs_the_serving_kernel(db, kernel_calls, monkeypatch):
+    with MiningService(warehouse=PatternWarehouse()) as service:
+        served = serve_chain(db, service.execute, 1, monkeypatch)
+        snapshot = service.stats.snapshot()
+    assert [r.update_mode for r in served] == [None, None, None, "fup", None, None]
+    assert kernel_calls[SERVING_BASELINE] == COLD_MINES
+    paths = (snapshot["filter_hits"], snapshot["updates"], snapshot["misses"])
+    assert paths == (1, 1, COLD_MINES)
+    assert not any("recycle" in key for key in snapshot)
+
+    serve_chain_through_gateway(db, 1, monkeypatch)
+    assert kernel_calls[SERVING_BASELINE] == 2 * COLD_MINES
+
+
+def test_multi_job_requests_are_served_in_process(
+    db, kernel_calls, no_sharding, monkeypatch
+):
+    """jobs=2 runs the same serial serving kernel as jobs=1 on every
+    path, through the service and through the gateway."""
+    with MiningService(warehouse=PatternWarehouse()) as service:
+        served = serve_chain(db, service.execute, 2, monkeypatch)
+    assert served[3].update_mode == "fup"
+    served += serve_chain_through_gateway(db, 2, monkeypatch)
+    for response in served:
         assert response.counters.as_dict().get("parallel_shards", 0) == 0
-    assert [r.update_mode for r in served[3:]] == ["fup", "recycle"]
-    assert kernel_calls == {SERVING_BASELINE: 1, SERVING_RECYCLING: 2}
+    assert kernel_calls[SERVING_BASELINE] == 2 * COLD_MINES
 
     ladder = [(14, 2), (18, 1), (8, 2)]
     with MiningService(warehouse=PatternWarehouse()) as service:
@@ -142,7 +186,7 @@ def test_multi_job_requests_are_served_in_process(db, kernel_calls, no_sharding)
     for outcome, (support, _) in zip(outcomes, ladder):
         assert outcome.patterns == mine_fpgrowth(db, support)
         assert outcome.response.counters.as_dict().get("parallel_shards", 0) == 0
-    assert kernel_calls == {SERVING_BASELINE: 2, SERVING_RECYCLING: 2}
+    assert kernel_calls[SERVING_BASELINE] == 2 * COLD_MINES + 1
 
 
 def test_requests_differing_only_in_jobs_share_one_computation(

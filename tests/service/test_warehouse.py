@@ -61,7 +61,7 @@ class TestBestFeedstock:
         for support, patterns in sets.items():
             warehouse.put(db.fingerprint(), support, patterns)
         hit = warehouse.best_feedstock(db.fingerprint(), 9)
-        assert hit is not None and hit.exact
+        assert hit is not None and hit.distance == 0
         assert hit.absolute_support == 9
         assert hit.patterns == sets[9]
 
@@ -72,19 +72,19 @@ class TestBestFeedstock:
         for support, patterns in sets.items():
             warehouse.put(db.fingerprint(), support, patterns)
         hit = warehouse.best_feedstock(db.fingerprint(), 10)
-        assert hit is not None and not hit.exact
+        assert hit is not None
         assert hit.absolute_support == 9
         # Filtering the hit yields exactly the answer at the requested support.
         assert hit.patterns.filter_min_support(10) == mine_hmine(db, 10)
 
-    def test_falls_back_to_smallest_subset_above(self, db):
-        """Stored 9 and 15, requested 6: recycle from the 9-set."""
+    def test_subsets_above_are_a_miss(self, db):
+        """Stored 9 and 15, requested 6: both are subsets of the answer,
+        which the service mines cold, so neither is feedstock."""
         warehouse = PatternWarehouse()
         for support, patterns in _sets(db, (9, 15)).items():
             warehouse.put(db.fingerprint(), support, patterns)
-        hit = warehouse.best_feedstock(db.fingerprint(), 6)
-        assert hit is not None and not hit.exact
-        assert hit.absolute_support == 9
+        assert warehouse.best_feedstock(db.fingerprint(), 6) is None
+        assert warehouse.best_feedstock(db.fingerprint(), 12).absolute_support == 9
 
     def test_miss(self, db):
         warehouse = PatternWarehouse()

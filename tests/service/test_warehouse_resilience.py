@@ -73,7 +73,7 @@ class TestQuarantine:
         assert warehouse.stats()["quarantined"] == 3
         for support in (15, 10, 6):
             hit = warehouse.best_feedstock(fingerprint, support)
-            assert hit is not None and hit.exact
+            assert hit is not None and hit.absolute_support == support
             assert hit.patterns == mine_hmine(db, support)
 
     def test_truncated_checksummed_file_is_quarantined(self, db, tmp_path):

@@ -9,7 +9,12 @@ import pytest
 from repro.errors import DataError
 from repro.mining.hmine import mine_hmine
 from repro.service import MiningService, PatternWarehouse
-from repro.service.workload import load_workload, parse_workload, serve_workload
+from repro.service.workload import (
+    load_workload,
+    parse_workload,
+    parse_workload_items,
+    serve_workload,
+)
 
 
 def _spec(**overrides) -> dict:
@@ -136,6 +141,15 @@ class TestSupportConvention:
         spec["requests"] = [{"support": True}]
         with pytest.raises(DataError, match="must be a number"):
             parse_workload(spec)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_support_rejected(self, literal):
+        # Python's json accepts these literals, so they reach the parser.
+        spec = json.loads(
+            '{"dataset": "weather", "requests": [{"support": %s}]}' % literal
+        )
+        with pytest.raises(DataError, match=r"request #0: support must be finite"):
+            parse_workload_items(spec)
 
 
 class TestParsingEdgeCases:
