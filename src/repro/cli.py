@@ -321,7 +321,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         if args.gateway:
             # The gateway consumes mining requests only; database
             # operations are registered on the service first so the
-            # warehouse knows every request's chain lineage.
+            # warehouse records every request's chain.
             mine_requests: list[MineRequest] = []
             for item in items:
                 if isinstance(item, DeltaOp):
@@ -399,10 +399,11 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
                 f"{wh['recovered_chains']} chain record(s) from disk "
                 f"({wh['journal_replays']} journal replay(s))"
             )
-        if wh["gc_dropped_links"] or wh["gc_collapsed_hops"]:
+        if wh["gc_dropped_chains"] or wh["gc_collapsed_hops"]:
             print(
-                f"warehouse: gc dropped {wh['gc_dropped_links']} dead "
-                f"link(s), collapsed {wh['gc_collapsed_hops']} chain hop(s)"
+                f"warehouse: gc dropped {wh['gc_dropped_chains']} dead "
+                f"chain record(s), collapsed {wh['gc_collapsed_hops']} "
+                "chain hop(s)"
             )
         if wh["memory_only"]:
             print(
@@ -503,7 +504,7 @@ def _warehouse_recover(args: argparse.Namespace, warehouse) -> int:
     print(f"recover: {args.dir}")
     print(
         f"{stats['entries']} entries, {stats['chain_records']} chain "
-        f"record(s), {report.recovered_links} lineage link(s) recovered"
+        "record(s) recovered"
     )
     print(
         f"journal: {report.journal_replays} replay(s), "
@@ -524,8 +525,7 @@ def _warehouse_gc(args: argparse.Namespace, warehouse) -> None:
     verb = "would drop" if report.dry_run else "dropped"
     print(
         f"gc{' (dry run)' if report.dry_run else ''}: "
-        f"{verb} {report.dropped_links} dead link(s) and "
-        f"{report.dropped_chain_files} chain file(s), collapsed "
+        f"{verb} {report.dropped_chains} dead chain record(s), collapsed "
         f"{report.collapsed_hops} hop(s) into "
         f"{report.rewritten_chains} rewritten chain(s)"
     )
@@ -749,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "falls back to closed for entries without "
                                 "a transaction count)")
     warehouse.add_argument("--gc", action="store_true",
-                           help="garbage-collect dead lineage links and "
+                           help="garbage-collect dead chain records and "
                                 "compact ancient chain hops")
     warehouse.add_argument("--dry-run", action="store_true",
                            help="with --gc: plan and report without "

@@ -23,6 +23,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.data.encoded import EncodedDatabase
 
 
+def normalize_row(raw: Iterable[int], what: str) -> tuple[int, ...]:
+    """``raw`` as a sorted tuple of distinct non-negative ints.
+
+    Raises :class:`DataError` for anything else: a row that is not an
+    iterable of hashables, items that do not sort together (``None``,
+    strings), and ``bool`` items, which would otherwise pass as ints and
+    fingerprint differently from the ints they equal.
+    """
+    try:
+        tx = tuple(sorted(set(raw)))
+    except TypeError:
+        tx = None
+    if tx is None or any(type(i) is not int or i < 0 for i in tx):
+        raise DataError(f"{what} {raw!r} has bad items (expected non-negative ints)")
+    return tx
+
+
 class TransactionDatabase:
     """An immutable horizontal database of transactions.
 
@@ -47,12 +64,7 @@ class TransactionDatabase:
         transactions: Iterable[Iterable[int]],
         tids: Sequence[int] | None = None,
     ) -> None:
-        normalized: list[tuple[int, ...]] = []
-        for raw in transactions:
-            tx = tuple(sorted(set(raw)))
-            if any((not isinstance(i, int)) or i < 0 for i in tx):
-                raise DataError(f"transaction {raw!r} has non-int or negative items")
-            normalized.append(tx)
+        normalized = [normalize_row(raw, "transaction") for raw in transactions]
         self._transactions: tuple[tuple[int, ...], ...] = tuple(normalized)
         if tids is None:
             self._tids: tuple[int, ...] = tuple(range(len(normalized)))

@@ -33,7 +33,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.data.transactions import TransactionDatabase
+from repro.data.transactions import TransactionDatabase, normalize_row
 from repro.errors import DataError
 
 
@@ -52,15 +52,16 @@ class DatabaseDelta:
     deletes: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        normalized: list[tuple[int, ...]] = []
-        for raw in self.appends:
-            tx = tuple(sorted(set(raw)))
-            if any((not isinstance(i, int)) or i < 0 for i in tx):
-                raise DataError(f"appended transaction {raw!r} has bad items")
-            normalized.append(tx)
-        object.__setattr__(self, "appends", tuple(normalized))
-        doomed = frozenset(self.deletes)
-        if any((not isinstance(t, int)) or t < 0 for t in doomed):
+        object.__setattr__(
+            self,
+            "appends",
+            tuple(normalize_row(raw, "appended transaction") for raw in self.appends),
+        )
+        try:
+            doomed = frozenset(self.deletes)
+        except TypeError:
+            doomed = None
+        if doomed is None or any(type(t) is not int or t < 0 for t in doomed):
             raise DataError(f"deleted tids must be non-negative ints: {self.deletes!r}")
         object.__setattr__(self, "deletes", doomed)
 
@@ -70,12 +71,12 @@ class DatabaseDelta:
     @classmethod
     def append(cls, transactions: Iterable[Iterable[int]]) -> "DatabaseDelta":
         """An insert-only delta."""
-        return cls(appends=tuple(tuple(tx) for tx in transactions))
+        return cls(appends=tuple(transactions))
 
     @classmethod
     def delete(cls, tids: Iterable[int]) -> "DatabaseDelta":
         """A delete-only delta (by transaction id)."""
-        return cls(deletes=frozenset(tids))
+        return cls(deletes=tids)
 
     # ------------------------------------------------------------------
     # properties

@@ -2,15 +2,15 @@
 
 The paper's premise is that previously mined patterns are an asset worth
 recycling — an asset that must therefore survive the process. Before
-this package, only warehouse ``.patterns`` files did: version chains and
-lineage links lived in memory, so a restart lost the planner's *update*
-path and every ``ancestor_feedstock`` route. ``repro.durability`` is the
-layer that makes the whole recycling state durable:
+this package, only warehouse ``.patterns`` files did: version chains
+lived in memory, so a restart lost the planner's *update* path.
+``repro.durability`` is the layer that makes the whole recycling state
+durable, with one chain record per version hop:
 
 :mod:`repro.durability.atomic`
     The single atomic writer (temp + fsync + ``os.replace``) every
     durable file goes through, with the ``persist.write`` /
-    ``persist.rename`` / ``persist.manifest`` fault points wired in.
+    ``persist.rename`` fault points wired in.
 :mod:`repro.durability.journal`
     The write-ahead :class:`WriteAheadJournal`: checksummed begin/commit
     intent lines bracketing every mutation, torn-tail tolerant, compacted
@@ -20,13 +20,13 @@ layer that makes the whole recycling state durable:
     that invert, apply and compose exactly — the file format behind
     fingerprint-identical chain restore.
 :mod:`repro.durability.gc`
-    Pure GC planning: reachability pruning of dead lineage and
-    compaction of ancient hops into composed records.
+    Pure GC planning over chain records: reachability pruning of dead
+    hops and compaction of ancient hops into composed records.
 :mod:`repro.durability.store`
     :class:`DurableStore`, the only reader and writer of one warehouse
-    directory and owner of its lineage and chain registries, with
+    directory and owner of its chain-record registry, with
     :meth:`~DurableStore.recover` — journal replay, stray-temp sweep,
-    quarantine, manifest, chain and entry-file loading.
+    quarantine, chain and entry-file loading.
 
 Layering: imports :mod:`repro.data` and :mod:`repro.resilience` only;
 :mod:`repro.service` builds on it, never the other way around (enforced
@@ -57,7 +57,6 @@ from repro.durability.journal import (
 from repro.durability.store import (
     CHAINS_DIR,
     JOURNAL_NAME,
-    MANIFEST_NAME,
     DurableStore,
     RecoveryReport,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "CHAIN_SUFFIX",
     "JOURNAL_FORMAT_VERSION",
     "JOURNAL_NAME",
-    "MANIFEST_NAME",
     "ChainRecord",
     "DurableStore",
     "GCPlan",

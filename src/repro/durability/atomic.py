@@ -1,7 +1,7 @@
 """The one atomic file writer the durability layer routes bytes through.
 
-Every durable artifact — journal compactions, chain files, the lineage
-manifest, warehouse entry bodies — reaches disk the same way: rendered
+Every durable artifact — journal compactions, chain files, warehouse
+entry bodies — reaches disk the same way: rendered
 once into a sibling ``*.tmp`` file, flushed and fsynced, then moved into
 place with :func:`os.replace`. A kill at any byte offset therefore
 leaves either the old file or the new file, never a torn one; the worst
@@ -10,9 +10,7 @@ residue is a stray temp file, which recovery sweeps up.
 The two crash windows are named fault points
 (:data:`~repro.resilience.faults.PERSIST_WRITE` mid temp-file,
 :data:`~repro.resilience.faults.PERSIST_RENAME` between a complete temp
-file and the rename; the manifest's write window fires
-:data:`~repro.resilience.faults.PERSIST_MANIFEST` instead so the chaos
-harness can target it independently). When a write fault fires, the
+file and the rename). When a write fault fires, the
 helper deliberately leaves *half the payload* in the temp file before
 raising — the bytes look exactly like a hard kill mid-``write(2)``, so
 recovery tests exercise the real torn-file path, not a polite fiction.
@@ -40,17 +38,15 @@ def atomic_write_text(
     text: str,
     *,
     faults: "FaultInjector | None" = None,
-    write_point: str = PERSIST_WRITE,
     detail: str = "",
 ) -> None:
     """Atomically replace ``path`` with ``text`` (write → fsync → rename).
 
-    ``write_point`` names the fault point fired before the payload hits
-    the temp file (the manifest writer passes
-    :data:`~repro.resilience.faults.PERSIST_MANIFEST`);
-    :data:`~repro.resilience.faults.PERSIST_RENAME` always guards the
-    rename. On an injected write fault, half the payload is written
-    first so the temp file is genuinely torn. An injected kill leaves
+    :data:`~repro.resilience.faults.PERSIST_WRITE` fires before the
+    payload hits the temp file and
+    :data:`~repro.resilience.faults.PERSIST_RENAME` before the rename.
+    On an injected write fault, half the payload is written first so the
+    temp file is genuinely torn. An injected kill leaves
     its temp file on disk — that stray ``*.tmp`` IS the crash residue
     recovery must sweep, so cleaning it here would un-test recovery;
     real ``OSError`` failures still remove theirs.
@@ -62,12 +58,12 @@ def atomic_write_text(
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             if faults is not None:
-                fired = faults.evaluate(write_point)
+                fired = faults.evaluate(PERSIST_WRITE)
                 if fired is not None:
                     handle.write(text[: len(text) // 2])
                     handle.flush()
                     os.fsync(handle.fileno())
-                    raise _killed(write_point, fired, detail or path.name)
+                    raise _killed(PERSIST_WRITE, fired, detail or path.name)
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())

@@ -1,24 +1,23 @@
-"""Garbage collection over lineage links and chain records.
+"""Garbage collection over chain records.
 
-Two collectors keep the durable footprint bounded (ROADMAP open item 3):
+Two collectors keep the durable footprint bounded:
 
-* **Reachability prune** — a lineage link (and its chain record) exists
-  to route a request at ``child`` to warehoused feedstock at an
-  ancestor. When *no* fingerprint at the parent or above still holds a
-  warehouse entry — because the LRU evicted it, ``drop_entry`` removed
-  it, or quarantine ate it — the link can serve nothing and is dropped.
-  This is what makes eviction *lineage-aware*: a long dead tail behind
-  the newest warehoused version collapses to nothing instead of growing
-  one file per delta forever.
+* **Reachability prune** — a chain record exists so a restarted service
+  can rebuild a version chain down to warehoused feedstock at an
+  ancestor. When *no* version above the record's child — reached
+  through chain records — still holds a warehouse entry, because the
+  LRU evicted it, ``drop_entry`` removed it, or quarantine ate it, the
+  record can serve nothing and is dropped. This is what makes eviction
+  *lineage-aware*: a long dead tail behind the newest warehoused version
+  collapses to nothing instead of growing one file per delta forever.
 
-* **Chain compaction** — when a live child routes through a run of
-  intermediate hops none of which is warehoused, those ancient hops are
-  collapsed into one composed record
+* **Chain compaction** — when a live child reaches its nearest
+  warehoused ancestor through a run of intermediate hops none of which
+  is warehoused, the run is collapsed into one composed record
   (:func:`~repro.durability.chains.compose_records`) spanning straight
-  to the nearest warehoused ancestor. The intermediate versions keep
-  their *own* links (a request at that exact version can still route),
-  but the child no longer pays one file and one restore step per
-  historical delta.
+  to that ancestor. The intermediate versions keep their *own* records
+  (a request at that exact version can still restore), but the child no
+  longer pays one restore step per historical delta.
 
 Planning is pure (:func:`plan_gc` touches no disk), so ``--dry-run``
 reports exactly what a real run would do; the store applies a plan
@@ -28,158 +27,80 @@ under its journal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Collection, Mapping
 
 from repro.durability.chains import ChainRecord, compose_records
-
-#: A lineage link as the warehouse registry stores it:
-#: ``child -> (parent, delta_fingerprint | None, distance)``.
-LineageLink = tuple[str, str | None, int]
 
 
 @dataclass(frozen=True)
 class GCPlan:
     """What one garbage-collection pass would change.
 
-    ``dropped_links`` are children whose link (and chain record, when
-    present) is unreachable from any warehoused entry;
-    ``link_rewrites`` re-points a child's link at its nearest warehoused
-    ancestor; ``record_rewrites`` carries the composed chain records
-    backing those rewrites (children whose hop run lacked intact records
-    rewire the link only); ``collapsed_hops`` counts the hops removed by
-    composition.
+    ``dropped`` are children whose chain record reaches no warehoused
+    ancestor; ``rewrites`` maps a child to the composed record spanning
+    straight to its nearest warehoused ancestor; ``collapsed_hops``
+    counts the hops removed by composition.
     """
 
-    dropped_links: tuple[str, ...] = ()
-    link_rewrites: dict[str, LineageLink] = field(default_factory=dict)
-    record_rewrites: dict[str, ChainRecord] = field(default_factory=dict)
+    dropped: tuple[str, ...] = ()
+    rewrites: dict[str, ChainRecord] = field(default_factory=dict)
     collapsed_hops: int = 0
 
     @property
     def is_empty(self) -> bool:
-        return not self.dropped_links and not self.link_rewrites
+        return not self.dropped and not self.rewrites
 
 
 @dataclass(frozen=True)
 class GCReport:
     """The outcome of one pass, dry or real — what the stats gauges sum."""
 
-    dropped_links: int
+    dropped_chains: int
     collapsed_hops: int
     rewritten_chains: int
-    dropped_chain_files: int
     dry_run: bool
 
 
 def plan_gc(
-    lineage: Mapping[str, LineageLink],
-    chains: Mapping[str, ChainRecord],
-    warehoused: Collection[str],
+    chains: Mapping[str, ChainRecord], warehoused: Collection[str]
 ) -> GCPlan:
-    """Plan one GC pass; pure function of the registries.
+    """Plan one GC pass; pure function of the chain records.
 
     ``warehoused`` is the set of fingerprints holding at least one
     warehouse entry at any support.
     """
     alive = set(warehoused)
-
-    def parent_of(fingerprint: str) -> str | None:
-        link = lineage.get(fingerprint)
-        if link is not None:
-            return link[0]
-        record = chains.get(fingerprint)
-        return record.parent if record is not None else None
-
-    def nearest_alive_ancestor(child: str) -> tuple[str | None, int]:
-        """(ancestor fingerprint, hops walked) or (None, 0) when dead."""
-        hops = 0
-        seen = {child}
-        node = parent_of(child)
-        while node is not None and node not in seen:
-            hops += 1
-            if node in alive:
-                return node, hops
-            seen.add(node)
-            node = parent_of(node)
-        return None, 0
-
     dropped: list[str] = []
-    link_rewrites: dict[str, LineageLink] = {}
-    record_rewrites: dict[str, ChainRecord] = {}
+    rewrites: dict[str, ChainRecord] = {}
     collapsed = 0
-    for child in sorted(set(lineage) | set(chains)):
-        target, hops = nearest_alive_ancestor(child)
-        if target is None:
+    for child in sorted(chains):
+        run = _run_to_warehoused(child, chains, alive)
+        if run is None:
             dropped.append(child)
-            continue
-        if hops <= 1:
-            continue
-        # Collapse the run child -> ... -> target into one hop. Compose
-        # real records when every hop has one; otherwise rewire the
-        # lineage link alone (routing survives, restore stays stepwise
-        # as deep as records reach).
-        composed = _compose_run(child, target, chains, parent_of)
-        if composed is not None:
-            record_rewrites[child] = composed
-            link_rewrites[child] = (
-                target,
-                composed.delta_fingerprint(),
-                composed.size,
-            )
-        else:
-            distance = _run_distance(child, target, lineage, chains, parent_of)
-            link_rewrites[child] = (target, None, distance)
-        collapsed += hops - 1
+        elif len(run) > 1:
+            rewrites[child] = reduce(compose_records, run)
+            collapsed += len(run) - 1
     return GCPlan(
-        dropped_links=tuple(dropped),
-        link_rewrites=link_rewrites,
-        record_rewrites=record_rewrites,
-        collapsed_hops=collapsed,
+        dropped=tuple(dropped), rewrites=rewrites, collapsed_hops=collapsed
     )
 
 
-def _compose_run(
-    child: str,
-    target: str,
-    chains: Mapping[str, ChainRecord],
-    parent_of,
-) -> ChainRecord | None:
-    record = chains.get(child)
-    if record is None:
-        return None
-    node = record.parent
+def _run_to_warehoused(
+    child: str, chains: Mapping[str, ChainRecord], alive: set[str]
+) -> list[ChainRecord] | None:
+    """The records from ``child`` up to its nearest warehoused ancestor,
+    child's first; ``None`` when the walk ends (a missing record or a
+    cycle in stale files) before reaching one."""
+    run: list[ChainRecord] = []
     seen = {child}
-    while node != target:
-        # A chain record whose parent disagrees with the lineage link
-        # (stale file) would make this walk diverge; the seen-set stops
-        # it and the caller falls back to a link-only rewire.
-        if node in seen:
+    record = chains.get(child)
+    while record is not None:
+        run.append(record)
+        if record.parent in seen:
             return None
-        seen.add(node)
-        hop = chains.get(node)
-        if hop is None:
-            return None
-        record = compose_records(record, hop)
-        node = hop.parent
-    return record
-
-
-def _run_distance(
-    child: str,
-    target: str,
-    lineage: Mapping[str, LineageLink],
-    chains: Mapping[str, ChainRecord],
-    parent_of,
-) -> int:
-    distance = 0
-    node = child
-    while node != target:
-        link = lineage.get(node)
-        if link is not None:
-            distance += link[2]
-        else:
-            record = chains.get(node)
-            if record is not None:
-                distance += record.size
-        node = parent_of(node)
-    return distance
+        if record.parent in alive:
+            return run
+        seen.add(record.parent)
+        record = chains.get(record.parent)
+    return None

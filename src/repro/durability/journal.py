@@ -1,7 +1,7 @@
 """Write-ahead journal for warehouse and chain mutations.
 
-Every durable mutation — entry put/drop/evict, lineage link and unlink,
-chain-file writes, garbage collection — is bracketed by two journal
+Every durable mutation — entry put/drop/evict, chain-file writes and
+unlinks, garbage collection — is bracketed by two journal
 lines: a ``begin`` record carrying the operation's full intent, appended
 and fsynced *before* any target file is touched, and a ``commit`` record
 appended after the mutation's atomic rename lands. Recovery therefore
@@ -9,8 +9,8 @@ sees exactly three possible states per mutation and resolves each one:
 
 * begin + commit — the mutation landed; nothing to do.
 * begin only — the process died mid-mutation. The begin record carries
-  enough intent to roll the mutation forward (lineage ops, deletions)
-  or to decide from the target file whether it landed (entry and chain
+  enough intent to roll the mutation forward (deletions) or to decide
+  from the target file whether it landed (entry and chain
   writes are themselves atomic, so the file is either old or new).
 * a torn final line — the process died mid-append. Per-line checksums
   make the tear detectable; the line is dropped and counted, exactly
@@ -57,6 +57,8 @@ PHASE_COMMIT = "commit"
 OP_PUT = "put"
 OP_DROP = "drop"
 OP_EVICT = "evict"
+#: Retired: lineage links of an older layout. Still parsed, so a journal
+#: that holds one loads without a torn line; recovery ignores it.
 OP_LINK = "link"
 OP_UNLINK = "unlink"
 OP_CHAIN = "chain"

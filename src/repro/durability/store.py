@@ -1,4 +1,4 @@
-"""The durable store: crash-safe files + journal + manifest + recovery.
+"""The durable store: crash-safe files + journal + recovery.
 
 One :class:`DurableStore` owns everything under a warehouse directory
 that must survive a kill, and is the only code that reads or writes it::
@@ -6,7 +6,6 @@ that must survive a kill, and is the only code that reads or writes it::
     <dir>/
         <fingerprint>-<support>.patterns   warehouse entries (atomic)
         chains/<fingerprint>.chain         chain records (atomic)
-        MANIFEST                           lineage links (atomic JSON)
         journal.log                        write-ahead intent log
         quarantine/                        torn/corrupt files, preserved
 
@@ -25,17 +24,17 @@ Write protocol (the crash-safety argument, window by window):
 :meth:`DurableStore.recover` runs before the warehouse trusts the
 directory: it reads the journal (tolerating a torn tail line), rolls
 pending mutations forward or confirms them rolled back, sweeps stray
-temp files, loads the manifest, every chain record and every entry file
-(quarantining whatever fails to parse), then compacts the journal.
+temp files, loads every chain record and every entry file (quarantining
+whatever fails to parse), then compacts the journal.
 
-The store also holds the lineage and chain registries. Without a
-directory, or once a write under :meth:`DurableStore.write_through`
-failed, it keeps them in memory and writes nothing.
+The store also holds the chain-record registry, one record per version
+hop. Without a directory it records no hops; once a write under
+:meth:`DurableStore.write_through` failed, it keeps what it holds in
+memory and writes nothing.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from dataclasses import dataclass, field
@@ -47,7 +46,7 @@ from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import VersionedDatabase
 from repro.errors import DataError, InjectedFaultError
-from repro.resilience.faults import PERSIST_MANIFEST, WAREHOUSE_READ, WAREHOUSE_WRITE
+from repro.resilience.faults import WAREHOUSE_READ, WAREHOUSE_WRITE
 
 from repro.durability.atomic import atomic_write_text, sweep_tmp_files
 from repro.durability.chains import (
@@ -55,15 +54,15 @@ from repro.durability.chains import (
     ChainRecord,
     chain_record_text,
     read_chain_record,
+    record_from_node,
     restore_version,
 )
-from repro.durability.gc import GCPlan, GCReport, LineageLink, plan_gc
+from repro.durability.gc import GCPlan, GCReport, plan_gc
 from repro.durability.journal import (
     OP_CHAIN,
     OP_DROP,
     OP_EVICT,
     OP_GC,
-    OP_LINK,
     OP_PUT,
     OP_UNLINK,
     WriteAheadJournal,
@@ -79,9 +78,6 @@ T = TypeVar("T")
 #: Warehouse entry files are ``<fingerprint>-<support>`` plus this suffix.
 ENTRY_SUFFIX = ".patterns"
 
-#: The atomic lineage manifest's file name inside the store directory.
-MANIFEST_NAME = "MANIFEST"
-
 #: The write-ahead journal's file name inside the store directory.
 JOURNAL_NAME = "journal.log"
 
@@ -90,9 +86,6 @@ CHAINS_DIR = "chains"
 
 #: Subdirectory quarantined files move to (never scanned on load).
 QUARANTINE_DIR = "quarantine"
-
-#: Manifest format stamp; bump on incompatible change.
-MANIFEST_FORMAT_VERSION = 1
 
 #: Compact the journal once it grows past this many bytes. Mutations are
 #: serialized under the warehouse lock, so at any commit boundary there
@@ -107,7 +100,6 @@ class RecoveryReport:
     journal_replays: int = 0
     torn_journal_lines: int = 0
     stray_tmp_removed: int = 0
-    recovered_links: int = 0
     recovered_chains: int = 0
     quarantined: list[tuple[str, str]] = field(default_factory=list)
     #: Fingerprints that lost an entry file to quarantine.
@@ -122,14 +114,14 @@ class RecoveryReport:
 class DurableStore:
     """Journaled, crash-safe persistence for one warehouse directory.
 
-    The store is the only reader and writer of entry, chain, manifest
-    and journal files, and owns the lineage and chain registries; the
-    warehouse calls it under its own lock, so the store adds just enough
-    locking to protect the registries and the journal's sequence
-    counter. Construction performs no I/O beyond creating the directory
-    layout — call :meth:`recover` (the warehouse does, first thing)
-    before trusting the registries. ``directory=None`` builds a
-    memory-only store: lineage works, nothing is written or chained.
+    The store is the only reader and writer of entry, chain and journal
+    files, and owns the chain-record registry; the warehouse calls it
+    under its own lock, so the store adds just enough locking to protect
+    the registry and the journal's sequence counter. Construction
+    performs no I/O beyond creating the directory layout — call
+    :meth:`recover` (the warehouse does, first thing) before trusting
+    the registry. ``directory=None`` builds a memory-only store that
+    writes nothing and records no hops.
     """
 
     def __init__(
@@ -139,7 +131,6 @@ class DurableStore:
     ) -> None:
         self.faults = faults
         self._lock = threading.Lock()
-        self._lineage: dict[str, LineageLink] = {}
         self._chains: dict[str, ChainRecord] = {}
         #: Why writing stopped (None while a directory store persists).
         self.memory_only_reason: str | None = None
@@ -187,25 +178,21 @@ class DurableStore:
     def chain_path(self, child: str) -> Path:
         return self.chains_dir / f"{child}{CHAIN_SUFFIX}"
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.directory / MANIFEST_NAME
-
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
     def recover(self, *, apply: bool = True) -> RecoveryReport:
         """Resolve in-flight mutations and load the directory.
 
-        A manifest, chain or entry file that fails to parse (or whose
+        A chain or entry file that fails to parse (or whose
         ``warehouse.read`` fault fires) is quarantined and reported,
         never fatal. ``apply=False`` audits without mutating the
         directory — pending records are counted, stray temp files are
         reported as zero (they are only *swept* when applying), damaged
         files stay in place, and the journal is left as found; the
-        loaded registries and entries are identical either way. The
-        CLI's read-only inspection uses the audit mode so listing a
-        warehouse never rewrites it.
+        loaded registry and entries are identical either way. The CLI's
+        read-only inspection uses the audit mode so listing a warehouse
+        never rewrites it.
         """
         report = RecoveryReport()
         records, report.torn_journal_lines = self.journal.load()
@@ -215,21 +202,9 @@ class DurableStore:
             for r in records
             if r.phase == "begin" and r.seq not in committed
         ]
-
-        # Load the manifest before replay so pending lineage ops apply
-        # on top of the last durable state.
-        lineage, manifest_damage = self._load_manifest()
-        if manifest_damage is not None:
-            self._quarantine_file(
-                self.manifest_path, manifest_damage, report, apply
-            )
-
-        lineage_dirty = False
         for record in pending:
-            replayed, touched = self._resolve_pending(record, lineage, apply)
-            if replayed:
+            if self._resolve_pending(record, apply):
                 report.journal_replays += 1
-            lineage_dirty = lineage_dirty or touched
 
         if apply:
             report.stray_tmp_removed += sweep_tmp_files(self.directory)
@@ -247,16 +222,11 @@ class DurableStore:
         self._load_entries(report, apply)
 
         with self._lock:
-            self._lineage = lineage
             self._chains = chains
-        report.recovered_links = len(lineage)
         report.recovered_chains = len(chains)
 
-        if apply:
-            if lineage_dirty:
-                self._write_manifest()
-            if pending or report.torn_journal_lines:
-                self.journal.compact()
+        if apply and (pending or report.torn_journal_lines):
+            self.journal.compact()
         return report
 
     def _load_entries(self, report: RecoveryReport, apply: bool) -> None:
@@ -281,95 +251,31 @@ class DurableStore:
                 continue
             report.entries.append((fingerprint, condensed, full_bytes))
 
-    def _resolve_pending(
-        self, record, lineage: dict[str, LineageLink], apply: bool
-    ) -> tuple[bool, bool]:
-        """Roll one pending mutation forward; (replayed, lineage_touched)."""
+    def _resolve_pending(self, record, apply: bool) -> bool:
+        """Roll one pending mutation forward; True when it had not landed.
+
+        Entry and chain writes are themselves atomic: the target holds
+        the old or the new file, and either is consistent, so there is
+        nothing to roll forward. Neither is there for a ``link`` record,
+        which an older layout wrote for a lineage registry that no
+        longer exists. Every other op only deletes files, named by its
+        begin record.
+        """
         payload = record.payload
-        if record.op in (OP_PUT, OP_CHAIN):
-            # The target write is itself atomic: if the file exists the
-            # mutation landed (only uncommitted), else it rolled back.
-            # Either state is consistent; nothing to roll forward.
-            return False, False
         if record.op in (OP_DROP, OP_EVICT):
             name = payload.get("file", "")
-            target = self.directory / name if name else None
-            if target is not None and target.exists():
-                if apply:
-                    target.unlink()
-                return True, False
-            return False, False
-        if record.op == OP_LINK:
-            child = payload.get("child")
-            if not isinstance(child, str):
-                return False, False
-            link = (
-                payload.get("parent"),
-                payload.get("delta"),
-                int(payload.get("distance", 0)),
-            )
-            if lineage.get(child) == link:
-                return False, False
-            lineage[child] = link
-            return True, True
-        if record.op == OP_UNLINK:
-            children = payload.get("children", [])
-            touched = False
-            for child in children:
-                if child in lineage:
-                    del lineage[child]
-                    touched = True
-                target = self.chain_path(str(child))
-                if target.exists():
-                    if apply:
-                        target.unlink()
-                    touched = True
-            return touched, touched
-        if record.op == OP_GC:
-            touched = False
-            for child in payload.get("drop", []):
-                if child in lineage:
-                    del lineage[child]
-                    touched = True
-                target = self.chain_path(str(child))
-                if target.exists() and apply:
-                    target.unlink()
-            for child, link in payload.get("rewrite", {}).items():
-                new_link = (link[0], link[1], int(link[2]))
-                if lineage.get(child) != new_link:
-                    lineage[child] = new_link
-                    touched = True
-            return touched, touched
-        return False, False
-
-    def _load_manifest(
-        self,
-    ) -> tuple[dict[str, LineageLink], str | None]:
-        """(lineage, damage-reason). Damage yields an empty registry."""
-        try:
-            text = self.manifest_path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return {}, None
-        except OSError as exc:
-            return {}, f"cannot read manifest: {exc}"
-        try:
-            data = json.loads(text)
-            if not isinstance(data, dict):
-                raise TypeError(f"top level is {type(data).__name__}, not an object")
-            if data.get("format") != MANIFEST_FORMAT_VERSION:
-                return {}, f"unsupported manifest format {data.get('format')!r}"
-            links = data["lineage"]
-            if not isinstance(links, dict):
-                raise TypeError(f"lineage is {type(links).__name__}, not an object")
-            lineage: dict[str, LineageLink] = {}
-            for child, link in links.items():
-                parent, delta_fp, distance = link
-                if not isinstance(child, str) or not isinstance(parent, str):
-                    raise ValueError("non-string fingerprint")
-                lineage[child] = (parent, delta_fp, int(distance))
-            return lineage, None
-        except (ValueError, KeyError, TypeError) as exc:
-            return {}, f"malformed manifest: {exc}"
+            doomed = [self.directory / name] if name else []
+        elif record.op == OP_UNLINK:
+            doomed = [self.chain_path(str(c)) for c in payload.get("children", [])]
+        elif record.op == OP_GC:
+            doomed = [self.chain_path(str(c)) for c in payload.get("drop", [])]
+        else:
+            return False
+        present = [target for target in doomed if target.exists()]
+        if apply:
+            for target in present:
+                target.unlink()
+        return bool(present)
 
     def _quarantine_file(
         self, path: Path, reason: str, report: RecoveryReport, apply: bool
@@ -440,29 +346,8 @@ class DurableStore:
         self._maybe_compact()
 
     # ------------------------------------------------------------------
-    # lineage + chains
+    # chain records
     # ------------------------------------------------------------------
-    def lineage_links(self) -> dict[str, LineageLink]:
-        with self._lock:
-            return dict(self._lineage)
-
-    def lineage_of(self, fingerprint: str) -> tuple[tuple[str, int], ...]:
-        """``(ancestor, cumulative distance)`` pairs up the registry, self first."""
-        out: list[tuple[str, int]] = [(fingerprint, 0)]
-        seen = {fingerprint}
-        distance = 0
-        with self._lock:
-            current = fingerprint
-            while current in self._lineage:
-                parent, _delta_fp, hop = self._lineage[current]
-                if parent in seen:
-                    break
-                distance += hop
-                out.append((parent, distance))
-                seen.add(parent)
-                current = parent
-        return tuple(out)
-
     def chain_records(self) -> dict[str, ChainRecord]:
         with self._lock:
             return dict(self._chains)
@@ -471,68 +356,43 @@ class DurableStore:
         with self._lock:
             return child in self._chains
 
-    def record_link(
-        self,
-        child: str,
-        parent: str,
-        delta_fingerprint: str | None,
-        distance: int,
-    ) -> None:
-        """Register a lineage link; journaled + manifest rewrite when
-        persisting (idempotent)."""
-        link = (parent, delta_fingerprint, distance)
-        with self._lock:
-            if self._lineage.get(child) == link:
-                return
-            self._lineage[child] = link
+    def record_link(self, node: VersionedDatabase) -> None:
+        """Record ``node``'s hop from its parent as a durable chain record.
+
+        The store's one hop-recording entry point: a no-op unless the
+        store is persisting and the hop is new (a re-registered version,
+        or an empty delta that leaves the fingerprint unchanged, writes
+        nothing).
+        """
         if not self.persisting:
             return
-        seq = self.journal.begin(
-            OP_LINK,
-            {
-                "child": child,
-                "parent": parent,
-                "delta": delta_fingerprint,
-                "distance": distance,
-            },
-        )
-        self._write_manifest()
-        self.journal.commit(seq, OP_LINK)
-        self._maybe_compact()
+        child = node.fingerprint()
+        if child == node.parent.fingerprint() or self.has_chain(child):
+            return
+        self.write_chain(record_from_node(node))
 
-    def drop_links(self, children: Collection[str]) -> int:
-        """Remove links + chain records (journaled, with their files,
-        when persisting); returns links dropped."""
+    def drop_chains(self, children: Collection[str]) -> None:
+        """Remove chain records (journaled, with their files, when
+        persisting)."""
         with self._lock:
-            doomed = [c for c in children if c in self._lineage]
-            doomed_chains = [c for c in children if c in self._chains]
-            for child in doomed:
-                del self._lineage[child]
-            for child in doomed_chains:
-                del self._chains[child]
-        if not self.persisting or not (doomed or doomed_chains):
-            return len(doomed)
-        seq = self.journal.begin(
-            OP_UNLINK, {"children": sorted(set(doomed) | set(doomed_chains))}
-        )
-        for child in doomed_chains:
-            try:
-                self.chain_path(child).unlink()
-            except FileNotFoundError:
-                pass
-        self._write_manifest()
+            doomed = sorted(
+                child
+                for child in set(children)
+                if self._chains.pop(child, None) is not None
+            )
+        if not self.persisting or not doomed:
+            return
+        seq = self.journal.begin(OP_UNLINK, {"children": doomed})
+        for child in doomed:
+            self.chain_path(child).unlink(missing_ok=True)
         self.journal.commit(seq, OP_UNLINK)
         self._maybe_compact()
-        return len(doomed)
 
     def write_chain(self, record: ChainRecord) -> None:
         """Journaled, atomic write of one chain record file (a no-op
         unless persisting)."""
         if not self.persisting:
             return
-        with self._lock:
-            if self._chains.get(record.child) == record:
-                return
         seq = self.journal.begin(OP_CHAIN, {"child": record.child})
         atomic_write_text(
             self.chain_path(record.child),
@@ -560,69 +420,42 @@ class DurableStore:
     # ------------------------------------------------------------------
     def plan_gc(self, warehoused: Collection[str]) -> GCPlan:
         with self._lock:
-            return plan_gc(dict(self._lineage), dict(self._chains), warehoused)
+            return plan_gc(dict(self._chains), warehoused)
 
     def gc(
         self, warehoused: Collection[str], *, dry_run: bool = False
     ) -> GCReport:
         """One full GC pass (prune + compaction), applied to the
-        registries and, when persisting, journaled onto disk."""
+        registry and, when persisting, journaled onto disk."""
         plan = self.plan_gc(warehoused)
+        report = GCReport(
+            dropped_chains=len(plan.dropped),
+            collapsed_hops=plan.collapsed_hops,
+            rewritten_chains=len(plan.rewrites),
+            dry_run=dry_run,
+        )
         if dry_run or plan.is_empty:
-            return GCReport(
-                dropped_links=len(plan.dropped_links),
-                collapsed_hops=plan.collapsed_hops,
-                rewritten_chains=len(plan.record_rewrites),
-                dropped_chain_files=sum(
-                    1
-                    for child in plan.dropped_links
-                    if self.has_chain(child)
-                ),
-                dry_run=dry_run,
-            )
-        dropped_files = 0
-        if self.persisting:
-            seq = self.journal.begin(
-                OP_GC,
-                {
-                    "drop": sorted(plan.dropped_links),
-                    "rewrite": {
-                        child: [link[0], link[1], link[2]]
-                        for child, link in sorted(plan.link_rewrites.items())
-                    },
-                },
-            )
-            for child, record in sorted(plan.record_rewrites.items()):
+            return report
+        persisting = self.persisting
+        if persisting:
+            seq = self.journal.begin(OP_GC, {"drop": sorted(plan.dropped)})
+            for child, record in sorted(plan.rewrites.items()):
                 atomic_write_text(
                     self.chain_path(child),
                     chain_record_text(record),
                     faults=self.faults,
                     detail=f"gc chain {child[:12]}",
                 )
-            for child in plan.dropped_links:
-                target = self.chain_path(child)
-                if target.exists():
-                    target.unlink()
-                    dropped_files += 1
+            for child in plan.dropped:
+                self.chain_path(child).unlink(missing_ok=True)
         with self._lock:
-            for child in plan.dropped_links:
-                self._lineage.pop(child, None)
+            for child in plan.dropped:
                 self._chains.pop(child, None)
-            for child, link in plan.link_rewrites.items():
-                self._lineage[child] = link
-            for child, record in plan.record_rewrites.items():
-                self._chains[child] = record
-        if self.persisting:
-            self._write_manifest()
+            self._chains.update(plan.rewrites)
+        if persisting:
             self.journal.commit(seq, OP_GC)
             self._maybe_compact()
-        return GCReport(
-            dropped_links=len(plan.dropped_links),
-            collapsed_hops=plan.collapsed_hops,
-            rewritten_chains=len(plan.record_rewrites),
-            dropped_chain_files=dropped_files,
-            dry_run=False,
-        )
+        return report
 
     def _maybe_compact(self) -> None:
         """Best-effort journal truncation past the size bound.
@@ -638,30 +471,8 @@ class DurableStore:
         except (OSError, InjectedFaultError):
             pass
 
-    # ------------------------------------------------------------------
-    # manifest
-    # ------------------------------------------------------------------
-    def _write_manifest(self) -> None:
-        with self._lock:
-            lineage = {
-                child: [link[0], link[1], link[2]]
-                for child, link in sorted(self._lineage.items())
-            }
-        text = json.dumps(
-            {"format": MANIFEST_FORMAT_VERSION, "lineage": lineage},
-            sort_keys=True,
-            indent=0,
-        )
-        atomic_write_text(
-            self.manifest_path,
-            text + "\n",
-            faults=self.faults,
-            write_point=PERSIST_MANIFEST,
-            detail="manifest",
-        )
-
     def footprint_bytes(self) -> int:
-        """Total durable footprint: entries + chains + manifest + journal."""
+        """Total durable footprint: entries + chains + journal."""
         total = 0
         for path in self.directory.glob(f"*{ENTRY_SUFFIX}"):
             try:
@@ -674,9 +485,4 @@ class DurableStore:
                     total += path.stat().st_size
                 except OSError:
                     continue
-        for path in (self.manifest_path, self.journal.path):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
+        return total + self.journal.size_bytes()

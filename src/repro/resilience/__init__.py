@@ -9,10 +9,10 @@ kept deliberately low in the layer diagram (it imports nothing above
 :mod:`repro.core`, :mod:`repro.parallel` and :mod:`repro.service`):
 
 :mod:`repro.resilience.faults`
-    A seeded, deterministic :class:`FaultInjector` with nine named fault
+    A seeded, deterministic :class:`FaultInjector` with eight named fault
     points (``shard.crash``, ``shard.slow``, ``warehouse.read``,
     ``warehouse.write``, ``merge.count``, ``update.patch``,
-    ``persist.write``, ``persist.rename``, ``persist.manifest``) — the
+    ``persist.write``, ``persist.rename``) — the
     chaos harness every resilience test is written against.
 :mod:`repro.resilience.retry`
     :class:`RetryPolicy` (capped exponential backoff, deterministic
@@ -54,7 +54,6 @@ from repro.resilience.faults import (
     FAULT_POINTS,
     MERGE_COUNT,
     PERSIST_FAULT_POINTS,
-    PERSIST_MANIFEST,
     PERSIST_RENAME,
     PERSIST_WRITE,
     SHARD_CRASH,
@@ -97,7 +96,6 @@ __all__ = [
     "MERGE_COUNT",
     "OPEN",
     "PERSIST_FAULT_POINTS",
-    "PERSIST_MANIFEST",
     "PERSIST_RENAME",
     "PERSIST_WRITE",
     "REASON_CIRCUIT_OPEN",

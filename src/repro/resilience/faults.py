@@ -4,8 +4,8 @@ A long-running mining service fails in a handful of well-understood
 places: a shard worker crashes, a shard runs slow, a warehouse file read
 comes back corrupt, a write-through to disk fails, the merge recount
 blows up, an incremental update dies mid-patch, or the process is killed
-partway through a durable write (mid temp-file, pre-rename, or
-mid-manifest). :class:`FaultInjector` names exactly those places as
+partway through a durable write (mid temp-file or pre-rename).
+:class:`FaultInjector` names exactly those places as
 **fault points** and lets a test (or a chaos CI job) arm them with
 deterministic triggers — *fire on call 3*, *fire with probability 0.2
 under seed 7* — so the same seed always produces the same failure
@@ -56,18 +56,16 @@ PERSIST_WRITE = "persist.write"
 #: ``os.replace`` — the temp file is complete but the target still holds
 #: the old state.
 PERSIST_RENAME = "persist.rename"
-#: The lineage manifest rewrite dies before its atomic rename lands.
-PERSIST_MANIFEST = "persist.manifest"
 
 #: Every named fault point an injector will accept.
 FAULT_POINTS = frozenset(
     {SHARD_CRASH, SHARD_SLOW, WAREHOUSE_READ, WAREHOUSE_WRITE, MERGE_COUNT,
-     UPDATE_PATCH, PERSIST_WRITE, PERSIST_RENAME, PERSIST_MANIFEST}
+     UPDATE_PATCH, PERSIST_WRITE, PERSIST_RENAME}
 )
 
-#: The three durability-layer points, in the order a single persisted
+#: The two durability-layer points, in the order a single persisted
 #: mutation passes them — the kill-mid-write chaos harness iterates this.
-PERSIST_FAULT_POINTS = (PERSIST_WRITE, PERSIST_RENAME, PERSIST_MANIFEST)
+PERSIST_FAULT_POINTS = (PERSIST_WRITE, PERSIST_RENAME)
 
 
 @dataclass(frozen=True)

@@ -189,7 +189,7 @@ class ServiceStats:
         self.update_runs = 0
         self.degraded = 0
         #: Version-chain traffic: deltas applied through the service and
-        #: chains registered with the warehouse lineage registry.
+        #: chains registered with the warehouse.
         self.deltas_applied = 0
         self.versions_registered = 0
         self._degradation_reasons: dict[str, int] = {}
@@ -243,7 +243,7 @@ class ServiceStats:
             self.deltas_applied += 1
 
     def record_version_registered(self) -> None:
-        """Count one version chain registered with the lineage registry."""
+        """Count one version chain registered with the warehouse."""
         with self._lock:
             self.versions_registered += 1
 
@@ -343,7 +343,7 @@ class ServiceStats:
             "recovered_entries": float(stats["recovered_entries"]),
             "recovered_chains": float(stats["recovered_chains"]),
             "journal_replays": float(stats["journal_replays"]),
-            "gc_dropped_links": float(stats["gc_dropped_links"]),
+            "gc_dropped_chains": float(stats["gc_dropped_chains"]),
             "gc_collapsed_hops": float(stats["gc_collapsed_hops"]),
         }
 
@@ -429,9 +429,9 @@ class MiningService:
                     "request.version wraps a different database than "
                     "request.db — the chain and the payload must agree"
                 )
-            # Keep the warehouse's lineage registry current so even a
-            # cold restart of the chain object can find ancestors later.
-            self._record_lineage(request.version)
+            # Persist the chain's hops so a restarted service can
+            # rebuild it and still reach warehoused ancestors.
+            self._record_chain(request.version)
         absolute = request.absolute_support()
         key = (request.db.fingerprint(), absolute)
         with self._inflight_lock:
@@ -490,10 +490,10 @@ class MiningService:
     ) -> VersionedDatabase:
         """Advance a tenant's database chain by one delta.
 
-        Returns the child version; the link is recorded with the
-        warehouse's lineage registry so subsequent requests for the new
-        fingerprint can be served from the parent's warehoused patterns
-        through the update path.
+        Returns the child version; its hop is recorded with the
+        warehouse (a durable chain record when disk-backed), so even a
+        restarted service can serve the new fingerprint from the
+        parent's warehoused patterns through the update path.
         """
         child = version.apply(delta)
         self.register_version(child)
@@ -501,11 +501,11 @@ class MiningService:
         return child
 
     def register_version(self, version: VersionedDatabase) -> None:
-        """Make a version chain's lineage visible to the warehouse."""
-        self._record_lineage(version)
+        """Record a version chain's hops with the warehouse."""
+        self._record_chain(version)
         self.stats.record_version_registered()
 
-    def _record_lineage(self, version: VersionedDatabase) -> None:
+    def _record_chain(self, version: VersionedDatabase) -> None:
         if self.warehouse is not None:
             self.warehouse.record_version(version)
 
@@ -642,24 +642,19 @@ class MiningService:
         request: MineRequest,
         absolute: int,
         hit,
-        version: VersionedDatabase | None,
+        version: VersionedDatabase,
     ) -> MiningPlan:
         """Turn an ancestor warehouse hit into an FUP update or a mine.
 
         ``version`` is the chain the feedstock lookup walked — the
         request's own, or one rebuilt from durable chain records for an
-        unversioned post-restart request. Only when it still holds the
-        ancestor is the exact delta reconstructible, and only an FUP
-        patch is served: any other update (a delta with deletions, churn
-        past the cutoff) and a registry-only hit (chain gone, only the
-        warehouse's lineage links survive) mine cold, which beats
-        recycling the ancestor's patterns on the serving kernel.
+        unversioned post-restart request — so it holds the ancestor and
+        the exact delta is reconstructible. Only an FUP patch is served:
+        any other update (a delta with deletions, churn past the cutoff)
+        mines cold, which beats recycling the ancestor's patterns on the
+        serving kernel.
         """
-        ancestor = (
-            version.ancestor(hit.fingerprint) if version is not None else None
-        )
-        if ancestor is None:
-            return MiningPlan(PATH_MINE)
+        ancestor = version.ancestor(hit.fingerprint)
         plan = plan_update_path(
             absolute,
             hit.feedstock,

@@ -64,12 +64,7 @@ from pathlib import Path
 from repro.data.patterns import REPRESENTATIONS, CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import VersionedDatabase
-from repro.durability import (
-    DurableStore,
-    GCReport,
-    RecoveryReport,
-    record_from_node,
-)
+from repro.durability import DurableStore, GCReport, RecoveryReport
 from repro.durability.journal import OP_EVICT
 from repro.errors import DataError, StorageError
 from repro.mining.patterns import PatternSet
@@ -188,10 +183,10 @@ class PatternWarehouse:
         self.rejections = 0
         #: Durability gauges, served through :meth:`stats`.
         self.recovered_entries = 0
-        self.gc_dropped_links = 0
+        self.gc_dropped_chains = 0
         self.gc_collapsed_hops = 0
-        # Every file, the lineage registry and the chain records live in
-        # the store; without a directory it writes nothing.
+        # Every file and the chain records live in the store; without a
+        # directory it writes nothing and records no hops.
         self._store = DurableStore(self.directory, fault_injector)
         #: The :meth:`DurableStore.recover` outcome (None when memory-only).
         self.recovery_report: RecoveryReport | None = None
@@ -214,9 +209,9 @@ class PatternWarehouse:
             self._evict_to_budget()
             self.recovered_entries = len(self._entries)
             if report.quarantined:
-                # Quarantine removed feedstock; links that can no longer
-                # route to any warehoused entry are dead weight.
-                self._prune_lineage()
+                # Quarantine removed feedstock; chain records that can no
+                # longer reach any warehoused entry are dead weight.
+                self._prune_chains()
 
     # ------------------------------------------------------------------
     # core operations
@@ -344,94 +339,42 @@ class PatternWarehouse:
             )
 
     # ------------------------------------------------------------------
-    # version-chain lineage
+    # version chains
     # ------------------------------------------------------------------
-    def record_lineage(
-        self,
-        child_fingerprint: str,
-        parent_fingerprint: str,
-        delta_fingerprint: str | None = None,
-        distance: int = 1,
-    ) -> None:
-        """Register one version-chain link: child derived from parent.
-
-        ``distance`` is the hop's delta size (rows appended + deleted).
-        Links are idempotent; a child has exactly one parent
-        (re-recording overwrites), matching the chain model of
-        :class:`~repro.data.versioned.VersionedDatabase`. The registry
-        is what lets :meth:`ancestor_feedstock` serve a cold request for
-        a new version from an ancestor's warehoused patterns, even when
-        the caller no longer holds the chain object. Disk-backed
-        warehouses journal the link into the durable manifest, so a
-        restarted service recovers every ``ancestor_feedstock`` route;
-        a write failure degrades to memory-only like any write-through.
-        """
-        if child_fingerprint == parent_fingerprint:
-            return
-        with self._lock:
-            self._store.write_through(
-                self._store.record_link,
-                child_fingerprint,
-                parent_fingerprint,
-                delta_fingerprint,
-                max(0, distance),
-            )
-
     def record_version(self, version: VersionedDatabase) -> None:
-        """Record every hop of ``version``'s chain: its lineage link and,
-        when disk-backed, its durable chain record — what lets a restarted
-        service rebuild the chain (:meth:`restore_version`)."""
-        for node in version.chain():
-            if node.parent is None or node.delta is None:
-                continue
-            fingerprint = node.fingerprint()
-            self.record_lineage(
-                fingerprint,
-                node.parent.fingerprint(),
-                node.delta_fingerprint,
-                node.delta.size,
-            )
-            with self._lock:
-                if self._store.persisting and not self._store.has_chain(
-                    fingerprint
-                ):
-                    self._store.write_through(
-                        self._store.write_chain, record_from_node(node)
-                    )
-
-    def lineage_of(self, fingerprint: str) -> tuple[tuple[str, int], ...]:
-        """``(ancestor_fingerprint, cumulative_distance)`` pairs, self first.
-
-        Walks the recorded registry (cycle-guarded); the first element is
-        always ``(fingerprint, 0)``.
-        """
-        return self._store.lineage_of(fingerprint)
+        """Record every hop of ``version``'s chain as a durable chain
+        record, when disk-backed — what lets a restarted service rebuild
+        the chain (:meth:`restore_version`). Hops already held write
+        nothing; a write failure degrades to memory-only like any
+        write-through."""
+        with self._lock:
+            for node in version.chain():
+                if node.parent is not None:
+                    self._store.write_through(self._store.record_link, node)
 
     def ancestor_feedstock(
         self,
         fingerprint: str,
         absolute_support: int,
-        lineage: "tuple[tuple[str, int], ...] | None" = None,
+        lineage: tuple[tuple[str, int], ...],
     ) -> WarehouseHit | None:
-        """The nearest warehoused feedstock along the version chain.
+        """The nearest warehoused feedstock along the caller's version chain.
 
         ``lineage`` is an ordered ``(fingerprint, distance)`` sequence,
-        nearest first (a :meth:`VersionedDatabase.lineage
-        <repro.data.versioned.VersionedDatabase.lineage>` result); when
-        omitted, the warehouse's own recorded registry is walked. The
-        scan stops at the *first* version with any stored entry — delta
-        distance dominates the patch cost, so the nearest warehoused
-        ancestor beats a better-support hit further up the chain — and
-        returns its largest entry at or below ``absolute_support`` (the
-        only kind an FUP patch can consume), else ``None``. Fires
-        ``warehouse.read`` once, like :meth:`best_feedstock`.
+        nearest first — the :meth:`VersionedDatabase.lineage
+        <repro.data.versioned.VersionedDatabase.lineage>` of the chain
+        whose head is ``fingerprint``. The scan stops at the *first*
+        version with any stored entry — delta distance dominates the
+        patch cost, so the nearest warehoused ancestor beats a
+        better-support hit further up the chain — and returns its
+        largest entry at or below ``absolute_support`` (the only kind an
+        FUP patch can consume), else ``None``. Fires ``warehouse.read``
+        once, like :meth:`best_feedstock`.
         """
         if self.faults is not None:
             self.faults.fire(
                 WAREHOUSE_READ, detail=f"ancestor lookup {fingerprint[:12]}"
             )
-        if lineage is None:
-            lineage = self.lineage_of(fingerprint)
         with self._lock:
             for ancestor_fp, distance in lineage:
                 if any(fp == ancestor_fp for fp, _ in self._entries):
@@ -461,12 +404,12 @@ class PatternWarehouse:
             return None
 
     def gc(self, *, dry_run: bool = False) -> GCReport:
-        """One explicit garbage-collection pass over lineage and chains.
+        """One explicit garbage-collection pass over the chain records.
 
-        Reachability-prunes links that no warehoused entry can justify
+        Reachability-prunes records that no warehoused entry can justify
         and compacts multi-hop runs through unwarehoused ancestors into
         single composed records (see :mod:`repro.durability.gc`). The
-        automatic pruning on evict/drop/quarantine keeps the registry
+        automatic pruning on evict/drop/quarantine keeps the records
         honest; this full pass adds compaction and is what
         ``repro warehouse --gc`` runs. ``dry_run`` plans without
         touching disk or registries.
@@ -477,14 +420,15 @@ class PatternWarehouse:
                 self._store.gc, warehoused, dry_run=dry_run
             )
             if report is None:
-                return GCReport(0, 0, 0, 0, dry_run)
+                return GCReport(0, 0, 0, dry_run)
             if not dry_run:
-                self.gc_dropped_links += report.dropped_links
+                self.gc_dropped_chains += report.dropped_chains
                 self.gc_collapsed_hops += report.collapsed_hops
             return report
 
-    def _prune_lineage(self) -> None:
-        """Drop links/chains no warehoused entry can justify (no compaction).
+    def _prune_chains(self) -> None:
+        """Drop chain records no warehoused entry can justify (no
+        compaction).
 
         The cheap, automatic half of :meth:`gc`, run after evictions,
         drops and load-time quarantine.
@@ -492,9 +436,9 @@ class PatternWarehouse:
         with self._lock:
             warehoused = {fp for fp, _support in self._entries}
             plan = self._store.plan_gc(warehoused)
-            if plan.dropped_links:
-                self._store.write_through(self._store.drop_links, plan.dropped_links)
-                self.gc_dropped_links += len(plan.dropped_links)
+            if plan.dropped:
+                self._store.write_through(self._store.drop_chains, plan.dropped)
+                self.gc_dropped_chains += len(plan.dropped)
 
     # ------------------------------------------------------------------
     # integrity auditing
@@ -616,10 +560,9 @@ class PatternWarehouse:
 
         The disposal half of :meth:`verify_entry`: an entry that failed
         its audit should not keep serving as feedstock. Dropping the
-        last entry for a fingerprint also prunes lineage links (and
-        chain records) that routed only to it — they can no longer
-        serve anything, so leaving them dangling would grow the
-        registry forever and mislead ``ancestor_feedstock``.
+        last entry for a fingerprint also prunes chain records that
+        reached only it — they can no longer serve anything, so leaving
+        them dangling would grow the chains directory forever.
         """
         key = (fingerprint, absolute_support)
         with self._lock:
@@ -630,7 +573,7 @@ class PatternWarehouse:
             self._store.write_through(
                 self._store.remove_entry, fingerprint, absolute_support
             )
-            self._prune_lineage()
+            self._prune_chains()
         return True
 
     # ------------------------------------------------------------------
@@ -693,12 +636,11 @@ class PatternWarehouse:
                 "rejections": self.rejections,
                 "quarantined": len(self.quarantined),
                 "memory_only": int(self.memory_only_reason is not None),
-                "lineage_links": len(self._store.lineage_links()),
                 "chain_records": len(self._store.chain_records()),
                 "recovered_entries": self.recovered_entries,
                 "recovered_chains": report.recovered_chains if report else 0,
                 "journal_replays": report.journal_replays if report else 0,
-                "gc_dropped_links": self.gc_dropped_links,
+                "gc_dropped_chains": self.gc_dropped_chains,
                 "gc_collapsed_hops": self.gc_collapsed_hops,
             }
 
@@ -798,6 +740,6 @@ class PatternWarehouse:
             evicted = True
             self._store.write_through(self._store.remove_entry, *key, op=OP_EVICT)
         if evicted:
-            # Eviction-aware lineage: an evicted ancestor's now-useless
-            # links (ROADMAP open item 3) go with it.
-            self._prune_lineage()
+            # Eviction-aware chains: an evicted ancestor's now-useless
+            # chain records go with it.
+            self._prune_chains()

@@ -146,24 +146,28 @@ def _parse_op(
     versions: dict,
 ) -> DeltaOp:
     if op == "append":
-        transactions = entry.get("transactions")
-        if not isinstance(transactions, list) or not transactions:
+        rows = entry.get("transactions")
+        if not isinstance(rows, list) or not rows:
             raise DataError(
                 f"request #{index}: append op needs a non-empty "
                 "'transactions' list of item lists"
             )
-        delta = DatabaseDelta.append(transactions)
+        make_delta = DatabaseDelta.append
     elif op == "delete":
-        tids = entry.get("tids")
-        if not isinstance(tids, list) or not tids:
+        rows = entry.get("tids")
+        if not isinstance(rows, list) or not rows:
             raise DataError(
                 f"request #{index}: delete op needs a non-empty 'tids' list"
             )
-        delta = DatabaseDelta.delete(tids)
+        make_delta = DatabaseDelta.delete
     else:
         raise DataError(
             f"request #{index}: unknown op {op!r} (expected 'append' or 'delete')"
         )
+    try:
+        delta = make_delta(rows)
+    except DataError as exc:
+        raise DataError(f"request #{index}: {exc}") from None
     version = resolve_version(dataset, seed).apply(delta)
     versions[(dataset, seed)] = version
     return DeltaOp(
@@ -222,7 +226,7 @@ def serve_workload(
     before the op have completed and banked their patterns — otherwise
     every versioned request would race past the warehouse write it is
     meant to recycle and mine from scratch. Ops register their
-    (parse-time materialized) versions with the warehouse lineage and
+    (parse-time materialized) versions with the warehouse and
     count on :class:`ServiceStats`.
     """
     if not any(isinstance(item, DeltaOp) for item in requests):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.transactions import TransactionDatabase
+from repro.data.versioned import DatabaseDelta
 from repro.errors import DataError
 
 
@@ -32,6 +33,19 @@ class TestConstruction:
     def test_non_integer_items_rejected(self):
         with pytest.raises(DataError):
             TransactionDatabase([["a", "b"]])
+
+    @pytest.mark.parametrize("rows", [[[1, None]], [[1, "a"]], [5], [[True, 2]]])
+    @pytest.mark.parametrize(
+        "build", [TransactionDatabase, DatabaseDelta.append], ids=["db", "delta"]
+    )
+    def test_malformed_rows_raise_data_error(self, build, rows):
+        with pytest.raises(DataError, match="bad items"):
+            build(rows)
+
+    @pytest.mark.parametrize("tids", [[True], [[0]], ["0"]])
+    def test_malformed_delete_tids_raise_data_error(self, tids):
+        with pytest.raises(DataError, match="deleted tids"):
+            DatabaseDelta.delete(tids)
 
     def test_empty_database(self):
         db = TransactionDatabase([])

@@ -1,10 +1,18 @@
-"""Unit tests for pure GC planning: liveness, compaction, degraded runs."""
+"""Unit tests for pure GC planning over chain records: liveness,
+compaction, broken walks, and the plan applied on disk."""
 
 from __future__ import annotations
 
+import tempfile
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
-from repro.durability import plan_gc, record_from_node
+from repro.durability import ChainRecord, DurableStore, plan_gc, record_from_node
+from repro.durability.journal import OP_GC, OP_UNLINK, format_record
 
 
 def chain(depth: int):
@@ -15,76 +23,136 @@ def chain(depth: int):
     return nodes
 
 
-def registries(nodes):
-    lineage = {}
-    chains = {}
-    for node in nodes[1:]:
-        record = record_from_node(node)
-        chains[record.child] = record
-        lineage[record.child] = (
-            record.parent,
-            record.delta_fingerprint(),
-            record.size,
-        )
-    return lineage, chains
+def records(nodes):
+    return {
+        record.child: record
+        for record in (record_from_node(node) for node in nodes[1:])
+    }
 
 
 def test_everything_warehoused_is_left_alone():
     nodes = chain(3)
-    lineage, chains = registries(nodes)
-    plan = plan_gc(lineage, chains, {n.fingerprint() for n in nodes})
+    plan = plan_gc(records(nodes), {n.fingerprint() for n in nodes})
     assert plan.is_empty
     assert plan.collapsed_hops == 0
 
 
 def test_nothing_warehoused_drops_every_link():
     nodes = chain(3)
-    lineage, chains = registries(nodes)
-    plan = plan_gc(lineage, chains, set())
-    assert sorted(plan.dropped_links) == sorted(lineage)
-    assert plan.link_rewrites == {}
+    chains = records(nodes)
+    plan = plan_gc(chains, set())
+    assert sorted(plan.dropped) == sorted(chains)
+    assert plan.rewrites == {}
 
 
 def test_dead_tail_behind_newest_version_is_pruned():
-    # Only the newest version is warehoused: every ancestor link routes
+    # Only the newest version is warehoused: every record reaches
     # *upward* to nothing alive, so the whole tail collapses — the
     # bounded-footprint property.
     nodes = chain(4)
-    lineage, chains = registries(nodes)
-    plan = plan_gc(lineage, chains, {nodes[-1].fingerprint()})
-    assert sorted(plan.dropped_links) == sorted(lineage)
+    chains = records(nodes)
+    plan = plan_gc(chains, {nodes[-1].fingerprint()})
+    assert sorted(plan.dropped) == sorted(chains)
 
 
 def test_long_run_composes_to_nearest_warehoused_ancestor():
     nodes = chain(3)  # v0..v3
-    lineage, chains = registries(nodes)
-    plan = plan_gc(lineage, chains, {nodes[0].fingerprint()})
+    plan = plan_gc(records(nodes), {nodes[0].fingerprint()})
     # v1 keeps its direct hop; v2 collapses one hop, v3 collapses two.
-    assert plan.dropped_links == ()
-    assert set(plan.link_rewrites) == {
-        nodes[2].fingerprint(),
-        nodes[3].fingerprint(),
-    }
+    assert plan.dropped == ()
+    assert set(plan.rewrites) == {nodes[2].fingerprint(), nodes[3].fingerprint()}
     assert plan.collapsed_hops == 3
-    composed = plan.record_rewrites[nodes[3].fingerprint()]
+    composed = plan.rewrites[nodes[3].fingerprint()]
     assert composed.parent == nodes[0].fingerprint()
     assert composed.size == 3  # three appended rows in one hop
 
 
-def test_missing_record_degrades_to_link_only_rewrite():
+def test_missing_record_ends_the_walk():
     nodes = chain(3)
-    lineage, chains = registries(nodes)
-    # v2's chain record is gone (quarantined, say); its link survives.
+    chains = records(nodes)
+    # v2's chain record is gone (quarantined, say): v3 can no longer
+    # reach v0, so its record serves nothing; v1's direct hop stays.
     del chains[nodes[2].fingerprint()]
-    plan = plan_gc(lineage, chains, {nodes[0].fingerprint()})
-    rewrite = plan.link_rewrites[nodes[3].fingerprint()]
-    assert rewrite[0] == nodes[0].fingerprint()
-    assert rewrite[1] is None  # no composed delta to fingerprint
-    assert rewrite[2] == 3  # distance still sums the run
-    assert nodes[3].fingerprint() not in plan.record_rewrites
+    plan = plan_gc(chains, {nodes[0].fingerprint()})
+    assert plan.dropped == (nodes[3].fingerprint(),)
+    assert plan.rewrites == {}
 
 
 def test_cycle_in_stale_registries_terminates():
-    lineage = {"a": ("b", None, 1), "b": ("a", None, 1)}
-    plan = plan_gc(lineage, {}, set())
-    assert sorted(plan.dropped_links) == ["a", "b"]
+    def hop(child, parent):
+        return ChainRecord(child, parent, version=1, next_tid=0, appends=(), deletes=())
+
+    plan = plan_gc({"a": hop("a", "b"), "b": hop("b", "a")}, set())
+    assert sorted(plan.dropped) == ["a", "b"]
+
+
+@pytest.mark.parametrize("op", [OP_UNLINK, OP_GC])
+def test_pending_chain_removal_is_replayed(tmp_path, op):
+    nodes = chain(2)
+    store = DurableStore(tmp_path)
+    for node in nodes[1:]:
+        store.record_link(node)
+    doomed = sorted(store.chain_records())
+    payload = {"children": doomed} if op == OP_UNLINK else {"drop": doomed}
+    # A crash between the begin record and the unlinks.
+    with store.journal.path.open("a", encoding="utf-8") as handle:
+        handle.write(format_record(99, "begin", op, payload))
+    reopened = DurableStore(tmp_path)
+    report = reopened.recover()
+    assert report.journal_replays == 1
+    assert report.recovered_chains == 0
+    assert list(store.chains_dir.iterdir()) == []
+
+
+@st.composite
+def chains_with_warehoused(draw):
+    """A random chain (appends and deletes) and a random warehoused subset."""
+    depth = draw(st.integers(min_value=1, max_value=6))
+    nodes = [VersionedDatabase(TransactionDatabase([[1, 2], [2, 3], [1, 3]]))]
+    for _ in range(depth):
+        tids = nodes[-1].db.tids
+        deletes = draw(st.sets(st.sampled_from(tids), max_size=min(2, len(tids) - 1)))
+        appends = draw(
+            st.lists(
+                st.lists(st.integers(0, 6), min_size=1, max_size=3),
+                min_size=0 if deletes else 1,
+                max_size=2,
+            )
+        )
+        nodes.append(
+            nodes[-1].apply(DatabaseDelta(appends=tuple(appends), deletes=frozenset(deletes)))
+        )
+    warehoused = draw(st.sets(st.integers(0, depth)))
+    return nodes, warehoused
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=chains_with_warehoused())
+def test_gc_keeps_exactly_the_records_that_reach_a_warehoused_ancestor(drawn):
+    nodes, warehoused = drawn
+    fingerprints = [node.fingerprint() for node in nodes]
+    # Deleting what an earlier hop appended returns to that database.
+    assume(len(set(fingerprints)) == len(fingerprints))
+    alive = {fingerprints[i] for i in warehoused}
+    with tempfile.TemporaryDirectory() as directory:
+        store = DurableStore(directory)
+        for node in nodes[1:]:
+            store.record_link(node)
+        plan = store.plan_gc(alive)
+        for i in range(1, len(nodes)):
+            survives = any(j in warehoused for j in range(i))
+            assert (fingerprints[i] not in plan.dropped) == survives
+        store.gc(alive)
+        reopened = DurableStore(directory)
+        reopened.recover()
+        assert reopened.chain_records() == store.chain_records()
+        for i in range(1, len(nodes)):
+            if fingerprints[i] in plan.dropped:
+                continue
+            nearest = max(j for j in warehoused if j < i)
+            restored = reopened.restore_version(nodes[i].db)
+            assert restored.fingerprint() == fingerprints[i]
+            ancestor = restored.ancestor(fingerprints[nearest])
+            assert ancestor is not None
+            assert ancestor.db == nodes[nearest].db
+            assert restored.delta_from(ancestor) == nodes[i].delta_from(nodes[nearest])

@@ -2,9 +2,9 @@
 old state or new state, never torn — and roll-forward converges.
 
 The CI ``restart`` leg runs this module across a matrix of
-``CHAOS_SEED`` × ``CHAOS_PERSIST_POINT`` (persist.write | persist.rename
-| persist.manifest). Locally, with neither variable set, every point
-runs under seed 0.
+``CHAOS_SEED`` × ``CHAOS_PERSIST_POINT`` (persist.write |
+persist.rename). Locally, with neither variable set, every point runs
+under seed 0.
 
 The harness drives a :class:`DurableStore` workload with a fault armed
 to fire on the k-th pass through the chosen point — the injected
@@ -14,7 +14,7 @@ files are real, not simulated. The killed process is then abandoned
 fresh store recovers the directory, the interrupted workload is
 replayed from the killed step, and the final directory must be
 byte-for-byte equivalent to the never-interrupted run: same entries,
-same lineage, same chain records, same restored version chain.
+same chain records, same restored version chain.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.data.io import read_warehouse_entry
 from repro.data.patterns import CondensedPatternSet
 from repro.data.synthetic import QuestParams, quest_database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
-from repro.durability import DurableStore, record_from_node
+from repro.durability import DurableStore
 from repro.mining.hmine import mine_hmine
 from repro.errors import InjectedFaultError
 from repro.resilience import PERSIST_FAULT_POINTS, FaultInjector
@@ -40,8 +40,9 @@ ACTIVE_POINTS = (
 
 #: Fault-call offsets per point: enough to land the kill in every
 #: distinct window (journal append, entry temp write, chain write,
-#: manifest write) the workload passes through.
-OFFSETS = range(1, 9)
+#: entry unlink) the workload passes through — persist.write fires 14
+#: times over the steps below, persist.rename 4 times.
+OFFSETS = range(1, 15)
 
 
 def build_world(seed: int):
@@ -63,20 +64,12 @@ def workload_steps(db, v0, v1, v2):
     """
     condensed = CondensedPatternSet.condense(mine_hmine(db, 6), 6, "closed")
     stale = CondensedPatternSet.condense(mine_hmine(db, 12), 12, "closed")
-    r1 = record_from_node(v1)
-    r2 = record_from_node(v2)
 
     return [
         lambda s: s.write_entry(v0.fingerprint(), 6, condensed),
         lambda s: s.write_entry(v0.fingerprint(), 12, stale),
-        lambda s: s.write_chain(r1),
-        lambda s: s.record_link(
-            r1.child, r1.parent, r1.delta_fingerprint(), r1.size
-        ),
-        lambda s: s.write_chain(r2),
-        lambda s: s.record_link(
-            r2.child, r2.parent, r2.delta_fingerprint(), r2.size
-        ),
+        lambda s: s.record_link(v1),
+        lambda s: s.record_link(v2),
         lambda s: s.remove_entry(v0.fingerprint(), 12),
     ]
 
@@ -90,7 +83,6 @@ def final_state(directory, store, v2):
     restored = store.restore_version(v2.db)
     return {
         "entries": entries,
-        "lineage": store.lineage_links(),
         "chains": store.chain_records(),
         "restored": restored.fingerprint() if restored is not None else None,
         "depth": _depth(restored),

@@ -9,7 +9,6 @@ from repro.resilience import (
     FAULT_POINTS,
     MERGE_COUNT,
     PERSIST_FAULT_POINTS,
-    PERSIST_MANIFEST,
     PERSIST_RENAME,
     PERSIST_WRITE,
     SHARD_CRASH,
@@ -57,15 +56,13 @@ class TestArming:
         assert FAULT_POINTS == {
             SHARD_CRASH, SHARD_SLOW, WAREHOUSE_READ, WAREHOUSE_WRITE,
             MERGE_COUNT, UPDATE_PATCH,
-            PERSIST_WRITE, PERSIST_RENAME, PERSIST_MANIFEST,
+            PERSIST_WRITE, PERSIST_RENAME,
         }
 
     def test_persist_points_are_ordered_and_named(self):
         # The kill-mid-write chaos harness iterates this tuple in the
         # order one persisted mutation passes the points.
-        assert PERSIST_FAULT_POINTS == (
-            PERSIST_WRITE, PERSIST_RENAME, PERSIST_MANIFEST,
-        )
+        assert PERSIST_FAULT_POINTS == (PERSIST_WRITE, PERSIST_RENAME)
         assert set(PERSIST_FAULT_POINTS) <= FAULT_POINTS
 
 

@@ -1,5 +1,5 @@
-"""Tests for the service's versioned update path: warehouse lineage,
-chain-aware planning, stats, and workload database operations."""
+"""Tests for the service's versioned update path: ancestor lookups along
+a chain, chain-aware planning, stats, and workload database operations."""
 
 from __future__ import annotations
 
@@ -38,24 +38,12 @@ def chain(db):
 
 
 class TestWarehouseLineage:
-    def test_record_and_walk_lineage(self, db, chain):
-        v0, v1 = chain
-        warehouse = PatternWarehouse()
-        warehouse.record_lineage(
-            v1.fingerprint(), v0.fingerprint(),
-            v1.delta_fingerprint, distance=v1.delta.size,
-        )
-        lineage = warehouse.lineage_of(v1.fingerprint())
-        assert lineage == (
-            (v1.fingerprint(), 0),
-            (v0.fingerprint(), v1.delta.size),
-        )
-        assert warehouse.stats()["lineage_links"] == 1
-
-    def test_self_links_are_ignored(self, db):
-        warehouse = PatternWarehouse()
-        warehouse.record_lineage(db.fingerprint(), db.fingerprint())
-        assert warehouse.stats()["lineage_links"] == 0
+    def test_self_links_are_ignored(self, db, tmp_path):
+        # An empty delta leaves the fingerprint unchanged: no hop to record.
+        same = VersionedDatabase.initial(db).apply(DatabaseDelta())
+        warehouse = PatternWarehouse(directory=tmp_path)
+        warehouse.record_version(same)
+        assert warehouse.stats()["chain_records"] == 0
 
     def test_ancestor_feedstock_finds_nearest_warehoused_ancestor(
         self, db, chain
@@ -88,7 +76,8 @@ class TestWarehouseLineage:
 
     def test_unknown_chain_misses(self, db):
         warehouse = PatternWarehouse()
-        assert warehouse.ancestor_feedstock(db.fingerprint(), 10) is None
+        lineage = VersionedDatabase.initial(db).lineage()
+        assert warehouse.ancestor_feedstock(db.fingerprint(), 10, lineage) is None
 
 
 class TestServiceUpdatePath:
@@ -134,14 +123,15 @@ class TestServiceUpdatePath:
             with pytest.raises(ReproError, match="different database"):
                 service.submit(MineRequest(db=db, support=10, version=v1))
 
-    def test_apply_delta_advances_and_counts(self, db):
+    def test_apply_delta_advances_and_counts(self, db, tmp_path):
         v0 = VersionedDatabase.initial(db)
         delta = DatabaseDelta.append([[1, 2]])
-        with MiningService(warehouse=PatternWarehouse()) as service:
+        warehouse = PatternWarehouse(directory=tmp_path)
+        with MiningService(warehouse=warehouse) as service:
             v1 = service.apply_delta(v0, delta)
             assert v1.parent_fingerprint == v0.fingerprint()
             assert service.stats.snapshot()["deltas_applied"] == 1
-            assert service.warehouse.stats()["lineage_links"] == 1
+            assert service.warehouse.stats()["chain_records"] == 1
 
     def test_cold_service_with_version_still_mines_exactly(self, db, chain):
         v0, v1 = chain

@@ -3,8 +3,8 @@
 MCP compression, the grouped kernel and every recycling miner in the
 registry are patched to raise, and so is the H-Mine baseline, so a
 served path that still recycles (or resolves to a default left behind)
-fails loudly. Cold mines run ``eclat-bitset``; a lower support, an update
-FUP cannot patch and a registry-only ancestor hit all mine cold. Every
+fails loudly. Cold mines run ``eclat-bitset``; a lower support and an
+update FUP cannot patch both mine cold. Every
 answer must still equal a scratch FP-growth mine. Requests asking for
 ``jobs=2`` are served by the same in-process kernel: the sharded engine
 is patched to raise.
@@ -90,7 +90,7 @@ def no_sharding(monkeypatch):
 
 
 def chain_steps(db):
-    """(version, support, path, registry_only) covering every request kind."""
+    """(version, support, path) covering every request kind."""
     v0 = VersionedDatabase.initial(db)
     appended = v0.apply(DatabaseDelta.append(db.transactions[:4]))
     mixed = appended.apply(
@@ -98,73 +98,64 @@ def chain_steps(db):
             appends=db.transactions[10:13], deletes=frozenset(appended.db.tids[:3])
         )
     )
-    grown = mixed.apply(DatabaseDelta.append(db.transactions[20:24]))
     return [
-        (v0, 14, "mine", False),
-        (v0, 18, "filter", False),
-        (v0, 8, "mine", False),  # lower support: the entry at 14 is not feedstock
-        (appended, 8, "update", False),  # insert-only: FUP
-        (mixed, 8, "mine", False),  # with deletions: FUP cannot patch it
-        (grown, 8, "mine", True),  # FUP-able, but the ancestor cannot be rebuilt
+        (v0, 14, "mine"),
+        (v0, 18, "filter"),
+        (v0, 8, "mine"),  # lower support: the entry at 14 is not feedstock
+        (appended, 8, "update"),  # insert-only: FUP
+        (mixed, 8, "mine"),  # with deletions: FUP cannot patch it
     ]
 
 
 #: The cold mines among the chain steps.
-COLD_MINES = 4
+COLD_MINES = 3
 
 
-def serve_chain(db, execute, jobs, monkeypatch):
+def serve_chain(db, execute, jobs):
     """Serve every chain step through ``execute``; check each answer."""
     steps = chain_steps(db)
     responses = []
-    for version, support, _path, registry_only in steps:
+    for version, support, _path in steps:
         request = MineRequest(
             db=version.db, support=support, version=version, jobs=jobs
         )
-        with monkeypatch.context() as patch:
-            if registry_only:
-                # Only the warehouse's lineage links survive: the chain
-                # can no longer produce the ancestor's database.
-                patch.setattr(VersionedDatabase, "ancestor", lambda *_: None)
-            responses.append(execute(request))
+        responses.append(execute(request))
         assert responses[-1].patterns == mine_fpgrowth(version.db, support)
-    assert [r.path for r in responses] == [path for _v, _s, path, _r in steps]
+    assert [r.path for r in responses] == [path for _v, _s, path in steps]
     return responses
 
 
-def serve_chain_through_gateway(db, jobs, monkeypatch):
+def serve_chain_through_gateway(db, jobs):
     with MiningService(warehouse=PatternWarehouse()) as service:
         gateway = MiningGateway(service, start=False)
         responses = serve_chain(
-            db, lambda request: gateway.execute(request).response, jobs, monkeypatch
+            db, lambda request: gateway.execute(request).response, jobs
         )
         gateway.close()
     return responses
 
 
-def test_every_serial_path_runs_the_serving_kernel(db, kernel_calls, monkeypatch):
+def test_every_serial_path_runs_the_serving_kernel(db, kernel_calls):
     with MiningService(warehouse=PatternWarehouse()) as service:
-        served = serve_chain(db, service.execute, 1, monkeypatch)
+        served = serve_chain(db, service.execute, 1)
         snapshot = service.stats.snapshot()
-    assert [r.update_mode for r in served] == [None, None, None, "fup", None, None]
+    assert [r.update_mode for r in served] == [None, None, None, "fup", None]
     assert kernel_calls[SERVING_BASELINE] == COLD_MINES
     paths = (snapshot["filter_hits"], snapshot["updates"], snapshot["misses"])
     assert paths == (1, 1, COLD_MINES)
     assert not any("recycle" in key for key in snapshot)
 
-    serve_chain_through_gateway(db, 1, monkeypatch)
+    serve_chain_through_gateway(db, 1)
     assert kernel_calls[SERVING_BASELINE] == 2 * COLD_MINES
 
 
-def test_multi_job_requests_are_served_in_process(
-    db, kernel_calls, no_sharding, monkeypatch
-):
+def test_multi_job_requests_are_served_in_process(db, kernel_calls, no_sharding):
     """jobs=2 runs the same serial serving kernel as jobs=1 on every
     path, through the service and through the gateway."""
     with MiningService(warehouse=PatternWarehouse()) as service:
-        served = serve_chain(db, service.execute, 2, monkeypatch)
+        served = serve_chain(db, service.execute, 2)
     assert served[3].update_mode == "fup"
-    served += serve_chain_through_gateway(db, 2, monkeypatch)
+    served += serve_chain_through_gateway(db, 2)
     for response in served:
         assert response.counters.as_dict().get("parallel_shards", 0) == 0
     assert kernel_calls[SERVING_BASELINE] == 2 * COLD_MINES

@@ -1,18 +1,18 @@
-"""Warehouse-level durability: restart recovery, lineage hygiene on
-drop/evict/quarantine, persisted chains, and the GC entry point."""
+"""Warehouse-level durability: restart recovery, chain-record hygiene on
+drop/evict/quarantine, persisted chains, fsyncs per hop, and the GC
+entry point."""
 
 from __future__ import annotations
 
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-
-import pytest
 
 from repro.data.synthetic import QuestParams, quest_database
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.mining.hmine import mine_hmine
-from repro.service import PatternWarehouse
+from repro.service import MiningService, PatternWarehouse
 
 
 def make_db(seed: int = 0) -> TransactionDatabase:
@@ -46,9 +46,10 @@ class TestRestartRecovery:
         assert reopened.recovered_entries == 1
         assert reopened.recovery_report.recovered_chains == 2
         assert reopened.get(v0.fingerprint(), 6) == mine_hmine(db, 6)
-        # The lineage registry recovered: a request at v2 still routes
-        # to v0's warehoused patterns two hops up.
-        hit = reopened.ancestor_feedstock(v2.fingerprint(), 6)
+        # The restored chain still routes a request at v2 to v0's
+        # warehoused patterns two hops up.
+        restored = reopened.restore_version(v2.db)
+        hit = reopened.ancestor_feedstock(v2.fingerprint(), 6, restored.lineage())
         assert hit is not None
         assert hit.fingerprint == v0.fingerprint()
         assert hit.distance > 0
@@ -77,25 +78,8 @@ class TestRestartRecovery:
         warehouse.record_version(v2)
         assert warehouse.stats()["chain_records"] == 0
         assert warehouse.restore_version(v2.db) is None
-        hit = warehouse.ancestor_feedstock(v2.fingerprint(), 6)
+        hit = warehouse.ancestor_feedstock(v2.fingerprint(), 6, v2.lineage())
         assert hit is not None and hit.fingerprint == v0.fingerprint()
-
-    @pytest.mark.parametrize(
-        "manifest", ["[]", '"x"', '{"format": 1, "lineage": []}']
-    )
-    def test_non_object_manifest_is_quarantined(self, tmp_path, manifest):
-        db = make_db()
-        warehouse = PatternWarehouse(directory=tmp_path)
-        warehouse.put(db.fingerprint(), 6, mine_hmine(db, 6))
-        warehouse.record_lineage("c" * 64, db.fingerprint(), None, 1)
-        (tmp_path / "MANIFEST").write_text(manifest)
-        reopened = PatternWarehouse(directory=tmp_path)
-        assert [name for name, _ in reopened.recovery_report.quarantined] == [
-            "MANIFEST"
-        ]
-        assert (tmp_path / "quarantine" / "MANIFEST").exists()
-        assert reopened.stats()["lineage_links"] == 0
-        assert reopened.get(db.fingerprint(), 6) == mine_hmine(db, 6)
 
     def test_stats_carry_the_durability_gauges(self, tmp_path):
         db = make_db()
@@ -106,7 +90,7 @@ class TestRestartRecovery:
             "recovered_entries",
             "recovered_chains",
             "journal_replays",
-            "gc_dropped_links",
+            "gc_dropped_chains",
             "gc_collapsed_hops",
         ):
             assert key in stats, key
@@ -116,17 +100,14 @@ class TestRestartRecovery:
 
 class TestLineageHygiene:
     def test_drop_entry_cleans_dangling_lineage(self, tmp_path):
-        # Regression (satellite 1): dropping the only warehoused entry a
-        # chain routes to used to leave the links dangling forever.
+        # Dropping the only warehoused entry a chain reaches must not
+        # leave its chain records dangling forever.
         db = make_db()
         warehouse, (v0, v1, v2) = seed_warehouse(tmp_path, db)
-        # lineage_of is self-first; a pruned child walks nowhere past itself.
-        assert len(warehouse.lineage_of(v2.fingerprint())) == 3
+        assert warehouse.stats()["chain_records"] == 2
         assert warehouse.drop_entry(v0.fingerprint(), 6)
-        assert len(warehouse.lineage_of(v2.fingerprint())) == 1
-        assert len(warehouse.lineage_of(v1.fingerprint())) == 1
-        assert warehouse.gc_dropped_links == 2
-        # And the dead chain files went with the links.
+        assert warehouse.restore_version(v2.db) is None
+        assert warehouse.gc_dropped_chains == 2
         assert warehouse.stats()["chain_records"] == 0
         assert list((tmp_path / "chains").glob("*.chain")) == []
 
@@ -136,7 +117,7 @@ class TestLineageHygiene:
         # A second support level at v0 keeps the ancestor warehoused.
         warehouse.put(v0.fingerprint(), 10, mine_hmine(db, 10))
         warehouse.drop_entry(v0.fingerprint(), 6)
-        assert len(warehouse.lineage_of(v2.fingerprint())) == 3
+        assert warehouse.stats()["chain_records"] == 2
 
     def test_eviction_is_lineage_aware(self, tmp_path):
         db = make_db()
@@ -147,12 +128,12 @@ class TestLineageHygiene:
         small = PatternWarehouse(
             directory=tmp_path, byte_budget=entry_bytes + 1
         )
-        assert len(small.lineage_of(v2.fingerprint())) == 3
+        assert small.stats()["chain_records"] == 2
         small.put("b" * 64, 6, mine_hmine(db, 6))
         assert small.evictions >= 1
         assert (v0.fingerprint(), 6) not in small
-        # The evicted ancestor took its dead links with it.
-        assert len(small.lineage_of(v2.fingerprint())) == 1
+        # The evicted ancestor took its dead chain records with it.
+        assert small.stats()["chain_records"] == 0
 
     def test_quarantine_at_load_prunes_lineage(self, tmp_path):
         db = make_db()
@@ -161,7 +142,8 @@ class TestLineageHygiene:
         path.write_text(path.read_text()[:-8])
         reopened = PatternWarehouse(directory=tmp_path)
         assert reopened.has_quarantined(v0.fingerprint())
-        assert len(reopened.lineage_of(v2.fingerprint())) == 1
+        assert reopened.stats()["chain_records"] == 0
+        assert reopened.restore_version(v2.db) is None
 
 
 class TestWarehouseGC:
@@ -171,8 +153,10 @@ class TestWarehouseGC:
         report = warehouse.gc()
         assert report.collapsed_hops == 1
         assert warehouse.gc_collapsed_hops == 1
-        # v2 now routes to v0 in one hop.
-        hit = warehouse.ancestor_feedstock(v2.fingerprint(), 6)
+        # v2 now restores straight to v0, one hop, and routes there.
+        restored = warehouse.restore_version(v2.db)
+        assert restored.parent.fingerprint() == v0.fingerprint()
+        hit = warehouse.ancestor_feedstock(v2.fingerprint(), 6, restored.lineage())
         assert hit is not None and hit.fingerprint == v0.fingerprint()
 
     def test_gc_dry_run_mutates_nothing(self, tmp_path):
@@ -181,28 +165,57 @@ class TestWarehouseGC:
         report = warehouse.gc(dry_run=True)
         assert report.dry_run and report.collapsed_hops == 1
         assert warehouse.gc_collapsed_hops == 0
-        # The registry still walks two hops (nothing was rewritten).
-        assert warehouse.lineage_of(v2.fingerprint())[1][0] == v1.fingerprint()
+        # The chain still restores two hops (nothing was rewritten).
+        restored = warehouse.restore_version(v2.db)
+        assert restored.parent.fingerprint() == v1.fingerprint()
 
-    def test_memory_only_gc_prunes_links(self):
+    def test_memory_only_gc_has_nothing_to_prune(self):
+        db = make_db()
+        _v0, _v1, v2 = build_chain(db)
         warehouse = PatternWarehouse()
-        warehouse.record_lineage("c" * 64, "p" * 64, None, 1)
+        warehouse.record_version(v2)
         report = warehouse.gc()
-        assert report.dropped_links == 1
-        assert len(warehouse.lineage_of("c" * 64)) == 1
+        assert (report.dropped_chains, report.collapsed_hops) == (0, 0)
+
+
+class TestFsyncsPerHop:
+    def count_fsyncs(self, monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def fsync(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return calls
+
+    def test_apply_delta_fsyncs_once_per_journal_line_and_chain_file(
+        self, tmp_path, monkeypatch
+    ):
+        db = make_db()
+        v0 = VersionedDatabase(db)
+        with MiningService(warehouse=PatternWarehouse(directory=tmp_path)) as service:
+            fsyncs = self.count_fsyncs(monkeypatch)
+            v1 = service.apply_delta(v0, DatabaseDelta(appends=((1, 2, 3),)))
+            # Journal begin, chain file, journal commit.
+            assert len(fsyncs) == 3
+            service.register_version(v1)
+            assert len(fsyncs) == 3
 
 
 def test_concurrent_lineage_records_lose_nothing(tmp_path):
-    """The one lineage registry lives in the store, behind its own lock:
-    links recorded from many threads at once all land, in memory and in
-    the manifest."""
+    """The chain records live in the store, behind its own lock: chains
+    recorded from many threads at once all land, in memory and on
+    disk."""
     warehouse = PatternWarehouse(directory=tmp_path)
-    threads, per_thread = 8, 20
+    threads, per_thread = 8, 10
 
     def record(thread: int) -> None:
+        version = VersionedDatabase(TransactionDatabase([[thread]]))
         for i in range(per_thread):
-            child = f"{thread:02d}{i:062d}"
-            warehouse.record_lineage(child, "p" * 64, None, 1)
+            version = version.apply(DatabaseDelta(appends=((thread, i),)))
+            warehouse.record_version(version)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -212,6 +225,6 @@ def test_concurrent_lineage_records_lose_nothing(tmp_path):
                 future.result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert warehouse.stats()["lineage_links"] == threads * per_thread
+    assert warehouse.stats()["chain_records"] == threads * per_thread
     reopened = PatternWarehouse(directory=tmp_path)
-    assert reopened.stats()["lineage_links"] == threads * per_thread
+    assert reopened.stats()["chain_records"] == threads * per_thread

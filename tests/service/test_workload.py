@@ -93,6 +93,22 @@ class TestParsing:
         with pytest.raises(DataError, match=message):
             parse_workload(spec)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            {"op": "append", "transactions": [[1, None]]},
+            {"op": "append", "transactions": [[1, "a"]]},
+            {"op": "append", "transactions": [5]},
+            {"op": "append", "transactions": [[True, 2]]},
+            {"op": "delete", "tids": [[0]]},
+        ],
+    )
+    def test_malformed_op_rows_raise_data_error(self, op):
+        spec = _spec()
+        spec["requests"] = [op, {"support": 0.5}]
+        with pytest.raises(DataError, match="request #0: "):
+            parse_workload_items(spec)
+
     def test_load_workload_file(self, tmp_path):
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(_spec()), encoding="utf-8")
