@@ -198,7 +198,8 @@ def fup_update_delta(
             f"FUP cannot patch a deletion delta ({len(delta.deletes)} deleted "
             "tids): old supports only bound inserted rows"
         )
-    increment = TransactionDatabase(delta.appends)
+    # The delta normalized its rows when it was built.
+    increment = TransactionDatabase._trusted(delta.appends)
     return fup_update(old_db, increment, old_patterns, min_support, counters)
 
 

@@ -23,12 +23,41 @@ matter.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import DataError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.data.transactions import TransactionDatabase
+
+#: Up to this many set bits, moving a bitmap's bits one by one beats
+#: cutting its binary string (measured on 1,500 rows with 45 dropped:
+#: 12 vs 15 us at 16 bits, 23 vs 15 us at 32).
+_SPARSE_BITS = 16
+
+
+def kept_runs(dropped: list[int], n: int) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` runs of ``range(n)`` left between the sorted
+    ``dropped`` positions.
+
+    >>> kept_runs([1, 2, 5], 7)
+    [(0, 1), (3, 5), (6, 7)]
+    """
+    bounds = zip([0, *(p + 1 for p in dropped)], [*dropped, n])
+    return [(start, stop) for start, stop in bounds if start < stop]
+
+
+def kept_positions(dropped: list[int], n: int) -> list[int]:
+    """The positions of ``range(n)`` not in the sorted ``dropped``.
+
+    >>> kept_positions([1, 2, 5], 7)
+    [0, 3, 4, 6]
+    """
+    return list(
+        itertools.chain.from_iterable(range(*run) for run in kept_runs(dropped, n))
+    )
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -55,17 +84,102 @@ class EncodedDatabase:
     __slots__ = ("_db", "_item_of", "_code_of", "_bitmaps", "_supports", "_universe")
 
     def __init__(self, db: "TransactionDatabase") -> None:
-        self._db = db
         supports = db.item_supports()
         items = sorted(supports, key=lambda item: (-supports[item], item))
-        self._item_of: tuple[int, ...] = tuple(items)
-        self._code_of: dict[int, int] = {item: code for code, item in enumerate(items)}
+        code_of = {item: code for code, item in enumerate(items)}
         bitmaps = [0] * len(items)
-        code_of = self._code_of
         for position, tx in enumerate(db):
             bit = 1 << position
             for item in tx:
                 bitmaps[code_of[item]] |= bit
+        self._fill(db, items, code_of, bitmaps)
+
+    @classmethod
+    def derive(
+        cls, db: "TransactionDatabase", parent: "EncodedDatabase", dropped: list[int]
+    ) -> "EncodedDatabase":
+        """``db``'s encoding, derived from ``parent``, an ancestor's.
+
+        ``db`` is the ancestor's database with the rows at the sorted
+        positions ``dropped`` removed and new rows appended. Each kept
+        item's bitmap has the dropped bits squeezed out, so bit positions
+        stay indexes into ``db``; appended rows set bits at the fresh high
+        positions; supports come from ``db.item_supports()``, so codes
+        are re-sorted over the items, not recounted over the rows. The
+        result equals ``EncodedDatabase(db)`` field by field.
+
+        >>> from repro.data.versioned import DatabaseDelta
+        >>> from repro.data.transactions import TransactionDatabase
+        >>> parent = TransactionDatabase([[1, 2], [2], [1, 3]])
+        >>> _ = parent.encoded()
+        >>> child = DatabaseDelta(appends=((3,),), deletes=frozenset({1})).apply(parent)
+        >>> enc = child.encoded()
+        >>> [(enc.item_of(c), bin(enc.bitmap(c))) for c in range(enc.item_count())]
+        [(1, '0b11'), (3, '0b110'), (2, '0b1')]
+        """
+        n = len(parent)
+        kept = n - len(dropped)
+        if dropped:
+            # A sparse bitmap moves bit by bit to its kept position...
+            moved = [0] * n
+            for new, old in enumerate(kept_positions(dropped, n)):
+                moved[old] = 1 << new
+            # ...a denser one is cut as a string: bit p is character
+            # n - 1 - p of its n-digit binary form, so the kept runs are
+            # taken high run first. The trailing empty slice makes the
+            # getter return a tuple even for one run.
+            width = f"0{n}b"
+            take = operator.itemgetter(
+                *(
+                    slice(n - stop, n - start)
+                    for start, stop in reversed(kept_runs(dropped, n))
+                ),
+                slice(0, 0),
+            )
+
+            def squeeze(code: int) -> int:
+                bitmap = parent._bitmaps[code]
+                if parent._supports[code] > _SPARSE_BITS:
+                    return int("".join(take(format(bitmap, width))) or "0", 2)
+                out = 0
+                for position in bit_positions(bitmap):
+                    out |= moved[position]
+                return out
+
+        else:
+
+            def squeeze(code: int) -> int:
+                return parent._bitmaps[code]
+
+        added: dict[int, int] = {}
+        for position, tx in enumerate(db.transactions[kept:], kept):
+            bit = 1 << position
+            for item in tx:
+                added[item] = added.get(item, 0) | bit
+        supports = db.item_supports()
+        items = sorted(supports, key=lambda item: (-supports[item], item))
+        old_code = parent._code_of
+        bitmaps = []
+        for item in items:
+            code = old_code.get(item)
+            bitmap = 0 if code is None else squeeze(code)
+            bitmaps.append(bitmap | added.get(item, 0))
+        encoded = cls.__new__(cls)
+        code_of = {item: code for code, item in enumerate(items)}
+        encoded._fill(db, items, code_of, bitmaps)
+        return encoded
+
+    def _fill(
+        self,
+        db: "TransactionDatabase",
+        items: list[int],
+        code_of: dict[int, int],
+        bitmaps: list[int],
+    ) -> None:
+        supports = db.item_supports()
+        self._db = db
+        self._item_of: tuple[int, ...] = tuple(items)
+        self._code_of: dict[int, int] = code_of
         self._bitmaps: tuple[int, ...] = tuple(bitmaps)
         self._supports: tuple[int, ...] = tuple(supports[item] for item in items)
         self._universe: int = (1 << len(db)) - 1 if len(db) else 0

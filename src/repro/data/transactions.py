@@ -40,6 +40,34 @@ def normalize_row(raw: Iterable[int], what: str) -> tuple[int, ...]:
     return tx
 
 
+def _checked_tids(tids: Iterable[int], count: int) -> tuple[int, ...]:
+    """``tids`` as a tuple, after checking it can label ``count`` rows.
+
+    Tids must be unique non-negative ints, one per row; anything else is
+    a :class:`DataError`. Uniqueness is what lets a delete address one
+    row, and what the unchecked internal constructor relies on.
+    """
+    try:
+        out = tuple(tids)
+    except TypeError:
+        raise DataError(f"tids must be a sequence, got {tids!r}") from None
+    if len(out) != count:
+        raise DataError(f"{len(out)} tids supplied for {count} transactions")
+    if any(type(t) is not int or t < 0 for t in out) or len(set(out)) != count:
+        raise DataError("tids must be unique non-negative ints")
+    return out
+
+
+def fingerprint_lines(
+    tids: Iterable[int], rows: Iterable[tuple[int, ...]]
+) -> list[bytes]:
+    """The fingerprint's per-row lines, ``b"{tid}:{items}\\n"``."""
+    return [
+        f"{tid}:{' '.join(map(str, tx))}\n".encode("ascii")
+        for tid, tx in zip(tids, rows)
+    ]
+
+
 class TransactionDatabase:
     """An immutable horizontal database of transactions.
 
@@ -49,14 +77,18 @@ class TransactionDatabase:
         Any iterable of item-id iterables. Each transaction is normalized
         to a sorted tuple of distinct non-negative ints.
     tids:
-        Optional explicit transaction ids (parallel to ``transactions``).
-        Defaults to ``0..n-1``.
+        Optional explicit transaction ids (parallel to ``transactions``),
+        unique non-negative ints. Defaults to ``0..n-1``.
 
     >>> db = TransactionDatabase([[3, 1, 2], [2, 3]])
     >>> db[0]
     (1, 2, 3)
     >>> db.support((2, 3))
     2
+    >>> TransactionDatabase([[1], [2]], tids=[0, 0])
+    Traceback (most recent call last):
+    ...
+    repro.errors.DataError: tids must be unique non-negative ints
     """
 
     def __init__(
@@ -64,19 +96,51 @@ class TransactionDatabase:
         transactions: Iterable[Iterable[int]],
         tids: Sequence[int] | None = None,
     ) -> None:
-        normalized = [normalize_row(raw, "transaction") for raw in transactions]
-        self._transactions: tuple[tuple[int, ...], ...] = tuple(normalized)
-        if tids is None:
-            self._tids: tuple[int, ...] = tuple(range(len(normalized)))
-        else:
-            if len(tids) != len(normalized):
-                raise DataError(
-                    f"{len(tids)} tids supplied for {len(normalized)} transactions"
-                )
-            self._tids = tuple(tids)
-        self._item_supports: Counter[int] | None = None
+        rows = tuple(normalize_row(raw, "transaction") for raw in transactions)
+        self._setup(rows, None if tids is None else _checked_tids(tids, len(rows)))
+
+    @classmethod
+    def _trusted(
+        cls,
+        rows: tuple[tuple[int, ...], ...],
+        tids: tuple[int, ...] | None = None,
+        *,
+        supports: "Counter[int] | None" = None,
+        lines: list[bytes] | None = None,
+        derive_from: "tuple[EncodedDatabase, list[int]] | None" = None,
+    ) -> "TransactionDatabase":
+        """A database over rows and tids that are already valid; no checks.
+
+        The caller guarantees what the public constructor would enforce:
+        ``rows`` are normalized tuples and ``tids`` (default ``0..n-1``)
+        are unique non-negative ints. ``supports`` and ``lines``, when
+        given, must equal what :meth:`item_supports` and the fingerprint
+        would compute; ``derive_from`` is an ancestor's encoding plus the
+        sorted positions of that ancestor this database dropped (see
+        :meth:`encoded`).
+        """
+        db = cls.__new__(cls)
+        db._setup(rows, tids, supports, lines, derive_from)
+        return db
+
+    def _setup(
+        self,
+        rows: tuple[tuple[int, ...], ...],
+        tids: tuple[int, ...] | None,
+        supports: "Counter[int] | None" = None,
+        lines: list[bytes] | None = None,
+        derive_from: "tuple[EncodedDatabase, list[int]] | None" = None,
+    ) -> None:
+        self._transactions: tuple[tuple[int, ...], ...] = rows
+        self._tids: tuple[int, ...] = tuple(range(len(rows))) if tids is None else tids
+        self._item_supports = supports
         self._encoded: "EncodedDatabase | None" = None
         self._fingerprint: str | None = None
+        # Kept only by databases that take part in a delta (a parent
+        # builds them once, a child reuses them), so a database that
+        # never changes pays no memory for them.
+        self._lines = lines
+        self._derive_from = derive_from
 
     # ------------------------------------------------------------------
     # container protocol
@@ -150,11 +214,20 @@ class TransactionDatabase:
         Every miner and the compression pass share this one instance, so
         the dense item interning and the tid-bitmaps are paid for a
         single time per database no matter how many mining rounds run.
+        A database made by a delta from an encoded parent (or from one
+        that could itself derive) derives its encoding from that
+        ancestor's (:meth:`EncodedDatabase.derive`) and then drops the
+        link, so it keeps at most one extra database alive.
         """
         if self._encoded is None:
             from repro.data.encoded import EncodedDatabase
 
-            self._encoded = EncodedDatabase(self)
+            link = self._derive_from
+            if link is None:
+                self._encoded = EncodedDatabase(self)
+            else:
+                self._encoded = EncodedDatabase.derive(self, *link)
+                self._derive_from = None
         return self._encoded
 
     def fingerprint(self) -> str:
@@ -163,18 +236,29 @@ class TransactionDatabase:
         Two databases with the same transactions and tids share a
         fingerprint regardless of object identity or process, which is
         what makes it usable as a persistent cache key (the pattern
-        warehouse keys stored results by it). The digest covers both the
-        normalized transactions and the explicit tids.
+        warehouse keys stored results by it). The digest is one SHA-256
+        over the joined per-row lines ``b"{tid}:{items}\\n"``, so it
+        covers both the normalized transactions and the explicit tids.
+
+        >>> TransactionDatabase([[3, 1, 2], [2, 3], [5]]).fingerprint()[:16]
+        'e6d6a7c04c711155'
         """
         if self._fingerprint is None:
-            digest = hashlib.sha256()
-            for tid, tx in zip(self._tids, self._transactions):
-                digest.update(str(tid).encode("ascii"))
-                digest.update(b":")
-                digest.update(" ".join(map(str, tx)).encode("ascii"))
-                digest.update(b"\n")
-            self._fingerprint = digest.hexdigest()
+            lines = self._lines
+            if lines is None:
+                lines = fingerprint_lines(self._tids, self._transactions)
+            self._fingerprint = hashlib.sha256(b"".join(lines)).hexdigest()
         return self._fingerprint
+
+    def _kept_lines(self) -> list[bytes]:
+        """The fingerprint's per-row lines; built once, then kept.
+
+        Called when a delta is applied to this database: its child reuses
+        the line objects of every row it keeps.
+        """
+        if self._lines is None:
+            self._lines = fingerprint_lines(self._tids, self._transactions)
+        return self._lines
 
     def support(self, itemset: Iterable[int]) -> int:
         """Absolute support of ``itemset`` (exhaustive scan; use in tests)."""
@@ -189,23 +273,28 @@ class TransactionDatabase:
     def restrict_to_items(self, keep: Iterable[int]) -> "TransactionDatabase":
         """A copy keeping only items in ``keep`` (empty tuples retained)."""
         keep_set = frozenset(keep)
-        return TransactionDatabase(
-            ([i for i in tx if i in keep_set] for tx in self._transactions),
-            tids=self._tids,
+        return TransactionDatabase._trusted(
+            tuple(tuple(i for i in tx if i in keep_set) for tx in self._transactions),
+            self._tids,
         )
 
     def sample(self, indices: Sequence[int]) -> "TransactionDatabase":
         """A sub-database containing the transactions at ``indices``."""
-        return TransactionDatabase(
-            [self._transactions[i] for i in indices],
-            tids=[self._tids[i] for i in indices],
+        return TransactionDatabase._trusted(
+            tuple(self._transactions[i] for i in indices),
+            _checked_tids((self._tids[i] for i in indices), len(indices)),
         )
 
     def extend(self, more: Iterable[Iterable[int]]) -> "TransactionDatabase":
-        """A new database with ``more`` transactions appended (fresh tids)."""
-        combined = list(self._transactions)
-        combined.extend(tuple(sorted(set(tx))) for tx in more)
-        return TransactionDatabase(combined)
+        """A new database with ``more`` transactions appended (fresh tids).
+
+        >>> TransactionDatabase([[1]]).extend([[None, 1]])  # doctest: +ELLIPSIS
+        Traceback (most recent call last):
+        ...
+        repro.errors.DataError: transaction [None, 1] has bad items ...
+        """
+        added = tuple(normalize_row(raw, "transaction") for raw in more)
+        return TransactionDatabase._trusted(self._transactions + added)
 
     def relative_to_absolute(self, min_support: float) -> int:
         """Convert a relative min-support in (0, 1] to an absolute count.

@@ -30,10 +30,17 @@ Two invariants make the chain usable as a cache-key lineage:
 from __future__ import annotations
 
 import hashlib
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.data.transactions import TransactionDatabase, normalize_row
+from repro.data.encoded import EncodedDatabase, kept_positions, kept_runs
+from repro.data.transactions import (
+    TransactionDatabase,
+    fingerprint_lines,
+    normalize_row,
+)
 from repro.errors import DataError
 
 
@@ -120,23 +127,76 @@ class DatabaseDelta:
         fresh consecutive tids starting at ``next_tid`` (default: one
         past the largest current tid). Deleting an unknown tid is a
         :class:`DataError` — silently ignoring it would desynchronize the
-        fingerprint chain from the caller's view of the data.
+        fingerprint chain from the caller's view of the data — and so is
+        a ``next_tid`` that is not an int above every current tid.
+
+        The child is built from the parent's state, not from scratch: kept
+        rows are not normalized again, its item supports are the parent's
+        patched by the delta's counts, it reuses the parent's fingerprint
+        line for every kept row, and when the parent is encoded (or could
+        itself derive its encoding) the child derives its encoding from
+        that one on first use.
         """
-        unknown = self.deletes - set(db.tids)
-        if unknown:
-            raise DataError(f"delta deletes unknown tids {sorted(unknown)[:10]}")
-        kept_tx: list[tuple[int, ...]] = []
-        kept_tids: list[int] = []
-        for tid, tx in zip(db.tids, db.transactions):
-            if tid not in self.deletes:
-                kept_tx.append(tx)
-                kept_tids.append(tid)
+        tids = db.tids
+        highest = max(tids, default=-1)
         if next_tid is None:
-            next_tid = (max(db.tids) + 1) if db.tids else 0
-        append_tids = range(next_tid, next_tid + len(self.appends))
-        return TransactionDatabase(
-            kept_tx + list(self.appends), tids=kept_tids + list(append_tids)
+            next_tid = highest + 1
+        elif type(next_tid) is not int or next_tid <= highest:
+            raise DataError(
+                f"next_tid must be an int above the largest tid {highest}, "
+                f"got {next_tid!r}"
+            )
+        # Tids are unique, so one position per deleted tid is found.
+        doomed = self.deletes
+        dropped = []
+        if doomed:
+            dropped = [pos for pos, tid in enumerate(tids) if tid in doomed]
+        if len(dropped) != len(doomed):
+            unknown = doomed.difference(tids[pos] for pos in dropped)
+            raise DataError(f"delta deletes unknown tids {sorted(unknown)[:10]}")
+        rows, lines = db.transactions, db._kept_lines()
+        supports = Counter(db.item_supports())
+        if dropped:
+            for pos in dropped:
+                supports.subtract(rows[pos])
+            supports = +supports
+            keep = [slice(*run) for run in kept_runs(dropped, len(rows))]
+            rows, tids, lines = (
+                tuple(itertools.chain.from_iterable(seq[part] for part in keep))
+                for seq in (rows, tids, lines)
+            )
+        for tx in self.appends:
+            supports.update(tx)
+        append_tids = tuple(range(next_tid, next_tid + len(self.appends)))
+        return TransactionDatabase._trusted(
+            rows + self.appends,
+            tids + append_tids,
+            supports=supports,
+            lines=[*lines, *fingerprint_lines(append_tids, self.appends)],
+            derive_from=_encoding_link(db, dropped),
         )
+
+
+def _encoding_link(
+    db: TransactionDatabase, dropped: list[int]
+) -> "tuple[EncodedDatabase, list[int]] | None":
+    """What a child of ``db`` that drops ``dropped`` needs to derive its
+    encoding: the encoding of ``db`` or of the ancestor ``db`` would
+    derive from, plus the sorted positions of that ancestor the child
+    drops. None when neither is encoded.
+    """
+    if db._encoded is not None:
+        return db._encoded, dropped
+    link = db._derive_from
+    if link is None:
+        return None
+    # db has not used its own link: compose the two hops. Positions of
+    # db below ``kept`` are the ancestor's surviving rows, in order; the
+    # rest are appended relative to the ancestor and stay appended.
+    base, base_dropped = link
+    survivors = kept_positions(base_dropped, len(base))
+    kept = len(survivors)
+    return base, sorted([*base_dropped, *(survivors[p] for p in dropped if p < kept)])
 
 
 class VersionedDatabase:

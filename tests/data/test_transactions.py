@@ -26,6 +26,11 @@ class TestConstruction:
         with pytest.raises(DataError):
             TransactionDatabase([[1], [2]], tids=[100])
 
+    @pytest.mark.parametrize("tids", [[0, 0], ["a", 1], [-1, 1], [True, 1], [0.0, 1]])
+    def test_tids_must_be_unique_non_negative_ints(self, tids):
+        with pytest.raises(DataError, match="unique non-negative ints"):
+            TransactionDatabase([[1], [2]], tids=tids)
+
     def test_negative_items_rejected(self):
         with pytest.raises(DataError):
             TransactionDatabase([[-1, 2]])
@@ -113,6 +118,30 @@ class TestDerivedDatabases:
         assert len(grown) == 5
         assert grown[4] == (4, 5)
         assert grown.tids == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("row", [[None, 1], ["a"], [-2], [True]])
+    def test_extend_rejects_bad_rows_with_data_error(self, tiny_db, row):
+        with pytest.raises(DataError, match="bad items"):
+            tiny_db.extend([row])
+
+    def test_extend_normalizes_each_row_once(self, tiny_db, monkeypatch):
+        from repro.data import transactions
+
+        calls = []
+        normalize_row = transactions.normalize_row
+
+        def counting(raw, what):
+            calls.append(raw)
+            return normalize_row(raw, what)
+
+        monkeypatch.setattr(transactions, "normalize_row", counting)
+        grown = tiny_db.extend([[5, 4, 5]])
+        assert calls == [[5, 4, 5]]
+        assert grown[-1] == (4, 5)
+
+    def test_sample_rejects_repeated_positions(self, tiny_db):
+        with pytest.raises(DataError, match="unique"):
+            tiny_db.sample([0, 0])
 
     def test_extend_does_not_mutate_original(self, tiny_db):
         tiny_db.extend([[9]])

@@ -43,6 +43,25 @@ class TestDatabaseDelta:
         with pytest.raises(DataError, match="unknown tids"):
             DatabaseDelta.delete([99]).apply(db)
 
+    @pytest.mark.parametrize("next_tid", [0, 4, -3, True, 5.0, "5"])
+    def test_apply_rejects_a_next_tid_that_could_collide(self, db, next_tid):
+        # db's tids are 0..4: any next_tid at or below 4 would hand an
+        # appended row a tid that is already taken (or a negative one).
+        with pytest.raises(DataError, match="next_tid"):
+            DatabaseDelta.append([[5]]).apply(db, next_tid=next_tid)
+
+    def test_apply_to_empty_database_rejects_negative_next_tid(self):
+        with pytest.raises(DataError, match="next_tid"):
+            DatabaseDelta.append([[5]]).apply(TransactionDatabase([]), next_tid=-3)
+        grown = DatabaseDelta.append([[5]]).apply(TransactionDatabase([]), next_tid=0)
+        assert grown.tids == (0,)
+
+    def test_apply_deletes_exactly_one_row_per_tid(self, db):
+        shrunk = DatabaseDelta.delete([0, 4]).apply(db)
+        assert shrunk.tids == (1, 2, 3)
+        with pytest.raises(DataError, match="unknown tids \\[4, 7\\]"):
+            DatabaseDelta.delete([1, 4, 7]).apply(shrunk)
+
     def test_delta_fingerprint_distinguishes_adds_from_deletes(self):
         append = DatabaseDelta.append([[1]])
         delete = DatabaseDelta.delete([1])
