@@ -380,12 +380,15 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             f"(budget {wh['byte_budget'] or 'unbounded'}), "
             f"{wh['evictions']} evictions, {wh['rejections']} rejections"
         )
-        if warehouse.representation != "full":
+        if wh["condensed_entries"] or wh["pressure_condensations"] or wh["promotions"]:
             print(
-                f"warehouse: {warehouse.representation} entries serve "
-                f"{wh['full_bytes']} full-set bytes from "
-                f"{wh['stored_bytes']} stored "
-                f"(condensation ×{warehouse.condensation_ratio():.1f})"
+                f"warehouse: {wh['condensed_entries']} of {wh['entries']} "
+                f"entries held condensed; {wh['full_bytes']} full-set bytes "
+                f"served from {wh['stored_bytes']} stored "
+                f"(condensation ×{warehouse.condensation_ratio():.1f}); "
+                f"{wh['pressure_condensations']} condensed under the budget "
+                f"to {warehouse.representation}, {wh['promotions']} promoted "
+                "back to full"
             )
         if wh["quarantined"]:
             print(
@@ -465,9 +468,9 @@ def _warehouse_list(args: argparse.Namespace, warehouse) -> int:
     print(render_report(f"warehouse: {args.dir}", headers, rows))
     stats = warehouse.stats()
     print(
-        f"{stats['entries']} entries, {stats['stored_bytes']} stored bytes "
-        f"serving {stats['full_bytes']} full-set bytes "
-        f"(condensation ×{warehouse.condensation_ratio():.1f})"
+        f"{stats['entries']} entries ({stats['condensed_entries']} condensed), "
+        f"{stats['stored_bytes']} stored bytes serving {stats['full_bytes']} "
+        f"full-set bytes (condensation ×{warehouse.condensation_ratio():.1f})"
     )
     if stats["quarantined"]:
         print(f"{stats['quarantined']} corrupt file(s) not loaded "
@@ -704,8 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the warehouse (every request mines)")
     serve.add_argument("--representation", default="closed",
                        choices=("full", "closed", "ndi"),
-                       help="how the warehouse condenses stored entries "
-                            "(default: closed)")
+                       help="the form warehouse entries are condensed to "
+                            "when --byte-budget needs the room; entries are "
+                            "stored full otherwise, and full never "
+                            "condenses (default: closed)")
     serve.add_argument("--gateway", action="store_true",
                        help="serve through the traffic-management gateway "
                             "(priority queueing, admission control, "

@@ -229,9 +229,10 @@ def execute_plan(
     if plan.path == PATH_FILTER:
         assert plan.feedstock is not None
         if isinstance(plan.feedstock, CondensedPatternSet):
-            # The stored entry expands once and caches the expansion, so
-            # every later hit on it is one dict pass; the filter always
-            # builds a new set, so the cached one is never handed out.
+            # A full entry's expansion is its held mapping, so a hit is
+            # one dict pass; a condensed one expands here. The filter
+            # always builds a new set, so the held one is never handed
+            # out.
             return plan.feedstock.expand().filter_min_support(new_support)
         return plan.feedstock.filter_min_support(new_support)
     if plan.path == PATH_RECYCLE:

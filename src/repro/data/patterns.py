@@ -145,8 +145,9 @@ class PatternSet:
         """Patterns whose support is at least ``min_support``.
 
         Always a new set: the planner's filter path serves this straight
-        from a warehouse entry's cached expansion. When no support falls
-        below the threshold (every exact warehouse hit) it is a dict copy.
+        from a warehouse entry's expansion (for a full entry, its held
+        mapping). When no support falls below the threshold (every exact
+        warehouse hit) it is a dict copy.
         """
         result = PatternSet()
         if min(self._supports.values(), default=min_support) >= min_support:
@@ -261,8 +262,8 @@ class CondensedPatternSet:
     closed (or derivable) does not change when the support threshold is
     raised, so :meth:`filter_min_support` can tighten the threshold by
     filtering the entries alone. (The planner's filter path instead
-    filters the cached :meth:`expand` of the stored entry, so repeated
-    hits on one entry pay for its expansion once.)
+    filters :meth:`expand` of the entry it was handed: a full entry's
+    expansion shares its mapping, so filtering it copies nothing first.)
 
     >>> full = PatternSet({frozenset({1}): 3, frozenset({2}): 3,
     ...                    frozenset({1, 2}): 3})
@@ -321,6 +322,71 @@ class CondensedPatternSet:
     # construction
     # ------------------------------------------------------------------
     @classmethod
+    def _trusted(
+        cls,
+        representation: str,
+        entries: dict[Pattern, int],
+        absolute_support: int,
+        *,
+        n_transactions: int | None = None,
+        ndi_depth: int = NDI_RULE_DEPTH,
+        expanded_count: int | None = None,
+    ) -> "CondensedPatternSet":
+        """Adopt ``entries`` without copying or re-validating them.
+
+        For entries that already came out of a :class:`PatternSet` (whose
+        ``add`` validated every pattern) or out of a condensation of one:
+        the dict becomes the object's own, so the caller must not keep
+        mutating it. Input from outside the library (files, user code)
+        goes through the validating constructor.
+        """
+        result = cls.__new__(cls)
+        result.representation = representation
+        result.absolute_support = absolute_support
+        result.n_transactions = n_transactions
+        result.ndi_depth = ndi_depth
+        result._entries = entries
+        result._expanded = None
+        result._expanded_count = expanded_count
+        result._support_cache = {}
+        return result
+
+    def detached(self) -> "CondensedPatternSet":
+        """A copy that shares the entries but none of the caches.
+
+        Expanding the copy caches the expansion on the copy, never on
+        this object — how a byte-budgeted warehouse serves a condensed
+        entry without holding its expansion.
+        """
+        return self._trusted(
+            self.representation,
+            self._entries,
+            self.absolute_support,
+            n_transactions=self.n_transactions,
+            ndi_depth=self.ndi_depth,
+            expanded_count=self.known_expanded_count(),
+        )
+
+    def as_full(self) -> "CondensedPatternSet":
+        """The same set in the ``full`` representation.
+
+        A ``full`` set returns itself. Otherwise the set is expanded
+        once (on a :meth:`detached` copy, so nothing is cached here) and
+        the result adopts the expansion's mapping without copying it.
+        """
+        if self.representation == "full":
+            return self
+        expanded = self.detached().expand()
+        return self._trusted(
+            "full",
+            expanded._supports,
+            self.absolute_support,
+            n_transactions=self.n_transactions,
+            ndi_depth=self.ndi_depth,
+            expanded_count=len(expanded),
+        )
+
+    @classmethod
     def condense(
         cls,
         patterns: PatternSet,
@@ -337,7 +403,7 @@ class CondensedPatternSet:
         produces. For ``ndi`` the caller must supply ``n_transactions``.
         """
         if representation == "full":
-            entries: Mapping[Pattern, int] = patterns.as_dict()
+            entries = patterns.as_dict()
         elif representation == "closed":
             entries = cls._closed_entries(patterns)
         elif representation == "ndi":
@@ -351,7 +417,7 @@ class CondensedPatternSet:
                 f"unknown representation {representation!r}; "
                 f"expected one of {REPRESENTATIONS}"
             )
-        return cls(
+        return cls._trusted(
             representation,
             entries,
             absolute_support,
@@ -367,15 +433,31 @@ class CondensedPatternSet:
         A pattern is non-closed iff some superset shares its support, and
         support is antitone along the subset chain to that superset, so
         checking *immediate* supersets inside the frequent set suffices.
+        Each pattern is keyed by an int bitmask of its items, so an
+        immediate subset is one XOR and an int-keyed lookup rather than
+        a new frozenset.
         """
-        supports = patterns.as_dict()
-        non_closed: set[Pattern] = set()
-        for items, support in supports.items():
+        supports = patterns._supports
+        bits: dict[int, int] = {}
+        masks: dict[Pattern, int] = {}
+        for items in supports:
+            mask = 0
             for item in items:
-                sub = items.difference((item,))
-                if sub and supports.get(sub) == support:
-                    non_closed.add(sub)
-        return {p: s for p, s in supports.items() if p not in non_closed}
+                bit = bits.get(item)
+                if bit is None:
+                    bit = bits[item] = 1 << len(bits)
+                mask |= bit
+            masks[items] = mask
+        support_of = {masks[items]: s for items, s in supports.items()}.get
+        non_closed: set[int] = set()
+        for items, support in supports.items():
+            if len(items) > 1:
+                mask = masks[items]
+                for item in items:
+                    sub = mask ^ bits[item]
+                    if support_of(sub) == support:
+                        non_closed.add(sub)
+        return {p: s for p, s in supports.items() if masks[p] not in non_closed}
 
     @staticmethod
     def _ndi_entries(
@@ -419,7 +501,7 @@ class CondensedPatternSet:
         """Iterate the condensed ``(pattern, support)`` entries.
 
         Byte accounting (``patterns_byte_size``) charges what this
-        yields, so an entry's budget cost is its condensed size.
+        yields, so an entry's budget cost is the size of the form held.
         """
         return iter(self._entries.items())
 
@@ -491,11 +573,17 @@ class CondensedPatternSet:
     # lossless expansion
     # ------------------------------------------------------------------
     def expand(self) -> PatternSet:
-        """Materialize the exact frequent set. Cached after first call."""
+        """Materialize the exact frequent set. Cached after first call.
+
+        A ``full`` set's expansion shares its entries (no copy), so it
+        costs no memory beyond the entries themselves; the library's
+        consumers only read it, and the planner's filter path always
+        builds a new set from it.
+        """
         if self._expanded is None:
             if self.representation == "full":
                 expanded = PatternSet()
-                expanded._supports = dict(self._entries)
+                expanded._supports = self._entries
             elif self.representation == "closed":
                 expanded = self._expand_closed()
             else:
@@ -654,7 +742,7 @@ class CondensedPatternSet:
         """
         threshold = max(min_support, self.absolute_support)
         entries = {p: s for p, s in self._entries.items() if s >= threshold}
-        return CondensedPatternSet(
+        return CondensedPatternSet._trusted(
             self.representation,
             entries,
             threshold,

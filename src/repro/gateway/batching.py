@@ -89,23 +89,19 @@ def member_response(
     shared result. Members share the leader's counters (the work was
     paid once — the same convention coalesced followers use), and are
     marked ``coalesced`` so aggregate accounting never double-charges
-    the computation.
+    the computation. A member at the shared support gets the shared
+    response's path detail too (``update_mode``, ``feedstock_distance``);
+    a filtered member's path is ``filter`` and carries none.
     """
     absolute = member.gateway_request.request.absolute_support()
     if absolute == shared.absolute_support:
-        patterns = shared.patterns
-        feedstock = shared.feedstock_support
-        path = shared.path
-    else:
-        patterns = shared.patterns.filter_min_support(absolute)
-        feedstock = shared.absolute_support
-        path = "filter"
+        return dataclasses.replace(shared, tenant=member.tenant, coalesced=True)
     return MineResponse(
         tenant=member.tenant,
-        path=path,
+        path="filter",
         absolute_support=absolute,
-        feedstock_support=feedstock,
-        patterns=patterns,
+        feedstock_support=shared.absolute_support,
+        patterns=shared.patterns.filter_min_support(absolute),
         coalesced=True,
         elapsed_seconds=shared.elapsed_seconds,
         counters=shared.counters,

@@ -11,8 +11,8 @@ the warehouse stores — instead of the expanded frequent set:
 * **NDI** (``mine_ndi`` / ``mine_ndi_bitset``): Calders–Goethals
   level-wise search with depth-limited deduction rules. A candidate whose
   bounds meet is *derivable*: its support is forced by its subsets, so
-  the database is never scanned for it — the same saving the condensed
-  warehouse entry realizes at rest.
+  the database is never scanned for it — the same saving a warehouse
+  entry condensed to ``ndi`` under budget pressure realizes.
 
 Both miners are exact: ``mine_closed(db, s).expand()`` (resp. ndi) is
 bit-identical to any baseline miner's output, and their entries equal

@@ -338,7 +338,13 @@ class ServiceStats:
         return {
             "warehouse_entries": float(stats["entries"]),
             "warehouse_stored_bytes": float(stats["stored_bytes"]),
+            "warehouse_resident_bytes": float(stats["resident_bytes"]),
             "warehouse_full_bytes": float(stats["full_bytes"]),
+            "warehouse_condensed_entries": float(stats["condensed_entries"]),
+            "warehouse_pressure_condensations": float(
+                stats["pressure_condensations"]
+            ),
+            "warehouse_promotions": float(stats["promotions"]),
             "warehouse_condensation_ratio": self._warehouse.condensation_ratio(),
             "recovered_entries": float(stats["recovered_entries"]),
             "recovered_chains": float(stats["recovered_chains"]),

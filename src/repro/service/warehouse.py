@@ -10,18 +10,30 @@ support-level :class:`~repro.mining.patterns.PatternSet`s keyed by
   :meth:`TransactionDatabase.fingerprint`, a stable content hash, so two
   tenants mining the "same" database from different objects (or
   processes) share entries.
-* **Entries are condensed at rest.** A put condenses the full frequent
-  set into the warehouse's ``representation`` — ``closed`` (no superset
-  with equal support) by default, or ``ndi`` (Calders–Goethals
-  non-derivable itemsets), or ``full`` — and reads expand lazily, so
-  consumers always see exact full sets while dense-data entries shrink
-  by orders of magnitude.
-* **Eviction is byte-budgeted LRU.** Every entry is charged its modelled
-  on-disk size (:func:`repro.storage.disk.patterns_byte_size`, the same
-  int-based model as the simulated disk) *in its condensed form*, and
-  the least recently *used* entries are dropped first whenever the total
-  would exceed the budget. An entry larger than the whole budget is
-  rejected outright.
+* **Entries rest full and condense under pressure.** A put stores the
+  full frequent set: on the serving sizes, condensing to closed costs as
+  much as the mine it would save, and expanding it back on the first
+  hit costs as much again (``docs/service.md``). The warehouse's
+  ``representation`` — ``closed`` (no superset with equal support) by
+  default, ``ndi`` (Calders–Goethals non-derivable itemsets), or
+  ``full`` (never condense) — names the form an entry is condensed *to*
+  when the byte budget needs the room, which shrinks dense-data entries
+  by an order of magnitude or more.
+* **The byte budget bounds everything held.** Every entry is charged
+  its modelled on-disk size (:func:`repro.storage.disk.patterns_byte_size`,
+  the same int-based model as the simulated disk) in the form it is
+  held. When a put would exceed the budget, entries are condensed,
+  least recently *used* first, until it holds — an entry whose condensed
+  form is not strictly smaller stays full and is never tried again —
+  and only when that is not enough are entries evicted, least recently
+  used first; an entry larger than the whole budget is condensed, and
+  rejected when that does not make it fit. A hit on a condensed entry
+  promotes it back to full when that fits without touching another
+  entry; otherwise the hit is served from an expansion the warehouse
+  does not keep. Modelled resident bytes — stored forms plus any
+  expansion cached on them — never exceed the budget after a public
+  operation. The budget bounds memory, not disk: a condensed entry's
+  file stays in the form it was written.
 * **Lookups return the best feedstock**, not just exact hits. A stored
   set mined at support ``s <= r`` is a superset of the answer at support
   ``r``: :meth:`best_feedstock` returns the largest such ``s`` (the
@@ -31,10 +43,13 @@ support-level :class:`~repro.mining.patterns.PatternSet`s keyed by
 * **Optionally disk-backed, and hardened against the disk.** Every
   byte on disk goes through a :class:`~repro.durability.DurableStore`:
   given a directory, every entry is also written as a journaled,
-  checksummed pattern file and reloaded on construction; legacy
-  full-set files load as they are, and :meth:`migrate` re-writes them
-  condensed. A corrupt, truncated or checksum-mismatched
-  file never crashes construction: it is **quarantined** — moved into
+  checksummed pattern file — in the form it had when put — and reloaded
+  on construction under the same budget rule. Condensing or promoting
+  in memory never re-writes the file. Files of any representation load
+  as they are, and :meth:`migrate` re-writes them all in the
+  warehouse's ``representation``. A corrupt, truncated or
+  checksum-mismatched file never crashes construction: it is
+  **quarantined** — moved into
   ``<dir>/quarantine/`` and recorded on :attr:`quarantined` — while
   every healthy entry is served. A failed write-through degrades the
   warehouse to **memory-only** (:attr:`memory_only_reason`) with a
@@ -76,11 +91,13 @@ from repro.storage.disk import patterns_byte_size
 class WarehouseHit:
     """A usable feedstock found for a requested (fingerprint, support).
 
-    ``feedstock`` is the stored (possibly condensed) object, mined at or
-    below the requested support — what the planner consumes directly;
-    the filter path filters the entry's cached expansion.
+    ``feedstock`` is the entry, mined at or below the requested support
+    — what the planner consumes directly: the stored object of a full
+    entry, or, for an entry condensed under pressure that could not be
+    promoted, a :meth:`~repro.data.patterns.CondensedPatternSet.detached`
+    copy whose expansion is cached on the copy, never in the warehouse.
     :attr:`patterns` materializes the exact frequent set for callers that
-    need it (the expansion is cached on the entry).
+    need it.
     """
 
     fingerprint: str
@@ -99,6 +116,36 @@ class WarehouseHit:
         if isinstance(self.feedstock, CondensedPatternSet):
             return self.feedstock.expand()
         return self.feedstock
+
+
+@dataclass(slots=True)
+class _Entry:
+    """One entry's in-memory state.
+
+    ``stored`` is the form held — full, or condensed when the budget
+    needed the room — and ``size`` its modelled bytes. ``full_bytes`` is
+    the expanded set's modelled size when known (put time, a file
+    header), else None. ``written`` is the representation of the entry's
+    file, which only :meth:`PatternWarehouse.migrate` re-writes.
+    ``shrinks`` turns False once condensing the entry proved not to
+    shrink it, so it is never condensed twice.
+    """
+
+    stored: CondensedPatternSet
+    size: int
+    full_bytes: int | None
+    written: str
+    shrinks: bool = True
+
+    @classmethod
+    def holding(
+        cls, stored: CondensedPatternSet, full_bytes: int | None = None
+    ) -> "_Entry":
+        """A new entry holding ``stored`` as written."""
+        size = patterns_byte_size(stored)
+        if stored.representation == "full":
+            full_bytes = size
+        return cls(stored, size, full_bytes, stored.representation)
 
 
 @dataclass(frozen=True)
@@ -122,27 +169,39 @@ class PatternWarehouse:
     Parameters
     ----------
     byte_budget:
-        Maximum total modelled bytes of all stored entries; ``None``
-        means unbounded. The invariant ``stored_bytes() <= byte_budget``
-        holds after every operation.
+        Maximum total modelled bytes the warehouse holds: every entry in
+        the form it is held, plus any expansion cached on it; ``None``
+        means unbounded. The invariant ``stats()["resident_bytes"] <=
+        byte_budget`` holds after every public operation. Pressure on
+        the budget first condenses entries (see ``representation``),
+        then evicts least recently used ones. The budget bounds memory
+        only: condensing never re-writes an entry's file, so a
+        directory's files (written full at put) can total more than the
+        budget, and a reload condenses them again under the same rule.
+        :meth:`migrate` condenses the files themselves.
     directory:
         Optional directory for persistence. Existing entries are loaded
         on construction (in deterministic filename order, so reloading
-        is reproducible) as they are on disk; puts write through and
-        evictions delete. Unreadable or corrupt files are quarantined,
-        never fatal.
+        is reproducible), each charged as its file was written and
+        admitted under the same budget rule as a put; puts write
+        through and evictions delete. Unreadable or corrupt files are
+        quarantined, never fatal.
     fault_injector:
         Optional :class:`~repro.resilience.FaultInjector` armed at the
         ``warehouse.read`` / ``warehouse.write`` fault points (and, via
         the store, the ``persist.*`` points).
     representation:
-        How new entries are stored: ``"closed"`` (default), ``"ndi"`` or
-        ``"full"``. Condensation happens on :meth:`put`; reads expand
-        lazily, so every consumer still sees exact full sets. An ``ndi``
-        warehouse stores an entry as ``closed`` instead when the caller
-        cannot supply the transaction count the deduction rules need.
-        Loaded entries keep their own representation until
-        :meth:`migrate` re-writes them.
+        The form an entry is condensed to when the byte budget needs
+        the room: ``"closed"`` (default), ``"ndi"``, or ``"full"``,
+        which never condenses. Entries are put full, so an unbudgeted
+        warehouse never condenses anything. A condensed entry is kept
+        only when it is strictly smaller than the full one; reads
+        expand it, so every consumer still sees exact full sets. An
+        ``ndi`` warehouse condenses to ``closed`` instead when the entry
+        carries no transaction count for the deduction rules. Loaded
+        entries keep their file's representation until pressure
+        condenses them, a hit promotes them, or :meth:`migrate`
+        re-writes them.
     repair_on_load:
         When persisting, load through full crash recovery — replay
         pending journal records, sweep stray temp files, move damaged
@@ -171,16 +230,16 @@ class PatternWarehouse:
         self.directory = Path(directory) if directory is not None else None
         self.faults = fault_injector
         self._lock = threading.RLock()
-        # (fingerprint, support) -> (condensed, byte size, full bytes);
-        # insertion order doubles as recency order (least recently used
-        # first). ``full bytes`` is the expanded set's modelled size when
-        # known (put time, file header), else None.
-        self._entries: OrderedDict[
-            tuple[str, int], tuple[CondensedPatternSet, int, int | None]
-        ] = OrderedDict()
+        # (fingerprint, support) -> entry; insertion order doubles as
+        # recency order (least recently used first).
+        self._entries: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
         self._stored_bytes = 0
         self.evictions = 0
         self.rejections = 0
+        #: Entries condensed because the budget needed the room, and
+        #: condensed entries a hit turned back into full ones.
+        self.pressure_condensations = 0
+        self.promotions = 0
         #: Durability gauges, served through :meth:`stats`.
         self.recovered_entries = 0
         self.gc_dropped_chains = 0
@@ -196,17 +255,16 @@ class PatternWarehouse:
             report = self._store.recover(apply=repair_on_load)
             self.recovery_report = report
             self.quarantined = report.quarantined
-            for fingerprint, condensed, full_bytes in report.entries:
-                size = patterns_byte_size(condensed)
-                if self.byte_budget is not None and size > self.byte_budget:
-                    self.rejections += 1
-                    continue
-                key = (fingerprint, condensed.absolute_support)
-                self._entries[key] = (condensed, size, full_bytes)
-                self._stored_bytes += size
+            for fingerprint, stored, full_bytes in report.entries:
+                self._insert(
+                    (fingerprint, stored.absolute_support),
+                    _Entry.holding(stored, full_bytes),
+                )
             # The entries now live here; the report keeps only counts.
             report.entries.clear()
-            self._evict_to_budget()
+            # Once, after every file is in: pruning the chains of an
+            # eviction needs every warehoused fingerprint to be known.
+            self._relieve_pressure()
             self.recovered_entries = len(self._entries)
             if report.quarantined:
                 # Quarantine removed feedstock; chain records that can no
@@ -228,71 +286,66 @@ class PatternWarehouse:
         ``patterns`` must represent the *full* frequent-pattern set of
         the fingerprinted database at ``absolute_support`` — the
         warehouse invariant every lookup path relies on. A plain
-        :class:`PatternSet` is condensed into the warehouse's
-        representation here (``ndi`` needs ``n_transactions``; without
-        it the entry degrades to ``closed``); an already-condensed set
-        is stored as-is. The byte budget charges the *condensed* size.
-        Storing evicts least recently used entries until the budget
-        holds again. A write-through failure never loses the in-memory
+        :class:`PatternSet` is stored full (one copy of its mapping;
+        ``n_transactions`` rides along for a later ``ndi``
+        condensation); an already-condensed set is stored as-is. An
+        entry larger than the whole budget is condensed, and rejected
+        when that does not make it fit; otherwise storing makes room
+        under the budget rule (condense, then evict, least recently used
+        entries first). The entry's file is written in the form it is stored
+        in here. A write-through failure never loses the in-memory
         entry: it degrades the warehouse to memory-only and logs why.
         """
-        if isinstance(patterns, CondensedPatternSet):
-            condensed = patterns
-            full_bytes: int | None = None
-            if condensed.representation == "full":
-                full_bytes = patterns_byte_size(condensed.entry_patterns())
-        else:
-            representation = self.representation
-            if representation == "ndi" and n_transactions is None:
-                representation = "closed"
-            condensed = CondensedPatternSet.condense(
-                patterns,
-                absolute_support,
-                representation,
-                n_transactions=n_transactions,
+        if not isinstance(patterns, CondensedPatternSet):
+            patterns = CondensedPatternSet.condense(
+                patterns, absolute_support, "full", n_transactions=n_transactions
             )
-            full_bytes = patterns_byte_size(patterns)
-        size = patterns_byte_size(condensed)
+        entry = _Entry.holding(patterns)
         with self._lock:
-            if self.byte_budget is not None and size > self.byte_budget:
-                self.rejections += 1
+            if not self._insert((fingerprint, absolute_support), entry):
                 return False
-            key = (fingerprint, absolute_support)
-            existing = self._entries.pop(key, None)
-            if existing is not None:
-                self._stored_bytes -= existing[1]
-            self._entries[key] = (condensed, size, full_bytes)
-            self._stored_bytes += size
-            self._evict_to_budget()
+            self._relieve_pressure()
+            entry.written = entry.stored.representation
             self._store.write_through(
                 self._store.write_entry,
                 fingerprint,
                 absolute_support,
-                condensed,
-                full_bytes=full_bytes,
+                entry.stored,
+                full_bytes=entry.full_bytes,
             )
         return True
 
     def get(self, fingerprint: str, absolute_support: int) -> PatternSet | None:
         """The exact *full* set for the key, or ``None`` (touches recency).
 
-        Condensed entries are materialized lazily — the expansion is
-        computed on first access and cached on the entry.
+        A hit on a condensed entry promotes it to full when that fits
+        the budget, else expands it without keeping the expansion.
         """
-        condensed = self.get_condensed(fingerprint, absolute_support)
-        return None if condensed is None else condensed.expand()
+        key = (fingerprint, absolute_support)
+        with self._lock:
+            if key not in self._entries:
+                return None
+            self._entries.move_to_end(key)
+            served = self._serve(key)
+        return served.expand()
 
     def get_condensed(
         self, fingerprint: str, absolute_support: int
     ) -> CondensedPatternSet | None:
-        """The stored (condensed) entry for the key, without expansion."""
+        """The entry for the key as held, without expansion.
+
+        A full entry is the stored object; a condensed one is a
+        :meth:`~repro.data.patterns.CondensedPatternSet.detached` copy,
+        so expanding it never grows the warehouse past its budget.
+        """
         key = (fingerprint, absolute_support)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 return None
             self._entries.move_to_end(key)
-            return entry[0]
+            stored = entry.stored
+            return stored if stored.representation == "full" else stored.detached()
 
     def best_feedstock(
         self, fingerprint: str, absolute_support: int
@@ -334,7 +387,7 @@ class PatternWarehouse:
             return WarehouseHit(
                 fingerprint=fingerprint,
                 absolute_support=chosen,
-                feedstock=self._entries[key][0],
+                feedstock=self._serve(key),
                 distance=distance,
             )
 
@@ -470,11 +523,11 @@ class PatternWarehouse:
         A violation proves the entry is *not* a genuine full frequent-
         pattern set — bit rot that survived the checksum, a buggy
         writer, or a tampered file. A condensed entry is audited through
-        its (cached) expansion: the deduction rules that reconstruct the
-        full set are exactly the consistency conditions being checked,
-        so corrupt condensed entries surface here too. The audit only
-        reports; quarantining or dropping the entry is the caller's
-        decision (:meth:`drop_entry`).
+        an expansion the warehouse does not keep: the deduction rules
+        that reconstruct the full set are exactly the consistency
+        conditions being checked, so corrupt condensed entries surface
+        here too. The audit only reports; quarantining or dropping the
+        entry is the caller's decision (:meth:`drop_entry`).
         """
         with self._lock:
             entry = self._entries.get((fingerprint, absolute_support))
@@ -482,9 +535,9 @@ class PatternWarehouse:
                 raise StorageError(
                     f"no entry for ({fingerprint!r}, {absolute_support}) to verify"
                 )
-            condensed = entry[0]
-        representation = condensed.representation
-        patterns = condensed.expand()
+            stored = entry.stored
+        representation = stored.representation
+        patterns = stored.detached().expand()
         supports = dict(patterns.items())
         checks = 0
         violations: list[str] = []
@@ -569,7 +622,7 @@ class PatternWarehouse:
             entry = self._entries.pop(key, None)
             if entry is None:
                 return False
-            self._stored_bytes -= entry[1]
+            self._stored_bytes -= entry.size
             self._store.write_through(
                 self._store.remove_entry, fingerprint, absolute_support
             )
@@ -580,7 +633,7 @@ class PatternWarehouse:
     # introspection
     # ------------------------------------------------------------------
     def stored_bytes(self) -> int:
-        """Total modelled bytes of every stored entry."""
+        """Total modelled bytes of every entry, in the form it is held."""
         with self._lock:
             return self._stored_bytes
 
@@ -619,18 +672,33 @@ class PatternWarehouse:
         occupy expanded (falling back to the stored size when an
         entry's expanded size is unknown) — the condensation gauge:
         ``full_bytes / stored_bytes`` is the byte-level condensation
-        ratio the service and CLI report.
+        ratio the service and CLI report. ``resident_bytes`` is what
+        the byte budget bounds: the held forms plus any expansion cached
+        on them, which the warehouse never keeps, so it equals
+        ``stored_bytes``. ``condensed_entries`` counts the
+        entries held in a condensed form, ``pressure_condensations``
+        the condensations the budget forced, ``promotions`` the
+        condensed entries a hit turned back into full ones.
         """
         report = self.recovery_report
         with self._lock:
+            entries = self._entries.values()
             full_bytes = sum(
-                full if full is not None else size
-                for _c, size, full in self._entries.values()
+                e.full_bytes if e.full_bytes is not None else e.size for e in entries
             )
             return {
                 "entries": len(self._entries),
                 "stored_bytes": self._stored_bytes,
+                # A full entry's expansion shares its mapping, and a held
+                # condensed entry is only ever expanded on a detached
+                # copy, so nothing held adds to the stored forms.
+                "resident_bytes": self._stored_bytes,
                 "full_bytes": full_bytes,
+                "condensed_entries": sum(
+                    e.stored.representation != "full" for e in entries
+                ),
+                "pressure_condensations": self.pressure_condensations,
+                "promotions": self.promotions,
                 "byte_budget": self.byte_budget or 0,
                 "evictions": self.evictions,
                 "rejections": self.rejections,
@@ -647,8 +715,10 @@ class PatternWarehouse:
     def condensation_ratio(self) -> float:
         """Byte-level condensation gauge: ``full_bytes / stored_bytes``.
 
-        1.0 when empty (or storing full sets); > 1 means the condensed
-        entries are that many times smaller than the sets they serve.
+        1.0 when empty or when every entry is held full — the usual
+        reading of an unbudgeted warehouse, which never condenses; > 1
+        means the condensed entries are that many times smaller than
+        the sets they serve.
         """
         stats = self.stats()
         if stats["stored_bytes"] == 0:
@@ -658,24 +728,24 @@ class PatternWarehouse:
     def describe_entries(self) -> list[dict[str, object]]:
         """One row per entry for inspection (the ``repro warehouse`` CLI).
 
-        Rows are least recently used first (the eviction order). The
-        ``expanded`` count is only reported when already known — from
-        condensation, a file header, or a cached expansion — so
-        describing a warehouse never forces expansions.
+        Rows are least recently used first (the eviction order), one per
+        entry in the form it is held, so a warehouse under pressure
+        lists full and condensed rows side by side. The ``expanded``
+        count is only reported when already known — from the put, a
+        condensation or a file header — so describing a warehouse never
+        forces expansions.
         """
         with self._lock:
             rows: list[dict[str, object]] = []
-            for (fingerprint, support), (condensed, size, full) in (
-                self._entries.items()
-            ):
-                known = condensed.known_expanded_count()
+            for (fingerprint, support), entry in self._entries.items():
+                stored, size, full = entry.stored, entry.size, entry.full_bytes
                 rows.append(
                     {
                         "fingerprint": fingerprint,
                         "absolute_support": support,
-                        "representation": condensed.representation,
-                        "entries": len(condensed),
-                        "expanded": known,
+                        "representation": stored.representation,
+                        "entries": len(stored),
+                        "expanded": stored.known_expanded_count(),
                         "stored_bytes": size,
                         "full_bytes": full,
                         "condensation_ratio": (
@@ -691,51 +761,130 @@ class PatternWarehouse:
     # migration
     # ------------------------------------------------------------------
     def migrate(self) -> int:
-        """Re-write every entry stored in another representation; returns
+        """Re-write every entry file in another representation; returns
         how many were re-written (the ``repro warehouse migrate`` verb).
 
-        Each rewrite goes through the store's journaled, fsynced entry
-        write, and a failure raises, leaving every file in its old or new
-        form. A legacy file has no transaction count for the NDI
-        deduction rules (``supp({}) = |D|``), so ``ndi`` falls back to
-        ``closed`` for it.
+        The explicit way to condense a whole directory on disk (or, with
+        ``full``, to expand it). Each rewrite goes through the store's
+        journaled, fsynced entry write, and a failure raises, leaving every
+        file in its old or new form. A re-written entry is then held as
+        written — as a reload would hold it — under the budget rule. A
+        legacy file has no transaction count for the NDI deduction rules
+        (``supp({}) = |D|``), so ``ndi`` falls back to ``closed`` for it.
         """
         migrated = 0
         with self._lock:
-            for key, (condensed, size, full_bytes) in list(self._entries.items()):
-                target = self.representation
-                if target == "ndi" and condensed.n_transactions is None:
-                    target = "closed"
-                if condensed.representation == target:
+            for key, entry in list(self._entries.items()):
+                target = self._target(entry.stored)
+                if entry.written == target:
                     continue
-                full = condensed.expand()
-                if full_bytes is None:
-                    full_bytes = patterns_byte_size(full)
-                rewritten = CondensedPatternSet.condense(
-                    full,
-                    condensed.absolute_support,
-                    target,
-                    n_transactions=condensed.n_transactions,
-                    ndi_depth=condensed.ndi_depth,
-                )
-                self._store.write_entry(*key, rewritten, full_bytes=full_bytes)
-                new_size = patterns_byte_size(rewritten)
-                self._entries[key] = (rewritten, new_size, full_bytes)
-                self._stored_bytes += new_size - size
+                rewritten = entry.stored
+                if rewritten.representation != target:
+                    full = rewritten.as_full()
+                    if entry.full_bytes is None:
+                        entry.full_bytes = patterns_byte_size(full)
+                    rewritten = full
+                    if target != "full":
+                        rewritten = CondensedPatternSet.condense(
+                            full.expand(),
+                            full.absolute_support,
+                            target,
+                            n_transactions=full.n_transactions,
+                            ndi_depth=full.ndi_depth,
+                        )
+                self._store.write_entry(*key, rewritten, full_bytes=entry.full_bytes)
+                size = patterns_byte_size(rewritten)
+                self._stored_bytes += size - entry.size
+                entry.stored, entry.size, entry.written = rewritten, size, target
                 migrated += 1
-            self._evict_to_budget()
+            self._relieve_pressure()
         return migrated
 
     # ------------------------------------------------------------------
-    # internals
+    # internals (callers hold the lock)
     # ------------------------------------------------------------------
-    def _evict_to_budget(self) -> None:
-        if self.byte_budget is None:
+    def _target(self, stored: CondensedPatternSet) -> str:
+        """The representation ``stored`` condenses to here: ``ndi``
+        needs a transaction count, else it falls back to ``closed``."""
+        if self.representation == "ndi" and stored.n_transactions is None:
+            return "closed"
+        return self.representation
+
+    def _condensed(self, entry: _Entry) -> tuple[CondensedPatternSet, int] | None:
+        """The entry condensed and its size, when that strictly shrinks it.
+
+        ``None`` for an entry already condensed, in a ``full``
+        warehouse, or whose condensed form is no smaller (no exact
+        support ties to collapse) — which marks the entry, so it is
+        never condensed twice.
+        """
+        stored = entry.stored
+        if (
+            stored.representation != "full"
+            or self.representation == "full"
+            or not entry.shrinks
+        ):
+            return None
+        condensed = CondensedPatternSet.condense(
+            stored.expand(),
+            stored.absolute_support,
+            self._target(stored),
+            n_transactions=stored.n_transactions,
+            ndi_depth=stored.ndi_depth,
+        )
+        size = patterns_byte_size(condensed)
+        if size >= entry.size:
+            entry.shrinks = False
+            return None
+        return condensed, size
+
+    def _insert(self, key: tuple[str, int], entry: _Entry) -> bool:
+        """Insert ``entry``; False when it alone cannot fit the budget.
+
+        An entry larger than the whole budget is condensed first and
+        rejected when that does not make it fit. The caller restores the
+        budget around it (:meth:`_relieve_pressure`).
+        """
+        budget = self.byte_budget
+        if budget is not None and entry.size > budget:
+            condensed = self._condensed(entry)
+            if condensed is None or condensed[1] > budget:
+                self.rejections += 1
+                return False
+            entry.stored, entry.size = condensed
+            self.pressure_condensations += 1
+        existing = self._entries.pop(key, None)
+        if existing is not None:
+            self._stored_bytes -= existing.size
+        self._entries[key] = entry
+        self._stored_bytes += entry.size
+        return True
+
+    def _relieve_pressure(self) -> None:
+        """Condense, then evict, least recently used first, until the
+        budget holds.
+
+        Entries are condensed oldest first until the budget holds; only
+        when condensing every entry that shrinks is not enough are
+        entries evicted, oldest first. Files are never re-written here:
+        an evicted entry's file is removed, a condensed one's stays as
+        written.
+        """
+        budget = self.byte_budget
+        if budget is None:
             return
+        for entry in list(self._entries.values()):
+            if self._stored_bytes <= budget:
+                return
+            condensed = self._condensed(entry)
+            if condensed is not None:
+                self._stored_bytes += condensed[1] - entry.size
+                entry.stored, entry.size = condensed
+                self.pressure_condensations += 1
         evicted = False
-        while self._stored_bytes > self.byte_budget and self._entries:
-            key, (_patterns, size, _full) = self._entries.popitem(last=False)
-            self._stored_bytes -= size
+        while self._stored_bytes > budget:
+            key, entry = self._entries.popitem(last=False)
+            self._stored_bytes -= entry.size
             self.evictions += 1
             evicted = True
             self._store.write_through(self._store.remove_entry, *key, op=OP_EVICT)
@@ -743,3 +892,31 @@ class PatternWarehouse:
             # Eviction-aware chains: an evicted ancestor's now-useless
             # chain records go with it.
             self._prune_chains()
+
+    def _serve(self, key: tuple[str, int]) -> CondensedPatternSet:
+        """The form of a hit entry to hand out.
+
+        A full entry is handed out as stored. A condensed one is
+        promoted back to full in place when its full size fits the
+        budget without condensing or evicting another entry; otherwise
+        the caller gets a copy whose expansion the warehouse never
+        holds (or the transient full form, when the file header's
+        expanded size proved wrong).
+        """
+        entry = self._entries[key]
+        stored = entry.stored
+        if stored.representation == "full":
+            return stored
+        budget = self.byte_budget
+        rest = self._stored_bytes - entry.size
+        if budget is not None and (
+            entry.full_bytes is None or rest + entry.full_bytes > budget
+        ):
+            return stored.detached()
+        full = stored.as_full()
+        size = patterns_byte_size(full)
+        if budget is None or rest + size <= budget:
+            entry.stored, entry.size, entry.full_bytes = full, size, size
+            self._stored_bytes = rest + size
+            self.promotions += 1
+        return full

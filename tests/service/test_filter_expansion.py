@@ -1,11 +1,14 @@
-"""A condensed warehouse entry is expanded once, however often it is hit.
+"""A condensed warehouse entry is expanded once when the budget allows.
 
-The planner's filter path filters the stored entry's cached expansion
-instead of condensing and expanding afresh on every hit. Five filter
-hits on one closed entry (three at its own support, two tightened) must
-run ``_expand_closed`` exactly once, every answer must equal a scratch
-FP-growth mine, and a caller mutating a served answer must not reach
-the cached expansion behind it.
+The first hit on a condensed entry promotes it back to full when the
+full form fits, so the planner's filter path filters the held full set
+on every later hit instead of expanding afresh. Five filter hits on one
+closed entry put pre-condensed into an unbudgeted warehouse (three at
+its own support, two tightened) must run ``_expand_closed`` exactly
+once, every answer must equal a scratch FP-growth mine, and a caller
+mutating a served answer must not reach the entry behind it. Under a
+budget that holds the closed entry but not its expansion, every hit
+expands again and the warehouse keeps none of the expansions.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from repro.data.patterns import CondensedPatternSet
 from repro.data.synthetic import QuestParams, quest_database
 from repro.mining.fptree import mine_fpgrowth
 from repro.service import MineRequest, MiningService, PatternWarehouse
+from repro.storage.disk import patterns_byte_size
 
 
 @pytest.fixture
@@ -40,13 +44,22 @@ def expansions(monkeypatch):
     return calls
 
 
+def put_closed(warehouse, db, stored):
+    """Put the entry pre-condensed; returns it."""
+    condensed = CondensedPatternSet.condense(
+        mine_fpgrowth(db, stored), stored, "closed"
+    )
+    assert len(condensed) < condensed.known_expanded_count()  # it condenses
+    assert warehouse.put(db.fingerprint(), stored, condensed)
+    return condensed
+
+
 def test_filter_hits_expand_the_stored_entry_once(db, expansions):
     stored = 8
     warehouse = PatternWarehouse(representation="closed")
-    warehouse.put(db.fingerprint(), stored, mine_fpgrowth(db, stored))
+    put_closed(warehouse, db, stored)
     entry = warehouse.get_condensed(db.fingerprint(), stored)
     assert entry is not None and entry.representation == "closed"
-    assert len(entry) < entry.known_expanded_count()  # the entry condenses
     supports = [stored, stored, stored, stored + 2, stored + 5]
     with MiningService(warehouse=warehouse) as service:
         served = [
@@ -65,3 +78,28 @@ def test_filter_hits_expand_the_stored_entry_once(db, expansions):
     assert stray not in again.patterns
     assert again.patterns == mine_fpgrowth(db, stored)
     assert len(expansions) == 1
+    # The one expansion promoted the entry: it is held full now.
+    assert warehouse.get_condensed(db.fingerprint(), stored).representation == "full"
+    assert warehouse.stats()["promotions"] == 1
+
+
+def test_hits_under_pressure_expand_without_keeping(db, expansions):
+    stored = 8
+    condensed = CondensedPatternSet.condense(
+        mine_fpgrowth(db, stored), stored, "closed"
+    )
+    budget = patterns_byte_size(condensed)
+    warehouse = PatternWarehouse(byte_budget=budget, representation="closed")
+    held = put_closed(warehouse, db, stored)
+    supports = [stored, stored, stored + 2]
+    with MiningService(warehouse=warehouse) as service:
+        for support in supports:
+            response = service.execute(MineRequest(db=db, support=support))
+            assert response.path == "filter"
+            assert response.patterns == mine_fpgrowth(db, support)
+            stats = warehouse.stats()
+            assert stats["resident_bytes"] == stats["stored_bytes"] == budget
+    assert len(expansions) == len(supports)
+    assert all(call is not held for call in expansions)
+    assert held._expanded is None
+    assert warehouse.stats()["promotions"] == 0

@@ -38,7 +38,7 @@ class TestPutGet:
         warehouse.put(db.fingerprint(), 6, patterns)
         warehouse.put(db.fingerprint(), 6, patterns)
         assert len(warehouse) == 1
-        # The charge is the *condensed* entry's size, once.
+        # The charge is the held entry's size, once.
         stored = warehouse.get_condensed(db.fingerprint(), 6)
         assert warehouse.stored_bytes() == patterns_byte_size(stored)
 

@@ -1,10 +1,16 @@
 """Condensed warehouse entries: accounting, back-compat, migration, audits.
 
-Four concerns, one per class:
+Five concerns, one per class:
 
-* **Byte accounting** (the LRU regression tests): the budget charges the
-  condensed entry's modelled size — entries plus the fixed metadata
-  header — never the size of the full set it reconstructs.
+* **Byte accounting** (the LRU regression tests): entries rest full, and
+  the budget charges an entry in the form it is held — a condensed
+  entry its entries plus the fixed metadata header, never the size of
+  the full set it reconstructs.
+* **The pressure rule**: an entry is condensed only when the budget
+  needs the room (it alone exceeds the budget, or it would otherwise be
+  evicted), a condensation that does not shrink it is not kept, a hit
+  promotes a condensed entry back to full when that fits, and none of
+  it re-writes an entry file.
 * **Back-compat**: pre-condensation full-set ``.patterns`` files (with
   and without the ``# sha256=`` integrity header) still load, unchanged
   on disk, and :meth:`PatternWarehouse.migrate` (``repro warehouse
@@ -48,6 +54,26 @@ def full(db):
     return mine_hmine(db, 4)
 
 
+def condensed_size(db, full, representation):
+    return patterns_byte_size(
+        CondensedPatternSet.condense(
+            full, 4, representation, n_transactions=len(db)
+        )
+    )
+
+
+def pressed(db, full, representation, **kwargs):
+    """A warehouse whose budget holds ``full`` only condensed, with
+    ``full`` put (so the put condenses it)."""
+    warehouse = PatternWarehouse(
+        byte_budget=condensed_size(db, full, representation),
+        representation=representation,
+        **kwargs,
+    )
+    assert warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+    return warehouse
+
+
 class TestByteAccounting:
     def test_condensed_size_is_entries_plus_header(self, db, full):
         condensed = CondensedPatternSet.condense(
@@ -74,21 +100,169 @@ class TestByteAccounting:
         )
         assert condensed_size < patterns_byte_size(full)
         # A budget below the full size but above the condensed size
-        # accepts the entry — proof the charge is the condensed cost.
+        # accepts the entry condensed — proof the charge is the cost of
+        # the form held.
         warehouse = PatternWarehouse(byte_budget=condensed_size)
         assert warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
         assert warehouse.stored_bytes() == condensed_size
         assert warehouse.get(db.fingerprint(), 4) == full
+        assert warehouse.stats()["resident_bytes"] == condensed_size
 
-    def test_stats_report_both_sizes(self, db, full):
+    def test_unbudgeted_entries_rest_full(self, db, full):
         warehouse = PatternWarehouse()
         warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
         stats = warehouse.stats()
+        assert stats["stored_bytes"] == stats["full_bytes"] == patterns_byte_size(full)
+        assert stats["resident_bytes"] == stats["stored_bytes"]
+        assert stats["condensed_entries"] == 0
+        assert stats["pressure_condensations"] == 0
+        assert warehouse.condensation_ratio() == 1.0
+
+    def test_stats_report_both_sizes(self, db, full):
+        warehouse = pressed(db, full, "closed")
+        stats = warehouse.stats()
         assert stats["full_bytes"] == patterns_byte_size(full)
         assert stats["stored_bytes"] < stats["full_bytes"]
+        assert stats["condensed_entries"] == 1
+        assert stats["pressure_condensations"] == 1
         assert warehouse.condensation_ratio() == (
             stats["full_bytes"] / stats["stored_bytes"]
         )
+
+
+class TestPressureRule:
+    @pytest.fixture
+    def other(self):
+        """A second database whose entry rides beside ``db``'s."""
+        other = TransactionDatabase([[5, 6]] * 4 + [[5]] * 4)
+        return other, mine_hmine(other, 4)
+
+    def test_lru_victim_is_condensed_instead_of_evicted(
+        self, tmp_path, db, full, other
+    ):
+        other_db, other_full = other
+        budget = patterns_byte_size(full)
+        fits = condensed_size(db, full, "closed") + patterns_byte_size(other_full)
+        assert fits <= budget
+        warehouse = PatternWarehouse(byte_budget=budget, directory=tmp_path)
+        writes = []
+        store_write = warehouse._store.write_entry
+        warehouse._store.write_entry = lambda *a, **k: (
+            writes.append(a[:2]), store_write(*a, **k)
+        )
+        warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+        assert warehouse.stats()["condensed_entries"] == 0  # fits: rests full
+        warehouse.put(other_db.fingerprint(), 4, other_full)
+        stats = warehouse.stats()
+        assert (stats["evictions"], stats["pressure_condensations"]) == (0, 1)
+        assert stats["resident_bytes"] == stats["stored_bytes"] <= budget
+        assert warehouse.get_condensed(db.fingerprint(), 4).representation == "closed"
+        # Condensing in memory re-wrote no file: one write per put.
+        assert len(writes) == 2
+        path = tmp_path / f"{db.fingerprint()}-4.patterns"
+        assert read_warehouse_entry(path)[0].representation == "full"
+        assert warehouse.get(db.fingerprint(), 4) == full
+
+    @pytest.fixture
+    def chain(self):
+        """A set whose every pattern is closed: condensing it only adds
+        the header."""
+        chain = TransactionDatabase([[1, 2]] * 3 + [[1]] * 2 + [[2]])
+        patterns = mine_hmine(chain, 1)
+        closed_size = patterns_byte_size(
+            CondensedPatternSet.condense(patterns, 1, "closed")
+        )
+        assert closed_size > patterns_byte_size(patterns)
+        return chain, patterns
+
+    def test_entry_that_does_not_shrink_is_tried_once(
+        self, monkeypatch, db, full, chain
+    ):
+        chain_db, chain_set = chain
+        warehouse = PatternWarehouse(byte_budget=patterns_byte_size(full))
+        warehouse.put(chain_db.fingerprint(), 1, chain_set)
+        warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+        # The older chain entry was tried first and kept full; the new
+        # entry's condensation restored the budget, so nothing left.
+        stats = warehouse.stats()
+        assert (stats["evictions"], stats["pressure_condensations"]) == (0, 1)
+        kept = warehouse.get_condensed(chain_db.fingerprint(), 1)
+        assert kept.representation == "full"
+        calls = []
+        closed_entries = CondensedPatternSet._closed_entries
+
+        def counted(patterns):
+            calls.append(patterns)
+            return closed_entries(patterns)
+
+        monkeypatch.setattr(
+            CondensedPatternSet, "_closed_entries", staticmethod(counted)
+        )
+        warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+        assert calls == [full]  # the chain entry is not condensed twice
+        assert warehouse.stats()["evictions"] == 0
+
+    def test_eviction_when_condensing_is_not_enough(self, db, full, chain):
+        chain_db, chain_set = chain
+        budget = condensed_size(db, full, "closed")
+        assert patterns_byte_size(chain_set) <= budget
+        warehouse = PatternWarehouse(byte_budget=budget)
+        warehouse.put(chain_db.fingerprint(), 1, chain_set)
+        assert warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+        stats = warehouse.stats()
+        assert (stats["evictions"], stats["pressure_condensations"]) == (1, 1)
+        assert warehouse.keys() == [(db.fingerprint(), 4)]
+        assert stats["resident_bytes"] == budget
+
+    def test_entry_that_does_not_shrink_enough_is_rejected(self, db, full):
+        budget = condensed_size(db, full, "closed") - 1
+        warehouse = PatternWarehouse(byte_budget=budget)
+        assert not warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+        assert (len(warehouse), warehouse.rejections) == (0, 1)
+
+    def test_full_warehouse_never_condenses(self, db, full):
+        warehouse = PatternWarehouse(
+            byte_budget=patterns_byte_size(full) - 1, representation="full"
+        )
+        assert not warehouse.put(db.fingerprint(), 4, full)
+        assert warehouse.stats()["pressure_condensations"] == 0
+
+    def test_hit_promotes_when_the_full_form_fits(self, db, full, other):
+        other_db, other_full = other
+        warehouse = PatternWarehouse(byte_budget=patterns_byte_size(full))
+        warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+        warehouse.put(other_db.fingerprint(), 4, other_full)
+        assert warehouse.stats()["condensed_entries"] == 1
+        # No room while the other entry is held: served, not promoted.
+        assert warehouse.get(db.fingerprint(), 4) == full
+        assert warehouse.stats()["promotions"] == 0
+        assert warehouse.drop_entry(other_db.fingerprint(), 4)
+        assert warehouse.best_feedstock(db.fingerprint(), 4).patterns == full
+        stats = warehouse.stats()
+        assert (stats["promotions"], stats["condensed_entries"]) == (1, 0)
+        assert stats["resident_bytes"] == patterns_byte_size(full)
+
+    def test_reload_condenses_a_file_larger_than_the_budget(
+        self, tmp_path, db, full
+    ):
+        PatternWarehouse(directory=tmp_path).put(
+            db.fingerprint(), 4, full, n_transactions=len(db)
+        )
+        (path,) = tmp_path.glob("*.patterns")
+        before = path.read_bytes()
+        size = condensed_size(db, full, "ndi")
+        reborn = PatternWarehouse(
+            byte_budget=size, directory=tmp_path, representation="ndi"
+        )
+        stats = reborn.stats()
+        assert (stats["entries"], stats["stored_bytes"]) == (1, size)
+        assert stats["pressure_condensations"] == 1
+        assert reborn.get(db.fingerprint(), 4) == full
+        assert path.read_bytes() == before
+        too_small = PatternWarehouse(
+            byte_budget=size - 1, directory=tmp_path, representation="ndi"
+        )
+        assert (len(too_small), too_small.rejections) == (0, 1)
 
 
 class TestBackCompat:
@@ -179,40 +353,67 @@ class TestRoundTrips:
     def test_disk_round_trip_preserves_representation(
         self, tmp_path, db, full, representation
     ):
-        warehouse = PatternWarehouse(
-            directory=tmp_path, representation=representation
-        )
-        warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+        """The file holds the form the put held: condensed when the
+        budget forced it, full otherwise — and a reload keeps it."""
+        pressed(db, full, representation, directory=tmp_path)
+        (path,) = tmp_path.glob("*.patterns")
+        assert read_warehouse_entry(path)[0].representation == representation
         reborn = PatternWarehouse(
             directory=tmp_path, representation=representation
         )
         stored = reborn.get_condensed(db.fingerprint(), 4)
         assert stored.representation == representation
         assert reborn.get(db.fingerprint(), 4) == full
+        # Unbudgeted, the first get promoted the entry in memory only.
+        assert reborn.stats()["promotions"] == (representation != "full")
+        assert read_warehouse_entry(path)[0].representation == representation
+
+    def test_unbudgeted_put_writes_full(self, tmp_path, db, full):
+        warehouse = PatternWarehouse(directory=tmp_path)
+        warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+        (path,) = tmp_path.glob("*.patterns")
+        stored, full_bytes = read_warehouse_entry(path)
+        assert stored.representation == "full"
+        assert stored.n_transactions == len(db)  # kept for a later ndi
+        assert full_bytes == patterns_byte_size(full)
 
     def test_best_feedstock_serves_condensed(self, db, full):
-        warehouse = PatternWarehouse()
-        warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+        warehouse = pressed(db, full, "closed")
         hit = warehouse.best_feedstock(db.fingerprint(), 5)
         assert isinstance(hit.feedstock, CondensedPatternSet)
+        assert hit.feedstock.representation == "closed"
         assert hit.patterns == full  # the property expands on demand
+        stats = warehouse.stats()
+        assert stats["resident_bytes"] == stats["stored_bytes"]
 
     def test_describe_entries_reports_condensation(self, db, full):
-        warehouse = PatternWarehouse()
+        """One entry condensed under pressure, one held full: the rows
+        show each in the form it is held."""
+        small = mine_hmine(db, 8)
+        warehouse = PatternWarehouse(
+            byte_budget=condensed_size(db, full, "closed")
+            + patterns_byte_size(small)
+        )
+        warehouse.put(db.fingerprint(), 8, small, n_transactions=len(db))
         warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
-        (row,) = warehouse.describe_entries()
-        assert row["representation"] == "closed"
-        assert row["entries"] == 2
-        assert row["expanded"] == len(full)
-        assert row["condensation_ratio"] > 1.0
+        rows = {row["absolute_support"]: row for row in warehouse.describe_entries()}
+        assert rows[4]["representation"] == "closed"
+        assert rows[4]["entries"] == 2
+        assert rows[4]["expanded"] == len(full)
+        assert rows[4]["condensation_ratio"] > 1.0
+        assert rows[8]["representation"] == "full"
+        assert rows[8]["condensation_ratio"] == 1.0
+        assert warehouse.stats()["condensed_entries"] == 1
 
 
 class TestAudits:
     @pytest.mark.parametrize("representation", ["full", "closed", "ndi"])
     def test_genuine_entries_audit_clean(self, db, full, representation):
-        warehouse = PatternWarehouse(representation=representation)
-        warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+        warehouse = pressed(db, full, representation)
         report = warehouse.verify_entry(db.fingerprint(), 4)
         assert report.ok, report.violations
         assert report.representation == representation
         assert report.checks > 0
+        # The audit's expansion is not kept on the held entry.
+        stats = warehouse.stats()
+        assert stats["resident_bytes"] == stats["stored_bytes"]

@@ -135,6 +135,30 @@ class TestLineageHygiene:
         # The evicted ancestor took its dead chain records with it.
         assert small.stats()["chain_records"] == 0
 
+    def test_reload_evictions_keep_chains_of_later_files(self, tmp_path):
+        # Files load in filename order; the two entries that sort before
+        # the chain's warehoused ancestor are evicted on reopen, and the
+        # chain records must be judged against every loaded entry, not
+        # only the ones loaded before the eviction.
+        db = make_db()
+        warehouse, (v0, _v1, v2) = seed_warehouse(tmp_path, db)
+        entry_bytes = warehouse.stored_bytes()
+        early = ("0" * 64, "0" * 63 + "1")
+        assert all(fp < v0.fingerprint() for fp in early)
+        for fp in early:
+            warehouse.put(fp, 6, mine_hmine(db, 6))
+        reopened = PatternWarehouse(
+            directory=tmp_path, byte_budget=entry_bytes + 1, representation="full"
+        )
+        assert reopened.evictions == 2
+        assert reopened.keys() == [(v0.fingerprint(), 6)]
+        assert reopened.stats()["chain_records"] == 2
+        restored = reopened.restore_version(v2.db)
+        assert restored is not None
+        assert restored.fingerprint() == v2.fingerprint()
+        hit = reopened.ancestor_feedstock(v2.fingerprint(), 6, restored.lineage())
+        assert hit is not None and hit.fingerprint == v0.fingerprint()
+
     def test_quarantine_at_load_prunes_lineage(self, tmp_path):
         db = make_db()
         warehouse, (v0, _v1, v2) = seed_warehouse(tmp_path, db)

@@ -197,22 +197,50 @@ class TestServeBatch:
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
 
-    def test_condensation_gauges_printed(self, workload_file, capsys):
-        code = main(["serve-batch", "--workload", str(workload_file)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "condensation" in out
-        assert "closed entries serve" in out
+    @pytest.fixture
+    def dense_workload(self, tmp_path):
+        """Two connect4 entries of 13,304 modelled bytes each, whose
+        closed form is 832 bytes."""
+        import json
 
-    def test_full_representation_suppresses_gauges(self, workload_file, capsys):
+        path = tmp_path / "dense.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "dataset": "connect4",
+                    "requests": [
+                        {"tenant": "alice", "support": 0.95},
+                        {"tenant": "carol", "support": 0.93},
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        return path
+
+    def test_condensation_gauges_printed(self, dense_workload, capsys):
+        """Under a budget that holds one entry full and one closed, the
+        summary names the mix; unbudgeted, nothing is condensed."""
+        argv = ["serve-batch", "--workload", str(dense_workload), "--workers", "1"]
+        assert main(argv + ["--byte-budget", "16000"]) == 0
+        out = capsys.readouterr().out
+        assert "condensation ×" in out
+        assert "1 of 2 entries held condensed" in out
+        assert "1 condensed under the budget to closed" in out
+        assert main(argv) == 0
+        assert "condensation ×" not in capsys.readouterr().out
+
+    def test_full_representation_suppresses_gauges(self, dense_workload, capsys):
         code = main(
             [
-                "serve-batch", "--workload", str(workload_file),
-                "--representation", "full",
+                "serve-batch", "--workload", str(dense_workload),
+                "--representation", "full", "--byte-budget", "16000",
             ]
         )
         assert code == 0
-        assert "condensation" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "condensation" not in out
+        assert "1 evictions" in out
 
     def test_gateway_mode_prints_gauges_and_batches(
         self, workload_file, capsys
@@ -268,19 +296,32 @@ class TestWarehouseCommand:
         from repro.mining.hmine import mine_hmine
         from repro.service.warehouse import PatternWarehouse
 
+        from repro.data.patterns import CondensedPatternSet
+
         db = TransactionDatabase([[1, 2, 3, 4]] * 4 + [[1, 2]] * 4)
         warehouse = PatternWarehouse(directory=tmp_path)
         warehouse.put(
             db.fingerprint(), 4, mine_hmine(db, 4), n_transactions=len(db)
         )
+        # An entry condensed before it was put is written as it is.
+        warehouse.put(
+            db.fingerprint(),
+            6,
+            CondensedPatternSet.condense(mine_hmine(db, 6), 6, "closed"),
+        )
         return tmp_path, db
 
     def test_lists_entries_with_representation(self, store, capsys):
+        """A directory holding a full and a closed entry lists both."""
         directory, db = store
         assert main(["warehouse", "--dir", str(directory)]) == 0
         out = capsys.readouterr().out
         assert db.fingerprint() in out
-        assert "closed" in out
+        rows = [line for line in out.splitlines() if db.fingerprint() in line]
+        assert len(rows) == 2
+        assert any(" full " in row for row in rows)
+        assert any(" closed " in row for row in rows)
+        assert "2 entries (1 condensed)" in out
         assert "condensation" in out
 
     def test_verify_audits_every_entry(self, store, capsys):
