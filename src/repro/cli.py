@@ -399,8 +399,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             print(
                 f"warehouse: recovered {wh['recovered_entries']} entr"
                 f"{'y' if wh['recovered_entries'] == 1 else 'ies'} and "
-                f"{wh['recovered_chains']} chain record(s) from disk "
-                f"({wh['journal_replays']} journal replay(s))"
+                f"{wh['recovered_chains']} chain record(s) from disk"
             )
         if wh["gc_dropped_chains"] or wh["gc_collapsed_hops"]:
             print(
@@ -424,8 +423,8 @@ def _command_warehouse(args: argparse.Namespace) -> int:
     # Inspection must not rewrite files behind the user's back: crash
     # recovery runs in audit mode (counted, not applied) unless the
     # invocation explicitly mutates — the `recover` and `migrate` verbs
-    # repair, and a non-dry `--gc` implies repairing first so collection
-    # never runs over an unresolved journal.
+    # repair, and so does a non-dry `--gc`, which writes the directory
+    # anyway.
     mutating = args.verb in ("recover", "migrate") or (args.gc and not args.dry_run)
     warehouse = PatternWarehouse(
         directory=args.dir,
@@ -497,7 +496,7 @@ def _warehouse_list(args: argparse.Namespace, warehouse) -> int:
 
 
 def _warehouse_recover(args: argparse.Namespace, warehouse) -> int:
-    """The ``recover`` verb: replay the journal and report what it took.
+    """The ``recover`` verb: sweep crash residue and report what it took.
 
     Exit status 1 signals quarantined damage — recovery still restored
     everything restorable, but some file was torn beyond its checksum.
@@ -508,10 +507,6 @@ def _warehouse_recover(args: argparse.Namespace, warehouse) -> int:
     print(
         f"{stats['entries']} entries, {stats['chain_records']} chain "
         "record(s) recovered"
-    )
-    print(
-        f"journal: {report.journal_replays} replay(s), "
-        f"{report.torn_journal_lines} torn line(s) dropped"
     )
     if report.stray_tmp_removed:
         print(f"{report.stray_tmp_removed} stray temp file(s) swept")
@@ -742,8 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
     warehouse.add_argument("verb", nargs="?",
                            choices=["list", "recover", "migrate"],
                            default="list",
-                           help="list entries (default), replay the "
-                                "journal and audit crash recovery, or "
+                           help="list entries (default), run and audit "
+                                "crash recovery, or "
                                 "re-write every entry in --representation")
     warehouse.add_argument("--dir", required=True,
                            help="the warehouse directory to inspect")

@@ -40,7 +40,7 @@ def read_transactions(path: str | Path) -> TransactionDatabase:
     try:
         with path.open("r", encoding="utf-8") as handle:
             return parse_transactions(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read transaction file {path}: {exc}") from exc
 
 
@@ -82,7 +82,7 @@ def read_patterns(path: str | Path) -> PatternSet:
     try:
         with path.open("r", encoding="utf-8") as handle:
             return parse_patterns(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read pattern file {path}: {exc}") from exc
 
 
@@ -103,7 +103,10 @@ def parse_patterns(handle: TextIO) -> PatternSet:
             raise DataError(f"line {line_no}: malformed pattern {stripped!r}") from exc
         if not items:
             raise DataError(f"line {line_no}: empty pattern")
-        patterns.add(items, support)
+        try:
+            patterns.add(items, support)
+        except MiningError as exc:  # a negative or conflicting support
+            raise DataError(f"line {line_no}: {exc}") from exc
     return patterns
 
 
@@ -215,7 +218,7 @@ def warehouse_entry_text(
     support header and the checksum, so the checksum still covers
     exactly the body rows. Split out of :func:`write_warehouse_entry`
     so the durability layer can render the same bytes and route them
-    through its own journaled atomic writer.
+    through its own atomic writer.
     """
     body = _pattern_body(condensed.entry_patterns())
     headers = [
@@ -275,7 +278,7 @@ def read_warehouse_entry(
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read pattern file {path}: {exc}") from exc
     lines = text.splitlines(keepends=True)
     if not lines or not lines[0].startswith(SUPPORT_HEADER_PREFIX):

@@ -10,11 +10,8 @@ durable, with one chain record per version hop:
 :mod:`repro.durability.atomic`
     The single atomic writer (temp + fsync + ``os.replace``) every
     durable file goes through, with the ``persist.write`` /
-    ``persist.rename`` fault points wired in.
-:mod:`repro.durability.journal`
-    The write-ahead :class:`WriteAheadJournal`: checksummed begin/commit
-    intent lines bracketing every mutation, torn-tail tolerant, compacted
-    atomically.
+    ``persist.rename`` fault points wired in, and the durable unlink
+    (unlink + directory fsync) every deletion goes through.
 :mod:`repro.durability.chains`
     Durable :class:`ChainRecord` hops (tid-stamped append/delete rows)
     that invert, apply and compose exactly — the file format behind
@@ -25,8 +22,8 @@ durable, with one chain record per version hop:
 :mod:`repro.durability.store`
     :class:`DurableStore`, the only reader and writer of one warehouse
     directory and owner of its chain-record registry, with
-    :meth:`~DurableStore.recover` — journal replay, stray-temp sweep,
-    quarantine, chain and entry-file loading.
+    :meth:`~DurableStore.recover` — stray-temp sweep, quarantine, chain
+    and entry-file loading.
 
 Layering: imports :mod:`repro.data` and :mod:`repro.resilience` only;
 :mod:`repro.service` builds on it, never the other way around (enforced
@@ -49,14 +46,8 @@ from repro.durability.chains import (
     restore_version,
 )
 from repro.durability.gc import GCPlan, GCReport, plan_gc
-from repro.durability.journal import (
-    JOURNAL_FORMAT_VERSION,
-    JournalRecord,
-    WriteAheadJournal,
-)
 from repro.durability.store import (
     CHAINS_DIR,
-    JOURNAL_NAME,
     DurableStore,
     RecoveryReport,
 )
@@ -65,15 +56,11 @@ __all__ = [
     "CHAINS_DIR",
     "CHAIN_FORMAT_VERSION",
     "CHAIN_SUFFIX",
-    "JOURNAL_FORMAT_VERSION",
-    "JOURNAL_NAME",
     "ChainRecord",
     "DurableStore",
     "GCPlan",
     "GCReport",
-    "JournalRecord",
     "RecoveryReport",
-    "WriteAheadJournal",
     "apply_record",
     "atomic_write_text",
     "chain_record_text",

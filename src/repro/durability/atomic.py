@@ -1,11 +1,12 @@
-"""The one atomic file writer the durability layer routes bytes through.
+"""The two atomic steps every durable mutation is made of.
 
-Every durable artifact — journal compactions, chain files, warehouse
-entry bodies — reaches disk the same way: rendered
-once into a sibling ``*.tmp`` file, flushed and fsynced, then moved into
-place with :func:`os.replace`. A kill at any byte offset therefore
-leaves either the old file or the new file, never a torn one; the worst
-residue is a stray temp file, which recovery sweeps up.
+Every durable artifact — chain files, warehouse entry bodies — reaches
+disk the same way (:func:`atomic_write_text`): rendered once into a
+sibling ``*.tmp`` file, flushed and fsynced, then moved into place with
+:func:`os.replace`. A kill at any byte offset therefore leaves either
+the old file or the new file, never a torn one; the worst residue is a
+stray temp file, which recovery sweeps up. Every deletion is
+:func:`unlink_durably`: unlink, then one fsync of the directory.
 
 The two crash windows are named fault points
 (:data:`~repro.resilience.faults.PERSIST_WRITE` mid temp-file,
@@ -21,7 +22,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import InjectedFaultError
 from repro.resilience.faults import PERSIST_RENAME, PERSIST_WRITE, FiredFault
@@ -84,6 +85,18 @@ def _killed(point: str, fired: FiredFault, detail: object) -> InjectedFaultError
     return InjectedFaultError(
         f"{point}: injected fault on call {fired.call} {detail}"
     )
+
+
+def unlink_durably(paths: Iterable[Path], directory: Path) -> None:
+    """Unlink ``paths`` (a missing one is fine), then fsync ``directory``
+    once, so a deletion the caller saw finish survives power loss."""
+    for path in paths:
+        path.unlink(missing_ok=True)
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def sweep_tmp_files(directory: str | Path) -> int:

@@ -317,7 +317,7 @@ def read_chain_record(path: str | Path) -> ChainRecord:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read chain file {path}: {exc}") from exc
     lines = text.splitlines(keepends=True)
 

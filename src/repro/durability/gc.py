@@ -21,7 +21,7 @@ Two collectors keep the durable footprint bounded:
 
 Planning is pure (:func:`plan_gc` touches no disk), so ``--dry-run``
 reports exactly what a real run would do; the store applies a plan
-under its journal.
+composed records first, drops last.
 """
 
 from __future__ import annotations

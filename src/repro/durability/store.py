@@ -1,31 +1,41 @@
-"""The durable store: crash-safe files + journal + recovery.
+"""The durable store: crash-safe files + recovery.
 
 One :class:`DurableStore` owns everything under a warehouse directory
 that must survive a kill, and is the only code that reads or writes it::
 
     <dir>/
-        <fingerprint>-<support>.patterns   warehouse entries (atomic)
-        chains/<fingerprint>.chain         chain records (atomic)
-        journal.log                        write-ahead intent log
+        <fingerprint>-<support>.patterns   warehouse entries
+        chains/<fingerprint>.chain         chain records, one per hop
         quarantine/                        torn/corrupt files, preserved
 
-Write protocol (the crash-safety argument, window by window):
+Write protocol: every durable mutation is one atomic step, so a kill
+leaves either the state before it or the state after it.
 
-1. ``journal.begin`` — intent is fsynced before anything else moves. A
-   kill here leaves old state plus a pending record recovery resolves.
-2. the mutation itself — every target file is written via
-   :func:`~repro.durability.atomic.atomic_write_text` (temp + fsync +
-   ``os.replace``) or is a single ``unlink``. A kill here leaves the
-   old file or the new file, never a torn one; the worst residue is a
-   stray ``*.tmp``.
-3. ``journal.commit`` — a kill here merely leaves a pending record
-   whose effect already landed; replay is idempotent.
+* A write — an entry, a chain record, a GC rewrite — is one
+  :func:`~repro.durability.atomic.atomic_write_text` call (temp file,
+  fsync, ``os.replace``). A kill leaves the old file or the new one,
+  never a torn one; the worst residue is a stray ``*.tmp``.
+* A deletion — an entry drop or eviction, a chain prune, GC's drops —
+  unlinks its files, then fsyncs their directory once
+  (:func:`~repro.durability.atomic.unlink_durably`), so a deletion the
+  caller saw finish survives power loss. A kill before that leaves
+  each file in place or gone, and a file still in place is complete
+  and checksummed: loading it gives the state before the deletion.
+* GC lands every composed record before it unlinks any dropped one.
+  A kill part-way through therefore leaves only orphaned chain
+  records — files the finished pass would have dropped — which the next
+  prune removes. It never leaves a wrong answer: :func:`restore_version`
+  checks the fingerprint at every hop, so a record that no longer fits
+  ends the walk instead of misleading it.
 
 :meth:`DurableStore.recover` runs before the warehouse trusts the
-directory: it reads the journal (tolerating a torn tail line), rolls
-pending mutations forward or confirms them rolled back, sweeps stray
-temp files, loads every chain record and every entry file (quarantining
-whatever fails to parse), then compacts the journal.
+directory: it sweeps stray temp files, then loads every chain record and
+every entry file, quarantining whatever fails to parse. A ``journal.log``
+left by an older layout, which bracketed each mutation with fsynced
+intent lines, is ignored and not counted in :meth:`footprint_bytes`:
+its pending deletions are not replayed, and each one names a complete,
+checksummed file, so loading that file gives the state before the
+deletion.
 
 The store also holds the chain-record registry, one record per version
 hop. Without a directory it records no hops; once a write under
@@ -48,7 +58,11 @@ from repro.data.versioned import VersionedDatabase
 from repro.errors import DataError, InjectedFaultError
 from repro.resilience.faults import WAREHOUSE_READ, WAREHOUSE_WRITE
 
-from repro.durability.atomic import atomic_write_text, sweep_tmp_files
+from repro.durability.atomic import (
+    atomic_write_text,
+    sweep_tmp_files,
+    unlink_durably,
+)
 from repro.durability.chains import (
     CHAIN_SUFFIX,
     ChainRecord,
@@ -58,15 +72,6 @@ from repro.durability.chains import (
     restore_version,
 )
 from repro.durability.gc import GCPlan, GCReport, plan_gc
-from repro.durability.journal import (
-    OP_CHAIN,
-    OP_DROP,
-    OP_EVICT,
-    OP_GC,
-    OP_PUT,
-    OP_UNLINK,
-    WriteAheadJournal,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.resilience.faults import FaultInjector
@@ -78,27 +83,17 @@ T = TypeVar("T")
 #: Warehouse entry files are ``<fingerprint>-<support>`` plus this suffix.
 ENTRY_SUFFIX = ".patterns"
 
-#: The write-ahead journal's file name inside the store directory.
-JOURNAL_NAME = "journal.log"
-
 #: Subdirectory holding one ``.chain`` file per durable hop.
 CHAINS_DIR = "chains"
 
 #: Subdirectory quarantined files move to (never scanned on load).
 QUARANTINE_DIR = "quarantine"
 
-#: Compact the journal once it grows past this many bytes. Mutations are
-#: serialized under the warehouse lock, so at any commit boundary there
-#: are no in-flight records and truncation loses nothing.
-JOURNAL_COMPACT_BYTES = 64 * 1024
-
 
 @dataclass
 class RecoveryReport:
     """What one :meth:`DurableStore.recover` pass found and fixed."""
 
-    journal_replays: int = 0
-    torn_journal_lines: int = 0
     stray_tmp_removed: int = 0
     recovered_chains: int = 0
     quarantined: list[tuple[str, str]] = field(default_factory=list)
@@ -112,15 +107,14 @@ class RecoveryReport:
 
 
 class DurableStore:
-    """Journaled, crash-safe persistence for one warehouse directory.
+    """Crash-safe persistence for one warehouse directory.
 
-    The store is the only reader and writer of entry, chain and journal
-    files, and owns the chain-record registry; the warehouse calls it
-    under its own lock, so the store adds just enough locking to protect
-    the registry and the journal's sequence counter. Construction
-    performs no I/O beyond creating the directory layout — call
-    :meth:`recover` (the warehouse does, first thing) before trusting
-    the registry. ``directory=None`` builds a memory-only store that
+    The store is the only reader and writer of entry and chain files,
+    and owns the chain-record registry; the warehouse calls it under its
+    own lock, so the store adds just enough locking to protect the
+    registry. Construction performs no I/O beyond creating the
+    directory layout — call :meth:`recover` (the warehouse does, first
+    thing) before trusting the registry. ``directory=None`` builds a memory-only store that
     writes nothing and records no hops.
     """
 
@@ -140,9 +134,6 @@ class DurableStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.chains_dir = self.directory / CHAINS_DIR
         self.chains_dir.mkdir(parents=True, exist_ok=True)
-        self.journal = WriteAheadJournal(
-            self.directory / JOURNAL_NAME, faults
-        )
 
     @property
     def persisting(self) -> bool:
@@ -182,30 +173,18 @@ class DurableStore:
     # recovery
     # ------------------------------------------------------------------
     def recover(self, *, apply: bool = True) -> RecoveryReport:
-        """Resolve in-flight mutations and load the directory.
+        """Sweep crash residue and load the directory.
 
         A chain or entry file that fails to parse (or whose
         ``warehouse.read`` fault fires) is quarantined and reported,
         never fatal. ``apply=False`` audits without mutating the
-        directory — pending records are counted, stray temp files are
-        reported as zero (they are only *swept* when applying), damaged
-        files stay in place, and the journal is left as found; the
+        directory — stray temp files are reported as zero (they are only
+        *swept* when applying) and damaged files stay in place; the
         loaded registry and entries are identical either way. The CLI's
         read-only inspection uses the audit mode so listing a warehouse
         never rewrites it.
         """
         report = RecoveryReport()
-        records, report.torn_journal_lines = self.journal.load()
-        committed = {r.seq for r in records if r.phase == "commit"}
-        pending = [
-            r
-            for r in records
-            if r.phase == "begin" and r.seq not in committed
-        ]
-        for record in pending:
-            if self._resolve_pending(record, apply):
-                report.journal_replays += 1
-
         if apply:
             report.stray_tmp_removed += sweep_tmp_files(self.directory)
             report.stray_tmp_removed += sweep_tmp_files(self.chains_dir)
@@ -224,9 +203,6 @@ class DurableStore:
         with self._lock:
             self._chains = chains
         report.recovered_chains = len(chains)
-
-        if apply and (pending or report.torn_journal_lines):
-            self.journal.compact()
         return report
 
     def _load_entries(self, report: RecoveryReport, apply: bool) -> None:
@@ -250,32 +226,6 @@ class DurableStore:
                 self._quarantine_file(path, str(exc), report, apply)
                 continue
             report.entries.append((fingerprint, condensed, full_bytes))
-
-    def _resolve_pending(self, record, apply: bool) -> bool:
-        """Roll one pending mutation forward; True when it had not landed.
-
-        Entry and chain writes are themselves atomic: the target holds
-        the old or the new file, and either is consistent, so there is
-        nothing to roll forward. Neither is there for a ``link`` record,
-        which an older layout wrote for a lineage registry that no
-        longer exists. Every other op only deletes files, named by its
-        begin record.
-        """
-        payload = record.payload
-        if record.op in (OP_DROP, OP_EVICT):
-            name = payload.get("file", "")
-            doomed = [self.directory / name] if name else []
-        elif record.op == OP_UNLINK:
-            doomed = [self.chain_path(str(c)) for c in payload.get("children", [])]
-        elif record.op == OP_GC:
-            doomed = [self.chain_path(str(c)) for c in payload.get("drop", [])]
-        else:
-            return False
-        present = [target for target in doomed if target.exists()]
-        if apply:
-            for target in present:
-                target.unlink()
-        return bool(present)
 
     def _quarantine_file(
         self, path: Path, reason: str, report: RecoveryReport, apply: bool
@@ -309,7 +259,7 @@ class DurableStore:
         *,
         full_bytes: int | None = None,
     ) -> None:
-        """Journaled, atomic write of one warehouse entry file.
+        """Atomic write of one warehouse entry file (one fsync).
 
         Fires ``warehouse.write`` first; a no-op unless persisting.
         """
@@ -319,31 +269,20 @@ class DurableStore:
             self.faults.fire(
                 WAREHOUSE_WRITE, detail=f"writing {fingerprint[:12]}@{absolute_support}"
             )
-        path = self.entry_path(fingerprint, absolute_support)
-        seq = self.journal.begin(OP_PUT, {"file": path.name})
         atomic_write_text(
-            path,
+            self.entry_path(fingerprint, absolute_support),
             warehouse_entry_text(condensed, full_bytes=full_bytes),
             faults=self.faults,
             detail=f"entry {fingerprint[:12]}@{absolute_support}",
         )
-        self.journal.commit(seq, OP_PUT)
-        self._maybe_compact()
 
-    def remove_entry(
-        self, fingerprint: str, absolute_support: int, *, op: str = OP_DROP
-    ) -> None:
-        """Journaled unlink of one entry file (``op`` is drop or evict)."""
+    def remove_entry(self, fingerprint: str, absolute_support: int) -> None:
+        """Durable unlink of one entry file (a drop or an eviction)."""
         if not self.persisting:
             return
-        path = self.entry_path(fingerprint, absolute_support)
-        seq = self.journal.begin(op, {"file": path.name})
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            pass
-        self.journal.commit(seq, op)
-        self._maybe_compact()
+        unlink_durably(
+            [self.entry_path(fingerprint, absolute_support)], self.directory
+        )
 
     # ------------------------------------------------------------------
     # chain records
@@ -372,28 +311,24 @@ class DurableStore:
         self.write_chain(record_from_node(node))
 
     def drop_chains(self, children: Collection[str]) -> None:
-        """Remove chain records (journaled, with their files, when
-        persisting)."""
+        """Remove chain records, with a durable unlink of their files
+        when persisting."""
         with self._lock:
             doomed = sorted(
                 child
                 for child in set(children)
                 if self._chains.pop(child, None) is not None
             )
-        if not self.persisting or not doomed:
-            return
-        seq = self.journal.begin(OP_UNLINK, {"children": doomed})
-        for child in doomed:
-            self.chain_path(child).unlink(missing_ok=True)
-        self.journal.commit(seq, OP_UNLINK)
-        self._maybe_compact()
+        if self.persisting and doomed:
+            unlink_durably(
+                [self.chain_path(child) for child in doomed], self.chains_dir
+            )
 
     def write_chain(self, record: ChainRecord) -> None:
-        """Journaled, atomic write of one chain record file (a no-op
-        unless persisting)."""
+        """Atomic write of one chain record file (a no-op unless
+        persisting)."""
         if not self.persisting:
             return
-        seq = self.journal.begin(OP_CHAIN, {"child": record.child})
         atomic_write_text(
             self.chain_path(record.child),
             chain_record_text(record),
@@ -402,8 +337,6 @@ class DurableStore:
         )
         with self._lock:
             self._chains[record.child] = record
-        self.journal.commit(seq, OP_CHAIN)
-        self._maybe_compact()
 
     def restore_version(
         self, db: TransactionDatabase
@@ -426,7 +359,8 @@ class DurableStore:
         self, warehoused: Collection[str], *, dry_run: bool = False
     ) -> GCReport:
         """One full GC pass (prune + compaction), applied to the
-        registry and, when persisting, journaled onto disk."""
+        registry and, when persisting, to disk: every composed record
+        lands before any dropped record is unlinked."""
         plan = self.plan_gc(warehoused)
         report = GCReport(
             dropped_chains=len(plan.dropped),
@@ -436,9 +370,7 @@ class DurableStore:
         )
         if dry_run or plan.is_empty:
             return report
-        persisting = self.persisting
-        if persisting:
-            seq = self.journal.begin(OP_GC, {"drop": sorted(plan.dropped)})
+        if self.persisting:
             for child, record in sorted(plan.rewrites.items()):
                 atomic_write_text(
                     self.chain_path(child),
@@ -446,33 +378,13 @@ class DurableStore:
                     faults=self.faults,
                     detail=f"gc chain {child[:12]}",
                 )
-            for child in plan.dropped:
-                self.chain_path(child).unlink(missing_ok=True)
         with self._lock:
-            for child in plan.dropped:
-                self._chains.pop(child, None)
             self._chains.update(plan.rewrites)
-        if persisting:
-            self.journal.commit(seq, OP_GC)
-            self._maybe_compact()
+        self.drop_chains(plan.dropped)
         return report
 
-    def _maybe_compact(self) -> None:
-        """Best-effort journal truncation past the size bound.
-
-        Housekeeping only — the committed mutation already landed, so a
-        failure (real or injected) here must not fail the caller; it
-        just leaves a longer journal for the next recovery to compact.
-        """
-        if self.journal.size_bytes() <= JOURNAL_COMPACT_BYTES:
-            return
-        try:
-            self.journal.compact()
-        except (OSError, InjectedFaultError):
-            pass
-
     def footprint_bytes(self) -> int:
-        """Total durable footprint: entries + chains + journal."""
+        """Total durable footprint: entry and chain files."""
         total = 0
         for path in self.directory.glob(f"*{ENTRY_SUFFIX}"):
             try:
@@ -485,4 +397,4 @@ class DurableStore:
                     total += path.stat().st_size
                 except OSError:
                     continue
-        return total + self.journal.size_bytes()
+        return total

@@ -48,9 +48,9 @@ MERGE_COUNT = "merge.count"
 #: the executor must fall back to a clean scratch mine, never serve a
 #: half-patched pattern set.
 UPDATE_PATCH = "update.patch"
-#: The durability layer dies while writing a temp file (journal append,
-#: chain file or entry body) — the bytes on disk stop mid-payload, the
-#: way a hard kill leaves them.
+#: The durability layer dies while writing a temp file (chain file or
+#: entry body) — the bytes on disk stop mid-payload, the way a hard kill
+#: leaves them.
 PERSIST_WRITE = "persist.write"
 #: The durability layer dies between the temp-file write and the atomic
 #: ``os.replace`` — the temp file is complete but the target still holds

@@ -348,7 +348,6 @@ class ServiceStats:
             "warehouse_condensation_ratio": self._warehouse.condensation_ratio(),
             "recovered_entries": float(stats["recovered_entries"]),
             "recovered_chains": float(stats["recovered_chains"]),
-            "journal_replays": float(stats["journal_replays"]),
             "gc_dropped_chains": float(stats["gc_dropped_chains"]),
             "gc_collapsed_hops": float(stats["gc_collapsed_hops"]),
         }

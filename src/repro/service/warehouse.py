@@ -42,7 +42,7 @@ support-level :class:`~repro.mining.patterns.PatternSet`s keyed by
   cold mine on the serving kernel (``docs/service.md``).
 * **Optionally disk-backed, and hardened against the disk.** Every
   byte on disk goes through a :class:`~repro.durability.DurableStore`:
-  given a directory, every entry is also written as a journaled,
+  given a directory, every entry is also written as an atomic,
   checksummed pattern file — in the form it had when put — and reloaded
   on construction under the same budget rule. Condensing or promoting
   in memory never re-writes the file. Files of any representation load
@@ -80,7 +80,6 @@ from repro.data.patterns import REPRESENTATIONS, CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import VersionedDatabase
 from repro.durability import DurableStore, GCReport, RecoveryReport
-from repro.durability.journal import OP_EVICT
 from repro.errors import DataError, StorageError
 from repro.mining.patterns import PatternSet
 from repro.resilience import WAREHOUSE_READ, FaultInjector
@@ -203,11 +202,11 @@ class PatternWarehouse:
         condenses them, a hit promotes them, or :meth:`migrate`
         re-writes them.
     repair_on_load:
-        When persisting, load through full crash recovery — replay
-        pending journal records, sweep stray temp files, move damaged
-        files into quarantine, compact the journal. Disable for
-        read-only inspection (``recover(apply=False)`` still audits;
-        entries and registries load identically either way).
+        When persisting, load through full crash recovery — sweep
+        stray temp files and move damaged files into quarantine.
+        Disable for read-only inspection (``recover(apply=False)``
+        still audits; entries and registries load identically either
+        way).
     """
 
     def __init__(
@@ -707,7 +706,6 @@ class PatternWarehouse:
                 "chain_records": len(self._store.chain_records()),
                 "recovered_entries": self.recovered_entries,
                 "recovered_chains": report.recovered_chains if report else 0,
-                "journal_replays": report.journal_replays if report else 0,
                 "gc_dropped_chains": self.gc_dropped_chains,
                 "gc_collapsed_hops": self.gc_collapsed_hops,
             }
@@ -766,7 +764,7 @@ class PatternWarehouse:
 
         The explicit way to condense a whole directory on disk (or, with
         ``full``, to expand it). Each rewrite goes through the store's
-        journaled, fsynced entry write, and a failure raises, leaving every
+        atomic, fsynced entry write, and a failure raises, leaving every
         file in its old or new form. A re-written entry is then held as
         written — as a reload would hold it — under the budget rule. A
         legacy file has no transaction count for the NDI deduction rules
@@ -887,7 +885,7 @@ class PatternWarehouse:
             self._stored_bytes -= entry.size
             self.evictions += 1
             evicted = True
-            self._store.write_through(self._store.remove_entry, *key, op=OP_EVICT)
+            self._store.write_through(self._store.remove_entry, *key)
         if evicted:
             # Eviction-aware chains: an evicted ancestor's now-useless
             # chain records go with it.

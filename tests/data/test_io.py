@@ -42,6 +42,12 @@ class TestTransactionIO:
         with pytest.raises(DataError, match="cannot read"):
             read_transactions(tmp_path / "nope.dat")
 
+    def test_invalid_utf8_raises_data_error(self, tmp_path):
+        path = tmp_path / "bad.dat"
+        path.write_bytes(b"1 2 3\n\xff\xfe 4\n")
+        with pytest.raises(DataError, match="cannot read"):
+            read_transactions(path)
+
     def test_to_string_roundtrip(self, tiny_db):
         text = transactions_to_string(tiny_db)
         assert parse_transactions(io.StringIO(text)).transactions == tiny_db.transactions
@@ -72,6 +78,14 @@ class TestPatternIO:
     def test_parse_rejects_garbage_support(self):
         with pytest.raises(DataError, match="malformed"):
             parse_patterns(io.StringIO("1 2 : x\n"))
+
+    def test_parse_rejects_repeated_itemset_with_another_support(self):
+        with pytest.raises(DataError, match="line 2: conflicting supports"):
+            parse_patterns(io.StringIO("1 2: 5\n2 1: 6\n"))
+
+    def test_parse_rejects_negative_support(self):
+        with pytest.raises(DataError, match="line 1: negative support"):
+            parse_patterns(io.StringIO("1 2: -5\n"))
 
     def test_parse_skips_comments(self):
         patterns = parse_patterns(io.StringIO("# header\n1 2 : 3\n"))

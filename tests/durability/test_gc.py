@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.durability import ChainRecord, DurableStore, plan_gc, record_from_node
-from repro.durability.journal import OP_GC, OP_UNLINK, format_record
+from repro.errors import InjectedFaultError
 
 
 def chain(depth: int):
@@ -86,22 +86,58 @@ def test_cycle_in_stale_registries_terminates():
     assert sorted(plan.dropped) == ["a", "b"]
 
 
-@pytest.mark.parametrize("op", [OP_UNLINK, OP_GC])
-def test_pending_chain_removal_is_replayed(tmp_path, op):
-    nodes = chain(2)
-    store = DurableStore(tmp_path)
+def test_kill_between_gc_rewrites_and_drops_restores_the_same_ancestor(
+    tmp_path, monkeypatch
+):
+    # v0 is warehoused, so v2 and v3 are rewritten straight to it; the
+    # unrelated w1 reaches nothing warehoused and is dropped.
+    nodes = chain(3)
+    dead = VersionedDatabase(TransactionDatabase([[7, 8]]))
+    dead = dead.apply(DatabaseDelta(appends=((9,),)))
+    warehoused = {nodes[0].fingerprint()}
+    directories = {"clean": tmp_path / "clean", "killed": tmp_path / "killed"}
+    for directory in directories.values():
+        store = DurableStore(directory)
+        for node in [*nodes[1:], dead]:
+            store.record_link(node)
+    finishing = DurableStore(directories["clean"])
+    finishing.recover()
+    assert finishing.gc(warehoused).rewritten_chains == 2
+
+    def killed(paths, directory):
+        raise InjectedFaultError("killed before the drops")
+
+    dying = DurableStore(directories["killed"])
+    dying.recover()
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.durability.store.unlink_durably", killed)
+        with pytest.raises(InjectedFaultError):
+            dying.gc(warehoused)
+    del dying  # the process is dead; only the directory survives
+
+    clean, recovered = DurableStore(directories["clean"]), DurableStore(
+        directories["killed"]
+    )
+    clean.recover()
+    recovered.recover()
+    # Every composed record landed; the dropped one is an orphan.
+    assert set(recovered.chain_records()) == {
+        *clean.chain_records(),
+        dead.fingerprint(),
+    }
     for node in nodes[1:]:
-        store.record_link(node)
-    doomed = sorted(store.chain_records())
-    payload = {"children": doomed} if op == OP_UNLINK else {"drop": doomed}
-    # A crash between the begin record and the unlinks.
-    with store.journal.path.open("a", encoding="utf-8") as handle:
-        handle.write(format_record(99, "begin", op, payload))
-    reopened = DurableStore(tmp_path)
-    report = reopened.recover()
-    assert report.journal_replays == 1
-    assert report.recovered_chains == 0
-    assert list(store.chains_dir.iterdir()) == []
+        expected = clean.restore_version(node.db)
+        restored = recovered.restore_version(node.db)
+        assert [n.fingerprint() for n in restored.chain()] == [
+            n.fingerprint() for n in expected.chain()
+        ]
+        assert restored.chain()[-1].fingerprint() == nodes[0].fingerprint()
+    # The next prune removes the orphan, converging on the clean run.
+    assert recovered.gc(warehoused).dropped_chains == 1
+    assert recovered.chain_records() == clean.chain_records()
+    assert sorted(p.name for p in recovered.chains_dir.iterdir()) == sorted(
+        p.name for p in clean.chains_dir.iterdir()
+    )
 
 
 @st.composite

@@ -1,8 +1,14 @@
-"""Unit tests for :class:`DurableStore`: journaled mutations, kill-window
-recovery at every persistence fault point, quarantine, GC on disk, and
-directories left by the older layout with a lineage ``MANIFEST``."""
+"""Unit tests for :class:`DurableStore`: atomic mutations and their
+fsyncs, kill-window recovery at every persistence fault point,
+quarantine, GC on disk, and directories left by older layouts with a
+lineage ``MANIFEST`` or a write-ahead ``journal.log``."""
 
 from __future__ import annotations
+
+import hashlib
+import json
+import os
+import stat
 
 import pytest
 
@@ -11,12 +17,6 @@ from repro.data.patterns import CondensedPatternSet, PatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.durability import DurableStore, chain_record_text, record_from_node
-from repro.durability.journal import (
-    OP_DROP,
-    OP_LINK,
-    WriteAheadJournal,
-    format_record,
-)
 from repro.errors import InjectedFaultError
 from repro.resilience import PERSIST_RENAME, PERSIST_WRITE, FaultInjector
 from repro.service import PatternWarehouse
@@ -25,6 +25,26 @@ from repro.service import PatternWarehouse
 def condensed_patterns():
     patterns = PatternSet({(1,): 4, (2,): 3, (1, 2): 3})
     return CondensedPatternSet.condense(patterns, 3, "closed")
+
+
+def count_fsyncs(monkeypatch):
+    """Record every ``os.fsync`` as True for a directory, False for a file."""
+    calls = []
+    real = os.fsync
+
+    def fsync(fd):
+        calls.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return calls
+
+
+def old_journal_line(seq, phase, op, payload):
+    """One line of the write-ahead journal an older layout kept."""
+    payload_json = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    head = f"{seq}\t{phase}\t{op}\t{payload_json}"
+    return f"{head}\t{hashlib.sha256(head.encode()).hexdigest()}\n"
 
 
 def build_chain():
@@ -41,16 +61,38 @@ class TestHappyPath:
         store.write_entry("f" * 64, 3, condensed_patterns())
         condensed, _full = read_warehouse_entry(store.entry_path("f" * 64, 3))
         assert condensed.as_dict() == condensed_patterns().as_dict()
-        # Both journal lines landed; nothing is pending on reload.
-        assert DurableStore(tmp_path).recover(apply=False).journal_replays == 0
+        reloaded = DurableStore(tmp_path).recover(apply=False).entries
+        assert [(fp, c.as_dict()) for fp, c, _ in reloaded] == [
+            ("f" * 64, condensed_patterns().as_dict())
+        ]
+
+    def test_each_mutation_is_one_fsync(self, tmp_path, monkeypatch):
+        _, v1, _ = build_chain()
+        store = DurableStore(tmp_path)
+        fsyncs = count_fsyncs(monkeypatch)
+        store.write_entry("a" * 64, 2, condensed_patterns())
+        assert fsyncs == [False]  # the entry's temp file
+        store.record_link(v1)
+        assert fsyncs == [False, False]  # the chain record's temp file
+
+    def test_remove_entry_fsyncs_the_directory_once(self, tmp_path, monkeypatch):
+        store = DurableStore(tmp_path)
+        store.write_entry("a" * 64, 2, condensed_patterns())
+        fsyncs = count_fsyncs(monkeypatch)
+        store.remove_entry("a" * 64, 2)
+        assert fsyncs == [True]
+        assert not store.entry_path("a" * 64, 2).exists()
+        # Removing what is already gone still makes the directory durable.
+        store.remove_entry("a" * 64, 2)
+        assert fsyncs == [True, True]
 
     def test_links_and_chains_survive_restart(self, tmp_path):
         v0, v1, v2 = build_chain()
         store = DurableStore(tmp_path)
         for node in (v1, v2):
             store.record_link(node)
-        # One chain file per hop, and nothing else besides the journal.
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["chains", "journal.log"]
+        # One chain file per hop, and nothing else.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chains"]
         assert len(list((tmp_path / "chains").iterdir())) == 2
         reopened = DurableStore(tmp_path)
         report = reopened.recover()
@@ -61,14 +103,14 @@ class TestHappyPath:
         assert restored.fingerprint() == v2.fingerprint()
         assert restored.parent.parent.fingerprint() == v0.fingerprint()
 
-    def test_record_link_skips_held_and_unchanged_hops(self, tmp_path):
+    def test_record_link_skips_held_and_unchanged_hops(self, tmp_path, monkeypatch):
         _, v1, _ = build_chain()
         store = DurableStore(tmp_path)
         store.record_link(v1)
-        journal = store.journal.size_bytes()
+        fsyncs = count_fsyncs(monkeypatch)
         store.record_link(v1)
         store.record_link(v1.apply(DatabaseDelta()))  # empty delta: self hop
-        assert store.journal.size_bytes() == journal
+        assert fsyncs == []
         assert list(store.chain_records()) == [v1.fingerprint()]
 
     def test_memory_only_store_records_no_hops(self):
@@ -77,26 +119,19 @@ class TestHappyPath:
         store.record_link(v1)
         assert store.chain_records() == {}
 
-    def test_journal_compacts_once_it_grows(self, tmp_path):
-        store = DurableStore(tmp_path)
-        for i in range(3):
-            store.write_entry(f"{i:064x}", 2, condensed_patterns())
-        # Far under the compaction threshold: history retained.
-        assert store.journal.size_bytes() > 0
-
 
 class TestKillWindows:
-    def test_kill_mid_journal_append_leaves_torn_tail(self, tmp_path):
+    def test_kill_mid_temp_write_leaves_no_target(self, tmp_path):
         faults = FaultInjector().inject(PERSIST_WRITE, on_calls=(1,))
         store = DurableStore(tmp_path, faults)
         with pytest.raises(InjectedFaultError):
             store.write_entry("a" * 64, 2, condensed_patterns())
-        # The mutation never started: no target file, and recovery
-        # drops exactly one torn line.
+        # Half the payload sits in a temp file; the target never appeared.
         assert not store.entry_path("a" * 64, 2).exists()
+        assert len(list(tmp_path.glob("*.tmp"))) == 1
         report = DurableStore(tmp_path).recover()
-        assert report.torn_journal_lines == 1
-        assert report.journal_replays == 0
+        assert report.stray_tmp_removed == 1
+        assert report.entries == [] and report.quarantined == []
 
     def test_kill_before_rename_keeps_old_state_and_sweeps_tmp(self, tmp_path):
         store = DurableStore(tmp_path)
@@ -111,19 +146,6 @@ class TestKillWindows:
         report = DurableStore(tmp_path).recover()
         assert report.stray_tmp_removed == 1
         assert list(tmp_path.glob("*.tmp")) == []
-
-    def test_pending_drop_is_replayed(self, tmp_path):
-        store = DurableStore(tmp_path)
-        store.write_entry("a" * 64, 2, condensed_patterns())
-        # Simulate a crash between the drop's begin and the unlink: append
-        # the begin record by hand, as the dying process would have.
-        journal = WriteAheadJournal(tmp_path / "journal.log")
-        name = store.entry_path("a" * 64, 2).name
-        with journal.path.open("a", encoding="utf-8") as handle:
-            handle.write(format_record(99, "begin", OP_DROP, {"file": name}))
-        report = DurableStore(tmp_path).recover()
-        assert report.journal_replays == 1
-        assert not store.entry_path("a" * 64, 2).exists()
 
     def test_audit_mode_never_mutates(self, tmp_path):
         faults = FaultInjector().inject(PERSIST_RENAME, on_calls=(1,))
@@ -194,8 +216,10 @@ class TestGC:
 
 
 class TestOlderLayout:
-    """A directory written by the layout that also kept a lineage
-    ``MANIFEST`` and journaled ``link`` records loads like one without."""
+    """A directory written by a layout that also kept a lineage
+    ``MANIFEST``, or a write-ahead ``journal.log`` bracketing every
+    mutation, loads like one without: both files are left in place and
+    never read or counted."""
 
     def write_files(self, directory, v1, v2):
         """Entry and chain files, identical in both layouts."""
@@ -228,18 +252,16 @@ class TestOlderLayout:
                 "delta": node.delta_fingerprint,
                 "distance": node.delta.size,
             }
-            lines.append(format_record(seq, "begin", OP_LINK, payload))
-            lines.append(format_record(seq, "commit", OP_LINK, {}))
+            lines.append(old_journal_line(seq, "begin", "link", payload))
+            lines.append(old_journal_line(seq, "commit", "link", {}))
         lines.append(
-            format_record(3, "begin", OP_LINK, {"child": "c" * 64, "parent": "p" * 64})
+            old_journal_line(3, "begin", "link", {"child": "c" * 64, "parent": "p" * 64})
         )
         (old / "journal.log").write_text("".join(lines))
 
         store = DurableStore(old)
         report = store.recover()
         assert report.quarantined == []
-        assert report.torn_journal_lines == 0
-        assert report.journal_replays == 0  # a link record replays as a no-op
         reference = DurableStore(clean)
         expected = reference.recover()
         assert [e[:2] for e in report.entries] == [e[:2] for e in expected.entries]
@@ -249,9 +271,33 @@ class TestOlderLayout:
         assert [n.fingerprint() for n in restored.chain()] == [
             n.fingerprint() for n in reference.restore_version(v2.db).chain()
         ]
-        # The leftover MANIFEST stays where it was, uncounted.
+        # The leftover MANIFEST and journal stay where they were, uncounted.
         assert (old / "MANIFEST").exists()
+        assert (old / "journal.log").read_text() == "".join(lines)
         assert store.footprint_bytes() == reference.footprint_bytes()
         warehouse = PatternWarehouse(directory=old)
         assert warehouse.stats()["chain_records"] == 2
+
+    def test_pending_journal_deletions_are_not_replayed(self, tmp_path):
+        # An older process killed after a drop's and a GC's begin lines,
+        # before their unlinks, and mid-way through a third line. Each
+        # file a pending line names is complete and checksummed, so it
+        # loads: the state before the deletion.
+        _, v1, v2 = build_chain()
+        self.write_files(tmp_path, v1, v2)
+        entry = f"{v1.fingerprint()}-3.patterns"
+        journal = "".join([
+            old_journal_line(1, "begin", "drop", {"file": entry}),
+            old_journal_line(2, "begin", "gc", {"drop": [v2.fingerprint()]}),
+            old_journal_line(3, "begin", "put", {"file": entry})[:20],
+        ])
+        (tmp_path / "journal.log").write_text(journal)
+        store = DurableStore(tmp_path)
+        report = store.recover()
+        assert report.quarantined == []
+        assert [fingerprint for fingerprint, _, _ in report.entries] == [
+            v1.fingerprint()
+        ]
+        assert set(store.chain_records()) == {v1.fingerprint(), v2.fingerprint()}
+        assert (tmp_path / "journal.log").read_text() == journal
 

@@ -3,8 +3,8 @@ persistence fault point leaves every entry file in its old or its new
 form, never torn.
 
 :meth:`PatternWarehouse.migrate` re-writes legacy full-set files through
-:meth:`DurableStore.write_entry`, so each rewrite is journaled and goes
-through the atomic writer and its ``persist.write`` / ``persist.rename``
+:meth:`DurableStore.write_entry`, so each rewrite goes through the
+atomic writer and its ``persist.write`` / ``persist.rename``
 fault points. The harness arms one point at the k-th call, lets the
 migration die there, abandons the process, recovers the directory cold
 and checks: every file is byte-identical to its legacy or its migrated
@@ -29,9 +29,9 @@ from repro.service import PatternWarehouse
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 SUPPORTS = (6, 9, 12)
 
-#: Each entry rewrite passes persist.write three times (journal begin,
-#: temp file, journal commit) and persist.rename once, so these offsets
-#: land a kill in every window of all three rewrites.
+#: Each entry rewrite passes persist.write (its temp file) and
+#: persist.rename once, so offsets 1-3 land a kill in every window of
+#: all three rewrites; later offsets let the migration finish.
 OFFSETS = range(1, 3 * len(SUPPORTS) + 1)
 
 

@@ -38,10 +38,11 @@ ACTIVE_POINTS = (
     (_selected,) if _selected in PERSIST_FAULT_POINTS else PERSIST_FAULT_POINTS
 )
 
-#: Fault-call offsets per point: enough to land the kill in every
-#: distinct window (journal append, entry temp write, chain write,
-#: entry unlink) the workload passes through — persist.write fires 14
-#: times over the steps below, persist.rename 4 times.
+#: Fault-call offsets per point. Each point fires once per atomic write
+#: (two entry files, two chain files), so offsets 1-4 land the kill in
+#: every window the workload passes through; the entry unlink passes no
+#: fault point. Later offsets never fire and run the workload through
+#: uninterrupted, which must converge too.
 OFFSETS = range(1, 15)
 
 

@@ -85,7 +85,7 @@ def test_snapshot_carries_durability_gauges(tmp_path):
         snapshot = service.stats.snapshot()
     assert snapshot["recovered_entries"] == 1.0
     assert snapshot["recovered_chains"] == 2.0
-    for gauge in ("journal_replays", "gc_dropped_chains", "gc_collapsed_hops"):
+    for gauge in ("gc_dropped_chains", "gc_collapsed_hops"):
         assert snapshot[gauge] == 0.0
 
 

@@ -5,6 +5,7 @@ entry point."""
 from __future__ import annotations
 
 import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,6 +14,7 @@ from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.mining.hmine import mine_hmine
 from repro.service import MiningService, PatternWarehouse
+from repro.storage.disk import patterns_byte_size
 
 
 def make_db(seed: int = 0) -> TransactionDatabase:
@@ -89,7 +91,6 @@ class TestRestartRecovery:
             "chain_records",
             "recovered_entries",
             "recovered_chains",
-            "journal_replays",
             "gc_dropped_chains",
             "gc_collapsed_hops",
         ):
@@ -203,16 +204,45 @@ class TestWarehouseGC:
 
 
 class TestFsyncsPerHop:
+    """Every durable mutation is one fsync: a file's for a write, the
+    directory's for a deletion. Each count is True for a directory."""
+
     def count_fsyncs(self, monkeypatch):
         calls = []
         real = os.fsync
 
         def fsync(fd):
-            calls.append(fd)
+            calls.append(stat.S_ISDIR(os.fstat(fd).st_mode))
             real(fd)
 
         monkeypatch.setattr(os, "fsync", fsync)
         return calls
+
+    def test_put_fsyncs_once(self, tmp_path, monkeypatch):
+        db = make_db()
+        warehouse = PatternWarehouse(directory=tmp_path)
+        fsyncs = self.count_fsyncs(monkeypatch)
+        assert warehouse.put(db.fingerprint(), 6, mine_hmine(db, 6))
+        assert fsyncs == [False]
+
+    def test_eviction_and_drop_fsync_the_directory_once(self, tmp_path, monkeypatch):
+        db = make_db()
+        patterns = mine_hmine(db, 6)
+        # Room for one full entry: the second put evicts the first.
+        warehouse = PatternWarehouse(
+            directory=tmp_path,
+            representation="full",
+            byte_budget=patterns_byte_size(patterns) + 1,
+        )
+        warehouse.put(db.fingerprint(), 6, patterns)
+        fsyncs = self.count_fsyncs(monkeypatch)
+        warehouse.put("f" * 64, 6, patterns)
+        assert warehouse.evictions == 1
+        assert fsyncs == [True, False]  # the eviction, then the put
+        fsyncs.clear()
+        assert warehouse.drop_entry("f" * 64, 6)
+        assert fsyncs == [True]
+        assert list(tmp_path.glob("*.patterns")) == []
 
     def test_apply_delta_fsyncs_once_per_journal_line_and_chain_file(
         self, tmp_path, monkeypatch
@@ -222,10 +252,10 @@ class TestFsyncsPerHop:
         with MiningService(warehouse=PatternWarehouse(directory=tmp_path)) as service:
             fsyncs = self.count_fsyncs(monkeypatch)
             v1 = service.apply_delta(v0, DatabaseDelta(appends=((1, 2, 3),)))
-            # Journal begin, chain file, journal commit.
-            assert len(fsyncs) == 3
+            # The chain file; no journal line is written.
+            assert len(fsyncs) == 1
             service.register_version(v1)
-            assert len(fsyncs) == 3
+            assert len(fsyncs) == 1
 
 
 def test_concurrent_lineage_records_lose_nothing(tmp_path):

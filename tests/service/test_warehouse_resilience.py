@@ -95,6 +95,25 @@ class TestQuarantine:
         assert len(warehouse) == 0
         assert "disagrees" in warehouse.quarantined[0][1]
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("f" * 64 + "-3.patterns", b"# absolute_support=3\n\xff\xfe 1 2\n"),
+            ("f" * 64 + "-3.patterns", b"# absolute_support=3\n1 2: 5\n2 1: 6\n"),
+            ("chains/" + "f" * 64 + ".chain", b"\xff\xfe"),
+        ],
+        ids=["entry-bad-utf8", "entry-repeated-itemset", "chain-bad-utf8"],
+    )
+    def test_unparseable_file_is_quarantined_beside_a_healthy_entry(
+        self, db, tmp_path, name, data
+    ):
+        fingerprint = populate(tmp_path, db, supports=(8,))
+        (tmp_path / name).write_bytes(data)
+        warehouse = PatternWarehouse(directory=tmp_path)
+        assert [entry for entry, _ in warehouse.quarantined] == [name.split("/")[-1]]
+        assert (tmp_path / QUARANTINE_DIR / name.split("/")[-1]).read_bytes() == data
+        assert warehouse.get(fingerprint, 8) == mine_hmine(db, 8)
+
     def test_injected_read_fault_quarantines_that_file_only(self, db, tmp_path):
         fingerprint = populate(tmp_path, db, supports=(12, 8))
         faults = FaultInjector().inject(WAREHOUSE_READ, on_calls=(1,))

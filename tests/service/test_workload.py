@@ -124,6 +124,18 @@ class TestParsing:
         with pytest.raises(DataError, match="cannot read"):
             load_workload(tmp_path / "absent.json")
 
+    def test_load_rejects_invalid_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"requests": [\xff\xfe]}')
+        with pytest.raises(DataError, match="cannot read"):
+            load_workload(path)
+
+    def test_load_rejects_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(DataError, match="not valid JSON"):
+            load_workload(path)
+
 
 class TestSupportConvention:
     def test_float_and_int_supports_round_trip_through_json(self, tmp_path):

@@ -52,7 +52,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: versioned chains) with ``repro.resilience`` (the persist.* fault
 #: points), and ``repro.service`` builds its warehouse on top. Nothing
 #: below the service may import it back — the miners and the data layer
-#: must stay loadable with no journal or store in scope — and the
+#: must stay loadable with no durable store in scope — and the
 #: durability layer itself must never reach up into the algorithm or
 #: orchestration layers.
 FORBIDDEN: dict[str, tuple[str, ...]] = {
