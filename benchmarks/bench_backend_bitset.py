@@ -5,6 +5,8 @@ synthetic datasets (where vertical bitmaps pay off):
 
 * eclat mining — ``mine_eclat`` (per-element tidset intersections)
   vs ``mine_eclat_bitset`` (one ``&`` + ``bit_count()`` per candidate);
+  both run one search, so the row also records each backend's
+  ``tidset_intersections`` (a machine-independent count; they match);
 * compression claiming — ``compress(..., backend="python")`` vs
   ``compress(..., backend="bitset")`` with H-Mine-mined old patterns
   at the dataset's paper ``xi_old``;
@@ -33,6 +35,7 @@ from pathlib import Path
 
 from repro.core.compression import compress
 from repro.data.datasets import DATASETS
+from repro.metrics.counters import CostCounters
 from repro.mining.eclat import mine_eclat, mine_eclat_bitset
 from repro.mining.hmine import mine_hmine
 from repro.storage.projection import mine_grouped
@@ -55,6 +58,12 @@ def best_of(fn, *args, **kwargs):
     return best, result
 
 
+def intersections(mine, db, support: int) -> int:
+    counters = CostCounters()
+    mine(db, support, counters)
+    return counters.as_dict()["tidset_intersections"]
+
+
 def bench_eclat(db, support: int) -> dict:
     python_s, python_patterns = best_of(mine_eclat, db, support)
     bitset_s, bitset_patterns = best_of(mine_eclat_bitset, db, support)
@@ -63,6 +72,8 @@ def bench_eclat(db, support: int) -> dict:
         "task": "eclat",
         "min_support": support,
         "patterns": len(python_patterns),
+        "python_tidset_intersections": intersections(mine_eclat, db, support),
+        "bitset_tidset_intersections": intersections(mine_eclat_bitset, db, support),
         "python_seconds": round(python_s, 4),
         "bitset_seconds": round(bitset_s, 4),
         "speedup": round(python_s / bitset_s, 2),

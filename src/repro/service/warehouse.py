@@ -204,9 +204,11 @@ class PatternWarehouse:
     repair_on_load:
         When persisting, load through full crash recovery — sweep
         stray temp files and move damaged files into quarantine.
-        Disable for read-only inspection (``recover(apply=False)``
-        still audits; entries and registries load identically either
-        way).
+        Disable for read-only inspection: ``recover(apply=False)``
+        still audits, and the warehouse then never writes the
+        directory (it is memory-only from the start, so load-time
+        evictions and chain pruning apply in memory alone). Entries
+        and registries load identically either way.
     """
 
     def __init__(
@@ -252,6 +254,8 @@ class PatternWarehouse:
         self.quarantined: list[tuple[str, str]] = []
         if self.directory is not None:
             report = self._store.recover(apply=repair_on_load)
+            if not repair_on_load:
+                self._store.memory_only_reason = "opened read-only for inspection"
             self.recovery_report = report
             self.quarantined = report.quarantined
             for fingerprint, stored, full_bytes in report.entries:

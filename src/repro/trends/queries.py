@@ -191,6 +191,13 @@ TREND_METRICS: tuple[TrendMetric, ...] = (
         direction="higher",
     ),
     TrendMetric(
+        name="backends: eclat-bitset tidset intersections (connect4)",
+        bench="backends",
+        field="bitset_tidset_intersections",
+        where={"dataset": "connect4", "task": "eclat"},
+        direction="lower",
+    ),
+    TrendMetric(
         name="backends: grouped-kernel bitset speedup (connect4, wall)",
         bench="backends",
         field="speedup",

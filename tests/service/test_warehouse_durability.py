@@ -160,6 +160,31 @@ class TestLineageHygiene:
         hit = reopened.ancestor_feedstock(v2.fingerprint(), 6, restored.lineage())
         assert hit is not None and hit.fingerprint == v0.fingerprint()
 
+    def test_audit_mode_evicts_and_prunes_in_memory_only(self, tmp_path):
+        # Inspection (repair_on_load=False) sees what a repairing load
+        # sees, but neither the load-time eviction nor the chain pruning
+        # that follows it may touch the directory.
+        db = make_db()
+        warehouse, (v0, _v1, _v2) = seed_warehouse(tmp_path, db)
+        warehouse.put("f" * 64, 6, mine_hmine(db, 6))
+        entry_bytes = patterns_byte_size(mine_hmine(db, 6))
+        files = {
+            path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()
+        }
+        audit = PatternWarehouse(
+            directory=tmp_path,
+            byte_budget=entry_bytes + 1,
+            representation="full",
+            repair_on_load=False,
+        )
+        assert audit.evictions == 1
+        assert audit.keys() == [("f" * 64, 6)]
+        assert audit.stats()["chain_records"] == 0
+        audit.put("e" * 64, 6, mine_hmine(db, 6))
+        assert {
+            path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()
+        } == files
+
     def test_quarantine_at_load_prunes_lineage(self, tmp_path):
         db = make_db()
         warehouse, (v0, _v1, v2) = seed_warehouse(tmp_path, db)

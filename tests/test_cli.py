@@ -361,6 +361,37 @@ class TestWarehouseCommand:
         assert path.read_text() == before
         assert "full" in capsys.readouterr().out
 
+    def test_inspection_writes_nothing_beside_a_truncated_entry(
+        self, tmp_path, capsys
+    ):
+        """Listing a directory whose only chain-reaching entry is torn
+        leaves every file, the chain record included, byte for byte."""
+        from repro.data.versioned import DatabaseDelta, VersionedDatabase
+        from repro.mining.hmine import mine_hmine
+        from repro.service.warehouse import PatternWarehouse
+
+        db = TransactionDatabase([[1, 2, 3, 4]] * 4 + [[1, 2]] * 4)
+        v0 = VersionedDatabase(db)
+        v1 = v0.apply(DatabaseDelta(appends=((1, 2, 3),)))
+        warehouse = PatternWarehouse(directory=tmp_path)
+        warehouse.put(v0.fingerprint(), 4, mine_hmine(db, 4))
+        warehouse.record_version(v1)
+        entry = tmp_path / f"{v0.fingerprint()}-4.patterns"
+        entry.write_text(entry.read_text()[:-8])
+
+        def snapshot():
+            return {
+                path.relative_to(tmp_path): path.read_bytes()
+                for path in sorted(tmp_path.rglob("*"))
+                if path.is_file()
+            }
+
+        before = snapshot()
+        assert len(list((tmp_path / "chains").glob("*.chain"))) == 1
+        assert main(["warehouse", "--dir", str(tmp_path)]) == 0
+        assert "1 corrupt file(s) not loaded" in capsys.readouterr().out
+        assert snapshot() == before
+
     def test_migrate_verb_rewrites_legacy_files(self, tmp_path, capsys):
         from repro.data.io import read_warehouse_entry, write_patterns_with_support
         from repro.mining.hmine import mine_hmine
