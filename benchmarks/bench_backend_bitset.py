@@ -1,20 +1,18 @@
-"""One-shot backend comparison: python loops vs big-int bitmaps.
+"""One-shot comparison of python loops and big-int bitmaps.
 
-Times the two counting backends against each other on the dense
-synthetic datasets (where vertical bitmaps pay off):
+Times the two counting implementations against each other:
 
-* eclat mining — ``mine_eclat`` (per-element tidset intersections)
-  vs ``mine_eclat_bitset`` (one ``&`` + ``bit_count()`` per candidate);
-  both run one search, so the row also records each backend's
+* eclat mining, on the dense datasets (where vertical bitmaps pay
+  off) — ``mine_eclat`` (per-element tidset intersections) vs
+  ``mine_eclat_bitset`` (one ``&`` + ``bit_count()`` per candidate);
+  both run one search, so the row also records each miner's
   ``tidset_intersections`` (a machine-independent count; they match);
-* compression claiming — ``compress(..., backend="python")`` vs
-  ``compress(..., backend="bitset")`` with H-Mine-mined old patterns
-  at the dataset's paper ``xi_old``;
-* grouped mining — the shared Phase 2 group kernel
+* grouped mining, on *all* datasets — the shared Phase 2 group kernel
   (``mine_grouped``) over the MCP-compressed database at the middle
-  sweep ``xi_new``, python tail-scans vs vertical member-mask bitmaps.
-  This one runs on *all* datasets (sparse included) since the kernel
-  auto-selects a backend and both must stay bit-identical everywhere.
+  sweep ``xi_new``. The kernel picks its engine from its input: the
+  compressed database runs the member-mask bitmaps, and the same
+  groups passed bare (``list(compressed.groups)``) run the python
+  tail-scans. Both must stay bit-identical everywhere.
 
 Each comparison asserts the results are bit-identical before reporting
 the speedup. Results go to ``BENCH_backends.json`` at the repo root and
@@ -67,7 +65,7 @@ def intersections(mine, db, support: int) -> int:
 def bench_eclat(db, support: int) -> dict:
     python_s, python_patterns = best_of(mine_eclat, db, support)
     bitset_s, bitset_patterns = best_of(mine_eclat_bitset, db, support)
-    assert python_patterns == bitset_patterns, "backends disagree on patterns"
+    assert python_patterns == bitset_patterns, "miners disagree on patterns"
     return {
         "task": "eclat",
         "min_support": support,
@@ -81,35 +79,12 @@ def bench_eclat(db, support: int) -> dict:
     }
 
 
-def bench_compression(db, old_patterns) -> dict:
-    python_s, python_result = best_of(
-        compress, db, old_patterns, "mcp", backend="python"
-    )
-    bitset_s, bitset_result = best_of(
-        compress, db, old_patterns, "mcp", backend="bitset"
-    )
-    assert python_result.compressed.groups == bitset_result.compressed.groups, (
-        "backends disagree on groups"
-    )
-    return {
-        "task": "compression",
-        "old_patterns": len(old_patterns),
-        "groups": len(python_result.compressed.groups),
-        "python_seconds": round(python_s, 4),
-        "bitset_seconds": round(bitset_s, 4),
-        "speedup": round(python_s / bitset_s, 2),
-        "identical": True,
-    }
-
-
 def bench_grouped(compressed, support: int) -> dict:
     python_s, python_patterns = best_of(
-        mine_grouped, compressed, support, backend="python"
+        mine_grouped, list(compressed.groups), support
     )
-    bitset_s, bitset_patterns = best_of(
-        mine_grouped, compressed, support, backend="bitset"
-    )
-    assert python_patterns == bitset_patterns, "backends disagree on patterns"
+    bitset_s, bitset_patterns = best_of(mine_grouped, compressed, support)
+    assert python_patterns == bitset_patterns, "engines disagree on patterns"
     return {
         "task": "grouped",
         "min_support": support,
@@ -137,11 +112,9 @@ def main() -> int:
 
         old_patterns = mine_hmine(db, xi_old)
         compressed = compress(db, old_patterns, "mcp").compressed
-        tasks = (
-            [bench_eclat(db, xi_new), bench_compression(db, old_patterns)]
-            if spec.dense
-            else []
-        ) + [bench_grouped(compressed, xi_new)]
+        tasks = ([bench_eclat(db, xi_new)] if spec.dense else []) + [
+            bench_grouped(compressed, xi_new)
+        ]
         for row in tasks:
             row = {
                 "dataset": spec.name,

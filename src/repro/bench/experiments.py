@@ -424,7 +424,7 @@ def two_step_cold_start(
 
 
 def miner_sweep(dataset: str, seed: int = 0) -> tuple[list[str], list[list[object]]]:
-    """Every registered miner (both kinds, both backends) on one dataset.
+    """Every registered miner (every kind) on one dataset.
 
     Iterates the miner registry rather than any hard-coded name list, so
     a newly registered miner shows up here with zero wiring. Baselines
@@ -474,16 +474,18 @@ def miner_sweep(dataset: str, seed: int = 0) -> tuple[list[str], list[list[objec
 def grouped_kernel_benchmark(
     dataset: str, seed: int = 0
 ) -> tuple[list[str], list[list[object]]]:
-    """Group-kernel backend comparison: python loops vs vertical bitmaps.
+    """Group-kernel engine comparison: python loops vs vertical bitmaps.
 
-    Runs the shared Phase 2 kernel (:func:`mine_grouped`) over the
-    MCP-compressed database with both backends at every sweep support.
-    The result sets must be bit-identical — the backends differ only in
-    how they count group members (tail scans vs one ``&`` + popcount per
+    Runs the shared Phase 2 kernel (:func:`mine_grouped`) at every sweep
+    support twice: over the MCP-compressed database (the bitset engine)
+    and over the same groups passed bare (the python engine). The result
+    sets must be bit-identical — the engines differ only in how they
+    count group members (tail scans vs one ``&`` + popcount per
     candidate), which is where dense data rewards the vertical layout.
     """
     workload = prepare_workload(dataset, seed)
     compressed = workload.compressions["mcp"].compressed
+    bare_groups = list(compressed.groups)
     headers = [
         "xi_new", "abs_sup", "patterns",
         "python_s", "bitset_s", "speedup",
@@ -494,15 +496,11 @@ def grouped_kernel_benchmark(
         absolute = workload.absolute_support(relative)
         python_run = timed(
             "grouped-python",
-            lambda counters: mine_grouped(
-                compressed, absolute, counters, backend="python"
-            ),
+            lambda counters: mine_grouped(bare_groups, absolute, counters),
         )
         bitset_run = timed(
             "grouped-bitset",
-            lambda counters: mine_grouped(
-                compressed, absolute, counters, backend="bitset"
-            ),
+            lambda counters: mine_grouped(compressed, absolute, counters),
         )
         _check_same(python_run, bitset_run, f"grouped {dataset} xi={relative}")
         rows.append(

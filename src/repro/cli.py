@@ -111,7 +111,7 @@ def _command_compress(args: argparse.Namespace) -> int:
         if args.patterns
         else get_miner("hmine", kind="baseline").fn(db, old_support)
     )
-    result = compress(db, old_patterns, args.strategy, backend=args.backend)
+    result = compress(db, old_patterns, args.strategy)
     compressed = result.compressed
     print(
         f"{args.strategy.upper()}: {len(compressed.groups)} groups, "
@@ -136,7 +136,7 @@ def _command_recycle(args: argparse.Namespace) -> int:
     outcome = recycle_mine_detailed(
         db, old_patterns, support,
         algorithm=args.algorithm, strategy=args.strategy, counters=counters,
-        backend=args.backend, jobs=args.jobs,
+        jobs=args.jobs,
     )
     elapsed = time.perf_counter() - started
     print(
@@ -160,12 +160,7 @@ def _command_update(args: argparse.Namespace) -> int:
     db = _load_database(args)
     if not args.append and not args.delete:
         raise ReproError("provide --append and/or --delete to form a delta")
-    session = MiningSession(
-        db,
-        algorithm=args.algorithm,
-        strategy=args.strategy,
-        backend=args.backend,
-    )
+    session = MiningSession(db, algorithm=args.algorithm, strategy=args.strategy)
     session.mine(args.support)
     first = session.last_report
     print(
@@ -636,8 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="support whose patterns compress the database")
     comp.add_argument("--patterns", help="pattern file (else mined with H-Mine)")
     comp.add_argument("--strategy", default="mcp", choices=("mcp", "mlp"))
-    comp.add_argument("--backend", default="bitset", choices=("bitset", "python"),
-                      help="group-claiming / mining backend")
     comp.set_defaults(handler=_command_compress)
 
     recycle = commands.add_parser("recycle", help="compress + mine (two phases)")
@@ -649,8 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     recycle.add_argument("--algorithm", default="hmine",
                          choices=miner_names("recycling"))
     recycle.add_argument("--strategy", default="mcp", choices=("mcp", "mlp"))
-    recycle.add_argument("--backend", default="bitset", choices=("bitset", "python"),
-                         help="group-claiming / mining backend")
     recycle.add_argument("--jobs", type=int, default=1,
                          help="worker processes for sharded Phase 2 (default 1)")
     recycle.add_argument("--output", help="write patterns to this file")
@@ -671,9 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--algorithm", default="hmine",
                         choices=(*miner_names("baseline"), "naive"))
     update.add_argument("--strategy", default="mcp", choices=("mcp", "mlp"))
-    update.add_argument("--backend", default="bitset",
-                        choices=("bitset", "python"),
-                        help="group-claiming / mining backend")
     update.set_defaults(handler=_command_update)
 
     bench = commands.add_parser("bench", help="run a paper experiment")

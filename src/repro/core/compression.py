@@ -17,13 +17,10 @@ the paper's tuple-major loop (a tuple is always claimed by the first
 pattern in utility order that contains it) but avoids the
 ``|FP| x |DB|`` subset-test blow-up.
 
-Claiming has two backends. The default ``"bitset"`` backend reads the
-vertical index from the shared
-:class:`~repro.data.encoded.EncodedDatabase` (big-int bitmaps, so a
+Claiming reads the vertical index from the shared
+:class:`~repro.data.encoded.EncodedDatabase`: big-int bitmaps, so a
 pattern's candidate set is a few ``&`` operations and the unclaimed set
-is one mask); the ``"python"`` backend keeps the original per-call
-``{item: set[int]}`` index. Both produce bit-identical groups,
-member masks included.
+is one mask.
 """
 
 from __future__ import annotations
@@ -38,9 +35,6 @@ from repro.data.transactions import TransactionDatabase
 from repro.errors import CompressionError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
-
-#: Claiming backends accepted by :func:`compress`.
-COMPRESSION_BACKENDS = ("bitset", "python")
 
 #: The compressed-database container now lives in :mod:`repro.core.groups`
 #: under its unified name; this alias keeps the historical import working.
@@ -96,51 +90,15 @@ def _residual_group(db: TransactionDatabase, residual: list[int]) -> Group:
     )
 
 
-def _claim_groups_python(
-    db: TransactionDatabase, ranked: list[tuple[frozenset[int], int]]
-) -> tuple[list[Group], int]:
-    """Pattern-major claiming over a per-call ``{item: set[int]}`` index."""
-    tid_index: dict[int, set[int]] = {}
-    for position, tx in enumerate(db):
-        for item in tx:
-            tid_index.setdefault(item, set()).add(position)
-
-    unclaimed: set[int] = set(range(len(db)))
-    groups: list[Group] = []
-    checks = 0
-    for pattern_items, _support in ranked:
-        if not unclaimed:
-            break
-        ordered = sorted(pattern_items, key=lambda i: len(tid_index.get(i, ())))
-        first = tid_index.get(ordered[0])
-        if not first:
-            continue
-        candidates = set(first)
-        for item in ordered[1:]:
-            candidates &= tid_index.get(item, set())
-            if not candidates:
-                break
-        checks += 1
-        claimed = sorted(candidates & unclaimed)
-        if not claimed:
-            continue
-        unclaimed.difference_update(claimed)
-        groups.append(_claim_group(db, frozenset(pattern_items), claimed))
-
-    if unclaimed:
-        groups.append(_residual_group(db, sorted(unclaimed)))
-    return groups, checks
-
-
 def _claim_groups_bitset(
     db: TransactionDatabase, ranked: list[tuple[frozenset[int], int]]
 ) -> tuple[list[Group], int]:
     """Pattern-major claiming over the shared encoded-database bitmaps.
 
-    Observationally identical to :func:`_claim_groups_python` — same
-    claims, same checks count — but a pattern's candidate tidset is a few
-    big-int ``&`` operations and the unclaimed set is one mask, so the
-    per-pattern work is word-parallel.
+    A pattern's candidate tidset is a few big-int ``&`` operations and
+    the unclaimed set is one mask, so the per-pattern work is
+    word-parallel. A pattern is charged one containment check when all
+    its items occur in ``db``.
     """
     enc = db.encoded()
     unclaimed = enc.universe
@@ -149,9 +107,8 @@ def _claim_groups_bitset(
     for pattern_items, _support in ranked:
         if not unclaimed:
             break
-        # Ascending support = descending code; an item that never occurs
-        # sorts first in the python backend (empty tidset) and skips the
-        # pattern without charging a containment check.
+        # Ascending support = descending code; a pattern with an item
+        # that never occurs claims nothing and is not charged a check.
         if any(item not in enc for item in pattern_items):
             continue
         codes = sorted((enc.code_of(item) for item in pattern_items), reverse=True)
@@ -179,33 +136,22 @@ def compress(
     strategy: CompressionStrategy | str = "mcp",
     counters: CostCounters | None = None,
     seed: int = 0,
-    backend: str = "bitset",
 ) -> CompressionResult:
     """Compress ``db`` using ``patterns`` under the given strategy.
 
     Tuples containing none of the patterns land in the residual group
     (pattern ``()``), exactly as the paper leaves unmatched tuples
     uncompressed. An empty pattern set is rejected — recycling nothing is
-    a caller error (use the plain miners instead). ``backend`` selects
-    the claiming implementation (``"bitset"`` word-parallel default,
-    ``"python"`` reference loops); both yield bit-identical groups.
+    a caller error (use the plain miners instead).
     """
     if isinstance(strategy, str):
         strategy = get_strategy(strategy)
     if len(patterns) == 0:
         raise CompressionError("cannot compress with an empty pattern set")
-    if backend not in COMPRESSION_BACKENDS:
-        raise CompressionError(
-            f"unknown compression backend {backend!r} "
-            f"(known: {', '.join(COMPRESSION_BACKENDS)})"
-        )
 
     started = time.perf_counter()
     ranked = strategy.rank_patterns(patterns, len(db), seed=seed)
-    if backend == "bitset":
-        groups, checks = _claim_groups_bitset(db, ranked)
-    else:
-        groups, checks = _claim_groups_python(db, ranked)
+    groups, checks = _claim_groups_bitset(db, ranked)
 
     groups.sort(key=lambda g: (not g.pattern, -g.count, g.pattern))
     compressed = GroupedDatabase(groups, db)

@@ -127,7 +127,7 @@ class GroupedDatabase:
     when present.  When built from a source
     :class:`~repro.data.transactions.TransactionDatabase` the instance
     also carries the shared encoded view, which is what the bitset
-    mining backend keys on (:attr:`supports_bitset`).
+    mining engine keys on (:attr:`supports_bitset`).
     """
 
     def __init__(

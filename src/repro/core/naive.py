@@ -46,7 +46,6 @@ def mine_rp(
     min_support: int,
     counters: CostCounters | None = None,
     single_group_shortcut: bool = True,
-    backend: str | None = None,
 ) -> PatternSet:
     """All patterns with support >= ``min_support`` from a compressed DB.
 
@@ -56,13 +55,11 @@ def mine_rp(
     path (lines 2–6, parallel projection to disk) lives in
     :func:`repro.storage.projection.mine_rp_with_memory_budget`.
     ``single_group_shortcut=False`` disables the Lemma 3.1 enumeration —
-    an ablation knob; results are identical either way. ``backend``
-    picks the kernel (``"bitset"``/``"python"``; ``None`` auto-selects).
+    an ablation knob; results are identical either way.
     """
     return mine_grouped(
         compressed,
         min_support,
         counters,
         single_group_shortcut=single_group_shortcut,
-        backend=backend,
     )

@@ -201,7 +201,6 @@ def execute_plan(
     algorithm: str | None = None,
     strategy: str = "mcp",
     counters: CostCounters | None = None,
-    backend: str = "bitset",
     resilience: ResilienceConfig | None = None,
     degradation: DegradationReport | None = None,
     engine: "ParallelEngine | None" = None,
@@ -211,9 +210,7 @@ def execute_plan(
     ``algorithm`` is a baseline name from the miner registry (or
     ``"naive"``); the recycling path resolves it to a recycling
     adaptation via :func:`resolve_recycling_algorithm`. ``None`` (the
-    default) mines with the serving kernel. ``backend``
-    selects the compression claiming implementation on that path.
-    An ``engine`` of more than one job (a
+    default) mines with the serving kernel. An ``engine`` of more than one job (a
     :class:`~repro.parallel.ParallelEngine`, e.g. from
     :func:`~repro.core.recycle.sharded_engine`) fans the recycle and mine
     paths out across shards, behind its retry budget, fault injector and
@@ -237,8 +234,8 @@ def execute_plan(
         return plan.feedstock.filter_min_support(new_support)
     if plan.path == PATH_RECYCLE:
         return _recycle(
-            plan, db, new_support, algorithm, strategy, counters, backend,
-            degradation, engine,
+            plan, db, new_support, algorithm, strategy, counters, degradation,
+            engine,
         )
     if plan.path == PATH_UPDATE:
         assert plan.feedstock is not None and plan.delta is not None
@@ -270,7 +267,7 @@ def execute_plan(
             # recounts every support exactly, so stale feedstock
             # supports cost performance, never correctness.
             return _recycle(
-                plan, db, new_support, algorithm, strategy, counters, backend,
+                plan, db, new_support, algorithm, strategy, counters,
                 degradation, engine,
             )
         except ReproError:
@@ -288,9 +285,7 @@ def execute_plan(
     if engine is not None and engine.jobs > 1:
         # The engine resolves ``algorithm`` itself, so a serving-kernel
         # run (None) still reaches the shards that plan locally.
-        outcome = engine.mine(
-            db, new_support, algorithm=algorithm, counters=counters, backend=backend
-        )
+        outcome = engine.mine(db, new_support, algorithm=algorithm, counters=counters)
         if degradation is not None:
             degradation.extend(outcome.degradation)
         return outcome.patterns
@@ -305,7 +300,6 @@ def _recycle(
     algorithm: str | None,
     strategy: str,
     counters: CostCounters | None,
-    backend: str,
     degradation: DegradationReport | None,
     engine: "ParallelEngine | None",
 ) -> PatternSet:
@@ -319,7 +313,6 @@ def _recycle(
             algorithm=algorithm,
             strategy=strategy,
             counters=counters,
-            backend=backend,
         )
     else:
         outcome = recycle_mine_detailed(
@@ -329,7 +322,6 @@ def _recycle(
             algorithm=resolve_recycling_algorithm(algorithm),
             strategy=strategy,
             counters=counters,
-            backend=backend,
         )
     if degradation is not None:
         degradation.extend(outcome.degradation)

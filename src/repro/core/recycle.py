@@ -71,7 +71,6 @@ def recycle_mine(
     algorithm: str = "hmine",
     strategy: CompressionStrategy | str = "mcp",
     counters: CostCounters | None = None,
-    backend: str = "bitset",
     jobs: int = 1,
     resilience: ResilienceConfig | None = None,
 ) -> PatternSet:
@@ -79,13 +78,11 @@ def recycle_mine(
 
     ``min_support`` is the relaxed absolute threshold (``xi_new``). The
     result is exactly the frequent patterns of ``db`` at that threshold —
-    recycling changes the cost, never the answer. ``backend`` selects the
-    Phase 1 claiming implementation (both backends produce bit-identical
-    groups; the grouped output always carries the encoded view the
-    bitset mining kernel needs). ``jobs > 1`` runs Phase 2 through the
-    sharded engine of :mod:`repro.parallel` — same answer, two-pass
-    partition scheme across worker processes — honoring the retry
-    budget, fault injector and circuit breaker in ``resilience``.
+    recycling changes the cost, never the answer. ``jobs > 1`` runs
+    Phase 2 through the sharded engine of :mod:`repro.parallel` — same
+    answer, two-pass partition scheme across worker processes — honoring
+    the retry budget, fault injector and circuit breaker in
+    ``resilience``.
     """
     return recycle_mine_detailed(
         db,
@@ -94,7 +91,6 @@ def recycle_mine(
         algorithm,
         strategy,
         counters,
-        backend,
         jobs,
         resilience=resilience,
     ).patterns
@@ -125,7 +121,6 @@ def recycle_mine_detailed(
     algorithm: str = "hmine",
     strategy: CompressionStrategy | str = "mcp",
     counters: CostCounters | None = None,
-    backend: str = "bitset",
     jobs: int = 1,
     resilience: ResilienceConfig | None = None,
 ) -> RecycleOutcome:
@@ -154,7 +149,6 @@ def recycle_mine_detailed(
             algorithm=algorithm,
             strategy=strategy_name,
             counters=counters,
-            backend=backend,
         )
         assert outcome.compression is not None
         return RecycleOutcome(
@@ -162,6 +156,6 @@ def recycle_mine_detailed(
             compression=outcome.compression,
             degradation=outcome.degradation,
         )
-    compression = compress(db, old_patterns, strategy, counters, backend=backend)
+    compression = compress(db, old_patterns, strategy, counters)
     patterns = spec.mine(compression.compressed, min_support, counters)
     return RecycleOutcome(patterns=patterns, compression=compression)

@@ -97,9 +97,6 @@ class MiningSession:
         Compression strategy for the recycling path ("mcp" or "mlp").
     item_table:
         Optional item catalog consulted by aggregate constraints.
-    backend:
-        Compression claiming backend for the recycling path ("bitset"
-        word-parallel default, "python" reference loops).
     jobs:
         Worker processes for the mining paths (``1`` = in-process; more
         fans out through the sharded engine of :mod:`repro.parallel`,
@@ -130,7 +127,6 @@ class MiningSession:
         algorithm: str = "hmine",
         strategy: str = "mcp",
         item_table: ItemTable | None = None,
-        backend: str = "bitset",
         jobs: int = 1,
         resilience: ResilienceConfig | None = None,
         representation: str = "full",
@@ -164,7 +160,6 @@ class MiningSession:
             self._batches.append(tuple(db.tids))
         self.algorithm = algorithm
         self.strategy = strategy
-        self.backend = backend
         self.jobs = jobs
         self.resilience = resilience or ResilienceConfig()
         self.context = ConstraintContext(
@@ -302,7 +297,6 @@ class MiningSession:
             algorithm=self.algorithm,
             strategy=self.strategy,
             counters=counters,
-            backend=self.backend,
             resilience=self.resilience,
             degradation=degradation,
             engine=sharded_engine(self.jobs, self.resilience),
@@ -422,9 +416,10 @@ class MiningSession:
         support and the representation (plus transaction count / rule
         depth for condensed forms), so any session — whatever its own
         representation — and any other tool can pick it up. The write is
-        atomic: the file is assembled in a sibling temp file and moved
-        into place with :func:`os.replace`, so a concurrent reader (or a
-        crash) never observes a half-written or header-less file.
+        atomic and durable: the file is assembled in a sibling temp file,
+        fsynced and moved into place with :func:`os.replace`, so a
+        concurrent reader, a crash or a power loss never observes a
+        half-written or header-less file.
         """
         from repro.data.io import write_warehouse_entry
 

@@ -173,26 +173,21 @@ def pattern_body_checksum(body: str) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def write_patterns_with_support(
-    patterns: PatternSet, path: str | Path, absolute_support: int
-) -> None:
-    """Atomically persist a pattern set with its mining threshold.
+def _write_atomically(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text``: temp file, fsync, then rename.
 
-    The plain pattern format prefixed with a ``# absolute_support=N``
-    header and a ``# sha256=<hex>`` body checksum, written once into a
-    sibling temp file and moved into place with :func:`os.replace` — a
-    concurrent reader (or a crash mid-write) never observes a partial or
-    header-less file, and bit rot or truncation that slips past the
-    atomic rename is caught by the checksum on read.
+    The text goes into a sibling temp file that is flushed and fsynced
+    before :func:`os.replace` moves it into place, so a concurrent
+    reader, a crash or a power loss leaves either the old file or the
+    complete new one, never a partial or header-less file.
     """
     path = Path(path)
-    body = _pattern_body(patterns)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(f"{SUPPORT_HEADER_PREFIX}{absolute_support}\n")
-            handle.write(f"{CHECKSUM_HEADER_PREFIX}{pattern_body_checksum(body)}\n")
-            handle.write(body)
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -200,6 +195,25 @@ def write_patterns_with_support(
         except OSError:
             pass
         raise
+
+
+def write_patterns_with_support(
+    patterns: PatternSet, path: str | Path, absolute_support: int
+) -> None:
+    """Atomically persist a pattern set with its mining threshold.
+
+    The plain pattern format prefixed with a ``# absolute_support=N``
+    header and a ``# sha256=<hex>`` body checksum, written through
+    :func:`_write_atomically`; bit rot or truncation that slips past the
+    atomic rename is caught by the checksum on read.
+    """
+    body = _pattern_body(patterns)
+    _write_atomically(
+        path,
+        f"{SUPPORT_HEADER_PREFIX}{absolute_support}\n"
+        f"{CHECKSUM_HEADER_PREFIX}{pattern_body_checksum(body)}\n"
+        f"{body}",
+    )
 
 
 def warehouse_entry_text(
@@ -243,23 +257,10 @@ def write_warehouse_entry(
 ) -> None:
     """Atomically persist a (possibly condensed) warehouse entry.
 
-    Renders :func:`warehouse_entry_text` once into a sibling temp file
-    and moves it into place with :func:`os.replace`, exactly like
-    :func:`write_patterns_with_support`.
+    Renders :func:`warehouse_entry_text` once and writes it through
+    :func:`_write_atomically`, like :func:`write_patterns_with_support`.
     """
-    path = Path(path)
-    text = warehouse_entry_text(condensed, full_bytes=full_bytes)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    _write_atomically(path, warehouse_entry_text(condensed, full_bytes=full_bytes))
 
 
 def read_warehouse_entry(

@@ -24,9 +24,11 @@ everything a driver needs to pick a miner:
     :func:`repro.core.groups.to_grouped` — the registry, not each miner,
     owns the conversion.
 ``backend``
+    Which implementation the miner is, for listings and benchmarks:
     ``"python"`` (per-element loops) or ``"bitset"`` (word-parallel
     big-int bitmaps over the shared
-    :class:`~repro.data.encoded.EncodedDatabase`).
+    :class:`~repro.data.encoded.EncodedDatabase`). Callers never choose
+    it; only ``eclat`` keeps both (``eclat`` and ``eclat-bitset``).
 ``budget_fn``
     Optional memory-limited driver
     ``budget_fn(source, min_support, budget_bytes, *, disk=None,
@@ -252,12 +254,7 @@ def _register_builtins() -> None:
     from repro.core.recycle_treeprojection import mine_recycle_treeprojection
     from repro.mining.apriori import mine_apriori
     from repro.mining.bruteforce import mine_bruteforce
-    from repro.mining.condensed import (
-        mine_closed,
-        mine_closed_bitset,
-        mine_ndi,
-        mine_ndi_bitset,
-    )
+    from repro.mining.condensed import mine_closed_bitset, mine_ndi_bitset
     from repro.mining.eclat import mine_eclat, mine_eclat_bitset
     from repro.mining.fptree import mine_fpgrowth
     from repro.mining.hmine import mine_hmine
@@ -351,28 +348,16 @@ def _register_builtins() -> None:
         MinerSpec(
             name="closed",
             kind="condensed",
-            fn=mine_closed,
-            description="closed itemsets via LCM-style closure extension",
-        ),
-        MinerSpec(
-            name="closed-bitset",
-            kind="condensed",
             fn=mine_closed_bitset,
             backend="bitset",
-            description="closed itemsets over encoded-database bitmaps",
+            description="closed itemsets via LCM-style closure extension",
         ),
         MinerSpec(
             name="ndi",
             kind="condensed",
-            fn=mine_ndi,
-            description="non-derivable itemsets (Calders-Goethals rules)",
-        ),
-        MinerSpec(
-            name="ndi-bitset",
-            kind="condensed",
             fn=mine_ndi_bitset,
             backend="bitset",
-            description="non-derivable itemsets over encoded bitmaps",
+            description="non-derivable itemsets (Calders-Goethals rules)",
         ),
     ):
         register(spec)

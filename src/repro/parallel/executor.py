@@ -140,7 +140,6 @@ class ShardTask:
     local_support: int
     algorithm: str | None = None
     strategy: str = "mcp"
-    backend: str = "bitset"
     single_group_shortcut: bool = True
     feedstock: PatternRows | None = None
     feedstock_support: int | None = None
@@ -194,7 +193,6 @@ def run_shard_task(task: ShardTask) -> dict[str, object]:
             algorithm=task.algorithm,
             strategy=task.strategy,
             counters=counters,
-            backend=task.backend,
         )
         path = plan.path
     elif task.scratch:
@@ -208,13 +206,8 @@ def run_shard_task(task: ShardTask) -> dict[str, object]:
             resolve_recycling_algorithm(task.algorithm), kind="recycling"
         )
         kwargs: dict[str, object] = {}
-        accepted = inspect.signature(spec.fn).parameters
-        if "single_group_shortcut" in accepted:
+        if "single_group_shortcut" in inspect.signature(spec.fn).parameters:
             kwargs["single_group_shortcut"] = task.single_group_shortcut
-        if "backend" in accepted:
-            kwargs["backend"] = (
-                task.backend if task.backend in ("python", "bitset") else None
-            )
         patterns = spec.fn(shard.grouped(), task.local_support, counters, **kwargs)
         path = PATH_RECYCLE
     elapsed = time.perf_counter() - started
@@ -393,7 +386,6 @@ class ParallelEngine:
         algorithm: str | None = None,
         strategy: str = "mcp",
         counters: CostCounters | None = None,
-        backend: str = "bitset",
         single_group_shortcut: bool = True,
     ) -> ParallelOutcome:
         """Parallel Phase 2: compress once, mine shards, merge exactly."""
@@ -403,9 +395,7 @@ class ParallelEngine:
             # supports to claim compression groups — the condensed
             # entries qualify directly, no expansion required.
             old_patterns = old_patterns.entry_patterns()
-        compression = compress(
-            db, old_patterns, strategy, counters, backend=backend
-        )
+        compression = compress(db, old_patterns, strategy, counters)
         phase1 = time.perf_counter() - started
 
         def serial() -> PatternSet:
@@ -419,7 +409,6 @@ class ParallelEngine:
             min_support=min_support,
             algorithm=algorithm,
             strategy=strategy,
-            backend=backend,
             single_group_shortcut=single_group_shortcut,
             scratch=False,
             counters=counters,
@@ -437,7 +426,6 @@ class ParallelEngine:
         algorithm: str | None = None,
         strategy: str = "mcp",
         counters: CostCounters | None = None,
-        backend: str = "bitset",
     ) -> ParallelOutcome:
         """Parallel from-scratch mining (no feedstock, one residual group)."""
         started = time.perf_counter()
@@ -454,7 +442,6 @@ class ParallelEngine:
             min_support=min_support,
             algorithm=algorithm,
             strategy=strategy,
-            backend=backend,
             single_group_shortcut=True,
             scratch=True,
             counters=counters,
@@ -475,7 +462,6 @@ class ParallelEngine:
         min_support: int,
         algorithm: str | None,
         strategy: str,
-        backend: str,
         single_group_shortcut: bool,
         scratch: bool,
         counters: CostCounters | None,
@@ -503,7 +489,6 @@ class ParallelEngine:
                 min_support=min_support,
                 algorithm=algorithm,
                 strategy=strategy,
-                backend=backend,
                 single_group_shortcut=single_group_shortcut,
                 scratch=scratch,
                 counters=counters,
@@ -553,7 +538,6 @@ class ParallelEngine:
         min_support: int,
         algorithm: str | None,
         strategy: str,
-        backend: str,
         single_group_shortcut: bool,
         scratch: bool,
         counters: CostCounters | None,
@@ -596,7 +580,6 @@ class ParallelEngine:
                     local_support=local,
                     algorithm=algorithm,
                     strategy=strategy,
-                    backend=backend,
                     single_group_shortcut=single_group_shortcut,
                     feedstock=feedstock_rows,
                     feedstock_support=feedstock_support,

@@ -208,7 +208,9 @@ class PatternWarehouse:
         still audits, and the warehouse then never writes the
         directory (it is memory-only from the start, so load-time
         evictions and chain pruning apply in memory alone). Entries
-        and registries load identically either way.
+        and registries load identically either way. Inspecting a
+        directory that does not exist raises :class:`StorageError`
+        and creates nothing.
     """
 
     def __init__(
@@ -229,6 +231,10 @@ class PatternWarehouse:
         self.byte_budget = byte_budget
         self.representation = representation
         self.directory = Path(directory) if directory is not None else None
+        if not repair_on_load and self.directory and not self.directory.is_dir():
+            raise StorageError(
+                f"warehouse directory {self.directory} does not exist"
+            )
         self.faults = fault_injector
         self._lock = threading.RLock()
         # (fingerprint, support) -> entry; insertion order doubles as

@@ -4,24 +4,23 @@ This module is the single Phase 2 engine room. The first half is the
 **group kernel**: counting, normalization, projection and the Lemma 3.1
 single-group enumeration over the unified
 :class:`~repro.core.groups.Group` representation, exposed through
-:func:`mine_grouped` with two backends selected like
-``compress(..., backend=...)``:
+:func:`mine_grouped` with two engines, picked from the input:
 
-``"python"``
-    The reference projected-database engine (Figure 3): explicit group
-    rows, per-item loops. Works on any group list, including bare
-    hand-built rows.
-``"bitset"``
+bitset
     A vertical engine over the shared
     :class:`~repro.data.encoded.EncodedDatabase`: each group is just
     *(pattern set, member-position mask)*; counting an item inside a
     group is one big-int ``&`` + ``bit_count()`` and projection narrows
-    the mask — the same word-parallel trick PR 1 gave Eclat, now applied
-    to group counting. Requires a :class:`~repro.core.groups.GroupedDatabase`
-    with an attached original (``supports_bitset``).
+    the mask — the word-parallel trick of the bitset Eclat, applied to
+    group counting. Used whenever the source is a
+    :class:`~repro.core.groups.GroupedDatabase` with an attached
+    original (``supports_bitset``).
+python
+    The projected-database engine (Figure 3): explicit group rows,
+    per-item loops. Used for everything else: bare hand-built group
+    lists and the memory-limited partitions.
 
-Both backends produce bit-identical pattern sets; ``backend=None``
-auto-selects bitset when the source supports it. Every recycling miner
+Both engines produce bit-identical pattern sets. Every recycling miner
 (`naive`, Recycle-HM/FP/TP/Eclat) routes its shared pieces — global
 F-list counting, root normalization, the single-group enumerator —
 through this kernel instead of private copies.
@@ -51,9 +50,6 @@ from repro.mining.hmine import build_hstruct, mine_hmine_suffixes
 from repro.mining.patterns import PatternSet
 from repro.storage.disk import SimulatedDisk, cgroups_byte_size, transactions_byte_size
 from repro.storage.memory import estimate_rpstruct_bytes, estimate_transactions_bytes
-
-#: Backends accepted by :func:`mine_grouped` (``None`` auto-selects).
-GROUP_KERNEL_BACKENDS = ("bitset", "python")
 
 #: The stat keys every kernel pass charges (flushed into CostCounters).
 KERNEL_STAT_KEYS = (
@@ -359,34 +355,21 @@ def mine_grouped(
     min_support: int,
     counters: CostCounters | None = None,
     single_group_shortcut: bool = True,
-    backend: str | None = None,
 ) -> PatternSet:
     """All patterns with support >= ``min_support`` from a grouped source.
 
-    The one Phase 2 entry point every consumer shares. ``backend`` is
-    ``"bitset"``, ``"python"`` or ``None`` (auto: bitset whenever the
-    source carries an encoded original and full member masks).
-    ``single_group_shortcut=False`` disables the Lemma 3.1 enumeration —
-    an ablation knob; results are identical either way.
+    The one Phase 2 entry point every consumer shares. The bitset engine
+    runs whenever the source carries an encoded original and full member
+    masks; anything else (bare groups, memory-limited partitions) runs
+    the python engine. ``single_group_shortcut=False`` disables the
+    Lemma 3.1 enumeration — an ablation knob; results are identical
+    either way.
     """
     if min_support < 1:
         raise MiningError(f"min_support must be >= 1, got {min_support}")
-    if backend is not None and backend not in GROUP_KERNEL_BACKENDS:
-        raise MiningError(
-            f"unknown group-kernel backend {backend!r} "
-            f"(known: {', '.join(GROUP_KERNEL_BACKENDS)})"
-        )
     grouped = to_grouped(source)
-    if backend is None:
-        backend = "bitset" if grouped.supports_bitset else "python"
-    elif backend == "bitset" and not grouped.supports_bitset:
-        raise MiningError(
-            "bitset backend needs a GroupedDatabase with an encoded "
-            "original and full member masks (got bare groups)"
-        )
-
     groups = list(grouped.mining_groups())
-    if backend == "bitset":
+    if grouped.supports_bitset:
         enc = grouped.encoded()
         assert enc is not None  # guaranteed by supports_bitset
         bitset_engine = _BitsetGroupEngine(enc, min_support, single_group_shortcut)

@@ -5,10 +5,10 @@ The load-bearing invariants, over hypothesis-generated databases:
 1. **Losslessness** — ``expand(condense(S)) == S`` for every
    representation, and support queries answer exactly.
 2. **Feedstock equivalence** — every recycling miner, under every
-   strategy and backend, produces bit-identical results whether its
-   feedstock is the exact frequent set or its closed/NDI condensation.
-3. **Condensed miners** — the registry's condensed miners (python and
-   bitset backends) equal condensing a from-scratch full mine.
+   strategy, produces bit-identical results whether its feedstock is
+   the exact frequent set or its closed/NDI condensation.
+3. **Condensed miners** — the registry's condensed miners equal
+   condensing a from-scratch full mine.
 4. **Closed expansion by definition** — the set-enumeration walk of
    ``_expand_closed`` equals writing every subset of every entry in
    descending-support order, first writer wins, over *any* entry map
@@ -60,12 +60,11 @@ def test_expand_of_condense_is_identity(transactions, xi, representation):
     xi_old=st.integers(2, 5),
     xi_new=st.integers(1, 3),
     strategy=st.sampled_from(["mcp", "mlp"]),
-    backend=st.sampled_from(["bitset", "python"]),
     representation=st.sampled_from(["closed", "ndi"]),
 )
 @settings(max_examples=60, deadline=None)
 def test_condensed_feedstock_is_bit_identical_to_exact(
-    transactions, xi_old, xi_new, strategy, backend, representation
+    transactions, xi_old, xi_new, strategy, representation
 ):
     db = TransactionDatabase(transactions)
     old_patterns = mine_bruteforce(db, max(xi_old, xi_new))
@@ -78,15 +77,15 @@ def test_condensed_feedstock_is_bit_identical_to_exact(
     for name in RECYCLING_NAMES:
         exact = recycle_mine(
             db, old_patterns, xi_new,
-            algorithm=name, strategy=strategy, backend=backend,
+            algorithm=name, strategy=strategy,
         )
         from_condensed = recycle_mine(
             db, condensed, xi_new,
-            algorithm=name, strategy=strategy, backend=backend,
+            algorithm=name, strategy=strategy,
         )
-        assert exact == reference, f"{name}/{strategy}/{backend} diverged"
+        assert exact == reference, f"{name}/{strategy} diverged"
         assert from_condensed == reference, (
-            f"{name}/{strategy}/{backend}/{representation} diverged on "
+            f"{name}/{strategy}/{representation} diverged on "
             "condensed feedstock"
         )
 

@@ -148,6 +148,26 @@ class TestMultiUser:
         first_line = path.read_text(encoding="utf-8").splitlines()[0]
         assert first_line == "# absolute_support=12"
 
+    def test_save_fsyncs_the_file_before_renaming_it(self, db, tmp_path, monkeypatch):
+        """A save that reports success survives a power loss: the temp
+        file's bytes are fsynced once, before the rename publishes it."""
+        import os
+
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (calls.append("fsync"), real_fsync(fd))[1]
+        )
+        monkeypatch.setattr(
+            os,
+            "replace",
+            lambda src, dst: (calls.append("replace"), real_replace(src, dst))[1],
+        )
+        session = MiningSession(db)
+        session.mine(12)
+        session.save_patterns(str(tmp_path / "out.patterns"))
+        assert calls == ["fsync", "replace"]
+
     def test_load_rejects_empty_file(self, db, tmp_path):
         path = tmp_path / "empty.patterns"
         path.write_text("", encoding="utf-8")

@@ -3,7 +3,7 @@
 The load-bearing invariant, over hypothesis-generated databases and
 deltas: a pattern set produced by patching warehoused feedstock across a
 :class:`~repro.data.versioned.DatabaseDelta` — whatever update mode the
-planner picks, whatever miner/strategy/backend carries it out, whatever
+planner picks, whatever miner/strategy carries it out, whatever
 representation the feedstock is cached in — is **bit-identical** to
 mining the post-update database from scratch. Covered delta shapes:
 insert-only (FUP territory), delete-only, mixed, and the session's
@@ -58,13 +58,12 @@ def _condensed(patterns, support, representation, db_size):
     xi_old=st.integers(1, 5),
     xi_new=st.integers(1, 5),
     strategy=st.sampled_from(["mcp", "mlp"]),
-    backend=st.sampled_from(["bitset", "python"]),
     representation=st.sampled_from(["full", "closed", "ndi"]),
 )
 @settings(max_examples=60, deadline=None)
 def test_update_path_is_bit_identical_to_scratch(
     transactions, appends, delete_count, xi_old, xi_new,
-    strategy, backend, representation,
+    strategy, representation,
 ):
     db = TransactionDatabase(transactions)
     v0 = VersionedDatabase.initial(db)
@@ -88,10 +87,10 @@ def test_update_path_is_bit_identical_to_scratch(
             assert delta.is_insert_only
         result = execute_plan(
             plan, v1.db, xi_new,
-            algorithm=name, strategy=strategy, backend=backend,
+            algorithm=name, strategy=strategy,
         )
         assert result == reference, (
-            f"{name}/{strategy}/{backend}/{representation} diverged on "
+            f"{name}/{strategy}/{representation} diverged on "
             f"{plan.path}:{plan.update_mode} "
             f"(+{len(delta.appends)}/-{len(delta.deletes)})"
         )
@@ -107,17 +106,15 @@ def test_update_path_is_bit_identical_to_scratch(
     ),
     xi=st.integers(1, 4),
     strategy=st.sampled_from(["mcp", "mlp"]),
-    backend=st.sampled_from(["bitset", "python"]),
     representation=st.sampled_from(["full", "closed", "ndi"]),
 )
 @settings(max_examples=40, deadline=None)
 def test_sliding_window_session_is_bit_identical(
-    transactions, batches, xi, strategy, backend, representation,
+    transactions, batches, xi, strategy, representation,
 ):
     db = TransactionDatabase(transactions)
     session = MiningSession(
-        db, strategy=strategy, backend=backend,
-        representation=representation, window=2,
+        db, strategy=strategy, representation=representation, window=2,
     )
     assert session.mine(xi) == mine_bruteforce(session.db, xi)
     for batch in batches:

@@ -54,6 +54,12 @@ class TestLookup:
         spec = get_miner("eclat-bitset", kind="baseline")
         assert spec.backend == "bitset"
 
+    def test_condensed_miners_run_on_bitmaps(self):
+        assert miner_names("condensed") == ["closed", "ndi"]
+        for name in ("closed", "ndi"):
+            assert get_miner(name, kind="condensed").backend == "bitset"
+        assert len(MINERS) == 14
+
     def test_registry_mapping_protocol(self):
         assert ("baseline", "hmine") in MINERS
         assert MINERS[("recycling", "naive")].name == "naive"

@@ -136,6 +136,12 @@ class TestMiners:
         assert "bitset" in out
         assert "compressed" in out
 
+    def test_condensed_miners_are_closed_and_ndi(self, capsys):
+        assert main(["miners"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        condensed = [row[0] for row in rows if row[1:2] == ["condensed"]]
+        assert condensed == ["closed", "ndi"]
+
     def test_kind_filter(self, capsys):
         assert main(["miners", "--kind", "recycling"]) == 0
         out = capsys.readouterr().out
@@ -392,6 +398,16 @@ class TestWarehouseCommand:
         assert "1 corrupt file(s) not loaded" in capsys.readouterr().out
         assert snapshot() == before
 
+    @pytest.mark.parametrize("extra", [[], ["--verify"], ["--gc", "--dry-run"]])
+    def test_inspecting_a_missing_directory_fails_and_creates_nothing(
+        self, tmp_path, capsys, extra
+    ):
+        missing = tmp_path / "no-such-warehouse"
+        assert main(["warehouse", "--dir", str(missing), *extra]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_migrate_verb_rewrites_legacy_files(self, tmp_path, capsys):
         from repro.data.io import read_warehouse_entry, write_patterns_with_support
         from repro.mining.hmine import mine_hmine
@@ -555,6 +571,21 @@ class TestParser:
     def test_bench_requires_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compress", "--dataset", "weather", "--old-support", "0.5"],
+            ["recycle", "--dataset", "weather", "--old-support", "0.5",
+             "--support", "0.3"],
+            ["update", "--dataset", "weather", "--support", "0.3"],
+        ],
+    )
+    def test_no_command_takes_a_backend(self, argv):
+        """Which implementation counts is decided by the code, not a flag."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--backend", "python"])
+        build_parser().parse_args(argv)
 
 
 class TestPlot:
