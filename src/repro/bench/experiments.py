@@ -802,8 +802,8 @@ def warehouse_rows(
     :func:`service_benchmark` once per pattern representation, every run
     against an identically budgeted warehouse. Every response is checked
     bit-identical to a cold from-scratch mine before it counts. A request
-    is a *warm hit* when the warehouse served it (the ``filter`` or
-    ``recycle`` path); ``mine`` means the platform paid full price. The
+    is a *warm hit* when the warehouse served it (the ``filter`` path: the
+    service never recycles); ``mine`` means the platform paid full price. The
     row also carries the warehouse's closing footprint — entries, stored
     bytes, bytes per entry, and the condensation ratio (what the same
     entries would cost as full sets, over what they actually cost) — so
@@ -846,7 +846,7 @@ def warehouse_rows(
                             f"warm result disagreed with cold mining"
                         )
                     requests += 1
-                    if response.path in ("filter", "recycle"):
+                    if response.path == "filter":
                         warm_hits += 1
                     if not response.coalesced:
                         total_work += response.counters.total_work()

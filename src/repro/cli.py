@@ -29,6 +29,7 @@ import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 from repro.bench.experiments import run_experiment
 from repro.bench.report import render_report
@@ -37,9 +38,9 @@ from repro.core.recycle import recycle_mine_detailed
 from repro.data.datasets import DATASETS, get_dataset
 from repro.data.io import read_patterns, read_transactions, write_patterns
 from repro.data.transactions import TransactionDatabase
-from repro.errors import ReproError
+from repro.errors import ReproError, StorageError
 from repro.metrics.counters import CostCounters
-from repro.mining.registry import get_miner, iter_miners, miner_names
+from repro.mining.registry import KINDS, get_miner, iter_miners, miner_names
 
 
 def _load_database(args: argparse.Namespace) -> TransactionDatabase:
@@ -415,6 +416,9 @@ def _command_warehouse(args: argparse.Namespace) -> int:
     warehouse."""
     from repro.service import PatternWarehouse
 
+    # A typo in --dir must not make an empty warehouse, whatever the verb.
+    if not Path(args.dir).is_dir():
+        raise StorageError(f"warehouse directory {args.dir} does not exist")
     # Inspection must not rewrite files behind the user's back: crash
     # recovery runs in audit mode (counted, not applied) unless the
     # invocation explicitly mutates — the `recover` and `migrate` verbs
@@ -803,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     miners = commands.add_parser(
         "miners", help="list the miner registry and its capabilities"
     )
-    miners.add_argument("--kind", choices=("baseline", "recycling"), default=None,
+    miners.add_argument("--kind", choices=KINDS, default=None,
                         help="restrict the listing to one kind")
     miners.set_defaults(handler=_command_miners)
 

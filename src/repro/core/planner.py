@@ -138,7 +138,6 @@ def plan_update_path(
     ancestor_db: TransactionDatabase | None,
     delta: DatabaseDelta | None,
     new_db_size: int,
-    churn_cutoff: float = UPDATE_CHURN_CUTOFF,
     ancestor_fingerprint: str | None = None,
     distance: int | None = None,
 ) -> MiningPlan:
@@ -152,7 +151,7 @@ def plan_update_path(
     * empty delta — the versions are content-identical, so this *is* the
       support trichotomy: defer to :func:`plan_support_path`;
     * no usable feedstock — **mine** (nothing to patch);
-    * churn above ``churn_cutoff`` — **mine**: the cost model says
+    * churn above :data:`UPDATE_CHURN_CUTOFF` — **mine**: the cost model says
       patching reads most of the database anyway, so the salvageable old
       work no longer pays for the patch machinery;
     * insert-only delta whose feedstock supports are exact and complete
@@ -171,7 +170,7 @@ def plan_update_path(
     if len(feedstock) == 0 or ancestor_db is None:
         return MiningPlan(PATH_MINE)
     churn = delta.size / max(1, new_db_size)
-    if churn > churn_cutoff:
+    if churn > UPDATE_CHURN_CUTOFF:
         return MiningPlan(PATH_MINE)
     from repro.core.fup import fup_applicable
 

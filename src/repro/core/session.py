@@ -17,13 +17,14 @@ so that non-support constraints never poison future recycling, and a per
 iteration :class:`IterationReport` history so experiments (and users) can
 see what each path cost. Pattern sets can be exported/imported, which is
 how one user's mining output becomes another user's recycling input on a
-multi-user platform (Section 2).
+multi-user platform (Section 2). The session holds its feedstock as the
+full frequent set: a condensed (closed/NDI) seed or save file is
+expanded when it is adopted.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -38,7 +39,7 @@ from repro.core.planner import (
 )
 from repro.core.recycle import sharded_engine
 from repro.data.items import ItemTable
-from repro.data.patterns import REPRESENTATIONS, CondensedPatternSet
+from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.errors import DataError, RecycleError
@@ -64,13 +65,6 @@ class IterationReport:
     elapsed_seconds: float
     counters: CostCounters
     degradation: DegradationReport = field(default_factory=DegradationReport)
-    #: How the session caches its recycling feedstock ("full", "closed"
-    #: or "ndi"), the stored-entry count of that cache, and how many
-    #: times smaller it is than the full frequent set it reconstructs
-    #: (1.0 for the full representation).
-    representation: str = "full"
-    feedstock_entries: int = 0
-    condensation_ratio: float = 1.0
     #: When the iteration crossed a database change: which update mode
     #: patched the feedstock ("fup" or "recycle", ``None`` off the update
     #: path) and how many delta rows separated mined from current state.
@@ -105,20 +99,6 @@ class MiningSession:
         Retry budget, fault injector and circuit breaker threaded into
         the sharded engine when ``jobs > 1``; any degradation is
         recorded on each :class:`IterationReport`.
-    window:
-        When set, the session runs in **sliding-window** mode over
-        transaction batches: the initial database is batch 0, every
-        :meth:`append_batch` adds one batch, and once more than
-        ``window`` batches are live the oldest is expired *in the same
-        delta* that appends the new one. ``None`` (the default) keeps
-        the database append/delete-only under explicit calls.
-    representation:
-        How the cached recycling feedstock is held between iterations:
-        ``"full"`` (the frequent set verbatim, the historical behavior),
-        ``"closed"`` (closed itemsets) or ``"ndi"`` (non-derivable
-        itemsets). Condensed caches are lossless — every path replays
-        bit-identically — and shrink both the in-memory footprint and
-        the files :meth:`save_patterns` writes.
     """
 
     def __init__(
@@ -129,22 +109,12 @@ class MiningSession:
         item_table: ItemTable | None = None,
         jobs: int = 1,
         resilience: ResilienceConfig | None = None,
-        representation: str = "full",
-        window: int | None = None,
     ) -> None:
         if algorithm != "naive" and not has_miner(algorithm, kind="baseline"):
             known = ", ".join(miner_names("baseline"))
             raise RecycleError(f"unknown algorithm {algorithm!r} (known: {known}, naive)")
         if jobs < 1:
             raise RecycleError(f"jobs must be >= 1, got {jobs}")
-        if representation not in REPRESENTATIONS:
-            raise RecycleError(
-                f"unknown representation {representation!r}; "
-                f"expected one of {REPRESENTATIONS}"
-            )
-        if window is not None and window < 1:
-            raise RecycleError(f"window must be >= 1 batches, got {window}")
-        self.representation = representation
         self._item_table = item_table or ItemTable()
         self._version = VersionedDatabase.initial(db)
         # The chain state the cached feedstock was mined against. None
@@ -152,12 +122,6 @@ class MiningSession:
         # mine() goes through the update path (patch across the delta)
         # instead of the same-database support trichotomy.
         self._mined_version: VersionedDatabase | None = None
-        self.window = window
-        # Sliding-window bookkeeping: the tids of each live batch,
-        # oldest first. Batch 0 is the initial database.
-        self._batches: deque[tuple[int, ...]] = deque()
-        if window is not None:
-            self._batches.append(tuple(db.tids))
         self.algorithm = algorithm
         self.strategy = strategy
         self.jobs = jobs
@@ -168,11 +132,8 @@ class MiningSession:
         self.history: list[IterationReport] = []
         self._constraints: ConstraintSet | None = None
         # The frequent-pattern set at the current support threshold,
-        # before non-support constraints — the recycling feedstock. Held
-        # condensed (closed/NDI) when the session's representation says
-        # so; every consumer (planner, compression, export) understands
-        # both forms.
-        self._support_patterns: PatternSet | CondensedPatternSet | None = None
+        # before non-support constraints — the recycling feedstock.
+        self._support_patterns: PatternSet | None = None
         self._absolute_support: int | None = None
 
     @property
@@ -203,27 +164,11 @@ class MiningSession:
         return self._version
 
     def append_batch(self, transactions: Iterable[Iterable[int]]) -> DatabaseDelta:
-        """Append a batch of transactions (one delta).
-
-        In sliding-window mode the oldest live batch is expired in the
-        same delta once the window would overflow, so the database only
-        ever reflects the newest ``window`` batches. Returns the delta
-        that was applied.
-        """
-        appended = DatabaseDelta.append(transactions)
-        if appended.is_empty:
+        """Append a batch of transactions (one delta); returns the delta."""
+        delta = DatabaseDelta.append(transactions)
+        if delta.is_empty:
             raise RecycleError("append_batch needs at least one transaction")
-        delta = appended
-        if self.window is not None and len(self._batches) >= self.window:
-            expired: list[int] = []
-            while len(self._batches) >= self.window:
-                expired.extend(self._batches.popleft())
-            delta = DatabaseDelta(appends=appended.appends, deletes=frozenset(expired))
         self.apply_delta(delta)
-        if self.window is not None:
-            # apply() assigns the batch the newest tids in the chain.
-            count = len(delta.appends)
-            self._batches.append(tuple(self._version.db.tids[-count:]))
         return delta
 
     def delete_tids(self, tids: Iterable[int]) -> DatabaseDelta:
@@ -232,15 +177,6 @@ class MiningSession:
         if delta.is_empty:
             raise RecycleError("delete_tids needs at least one tid")
         self.apply_delta(delta)
-        if self.window is not None:
-            gone = delta.deletes
-            self._batches = deque(
-                batch
-                for batch in (
-                    tuple(t for t in b if t not in gone) for b in self._batches
-                )
-                if batch
-            )
         return delta
 
     # ------------------------------------------------------------------
@@ -303,19 +239,12 @@ class MiningSession:
         )
 
         result = constraints.filter_patterns(support_patterns, self.context)
-        feedstock = self._condense(support_patterns, new_support)
         elapsed = time.perf_counter() - started
 
         self._constraints = constraints
-        self._support_patterns = feedstock
+        self._support_patterns = support_patterns
         self._absolute_support = new_support
         self._mined_version = self._version
-        if isinstance(feedstock, CondensedPatternSet):
-            feedstock_entries = len(feedstock)
-            condensation_ratio = feedstock.condensation_ratio()
-        else:
-            feedstock_entries = len(feedstock)
-            condensation_ratio = 1.0
         self.history.append(
             IterationReport(
                 index=len(self.history),
@@ -326,36 +255,11 @@ class MiningSession:
                 elapsed_seconds=elapsed,
                 counters=counters,
                 degradation=degradation,
-                representation=self.representation,
-                feedstock_entries=feedstock_entries,
-                condensation_ratio=condensation_ratio,
                 update_mode=plan.update_mode,
                 delta_size=plan.delta.size if plan.delta is not None else 0,
             )
         )
         return result
-
-    def _condense(
-        self, support_patterns: PatternSet | CondensedPatternSet, new_support: int
-    ) -> PatternSet | CondensedPatternSet:
-        """Cache-form of the feedstock under the session representation."""
-        if self.representation == "full":
-            if isinstance(support_patterns, CondensedPatternSet):
-                return support_patterns.expand()
-            return support_patterns
-        if (
-            isinstance(support_patterns, CondensedPatternSet)
-            and support_patterns.representation == self.representation
-        ):
-            return support_patterns
-        if isinstance(support_patterns, CondensedPatternSet):
-            support_patterns = support_patterns.expand()
-        return CondensedPatternSet.condense(
-            support_patterns,
-            new_support,
-            self.representation,
-            n_transactions=len(self.db),
-        )
 
     def seed_patterns(
         self,
@@ -366,12 +270,14 @@ class MiningSession:
 
         ``absolute_support`` is the threshold those patterns were mined
         at; the next :meth:`mine` call will filter or recycle from them
-        instead of mining from scratch. Condensed sets are adopted as-is
-        (a closed/NDI warehouse entry is valid feedstock directly).
+        instead of mining from scratch. Condensed sets (a closed/NDI
+        warehouse entry) are expanded to the full set on adoption.
         """
         if len(patterns) == 0:
             raise RecycleError("cannot seed an empty pattern set")
-        self._support_patterns = self._condense(patterns, absolute_support)
+        if isinstance(patterns, CondensedPatternSet):
+            patterns = patterns.expand()
+        self._support_patterns = patterns
         self._absolute_support = absolute_support
         self._constraints = ConstraintSet.min_support(absolute_support)
         # Seeded feedstock is taken to describe the database as it
@@ -380,20 +286,7 @@ class MiningSession:
         self._mined_version = self._version
 
     def exported_patterns(self) -> PatternSet:
-        """The cached support-level pattern set (for another user/session).
-
-        Always the *full* frequent set — condensed caches are expanded
-        on the way out, so consumers never need to know the session's
-        representation. Use :meth:`exported_feedstock` for the raw form.
-        """
-        if self._support_patterns is None:
-            raise RecycleError("nothing mined yet — nothing to export")
-        if isinstance(self._support_patterns, CondensedPatternSet):
-            return self._support_patterns.expand()
-        return self._support_patterns
-
-    def exported_feedstock(self) -> PatternSet | CondensedPatternSet:
-        """The cached feedstock in its stored form (condensed or full)."""
+        """The cached support-level pattern set (for another user/session)."""
         if self._support_patterns is None:
             raise RecycleError("nothing mined yet — nothing to export")
         return self._support_patterns
@@ -412,10 +305,9 @@ class MiningSession:
         """Persist the recycling feedstock to disk.
 
         The file is the warehouse-entry pattern format of
-        :mod:`repro.data.io`: header comments record the absolute
-        support and the representation (plus transaction count / rule
-        depth for condensed forms), so any session — whatever its own
-        representation — and any other tool can pick it up. The write is
+        :mod:`repro.data.io`, written in the full representation: header
+        comments record the absolute support and the representation, so
+        any session and any other tool can pick it up. The write is
         atomic and durable: the file is assembled in a sibling temp file,
         fsynced and moved into place with :func:`os.replace`, so a
         concurrent reader, a crash or a power loss never observes a
@@ -423,14 +315,12 @@ class MiningSession:
         """
         from repro.data.io import write_warehouse_entry
 
-        feedstock = self.exported_feedstock()
-        if not isinstance(feedstock, CondensedPatternSet):
-            feedstock = CondensedPatternSet.condense(
-                feedstock,
-                self._absolute_support or 0,
-                "full",
-                n_transactions=len(self.db),
-            )
+        feedstock = CondensedPatternSet.condense(
+            self.exported_patterns(),
+            self._absolute_support or 0,
+            "full",
+            n_transactions=len(self.db),
+        )
         write_warehouse_entry(feedstock, path)
 
     def load_patterns(self, path: str) -> None:

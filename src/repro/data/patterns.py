@@ -255,8 +255,7 @@ class CondensedPatternSet:
     closed patterns for ``closed``, the non-derivable patterns for
     ``ndi``) plus the metadata needed to reconstruct the exact frequent
     set — the mining threshold, and for ``ndi`` the transaction count and
-    rule depth. :meth:`expand` is lossless and cached; :meth:`support_of`
-    answers point queries without materializing the expansion.
+    rule depth. :meth:`expand` is lossless and cached.
 
     Both condensations are *threshold independent*: whether a pattern is
     closed (or derivable) does not change when the support threshold is
@@ -316,7 +315,6 @@ class CondensedPatternSet:
             self._entries[key] = support
         self._expanded: PatternSet | None = None
         self._expanded_count = expanded_count
-        self._support_cache: dict[Pattern, int | None] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -348,11 +346,10 @@ class CondensedPatternSet:
         result._entries = entries
         result._expanded = None
         result._expanded_count = expanded_count
-        result._support_cache = {}
         return result
 
     def detached(self) -> "CondensedPatternSet":
-        """A copy that shares the entries but none of the caches.
+        """A copy that shares the entries but not the cached expansion.
 
         Expanding the copy caches the expansion on the copy, never on
         this object — how a byte-budgeted warehouse serves a condensed
@@ -542,10 +539,9 @@ class CondensedPatternSet:
         )
 
     def __getstate__(self) -> dict:
-        """Pickle without the caches (shard feedstock crosses processes)."""
+        """Pickle without the expansion (shard feedstock crosses processes)."""
         state = self.__dict__.copy()
         state["_expanded"] = None
-        state["_support_cache"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -676,62 +672,8 @@ class CondensedPatternSet:
         return result
 
     # ------------------------------------------------------------------
-    # point queries & filtering
+    # filtering
     # ------------------------------------------------------------------
-    def support_of(self, items: Iterable[int]) -> int | None:
-        """Exact support of a frequent pattern, ``None`` if not frequent.
-
-        Answers from the condensed entries directly — closed via the
-        max-support superset, ndi via memoized deduction — without
-        materializing the expansion (unless it is already cached).
-        """
-        key = frozenset(items)
-        if not key:
-            return None
-        if self._expanded is not None:
-            return self._expanded.get(key)
-        if self.representation == "full":
-            return self._entries.get(key)
-        if self.representation == "closed":
-            best: int | None = None
-            for entry, support in self._entries.items():
-                if key <= entry and (best is None or support > best):
-                    best = support
-            return best
-        return self._ndi_support_of(key)
-
-    def _ndi_support_of(self, key: Pattern) -> int | None:
-        n = self.n_transactions
-        assert n is not None
-        threshold = self.absolute_support
-        cache = self._support_cache
-
-        def resolve(subset: Pattern) -> int | None:
-            if subset in cache:
-                return cache[subset]
-            if len(subset) == 1:
-                stored = self._entries.get(subset)
-                value = stored if stored is not None and stored >= threshold else None
-            elif any(resolve(subset.difference((x,))) is None for x in subset):
-                value = None  # an infrequent subset makes the set infrequent
-            else:
-                lower, upper = derivability_bounds(
-                    subset, lambda s: n if not s else cache[s], self.ndi_depth
-                )
-                if lower == upper:
-                    value = lower if lower >= threshold else None
-                else:
-                    value = self._entries.get(subset)
-            cache[subset] = value
-            return value
-
-        return resolve(key)
-
-    def __contains__(self, items: object) -> bool:
-        if isinstance(items, Iterable):
-            return self.support_of(items) is not None  # type: ignore[arg-type]
-        return False
-
     def filter_min_support(self, min_support: int) -> "CondensedPatternSet":
         """The condensed representation at a tightened threshold.
 

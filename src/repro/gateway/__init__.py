@@ -4,7 +4,7 @@ The traffic-management layer between "millions of users" and the
 :class:`~repro.service.MiningService` worker pool: priority queueing
 with per-request deadlines, admission control with load shedding,
 cross-request batching (one mine at the group-minimum support serves a
-whole compatible cohort via ``filter_min_support``), and weighted
+whole compatible cohort via ``filter_min_support``), and
 deficit-round-robin tenant fairness. See ``docs/gateway.md``.
 
 Layering: ``repro.gateway`` sits *above* ``repro.service`` and below

@@ -21,8 +21,9 @@ front of it:
   compatible with the dequeued leader (same database version) joins one
   :class:`~repro.gateway.batching.BatchPlan`: mine once at the group's
   minimum support, serve each member exactly via ``filter_min_support``.
-* **Per-tenant fairness** — weighted deficit-round-robin dequeue inside
-  each priority class, so one hot tenant cannot starve the rest.
+* **Per-tenant fairness** — deficit-round-robin dequeue inside each
+  priority class, one credit per tenant per round, so one hot tenant
+  cannot starve the rest.
 
 Two execution modes share all of that logic:
 
@@ -51,7 +52,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.errors import GatewayError
 from repro.gateway.batching import BatchPlan, member_response, plan_batch
@@ -97,8 +98,6 @@ class GatewayConfig:
     default_priority / default_deadline_seconds:
         Applied to plain :class:`MineRequest` submissions that carry no
         gateway envelope.
-    tenant_weights:
-        Deficit-round-robin weights (default 1.0; higher = larger share).
     fifo:
         Disable priority *and* fairness scheduling — pure arrival order.
         The "no admission control" baseline for benchmarks.
@@ -116,8 +115,6 @@ class GatewayConfig:
         max_batch_size: int | None = None,
         default_priority: str = PRIORITY_STANDARD,
         default_deadline_seconds: float | None = None,
-        tenant_weights: Mapping[str, float] | None = None,
-        drr_quantum: float = 1.0,
         fifo: bool = False,
         max_inflight: int = 4,
     ) -> None:
@@ -147,8 +144,6 @@ class GatewayConfig:
         self.max_batch_size = max_batch_size
         self.default_priority = default_priority
         self.default_deadline_seconds = default_deadline_seconds
-        self.tenant_weights = dict(tenant_weights or {})
-        self.drr_quantum = drr_quantum
         self.fifo = fifo
         self.max_inflight = max_inflight
 
@@ -170,11 +165,7 @@ class MiningGateway:
         self._service = service
         self.config = config or GatewayConfig()
         self._clock = clock
-        self._queue = PriorityRequestQueue(
-            tenant_weights=self.config.tenant_weights,
-            quantum=self.config.drr_quantum,
-            fifo=self.config.fifo,
-        )
+        self._queue = PriorityRequestQueue(fifo=self.config.fifo)
         self.stats = GatewayStats()
         service.stats.attach_gauges(self.stats)
         self._cv = threading.Condition()

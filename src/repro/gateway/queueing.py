@@ -8,11 +8,11 @@ they are testable as pure data-structure logic:
   serves the best-ranked non-empty lane, so interactive traffic never
   waits behind batch work.
 * **Per-tenant fairness.** Within a lane, tenants are scheduled by
-  deficit round-robin: each visit grants a tenant ``quantum × weight``
-  credit, serving a request costs one credit, and residual credit is
-  forfeited when a tenant's sub-queue drains. A hot tenant that floods
-  the queue gets exactly its weighted share per round; it cannot starve
-  the others however many requests it piles up.
+  deficit round-robin: each visit grants a tenant one credit, serving a
+  request costs one credit, and residual credit is forfeited when a
+  tenant's sub-queue drains. A hot tenant that floods the queue gets
+  exactly one request per round; it cannot starve the others however
+  many requests it piles up.
 * **Admission bookkeeping.** The queue enforces nothing itself — the
   gateway decides what to shed or reject — but it exposes the two
   operations admission control needs: :meth:`shed_worse_than` (remove
@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
-from repro.errors import GatewayError
 from repro.gateway.request import GatewayRequest
 
 
@@ -63,14 +62,10 @@ class QueueEntry:
 class _Lane:
     """One priority class: per-tenant FIFOs under deficit round-robin."""
 
-    def __init__(
-        self, weight_of: Callable[[str], float], quantum: float
-    ) -> None:
+    def __init__(self) -> None:
         self._queues: "OrderedDict[str, deque[QueueEntry]]" = OrderedDict()
         self._rotation: deque[str] = deque()
         self._deficits: dict[str, float] = {}
-        self._weight_of = weight_of
-        self._quantum = quantum
         self.depth = 0
 
     def push(self, entry: QueueEntry, tenant: str) -> None:
@@ -85,8 +80,8 @@ class _Lane:
         """Next entry under DRR, or ``None`` when the lane is empty."""
         if self.depth == 0:
             return None
-        # Terminates: every full rotation grants every waiting tenant
-        # quantum × weight > 0 credit, so some deficit reaches 1.
+        # Terminates: every full rotation grants every waiting tenant one
+        # credit, so some deficit reaches 1.
         while True:
             tenant = self._rotation[0]
             queue = self._queues.get(tenant)
@@ -100,7 +95,7 @@ class _Lane:
                 if not queue:
                     self._retire(tenant)  # forfeit residual credit
                 return entry
-            self._deficits[tenant] += self._quantum * self._weight_of(tenant)
+            self._deficits[tenant] += 1.0
             self._rotation.rotate(-1)
 
     def _retire(self, tenant: str) -> None:
@@ -145,11 +140,6 @@ class PriorityRequestQueue:
 
     Parameters
     ----------
-    tenant_weights:
-        Relative DRR weights (default 1.0 per tenant). A tenant with
-        weight 2 gets twice the per-round share of its class.
-    quantum:
-        Credit granted per DRR visit before weighting.
     fifo:
         Disable all scheduling: one lane, one logical tenant, pure
         arrival order. This is the "no admission control" baseline the
@@ -157,33 +147,15 @@ class PriorityRequestQueue:
         would use.
     """
 
-    def __init__(
-        self,
-        tenant_weights: Mapping[str, float] | None = None,
-        quantum: float = 1.0,
-        fifo: bool = False,
-    ) -> None:
-        if quantum <= 0:
-            raise GatewayError(f"quantum must be positive, got {quantum}")
-        weights = dict(tenant_weights or {})
-        for tenant, weight in weights.items():
-            if weight <= 0:
-                raise GatewayError(
-                    f"tenant weight must be positive, got {tenant!r}: {weight}"
-                )
-        self._weights = weights
-        self._quantum = quantum
+    def __init__(self, fifo: bool = False) -> None:
         self.fifo = fifo
         self._lanes: dict[int, _Lane] = {}
         self.depth = 0
         self.high_water = 0
 
-    def _weight_of(self, tenant: str) -> float:
-        return self._weights.get(tenant, 1.0)
-
     def _lane_for(self, rank: int) -> _Lane:
         if rank not in self._lanes:
-            self._lanes[rank] = _Lane(self._weight_of, self._quantum)
+            self._lanes[rank] = _Lane()
         return self._lanes[rank]
 
     def push(self, entry: QueueEntry) -> None:

@@ -42,7 +42,7 @@ from repro.gateway.request import (
 class GatewayStats:
     """Thread-safe aggregation of gateway outcomes."""
 
-    def __init__(self, reservoir_capacity: int = 2048) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.submitted = 0
         self.served = 0
@@ -62,10 +62,10 @@ class GatewayStats:
         self.queue_depth = 0
         self.queue_high_water = 0
         self._seconds: dict[str, LatencyReservoir] = {
-            cls: LatencyReservoir(reservoir_capacity) for cls in PRIORITY_CLASSES
+            cls: LatencyReservoir() for cls in PRIORITY_CLASSES
         }
         self._work: dict[str, LatencyReservoir] = {
-            cls: LatencyReservoir(reservoir_capacity) for cls in PRIORITY_CLASSES
+            cls: LatencyReservoir() for cls in PRIORITY_CLASSES
         }
 
     # ------------------------------------------------------------------

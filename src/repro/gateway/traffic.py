@@ -119,7 +119,7 @@ def synthesize_traffic(
     cfg = config or TrafficConfig()
     rng = random.Random(cfg.seed)
     menu = sorted(set(int(s) for s in supports), reverse=True)
-    tenant_weights = _zipf_weights(cfg.tenants, cfg.zipf_exponent)
+    tenant_popularity = _zipf_weights(cfg.tenants, cfg.zipf_exponent)
     tenant_names = [f"tenant-{i:02d}" for i in range(1, cfg.tenants + 1)]
     classes = [cls for cls in PRIORITY_CLASSES if cfg.priority_mix.get(cls, 0) > 0]
     class_weights = [cfg.priority_mix[cls] for cls in classes]
@@ -133,7 +133,7 @@ def synthesize_traffic(
     ladder: list[int] = []
     while len(trace) < cfg.requests:
         if not ladder:
-            session_tenant = rng.choices(tenant_names, tenant_weights)[0]
+            session_tenant = rng.choices(tenant_names, tenant_popularity)[0]
             session_priority = rng.choices(classes, class_weights)[0]
             # A descending walk: start somewhere on the menu, take up to
             # session_length steps down it (iterative refinement).

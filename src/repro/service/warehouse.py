@@ -85,6 +85,10 @@ from repro.mining.patterns import PatternSet
 from repro.resilience import WAREHOUSE_READ, FaultInjector
 from repro.storage.disk import patterns_byte_size
 
+#: Pattern/pair combinations :meth:`PatternWarehouse.verify_entry` checks
+#: against the derivability lower bound, in canonical order.
+MAX_DERIVABILITY_CHECKS = 256
+
 
 @dataclass(frozen=True)
 class WarehouseHit:
@@ -505,12 +509,7 @@ class PatternWarehouse:
     # ------------------------------------------------------------------
     # integrity auditing
     # ------------------------------------------------------------------
-    def verify_entry(
-        self,
-        fingerprint: str,
-        absolute_support: int,
-        max_derivability_checks: int = 256,
-    ) -> IntegrityReport:
+    def verify_entry(self, fingerprint: str, absolute_support: int) -> IntegrityReport:
         """Audit one stored entry's internal consistency without re-mining.
 
         Three families of checks, all necessary conditions for the
@@ -526,7 +525,7 @@ class PatternWarehouse:
            itemsets): for ``|I| >= 3`` and any pair ``{a, b} ⊆ I``,
            inclusion–exclusion gives the lower bound
            ``supp(I) >= supp(I∖{a}) + supp(I∖{b}) − supp(I∖{a,b})``.
-           Checked for up to ``max_derivability_checks`` deterministic
+           Checked for up to :data:`MAX_DERIVABILITY_CHECKS` deterministic
            (canonical-order) pattern/pair combinations.
 
         A violation proves the entry is *not* a genuine full frequent-
@@ -576,7 +575,7 @@ class PatternWarehouse:
                         f"support {subset_support} < {support} "
                         "(anti-monotonicity violated)"
                     )
-        derivability_budget = max_derivability_checks
+        derivability_budget = MAX_DERIVABILITY_CHECKS
         for items in ordered:
             if derivability_budget <= 0:
                 break

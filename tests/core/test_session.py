@@ -229,68 +229,63 @@ class TestEmptyFeedstockFallback:
 
 
 class TestRepresentationKnob:
-    def test_unknown_representation_rejected(self, db):
+    """A representation belongs to a seed or a save file, not to the
+    session: condensed feedstock is expanded when it is adopted."""
+
+    def test_unknown_representation_rejected(self, db, tmp_path):
+        path = tmp_path / "odd.patterns"
+        session = MiningSession(db)
+        session.mine(12)
+        session.save_patterns(str(path))
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("# repr=full", "# repr=compact"), encoding="utf-8")
         with pytest.raises(RecycleError, match="unknown representation"):
-            MiningSession(db, representation="compact")
+            MiningSession(db).load_patterns(str(path))
 
     @pytest.mark.parametrize("representation", ["closed", "ndi"])
     def test_condensed_sessions_mine_exactly(self, db, representation):
-        session = MiningSession(db, representation=representation)
+        from repro.data.patterns import CondensedPatternSet
+
+        session = MiningSession(db)
+        session.seed_patterns(
+            CondensedPatternSet.condense(
+                mine_hmine(db, 12), 12, representation, n_transactions=len(db)
+            ),
+            12,
+        )
+        assert session.exported_patterns() == mine_hmine(db, 12)
         for support in (12, 20, 6, 9):
             assert session.mine(support) == mine_hmine(db, support)
         assert [r.path for r in session.history] == [
-            "initial", "filter", "recycle", "filter",
+            "filter", "filter", "recycle", "filter",
         ]
 
-    def test_reports_carry_condensation_gauges(self, db):
-        session = MiningSession(db, representation="closed")
-        session.mine(10)
-        report = session.last_report
-        assert report.representation == "closed"
-        assert 0 < report.feedstock_entries <= report.pattern_count
-        assert report.condensation_ratio >= 1.0
-
-    def test_full_sessions_report_unit_ratio(self, db):
-        session = MiningSession(db)
-        session.mine(10)
-        report = session.last_report
-        assert report.representation == "full"
-        assert report.feedstock_entries == report.pattern_count
-        assert report.condensation_ratio == 1.0
-
-    def test_exported_feedstock_is_condensed(self, db):
-        from repro.data.patterns import CondensedPatternSet
-
-        session = MiningSession(db, representation="closed")
-        session.mine(10)
-        feedstock = session.exported_feedstock()
-        assert isinstance(feedstock, CondensedPatternSet)
-        assert feedstock.representation == "closed"
-        # The public export is always the exact full set.
-        assert session.exported_patterns() == mine_hmine(db, 10)
-
     def test_save_records_representation(self, db, tmp_path):
-        path = tmp_path / "closed.patterns"
-        session = MiningSession(db, representation="closed")
+        path = tmp_path / "full.patterns"
+        session = MiningSession(db)
         session.mine(12)
         session.save_patterns(str(path))
         header = path.read_text(encoding="utf-8").splitlines()
-        assert "# repr=closed" in header
+        assert "# repr=full" in header
 
-    @pytest.mark.parametrize("saver_rep", ["full", "closed", "ndi"])
-    @pytest.mark.parametrize("loader_rep", ["full", "closed", "ndi"])
-    def test_cross_representation_round_trip(self, db, tmp_path, saver_rep, loader_rep):
-        """Any session can load any session's save file and recycle from
-        it exactly — the representation is a cache format, not a
-        contract between users."""
+    @pytest.mark.parametrize("representation", ["full", "closed", "ndi"])
+    def test_cross_representation_round_trip(self, db, tmp_path, representation):
+        """A session loads a warehouse entry file of any representation
+        and recycles from it exactly."""
+        from repro.data.io import write_warehouse_entry
+        from repro.data.patterns import CondensedPatternSet
+
         path = str(tmp_path / "handoff.patterns")
-        alice = MiningSession(db, representation=saver_rep)
-        alice.mine(12)
-        alice.save_patterns(path)
-
-        bob = MiningSession(db, representation=loader_rep)
+        mined = mine_hmine(db, 12)
+        write_warehouse_entry(
+            CondensedPatternSet.condense(
+                mined, 12, representation, n_transactions=len(db)
+            ),
+            path,
+        )
+        bob = MiningSession(db)
         bob.load_patterns(path)
-        assert bob.exported_patterns() == alice.exported_patterns()
+        assert bob.exported_patterns() == mined
         result = bob.mine(5)
         assert bob.history[-1].path == "recycle"
         assert result == mine_hmine(db, 5)

@@ -6,8 +6,7 @@ deltas: a pattern set produced by patching warehoused feedstock across a
 planner picks, whatever miner/strategy carries it out, whatever
 representation the feedstock is cached in — is **bit-identical** to
 mining the post-update database from scratch. Covered delta shapes:
-insert-only (FUP territory), delete-only, mixed, and the session's
-sliding-window slide (append + expire in one delta).
+insert-only (FUP territory), delete-only and mixed.
 """
 
 from __future__ import annotations
@@ -94,38 +93,6 @@ def test_update_path_is_bit_identical_to_scratch(
             f"{plan.path}:{plan.update_mode} "
             f"(+{len(delta.appends)}/-{len(delta.deletes)})"
         )
-
-
-@given(
-    transactions=small_databases,
-    batches=st.lists(
-        st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5),
-                 min_size=1, max_size=4),
-        min_size=1,
-        max_size=3,
-    ),
-    xi=st.integers(1, 4),
-    strategy=st.sampled_from(["mcp", "mlp"]),
-    representation=st.sampled_from(["full", "closed", "ndi"]),
-)
-@settings(max_examples=40, deadline=None)
-def test_sliding_window_session_is_bit_identical(
-    transactions, batches, xi, strategy, representation,
-):
-    db = TransactionDatabase(transactions)
-    session = MiningSession(
-        db, strategy=strategy, representation=representation, window=2,
-    )
-    assert session.mine(xi) == mine_bruteforce(session.db, xi)
-    for batch in batches:
-        session.append_batch(batch)
-        result = session.mine(xi)
-        assert result == mine_bruteforce(session.db, xi), (
-            f"window slide diverged on {session.last_report.path}:"
-            f"{session.last_report.update_mode}"
-        )
-    # The window never holds more than 2 live batches.
-    assert len(session._batches) <= 2
 
 
 @given(

@@ -2,8 +2,7 @@
 
 The contract under test: a :class:`CondensedPatternSet` is a *lossless*
 stand-in for the full frequent set — ``expand()`` reconstructs it bit
-for bit, ``support_of`` answers exact supports without expanding, and
-``filter_min_support`` commutes with expansion.
+for bit, and ``filter_min_support`` commutes with expansion.
 """
 
 from __future__ import annotations
@@ -68,17 +67,6 @@ class TestCondense:
 
 
 class TestQueries:
-    @pytest.mark.parametrize("representation", REPRESENTATIONS)
-    def test_support_of_matches_full_without_expansion(
-        self, db, full, representation
-    ):
-        condensed = CondensedPatternSet.condense(
-            full, 4, representation, n_transactions=len(db)
-        )
-        for items, support in full.items():
-            assert condensed.support_of(items) == support
-        assert condensed.support_of((99,)) is None
-
     @pytest.mark.parametrize("representation", REPRESENTATIONS)
     def test_filter_commutes_with_expansion(self, db, full, representation):
         condensed = CondensedPatternSet.condense(

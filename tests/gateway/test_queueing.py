@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.data.transactions import TransactionDatabase
-from repro.errors import GatewayError
 from repro.gateway import GatewayRequest, PriorityRequestQueue, QueueEntry
 from repro.service import MineRequest
 
@@ -80,31 +77,32 @@ class TestFairness:
         assert first_four.count("hog") == 2
         assert first_four.count("small") == 2
 
-    def test_weighted_share_without_starvation(self):
-        q = PriorityRequestQueue(tenant_weights={"heavy": 3.0})
-        for _ in range(8):
-            q.push(entry(tenant="light"))
-        for _ in range(8):
-            q.push(entry(tenant="heavy"))
-        first_eight = [q.pop().tenant for _ in range(8)]
-        assert first_eight.count("heavy") == 6  # 3:1 weighted share
-        assert first_eight.count("light") == 2  # ...but never starved
+    def test_dispatch_order_is_deficit_round_robin(self):
+        # Plain round-robin would serve A, B, A here: the B left waiting
+        # after the first pop keeps the credit it was granted.
+        q = PriorityRequestQueue()
+        for tenant in ("A", "B", "B"):
+            q.push(entry(tenant=tenant))
+        served = [q.pop().tenant]
+        q.push(entry(tenant="A"))
+        served += [q.pop().tenant, q.pop().tenant]
+        assert served == ["A", "B", "B"]
 
     def test_residual_credit_forfeited_when_tenant_drains(self):
-        q = PriorityRequestQueue(tenant_weights={"burst": 100.0})
-        q.push(entry(tenant="burst"))
-        q.push(entry(tenant="other"))
-        assert q.pop().tenant == "burst"
-        # A fresh burst arrival must not inherit the huge unused credit.
-        q.push(entry(tenant="burst"))
-        tenants = [q.pop().tenant for _ in range(2)]
-        assert set(tenants) == {"burst", "other"}
-
-    def test_invalid_weights_and_quantum_rejected(self):
-        with pytest.raises(GatewayError, match="weight"):
-            PriorityRequestQueue(tenant_weights={"a": 0.0})
-        with pytest.raises(GatewayError, match="quantum"):
-            PriorityRequestQueue(quantum=0.0)
+        q = PriorityRequestQueue()
+        first = entry(tenant="A")
+        second = entry(tenant="A")
+        q.push(first)
+        q.push(second)
+        q.push(entry(tenant="B", deadline=1.0))
+        # Serving A leaves B holding the credit its visit granted...
+        assert q.pop().seq == first.seq
+        # ...until B's queue empties by removal, which forfeits it.
+        assert len(q.purge_expired(now=5.0)) == 1
+        q.push(entry(tenant="B"))
+        # A fresh B starts from zero credit and waits behind A.
+        assert q.pop().seq == second.seq
+        assert q.pop().tenant == "B"
 
 
 class TestAdmissionHelpers:

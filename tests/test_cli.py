@@ -8,6 +8,7 @@ from repro.cli import build_parser, main
 from repro.data.io import read_patterns, write_transactions
 from repro.data.transactions import TransactionDatabase
 from repro.mining.apriori import mine_apriori
+from repro.mining.registry import KINDS, miner_names
 
 
 @pytest.fixture
@@ -143,10 +144,15 @@ class TestMiners:
         assert condensed == ["closed", "ndi"]
 
     def test_kind_filter(self, capsys):
-        assert main(["miners", "--kind", "recycling"]) == 0
-        out = capsys.readouterr().out
-        assert "naive" in out
-        assert "apriori" not in out
+        for kind in KINDS:
+            assert main(["miners", "--kind", kind]) == 0
+            rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+            listed = [row for row in rows if row[1:2] and row[1] in KINDS]
+            assert {row[1] for row in listed} == {kind}
+            names = [row[0] for row in listed]
+            assert names == miner_names(kind)
+            if kind == "condensed":
+                assert names == ["closed", "ndi"]
 
 
 class TestServeBatch:
@@ -398,7 +404,10 @@ class TestWarehouseCommand:
         assert "1 corrupt file(s) not loaded" in capsys.readouterr().out
         assert snapshot() == before
 
-    @pytest.mark.parametrize("extra", [[], ["--verify"], ["--gc", "--dry-run"]])
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--verify"], ["--gc", "--dry-run"], ["recover"], ["migrate"], ["--gc"]],
+    )
     def test_inspecting_a_missing_directory_fails_and_creates_nothing(
         self, tmp_path, capsys, extra
     ):
