@@ -376,15 +376,20 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             f"(budget {wh['byte_budget'] or 'unbounded'}), "
             f"{wh['evictions']} evictions, {wh['rejections']} rejections"
         )
-        if wh["condensed_entries"] or wh["pressure_condensations"] or wh["promotions"]:
+        if (
+            wh["condensed_entries"]
+            or wh["pressure_condensations"]
+            or wh["futile_condensations"]
+            or wh["promotions"]
+        ):
             print(
                 f"warehouse: {wh['condensed_entries']} of {wh['entries']} "
                 f"entries held condensed; {wh['full_bytes']} full-set bytes "
                 f"served from {wh['stored_bytes']} stored "
                 f"(condensation ×{warehouse.condensation_ratio():.1f}); "
                 f"{wh['pressure_condensations']} condensed under the budget "
-                f"to {warehouse.representation}, {wh['promotions']} promoted "
-                "back to full"
+                f"to {warehouse.representation}, {wh['futile_condensations']} "
+                f"futile, {wh['promotions']} promoted back to full"
             )
         if wh["quarantined"]:
             print(

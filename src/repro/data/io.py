@@ -125,11 +125,7 @@ def canonical_pattern_rows(patterns: PatternSet) -> list[tuple[tuple[int, ...], 
 
 def write_patterns(patterns: PatternSet, path: str | Path) -> None:
     """Persist a pattern set in canonical order (items, then support)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for items, support in canonical_pattern_rows(patterns):
-            handle.write(" ".join(str(i) for i in items))
-            handle.write(f" : {support}\n")
+    Path(path).write_text(_pattern_body(patterns), encoding="utf-8")
 
 
 #: Header line prefix recording the threshold a pattern file was mined at.
@@ -160,7 +156,7 @@ FULL_BYTES_HEADER_PREFIX = "# full_bytes="
 
 
 def _pattern_body(patterns: PatternSet) -> str:
-    """The canonical pattern lines as one string — what gets checksummed."""
+    """The pattern lines in canonical order, as one string."""
     buffer = io.StringIO()
     for items, support in canonical_pattern_rows(patterns):
         buffer.write(" ".join(str(i) for i in items))
@@ -230,11 +226,20 @@ def warehouse_entry_text(
     losslessly), and an optional ``# full_bytes=`` gauge records the
     expanded set's byte-model size. Metadata headers sit *between* the
     support header and the checksum, so the checksum still covers
-    exactly the body rows. Split out of :func:`write_warehouse_entry`
-    so the durability layer can render the same bytes and route them
-    through its own atomic writer.
+    exactly the body rows. The rows are written in held order (entry
+    order, items as the pattern iterates them), not the canonical order
+    of :func:`write_patterns`: readers parse rows into sets, and the
+    checksum covers the body as written, so sorting would buy nothing.
+    Split out of :func:`write_warehouse_entry` so the durability layer
+    can render the same bytes and route them through its own atomic
+    writer.
     """
-    body = _pattern_body(condensed.entry_patterns())
+    body = "".join(
+        [
+            f"{' '.join(map(str, items))} : {support}\n"
+            for items, support in condensed.items()
+        ]
+    )
     headers = [
         f"{SUPPORT_HEADER_PREFIX}{condensed.absolute_support}",
         f"{REPR_HEADER_PREFIX}{condensed.representation}",

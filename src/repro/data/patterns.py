@@ -41,6 +41,11 @@ class PatternSet:
     1
     """
 
+    #: True only on a set the bitset Eclat kernel proved free of support
+    #: ties (no pattern has an extension of equal support), so its closed
+    #: form is the set itself. Derived sets and copies never inherit it.
+    tie_free = False
+
     def __init__(self, patterns: Mapping[Pattern, int] | None = None) -> None:
         self._supports: dict[Pattern, int] = {}
         if patterns:

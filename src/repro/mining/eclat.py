@@ -29,6 +29,15 @@ equal ``tidset_intersections``:
   :class:`~repro.data.encoded.EncodedDatabase` big-int bitmaps, where an
   intersection is one ``&`` and a support count one ``bit_count()``
   (registry backend ``"bitset"``).
+
+The bitset search also returns a verdict, ``PatternSet.tie_free``: True
+proves that no pattern has an extension of equal support, so every
+pattern is closed and a closed condensation cannot shrink the set. It
+is the closure test (a pattern is closed iff no item's cover contains
+its cover) run on covers the search already holds: no perfect extension
+and no two leaves with the same tidset (proof in :func:`_search`). The
+python backend reports False, as does every set derived from a mined
+one.
 """
 
 from __future__ import annotations
@@ -61,20 +70,44 @@ def _search(
     min_support: int,
     count: Callable[[Any], int],
     counters: CostCounters | None,
+    prove_tie_free: bool = False,
 ) -> PatternSet:
     """Eclat with perfect-extension pruning over ``db``'s tidsets.
 
     ``roots`` are the frequent items in ascending-support order and
     ``count`` the support of a tidset. A node with ``n`` candidates
     intersects each pair once, so it costs ``n * (n - 1) / 2``.
+
+    With ``prove_tie_free`` (hashable tidsets only) the result's
+    ``tie_free`` is True iff the search saw no perfect extension and no
+    two *leaves* — nodes whose narrowed candidate list is empty — with
+    equal tidsets; then no pattern X has an extension X ∪ {i} of equal
+    support, so every pattern is closed. The converse is direct: a
+    perfect extension is such a tie, and two patterns A ≠ B with equal
+    tidsets tie with A ∪ B. Soundness: let X and X ∪ {i} have equal
+    support while no perfect extension was seen, so every frequent
+    pattern is a node. Take Z ⊇ X maximal among the frequent patterns
+    without ``i``. Z's tidset lies inside X's, hence inside ``i``'s, so
+    Z ∪ {i} is frequent with Z's support. If ``i`` comes after max(Z)
+    in the search order, node Z meets ``i`` as a perfect extension.
+    Otherwise every candidate of Z or of Z ∪ {i} is some j ≠ i after
+    max(Z) with Z ∪ {j} frequent, which Z's maximality rules out: both
+    are leaves, and they share a tidset. A perfect extension anywhere
+    reaches every leaf below it
+    through the inherited tuple, so only leaves are checked. Each leaf
+    keeps ``hash(tids)``, never the bitmap; a collision only reads as a
+    tie.
     """
     result = PatternSet()
     intersections = 0
+    # Hashes of the leaves' tidsets; None once a tie is seen (or when
+    # not proving), which also stops the hashing.
+    leaves: set[int] | None = set() if prove_tie_free else None
 
     def extend(
         prefix: tuple[int, ...], perfect: tuple[int, ...], candidates: list[Candidate]
     ) -> None:
-        nonlocal intersections
+        nonlocal intersections, leaves
         intersections += len(candidates) * (len(candidates) - 1) // 2
         for pos, (item, tids, support) in enumerate(candidates):
             node = prefix + (item,)
@@ -93,8 +126,15 @@ def _search(
                     result.add(node + extra, support)
             if narrowed:
                 extend(node, own, narrowed)
+            elif leaves is not None:
+                key = hash(tids)
+                if own or key in leaves:
+                    leaves = None
+                else:
+                    leaves.add(key)
 
     extend((), (), roots)
+    result.tie_free = leaves is not None
 
     if counters is not None:
         counters.tuple_scans += len(db)
@@ -136,7 +176,8 @@ def mine_eclat_bitset(
 
     Bit-identical output to :func:`mine_eclat`; the tidsets are big-int
     bitmaps from :meth:`TransactionDatabase.encoded`, so intersections and
-    support counts run word-parallel instead of element by element.
+    support counts run word-parallel instead of element by element. The
+    result carries the search's ``tie_free`` verdict (see :func:`_search`).
     """
     if min_support < 1:
         raise MiningError(f"min_support must be >= 1, got {min_support}")
@@ -153,4 +194,5 @@ def mine_eclat_bitset(
         min_support,
         int.bit_count,
         counters,
+        prove_tie_free=True,
     )

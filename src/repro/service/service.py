@@ -344,6 +344,9 @@ class ServiceStats:
             "warehouse_pressure_condensations": float(
                 stats["pressure_condensations"]
             ),
+            "warehouse_futile_condensations": float(
+                stats["futile_condensations"]
+            ),
             "warehouse_promotions": float(stats["promotions"]),
             "warehouse_condensation_ratio": self._warehouse.condensation_ratio(),
             "recovered_entries": float(stats["recovered_entries"]),

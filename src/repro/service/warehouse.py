@@ -24,7 +24,8 @@ support-level :class:`~repro.mining.patterns.PatternSet`s keyed by
   the same int-based model as the simulated disk) in the form it is
   held. When a put would exceed the budget, entries are condensed,
   least recently *used* first, until it holds — an entry whose condensed
-  form is not strictly smaller stays full and is never tried again —
+  form is not strictly smaller stays full and is never tried again, and
+  a set the kernel proved tie-free is never tried under ``closed`` —
   and only when that is not enough are entries evicted, least recently
   used first; an entry larger than the whole budget is condensed, and
   rejected when that does not make it fit. A hit on a condensed entry
@@ -131,7 +132,8 @@ class _Entry:
     header), else None. ``written`` is the representation of the entry's
     file, which only :meth:`PatternWarehouse.migrate` re-writes.
     ``shrinks`` turns False once condensing the entry proved not to
-    shrink it, so it is never condensed twice.
+    shrink it, or at the put when the kernel proved the set tie-free
+    and the target is ``closed``, so it is never condensed again.
     """
 
     stored: CondensedPatternSet
@@ -251,6 +253,9 @@ class PatternWarehouse:
         #: condensed entries a hit turned back into full ones.
         self.pressure_condensations = 0
         self.promotions = 0
+        #: Condensations computed and thrown away: the condensed form
+        #: did not shrink the entry, or did not make it fit the budget.
+        self.futile_condensations = 0
         #: Durability gauges, served through :meth:`stats`.
         self.recovered_entries = 0
         self.gc_dropped_chains = 0
@@ -308,12 +313,21 @@ class PatternWarehouse:
         entries first). The entry's file is written in the form it is stored
         in here. A write-through failure never loses the in-memory
         entry: it degrades the warehouse to memory-only and logs why.
+
+        A set the kernel proved tie-free (``PatternSet.tie_free``) is its
+        own closed form, so when the target is ``closed`` it is marked as
+        not shrinking up front: it is rejected or evicted without a
+        condensation that could only add the header.
         """
+        tie_free = False
         if not isinstance(patterns, CondensedPatternSet):
+            tie_free = patterns.tie_free
             patterns = CondensedPatternSet.condense(
                 patterns, absolute_support, "full", n_transactions=n_transactions
             )
         entry = _Entry.holding(patterns)
+        if tie_free and self._target(patterns) == "closed":
+            entry.shrinks = False
         with self._lock:
             if not self._insert((fingerprint, absolute_support), entry):
                 return False
@@ -685,8 +699,10 @@ class PatternWarehouse:
         on them, which the warehouse never keeps, so it equals
         ``stored_bytes``. ``condensed_entries`` counts the
         entries held in a condensed form, ``pressure_condensations``
-        the condensations the budget forced, ``promotions`` the
-        condensed entries a hit turned back into full ones.
+        the condensations the budget forced, ``futile_condensations``
+        the ones computed and thrown away (no smaller, or still too
+        large), ``promotions`` the condensed entries a hit turned back
+        into full ones.
         """
         report = self.recovery_report
         with self._lock:
@@ -706,6 +722,7 @@ class PatternWarehouse:
                     e.stored.representation != "full" for e in entries
                 ),
                 "pressure_condensations": self.pressure_condensations,
+                "futile_condensations": self.futile_condensations,
                 "promotions": self.promotions,
                 "byte_budget": self.byte_budget or 0,
                 "evictions": self.evictions,
@@ -821,9 +838,9 @@ class PatternWarehouse:
         """The entry condensed and its size, when that strictly shrinks it.
 
         ``None`` for an entry already condensed, in a ``full``
-        warehouse, or whose condensed form is no smaller (no exact
-        support ties to collapse) — which marks the entry, so it is
-        never condensed twice.
+        warehouse, marked as not shrinking, or whose condensed form is
+        no smaller (no exact support ties to collapse) — which counts
+        as futile and marks the entry, so it is never condensed twice.
         """
         stored = entry.stored
         if (
@@ -842,6 +859,7 @@ class PatternWarehouse:
         size = patterns_byte_size(condensed)
         if size >= entry.size:
             entry.shrinks = False
+            self.futile_condensations += 1
             return None
         return condensed, size
 
@@ -856,6 +874,8 @@ class PatternWarehouse:
         if budget is not None and entry.size > budget:
             condensed = self._condensed(entry)
             if condensed is None or condensed[1] > budget:
+                if condensed is not None:
+                    self.futile_condensations += 1
                 self.rejections += 1
                 return False
             entry.stored, entry.size = condensed

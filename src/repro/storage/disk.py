@@ -67,9 +67,9 @@ def patterns_byte_size(patterns) -> int:
     """
     from repro.data.patterns import CondensedPatternSet
 
-    total = sum(
-        len(items) * ITEM_BYTES + ITEM_BYTES + RECORD_OVERHEAD_BYTES
-        for items, _support in patterns.items()
+    # Iterating either set yields its stored rows' patterns.
+    total = ITEM_BYTES * sum(map(len, patterns)) + len(patterns) * (
+        ITEM_BYTES + RECORD_OVERHEAD_BYTES
     )
     if (
         isinstance(patterns, CondensedPatternSet)

@@ -190,3 +190,57 @@ class TestChecksumHeader:
         path.write_text("1 : 5\n")
         with pytest.raises(DataError, match="no absolute_support header"):
             read_patterns_with_support(path)
+
+
+class TestEntryBodyOrder:
+    """Warehouse entries are written in held order; the plain pattern
+    writers keep the canonical order."""
+
+    def _unsorted(self) -> PatternSet:
+        patterns = PatternSet()
+        for items, support in [({3}, 4), ({9, 1}, 2), ({1}, 5), ({17, 9, 1}, 2), ({9}, 3)]:
+            patterns.add(frozenset(items), support)
+        return patterns
+
+    def test_held_order_entry_reads_back_bit_identical(self, tmp_path):
+        from repro.data.io import (
+            CHECKSUM_HEADER_PREFIX,
+            pattern_body_checksum,
+            read_warehouse_entry,
+            warehouse_entry_text,
+            write_warehouse_entry,
+        )
+        from repro.data.patterns import CondensedPatternSet
+
+        patterns = self._unsorted()
+        entry = CondensedPatternSet.condense(patterns, 2, "full", n_transactions=6)
+        path = tmp_path / "e.patterns"
+        write_warehouse_entry(entry, path, full_bytes=99)
+        text = path.read_text()
+        assert text == warehouse_entry_text(entry, full_bytes=99)
+        checksum_line = next(
+            line for line in text.splitlines() if line.startswith(CHECKSUM_HEADER_PREFIX)
+        )
+        body = text.split(checksum_line + "\n", 1)[1]
+        expected_rows = [
+            " ".join(map(str, items)) + f" : {support}" for items, support in patterns.items()
+        ]
+        assert body.splitlines() == expected_rows  # entry order, not sorted
+        assert checksum_line == CHECKSUM_HEADER_PREFIX + pattern_body_checksum(body)
+        loaded, full_bytes = read_warehouse_entry(path)
+        assert loaded == entry and full_bytes == 99
+        assert loaded.expand() == patterns
+        assert warehouse_entry_text(loaded, full_bytes=99) == text
+
+    def test_plain_writers_keep_canonical_order(self, tmp_path):
+        from repro.data.io import pattern_body_checksum
+
+        body = "1 : 5\n1 9 : 2\n1 9 17 : 2\n3 : 4\n9 : 3\n"
+        plain = tmp_path / "plain.txt"
+        write_patterns(self._unsorted(), plain)
+        assert plain.read_text() == body
+        headed = tmp_path / "headed.txt"
+        write_patterns_with_support(self._unsorted(), headed, 2)
+        assert headed.read_text() == (
+            f"# absolute_support=2\n# sha256={pattern_body_checksum(body)}\n{body}"
+        )

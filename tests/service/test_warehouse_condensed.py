@@ -19,6 +19,10 @@ Five concerns, one per class:
   quarantined exactly like corrupt full-set files.
 * **Audits**: ``verify_entry`` still runs its checks against the exact
   expansion of a condensed entry.
+* **The kernel's tie-free verdict**: a set ``mine_eclat_bitset`` proved
+  tie-free is never condensed to closed (rejected or evicted without
+  one), while ndi warehouses and flag-less sets condense as before, and
+  ``futile_condensations`` counts the condensations thrown away.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ from repro.data.io import (
 )
 from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
+from repro.mining.eclat import mine_eclat_bitset
 from repro.mining.hmine import mine_hmine
+from repro.service import MineRequest, MiningService
 from repro.service.warehouse import PatternWarehouse
 from repro.storage.disk import (
     CONDENSED_HEADER_BYTES,
@@ -417,3 +423,127 @@ class TestAudits:
         # The audit's expansion is not kept on the held entry.
         stats = warehouse.stats()
         assert stats["resident_bytes"] == stats["stored_bytes"]
+
+
+class TestTieFreeVerdict:
+    @pytest.fixture
+    def tie_free(self):
+        """A set with no closed ties: its closed form only adds the header."""
+        chain = TransactionDatabase([[1, 2]] * 3 + [[1]] * 2 + [[2]])
+        patterns = mine_eclat_bitset(chain, 1)
+        assert patterns.tie_free
+        return chain, patterns
+
+    @pytest.fixture
+    def condensations(self, monkeypatch):
+        """Every closed and ndi condensation computed, by representation."""
+        calls = []
+        closed_entries = CondensedPatternSet._closed_entries
+        ndi_entries = CondensedPatternSet._ndi_entries
+
+        def counted_closed(patterns):
+            calls.append("closed")
+            return closed_entries(patterns)
+
+        def counted_ndi(patterns, n_transactions, ndi_depth):
+            calls.append("ndi")
+            return ndi_entries(patterns, n_transactions, ndi_depth)
+
+        monkeypatch.setattr(
+            CondensedPatternSet, "_closed_entries", staticmethod(counted_closed)
+        )
+        monkeypatch.setattr(
+            CondensedPatternSet, "_ndi_entries", staticmethod(counted_ndi)
+        )
+        return calls
+
+    def test_oversized_tie_free_set_is_rejected_uncondensed(
+        self, tie_free, condensations
+    ):
+        chain, patterns = tie_free
+        warehouse = PatternWarehouse(byte_budget=patterns_byte_size(patterns) - 1)
+        assert not warehouse.put(chain.fingerprint(), 1, patterns)
+        assert condensations == []
+        stats = warehouse.stats()
+        assert (stats["rejections"], stats["futile_condensations"]) == (1, 0)
+
+    def test_tie_free_entry_is_evicted_uncondensed(self, tie_free, condensations):
+        chain, patterns = tie_free
+        twin = TransactionDatabase([[3, 4]] * 3 + [[3]] * 2 + [[4]])
+        twin_patterns = mine_eclat_bitset(twin, 1)
+        assert twin_patterns.tie_free
+        warehouse = PatternWarehouse(byte_budget=patterns_byte_size(patterns))
+        assert warehouse.put(chain.fingerprint(), 1, patterns)
+        assert warehouse.put(twin.fingerprint(), 1, twin_patterns)
+        assert condensations == []
+        assert warehouse.keys() == [(twin.fingerprint(), 1)]
+        stats = warehouse.stats()
+        assert (stats["evictions"], stats["futile_condensations"]) == (1, 0)
+
+    def test_ndi_warehouse_still_condenses_a_tie_free_set(
+        self, tie_free, condensations
+    ):
+        """A tie-free set can still hold derivable itemsets, so the
+        verdict says nothing about its ndi form."""
+        chain, patterns = tie_free
+        warehouse = PatternWarehouse(
+            byte_budget=patterns_byte_size(patterns) - 1, representation="ndi"
+        )
+        assert not warehouse.put(
+            chain.fingerprint(), 1, patterns, n_transactions=len(chain)
+        )
+        assert condensations == ["ndi"]
+        assert warehouse.stats()["futile_condensations"] == 1
+
+    @pytest.mark.parametrize("form", ["filtered", "condensed"])
+    def test_flagless_sets_are_condensed_as_before(
+        self, tie_free, condensations, form
+    ):
+        """A filtered copy and a pre-condensed put carry no verdict, so
+        the warehouse tries (and throws away) the closed condensation."""
+        chain, patterns = tie_free
+        if form == "filtered":
+            put = patterns.filter_min_support(1)
+            assert not put.tie_free
+        else:
+            put = CondensedPatternSet.condense(patterns, 1, "full")
+        warehouse = PatternWarehouse(byte_budget=patterns_byte_size(patterns) - 1)
+        assert not warehouse.put(chain.fingerprint(), 1, put)
+        assert condensations == ["closed"]
+        stats = warehouse.stats()
+        assert (stats["rejections"], stats["futile_condensations"]) == (1, 1)
+
+    @pytest.mark.parametrize("verdict", [False, True])
+    def test_futile_condensations_are_counted(self, db, full, tie_free, verdict):
+        """Flag-less, the budget throws away three condensations: the
+        dense set's shrinks but not enough to fit, and two tie-free
+        entries' do not shrink at all. With the verdict only the first
+        is computed."""
+        chain, patterns = tie_free
+        twin = TransactionDatabase([[3, 4]] * 3 + [[3]] * 2 + [[4]])
+        twin_patterns = mine_eclat_bitset(twin, 1)
+        if not verdict:
+            patterns = patterns.filter_min_support(1)
+            twin_patterns = twin_patterns.filter_min_support(1)
+        warehouse = PatternWarehouse(byte_budget=condensed_size(db, full, "closed") - 1)
+        assert warehouse.put(chain.fingerprint(), 1, patterns)
+        assert not warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
+        assert warehouse.put(twin.fingerprint(), 1, twin_patterns)
+        assert warehouse.keys() == [(twin.fingerprint(), 1)]
+        stats = warehouse.stats()
+        assert (stats["rejections"], stats["evictions"]) == (1, 1)
+        assert stats["pressure_condensations"] == 0
+        assert stats["futile_condensations"] == (1 if verdict else 3)
+
+    def test_service_snapshot_reports_futile_condensations(self, db, full, tie_free):
+        """The dense answer is condensed and kept; the tie-free answer
+        then evicts it without a condensation of its own."""
+        chain, _ = tie_free
+        warehouse = PatternWarehouse(byte_budget=condensed_size(db, full, "closed"))
+        with MiningService(warehouse=warehouse, max_workers=1) as service:
+            assert service.execute(MineRequest(db=db, support=4)).patterns == full
+            service.execute(MineRequest(db=chain, support=1))
+            snapshot = service.stats.snapshot()
+        assert warehouse.keys() == [(chain.fingerprint(), 1)]
+        assert snapshot["warehouse_pressure_condensations"] == 1
+        assert snapshot["warehouse_futile_condensations"] == 0
