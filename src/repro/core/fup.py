@@ -7,13 +7,21 @@ reproduction's build-the-baselines rule).
 
 Given the old database's complete frequent-pattern set (with supports)
 and an increment ``db+``, FUP computes the frequent patterns of
-``DB ∪ db+`` level-wise:
+``DB ∪ db+``. Here that is one depth-first search on bitmaps (Eclat's
+traversal, :mod:`repro.mining.eclat`): the increment is encoded once,
+and a candidate's increment count is one ``&`` of its prefix's
+increment tidset with a sibling's.
 
-* an old frequent pattern ("winner" candidate) only needs the increment
-  scanned — its old support is known;
+* an old frequent pattern ("winner" candidate) needs nothing else — its
+  grown support is its old support plus that count;
 * a pattern that was *not* frequent in DB can only become frequent if it
   is frequent within the increment itself (the FUP pruning lemma), so
-  only those candidates are counted against the old database.
+  only those candidates are counted against the old database, on its
+  memoized encoding (built only when the first one needs it).
+
+Every frequent pattern of the grown database has frequent subsets, so
+the search needs no level loop and no candidate-count cutoff: it stops
+where no sibling pair stays frequent.
 
 Contrast with recycling (:mod:`repro.core.incremental`): FUP needs the
 old support of every pattern, only handles insertions, and degrades when
@@ -23,7 +31,8 @@ the support threshold changes; recycling needs none of that. The
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from operator import and_
 from typing import TYPE_CHECKING
 
 from repro.data.transactions import TransactionDatabase
@@ -33,40 +42,8 @@ from repro.mining.patterns import Pattern, PatternSet
 from repro.resilience import REASON_FUP_INSERT_ONLY, DegradationReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.data.encoded import EncodedDatabase
     from repro.data.versioned import DatabaseDelta
-
-
-def _count_candidates(
-    db: TransactionDatabase, candidates: set[Pattern], size: int
-) -> dict[Pattern, int]:
-    counts: dict[Pattern, int] = {c: 0 for c in candidates}
-    if not candidates:
-        return counts
-    for tx in db:
-        if len(tx) < size:
-            continue
-        tx_set = frozenset(tx)
-        for candidate in candidates:
-            if candidate <= tx_set:
-                counts[candidate] += 1
-    return counts
-
-
-def _join(frequent: set[Pattern], size: int) -> set[Pattern]:
-    """Apriori join + prune over the previous level."""
-    sorted_itemsets = sorted(tuple(sorted(p)) for p in frequent)
-    candidates: set[Pattern] = set()
-    for a_pos, a in enumerate(sorted_itemsets):
-        for b in sorted_itemsets[a_pos + 1 :]:
-            if a[: size - 1] != b[: size - 1]:
-                break
-            candidate = frozenset(a) | frozenset(b)
-            if all(
-                frozenset(subset) in frequent
-                for subset in combinations(sorted(candidate), size)
-            ):
-                candidates.add(candidate)
-    return candidates
 
 
 def fup_update(
@@ -84,6 +61,10 @@ def fup_update(
     relative to the old database. A raised relative threshold is fine
     (losers just get filtered); a *lowered* one is exactly what FUP
     cannot do, and the reason the paper's recycling exists.
+
+    ``counters`` is charged the increment's rows, read once to encode it
+    (``tuple_scans``, ``item_visits``), and one ``tidset_intersections``
+    per ``&``, on the increment's bitmaps or the old database's.
     """
     if min_support < 1:
         raise MiningError(f"min_support must be >= 1, got {min_support}")
@@ -98,76 +79,64 @@ def fup_update(
     delta_threshold = max(delta_threshold, int(relative * increment_size))
 
     result = PatternSet()
-    tuple_scans = 0
-    previous_level: set[Pattern] = set()
-    size = 1
-    old_by_size: dict[int, dict[Pattern, int]] = {}
-    for items, support in old_patterns.items():
-        old_by_size.setdefault(len(items), {})[items] = support
+    old_support = old_patterns.as_dict().get
+    old_enc: EncodedDatabase | None = None
+    intersections = 0
 
-    # Level-1 new candidates: every item in the increment.
-    increment_items = increment.item_supports()
+    def grown_support(key: Pattern, tids: int) -> int | None:
+        """``key``'s support in the grown database, or None if infrequent."""
+        nonlocal old_enc, intersections
+        count = tids.bit_count()
+        old = old_support(key)
+        if old is None:
+            # A newcomer must clear the increment bar before the old
+            # database is touched at all (the FUP saving).
+            if count < delta_threshold:
+                return None
+            if old_enc is None:
+                old_enc = old_db.encoded()
+            old = reduce(and_, map(old_enc.bitmap_for_item, key)).bit_count()
+            intersections += len(key) - 1
+        count += old
+        if count < min_support:
+            return None
+        result.add(key, count)
+        return count
 
-    while True:
-        winners = old_by_size.get(size, {})
-        if size == 1:
-            new_candidates = {
-                frozenset((i,)) for i in increment_items if frozenset((i,)) not in winners
-            }
-        else:
-            new_candidates = {
-                c for c in _join(previous_level, size - 1) if c not in winners
-            }
-        if not winners and not new_candidates:
-            break
+    def extend(prefix: Pattern, candidates: list[tuple[int, int]]) -> None:
+        nonlocal intersections
+        for pos, (item, tids) in enumerate(candidates):
+            node = prefix | {item}
+            narrowed = []
+            for other, other_tids in candidates[pos + 1 :]:
+                joined = tids & other_tids
+                if grown_support(node | {other}, joined) is not None:
+                    narrowed.append((other, joined))
+            intersections += len(candidates) - pos - 1
+            if narrowed:
+                extend(node, narrowed)
 
-        # Winners: scan only the increment.
-        increment_counts = _count_candidates(increment, set(winners), size)
-        tuple_scans += len(increment) if winners else 0
-        level: set[Pattern] = set()
-        for pattern, old_support in winners.items():
-            total = old_support + increment_counts[pattern]
-            if total >= min_support:
-                result.add(pattern, total)
-                level.add(pattern)
-
-        # Newcomers: must clear the increment-local bar before the old
-        # database is touched at all (the FUP saving).
-        if new_candidates:
-            delta_counts = _count_candidates(increment, new_candidates, size)
-            tuple_scans += len(increment)
-            promising = {
-                c for c, count in delta_counts.items() if count >= delta_threshold
-            }
-            if promising:
-                old_counts = _count_candidates(old_db, promising, size)
-                tuple_scans += len(old_db)
-                for pattern in promising:
-                    total = old_counts[pattern] + delta_counts[pattern]
-                    if total >= min_support:
-                        result.add(pattern, total)
-                        level.add(pattern)
-
-        if not level:
-            break
-        # Geerts–Goethals–Van den Bussche tight candidate bound (shared
-        # with the parallel merge recount): |F_k| canonically decomposed
-        # bounds |F_{k+1}|; zero means no larger pattern can be frequent
-        # at all — winners included — so the level loop is over without
-        # scanning another candidate. Lazy import: the deliberate
-        # core→parallel edge stays function-local (see tests layering
-        # contract).
-        from repro.parallel.merge import tight_candidate_bound
-
-        if tight_candidate_bound(len(level), size) == 0:
-            if counters is not None:
-                counters.add("fup_bound_cutoffs")
-            break
-        previous_level = level
-        size += 1
+    # Depth-first over the increment's bitmaps. The roots are every item
+    # of the increment plus every old frequent item (a winner the
+    # increment never mentions keeps its old support), in ascending
+    # grown support, Eclat's order: the rarest item has the fewest
+    # frequent extensions and meets the most siblings.
+    inc = increment.encoded()
+    roots = {item for pattern in old_patterns if len(pattern) == 1 for item in pattern}
+    roots.update(increment.item_supports())
+    ranked = []
+    for item in roots:
+        tids = inc.bitmap_for_item(item)
+        support = grown_support(frozenset((item,)), tids)
+        if support is not None:
+            ranked.append((support, item, tids))
+    ranked.sort()
+    extend(frozenset(), [(item, tids) for _, item, tids in ranked])
 
     if counters is not None:
-        counters.tuple_scans += tuple_scans
+        counters.tuple_scans += increment_size
+        counters.item_visits += increment.total_items()
+        counters.add("tidset_intersections", intersections)
         counters.patterns_emitted += len(result)
     return result
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.fup import fup_update
+from repro.core.fup import fup_applicable, fup_update, fup_update_delta
 from repro.data.synthetic import random_database
 from repro.data.transactions import TransactionDatabase
+from repro.data.versioned import DatabaseDelta
 from repro.errors import MiningError
 from repro.mining.apriori import mine_apriori
 from repro.mining.bruteforce import mine_bruteforce
@@ -80,6 +81,21 @@ class TestFUPEfficiencyContract:
         # handling; nothing close to 50-tuple old-db scans per level.
         assert counters.tuple_scans < 50
 
+    def test_old_database_untouched_when_no_newcomer_clears_the_bar(self):
+        """Item 9 is a newcomer seen once, under the increment bar of 2:
+        the increment rows are read once and the old database is never
+        encoded."""
+        from repro.metrics.counters import CostCounters
+
+        old_db = TransactionDatabase([[1, 2, 3]] * 50)
+        increment = TransactionDatabase([[1, 2, 3]] * 4 + [[9]])
+        old_patterns = mine_apriori(old_db, 25)
+        counters = CostCounters()
+        updated = fup_update(old_db, increment, old_patterns, 27, counters)
+        assert updated == mine_apriori(grown(old_db, increment), 27)
+        assert old_db._encoded is None
+        assert counters.tuple_scans == len(increment)
+
 
 @given(
     old_transactions=st.lists(
@@ -104,4 +120,42 @@ def test_fup_equals_remine_property(old_transactions, new_transactions, relative
     old_patterns = mine_bruteforce(old_db, xi_old)
     assert fup_update(old_db, increment, old_patterns, xi_new) == mine_bruteforce(
         total, xi_new
+    )
+
+
+# Two items outside the drawn range, so the planted pattern's old
+# support is exactly what the strategy puts there.
+PLANTED = (8, 9)
+
+
+@st.composite
+def absolute_support_updates(draw):
+    """An old database, an insert-only delta and ``(xi_old, xi_new)`` at
+    absolute supports that :func:`fup_applicable` admits.
+
+    The old database holds :data:`PLANTED` in exactly ``xi_old - 1``
+    rows, so it is a non-winner one short of the old bar, and the
+    increment holds it once: the boundary case that makes it frequent at
+    ``xi_new == xi_old``.
+    """
+    rows = st.lists(st.integers(0, 6), min_size=1, max_size=5)
+    old_rows = draw(st.lists(rows, min_size=4, max_size=20))
+    xi_old = draw(st.integers(1, len(old_rows)))
+    xi_new = xi_old + draw(st.integers(0, 2))
+    old_rows += [list(PLANTED)] * (xi_old - 1)
+    appends = draw(st.lists(rows, min_size=0, max_size=8))
+    if draw(st.booleans()):
+        appends.append([*PLANTED, *draw(rows)])
+    delta = DatabaseDelta.append(appends)
+    assume(fup_applicable(delta, xi_old, xi_new, len(old_rows)))
+    return TransactionDatabase(old_rows), delta, xi_old, xi_new
+
+
+@given(absolute_support_updates())
+@settings(max_examples=80, deadline=None)
+def test_fup_equals_remine_at_absolute_support(update):
+    old_db, delta, xi_old, xi_new = update
+    old_patterns = mine_bruteforce(old_db, xi_old)
+    assert fup_update_delta(old_db, delta, old_patterns, xi_new) == mine_bruteforce(
+        delta.apply(old_db), xi_new
     )

@@ -71,9 +71,8 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
     # blanket repro.core rule is ever relaxed, the algorithms that the
     # planner's PATH_UPDATE dispatches to must stay pure — callable from
     # a bench script or a property test with no service machinery in
-    # scope. (repro.parallel stays allowed: fup's two-pass recount lazily
-    # borrows the tight candidate bound from repro.parallel.merge.)
-    "repro.core.fup": ("repro.gateway", "repro.service"),
+    # scope. FUP's depth-first search needs no sharding helper either.
+    "repro.core.fup": ("repro.gateway", "repro.parallel", "repro.service"),
     "repro.core.incremental": ("repro.gateway", "repro.service"),
     "repro.mining": (
         "repro.durability",
