@@ -11,9 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.compression import compress
-from repro.core.recycle import RECYCLING_MINERS
 from repro.data.synthetic import QuestParams, quest_database
-from repro.mining import BASELINE_MINERS
+from repro.mining.registry import get_miner, miner_names
 
 _DB = quest_database(
     QuestParams(n_transactions=600, n_items=80, avg_transaction_length=8,
@@ -22,20 +21,20 @@ _DB = quest_database(
 )
 _XI_OLD = 60
 _XI_NEW = 24
-_OLD_PATTERNS = BASELINE_MINERS["hmine"](_DB, _XI_OLD)
+_OLD_PATTERNS = get_miner("hmine").fn(_DB, _XI_OLD)
 _COMPRESSED = compress(_DB, _OLD_PATTERNS, "mcp").compressed
 
 
-@pytest.mark.parametrize("algorithm", sorted(BASELINE_MINERS))
+@pytest.mark.parametrize("algorithm", miner_names("baseline"))
 def test_baseline_miner(benchmark, algorithm):
-    miner = BASELINE_MINERS[algorithm]
+    miner = get_miner(algorithm).fn
     patterns = benchmark(miner, _DB, _XI_NEW)
     assert len(patterns) > 0
 
 
-@pytest.mark.parametrize("algorithm", sorted(RECYCLING_MINERS))
+@pytest.mark.parametrize("algorithm", miner_names("recycling"))
 def test_recycling_miner(benchmark, algorithm):
-    miner = RECYCLING_MINERS[algorithm]
+    miner = get_miner(algorithm, "recycling").fn
     patterns = benchmark(miner, _COMPRESSED, _XI_NEW)
     assert len(patterns) > 0
 

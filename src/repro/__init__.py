@@ -38,7 +38,6 @@ from repro.core import (
     filter_min_support,
     fup_update,
     incremental_mine,
-    mine_recycle_eclat,
     mine_recycle_fptree,
     mine_recycle_hmine,
     mine_recycle_treeprojection,
@@ -167,7 +166,6 @@ __all__ = [
     "mine_fpgrowth",
     "mine_hmine",
     "mine_hmine_with_memory_budget",
-    "mine_recycle_eclat",
     "mine_recycle_fptree",
     "mine_recycle_hmine",
     "mine_recycle_treeprojection",

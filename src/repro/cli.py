@@ -218,12 +218,11 @@ def _command_update(args: argparse.Namespace) -> int:
 
 
 def _command_miners(args: argparse.Namespace) -> int:
-    headers = ["name", "kind", "backend", "input", "memory-budget", "description"]
+    headers = ["name", "kind", "input", "memory-budget", "description"]
     rows: list[list[object]] = [
         [
             spec.name,
             spec.kind,
-            spec.backend,
             "compressed" if spec.needs_compressed else "database",
             "yes" if spec.supports_memory_budget else "-",
             spec.description,

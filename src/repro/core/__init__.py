@@ -1,6 +1,6 @@
 """The paper's contribution: recycling frequent patterns via compression.
 
-The Phase 2 miners (``naive`` and the four ``recycle_*`` modules) are
+The Phase 2 miners (``naive`` and the three ``recycle_*`` modules) are
 exposed lazily (PEP 562): they import the shared group kernel from
 :mod:`repro.storage.projection`, which in turn imports
 :mod:`repro.core.groups` — eager imports here would re-enter that chain
@@ -21,9 +21,7 @@ from repro.core.incremental import (
     incremental_mine,
 )
 from repro.core.recycle import (
-    RECYCLING_MINERS,
     RecycleOutcome,
-    get_recycling_miner,
     recycle_mine,
     recycle_mine_detailed,
 )
@@ -44,7 +42,6 @@ from repro.core.utility import (
 #: name -> (module, attribute) for the lazily exposed Phase 2 miners.
 _LAZY_EXPORTS = {
     "mine_rp": ("repro.core.naive", "mine_rp"),
-    "mine_recycle_eclat": ("repro.core.recycle_eclat", "mine_recycle_eclat"),
     "mine_recycle_fptree": ("repro.core.recycle_fptree", "mine_recycle_fptree"),
     "mine_recycle_hmine": ("repro.core.recycle_hmine", "mine_recycle_hmine"),
     "mine_recycle_treeprojection": (
@@ -82,7 +79,6 @@ __all__ = [
     "MLP",
     "MiningSession",
     "RANDOM",
-    "RECYCLING_MINERS",
     "RecycleOutcome",
     "STRATEGIES",
     "apply_deletions",
@@ -94,11 +90,9 @@ __all__ = [
     "fup_applicable",
     "fup_update",
     "fup_update_delta",
-    "get_recycling_miner",
     "get_strategy",
     "incremental_mine",
     "mcp_utility",
-    "mine_recycle_eclat",
     "mine_recycle_fptree",
     "mine_recycle_hmine",
     "mine_recycle_treeprojection",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.core.planner import resolve_recycling_algorithm
 from repro.core.recycle import recycle_mine
 from repro.core.utility import CompressionStrategy
 from repro.data.transactions import TransactionDatabase
@@ -36,12 +37,15 @@ def incremental_mine(
     ``old_patterns`` may have been discovered on a database with more or
     fewer tuples (or under different constraints); their supports are
     only used as utility estimates for compression, so stale supports
-    cost performance at worst, never correctness.
+    cost performance at worst, never correctness. ``algorithm`` is a
+    baseline name, resolved like a session's by
+    :func:`~repro.core.planner.resolve_recycling_algorithm`.
     """
     if len(old_patterns) == 0:
         raise RecycleError("no old patterns to recycle")
     return recycle_mine(
-        new_db, old_patterns, min_support, algorithm=algorithm,
+        new_db, old_patterns, min_support,
+        algorithm=resolve_recycling_algorithm(algorithm),
         strategy=strategy, counters=counters,
     )
 

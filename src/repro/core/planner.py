@@ -344,18 +344,12 @@ def resolve_baseline_algorithm(algorithm: str | None) -> str:
 def resolve_recycling_algorithm(algorithm: str | None) -> str:
     """The registry recycling name backing a baseline ``algorithm``.
 
-    ``None`` is RP-Mine (``naive``) on the grouped bitset kernel, what
-    the sharded engine recycles with when no miner is named. Otherwise
-    exact match first; then the base name before any ``-backend`` suffix
-    (``eclat-bitset`` recycles with Recycle-Eclat); then Recycle-HM, so
-    every baseline algorithm still gets a sound (if not specialized)
-    recycling path.
+    The recycler registered under the same name (H-Mine, FP-growth and
+    TreeProjection have the paper's adaptations, ``naive`` is RP-Mine);
+    every other name, and ``None``, recycles with RP-Mine on the grouped
+    bitset kernel, which measured faster than every adaptation
+    (EXPERIMENTS.md, "Recycling against the serving kernel").
     """
-    if algorithm is None:
-        return "naive"
-    if has_miner(algorithm, kind="recycling"):
+    if algorithm is not None and has_miner(algorithm, kind="recycling"):
         return algorithm
-    base = algorithm.split("-", 1)[0]
-    if has_miner(base, kind="recycling"):
-        return base
-    return "hmine"
+    return "naive"

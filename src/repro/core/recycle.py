@@ -5,41 +5,28 @@ This is the paper's two-phase pipeline as a function::
     patterns = recycle_mine(db, old_patterns, new_min_support,
                             algorithm="hmine", strategy="mcp")
 
-Recycling miners (HM-MCP, HM-MLP, FP-MCP, FP-MLP, TP-MCP, TP-MLP, the
-naive RP-Mine and Recycle-Eclat) resolve through the single
+Recycling miners (HM-MCP, HM-MLP, FP-MCP, FP-MLP, TP-MCP, TP-MLP and
+the naive RP-Mine) resolve through the single
 :mod:`repro.mining.registry` under ``kind="recycling"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.core.compression import CompressionResult, compress
-from repro.core.groups import GroupedDatabase
 from repro.core.utility import CompressionStrategy
 from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError, RecycleError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
-from repro.mining.registry import MinerView, get_miner
+from repro.mining.registry import get_miner
 from repro.resilience import DegradationReport, ResilienceConfig
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.parallel import ParallelEngine
-
-#: A recycling miner maps (grouped db, min support, counters) -> patterns.
-RecyclingMiner = Callable[[GroupedDatabase, int, CostCounters | None], PatternSet]
-
-#: Deprecated: live name->fn view over the registry's recycling miners.
-#: Use :func:`repro.mining.registry.get_miner` in new code.
-RECYCLING_MINERS = MinerView("recycling")
-
-
-def get_recycling_miner(algorithm: str) -> RecyclingMiner:
-    """Look up a recycling miner by base-algorithm name via the registry."""
-    return get_miner_spec(algorithm).fn
 
 
 def get_miner_spec(algorithm: str):

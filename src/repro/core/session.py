@@ -35,7 +35,6 @@ from repro.core.planner import (
     execute_plan,
     plan_support_path,
     plan_update_path,
-    resolve_recycling_algorithm,
 )
 from repro.core.recycle import sharded_engine
 from repro.data.items import ItemTable
@@ -83,10 +82,9 @@ class MiningSession:
         Base mining algorithm, both for the initial run and as the
         recycling adaptation for later runs. Any baseline name in the
         miner registry is accepted ("naive" recycles with RP-Mine but
-        runs the initial iteration with H-Mine); when the name has no
-        recycling adaptation the session falls back to its base name
-        (``eclat-bitset`` recycles with Recycle-Eclat) and finally to
-        Recycle-HM.
+        runs the initial iteration with H-Mine); a name with no recycling
+        adaptation of its own (``eclat``, ``eclat-bitset``, ``apriori``,
+        ``bruteforce``) recycles with RP-Mine.
     strategy:
         Compression strategy for the recycling path ("mcp" or "mlp").
     item_table:
@@ -337,10 +335,3 @@ class MiningSession:
         except DataError as exc:
             raise RecycleError(str(exc)) from None
         self.seed_patterns(condensed, condensed.absolute_support)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _recycling_algorithm(self) -> str:
-        """The registry recycling name backing this session's algorithm."""
-        return resolve_recycling_algorithm(self.algorithm)

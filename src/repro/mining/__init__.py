@@ -18,7 +18,6 @@ from repro.mining.patterns import Pattern, PatternSet, pattern
 from repro.mining.registry import (
     MINERS,
     MinerSpec,
-    MinerView,
     get_miner,
     has_miner,
     iter_miners,
@@ -28,16 +27,10 @@ from repro.mining.registry import (
 from repro.mining.topk import mine_top_k, top_k_by_probe
 from repro.mining.treeprojection import mine_treeprojection
 
-#: Deprecated: live name->fn view over the registry's baseline miners.
-#: Use :func:`repro.mining.registry.get_miner` in new code.
-BASELINE_MINERS = MinerView("baseline")
-
 __all__ = [
-    "BASELINE_MINERS",
     "FList",
     "MINERS",
     "MinerSpec",
-    "MinerView",
     "FPNode",
     "FPTree",
     "Pattern",

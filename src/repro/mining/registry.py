@@ -1,9 +1,8 @@
 """The capability-aware miner registry: one dispatch surface for all miners.
 
-The seed dispatched through two disjoint ad-hoc dicts (``BASELINE_MINERS``
-and ``RECYCLING_MINERS``). This module replaces both with a single
-:data:`MINERS` registry of :class:`MinerSpec` entries. A spec records
-everything a driver needs to pick a miner:
+Every miner resolves through the single :data:`MINERS` registry of
+:class:`MinerSpec` entries. A spec records everything a driver needs to
+pick a miner:
 
 ``name``
     CLI-facing identifier, unique per kind.
@@ -23,12 +22,6 @@ everything a driver needs to pick a miner:
     ``TransactionDatabase``, a bare group list) through
     :func:`repro.core.groups.to_grouped` — the registry, not each miner,
     owns the conversion.
-``backend``
-    Which implementation the miner is, for listings and benchmarks:
-    ``"python"`` (per-element loops) or ``"bitset"`` (word-parallel
-    big-int bitmaps over the shared
-    :class:`~repro.data.encoded.EncodedDatabase`). Callers never choose
-    it; only ``eclat`` keeps both (``eclat`` and ``eclat-bitset``).
 ``budget_fn``
     Optional memory-limited driver
     ``budget_fn(source, min_support, budget_bytes, *, disk=None,
@@ -59,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mining.patterns import PatternSet
 
 KINDS = ("baseline", "recycling", "condensed")
-BACKENDS = ("python", "bitset")
 
 #: Uniform miner signature: (source, min_support, counters) -> PatternSet.
 MinerFn = Callable[..., "PatternSet"]
@@ -73,17 +65,12 @@ class MinerSpec:
     kind: str
     fn: MinerFn
     needs_compressed: bool = False
-    backend: str = "python"
     budget_fn: MinerFn | None = None
     description: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise MiningError(f"unknown miner kind {self.kind!r} (known: {KINDS})")
-        if self.backend not in BACKENDS:
-            raise MiningError(
-                f"unknown miner backend {self.backend!r} (known: {BACKENDS})"
-            )
 
     @property
     def supports_memory_budget(self) -> bool:
@@ -176,36 +163,6 @@ class _Registry(Mapping[tuple[str, str], MinerSpec]):
 MINERS = _Registry()
 
 
-class MinerView(Mapping[str, MinerFn]):
-    """Deprecated name->fn view over one kind, for the legacy dict API.
-
-    ``BASELINE_MINERS`` and ``RECYCLING_MINERS`` are instances; they stay
-    importable and dict-like but read through the live registry. New code
-    should use :func:`get_miner` / :func:`iter_miners`.
-    """
-
-    def __init__(self, kind: str) -> None:
-        if kind not in KINDS:
-            raise MiningError(f"unknown miner kind {kind!r} (known: {KINDS})")
-        self._kind = kind
-
-    def __getitem__(self, name: str) -> MinerFn:
-        _bootstrap()
-        spec = _MINERS.get((self._kind, name))
-        if spec is None:
-            raise KeyError(name)
-        return spec.fn
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(miner_names(self._kind))
-
-    def __len__(self) -> int:
-        return len(miner_names(self._kind))
-
-    def __repr__(self) -> str:
-        return f"MinerView({self._kind}: {', '.join(miner_names(self._kind))})"
-
-
 def mine_with_budget(
     name: str,
     kind: str,
@@ -248,7 +205,6 @@ def _bootstrap() -> None:
 
 def _register_builtins() -> None:
     from repro.core.naive import mine_rp
-    from repro.core.recycle_eclat import mine_recycle_eclat
     from repro.core.recycle_fptree import mine_recycle_fptree
     from repro.core.recycle_hmine import mine_recycle_hmine
     from repro.core.recycle_treeprojection import mine_recycle_treeprojection
@@ -287,7 +243,6 @@ def _register_builtins() -> None:
             name="eclat-bitset",
             kind="baseline",
             fn=mine_eclat_bitset,
-            backend="bitset",
             description="eclat over shared encoded-database bitmaps",
         ),
         MinerSpec(
@@ -339,24 +294,15 @@ def _register_builtins() -> None:
             description="Recycle-TP: TreeProjection on groups (Section 4.3)",
         ),
         MinerSpec(
-            name="eclat",
-            kind="recycling",
-            fn=mine_recycle_eclat,
-            needs_compressed=True,
-            description="Recycle-Eclat: grouped tidsets (our extension)",
-        ),
-        MinerSpec(
             name="closed",
             kind="condensed",
             fn=mine_closed_bitset,
-            backend="bitset",
             description="closed itemsets via LCM-style closure extension",
         ),
         MinerSpec(
             name="ndi",
             kind="condensed",
             fn=mine_ndi_bitset,
-            backend="bitset",
             description="non-derivable itemsets (Calders-Goethals rules)",
         ),
     ):

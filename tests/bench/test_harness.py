@@ -23,7 +23,7 @@ from repro.bench.experiments import (
     two_step_cold_start,
 )
 from repro.bench.runner import run_baseline, run_recycling, speedup, timed
-from repro.bench.workloads import prepare_workload
+from repro.bench.workloads import Workload, prepare_workload
 from repro.errors import BenchmarkError
 from repro.mining.patterns import PatternSet
 
@@ -126,6 +126,46 @@ class TestExperimentShapes:
         assert planned == ["mine"]
         assert len({row["serving_serial_seconds"] for row in rows}) == 1
         assert rows[0]["serving_serial_seconds"] > 0
+
+    def test_miner_sweep_skips_the_bruteforce_oracle(self, monkeypatch, paper_db):
+        """The oracle enumerates every subset of every row, which
+        exhausts memory on the stand-ins; every other miner gets a row."""
+        import dataclasses
+
+        import repro.bench.experiments as experiments
+        from repro.core.compression import compress
+        from repro.data.datasets import DatasetSpec
+        from repro.mining import registry
+        from repro.mining.hmine import mine_hmine
+
+        def oracle(*args, **kwargs):
+            raise AssertionError("the sweep ran the brute-force oracle")
+
+        spec = registry.get_miner("bruteforce")
+        monkeypatch.setitem(
+            registry._MINERS, ("baseline", "bruteforce"),
+            dataclasses.replace(spec, fn=oracle),
+        )
+        old_patterns = mine_hmine(paper_db, 3)
+        tiny = Workload(
+            spec=DatasetSpec("paper", lambda seed: paper_db, 0.6, (0.4,), True, ""),
+            db=paper_db,
+            xi_old_absolute=3,
+            old_patterns=old_patterns,
+            old_mining_seconds=0.0,
+            compressions={"mcp": compress(paper_db, old_patterns, "mcp")},
+        )
+        monkeypatch.setattr(experiments, "prepare_workload", lambda *a, **k: tiny)
+        headers, rows = experiments.miner_sweep("paper")
+        assert "backend" not in headers
+        listed = {(row[1], row[0]) for row in rows}
+        assert listed == {
+            (spec.kind, spec.name)
+            for spec in registry.iter_miners()
+            if spec.name != "bruteforce"
+        }
+        patterns = headers.index("patterns")
+        assert {row[patterns] for row in rows} == {len(mine_hmine(paper_db, 2))}
 
     def test_run_experiment_dispatch_unknown(self):
         with pytest.raises(BenchmarkError, match="unknown figure"):

@@ -64,3 +64,19 @@ def paper_old_patterns() -> PatternSet:
 def tiny_db() -> TransactionDatabase:
     """A minimal database for unit tests that don't need the example."""
     return TransactionDatabase([[1, 2, 3], [1, 2], [2, 3], [3]])
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """(kind, name) of every registry miner run, in order."""
+    from repro.mining.registry import MinerSpec
+
+    calls: list[tuple[str, str]] = []
+    original = MinerSpec.mine
+
+    def spy(spec, source, min_support, counters=None):
+        calls.append((spec.kind, spec.name))
+        return original(spec, source, min_support, counters)
+
+    monkeypatch.setattr(MinerSpec, "mine", spy)
+    return calls

@@ -22,7 +22,7 @@ from repro.data.versioned import DatabaseDelta
 from repro.mining.fptree import mine_fpgrowth
 from repro.mining.hmine import mine_hmine
 from repro.mining.patterns import PatternSet
-from repro.mining.registry import MinerSpec, get_miner
+from repro.mining.registry import get_miner
 
 
 @pytest.fixture
@@ -84,23 +84,9 @@ class TestServingKernel:
     kernel; a recycle plan, which only the session and the sharded engine
     build, runs RP-Mine on the grouped bitset kernel."""
 
-    @pytest.fixture
-    def ran(self, monkeypatch):
-        """(kind, name) of every registry miner run, in order."""
-        calls: list[tuple[str, str]] = []
-        original = MinerSpec.mine
-
-        def spy(spec, source, min_support, counters=None):
-            calls.append((spec.kind, spec.name))
-            return original(spec, source, min_support, counters)
-
-        monkeypatch.setattr(MinerSpec, "mine", spy)
-        return calls
-
     def test_none_resolves_to_the_serving_pair(self):
         assert resolve_baseline_algorithm(None) == SERVING_BASELINE == "eclat-bitset"
         assert resolve_recycling_algorithm(None) == "naive"
-        assert get_miner(SERVING_BASELINE).backend == "bitset"
         assert get_miner("naive", kind="recycling").needs_compressed
 
     @pytest.mark.parametrize(
@@ -149,8 +135,8 @@ class TestAlgorithmResolution:
     def test_exact_recycling_match(self):
         assert resolve_recycling_algorithm("hmine") == "hmine"
 
-    def test_backend_suffix_falls_back_to_base(self):
-        assert resolve_recycling_algorithm("eclat-bitset") == "eclat"
-
-    def test_unknown_falls_back_to_hmine(self):
-        assert resolve_recycling_algorithm("apriori") == "hmine"
+    @pytest.mark.parametrize(
+        "algorithm", ["eclat-bitset", "eclat", "apriori", "bruteforce"]
+    )
+    def test_no_recycler_of_its_own_runs_rp_mine(self, algorithm):
+        assert resolve_recycling_algorithm(algorithm) == "naive"

@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.recycle import (
-    RECYCLING_MINERS,
-    get_recycling_miner,
-    recycle_mine,
-    recycle_mine_detailed,
-)
+from repro.core.recycle import get_miner_spec, recycle_mine, recycle_mine_detailed
 from repro.errors import RecycleError
 from repro.metrics.counters import CostCounters
 from repro.mining.apriori import mine_apriori
 from repro.mining.patterns import PatternSet
+from repro.mining.registry import miner_names
 
 
 class TestRecycleMine:
@@ -21,7 +17,7 @@ class TestRecycleMine:
         result = recycle_mine(paper_db, paper_old_patterns, 2)
         assert result == mine_apriori(paper_db, 2)
 
-    @pytest.mark.parametrize("algorithm", sorted(RECYCLING_MINERS))
+    @pytest.mark.parametrize("algorithm", miner_names("recycling"))
     def test_every_algorithm(self, paper_db, paper_old_patterns, algorithm):
         result = recycle_mine(paper_db, paper_old_patterns, 2, algorithm=algorithm)
         assert result == mine_apriori(paper_db, 2)
@@ -44,7 +40,7 @@ class TestRecycleMine:
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(RecycleError, match="unknown recycling algorithm"):
-            get_recycling_miner("quantum")
+            get_miner_spec("quantum")
 
     def test_strategy_object_accepted(self, paper_db, paper_old_patterns):
         from repro.core.utility import MLP

@@ -4,8 +4,8 @@
     set as mining the uncompressed database.
 
 Exercised over randomized databases, hypothesis-generated databases, and
-adversarial corner cases, for all four recycling miners under both paper
-strategies and both ablation strategies.
+adversarial corner cases, for every registered recycling miner under both
+paper strategies and both ablation strategies.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.core.compression import compress
 from repro.core.naive import mine_rp
-from repro.core.recycle import RECYCLING_MINERS
 from repro.core.recycle_fptree import mine_recycle_fptree
 from repro.core.recycle_hmine import mine_recycle_hmine
 from repro.core.recycle_treeprojection import mine_recycle_treeprojection
@@ -24,15 +23,16 @@ from repro.data.synthetic import QuestParams, quest_database, random_database
 from repro.data.transactions import TransactionDatabase
 from repro.mining.apriori import mine_apriori
 from repro.mining.bruteforce import mine_bruteforce
+from repro.mining.registry import get_miner, miner_names
 
-ALL_RECYCLERS = sorted(RECYCLING_MINERS)
+ALL_RECYCLERS = miner_names("recycling")
 
 
 def assert_equivalent(db, old_patterns, min_support, strategy="mcp"):
     reference = mine_apriori(db, min_support)
     compressed = compress(db, old_patterns, strategy).compressed
-    for name, miner in RECYCLING_MINERS.items():
-        result = miner(compressed, min_support)
+    for name in ALL_RECYCLERS:
+        result = get_miner(name, "recycling").fn(compressed, min_support)
         assert result == reference, (
             f"{name}/{strategy}: {len(result)} patterns vs "
             f"{len(reference)} expected"
@@ -77,7 +77,8 @@ def test_recycling_equivalence_property(transactions, xi_old, xi_new, strategy):
         return
     reference = mine_bruteforce(db, xi_new)
     compressed = compress(db, old_patterns, strategy).compressed
-    for name, miner in RECYCLING_MINERS.items():
+    for name in ALL_RECYCLERS:
+        miner = get_miner(name, "recycling").fn
         assert miner(compressed, xi_new) == reference, f"{name} diverged"
 
 
@@ -124,7 +125,8 @@ class TestCornerCases:
             pytest.skip("no patterns at seed")
         reference = mine_apriori(db, 2)
         compressed = compress(db, stale, "mcp").compressed
-        for name, miner in RECYCLING_MINERS.items():
+        for name in ALL_RECYCLERS:
+            miner = get_miner(name, "recycling").fn
             assert miner(compressed, 2) == reference, f"{name} diverged"
 
     def test_patterns_absent_from_database(self):
@@ -146,5 +148,5 @@ class TestCornerCases:
 
         patterns = PatternSet({frozenset({1, 2}): 1})
         compressed = compress(db, patterns, "mcp").compressed
-        for miner in RECYCLING_MINERS.values():
-            assert len(miner(compressed, 5)) == 0
+        for name in ALL_RECYCLERS:
+            assert len(get_miner(name, "recycling").fn(compressed, 5)) == 0

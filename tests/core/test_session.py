@@ -81,6 +81,17 @@ class TestAlgorithms:
         with pytest.raises(RecycleError, match="unknown algorithm"):
             MiningSession(db, algorithm="magic")
 
+    def test_relax_without_a_recycler_of_its_own_runs_rp_mine(self, db, ran):
+        """``eclat-bitset`` has no recycling adaptation, so a relaxed
+        session recycles with RP-Mine on the grouped kernel."""
+        session = MiningSession(db, algorithm="eclat-bitset")
+        session.mine(12)
+        ran.clear()
+        result = session.mine(5)
+        assert session.history[-1].path == "recycle"
+        assert ran == [("recycling", "naive")]
+        assert result == mine_hmine(db, 5)
+
 
 class TestMultiUser:
     def test_seeded_patterns_enable_recycling(self, db):

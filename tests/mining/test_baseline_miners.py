@@ -7,33 +7,33 @@ import pytest
 from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError
 from repro.metrics.counters import CostCounters
-from repro.mining import BASELINE_MINERS
 from repro.mining.apriori import mine_apriori
 from repro.mining.bruteforce import mine_bruteforce
 from repro.mining.eclat import mine_eclat
 from repro.mining.fptree import mine_fpgrowth
 from repro.mining.hmine import build_hstruct, mine_hmine
 from repro.mining.flist import FList
+from repro.mining.registry import get_miner, miner_names
 from repro.mining.treeprojection import mine_treeprojection
 
-ALL_MINERS = sorted(BASELINE_MINERS)
+ALL_MINERS = miner_names("baseline")
 
 
 @pytest.mark.parametrize("name", ALL_MINERS)
 class TestEveryMiner:
     def test_paper_example_at_xi3(self, name, paper_db, paper_old_patterns):
         """Example 1: the pattern set at xi_old = 3, exactly."""
-        assert BASELINE_MINERS[name](paper_db, 3) == paper_old_patterns
+        assert get_miner(name).fn(paper_db, 3) == paper_old_patterns
 
     def test_empty_database(self, name):
-        assert len(BASELINE_MINERS[name](TransactionDatabase([]), 1)) == 0
+        assert len(get_miner(name).fn(TransactionDatabase([]), 1)) == 0
 
     def test_no_frequent_items(self, name, tiny_db):
-        assert len(BASELINE_MINERS[name](tiny_db, 10)) == 0
+        assert len(get_miner(name).fn(tiny_db, 10)) == 0
 
     def test_min_support_one_counts_everything(self, name):
         db = TransactionDatabase([[1, 2], [2, 3]])
-        patterns = BASELINE_MINERS[name](db, 1)
+        patterns = get_miner(name).fn(db, 1)
         assert patterns.support({1}) == 1
         assert patterns.support({2}) == 2
         assert patterns.support({1, 2}) == 1
@@ -41,23 +41,23 @@ class TestEveryMiner:
 
     def test_invalid_support_rejected(self, name, tiny_db):
         with pytest.raises(MiningError):
-            BASELINE_MINERS[name](tiny_db, 0)
+            get_miner(name).fn(tiny_db, 0)
 
     def test_counters_populated(self, name, paper_db):
         counters = CostCounters()
-        BASELINE_MINERS[name](paper_db, 2, counters)
+        get_miner(name).fn(paper_db, 2, counters)
         assert counters.patterns_emitted > 0
         assert counters.tuple_scans > 0
 
     def test_identical_transactions(self, name):
         db = TransactionDatabase([[1, 2, 3]] * 5)
-        patterns = BASELINE_MINERS[name](db, 5)
+        patterns = get_miner(name).fn(db, 5)
         assert len(patterns) == 7  # all non-empty subsets of {1,2,3}
         assert all(s == 5 for _p, s in patterns.items())
 
     def test_singleton_transactions(self, name):
         db = TransactionDatabase([[1], [1], [2]])
-        patterns = BASELINE_MINERS[name](db, 2)
+        patterns = get_miner(name).fn(db, 2)
         assert patterns.as_dict() == {frozenset({1}): 2}
 
 

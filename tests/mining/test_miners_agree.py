@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.data.synthetic import random_database
 from repro.data.transactions import TransactionDatabase
-from repro.mining import BASELINE_MINERS
 from repro.mining.bruteforce import mine_bruteforce
+from repro.mining.registry import get_miner, miner_names
 
 transactions_strategy = st.lists(
     st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=6),
@@ -32,7 +32,8 @@ def test_all_miners_match_bruteforce_randomized(seed, min_support):
         n_transactions=25, n_items=9, max_transaction_length=7, seed=seed
     )
     reference = mine_bruteforce(db, min_support)
-    for name, miner in BASELINE_MINERS.items():
+    for name in miner_names("baseline"):
+        miner = get_miner(name).fn
         assert miner(db, min_support) == reference, f"{name} diverged (seed={seed})"
 
 
@@ -41,7 +42,8 @@ def test_all_miners_match_bruteforce_randomized(seed, min_support):
 def test_all_miners_match_bruteforce_property(transactions, min_support):
     db = TransactionDatabase(transactions)
     reference = mine_bruteforce(db, min_support)
-    for name, miner in BASELINE_MINERS.items():
+    for name in miner_names("baseline"):
+        miner = get_miner(name).fn
         assert miner(db, min_support) == reference, f"{name} diverged"
 
 
@@ -50,8 +52,8 @@ def test_all_miners_match_bruteforce_property(transactions, min_support):
 def test_support_monotone_in_threshold(transactions):
     """Raising the threshold filters, never changes, supports."""
     db = TransactionDatabase(transactions)
-    low = BASELINE_MINERS["hmine"](db, 1)
-    high = BASELINE_MINERS["hmine"](db, 2)
+    low = get_miner("hmine").fn(db, 1)
+    high = get_miner("hmine").fn(db, 2)
     assert high == low.filter_min_support(2)
 
 
@@ -60,7 +62,7 @@ def test_support_monotone_in_threshold(transactions):
 def test_apriori_property_subsets_frequent(transactions):
     """Every subset of a frequent pattern is frequent with >= support."""
     db = TransactionDatabase(transactions)
-    patterns = BASELINE_MINERS["fpgrowth"](db, 2)
+    patterns = get_miner("fpgrowth").fn(db, 2)
     for items, support in patterns.items():
         for drop in items:
             subset = items - {drop}
@@ -73,6 +75,6 @@ def test_apriori_property_subsets_frequent(transactions):
 def test_reported_supports_are_true_supports(transactions):
     """Each miner's support must equal an independent containment count."""
     db = TransactionDatabase(transactions)
-    patterns = BASELINE_MINERS["treeprojection"](db, 2)
+    patterns = get_miner("treeprojection").fn(db, 2)
     for items, support in patterns.items():
         assert db.support(items) == support

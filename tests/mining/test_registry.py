@@ -1,4 +1,4 @@
-"""Tests for the capability-aware miner registry and its legacy views."""
+"""Tests for the capability-aware miner registry."""
 
 from __future__ import annotations
 
@@ -7,13 +7,11 @@ import threading
 
 import pytest
 
-from repro.core.recycle import RECYCLING_MINERS
 from repro.errors import MiningError
-from repro.mining import BASELINE_MINERS, registry
+from repro.mining import registry
 from repro.mining.registry import (
     MINERS,
     MinerSpec,
-    MinerView,
     get_miner,
     has_miner,
     iter_miners,
@@ -30,9 +28,12 @@ class TestLookup:
     def test_every_seed_name_still_resolves(self):
         for name in ("apriori", "eclat", "hmine", "fpgrowth", "treeprojection"):
             assert get_miner(name, kind="baseline").kind == "baseline"
-        for name in ("naive", "hmine", "fpgrowth", "treeprojection", "eclat"):
+        for name in ("naive", "hmine", "fpgrowth", "treeprojection"):
             spec = get_miner(name, kind="recycling")
             assert spec.needs_compressed
+        assert miner_names("recycling") == [
+            "fpgrowth", "hmine", "naive", "treeprojection"
+        ]
 
     def test_unknown_name_raises_with_known_list(self):
         with pytest.raises(MiningError, match="unknown baseline miner"):
@@ -51,14 +52,18 @@ class TestLookup:
         assert len(iter_miners()) == len(MINERS)
 
     def test_bitset_backend_registered(self):
-        spec = get_miner("eclat-bitset", kind="baseline")
-        assert spec.backend == "bitset"
+        from repro.mining.eclat import mine_eclat, mine_eclat_bitset
+
+        assert get_miner("eclat", kind="baseline").fn is mine_eclat
+        assert get_miner("eclat-bitset", kind="baseline").fn is mine_eclat_bitset
 
     def test_condensed_miners_run_on_bitmaps(self):
+        from repro.mining.condensed import mine_closed_bitset, mine_ndi_bitset
+
         assert miner_names("condensed") == ["closed", "ndi"]
-        for name in ("closed", "ndi"):
-            assert get_miner(name, kind="condensed").backend == "bitset"
-        assert len(MINERS) == 14
+        assert get_miner("closed", kind="condensed").fn is mine_closed_bitset
+        assert get_miner("ndi", kind="condensed").fn is mine_ndi_bitset
+        assert len(MINERS) == 13
 
     def test_registry_mapping_protocol(self):
         assert ("baseline", "hmine") in MINERS
@@ -102,29 +107,6 @@ class TestRegistration:
     def test_invalid_kind_rejected(self):
         with pytest.raises(MiningError, match="unknown miner kind"):
             MinerSpec(name="x", kind="magic", fn=lambda *a: None)
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(MiningError, match="unknown miner backend"):
-            MinerSpec(name="x", kind="baseline", fn=lambda *a: None, backend="gpu")
-
-
-class TestLegacyViews:
-    def test_baseline_view_reads_registry(self):
-        assert set(BASELINE_MINERS) == set(miner_names("baseline"))
-        assert BASELINE_MINERS["hmine"] is get_miner("hmine", "baseline").fn
-
-    def test_recycling_view_reads_registry(self):
-        assert set(RECYCLING_MINERS) == set(miner_names("recycling"))
-        assert RECYCLING_MINERS["naive"] is get_miner("naive", "recycling").fn
-
-    def test_view_raises_keyerror_like_a_dict(self):
-        with pytest.raises(KeyError):
-            BASELINE_MINERS["quantum"]
-        assert "quantum" not in BASELINE_MINERS
-
-    def test_view_rejects_unknown_kind(self):
-        with pytest.raises(MiningError):
-            MinerView("magic")
 
 
 class TestBudgetCapability:
