@@ -59,6 +59,25 @@ MEMORY_FIGURES: dict[int, str] = {
     24: "pumsb",
 }
 
+#: Every experiment family :func:`run_experiment` dispatches, as ``repro
+#: bench --help`` and the unknown-experiment error list them (``<ds>`` is
+#: a dataset name).
+EXPERIMENT_FAMILIES: tuple[str, ...] = (
+    "table3",
+    "fig9..fig24",
+    "observations",
+    "ablation-strategies-<ds>",
+    "ablation-shortcut-<ds>",
+    "two-step-<ds>",
+    "miners-<ds>",
+    "service-<ds>",
+    "service-load-<ds>",
+    "warehouse-<ds>",
+    "grouped-<ds>",
+    "parallel-<ds>",
+    "incremental-<ds>",
+)
+
 _ALGORITHM_TAGS = {"hmine": "HM", "fpgrowth": "FP", "treeprojection": "TP"}
 
 
@@ -1244,9 +1263,5 @@ def run_experiment(name: str, seed: int = 0) -> tuple[list[str], list[list[objec
     if name.startswith("incremental-"):
         return incremental_benchmark(name.split("-", 1)[1], seed)
     raise BenchmarkError(
-        f"unknown experiment {name!r} — try table3, fig9..fig24, observations, "
-        "ablation-strategies-<dataset>, ablation-shortcut-<dataset>, "
-        "two-step-<dataset>, miners-<dataset>, service-<dataset>, "
-        "service-load-<dataset>, warehouse-<dataset>, grouped-<dataset>, "
-        "parallel-<dataset>, incremental-<dataset>"
+        f"unknown experiment {name!r} — try {', '.join(EXPERIMENT_FAMILIES)}"
     )

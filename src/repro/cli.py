@@ -31,7 +31,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bench.experiments import run_experiment
+from repro.bench.experiments import EXPERIMENT_FAMILIES, run_experiment
 from repro.bench.report import render_report
 from repro.core.compression import compress
 from repro.core.recycle import recycle_mine_detailed
@@ -77,27 +77,13 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 def _command_mine(args: argparse.Namespace) -> int:
     db = _load_database(args)
     support = _absolute_support(db, args.support)
-    counters = CostCounters()
     started = time.perf_counter()
-    if args.jobs > 1:
-        from repro.parallel import ParallelEngine
-
-        outcome = ParallelEngine(args.jobs).mine(
-            db, support, algorithm=args.algorithm, counters=counters
-        )
-        patterns = outcome.patterns
-        degradation = outcome.degradation
-    else:
-        miner = get_miner(args.algorithm, kind="baseline").fn
-        patterns = miner(db, support, counters)
-        degradation = None
+    patterns = get_miner(args.algorithm, kind="baseline").fn(db, support)
     elapsed = time.perf_counter() - started
     print(
         f"{args.algorithm}: {len(patterns)} patterns (max length "
         f"{patterns.max_length()}) at support {support} in {elapsed:.2f}s"
     )
-    if degradation is not None and degradation.degraded:
-        print(f"degraded: {degradation.describe()}")
     if args.output:
         write_patterns(patterns, args.output)
         print(f"wrote {args.output}")
@@ -137,7 +123,6 @@ def _command_recycle(args: argparse.Namespace) -> int:
     outcome = recycle_mine_detailed(
         db, old_patterns, support,
         algorithm=args.algorithm, strategy=args.strategy, counters=counters,
-        jobs=args.jobs,
     )
     elapsed = time.perf_counter() - started
     print(
@@ -146,8 +131,6 @@ def _command_recycle(args: argparse.Namespace) -> int:
         f"(compression ratio {outcome.compression.ratio:.3f}, "
         f"group-count shortcuts {counters.group_counts})"
     )
-    if outcome.degradation.degraded:
-        print(f"degraded: {outcome.degradation.describe()}")
     if args.output:
         write_patterns(outcome.patterns, args.output)
         print(f"wrote {args.output}")
@@ -621,6 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recycle and reuse frequent patterns (ICDE 2004 reproduction)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    # recycle and update resolve a name as resolve_recycling_algorithm
+    # does: any baseline, or "naive" for RP-Mine.
+    recycle_algorithms = (*miner_names("baseline"), "naive")
 
     mine = commands.add_parser("mine", help="mine frequent patterns from scratch")
     _add_common_arguments(mine)
@@ -628,8 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="min support (fraction <= 1.0, or absolute count)")
     mine.add_argument("--algorithm", default="hmine",
                       choices=miner_names("baseline"))
-    mine.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for sharded mining (default 1)")
     mine.add_argument("--output", help="write patterns to this file")
     mine.set_defaults(handler=_command_mine)
 
@@ -648,10 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="the relaxed (lower) support to mine at")
     recycle.add_argument("--patterns", help="pattern file (else mined with H-Mine)")
     recycle.add_argument("--algorithm", default="hmine",
-                         choices=miner_names("recycling"))
+                         choices=recycle_algorithms)
     recycle.add_argument("--strategy", default="mcp", choices=("mcp", "mlp"))
-    recycle.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for sharded Phase 2 (default 1)")
     recycle.add_argument("--output", help="write patterns to this file")
     recycle.set_defaults(handler=_command_recycle)
 
@@ -668,16 +650,13 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--delete",
                         help="comma-separated tids to delete")
     update.add_argument("--algorithm", default="hmine",
-                        choices=(*miner_names("baseline"), "naive"))
+                        choices=recycle_algorithms)
     update.add_argument("--strategy", default="mcp", choices=("mcp", "mlp"))
     update.set_defaults(handler=_command_update)
 
     bench = commands.add_parser("bench", help="run a paper experiment")
     bench.add_argument("--experiment", required=True,
-                       help="table3, fig9..fig24, observations, "
-                            "ablation-strategies-<ds>, ablation-shortcut-<ds>, "
-                            "two-step-<ds>, miners-<ds>, service-<ds>, "
-                            "warehouse-<ds>, grouped-<ds>, incremental-<ds>")
+                       help=", ".join(EXPERIMENT_FAMILIES))
     bench.add_argument("--seed", type=int, default=0)
     bench.set_defaults(handler=_command_bench)
 

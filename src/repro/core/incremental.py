@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.planner import resolve_recycling_algorithm
 from repro.core.recycle import recycle_mine
 from repro.core.utility import CompressionStrategy
 from repro.data.transactions import TransactionDatabase
@@ -38,15 +37,14 @@ def incremental_mine(
     fewer tuples (or under different constraints); their supports are
     only used as utility estimates for compression, so stale supports
     cost performance at worst, never correctness. ``algorithm`` is a
-    baseline name, resolved like a session's by
-    :func:`~repro.core.planner.resolve_recycling_algorithm`.
+    baseline or recycling name, resolved like a session's by
+    :func:`~repro.core.recycle.resolve_recycling_algorithm`.
     """
     if len(old_patterns) == 0:
         raise RecycleError("no old patterns to recycle")
     return recycle_mine(
         new_db, old_patterns, min_support,
-        algorithm=resolve_recycling_algorithm(algorithm),
-        strategy=strategy, counters=counters,
+        algorithm=algorithm, strategy=strategy, counters=counters,
     )
 
 

@@ -41,26 +41,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.core.recycle import recycle_mine_detailed
+from repro.core.recycle import recycle_mine
 from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta
 from repro.errors import ReproError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
-from repro.mining.registry import get_miner, has_miner
+from repro.mining.registry import get_miner
 from repro.resilience import (
     REASON_FUP_INSERT_ONLY,
     REASON_UPDATE_FAILED,
     UPDATE_PATCH,
     DegradationReport,
-    ResilienceConfig,
+    FaultInjector,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.parallel import ParallelEngine
 
 #: The four sound paths to a support-level pattern set.
 PATH_FILTER = "filter"
@@ -200,23 +196,18 @@ def execute_plan(
     algorithm: str | None = None,
     strategy: str = "mcp",
     counters: CostCounters | None = None,
-    resilience: ResilienceConfig | None = None,
+    fault_injector: FaultInjector | None = None,
     degradation: DegradationReport | None = None,
-    engine: "ParallelEngine | None" = None,
 ) -> PatternSet:
     """Carry out ``plan``, returning the full pattern set at ``new_support``.
 
     ``algorithm`` is a baseline name from the miner registry (or
     ``"naive"``); the recycling path resolves it to a recycling
-    adaptation via :func:`resolve_recycling_algorithm`. ``None`` (the
-    default) mines with the serving kernel. An ``engine`` of more than one job (a
-    :class:`~repro.parallel.ParallelEngine`, e.g. from
-    :func:`~repro.core.recycle.sharded_engine`) fans the recycle and mine
-    paths out across shards, behind its retry budget, fault injector and
-    circuit breaker; the filter path never mines, so it never shards.
-    Every rung descended is recorded on ``degradation`` (when given).
+    adaptation via :func:`~repro.core.recycle.resolve_recycling_algorithm`.
+    ``None`` (the default) mines with the serving kernel. Every rung
+    descended is recorded on ``degradation`` (when given).
 
-    The update path additionally honors the ``update.patch`` fault point
+    The update path fires ``fault_injector``'s ``update.patch`` point
     and guarantees atomicity-of-outcome: any failure mid-patch falls
     through to a clean scratch mine of ``db`` (recorded as
     ``update→mine: update_failed``), so callers can never observe a
@@ -232,15 +223,15 @@ def execute_plan(
             return plan.feedstock.expand().filter_min_support(new_support)
         return plan.feedstock.filter_min_support(new_support)
     if plan.path == PATH_RECYCLE:
-        return _recycle(
-            plan, db, new_support, algorithm, strategy, counters, degradation,
-            engine,
+        assert plan.feedstock is not None
+        return recycle_mine(
+            db, plan.feedstock, new_support, algorithm, strategy, counters
         )
     if plan.path == PATH_UPDATE:
         assert plan.feedstock is not None and plan.delta is not None
         try:
-            if resilience is not None and resilience.faults is not None:
-                delay = resilience.faults.fire(
+            if fault_injector is not None:
+                delay = fault_injector.fire(
                     UPDATE_PATCH, detail=plan.update_mode or ""
                 )
                 if delay > 0:
@@ -260,14 +251,12 @@ def execute_plan(
                     counters,
                     degradation,
                 )
-            # UPDATE_RECYCLE: incremental_mine's engine with the full
-            # parallel/resilience plumbing — the ancestor's patterns
-            # compress the *new* database and the recycling miner
-            # recounts every support exactly, so stale feedstock
-            # supports cost performance, never correctness.
-            return _recycle(
-                plan, db, new_support, algorithm, strategy, counters,
-                degradation, engine,
+            # UPDATE_RECYCLE: incremental_mine's engine — the
+            # ancestor's patterns compress the *new* database and the
+            # recycling miner recounts every support exactly, so stale
+            # feedstock supports cost performance, never correctness.
+            return recycle_mine(
+                db, plan.feedstock, new_support, algorithm, strategy, counters
             )
         except ReproError:
             # A failed update must degrade to a clean scratch mine —
@@ -281,50 +270,8 @@ def execute_plan(
                 degradation.record(PATH_UPDATE, PATH_MINE, REASON_UPDATE_FAILED)
             if counters is not None:
                 counters.add("update_fallbacks")
-    if engine is not None and engine.jobs > 1:
-        # The engine resolves ``algorithm`` itself, so a serving-kernel
-        # run (None) still reaches the shards that plan locally.
-        outcome = engine.mine(db, new_support, algorithm=algorithm, counters=counters)
-        if degradation is not None:
-            degradation.extend(outcome.degradation)
-        return outcome.patterns
     name = resolve_baseline_algorithm(algorithm)
     return get_miner(name, kind="baseline").mine(db, new_support, counters)
-
-
-def _recycle(
-    plan: MiningPlan,
-    db: TransactionDatabase,
-    new_support: int,
-    algorithm: str | None,
-    strategy: str,
-    counters: CostCounters | None,
-    degradation: DegradationReport | None,
-    engine: "ParallelEngine | None",
-) -> PatternSet:
-    """Compress ``db`` with the plan's feedstock and mine the groups."""
-    assert plan.feedstock is not None
-    if engine is not None and engine.jobs > 1:
-        outcome = engine.recycle_mine(
-            db,
-            plan.feedstock,
-            new_support,
-            algorithm=algorithm,
-            strategy=strategy,
-            counters=counters,
-        )
-    else:
-        outcome = recycle_mine_detailed(
-            db,
-            plan.feedstock,
-            new_support,
-            algorithm=resolve_recycling_algorithm(algorithm),
-            strategy=strategy,
-            counters=counters,
-        )
-    if degradation is not None:
-        degradation.extend(outcome.degradation)
-    return outcome.patterns
 
 
 def resolve_baseline_algorithm(algorithm: str | None) -> str:
@@ -339,17 +286,3 @@ def resolve_baseline_algorithm(algorithm: str | None) -> str:
     if algorithm is None:
         return SERVING_BASELINE
     return "hmine" if algorithm == "naive" else algorithm
-
-
-def resolve_recycling_algorithm(algorithm: str | None) -> str:
-    """The registry recycling name backing a baseline ``algorithm``.
-
-    The recycler registered under the same name (H-Mine, FP-growth and
-    TreeProjection have the paper's adaptations, ``naive`` is RP-Mine);
-    every other name, and ``None``, recycles with RP-Mine on the grouped
-    bitset kernel, which measured faster than every adaptation
-    (EXPERIMENTS.md, "Recycling against the serving kernel").
-    """
-    if algorithm is not None and has_miner(algorithm, kind="recycling"):
-        return algorithm
-    return "naive"

@@ -12,8 +12,7 @@ the naive RP-Mine) resolve through the single
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.core.compression import CompressionResult, compress
 from repro.core.utility import CompressionStrategy
@@ -22,11 +21,7 @@ from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError, RecycleError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
-from repro.mining.registry import get_miner
-from repro.resilience import DegradationReport, ResilienceConfig
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.parallel import ParallelEngine
+from repro.mining.registry import get_miner, has_miner, miner_names
 
 
 def get_miner_spec(algorithm: str):
@@ -37,79 +32,62 @@ def get_miner_spec(algorithm: str):
         raise RecycleError(str(exc).replace("miner", "algorithm", 1)) from None
 
 
+def resolve_recycling_algorithm(algorithm: str | None) -> str:
+    """The registry recycling name backing ``algorithm``.
+
+    The recycler registered under the same name (H-Mine, FP-growth and
+    TreeProjection have the paper's adaptations, ``naive`` is RP-Mine);
+    every other baseline name, and ``None``, recycles with RP-Mine on the
+    grouped bitset kernel, which measured faster than every adaptation
+    (EXPERIMENTS.md, "Recycling against the serving kernel"). A name that
+    is neither a baseline nor a recycler raises :class:`RecycleError`.
+    """
+    if algorithm is None:
+        return "naive"
+    if has_miner(algorithm, kind="recycling"):
+        return algorithm
+    if has_miner(algorithm, kind="baseline"):
+        return "naive"
+    known = ", ".join(sorted({*miner_names("baseline"), *miner_names("recycling")}))
+    raise RecycleError(f"unknown algorithm {algorithm!r} (known: {known})")
+
+
 @dataclass(frozen=True)
 class RecycleOutcome:
-    """Everything a recycling run produced, for reporting.
-
-    ``degradation`` is empty unless the run descended the resilience
-    ladder (e.g. a sharded Phase 2 fell back to serial, or an open
-    circuit breaker skipped the parallel path entirely).
-    """
+    """Everything a recycling run produced, for reporting."""
 
     patterns: PatternSet
     compression: CompressionResult
-    degradation: DegradationReport = field(default_factory=DegradationReport)
 
 
 def recycle_mine(
     db: TransactionDatabase,
-    old_patterns: PatternSet,
+    old_patterns: "PatternSet | CondensedPatternSet",
     min_support: int,
-    algorithm: str = "hmine",
+    algorithm: str | None = "hmine",
     strategy: CompressionStrategy | str = "mcp",
     counters: CostCounters | None = None,
-    jobs: int = 1,
-    resilience: ResilienceConfig | None = None,
 ) -> PatternSet:
     """Phase 1 + Phase 2: compress ``db`` with ``old_patterns``, then mine.
 
     ``min_support`` is the relaxed absolute threshold (``xi_new``). The
     result is exactly the frequent patterns of ``db`` at that threshold —
-    recycling changes the cost, never the answer. ``jobs > 1`` runs
-    Phase 2 through the sharded engine of :mod:`repro.parallel` — same
-    answer, two-pass partition scheme across worker processes — honoring
-    the retry budget, fault injector and circuit breaker in
-    ``resilience``.
+    recycling changes the cost, never the answer. ``algorithm`` is any
+    baseline or recycling name, resolved by
+    :func:`resolve_recycling_algorithm`.
     """
     return recycle_mine_detailed(
-        db,
-        old_patterns,
-        min_support,
-        algorithm,
-        strategy,
-        counters,
-        jobs,
-        resilience=resilience,
+        db, old_patterns, min_support, algorithm, strategy, counters
     ).patterns
-
-
-def sharded_engine(
-    jobs: int, resilience: ResilienceConfig | None = None
-) -> "ParallelEngine | None":
-    """The engine a ``jobs > 1`` call fans out through (``None``: in-process).
-
-    It carries ``resilience``'s retry budget, fault injector and circuit
-    breaker.
-    """
-    if jobs <= 1:
-        return None
-    # The deliberate upward edge: core reaches into repro.parallel only
-    # here, lazily, mirroring how the sharded engine reaches back down
-    # into the planner inside its workers.
-    from repro.parallel import ParallelEngine
-
-    return ParallelEngine.from_resilience(jobs, resilience)
 
 
 def recycle_mine_detailed(
     db: TransactionDatabase,
     old_patterns: "PatternSet | CondensedPatternSet",
     min_support: int,
-    algorithm: str = "hmine",
+    algorithm: str | None = "hmine",
     strategy: CompressionStrategy | str = "mcp",
     counters: CostCounters | None = None,
-    jobs: int = 1,
-    resilience: ResilienceConfig | None = None,
 ) -> RecycleOutcome:
     """Like :func:`recycle_mine` but also returns compression statistics.
 
@@ -119,29 +97,12 @@ def recycle_mine_detailed(
     the compressor directly, without expanding the full set. (Phase 2
     re-counts exactly; the feedstock subset never changes the answer.)
     """
-    spec = get_miner_spec(algorithm)
+    spec = get_miner_spec(resolve_recycling_algorithm(algorithm))
     if isinstance(old_patterns, CondensedPatternSet):
         old_patterns = old_patterns.entry_patterns()
     if len(old_patterns) == 0:
         raise RecycleError(
             "no patterns to recycle — mine with a baseline algorithm instead"
-        )
-    engine = sharded_engine(jobs, resilience)
-    if engine is not None:
-        strategy_name = strategy if isinstance(strategy, str) else strategy.name
-        outcome = engine.recycle_mine(
-            db,
-            old_patterns,
-            min_support,
-            algorithm=algorithm,
-            strategy=strategy_name,
-            counters=counters,
-        )
-        assert outcome.compression is not None
-        return RecycleOutcome(
-            patterns=outcome.patterns,
-            compression=outcome.compression,
-            degradation=outcome.degradation,
         )
     compression = compress(db, old_patterns, strategy, counters)
     patterns = spec.mine(compression.compressed, min_support, counters)

@@ -36,7 +36,7 @@ from repro.core.planner import (
     plan_support_path,
     plan_update_path,
 )
-from repro.core.recycle import sharded_engine
+from repro.core.recycle import resolve_recycling_algorithm
 from repro.data.items import ItemTable
 from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
@@ -44,16 +44,16 @@ from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.errors import DataError, RecycleError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
-from repro.mining.registry import has_miner, miner_names
-from repro.resilience import DegradationReport, ResilienceConfig
+from repro.resilience import DegradationReport
 
 
 @dataclass(frozen=True)
 class IterationReport:
     """What one :meth:`MiningSession.mine` call did and what it cost.
 
-    ``degradation`` names any resilience-ladder rungs the iteration
-    descended (empty for a clean run).
+    ``degradation`` names any degradation-ladder rungs the iteration
+    descended (empty for a clean run; a failed update patch records
+    ``update→mine``).
     """
 
     index: int
@@ -84,19 +84,12 @@ class MiningSession:
         miner registry is accepted ("naive" recycles with RP-Mine but
         runs the initial iteration with H-Mine); a name with no recycling
         adaptation of its own (``eclat``, ``eclat-bitset``, ``apriori``,
-        ``bruteforce``) recycles with RP-Mine.
+        ``bruteforce``) recycles with RP-Mine. Any other name raises
+        :class:`~repro.errors.RecycleError`.
     strategy:
         Compression strategy for the recycling path ("mcp" or "mlp").
     item_table:
         Optional item catalog consulted by aggregate constraints.
-    jobs:
-        Worker processes for the mining paths (``1`` = in-process; more
-        fans out through the sharded engine of :mod:`repro.parallel`,
-        same results either way).
-    resilience:
-        Retry budget, fault injector and circuit breaker threaded into
-        the sharded engine when ``jobs > 1``; any degradation is
-        recorded on each :class:`IterationReport`.
     """
 
     def __init__(
@@ -105,14 +98,8 @@ class MiningSession:
         algorithm: str = "hmine",
         strategy: str = "mcp",
         item_table: ItemTable | None = None,
-        jobs: int = 1,
-        resilience: ResilienceConfig | None = None,
     ) -> None:
-        if algorithm != "naive" and not has_miner(algorithm, kind="baseline"):
-            known = ", ".join(miner_names("baseline"))
-            raise RecycleError(f"unknown algorithm {algorithm!r} (known: {known}, naive)")
-        if jobs < 1:
-            raise RecycleError(f"jobs must be >= 1, got {jobs}")
+        resolve_recycling_algorithm(algorithm)  # rejects an unknown name
         self._item_table = item_table or ItemTable()
         self._version = VersionedDatabase.initial(db)
         # The chain state the cached feedstock was mined against. None
@@ -122,8 +109,6 @@ class MiningSession:
         self._mined_version: VersionedDatabase | None = None
         self.algorithm = algorithm
         self.strategy = strategy
-        self.jobs = jobs
-        self.resilience = resilience or ResilienceConfig()
         self.context = ConstraintContext(
             db_size=len(db), item_table=self._item_table
         )
@@ -231,9 +216,7 @@ class MiningSession:
             algorithm=self.algorithm,
             strategy=self.strategy,
             counters=counters,
-            resilience=self.resilience,
             degradation=degradation,
-            engine=sharded_engine(self.jobs, self.resilience),
         )
 
         result = constraints.filter_patterns(support_patterns, self.context)

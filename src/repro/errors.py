@@ -42,11 +42,11 @@ class BenchmarkError(ReproError):
 
 
 class ParallelError(ReproError):
-    """Raised by the sharded engine for worker crashes and deadline misses."""
+    """Raised by the sharded engine for bad settings and failed shard passes."""
 
 
 class ResilienceError(ReproError):
-    """Raised for ill-formed resilience configuration (retry, breaker, faults)."""
+    """Raised for ill-formed fault-injection rules."""
 
 
 class GatewayError(ReproError):

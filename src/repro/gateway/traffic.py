@@ -65,7 +65,6 @@ class TrafficConfig:
     deadline_fraction: float = 0.0
     #: The deadline attached to that fraction, in synthetic seconds.
     deadline_seconds: float = 0.5
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.requests < 1:
@@ -151,7 +150,6 @@ def synthesize_traffic(
                 db=db,
                 support=support,
                 tenant=session_tenant,
-                jobs=cfg.jobs,
             ),
             priority=session_priority,
             deadline_seconds=deadline,

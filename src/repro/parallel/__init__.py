@@ -8,19 +8,17 @@ The subsystem in three modules, one per pass boundary:
 :mod:`repro.parallel.executor`
     The :class:`ParallelEngine`: pickle-friendly shard tasks, a
     ``ProcessPoolExecutor`` worker pool, per-worker cost counters merged
-    on return, and the crash/timeout fallback to the serial path.
+    on return, and the one-shot fallback to the serial path when a shard
+    or the merge raises.
 :mod:`repro.parallel.merge`
     The second pass: candidate union, Apriori + tight-candidate-bound
     budgeting, and the exact global recount over the grouped database.
 
-The engine sits above :mod:`repro.core` (it drives the planner
-trichotomy inside workers); ``recycle_mine(..., jobs=N)``,
-``MiningSession(jobs=N)`` and the CLI ``mine`` / ``recycle --jobs`` flag
-are the front doors. :mod:`repro.service` does not use it: the service
-answers every request in-process, which measured faster on the serving
-kernels. The engine owns the circuit breaker guard, so every ``jobs > 1``
-path — mine, recycle and the update path's recycle — is gated in one
-place.
+The engine sits above :mod:`repro.core`, whose miners it runs inside
+workers. No library or CLI entry point reaches it: the serial serving
+kernel beat it on every measured input but one (``docs/parallel.md``,
+"Verdict"), and the only caller left is ``repro bench parallel-<ds>``,
+which produces that recorded negative result.
 """
 
 from repro.parallel.executor import (

@@ -1,9 +1,9 @@
 """Structured record of how a request was degraded, and why.
 
-"Failure is not an error" runs through the whole stack — the parallel
-engine falls back to serial or skips an open-circuit parallel path, the
-warehouse serves a miss where quarantined feedstock used to
-be, write-throughs degrade to memory-only. Each of those is the *right*
+"Failure is not an error" runs through the whole stack — the sharded
+engine falls back to serial, the warehouse serves a miss where
+quarantined feedstock used to be, write-throughs degrade to memory-only,
+a failed update patch re-mines cold. Each of those is the *right*
 behavior, but an operator (and the acceptance tests) must be able to see
 that it happened. A :class:`DegradationReport` is that audit trail: an
 ordered chain of ``requested → served: reason`` steps accumulated as a
@@ -11,10 +11,10 @@ request descends the degradation ladder, returned on
 :class:`~repro.service.MineResponse`, folded into ``ServiceStats`` and
 printed by the CLI.
 
-Reason strings are short machine-readable codes (``circuit_open``,
-``shard_failed``, ``deadline``, ``merge_failed``, ``worker_error``,
-``feedstock_quarantined``, ``warehouse_read_failed``, ``write_failed``,
-plus the gateway's admission-control codes ``queue_full``, ``load_shed``,
+Reason strings are short machine-readable codes (``shard_failed``,
+``merge_failed``, ``feedstock_quarantined``, ``warehouse_read_failed``,
+``write_failed``, ``fup_insert_only``, ``update_failed``, plus the
+gateway's admission-control codes ``queue_full``, ``load_shed``,
 ``deadline_expired`` and ``gateway_closed``) so they aggregate cleanly;
 human detail belongs in logs and ``fallback_reason`` fields, not here.
 """
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: The reason codes emitted by the shipped hook sites. Not enforced —
-#: new sites may add codes — but tests and dashboards key off these.
-REASON_CIRCUIT_OPEN = "circuit_open"
+# The reason codes emitted by the shipped hook sites. Not enforced —
+# new sites may add codes — but tests and dashboards key off these.
+
+#: The sharded engine's shard pass raised; the serial path answered.
 REASON_SHARD_FAILED = "shard_failed"
-REASON_DEADLINE = "deadline"
+#: The sharded engine's merge recount raised; the serial path answered.
 REASON_MERGE_FAILED = "merge_failed"
-REASON_WORKER_ERROR = "worker_error"
 REASON_FEEDSTOCK_QUARANTINED = "feedstock_quarantined"
 REASON_WAREHOUSE_READ_FAILED = "warehouse_read_failed"
 REASON_WRITE_FAILED = "write_failed"
@@ -68,8 +68,8 @@ class DegradationStep:
 class DegradationReport:
     """An ordered, append-only chain of degradation steps.
 
-    Mutable by design: one report threads through planner, engine and
-    service for a single request, each hook appending the step it took.
+    Mutable by design: one report threads through planner and service
+    for a single request, each hook appending the step it took.
     Not thread-safe — a report belongs to exactly one request.
     """
 

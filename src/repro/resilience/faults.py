@@ -1,10 +1,9 @@
 """Seeded, deterministic fault injection for the resilience test harness.
 
 A long-running mining service fails in a handful of well-understood
-places: a shard worker crashes, a shard runs slow, a warehouse file read
-comes back corrupt, a write-through to disk fails, the merge recount
-blows up, an incremental update dies mid-patch, or the process is killed
-partway through a durable write (mid temp-file or pre-rename).
+places: a warehouse file read comes back corrupt, a write-through to
+disk fails, an incremental update dies mid-patch, or the process is
+killed partway through a durable write (mid temp-file or pre-rename).
 :class:`FaultInjector` names exactly those places as
 **fault points** and lets a test (or a chaos CI job) arm them with
 deterministic triggers — *fire on call 3*, *fire with probability 0.2
@@ -15,12 +14,12 @@ The injector raises :class:`~repro.errors.InjectedFaultError`, a
 :class:`~repro.errors.ReproError` subclass, so injected chaos flows
 through exactly the ``except`` clauses real failures take. Slow faults
 are the exception: they don't raise, they return a delay the hook site
-is expected to honor (the parallel engine bakes it into the shard task,
-whose worker sleeps).
+is expected to honor (the update patch sleeps it).
 
-Hook sites are explicit: :class:`~repro.parallel.ParallelEngine`,
-:class:`~repro.service.PatternWarehouse` and
-:class:`~repro.service.MiningService` each accept an injector and call
+Hook sites are explicit: :class:`~repro.service.PatternWarehouse`,
+:class:`~repro.durability.DurableStore`,
+:class:`~repro.service.MiningService` and
+:func:`~repro.core.planner.execute_plan` each accept an injector and call
 :meth:`FaultInjector.fire` / :meth:`FaultInjector.evaluate` at their
 named points. Production code paths pay one ``is None`` check when no
 injector is armed.
@@ -34,16 +33,10 @@ from dataclasses import dataclass
 
 from repro.errors import InjectedFaultError, ResilienceError
 
-#: A shard worker raises instead of mining (crash).
-SHARD_CRASH = "shard.crash"
-#: A shard worker sleeps ``delay_seconds`` before mining (straggler).
-SHARD_SLOW = "shard.slow"
 #: A warehouse file/entry read fails (corrupt or unreadable feedstock).
 WAREHOUSE_READ = "warehouse.read"
 #: A warehouse write-through to disk fails.
 WAREHOUSE_WRITE = "warehouse.write"
-#: The merge pass's exact recount fails.
-MERGE_COUNT = "merge.count"
 #: The planner's update path fails mid-patch (FUP or recycle-update);
 #: the executor must fall back to a clean scratch mine, never serve a
 #: half-patched pattern set.
@@ -59,8 +52,7 @@ PERSIST_RENAME = "persist.rename"
 
 #: Every named fault point an injector will accept.
 FAULT_POINTS = frozenset(
-    {SHARD_CRASH, SHARD_SLOW, WAREHOUSE_READ, WAREHOUSE_WRITE, MERGE_COUNT,
-     UPDATE_PATCH, PERSIST_WRITE, PERSIST_RENAME}
+    {WAREHOUSE_READ, WAREHOUSE_WRITE, UPDATE_PATCH, PERSIST_WRITE, PERSIST_RENAME}
 )
 
 #: The two durability-layer points, in the order a single persisted

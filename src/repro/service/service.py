@@ -28,9 +28,8 @@ Three service-level mechanisms ride on top:
   (``feedstock→mine: feedstock_quarantined``), and a warehouse that lost
   its disk keeps serving from memory (``warehouse→memory_only:
   write_failed``), and a failed update patch falls back to a clean
-  mine (``update→mine: update_failed``). The
-  :class:`~repro.resilience.ResilienceConfig`'s
-  :class:`~repro.resilience.FaultInjector` reaches the update patch.
+  mine (``update→mine: update_failed``). The service's
+  ``fault_injector`` arms that patch's ``update.patch`` point.
 * **Service statistics.** Every response is folded into a thread-safe
   :class:`ServiceStats`: per-path counts (filter hits / updates /
   misses), coalesced request count, underlying computation count,
@@ -44,10 +43,11 @@ and never recycled: on this kernel a cold mine beats MCP compression
 plus the grouped kernel on every measured input (``docs/service.md``). A
 request's ``jobs`` is validated but does not change how it is computed:
 on these kernels the two-pass sharded scheme lost to one serial pass on
-every measured input but one (``docs/parallel.md``). The registry's miners all
-return the same pattern sets, so the choice changes cost, never the
-answer. The paper's miner comparison and the sharded engine stay
-available through :func:`~repro.core.recycle.recycle_mine`,
+every measured input but one (``docs/parallel.md``), and only
+``repro bench parallel-<dataset>`` still runs it. The registry's miners
+all return the same pattern sets, so the choice changes cost, never the
+answer. The paper's miner comparison stays available through
+:func:`~repro.core.recycle.recycle_mine`,
 :class:`~repro.core.session.MiningSession` and the CLI.
 """
 
@@ -81,7 +81,7 @@ from repro.resilience import (
     REASON_WAREHOUSE_READ_FAILED,
     REASON_WRITE_FAILED,
     DegradationReport,
-    ResilienceConfig,
+    FaultInjector,
 )
 from repro.service.warehouse import PatternWarehouse
 
@@ -368,21 +368,21 @@ class MiningService:
     max_workers:
         Worker-pool width for submitted requests. A leader arriving
         through :meth:`execute` runs on the calling thread instead.
-    resilience:
-        Handed to :func:`~repro.core.planner.execute_plan`; its fault
-        injector arms the update patch (``update.patch``).
+    fault_injector:
+        Handed to :func:`~repro.core.planner.execute_plan`, where it arms
+        the update patch (``update.patch``).
     """
 
     def __init__(
         self,
         warehouse: PatternWarehouse | None = None,
         max_workers: int = 4,
-        resilience: ResilienceConfig | None = None,
+        fault_injector: FaultInjector | None = None,
     ) -> None:
         if max_workers < 1:
             raise ReproError(f"max_workers must be >= 1, got {max_workers}")
         self.warehouse = warehouse
-        self.resilience = resilience or ResilienceConfig()
+        self.faults = fault_injector
         self.stats = ServiceStats()
         if warehouse is not None:
             self.stats.attach_warehouse(warehouse)
@@ -619,7 +619,7 @@ class MiningService:
             request.db,
             absolute,
             counters=counters,
-            resilience=self.resilience,
+            fault_injector=self.faults,
             degradation=degradation,
         )
         if self.warehouse is not None and plan.path != PATH_FILTER:

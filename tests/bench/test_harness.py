@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.bench.experiments as experiments
 from repro.bench.experiments import (
+    EXPERIMENT_FAMILIES,
     FIGURES,
     MEMORY_FIGURES,
     figure_series,
@@ -172,6 +174,45 @@ class TestExperimentShapes:
             run_experiment("fig99")
         with pytest.raises(BenchmarkError, match="unknown experiment"):
             run_experiment("nonsense")
+
+    def test_every_family_dispatches(self, monkeypatch):
+        """Each family ``repro bench --help`` lists reaches its experiment
+        (stubbed here), and the unknown-experiment error lists them all."""
+        expected = {
+            "table3": "table3",
+            "fig9": "figure",
+            "fig24": "memory_limited_figure",
+            "observations": "observations",
+            "ablation-strategies-connect4": "ablation_strategies",
+            "ablation-shortcut-connect4": "ablation_single_group_shortcut",
+            "two-step-connect4": "two_step_cold_start",
+            "miners-connect4": "miner_sweep",
+            "service-connect4": "service_benchmark",
+            "service-load-connect4": "service_load_benchmark",
+            "warehouse-connect4": "warehouse_benchmark",
+            "grouped-connect4": "grouped_kernel_benchmark",
+            "parallel-connect4": "parallel_benchmark",
+            "incremental-connect4": "incremental_benchmark",
+        }
+        names = []
+        for family in EXPERIMENT_FAMILIES:
+            if family == "fig9..fig24":
+                names += ["fig9", "fig24"]
+            else:
+                names.append(family.replace("<ds>", "connect4"))
+        assert sorted(names) == sorted(expected)
+        for function in set(expected.values()):
+            monkeypatch.setattr(
+                experiments,
+                function,
+                lambda *args, _function=function, **kwargs: (["ran"], [[_function]]),
+            )
+        for name in names:
+            assert run_experiment(name) == (["ran"], [[expected[name]]]), name
+        with pytest.raises(BenchmarkError) as error:
+            run_experiment("nonsense")
+        for family in EXPERIMENT_FAMILIES:
+            assert family in str(error.value)
 
     def test_service_load_smoke(self):
         """Tiny-scale gateway load bench: the acceptance signals must

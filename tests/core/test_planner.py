@@ -15,10 +15,11 @@ from repro.core.planner import (
     plan_support_path,
     plan_update_path,
     resolve_baseline_algorithm,
-    resolve_recycling_algorithm,
 )
+from repro.core.recycle import resolve_recycling_algorithm
 from repro.data.synthetic import QuestParams, quest_database
 from repro.data.versioned import DatabaseDelta
+from repro.errors import RecycleError
 from repro.mining.fptree import mine_fpgrowth
 from repro.mining.hmine import mine_hmine
 from repro.mining.patterns import PatternSet
@@ -81,8 +82,8 @@ class TestExecution:
 
 class TestServingKernel:
     """``algorithm=None`` (execute_plan's default) mines with the serving
-    kernel; a recycle plan, which only the session and the sharded engine
-    build, runs RP-Mine on the grouped bitset kernel."""
+    kernel; a recycle plan, which only the session builds, runs RP-Mine
+    on the grouped bitset kernel."""
 
     def test_none_resolves_to_the_serving_pair(self):
         assert resolve_baseline_algorithm(None) == SERVING_BASELINE == "eclat-bitset"
@@ -140,3 +141,8 @@ class TestAlgorithmResolution:
     )
     def test_no_recycler_of_its_own_runs_rp_mine(self, algorithm):
         assert resolve_recycling_algorithm(algorithm) == "naive"
+
+    @pytest.mark.parametrize("algorithm", ["bogus", "closed", "ndi"])
+    def test_neither_baseline_nor_recycler_raises(self, algorithm):
+        with pytest.raises(RecycleError, match="unknown algorithm"):
+            resolve_recycling_algorithm(algorithm)

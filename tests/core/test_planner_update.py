@@ -26,7 +26,6 @@ from repro.resilience import (
     UPDATE_PATCH,
     DegradationReport,
     FaultInjector,
-    ResilienceConfig,
 )
 
 
@@ -128,7 +127,7 @@ class TestUpdateFaultFallback:
         result = execute_plan(
             plan, new_db, 2,
             counters=counters,
-            resilience=ResilienceConfig(faults=faults),
+            fault_injector=faults,
             degradation=degradation,
         )
         assert result == mine_hmine(new_db, 2)
@@ -142,7 +141,5 @@ class TestUpdateFaultFallback:
         plan = plan_update_path(2, patterns, 2, db, delta, len(new_db))
         faults = FaultInjector(seed=0)
         faults.inject(UPDATE_PATCH, probability=1.0, delay_seconds=0.001)
-        result = execute_plan(
-            plan, new_db, 2, resilience=ResilienceConfig(faults=faults)
-        )
+        result = execute_plan(plan, new_db, 2, fault_injector=faults)
         assert result == mine_hmine(new_db, 2)

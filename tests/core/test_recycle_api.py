@@ -42,6 +42,23 @@ class TestRecycleMine:
         with pytest.raises(RecycleError, match="unknown recycling algorithm"):
             get_miner_spec("quantum")
 
+    @pytest.mark.parametrize("algorithm", ["eclat", "eclat-bitset", "apriori"])
+    def test_baseline_name_recycles_like_a_session(
+        self, paper_db, paper_old_patterns, algorithm
+    ):
+        result = recycle_mine(paper_db, paper_old_patterns, 2, algorithm=algorithm)
+        assert result == mine_apriori(paper_db, 2)
+
+    def test_name_that_is_neither_baseline_nor_recycler_raises(
+        self, paper_db, paper_old_patterns
+    ):
+        with pytest.raises(RecycleError, match="unknown algorithm 'bogus'"):
+            recycle_mine(paper_db, paper_old_patterns, 2, algorithm="bogus")
+        with pytest.raises(RecycleError, match="unknown algorithm 'bogus'"):
+            recycle_mine_detailed(
+                paper_db, paper_old_patterns, 2, algorithm="bogus"
+            )
+
     def test_strategy_object_accepted(self, paper_db, paper_old_patterns):
         from repro.core.utility import MLP
 

@@ -1,4 +1,4 @@
-"""Engine unit tests: worker trichotomy, fallback, hooks, real processes."""
+"""Engine unit tests: worker modes, fallback, real processes."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import pickle
 
 import pytest
 
+import repro.parallel.executor as executor
 from repro.core.compression import compress
-from repro.core.planner import PATH_FILTER, PATH_MINE, PATH_RECYCLE
-from repro.data.patterns import PatternSet
+from repro.core.planner import PATH_MINE, PATH_RECYCLE
 from repro.data.transactions import TransactionDatabase
 from repro.errors import ParallelError
 from repro.metrics.counters import CostCounters
@@ -20,7 +20,7 @@ from repro.parallel import (
     run_shard_task,
 )
 from repro.parallel.executor import patterns_to_rows, rows_to_patterns
-from repro.resilience import SHARD_CRASH, FaultInjector
+from repro.resilience import REASON_SHARD_FAILED
 
 
 def db() -> TransactionDatabase:
@@ -74,38 +74,25 @@ class TestRunShardTask:
         patterns = rows_to_patterns(result["patterns"])
         assert patterns == mine_bruteforce(shard.database(), 2)
 
-    def test_feedstock_runs_the_planner_trichotomy(self):
-        shard = one_shard()
-        feedstock = mine_bruteforce(shard.database(), 1)
-        # Feedstock mined at a lower threshold: the worker filters.
-        result = run_shard_task(
-            ShardTask(
-                shard=shard,
-                local_support=2,
-                feedstock=patterns_to_rows(feedstock),
-                feedstock_support=1,
-            )
-        )
-        assert result["path"] == PATH_FILTER
-        assert rows_to_patterns(result["patterns"]) == mine_bruteforce(
-            shard.database(), 2
-        )
-
     def test_task_survives_pickling(self):
         shard = one_shard()
         task = ShardTask(shard=shard, local_support=2)
         clone = pickle.loads(pickle.dumps(task))
         assert run_shard_task(clone)["patterns"] == run_shard_task(task)["patterns"]
 
-    def test_fail_hook_raises(self):
-        with pytest.raises(ParallelError):
-            run_shard_task(ShardTask(shard=one_shard(), local_support=2, fail=True))
-
 
 class TestParallelEngine:
     def test_requires_positive_jobs(self):
         with pytest.raises(ParallelError):
             ParallelEngine(0)
+
+    def test_constructor_takes_only_jobs_and_executor(self):
+        import inspect
+
+        assert list(inspect.signature(ParallelEngine).parameters) == [
+            "jobs",
+            "executor",
+        ]
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ParallelError):
@@ -144,30 +131,25 @@ class TestParallelEngine:
         assert outcome.jobs == 3
         assert outcome.patterns == mine_bruteforce(database, 2)
 
-    def test_crash_falls_back_to_serial(self):
+    def test_crash_falls_back_to_serial(self, monkeypatch):
+        def crash(task):
+            raise ParallelError(f"injected failure in shard {task.shard.index}")
+
+        monkeypatch.setattr(executor, "run_shard_task", crash)
         database = db()
         old = mine_bruteforce(database, 4)
         counters = CostCounters()
-        outcome = ParallelEngine(
-            2,
-            executor="inline",
-            fault_injector=FaultInjector().inject(SHARD_CRASH, probability=1.0),
-        ).recycle_mine(database, old, 2, counters=counters)
+        outcome = ParallelEngine(2, executor="inline").recycle_mine(
+            database, old, 2, counters=counters
+        )
         assert outcome.fallback
         assert "injected failure" in outcome.fallback_reason
         assert outcome.jobs == 1
         assert outcome.patterns == mine_bruteforce(database, 2)
+        assert outcome.degradation.reasons() == [
+            f"parallel→serial: {REASON_SHARD_FAILED}"
+        ]
         assert counters.as_dict()["parallel_fallbacks"] == 1
-
-    def test_missed_deadline_falls_back(self):
-        database = db()
-        old = mine_bruteforce(database, 4)
-        outcome = ParallelEngine(
-            2, executor="process", timeout_seconds=0.0
-        ).recycle_mine(database, old, 2)
-        assert outcome.fallback
-        assert "deadline" in outcome.fallback_reason
-        assert outcome.patterns == mine_bruteforce(database, 2)
 
     def test_worker_counters_are_merged(self):
         database = db()
@@ -180,34 +162,3 @@ class TestParallelEngine:
         assert recorded["parallel_runs"] == 1
         assert recorded["parallel_shards"] == outcome.jobs
         assert counters.total_work() > 0
-
-    def test_shard_feedstock_and_result_hooks(self):
-        database = db()
-        old = mine_bruteforce(database, 4)
-        banked: dict[tuple[str, int], PatternSet] = {}
-
-        def feedstock(fingerprint: str, local_support: int):
-            return None  # cold warehouse
-
-        def on_result(fingerprint: str, local_support: int, patterns: PatternSet):
-            banked[(fingerprint, local_support)] = patterns
-
-        engine = ParallelEngine(
-            2,
-            executor="inline",
-            shard_feedstock=feedstock,
-            on_shard_result=on_result,
-        )
-        outcome = engine.recycle_mine(database, old, 2)
-        assert len(banked) == outcome.jobs
-
-        # Second run: hand the banked sets back and expect filter paths.
-        def warm_feedstock(fingerprint: str, local_support: int):
-            hit = banked.get((fingerprint, local_support))
-            return (hit, local_support) if hit is not None else None
-
-        warm = ParallelEngine(
-            2, executor="inline", shard_feedstock=warm_feedstock
-        ).recycle_mine(database, old, 2)
-        assert warm.patterns == outcome.patterns
-        assert all(shard.path == PATH_FILTER for shard in warm.shards)

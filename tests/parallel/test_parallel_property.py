@@ -11,15 +11,17 @@ a separate spot check covers the real process pool.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.parallel.executor as executor
 from repro.core.recycle import recycle_mine
 from repro.data.transactions import TransactionDatabase
+from repro.errors import ParallelError
 from repro.mining.bruteforce import mine_bruteforce
 from repro.mining.registry import iter_miners
 from repro.parallel import ParallelEngine
-from repro.resilience import SHARD_CRASH, FaultInjector
 
 RECYCLING_NAMES = sorted(spec.name for spec in iter_miners("recycling"))
 JOBS = (1, 2, 4)
@@ -89,11 +91,15 @@ def test_crash_fallback_still_matches(transactions, xi_old, xi_new):
     if len(old_patterns) == 0:
         return
     reference = recycle_mine(db, old_patterns, xi_new)
-    outcome = ParallelEngine(
-        4,
-        executor="inline",
-        fault_injector=FaultInjector().inject(SHARD_CRASH, probability=1.0),
-    ).recycle_mine(db, old_patterns, xi_new)
+
+    def crash(task):
+        raise ParallelError(f"injected failure in shard {task.shard.index}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor, "run_shard_task", crash)
+        outcome = ParallelEngine(4, executor="inline").recycle_mine(
+            db, old_patterns, xi_new
+        )
     assert outcome.patterns == reference
 
 

@@ -6,16 +6,17 @@ The CI ``chaos`` job runs this module across a fixed seed matrix
 variable set, every profile runs once under seed 0 — the same code path,
 one leg of the matrix.
 
-The service serves every request in-process, so the shard faults of the
-``crash`` and ``slow`` profiles fire in the engine leg, which replays the
-same support ladder through ``execute_plan`` on a two-job
-:class:`~repro.parallel.ParallelEngine`. The service and gateway legs
-keep their ``jobs=2`` requests and meet the warehouse faults.
+The ``crash`` and ``slow`` profiles arm ``update.patch``, the only
+compute-side fault point: it fires in the update leg, where a crashed
+patch re-mines cold and a slow one just runs later. The ``corrupt``
+profile arms the warehouse read and write points, which every leg
+meets. The service and gateway legs keep their ``jobs=2`` requests,
+which the service serves in-process.
 
 The invariant under test is the resilience layer's contract: faults may
-change *how* a request is served (retries, serial fallback, quarantine,
-a miss instead of a hit) — recorded on the degradation ladder — but
-never *what* is returned. Every response is compared pattern-for-pattern
+change *how* a request is served (a clean re-mine, quarantine, a miss
+instead of a hit) — recorded on the degradation ladder — but never
+*what* is returned. Every response is compared pattern-for-pattern
 against the fault-free serial answer.
 """
 
@@ -25,21 +26,15 @@ import os
 
 import pytest
 
-from repro.core.planner import execute_plan, plan_support_path
 from repro.data.io import write_patterns_with_support
 from repro.data.synthetic import QuestParams, quest_database
 from repro.mining.hmine import mine_hmine
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
-from repro.parallel import ParallelEngine
 from repro.resilience import (
-    SHARD_CRASH,
-    SHARD_SLOW,
     UPDATE_PATCH,
     WAREHOUSE_READ,
     WAREHOUSE_WRITE,
     FaultInjector,
-    ResilienceConfig,
-    RetryPolicy,
 )
 from repro.service import MineRequest, MiningService, PatternWarehouse
 
@@ -49,65 +44,22 @@ _selected = os.environ.get("CHAOS_PROFILE")
 ACTIVE_PROFILES = (_selected,) if _selected in PROFILES else PROFILES
 
 #: Requests replayed under every profile: two tenants relaxing support,
-#: so the workload crosses mine → filter, and the engine leg recycles.
+#: so the workload crosses mine → filter.
 SUPPORTS = (14, 14, 9, 6)
 
 
 def chaos_injector(profile: str) -> FaultInjector:
     injector = FaultInjector(seed=SEED)
     if profile == "crash":
-        injector.inject(SHARD_CRASH, probability=0.4)
+        injector.inject(UPDATE_PATCH, probability=0.4)
     elif profile == "slow":
-        # Some shard attempts sleep past the engine deadline below.
-        injector.inject(SHARD_SLOW, probability=0.5, delay_seconds=0.08)
+        injector.inject(UPDATE_PATCH, probability=0.5, delay_seconds=0.08)
     elif profile == "corrupt":
         injector.inject(WAREHOUSE_READ, probability=0.4)
         injector.inject(WAREHOUSE_WRITE, probability=0.4)
     else:  # pragma: no cover - guarded by ACTIVE_PROFILES
         raise AssertionError(profile)
     return injector
-
-
-def chaos_retry() -> RetryPolicy:
-    return RetryPolicy(
-        max_attempts=3,
-        base_delay_seconds=0.001,
-        max_delay_seconds=0.01,
-        jitter_fraction=0.25,
-    )
-
-
-@pytest.mark.parametrize("profile", ACTIVE_PROFILES)
-def test_chaos_engine_ladder_returns_only_exact_answers(profile):
-    """The engine leg: the ladder's mine and recycles fan out over two
-    shards while the profile crashes or stalls them; retries, deadline
-    fallbacks and serial answers must all equal the fault-free set."""
-    db = quest_database(
-        QuestParams(n_transactions=100, n_items=30, avg_transaction_length=6),
-        seed=SEED,
-    )
-    expected = {support: mine_hmine(db, support) for support in set(SUPPORTS)}
-    faults = chaos_injector(profile)
-    retry = chaos_retry()
-    engine = ParallelEngine(
-        2,
-        executor="inline",
-        timeout_seconds=0.05 if profile == "slow" else None,
-        retry_policy=retry,
-        fault_injector=faults,
-    )
-    resilience = ResilienceConfig(retry=retry, faults=faults)
-    feedstock = feedstock_support = None
-    for support in SUPPORTS:
-        plan = plan_support_path(support, feedstock, feedstock_support)
-        patterns = execute_plan(
-            plan, db, support, resilience=resilience, engine=engine
-        )
-        assert patterns == expected[support], (
-            f"profile={profile} seed={SEED} support={support} "
-            f"served via {plan.path}"
-        )
-        feedstock, feedstock_support = patterns, support
 
 
 @pytest.mark.parametrize("profile", ACTIVE_PROFILES)
@@ -118,13 +70,9 @@ def test_chaos_run_returns_only_exact_answers(profile, tmp_path):
     )
     expected = {support: mine_hmine(db, support) for support in set(SUPPORTS)}
     faults = chaos_injector(profile)
-    retry = chaos_retry()
 
     warehouse = PatternWarehouse(directory=tmp_path, fault_injector=faults)
-    with MiningService(
-        warehouse=warehouse,
-        resilience=ResilienceConfig(retry=retry, faults=faults),
-    ) as service:
+    with MiningService(warehouse=warehouse, fault_injector=faults) as service:
         for support in SUPPORTS:
             response = service.execute(
                 MineRequest(db=db, support=support, jobs=2)
@@ -153,12 +101,8 @@ def test_chaos_gateway_batches_survive_faults(profile, tmp_path):
     )
     expected = {support: mine_hmine(db, support) for support in set(SUPPORTS)}
     faults = chaos_injector(profile)
-    retry = chaos_retry()
     warehouse = PatternWarehouse(directory=tmp_path, fault_injector=faults)
-    with MiningService(
-        warehouse=warehouse,
-        resilience=ResilienceConfig(retry=retry, faults=faults),
-    ) as service:
+    with MiningService(warehouse=warehouse, fault_injector=faults) as service:
         gateway = MiningGateway(service, start=False)
         # The whole ladder queues before anything dispatches, so faults
         # hit the shared batched computation, not isolated requests.
@@ -205,12 +149,8 @@ def test_chaos_update_path_degrades_to_clean_remine(profile, tmp_path):
         faults.inject(UPDATE_PATCH, probability=1.0)
     elif profile == "slow":
         faults.inject(UPDATE_PATCH, probability=1.0, delay_seconds=0.01)
-    retry = chaos_retry()
     warehouse = PatternWarehouse(directory=tmp_path, fault_injector=faults)
-    with MiningService(
-        warehouse=warehouse,
-        resilience=ResilienceConfig(retry=retry, faults=faults),
-    ) as service:
+    with MiningService(warehouse=warehouse, fault_injector=faults) as service:
         service.execute(MineRequest(db=db, support=10, version=v0))
         response = service.execute(MineRequest(db=v1.db, support=10, version=v1))
         assert response.patterns == expected, (

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.resilience import (
-    REASON_CIRCUIT_OPEN,
+    REASON_MERGE_FAILED,
     REASON_SHARD_FAILED,
     DegradationReport,
     DegradationStep,
@@ -34,9 +34,9 @@ class TestDegradationReport:
         ]
 
     def test_steps_are_immutable_value_objects(self):
-        step = DegradationStep("parallel", "serial", REASON_CIRCUIT_OPEN)
-        assert step.describe() == "parallel→serial: circuit_open"
-        assert step == DegradationStep("parallel", "serial", REASON_CIRCUIT_OPEN)
+        step = DegradationStep("parallel", "serial", REASON_MERGE_FAILED)
+        assert step.describe() == "parallel→serial: merge_failed"
+        assert step == DegradationStep("parallel", "serial", REASON_MERGE_FAILED)
 
     def test_extend_merges_another_report_in_order(self):
         inner = DegradationReport()

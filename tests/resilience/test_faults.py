@@ -7,12 +7,9 @@ import pytest
 from repro.errors import InjectedFaultError, ResilienceError
 from repro.resilience import (
     FAULT_POINTS,
-    MERGE_COUNT,
     PERSIST_FAULT_POINTS,
     PERSIST_RENAME,
     PERSIST_WRITE,
-    SHARD_CRASH,
-    SHARD_SLOW,
     UPDATE_PATCH,
     WAREHOUSE_READ,
     WAREHOUSE_WRITE,
@@ -27,25 +24,25 @@ class TestArming:
 
     def test_rule_that_can_never_fire_rejected(self):
         with pytest.raises(ResilienceError, match="can never fire"):
-            FaultInjector().inject(SHARD_CRASH)
+            FaultInjector().inject(UPDATE_PATCH)
 
     def test_probability_out_of_range_rejected(self):
         with pytest.raises(ResilienceError, match="probability"):
-            FaultInjector().inject(SHARD_CRASH, probability=1.5)
+            FaultInjector().inject(UPDATE_PATCH, probability=1.5)
 
     def test_zero_based_on_calls_rejected(self):
         with pytest.raises(ResilienceError, match="1-based"):
-            FaultInjector().inject(SHARD_CRASH, on_calls=(0,))
+            FaultInjector().inject(UPDATE_PATCH, on_calls=(0,))
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ResilienceError, match="delay_seconds"):
-            FaultInjector().inject(SHARD_SLOW, on_calls=(1,), delay_seconds=-1)
+            FaultInjector().inject(WAREHOUSE_WRITE, on_calls=(1,), delay_seconds=-1)
 
     def test_inject_chains(self):
         injector = (
             FaultInjector()
-            .inject(SHARD_CRASH, on_calls=(1,))
-            .inject(MERGE_COUNT, on_calls=(2,))
+            .inject(UPDATE_PATCH, on_calls=(1,))
+            .inject(WAREHOUSE_READ, on_calls=(2,))
         )
         assert isinstance(injector, FaultInjector)
 
@@ -54,8 +51,7 @@ class TestArming:
         for point in FAULT_POINTS:
             injector.inject(point, on_calls=(1,))
         assert FAULT_POINTS == {
-            SHARD_CRASH, SHARD_SLOW, WAREHOUSE_READ, WAREHOUSE_WRITE,
-            MERGE_COUNT, UPDATE_PATCH,
+            WAREHOUSE_READ, WAREHOUSE_WRITE, UPDATE_PATCH,
             PERSIST_WRITE, PERSIST_RENAME,
         }
 
@@ -84,36 +80,36 @@ class TestFiring:
 
     def test_slow_fault_returns_delay_instead_of_raising(self):
         injector = FaultInjector().inject(
-            SHARD_SLOW, on_calls=(1,), delay_seconds=0.5
+            WAREHOUSE_WRITE, on_calls=(1,), delay_seconds=0.5
         )
-        assert injector.fire(SHARD_SLOW) == 0.5
-        assert injector.fire(SHARD_SLOW) == 0.0  # only call 1 is armed
+        assert injector.fire(WAREHOUSE_WRITE) == 0.5
+        assert injector.fire(WAREHOUSE_WRITE) == 0.0  # only call 1 is armed
 
     def test_max_fires_caps_a_repeating_rule(self):
         injector = FaultInjector().inject(
-            SHARD_CRASH, probability=1.0, max_fires=2
+            UPDATE_PATCH, probability=1.0, max_fires=2
         )
         fires = sum(
-            injector.evaluate(SHARD_CRASH) is not None for _ in range(5)
+            injector.evaluate(UPDATE_PATCH) is not None for _ in range(5)
         )
         assert fires == 2
 
     def test_points_count_calls_independently(self):
         injector = FaultInjector()
-        injector.evaluate(SHARD_CRASH)
-        injector.evaluate(SHARD_CRASH)
-        injector.evaluate(MERGE_COUNT)
-        assert injector.calls(SHARD_CRASH) == 2
-        assert injector.calls(MERGE_COUNT) == 1
-        assert injector.fired(SHARD_CRASH) == 0
+        injector.evaluate(UPDATE_PATCH)
+        injector.evaluate(UPDATE_PATCH)
+        injector.evaluate(WAREHOUSE_READ)
+        assert injector.calls(UPDATE_PATCH) == 2
+        assert injector.calls(WAREHOUSE_READ) == 1
+        assert injector.fired(UPDATE_PATCH) == 0
 
 
 class TestDeterminism:
     def test_same_seed_same_schedule(self):
         def schedule(seed: int) -> list[bool]:
-            injector = FaultInjector(seed).inject(SHARD_CRASH, probability=0.3)
+            injector = FaultInjector(seed).inject(UPDATE_PATCH, probability=0.3)
             return [
-                injector.evaluate(SHARD_CRASH) is not None for _ in range(50)
+                injector.evaluate(UPDATE_PATCH) is not None for _ in range(50)
             ]
 
         assert schedule(7) == schedule(7)
@@ -124,22 +120,22 @@ class TestDeterminism:
         draws of a probabilistic rule at the same point."""
 
         def fires(with_extra_rule: bool) -> list[int]:
-            injector = FaultInjector(3).inject(SHARD_CRASH, probability=0.2)
+            injector = FaultInjector(3).inject(UPDATE_PATCH, probability=0.2)
             if with_extra_rule:
-                injector.inject(SHARD_SLOW, on_calls=(1,), delay_seconds=0.1)
-                injector.evaluate(SHARD_SLOW)
+                injector.inject(WAREHOUSE_WRITE, on_calls=(1,), delay_seconds=0.1)
+                injector.evaluate(WAREHOUSE_WRITE)
             result = []
             for call in range(1, 41):
-                if injector.evaluate(SHARD_CRASH) is not None:
+                if injector.evaluate(UPDATE_PATCH) is not None:
                     result.append(call)
             return result
 
         assert fires(False) == fires(True)
 
     def test_snapshot_reports_calls_and_fires(self):
-        injector = FaultInjector().inject(SHARD_CRASH, on_calls=(1,))
-        injector.evaluate(SHARD_CRASH)
-        injector.evaluate(SHARD_CRASH)
+        injector = FaultInjector().inject(UPDATE_PATCH, on_calls=(1,))
+        injector.evaluate(UPDATE_PATCH)
+        injector.evaluate(UPDATE_PATCH)
         assert injector.snapshot() == {
-            SHARD_CRASH: {"calls": 2, "fired": 1}
+            UPDATE_PATCH: {"calls": 2, "fired": 1}
         }

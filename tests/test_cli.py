@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -19,6 +21,14 @@ def db_file(tmp_path):
     path = tmp_path / "db.dat"
     write_transactions(db, path)
     return path, db
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    """The parser of one ``repro`` subcommand."""
+    return next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices[command]
 
 
 class TestMine:
@@ -114,6 +124,28 @@ class TestRecycleAndCompress:
         code = main(["compress", "--input", str(path), "--old-support", "4"])
         assert code == 0
         assert "ratio" in capsys.readouterr().out
+
+    def test_recycle_takes_a_baseline_name(self, db_file, tmp_path, capsys):
+        """Like a session, a baseline with no recycler of its own
+        recycles with RP-Mine; the answer is the scratch one."""
+        path, db = db_file
+        out_path = tmp_path / "recycled.txt"
+        code = main(
+            ["recycle", "--input", str(path), "--old-support", "4",
+             "--support", "2", "--algorithm", "eclat", "--output", str(out_path)]
+        )
+        assert code == 0
+        assert read_patterns(out_path) == mine_apriori(db, 2)
+
+    def test_recycle_and_update_take_the_same_algorithms(self):
+        def choices(command):
+            return next(
+                action.choices for action in _subparser(command)._actions
+                if "--algorithm" in action.option_strings
+            )
+
+        assert choices("recycle") == choices("update")
+        assert "naive" in choices("recycle") and "eclat" in choices("recycle")
 
     def test_any_registered_recycler_accepted(self, db_file, capsys):
         from repro.mining.registry import miner_names
@@ -580,6 +612,32 @@ class TestParser:
     def test_bench_requires_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench"])
+
+    def test_bench_help_lists_every_experiment_family(self):
+        from repro.bench.experiments import EXPERIMENT_FAMILIES
+
+        bench = _subparser("bench")
+        text = next(
+            action.help for action in bench._actions
+            if "--experiment" in action.option_strings
+        )
+        for family in EXPERIMENT_FAMILIES:
+            assert family in text
+        assert "service-load-<ds>" in text and "parallel-<ds>" in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine", "--dataset", "weather", "--support", "0.3"],
+            ["recycle", "--dataset", "weather", "--old-support", "0.5",
+             "--support", "0.3"],
+        ],
+    )
+    def test_no_command_takes_jobs(self, argv):
+        """The sharded engine is reachable only from ``repro bench``."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--jobs", "2"])
+        build_parser().parse_args(argv)
 
     @pytest.mark.parametrize(
         "argv",

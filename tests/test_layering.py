@@ -23,17 +23,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: importing package prefix -> package prefixes it must not import.
 #:
-#: ``repro.parallel`` sits beside ``repro.service`` above the algorithm
-#: layers: it may use data/core/mining/storage but never the service,
-#: which orchestrates it.  The reverse edge — ``repro.core`` reaching
-#: ``repro.parallel`` from ``recycle_mine(jobs=...)`` — is a deliberate,
-#: function-local lazy import and therefore intentionally absent from
-#: core's forbidden list.
+#: ``repro.parallel`` (the sharded engine) sits above the algorithm
+#: layers: it may use data/core/mining/storage but never the service.
+#: Nothing but the benchmark harness may import it back: ``repro.core``,
+#: ``repro.service``, ``repro.gateway`` and ``repro.cli`` are forbidden
+#: to reach it, so ``repro bench parallel-<ds>`` is its only front door.
 #: ``repro.resilience`` is deliberately the lowest non-trivial layer: it
 #: may import only ``repro.errors`` / ``repro.metrics`` (so the fault
-#: injector, retry machinery and degradation ladder can be threaded
-#: through parallel/core/service without cycles), and conversely the
-#: bottom layers must not grow a dependency on it.
+#: injector and degradation ladder can be threaded through
+#: parallel/core/service without cycles), and conversely the bottom
+#: layers must not grow a dependency on it.
 #: ``repro.gateway`` sits strictly above ``repro.service``: the service
 #: must never import it (gateway gauges flow down through the duck-typed
 #: ``ServiceStats.attach_gauges``), and the gateway itself must stay
@@ -66,7 +65,12 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
         "repro.service",
         "repro.storage",
     ),
-    "repro.core": ("repro.durability", "repro.gateway", "repro.service"),
+    "repro.core": (
+        "repro.durability",
+        "repro.gateway",
+        "repro.parallel",
+        "repro.service",
+    ),
     # The update-path patch engines are pinned individually: even if the
     # blanket repro.core rule is ever relaxed, the algorithms that the
     # planner's PATH_UPDATE dispatches to must stay pure — callable from
@@ -109,13 +113,14 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
         "repro.storage",
         "repro.trends",
     ),
-    "repro.service": ("repro.gateway", "repro.trends"),
+    "repro.service": ("repro.gateway", "repro.parallel", "repro.trends"),
     # Durable formats stay behind the warehouse: the service hands it
     # versions and pattern sets, never chain records; and the warehouse
     # is in-memory policy, every file read or written by DurableStore.
     "repro.service.service": ("repro.durability",),
     "repro.service.warehouse": ("repro.data.io",),
-    "repro.gateway": ("repro.bench", "repro.trends"),
+    "repro.gateway": ("repro.bench", "repro.parallel", "repro.trends"),
+    "repro.cli": ("repro.parallel",),
     "repro.bench": ("repro.trends",),
     "repro.trends": (
         "repro.core",
@@ -193,7 +198,21 @@ def test_every_source_module_is_parseable():
 
 #: API names retired for good. They must not resurface anywhere in the
 #: source tree — not as definitions, not as imports, not as shims.
-RETIRED_NAMES = ("CGroup", "compressed_to_cgroups", "database_to_cgroups")
+RETIRED_NAMES = (
+    "CGroup",
+    "compressed_to_cgroups",
+    "database_to_cgroups",
+    # The sharded engine's retry and circuit-breaker machinery, and the
+    # library knobs that reached the engine.
+    "ResilienceConfig",
+    "RetryPolicy",
+    "CircuitBreaker",
+    "sharded_engine",
+    "from_resilience",
+    "SHARD_CRASH",
+    "SHARD_SLOW",
+    "MERGE_COUNT",
+)
 
 
 def test_retired_names_stay_retired():
