@@ -6,7 +6,10 @@ Times the two counting implementations against each other:
   off) — ``mine_eclat`` (per-element tidset intersections) vs
   ``mine_eclat_bitset`` (one ``&`` + ``bit_count()`` per candidate);
   both run one search, so the row also records each miner's
-  ``tidset_intersections`` (a machine-independent count; they match);
+  ``tidset_intersections`` (a machine-independent count; they match)
+  and ``bitset_python_calls``, the interpreter calls of one
+  ``mine_eclat_bitset`` run as cProfile counts them (also
+  machine-independent: it moves only when the search's code does);
 * grouped mining, on *all* datasets — the shared Phase 2 group kernel
   (``mine_grouped``) over the MCP-compressed database at the middle
   sweep ``xi_new``. The kernel picks its engine from its input: the
@@ -26,7 +29,9 @@ Run directly (not collected by pytest; tier-1 only collects ``tests/``)::
 
 from __future__ import annotations
 
+import cProfile
 import math
+import pstats
 import sys
 import time
 from pathlib import Path
@@ -62,6 +67,13 @@ def intersections(mine, db, support: int) -> int:
     return counters.as_dict()["tidset_intersections"]
 
 
+def python_calls(mine, db, support: int) -> int:
+    """cProfile's ``total_calls`` for one ``mine`` run, counters on."""
+    profile = cProfile.Profile()
+    profile.runcall(mine, db, support, CostCounters())
+    return pstats.Stats(profile).total_calls
+
+
 def bench_eclat(db, support: int) -> dict:
     python_s, python_patterns = best_of(mine_eclat, db, support)
     bitset_s, bitset_patterns = best_of(mine_eclat_bitset, db, support)
@@ -72,6 +84,7 @@ def bench_eclat(db, support: int) -> dict:
         "patterns": len(python_patterns),
         "python_tidset_intersections": intersections(mine_eclat, db, support),
         "bitset_tidset_intersections": intersections(mine_eclat_bitset, db, support),
+        "bitset_python_calls": python_calls(mine_eclat_bitset, db, support),
         "python_seconds": round(python_s, 4),
         "bitset_seconds": round(bitset_s, 4),
         "speedup": round(python_s / bitset_s, 2),

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -654,9 +655,15 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--strategy", default="mcp", choices=("mcp", "mlp"))
     update.set_defaults(handler=_command_update)
 
-    bench = commands.add_parser("bench", help="run a paper experiment")
+    # argparse wraps help at hyphens, splitting names like
+    # service-load-<ds>; the list is wrapped here at spaces only, 54
+    # wide, so each line fits 80 columns after argparse's indent of 24.
+    bench = commands.add_parser("bench", help="run a paper experiment",
+                                formatter_class=argparse.RawTextHelpFormatter)
     bench.add_argument("--experiment", required=True,
-                       help=", ".join(EXPERIMENT_FAMILIES))
+                       help="\n".join(textwrap.wrap(
+                           ", ".join(EXPERIMENT_FAMILIES), 54,
+                           break_on_hyphens=False)))
     bench.add_argument("--seed", type=int, default=0)
     bench.set_defaults(handler=_command_bench)
 

@@ -56,10 +56,6 @@ class ConstraintSet:
     def __repr__(self) -> str:
         return f"ConstraintSet({list(self._constraints)!r})"
 
-    @property
-    def support_constraint(self) -> MinSupport:
-        return self._min_support
-
     def absolute_support(self, db_size: int) -> int:
         """The minimum support as an absolute count."""
         return self._min_support.absolute(db_size)

@@ -65,6 +65,12 @@ def fup_update(
     ``counters`` is charged the increment's rows, read once to encode it
     (``tuple_scans``, ``item_visits``), and one ``tidset_intersections``
     per ``&``, on the increment's bitmaps or the old database's.
+
+    ``old_patterns`` is read in place, never copied or written to. Each
+    frequent pattern is written straight into a plain dict that the
+    result adopts (:meth:`PatternSet._trusted`), so it shares no mapping
+    with the feedstock. The search counts what it emits and raises
+    :class:`MiningError` unless the dict holds that many patterns.
     """
     if min_support < 1:
         raise MiningError(f"min_support must be >= 1, got {min_support}")
@@ -78,14 +84,15 @@ def fup_update(
     relative = min_support / total_size
     delta_threshold = max(delta_threshold, int(relative * increment_size))
 
-    result = PatternSet()
-    old_support = old_patterns.as_dict().get
+    supports: dict[Pattern, int] = {}
+    emitted = 0
+    old_support = old_patterns._supports.get
     old_enc: EncodedDatabase | None = None
     intersections = 0
 
     def grown_support(key: Pattern, tids: int) -> int | None:
         """``key``'s support in the grown database, or None if infrequent."""
-        nonlocal old_enc, intersections
+        nonlocal emitted, old_enc, intersections
         count = tids.bit_count()
         old = old_support(key)
         if old is None:
@@ -100,7 +107,8 @@ def fup_update(
         count += old
         if count < min_support:
             return None
-        result.add(key, count)
+        supports[key] = count
+        emitted += 1
         return count
 
     def extend(prefix: Pattern, candidates: list[tuple[int, int]]) -> None:
@@ -132,13 +140,18 @@ def fup_update(
             ranked.append((support, item, tids))
     ranked.sort()
     extend(frozenset(), [(item, tids) for _, item, tids in ranked])
+    if emitted != len(supports):
+        raise MiningError(
+            f"the patch emitted {emitted} patterns but {len(supports)} are "
+            "distinct: a pattern was emitted twice"
+        )
 
     if counters is not None:
         counters.tuple_scans += increment_size
         counters.item_visits += increment.total_items()
         counters.add("tidset_intersections", intersections)
-        counters.patterns_emitted += len(result)
-    return result
+        counters.patterns_emitted += len(supports)
+    return PatternSet._trusted(supports)
 
 
 def fup_update_delta(

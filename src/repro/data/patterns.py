@@ -55,6 +55,20 @@ class PatternSet:
     # ------------------------------------------------------------------
     # construction & mutation
     # ------------------------------------------------------------------
+    @classmethod
+    def _trusted(cls, supports: dict[Pattern, int]) -> "PatternSet":
+        """Adopt ``supports`` without copying or re-validating it.
+
+        For a mapping the library built itself, whose keys are non-empty
+        frozensets and whose supports are non-negative (a search's own
+        output, or a filter, copy or expansion of a set): the dict
+        becomes the set's own, so the caller must not keep mutating it.
+        Input from outside the library goes through :meth:`add`.
+        """
+        result = cls.__new__(cls)
+        result._supports = supports
+        return result
+
     def add(self, items: Iterable[int], support: int) -> None:
         """Record a pattern. Re-adding must agree on the support."""
         key = frozenset(items)
@@ -154,16 +168,15 @@ class PatternSet:
         mapping). When no support falls below the threshold (every exact
         warehouse hit) it is a dict copy.
         """
-        result = PatternSet()
         if min(self._supports.values(), default=min_support) >= min_support:
-            result._supports = self._supports.copy()
-        else:
-            result._supports = {
+            return PatternSet._trusted(self._supports.copy())
+        return PatternSet._trusted(
+            {
                 items: support
                 for items, support in self._supports.items()
                 if support >= min_support
             }
-        return result
+        )
 
     def maximal(self) -> "PatternSet":
         """The maximal patterns (no frequent superset in this set)."""
@@ -518,9 +531,7 @@ class CondensedPatternSet:
         feedstock — so this view feeds ``recycle_mine`` directly, no
         expansion needed.
         """
-        result = PatternSet()
-        result._supports = dict(self._entries)
-        return result
+        return PatternSet._trusted(dict(self._entries))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CondensedPatternSet):
@@ -583,8 +594,7 @@ class CondensedPatternSet:
         """
         if self._expanded is None:
             if self.representation == "full":
-                expanded = PatternSet()
-                expanded._supports = self._entries
+                expanded = PatternSet._trusted(self._entries)
             elif self.representation == "closed":
                 expanded = self._expand_closed()
             else:
@@ -621,9 +631,7 @@ class CondensedPatternSet:
                         expanded[sub] = support
                         if index + 1 < width:
                             stack.append((sub, index + 1))
-        result = PatternSet()
-        result._supports = expanded
-        return result
+        return PatternSet._trusted(expanded)
 
     def _expand_ndi(self) -> PatternSet:
         """Level-wise reconstruction: derive where possible, look up the rest.
@@ -672,9 +680,7 @@ class CondensedPatternSet:
                     next_level[cand] = support
             supports.update(next_level)
             current = next_level
-        result = PatternSet()
-        result._supports = supports
-        return result
+        return PatternSet._trusted(supports)
 
     # ------------------------------------------------------------------
     # filtering

@@ -205,8 +205,12 @@ class TransactionDatabase:
         return sum(len(tx) for tx in self._transactions) / len(self._transactions)
 
     def total_items(self) -> int:
-        """Total item occurrences across all transactions ("size" S_o)."""
-        return sum(len(tx) for tx in self._transactions)
+        """Total item occurrences across all transactions ("size" S_o).
+
+        Rows hold each item once, so this is the sum of the memoized item
+        supports: every miner charges it per call without a row walk.
+        """
+        return sum(self.item_supports().values())
 
     def encoded(self) -> "EncodedDatabase":
         """The vertical-bitmap encoding of this database; built once.

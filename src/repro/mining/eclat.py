@@ -48,7 +48,7 @@ from typing import Any, Callable
 from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError
 from repro.metrics.counters import CostCounters
-from repro.mining.patterns import PatternSet
+from repro.mining.patterns import Pattern, PatternSet
 
 # A candidate extension: (item, tidset, support). The tidset is a
 # ``set[int]`` or a big-int bitmap; both intersect with ``&``.
@@ -78,6 +78,18 @@ def _search(
     ``count`` the support of a tidset. A node with ``n`` candidates
     intersects each pair once, so it costs ``n * (n - 1) / 2``.
 
+    Each node writes its ``2^|own|`` patterns (itself joined with every
+    subset of its perfect extensions ``own``) straight into a plain
+    dict, which the result adopts (:meth:`PatternSet._trusted`); no
+    pattern passes through :meth:`PatternSet.add`. A node whose narrowed
+    list holds a single candidate emits that lone child too: the child
+    meets no sibling, so it is a leaf with the node's ``own``, and it
+    needs no call of its own. Patterns are non-empty and supports
+    non-negative by construction; the one check left is aggregate. The
+    search counts what it emits and raises :class:`MiningError` unless
+    the dict holds that many patterns, which catches any pattern emitted
+    twice (a repeated root item, say), even at the same support.
+
     With ``prove_tie_free`` (hashable tidsets only) the result's
     ``tie_free`` is True iff the search saw no perfect extension and no
     two *leaves* — nodes whose narrowed candidate list is empty — with
@@ -98,16 +110,24 @@ def _search(
     keeps ``hash(tids)``, never the bitmap; a collision only reads as a
     tie.
     """
-    result = PatternSet()
+    supports: dict[Pattern, int] = {}
+    emitted = 0
     intersections = 0
     # Hashes of the leaves' tidsets; None once a tie is seen (or when
     # not proving), which also stops the hashing.
     leaves: set[int] | None = set() if prove_tie_free else None
 
+    def joined(node: tuple[int, ...], own: tuple[int, ...], support: int) -> int:
+        """Emit ``node`` joined with each non-empty subset of ``own``."""
+        for size in range(1, len(own) + 1):
+            for extra in combinations(own, size):
+                supports[frozenset(node + extra)] = support
+        return (1 << len(own)) - 1
+
     def extend(
         prefix: tuple[int, ...], perfect: tuple[int, ...], candidates: list[Candidate]
     ) -> None:
-        nonlocal intersections, leaves
+        nonlocal emitted, intersections, leaves
         intersections += len(candidates) * (len(candidates) - 1) // 2
         for pos, (item, tids, support) in enumerate(candidates):
             node = prefix + (item,)
@@ -120,10 +140,19 @@ def _search(
                     own += (other,)
                 elif other_support >= min_support:
                     narrowed.append((other, intersection, other_support))
-            result.add(node, support)
-            for size in range(1, len(own) + 1):
-                for extra in combinations(own, size):
-                    result.add(node + extra, support)
+            supports[frozenset(node)] = support
+            emitted += 1
+            if own:
+                emitted += joined(node, own, support)
+            if len(narrowed) == 1:
+                # The lone child is a leaf: emit it here and let the
+                # leaf check below read its tidset.
+                child, tids, support = narrowed.pop()
+                node += (child,)
+                supports[frozenset(node)] = support
+                emitted += 1
+                if own:
+                    emitted += joined(node, own, support)
             if narrowed:
                 extend(node, own, narrowed)
             elif leaves is not None:
@@ -134,6 +163,12 @@ def _search(
                     leaves.add(key)
 
     extend((), (), roots)
+    if emitted != len(supports):
+        raise MiningError(
+            f"the search emitted {emitted} patterns but {len(supports)} are "
+            "distinct: a pattern was emitted twice"
+        )
+    result = PatternSet._trusted(supports)
     result.tie_free = leaves is not None
 
     if counters is not None:

@@ -11,16 +11,12 @@ being one ordinary mining run — so probes compose with recycling: pass a
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
 from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError
 from repro.mining.fptree import mine_fpgrowth
 from repro.mining.patterns import PatternSet
-
-
-class _Miner(Protocol):
-    def __call__(self, min_support: int) -> PatternSet: ...
 
 
 def mine_top_k(

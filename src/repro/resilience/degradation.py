@@ -80,10 +80,6 @@ class DegradationReport:
         """Append one ``requested → served: reason`` step."""
         self._steps.append(DegradationStep(requested, served, reason))
 
-    def extend(self, other: "DegradationReport") -> None:
-        """Append every step of another report (e.g. an engine's outcome)."""
-        self._steps.extend(other.steps)
-
     @property
     def steps(self) -> tuple[DegradationStep, ...]:
         return tuple(self._steps)

@@ -59,6 +59,20 @@ class TestFUPCorrectness:
         old_patterns = mine_apriori(old_db, 2)
         assert fup_update(old_db, increment, old_patterns, 2) == old_patterns
 
+    @pytest.mark.parametrize("appended", [[], [[1, 2], [2, 4]]], ids=["empty", "rows"])
+    def test_feedstock_is_read_in_place_and_never_shared(self, appended):
+        old_db = random_database(20, 6, 5, seed=1)
+        increment = TransactionDatabase(appended)
+        old_patterns = mine_apriori(old_db, 2)
+        before = old_patterns.as_dict()
+        updated = fup_update(old_db, increment, old_patterns, 2)
+        assert old_patterns.as_dict() == before
+        assert updated == mine_apriori(grown(old_db, increment), 2)
+        # Writing to the answer must not reach the feedstock.
+        updated.add({99}, 1)
+        assert {99} not in old_patterns
+        assert old_patterns.as_dict() == before
+
     def test_invalid_support_rejected(self, tiny_db):
         from repro.mining.patterns import PatternSet
 

@@ -80,6 +80,16 @@ class TestStatistics:
     def test_total_items(self, tiny_db):
         assert tiny_db.total_items() == 8
 
+    def test_total_items_equals_the_row_sum(self):
+        base = TransactionDatabase([[1, 2, 3], [2, 3], [4], [1, 4, 5]])
+        # Deleting tids 2 and 3 removes every row holding item 4 or 5,
+        # so the child's patched supports drop both items.
+        delta = DatabaseDelta(appends=((2, 6), (6,)), deletes=frozenset({2, 3}))
+        child = delta.apply(base)
+        for db in (base, child, TransactionDatabase([])):
+            assert db.total_items() == sum(len(tx) for tx in db)
+        assert (base.total_items(), child.total_items()) == (9, 8)
+
     def test_item_count(self, tiny_db):
         assert tiny_db.item_count() == 3
 

@@ -67,7 +67,10 @@ def test_verdict_is_sound_and_complete(random_rows, plant, min_support):
 def test_backward_tie_is_not_tie_free():
     """{2, 3} has the tidset of {1, 2, 3}, but item 1 precedes both in
     the search order, so no node meets it as a perfect extension: only
-    the two leaves' equal tidsets reveal the tie."""
+    the two leaves' equal tidsets reveal the tie. Both leaves are lone
+    children ({1, 2, 3} of node {1, 2}, {2, 3} of node {2}), which the
+    search emits without a call of their own, so this also pins the
+    leaf check on that path."""
     db = TransactionDatabase([[1, 2, 3], [1, 2], [1, 3], [2], [3], [2], [3]])
     counters = CostCounters()
     patterns = mine_eclat_bitset(db, 1, counters)

@@ -37,16 +37,3 @@ class TestDegradationReport:
         step = DegradationStep("parallel", "serial", REASON_MERGE_FAILED)
         assert step.describe() == "parallel→serial: merge_failed"
         assert step == DegradationStep("parallel", "serial", REASON_MERGE_FAILED)
-
-    def test_extend_merges_another_report_in_order(self):
-        inner = DegradationReport()
-        inner.record("parallel", "serial", REASON_SHARD_FAILED)
-        outer = DegradationReport()
-        outer.record("feedstock", "miss", "warehouse_read_failed")
-        outer.extend(inner)
-        assert [s.reason for s in outer.steps] == [
-            "warehouse_read_failed",
-            REASON_SHARD_FAILED,
-        ]
-        # Extending mutates the receiver only.
-        assert len(inner) == 1

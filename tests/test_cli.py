@@ -625,6 +625,17 @@ class TestParser:
             assert family in text
         assert "service-load-<ds>" in text and "parallel-<ds>" in text
 
+    def test_bench_help_keeps_each_family_on_one_line(self, monkeypatch, capsys):
+        from repro.bench.experiments import EXPERIMENT_FAMILIES
+
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        assert max(map(len, lines)) <= 80
+        for family in EXPERIMENT_FAMILIES:
+            assert any(family in line for line in lines), family
+
     @pytest.mark.parametrize(
         "argv",
         [
