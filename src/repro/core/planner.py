@@ -207,6 +207,12 @@ def execute_plan(
     ``None`` (the default) mines with the serving kernel. Every rung
     descended is recorded on ``degradation`` (when given).
 
+    The filter path always returns a new set. An exact hit
+    (``new_support == plan.feedstock_support``) is a copy of the
+    feedstock's mapping: the entry's own support decides it, with no
+    scan of the held supports. A looser feedstock goes through
+    :meth:`~repro.data.patterns.PatternSet.filter_min_support`.
+
     The update path fires ``fault_injector``'s ``update.patch`` point
     and guarantees atomicity-of-outcome: any failure mid-patch falls
     through to a clean scratch mine of ``db`` (recorded as
@@ -215,13 +221,16 @@ def execute_plan(
     """
     if plan.path == PATH_FILTER:
         assert plan.feedstock is not None
-        if isinstance(plan.feedstock, CondensedPatternSet):
-            # A full entry's expansion is its held mapping, so a hit is
-            # one dict pass; a condensed one expands here. The filter
-            # always builds a new set, so the held one is never handed
-            # out.
-            return plan.feedstock.expand().filter_min_support(new_support)
-        return plan.feedstock.filter_min_support(new_support)
+        feed = plan.feedstock
+        if isinstance(feed, CondensedPatternSet):
+            # A full entry's expansion is its held mapping; a condensed
+            # one expands here.
+            feed = feed.expand()
+        if new_support == plan.feedstock_support:
+            # Every held support clears the threshold the entry was
+            # mined at, so the answer is a copy, not a scan.
+            return PatternSet._trusted(feed.as_dict())
+        return feed.filter_min_support(new_support)
     if plan.path == PATH_RECYCLE:
         assert plan.feedstock is not None
         return recycle_mine(

@@ -137,13 +137,6 @@ class PatternSet:
         """Length of the longest pattern (0 when empty). Table 3 reports this."""
         return max((len(p) for p in self._supports), default=0)
 
-    def count_by_length(self) -> dict[int, int]:
-        """Histogram ``{pattern_length: count}``."""
-        histogram: dict[int, int] = {}
-        for p in self._supports:
-            histogram[len(p)] = histogram.get(len(p), 0) + 1
-        return dict(sorted(histogram.items()))
-
     # ------------------------------------------------------------------
     # derived sets
     # ------------------------------------------------------------------
@@ -163,10 +156,11 @@ class PatternSet:
     def filter_min_support(self, min_support: int) -> "PatternSet":
         """Patterns whose support is at least ``min_support``.
 
-        Always a new set: the planner's filter path serves this straight
-        from a warehouse entry's expansion (for a full entry, its held
-        mapping). When no support falls below the threshold (every exact
-        warehouse hit) it is a dict copy.
+        Always a new set. The planner's filter path calls this on a
+        warehouse entry's expansion (for a full entry, its held mapping)
+        only when the entry was mined below ``min_support``; an exact hit
+        is copied there without this scan. When no support falls below
+        the threshold the result is a dict copy.
         """
         if min(self._supports.values(), default=min_support) >= min_support:
             return PatternSet._trusted(self._supports.copy())
@@ -200,13 +194,6 @@ class PatternSet:
             if is_closed:
                 result._supports[items] = support
         return result
-
-    def sorted_patterns(self) -> list[tuple[tuple[int, ...], int]]:
-        """Deterministically ordered ``(sorted_items, support)`` list."""
-        return sorted(
-            ((tuple(sorted(p)), s) for p, s in self._supports.items()),
-            key=lambda entry: (len(entry[0]), entry[0]),
-        )
 
 
 # ---------------------------------------------------------------------------

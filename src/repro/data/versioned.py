@@ -348,7 +348,13 @@ class VersionedDatabase:
         The patch is content-exact: applying the result to ``ancestor``
         yields a database with the same transactions and supports, though
         appended rows may carry different tids than this version's.
+
+        From the direct parent the answer is the delta this version was
+        built from, with no diff: it names the same deleted tids and
+        appends the same rows in the same order.
         """
+        if ancestor is self._parent and self._delta is not None:
+            return self._delta
         adb = ancestor.db if isinstance(ancestor, VersionedDatabase) else ancestor
         theirs = dict(zip(adb.tids, adb.transactions))
         mine = dict(zip(self._db.tids, self._db.transactions))

@@ -95,10 +95,6 @@ class CostCounters:
             + extra.get("matrix_updates", 0)
         )
 
-    def total_io(self) -> int:
-        """A single scalar proxy for I/O cost (bytes moved)."""
-        return self.bytes_read + self.bytes_written
-
     def as_dict(self) -> dict[str, int]:
         """All counters (standard and extra) as a plain dict."""
         result = {
@@ -106,14 +102,6 @@ class CostCounters:
         }
         result.update(self._extra)
         return result
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        for f in fields(self):
-            if f.name == "_extra":
-                continue
-            setattr(self, f.name, 0)
-        self._extra.clear()
 
 
 #: Names eligible for the attribute fast path in :meth:`CostCounters.add`.

@@ -53,10 +53,8 @@ answer. The paper's miner comparison stays available through
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
-from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -403,9 +401,10 @@ class MiningService:
         is already in flight the returned future simply wraps the
         leader's computation.
         """
-        response, lead = self._admit(request)
-        if lead is not None:
-            self._executor.submit(lead)
+        key, absolute, leader, coalesced = self._admit(request)
+        response = self._await_response(request, leader, coalesced)
+        if not coalesced:
+            self._executor.submit(self._run_leader, key, request, absolute, leader)
         return response
 
     def execute(self, request: MineRequest) -> MineResponse:
@@ -414,19 +413,28 @@ class MiningService:
         A request that leads its computation runs it on the calling
         thread, which would otherwise only wait for a pool thread: the
         work stays on the caller's CPU instead of moving to whichever
-        CPU the woken pool thread lands on.
+        CPU the woken pool thread lands on. Such a leader builds and
+        records its own response before its computation resolves for
+        any follower; only a follower waits on a response future.
         """
-        response, lead = self._admit(request)
-        if lead is not None:
-            lead()
-        return response.result()
+        key, absolute, leader, coalesced = self._admit(request)
+        if coalesced:
+            return self._await_response(request, leader, True).result()
+        computation = self._lead(key, request, absolute, leader)
+        response = self._response(
+            request, computation, False, computation.elapsed_seconds
+        )
+        self.stats.record(response)
+        self._resolve(key, leader, computation)
+        return response
 
     def _admit(
         self, request: MineRequest
-    ) -> tuple["Future[MineResponse]", Callable[[], None] | None]:
-        """Validate and coalesce ``request``: its response future, plus
-        the call that computes it when it leads (``None`` when it joined
-        a computation already in flight)."""
+    ) -> tuple[tuple[str, int], int, "Future[_Computation]", bool]:
+        """Validate and coalesce ``request``: its coalescing key, its
+        absolute support, the leader future of its computation, and
+        whether it joined a computation already in flight (``False``
+        when the caller leads and must compute it)."""
         if self._closed:
             raise ReproError("service is closed")
         if request.jobs < 1:
@@ -444,11 +452,21 @@ class MiningService:
         key = (request.db.fingerprint(), absolute)
         with self._inflight_lock:
             leader = self._inflight.get(key)
-            coalesced = leader is not None
-            if leader is None:
-                leader = Future()
-                self._inflight[key] = leader
+            if leader is not None:
+                return key, absolute, leader, True
+            leader = Future()
+            self._inflight[key] = leader
+        return key, absolute, leader, False
 
+    def _await_response(
+        self,
+        request: MineRequest,
+        leader: "Future[_Computation]",
+        coalesced: bool,
+    ) -> "Future[MineResponse]":
+        """The response future of a request that waits on ``leader``: a
+        coalesced follower, or any request sent through :meth:`submit`.
+        It records the response when the computation resolves."""
         submitted = time.perf_counter()
         response_future: "Future[MineResponse]" = Future()
 
@@ -458,31 +476,40 @@ class MiningService:
                 response_future.set_exception(error)
                 return
             computation = done.result()
-            response = MineResponse(
-                tenant=request.tenant,
-                path=computation.path,
-                absolute_support=computation.absolute_support,
-                feedstock_support=computation.feedstock_support,
-                patterns=computation.patterns,
-                coalesced=coalesced,
-                elapsed_seconds=(
-                    time.perf_counter() - submitted
-                    if coalesced
-                    else computation.elapsed_seconds
-                ),
-                counters=computation.counters,
-                degradation=computation.degradation,
-                update_mode=computation.update_mode,
-                feedstock_distance=computation.feedstock_distance,
+            response = self._response(
+                request,
+                computation,
+                coalesced,
+                time.perf_counter() - submitted
+                if coalesced
+                else computation.elapsed_seconds,
             )
             self.stats.record(response)
             response_future.set_result(response)
 
         leader.add_done_callback(_deliver)
-        if coalesced:
-            return response_future, None
-        return response_future, functools.partial(
-            self._run_leader, key, request, absolute, leader
+        return response_future
+
+    @staticmethod
+    def _response(
+        request: MineRequest,
+        computation: _Computation,
+        coalesced: bool,
+        elapsed_seconds: float,
+    ) -> MineResponse:
+        """``request``'s response from the computation that served it."""
+        return MineResponse(
+            tenant=request.tenant,
+            path=computation.path,
+            absolute_support=computation.absolute_support,
+            feedstock_support=computation.feedstock_support,
+            patterns=computation.patterns,
+            coalesced=coalesced,
+            elapsed_seconds=elapsed_seconds,
+            counters=computation.counters,
+            degradation=computation.degradation,
+            update_mode=computation.update_mode,
+            feedstock_distance=computation.feedstock_distance,
         )
 
     def execute_many(self, requests: list[MineRequest]) -> list[MineResponse]:
@@ -541,8 +568,24 @@ class MiningService:
         absolute: int,
         leader: "Future[_Computation]",
     ) -> None:
+        """Compute a submitted leader on a pool thread and resolve it.
+
+        A failure has reached every waiter through ``leader`` by the
+        time it ends this pool task.
+        """
+        self._resolve(key, leader, self._lead(key, request, absolute, leader))
+
+    def _lead(
+        self,
+        key: tuple[str, int],
+        request: MineRequest,
+        absolute: int,
+        leader: "Future[_Computation]",
+    ) -> _Computation:
+        """Run the leader's computation; a failure reaches every waiter
+        through ``leader`` and is re-raised to the caller."""
         try:
-            computation = self._compute(key[0], request, absolute)
+            return self._compute(key[0], request, absolute)
         except BaseException as exc:  # propagate to every waiter
             # Clear the in-flight entry *before* failing the future, so
             # a retry submitted by any waiter starts a fresh leader
@@ -550,7 +593,15 @@ class MiningService:
             with self._inflight_lock:
                 self._inflight.pop(key, None)
             leader.set_exception(exc)
-            return
+            raise
+
+    def _resolve(
+        self,
+        key: tuple[str, int],
+        leader: "Future[_Computation]",
+        computation: _Computation,
+    ) -> None:
+        """Hand ``computation`` to every waiter on ``leader``."""
         # Drop the in-flight entry *before* resolving the future: a new
         # identical request arriving after resolution must start a fresh
         # computation (it will typically hit the warehouse instead).

@@ -1,4 +1,4 @@
-"""Property: a child version derived from its parent equals one built fresh.
+"""Properties of a child version derived from its parent.
 
 :meth:`DatabaseDelta.apply` builds a child from its parent's state — kept
 rows, patched item supports, the parent's fingerprint lines and, when
@@ -6,7 +6,9 @@ the parent is encoded, a derived encoding. Over random delta chains the
 child must match a database built from scratch over the same rows and
 tids: the same encoding field by field, the same item supports and the
 same fingerprint as the streamed digest the warehouse's keys were
-written with.
+written with. And the child's delta from its parent, which
+:meth:`VersionedDatabase.delta_from` returns without a diff, must be the
+diff.
 """
 
 from __future__ import annotations
@@ -93,6 +95,27 @@ def test_derived_child_equals_fresh_build(chain):
             version.db.encoded()
         version = version.apply(make_delta(kind, appends, rng, version.db))
         assert_matches_fresh(version.db)
+
+
+@settings(max_examples=150, deadline=None)
+@given(delta_chains())
+def test_delta_from_parent_is_the_recorded_delta_and_equals_the_diff(chain):
+    """From the direct parent, ``delta_from`` returns the delta the child
+    was built from; it equals the tid-diff a parentless copy of the child
+    computes, and applying it to the parent rebuilds the child."""
+    initial, steps = chain
+    version = VersionedDatabase.initial(TransactionDatabase(initial))
+    for kind, appends, rng, _ in steps:
+        parent = version
+        version = parent.apply(make_delta(kind, appends, rng, parent.db))
+        recorded = version.delta_from(parent)
+        assert recorded is version.delta
+        orphan = VersionedDatabase(version.db, next_tid=version.next_tid)
+        assert recorded == orphan.delta_from(parent)
+        rebuilt = recorded.apply(parent.db, next_tid=parent.next_tid)
+        assert rebuilt.transactions == version.db.transactions
+        assert rebuilt.tids == version.db.tids
+        assert dict(rebuilt.item_supports()) == dict(version.db.item_supports())
 
 
 def test_pinned_digests():

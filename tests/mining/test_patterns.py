@@ -62,15 +62,6 @@ class TestStatistics:
         assert paper_old_patterns.max_length() == 3
         assert PatternSet().max_length() == 0
 
-    def test_count_by_length(self, paper_old_patterns):
-        histogram = paper_old_patterns.count_by_length()
-        assert histogram == {1: 5, 2: 5, 3: 1}
-
-    def test_sorted_patterns_deterministic(self, paper_old_patterns):
-        listed = paper_old_patterns.sorted_patterns()
-        assert listed == sorted(listed, key=lambda e: (len(e[0]), e[0]))
-        assert len(listed) == len(paper_old_patterns)
-
 
 class TestDerivedSets:
     def test_filter_min_support(self, paper_old_patterns):

@@ -54,7 +54,6 @@ class TestCounters:
             bytes_read=100, bytes_written=50,
         )
         assert counters.total_work() == 16
-        assert counters.total_io() == 150
 
     def test_total_work_charges_the_vertical_and_matrix_kernels(self):
         """Eclat's intersections and TreeProjection's matrix updates are
@@ -82,13 +81,6 @@ class TestCounters:
             get_miner("eclat-bitset").mine(db, support, counters)
             works.append(counters.total_work())
         assert scan < works[0] < works[1]
-
-    def test_reset(self):
-        counters = CostCounters(item_visits=9)
-        counters.add("custom", 2)
-        counters.reset()
-        assert counters.item_visits == 0
-        assert "custom" not in counters.as_dict()
 
     def test_as_dict_includes_all_standard_fields(self):
         keys = CostCounters().as_dict()
