@@ -29,6 +29,12 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: The wall-clock fields of each checked file: skipped wherever they
 #: occur in it.
 WALL_CLOCK: dict[str, frozenset[str]] = {
+    "BENCH_backends.json": frozenset(
+        {"bitset_seconds", "python_seconds", "encode_seconds", "speedup"}
+    ),
+    "BENCH_incremental.json": frozenset(
+        {"fup_wall_s", "recycle_wall_s", "scratch_wall_s"}
+    ),
     "BENCH_service_load.json": frozenset({"elapsed_seconds", "interactive_p99_s"}),
 }
 

@@ -41,10 +41,6 @@ class Workload:
         """Convert a relative support to the absolute threshold used here."""
         return max(1, int(relative * len(self.db)))
 
-    def sweep_absolute(self) -> list[tuple[float, int]]:
-        """The figure sweep as (relative, absolute) pairs."""
-        return [(rel, self.absolute_support(rel)) for rel in self.spec.xi_new_sweep]
-
 
 @lru_cache(maxsize=None)
 def prepare_workload(

@@ -13,7 +13,7 @@ from repro.core.compression import (
     CompressionResult,
     compress,
 )
-from repro.core.filtering import can_filter, filter_min_support, filter_tightened
+from repro.core.filtering import filter_min_support
 from repro.core.groups import Group, GroupedDatabase, to_grouped
 from repro.core.incremental import (
     apply_deletions,
@@ -83,10 +83,8 @@ __all__ = [
     "STRATEGIES",
     "apply_deletions",
     "apply_insertions",
-    "can_filter",
     "compress",
     "filter_min_support",
-    "filter_tightened",
     "fup_applicable",
     "fup_update",
     "fup_update_delta",

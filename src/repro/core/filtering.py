@@ -1,43 +1,17 @@
-"""The tightened-constraints path: filter instead of mine (Section 2).
+"""Support-only tightening: filter instead of mine (Section 2).
 
-When every constraint change shrinks the solution space, the new answer
-is a subset of the old patterns, so a single pass over the previous
-result suffices — "this filtering process is sufficient because the set
-of new frequent patterns is only a subset of the old set".
+When the support threshold rises, the new answer is a subset of the old
+patterns, so a single pass over the previous result suffices — "this
+filtering process is sufficient because the set of new frequent patterns
+is only a subset of the old set". A tightening of the other constraints
+is filtered by :class:`~repro.core.session.MiningSession` itself, which
+applies the new constraint set to its cached support patterns.
 """
 
 from __future__ import annotations
 
-from repro.constraints.base import ChangeKind, ConstraintContext
 from repro.constraints.engine import ConstraintSet
-from repro.errors import RecycleError
 from repro.mining.patterns import PatternSet
-
-
-def can_filter(old: ConstraintSet, new: ConstraintSet) -> bool:
-    """True when the change from ``old`` to ``new`` only tightens."""
-    kind = old.classify_change(new)
-    return kind in (ChangeKind.SAME, ChangeKind.TIGHTENED)
-
-
-def filter_tightened(
-    patterns: PatternSet,
-    old: ConstraintSet,
-    new: ConstraintSet,
-    context: ConstraintContext,
-) -> PatternSet:
-    """Answer the tightened query ``new`` from ``old``'s result set.
-
-    Raises :class:`RecycleError` when the change is not a pure
-    tightening — in that case the result would silently miss patterns and
-    the caller must take the recycling (re-mining) path instead.
-    """
-    if not can_filter(old, new):
-        raise RecycleError(
-            f"constraint change {old!r} -> {new!r} is not a tightening; "
-            "filtering would lose patterns — recycle instead"
-        )
-    return new.filter_patterns(patterns, context)
 
 
 def filter_min_support(patterns: PatternSet, db_size: int, new_threshold: float) -> PatternSet:

@@ -6,8 +6,7 @@ kernel: the unified :class:`~repro.core.groups.Group` replaces
 ``CGroup`` and the counting/normalization/projection/Lemma 3.1 machinery
 sits in :mod:`repro.storage.projection`, where every recycling miner
 shares it. This module keeps the classic :func:`mine_rp` entry point (a
-thin veneer over :func:`~repro.storage.projection.mine_grouped`) and the
-kernel re-exports its tests and callers always imported from here. The
+thin veneer over :func:`~repro.storage.projection.mine_grouped`). The
 deprecated ``CGroup``/``compressed_to_cgroups``/``database_to_cgroups``
 shims that once bridged the rename are gone.
 
@@ -25,17 +24,7 @@ from repro.core.groups import Group, GroupedDatabase
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
 
-# Kernel helpers re-exported for compatibility: these were defined here
-# before the shared kernel existed and tests/miners import them from
-# this module. They operate on the unified Group rows unchanged.
-from repro.storage.projection import (  # noqa: F401  (re-exports)
-    count_group_supports,
-    enumerate_single_group,
-    find_single_group,
-    mine_grouped,
-    normalize_groups,
-    project_groups,
-)
+from repro.storage.projection import mine_grouped
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.data.transactions import TransactionDatabase

@@ -77,7 +77,7 @@ class EncodedDatabase:
     (5, 9, 7)
     >>> bin(enc.bitmap_for_item(5))
     '0b11'
-    >>> enc.support_of_items([5, 9])
+    >>> enc.pattern_bitmap([5, 9]).bit_count()
     1
     """
 
@@ -229,10 +229,6 @@ class EncodedDatabase:
         """Codes of ``items`` in ascending code (descending support) order."""
         return tuple(sorted(self.code_of(item) for item in items))
 
-    def decode(self, codes: Iterable[int]) -> tuple[int, ...]:
-        """Item ids behind ``codes``, sorted by item id."""
-        return tuple(sorted(self._item_of[code] for code in codes))
-
     # ------------------------------------------------------------------
     # vertical counting
     # ------------------------------------------------------------------
@@ -248,11 +244,6 @@ class EncodedDatabase:
     def support(self, code: int) -> int:
         """Cached support of the item with dense code ``code``."""
         return self._supports[code]
-
-    def support_for_item(self, item: int) -> int:
-        """Support of ``item`` (0 when the item never occurs)."""
-        code = self._code_of.get(item)
-        return 0 if code is None else self._supports[code]
 
     def pattern_bitmap(self, items: Iterable[int]) -> int:
         """Intersection of the item bitmaps: the pattern's tidset.
@@ -276,7 +267,3 @@ class EncodedDatabase:
             if not mask:
                 break
         return mask
-
-    def support_of_items(self, items: Iterable[int]) -> int:
-        """Absolute support of an itemset via one bitmap intersection."""
-        return self.pattern_bitmap(items).bit_count()

@@ -67,15 +67,6 @@ def write_transactions(db: TransactionDatabase, path: str | Path) -> None:
             handle.write("\n")
 
 
-def transactions_to_string(db: TransactionDatabase) -> str:
-    """Render a database as FIMI text (round-trips via :func:`parse_transactions`)."""
-    buffer = io.StringIO()
-    for tx in db:
-        buffer.write(" ".join(str(i) for i in tx))
-        buffer.write("\n")
-    return buffer.getvalue()
-
-
 def read_patterns(path: str | Path) -> PatternSet:
     """Load a pattern set written by :func:`write_patterns`."""
     path = Path(path)
@@ -373,17 +364,3 @@ def read_warehouse_entry(
     except MiningError as exc:
         raise DataError(f"{path}: invalid condensed entry: {exc}") from exc
     return condensed, full_bytes
-
-
-def read_patterns_with_support(path: str | Path) -> tuple[PatternSet, int]:
-    """Load a pattern file as the *exact frequent set* plus its threshold.
-
-    Built on :func:`read_warehouse_entry`: condensed bodies are expanded
-    before being returned, so legacy callers (sessions seeding from a
-    saved file, scripts diffing pattern sets) always see the full set no
-    matter which representation the file used. The support header is
-    required; the checksum header is verified when present and skipped
-    when absent, so pre-checksum files stay readable.
-    """
-    condensed, _ = read_warehouse_entry(path)
-    return condensed.expand(), condensed.absolute_support

@@ -83,14 +83,6 @@ class ItemTable:
         """Return the item row or ``None`` when the id is unknown."""
         return self._items.get(item_id)
 
-    def attribute_vector(self, key: str) -> dict[int, float]:
-        """Return ``{item_id: attribute}`` for every item that has ``key``."""
-        return {
-            item.item_id: item.attributes[key]
-            for item in self._items.values()
-            if key in item.attributes
-        }
-
     def names(self, item_ids: Iterable[int]) -> list[str]:
         """Translate a sequence of ids into display names."""
         return [self[item_id].name for item_id in item_ids]

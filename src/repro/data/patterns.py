@@ -172,17 +172,6 @@ class PatternSet:
             }
         )
 
-    def maximal(self) -> "PatternSet":
-        """The maximal patterns (no frequent superset in this set)."""
-        by_length = sorted(self._supports, key=len, reverse=True)
-        maximal: list[Pattern] = []
-        result = PatternSet()
-        for candidate in by_length:
-            if not any(candidate < kept for kept in maximal):
-                maximal.append(candidate)
-                result._supports[candidate] = self._supports[candidate]
-        return result
-
     def closed(self) -> "PatternSet":
         """The closed patterns (no superset with identical support)."""
         result = PatternSet()

@@ -274,14 +274,6 @@ class TransactionDatabase:
     # ------------------------------------------------------------------
     # derived databases
     # ------------------------------------------------------------------
-    def restrict_to_items(self, keep: Iterable[int]) -> "TransactionDatabase":
-        """A copy keeping only items in ``keep`` (empty tuples retained)."""
-        keep_set = frozenset(keep)
-        return TransactionDatabase._trusted(
-            tuple(tuple(i for i in tx if i in keep_set) for tx in self._transactions),
-            self._tids,
-        )
-
     def sample(self, indices: Sequence[int]) -> "TransactionDatabase":
         """A sub-database containing the transactions at ``indices``."""
         return TransactionDatabase._trusted(

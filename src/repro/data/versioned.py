@@ -10,7 +10,7 @@ produced it.
 of deleted transaction ids, normalized and content-addressed.
 :class:`VersionedDatabase` wraps a :class:`TransactionDatabase` with its
 position in the chain — ``fingerprint`` (the content hash of this
-version), ``parent_fingerprint`` (the version it was derived from) and
+version), ``parent`` (the version it was derived from) and
 ``delta_fingerprint`` (the change between them).
 
 Two invariants make the chain usable as a cache-key lineage:
@@ -264,10 +264,6 @@ class VersionedDatabase:
     def fingerprint(self) -> str:
         """This version's content hash (same key the warehouse uses)."""
         return self._db.fingerprint()
-
-    @property
-    def parent_fingerprint(self) -> str | None:
-        return self._parent.fingerprint() if self._parent is not None else None
 
     @property
     def delta_fingerprint(self) -> str | None:

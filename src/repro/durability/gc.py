@@ -6,8 +6,8 @@ Two collectors keep the durable footprint bounded:
   can rebuild a version chain down to warehoused feedstock at an
   ancestor. When *no* version above the record's child — reached
   through chain records — still holds a warehouse entry, because the
-  LRU evicted it, ``drop_entry`` removed it, or quarantine ate it, the
-  record can serve nothing and is dropped. This is what makes eviction
+  LRU evicted it or quarantine ate it, the record can serve nothing and
+  is dropped. This is what makes eviction
   *lineage-aware*: a long dead tail behind the newest warehoused version
   collapses to nothing instead of growing one file per delta forever.
 

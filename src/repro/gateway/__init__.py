@@ -25,7 +25,6 @@ from repro.gateway.request import (
     STATUS_REJECTED,
     STATUS_SERVED,
     STATUS_SHED,
-    STATUSES,
     GatewayRequest,
     GatewayResponse,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "PRIORITY_STANDARD",
     "PriorityRequestQueue",
     "QueueEntry",
-    "STATUSES",
     "STATUS_EXPIRED",
     "STATUS_REJECTED",
     "STATUS_SERVED",

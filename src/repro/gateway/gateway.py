@@ -32,9 +32,7 @@ Two execution modes share all of that logic:
   with at most ``max_inflight`` computations outstanding — the
   backpressure signal that makes the queue (and therefore admission
   control) real when the pool saturates. ``submit`` returns a
-  ``concurrent.futures.Future``; ``submit_async`` awaits the same
-  future on an asyncio loop, making the gateway a drop-in async front
-  end over the thread pool (the hybrid async-over-pool design).
+  ``concurrent.futures.Future``.
 * **Manual mode** (``start=False``): nothing runs until the caller
   pumps (:meth:`pump_once` / :meth:`drain`). Dispatch order is then a
   pure function of the submission sequence and the injected clock,
@@ -255,25 +253,6 @@ class MiningGateway:
             self.drain()
         return [future.result() for future in futures]
 
-    async def submit_async(
-        self, request: "MineRequest | GatewayRequest"
-    ) -> GatewayResponse:
-        """Await one request on an asyncio loop (auto mode only)."""
-        import asyncio
-
-        self._require_auto("submit_async")
-        return await asyncio.wrap_future(self.submit(request))
-
-    async def execute_many_async(
-        self, requests: "list[MineRequest | GatewayRequest]"
-    ) -> list[GatewayResponse]:
-        """Submit all, await all — the asyncio face of :meth:`execute_many`."""
-        import asyncio
-
-        self._require_auto("execute_many_async")
-        futures = [asyncio.wrap_future(self.submit(r)) for r in requests]
-        return list(await asyncio.gather(*futures))
-
     # ------------------------------------------------------------------
     # manual pumping (deterministic mode)
     # ------------------------------------------------------------------
@@ -382,13 +361,6 @@ class MiningGateway:
             raise GatewayError(
                 f"{what} is for manual-mode gateways (start=False); "
                 "this gateway runs its own dispatcher"
-            )
-
-    def _require_auto(self, what: str) -> None:
-        if self._thread is None:
-            raise GatewayError(
-                f"{what} needs the auto-mode dispatcher; this gateway is "
-                "manual (start=False) — pump it instead"
             )
 
     def _note_depth_locked(self) -> None:

@@ -44,12 +44,6 @@ STATUS_SERVED = "served"
 STATUS_SHED = "shed"
 STATUS_REJECTED = "rejected"
 STATUS_EXPIRED = "expired"
-STATUSES: tuple[str, ...] = (
-    STATUS_SERVED,
-    STATUS_SHED,
-    STATUS_REJECTED,
-    STATUS_EXPIRED,
-)
 
 
 @dataclass(frozen=True)

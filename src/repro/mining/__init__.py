@@ -11,7 +11,7 @@ optional :class:`~repro.metrics.counters.CostCounters` accounting.
 from repro.mining.apriori import mine_apriori
 from repro.mining.bruteforce import mine_bruteforce
 from repro.mining.eclat import mine_eclat, mine_eclat_bitset
-from repro.mining.flist import FList, count_supports, project_transactions
+from repro.mining.flist import FList
 from repro.mining.fptree import FPNode, FPTree, mine_fpgrowth
 from repro.mining.hmine import build_hstruct, mine_hmine, mine_hmine_suffixes
 from repro.mining.patterns import Pattern, PatternSet, pattern
@@ -36,7 +36,6 @@ __all__ = [
     "Pattern",
     "PatternSet",
     "build_hstruct",
-    "count_supports",
     "get_miner",
     "has_miner",
     "iter_miners",
@@ -53,5 +52,4 @@ __all__ = [
     "pattern",
     "register",
     "top_k_by_probe",
-    "project_transactions",
 ]

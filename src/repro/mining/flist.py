@@ -1,21 +1,18 @@
-"""The frequent list (F-list) and projected-database primitives.
+"""The frequent list (F-list).
 
 Definition 3.1 of the paper: the *F-list* of a database is the list of
 frequent items ordered by **ascending support**. Every projected-database
 miner here (naive, H-Mine, Tree Projection, and all recycling variants)
 shares this ordering convention, so it lives in one place.
 
-The F-list induces, for each frequent item ``i``:
-
-* the *i-projected database* (Definition 3.2): the transactions containing
-  ``i``, restricted to items strictly **after** ``i`` in the F-list, and
-* the *candidate extensions* ``C_i`` (Definition 3.3): the items after
-  ``i`` in the F-list.
+The F-list induces, for each frequent item ``i``, the *i-projected
+database* (Definition 3.2): the transactions containing ``i``, restricted
+to items strictly **after** ``i`` in the F-list. Each miner builds its
+projections in its own structure.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from repro.data.transactions import TransactionDatabase
@@ -33,8 +30,8 @@ class FList:
     (5, 9, 7)
     >>> flist.rank(9)
     1
-    >>> flist.extensions_of(5)
-    (9, 7)
+    >>> flist.sort_items([7, 3, 5])
+    [5, 7]
     """
 
     def __init__(self, ordered_items: Sequence[int], supports: Mapping[int, int]) -> None:
@@ -96,14 +93,6 @@ class FList:
         except KeyError:
             raise MiningError(f"item {item} is not in the F-list") from None
 
-    def rank_or_none(self, item: int) -> int | None:
-        """Position of ``item``, or ``None`` when infrequent."""
-        return self._rank.get(item)
-
-    def extensions_of(self, item: int) -> tuple[int, ...]:
-        """Candidate extensions ``C_i``: items strictly after ``item``."""
-        return self._order[self.rank(item) + 1 :]
-
     def sort_items(self, items: Iterable[int]) -> list[int]:
         """Filter to frequent items and sort by F-list rank.
 
@@ -113,35 +102,3 @@ class FList:
         frequent = [i for i in items if i in self._rank]
         frequent.sort(key=self._rank.__getitem__)
         return frequent
-
-
-def count_supports(transactions: Iterable[Sequence[int]]) -> Counter[int]:
-    """Count item supports over raw transactions."""
-    counts: Counter[int] = Counter()
-    for tx in transactions:
-        counts.update(tx)
-    return counts
-
-
-def project_transactions(
-    transactions: Iterable[Sequence[int]],
-    item: int,
-    flist: FList,
-) -> list[tuple[int, ...]]:
-    """The ``item``-projected database of plain transactions.
-
-    Keeps transactions containing ``item`` and, within each, only the
-    items ranked strictly after ``item`` in ``flist`` (Definition 3.2).
-    Empty projections are dropped — they cannot contribute extensions.
-    """
-    pivot = flist.rank(item)
-    projected: list[tuple[int, ...]] = []
-    for tx in transactions:
-        if item not in tx:
-            continue
-        suffix = tuple(
-            i for i in flist.sort_items(tx) if flist.rank(i) > pivot
-        )
-        if suffix:
-            projected.append(suffix)
-    return projected

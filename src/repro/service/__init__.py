@@ -18,9 +18,7 @@ from repro.service.service import (
 from repro.service.warehouse import PatternWarehouse, WarehouseHit
 from repro.service.workload import (
     DeltaOp,
-    load_workload,
     load_workload_items,
-    parse_workload,
     parse_workload_items,
     serve_workload,
 )
@@ -33,9 +31,7 @@ __all__ = [
     "PatternWarehouse",
     "ServiceStats",
     "WarehouseHit",
-    "load_workload",
     "load_workload_items",
-    "parse_workload",
     "parse_workload_items",
     "serve_workload",
 ]

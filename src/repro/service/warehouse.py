@@ -356,24 +356,6 @@ class PatternWarehouse:
             served = self._serve(key)
         return served.expand()
 
-    def get_condensed(
-        self, fingerprint: str, absolute_support: int
-    ) -> CondensedPatternSet | None:
-        """The entry for the key as held, without expansion.
-
-        A full entry is the stored object; a condensed one is a
-        :meth:`~repro.data.patterns.CondensedPatternSet.detached` copy,
-        so expanding it never grows the warehouse past its budget.
-        """
-        key = (fingerprint, absolute_support)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            stored = entry.stored
-            return stored if stored.representation == "full" else stored.detached()
-
     def best_feedstock(
         self, fingerprint: str, absolute_support: int
     ) -> WarehouseHit | None:
@@ -489,7 +471,7 @@ class PatternWarehouse:
         Reachability-prunes records that no warehoused entry can justify
         and compacts multi-hop runs through unwarehoused ancestors into
         single composed records (see :mod:`repro.durability.gc`). The
-        automatic pruning on evict/drop/quarantine keeps the records
+        automatic pruning on evict/quarantine keeps the records
         honest; this full pass adds compaction and is what
         ``repro warehouse --gc`` runs. ``dry_run`` plans without
         touching disk or registries.
@@ -510,8 +492,8 @@ class PatternWarehouse:
         """Drop chain records no warehoused entry can justify (no
         compaction).
 
-        The cheap, automatic half of :meth:`gc`, run after evictions,
-        drops and load-time quarantine.
+        The cheap, automatic half of :meth:`gc`, run after evictions
+        and load-time quarantine.
         """
         with self._lock:
             warehoused = {fp for fp, _support in self._entries}
@@ -548,8 +530,8 @@ class PatternWarehouse:
         an expansion the warehouse does not keep: the deduction rules
         that reconstruct the full set are exactly the consistency
         conditions being checked, so corrupt condensed entries surface
-        here too. The audit only reports; quarantining or dropping the
-        entry is the caller's decision (:meth:`drop_entry`).
+        here too. The audit only reports: it never quarantines or
+        drops the entry.
         """
         with self._lock:
             entry = self._entries.get((fingerprint, absolute_support))
@@ -629,27 +611,6 @@ class PatternWarehouse:
             violations=tuple(violations),
             representation=representation,
         )
-
-    def drop_entry(self, fingerprint: str, absolute_support: int) -> bool:
-        """Remove one entry (and its file); True if it existed.
-
-        The disposal half of :meth:`verify_entry`: an entry that failed
-        its audit should not keep serving as feedstock. Dropping the
-        last entry for a fingerprint also prunes chain records that
-        reached only it — they can no longer serve anything, so leaving
-        them dangling would grow the chains directory forever.
-        """
-        key = (fingerprint, absolute_support)
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return False
-            self._stored_bytes -= entry.size
-            self._store.write_through(
-                self._store.remove_entry, fingerprint, absolute_support
-            )
-            self._prune_chains()
-        return True
 
     # ------------------------------------------------------------------
     # introspection

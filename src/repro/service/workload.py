@@ -175,27 +175,6 @@ def _parse_op(
     )
 
 
-def parse_workload(spec: dict) -> list[MineRequest]:
-    """Build the request list from a decoded workload dict.
-
-    The compatibility view of :func:`parse_workload_items`: database
-    operations are *consumed* (they still advance the version every
-    later request is built against) but only the mining requests are
-    returned — what callers that submit requests wholesale (the gateway
-    path) consume.
-    """
-    return [
-        item
-        for item in parse_workload_items(spec)
-        if isinstance(item, MineRequest)
-    ]
-
-
-def load_workload(path: str | Path) -> list[MineRequest]:
-    """Read and parse a workload JSON file (mining requests only)."""
-    return parse_workload(_load_spec(path))
-
-
 def load_workload_items(path: str | Path) -> "list[MineRequest | DeltaOp]":
     """Read and parse a workload JSON file, operations included."""
     return parse_workload_items(_load_spec(path))

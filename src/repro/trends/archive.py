@@ -115,9 +115,6 @@ class SnapshotArchive:
         snapshots.sort(key=lambda s: (s.sort_time(), s.commit, s.bench))
         return snapshots
 
-    def load_bench(self, bench: str) -> list[Snapshot]:
-        return [s for s in self.load_all() if s.bench == bench]
-
     def benches(self) -> list[str]:
         return sorted({s.bench for s in self.load_all()})
 

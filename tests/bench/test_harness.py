@@ -73,7 +73,6 @@ class TestWorkloads:
         assert len(workload.old_patterns) > 0
         assert set(workload.compressions) == {"mcp", "mlp"}
         assert workload.absolute_support(0.5) == len(workload.db) // 2
-        assert len(workload.sweep_absolute()) == len(workload.spec.xi_new_sweep)
 
 
 class TestExperimentShapes:

@@ -1,54 +1,34 @@
-"""Tests for the tightened-constraints filter path (Section 2)."""
+"""Tests for the tightened-constraints filter path (Section 2).
+
+A support-only tightening is ``filter_min_support``; any other
+tightening is answered by ``MiningSession``, which filters its cached
+support-level patterns and applies the new constraint set to them.
+"""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.constraints.base import ConstraintContext
 from repro.constraints.engine import ConstraintSet
 from repro.constraints.support import MaxLength, MinSupport
-from repro.core.filtering import can_filter, filter_min_support, filter_tightened
-from repro.errors import RecycleError
+from repro.core.filtering import filter_min_support
+from repro.core.session import MiningSession
 from repro.mining.apriori import mine_apriori
 
 
-class TestCanFilter:
-    def test_tightened_and_same(self):
-        old = ConstraintSet.min_support(3)
-        assert can_filter(old, ConstraintSet.min_support(5))
-        assert can_filter(old, ConstraintSet.min_support(3))
-
-    def test_relaxed_cannot_filter(self):
-        old = ConstraintSet.min_support(3)
-        assert not can_filter(old, ConstraintSet.min_support(2))
-
-    def test_mixed_cannot_filter(self):
-        old = ConstraintSet.of(MinSupport(3), MaxLength(3))
-        new = ConstraintSet.of(MinSupport(2), MaxLength(2))
-        assert not can_filter(old, new)
-
-
 class TestFilterTightened:
-    def test_equals_remining(self, paper_db, paper_old_patterns):
-        context = ConstraintContext(db_size=len(paper_db))
-        old = ConstraintSet.min_support(3)
-        new = ConstraintSet.min_support(4)
-        filtered = filter_tightened(paper_old_patterns, old, new, context)
+    def test_equals_remining(self, paper_db):
+        session = MiningSession(paper_db)
+        session.mine(ConstraintSet.min_support(3))
+        filtered = session.mine(ConstraintSet.min_support(4))
+        assert session.history[-1].path == "filter"
         assert filtered == mine_apriori(paper_db, 4)
 
-    def test_non_support_constraints_apply(self, paper_db, paper_old_patterns):
-        context = ConstraintContext(db_size=len(paper_db))
-        old = ConstraintSet.min_support(3)
-        new = ConstraintSet.of(MinSupport(3), MaxLength(1))
-        filtered = filter_tightened(paper_old_patterns, old, new, context)
+    def test_non_support_constraints_apply(self, paper_db):
+        session = MiningSession(paper_db)
+        session.mine(ConstraintSet.min_support(3))
+        filtered = session.mine(ConstraintSet.of(MinSupport(3), MaxLength(1)))
+        assert session.history[-1].path == "filter"
         assert len(filtered) == 5
         assert all(len(p) == 1 for p in filtered)
-
-    def test_relaxation_raises(self, paper_old_patterns):
-        old = ConstraintSet.min_support(3)
-        new = ConstraintSet.min_support(2)
-        with pytest.raises(RecycleError, match="not a tightening"):
-            filter_tightened(paper_old_patterns, old, new, ConstraintContext(db_size=5))
 
 
 class TestFilterMinSupport:

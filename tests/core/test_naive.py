@@ -6,15 +6,15 @@ import pytest
 
 from repro.core.compression import compress
 from repro.core.groups import Group, to_grouped
-from repro.core.naive import (
-    count_group_supports,
-    mine_rp,
-    normalize_groups,
-    project_groups,
-)
+from repro.core.naive import mine_rp
 from repro.errors import MiningError
 from repro.metrics.counters import CostCounters
 from repro.mining.apriori import mine_apriori
+from repro.storage.projection import (
+    count_group_supports,
+    normalize_groups,
+    project_groups,
+)
 
 A, B, C, D, E, F, G, H, I = 1, 2, 3, 4, 5, 6, 7, 8, 9
 

@@ -11,14 +11,12 @@ from repro.data.io import (
     parse_patterns,
     parse_transactions,
     read_patterns,
-    read_patterns_with_support,
     read_transactions,
-    transactions_to_string,
+    read_warehouse_entry,
     write_patterns,
     write_patterns_with_support,
     write_transactions,
 )
-from repro.data.transactions import TransactionDatabase
 from repro.errors import DataError
 from repro.mining.patterns import PatternSet
 
@@ -47,10 +45,6 @@ class TestTransactionIO:
         path.write_bytes(b"1 2 3\n\xff\xfe 4\n")
         with pytest.raises(DataError, match="cannot read"):
             read_transactions(path)
-
-    def test_to_string_roundtrip(self, tiny_db):
-        text = transactions_to_string(tiny_db)
-        assert parse_transactions(io.StringIO(text)).transactions == tiny_db.transactions
 
 
 class TestPatternIO:
@@ -121,9 +115,9 @@ class TestPatternIO:
         write_patterns_with_support(forward, path_a, 3)
         write_patterns_with_support(backward, path_b, 3)
         assert path_a.read_bytes() == path_b.read_bytes()
-        loaded, support = read_patterns_with_support(path_a)
-        assert support == 3
-        assert loaded == forward
+        entry, _ = read_warehouse_entry(path_a)
+        assert entry.absolute_support == 3
+        assert entry.expand() == forward
 
     def test_recycling_across_sessions_via_files(self, tmp_path, paper_db):
         """One user's saved output is another's recycling input."""
@@ -153,8 +147,8 @@ class TestChecksumHeader:
         write_patterns_with_support(self._patterns(), path, 3)
         lines = path.read_text().splitlines()
         assert lines[1].startswith(CHECKSUM_HEADER_PREFIX)
-        loaded, support = read_patterns_with_support(path)
-        assert support == 3 and loaded == self._patterns()
+        entry, _ = read_warehouse_entry(path)
+        assert entry.absolute_support == 3 and entry.expand() == self._patterns()
 
     def test_tampered_body_is_rejected(self, tmp_path):
         from repro.errors import DataError
@@ -163,7 +157,7 @@ class TestChecksumHeader:
         write_patterns_with_support(self._patterns(), path, 3)
         path.write_text(path.read_text().replace(": 3", ": 9"))
         with pytest.raises(DataError, match="checksum mismatch"):
-            read_patterns_with_support(path)
+            read_warehouse_entry(path)
 
     def test_truncated_body_is_rejected(self, tmp_path):
         from repro.errors import DataError
@@ -173,15 +167,15 @@ class TestChecksumHeader:
         text = path.read_text()
         path.write_text(text[: text.rindex("\n1")])  # drop the last row
         with pytest.raises(DataError, match="checksum mismatch"):
-            read_patterns_with_support(path)
+            read_warehouse_entry(path)
 
     def test_headerless_checksum_file_reads_unverified(self, tmp_path):
         """Back-compat: files written before the checksum header existed
         carry only the support header and must still load."""
         path = tmp_path / "p.patterns"
         path.write_text("# absolute_support=3\n1 : 5\n1 2 : 3\n")
-        loaded, support = read_patterns_with_support(path)
-        assert support == 3 and loaded == self._patterns()
+        entry, _ = read_warehouse_entry(path)
+        assert entry.absolute_support == 3 and entry.expand() == self._patterns()
 
     def test_missing_support_header_still_rejected(self, tmp_path):
         from repro.errors import DataError
@@ -189,7 +183,7 @@ class TestChecksumHeader:
         path = tmp_path / "p.patterns"
         path.write_text("1 : 5\n")
         with pytest.raises(DataError, match="no absolute_support header"):
-            read_patterns_with_support(path)
+            read_warehouse_entry(path)
 
 
 class TestEntryBodyOrder:

@@ -45,12 +45,6 @@ class TestItemTable:
         assert len(table) == 2
         assert [item.name for item in table] == ["a", "b"]
 
-    def test_attribute_vector_skips_items_without_attribute(self):
-        table = ItemTable()
-        table.add(1, "milk", price=2.5)
-        table.add(2, "bag")
-        assert table.attribute_vector("price") == {1: 2.5}
-
     def test_names_translation(self):
         table = ItemTable()
         table.add(1, "milk")

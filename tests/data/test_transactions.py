@@ -114,11 +114,6 @@ class TestStatistics:
 
 
 class TestDerivedDatabases:
-    def test_restrict_to_items(self, tiny_db):
-        restricted = tiny_db.restrict_to_items({1, 3})
-        assert restricted.transactions == ((1, 3), (1,), (3,), (3,))
-        assert restricted.tids == tiny_db.tids
-
     def test_sample(self, tiny_db):
         sampled = tiny_db.sample([0, 2])
         assert sampled.transactions == ((1, 2, 3), (2, 3))

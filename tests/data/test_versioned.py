@@ -78,9 +78,9 @@ class TestVersionedChain:
         delta = DatabaseDelta.append([[6, 7]])
         v1 = v0.apply(delta)
         assert v1.version == 1
-        assert v1.parent_fingerprint == v0.fingerprint()
+        assert v1.parent.fingerprint() == v0.fingerprint()
         assert v1.delta_fingerprint == delta.delta_fingerprint()
-        assert v0.parent_fingerprint is None and v0.delta_fingerprint is None
+        assert v0.parent is None and v0.delta_fingerprint is None
         assert v1.chain() == (v1, v0)
 
     def test_lineage_accumulates_delta_distance(self, db):

@@ -7,8 +7,6 @@ sequence; auto mode gets end-to-end coverage on top.
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
 from repro.data.synthetic import QuestParams, quest_database
@@ -328,10 +326,6 @@ class TestLifecycle:
             future.result().patterns
 
     def test_mode_guards(self, db, service):
-        manual = MiningGateway(service, start=False)
-        with pytest.raises(GatewayError, match="manual"):
-            asyncio.run(manual.submit_async(MineRequest(db=db, support=10)))
-        manual.close()
         auto = MiningGateway(service)
         with pytest.raises(GatewayError, match="dispatcher"):
             auto.pump_once()
@@ -370,21 +364,6 @@ class TestAutoMode:
             for response, request in zip(responses, requests):
                 assert response.status == STATUS_SERVED
                 assert response.patterns == mine_hmine(db, request.support)
-
-    def test_submit_async_awaits_the_same_future(self, db, service):
-        with MiningGateway(service) as gw:
-
-            async def go():
-                return await gw.execute_many_async(
-                    [
-                        MineRequest(db=db, support=10),
-                        MineRequest(db=db, support=7),
-                    ]
-                )
-
-            responses = asyncio.run(go())
-            assert [r.status for r in responses] == [STATUS_SERVED] * 2
-            assert responses[1].patterns == mine_hmine(db, 7)
 
     def test_close_drains_queued_work(self, db, service):
         gw = MiningGateway(service, GatewayConfig(max_inflight=1))

@@ -1,11 +1,11 @@
-"""Unit tests for the F-list and projection primitives (Defs. 3.1-3.3)."""
+"""Unit tests for the F-list (Definition 3.1)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import MiningError
-from repro.mining.flist import FList, count_supports, project_transactions
+from repro.mining.flist import FList
 
 
 class TestFList:
@@ -30,18 +30,11 @@ class TestFList:
         assert flist.rank(4) == 0
         assert flist.rank(3) == 4
         assert flist.rank(5) == 5
-        assert flist.rank_or_none(2) is None
 
     def test_rank_of_infrequent_raises(self, paper_db):
         flist = FList.from_database(paper_db, min_support=2)
         with pytest.raises(MiningError):
             flist.rank(2)
-
-    def test_extensions_of(self, paper_db):
-        """Definition 3.3: candidate extensions = items after i."""
-        flist = FList.from_database(paper_db, min_support=2)
-        assert flist.extensions_of(4) == (1, 6, 7, 3, 5)
-        assert flist.extensions_of(5) == ()
 
     def test_sort_items_matches_table2_column4(self, paper_db):
         """Table 2: outlying items {a,d,e} order to (d, a, e); b drops."""
@@ -61,23 +54,3 @@ class TestFList:
     def test_ties_broken_by_item_id(self):
         flist = FList.from_supports({9: 3, 2: 3, 5: 3}, min_support=2)
         assert flist.order == (2, 5, 9)
-
-
-class TestProjection:
-    def test_paper_a_projected_database(self, paper_db):
-        """Definition 3.2's example: the a-projected database is
-        {100: ec, 400: ec, 500: e} — under our tie order, tuple 100 also
-        keeps f and g (they rank after a here), so the projections are
-        {100: fgce, 400: ce, 500: e} with identical semantics."""
-        flist = FList.from_database(paper_db, min_support=2)
-        projected = project_transactions(paper_db.transactions, 1, flist)
-        assert sorted(projected) == [(3, 5), (5,), (6, 7, 3, 5)]
-
-    def test_projection_drops_empty(self, paper_db):
-        flist = FList.from_database(paper_db, min_support=2)
-        # e is last in the F-list: every projection is empty.
-        assert project_transactions(paper_db.transactions, 5, flist) == []
-
-    def test_count_supports(self, tiny_db):
-        counts = count_supports(tiny_db.transactions)
-        assert counts == {1: 2, 2: 3, 3: 3}

@@ -1,7 +1,7 @@
-"""Property tests for PatternSet's derived views (maximal / closed).
+"""Property tests for PatternSet's derived closed view.
 
-These views are definitional — a wrong implementation silently corrupts
-downstream analyses — so each is tested against a direct restatement of
+The view is definitional — a wrong implementation silently corrupts
+downstream analyses — so it is tested against a direct restatement of
 its definition over hypothesis-generated pattern sets.
 """
 
@@ -22,24 +22,6 @@ transactions_strategy = st.lists(
 
 @given(transactions=transactions_strategy, min_support=st.integers(1, 4))
 @settings(max_examples=50, deadline=None)
-def test_maximal_matches_definition(transactions, min_support):
-    db = TransactionDatabase(transactions)
-    patterns = mine_bruteforce(db, min_support)
-    maximal = patterns.maximal()
-    all_patterns = set(patterns)
-    for candidate in all_patterns:
-        has_frequent_superset = any(
-            candidate < other for other in all_patterns
-        )
-        if has_frequent_superset:
-            assert candidate not in maximal
-        else:
-            assert candidate in maximal
-            assert maximal.support(candidate) == patterns.support(candidate)
-
-
-@given(transactions=transactions_strategy, min_support=st.integers(1, 4))
-@settings(max_examples=50, deadline=None)
 def test_closed_matches_definition(transactions, min_support):
     db = TransactionDatabase(transactions)
     patterns = mine_bruteforce(db, min_support)
@@ -50,17 +32,6 @@ def test_closed_matches_definition(transactions, min_support):
             for other, other_support in patterns.items()
         )
         assert (candidate in closed) == (not has_equal_support_superset)
-
-
-@given(transactions=transactions_strategy, min_support=st.integers(1, 4))
-@settings(max_examples=40, deadline=None)
-def test_maximal_subset_of_closed(transactions, min_support):
-    """Every maximal pattern is closed (classic containment)."""
-    db = TransactionDatabase(transactions)
-    patterns = mine_bruteforce(db, min_support)
-    closed = set(patterns.closed())
-    for candidate in patterns.maximal():
-        assert candidate in closed
 
 
 @given(transactions=transactions_strategy, min_support=st.integers(1, 4))

@@ -87,11 +87,6 @@ class TestDerivedSets:
         assert paper_old_patterns.as_dict() == before
         assert frozenset({98, 99}) not in paper_old_patterns
 
-    def test_maximal(self, paper_old_patterns):
-        maximal = {tuple(sorted(p)) for p in paper_old_patterns.maximal()}
-        # fgc covers f, g, c, fg, gc; ae covers a, e; ec covers e, c.
-        assert maximal == {(3, 6, 7), (1, 5), (3, 5)}
-
     def test_closed_keeps_distinct_support_supersets(self):
         ps = PatternSet()
         ps.add([1], 3)

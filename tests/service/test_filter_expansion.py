@@ -58,8 +58,8 @@ def test_filter_hits_expand_the_stored_entry_once(db, expansions):
     stored = 8
     warehouse = PatternWarehouse(representation="closed")
     put_closed(warehouse, db, stored)
-    entry = warehouse.get_condensed(db.fingerprint(), stored)
-    assert entry is not None and entry.representation == "closed"
+    (row,) = warehouse.describe_entries()
+    assert row["representation"] == "closed"
     supports = [stored, stored, stored, stored + 2, stored + 5]
     with MiningService(warehouse=warehouse) as service:
         served = [
@@ -79,7 +79,8 @@ def test_filter_hits_expand_the_stored_entry_once(db, expansions):
     assert again.patterns == mine_fpgrowth(db, stored)
     assert len(expansions) == 1
     # The one expansion promoted the entry: it is held full now.
-    assert warehouse.get_condensed(db.fingerprint(), stored).representation == "full"
+    (row,) = warehouse.describe_entries()
+    assert row["representation"] == "full"
     assert warehouse.stats()["promotions"] == 1
 
 

@@ -13,7 +13,6 @@ from repro.service import (
     MineRequest,
     MiningService,
     PatternWarehouse,
-    parse_workload,
     parse_workload_items,
     serve_workload,
 )
@@ -129,7 +128,7 @@ class TestServiceUpdatePath:
         warehouse = PatternWarehouse(directory=tmp_path)
         with MiningService(warehouse=warehouse) as service:
             v1 = service.apply_delta(v0, delta)
-            assert v1.parent_fingerprint == v0.fingerprint()
+            assert v1.parent.fingerprint() == v0.fingerprint()
             assert service.stats.snapshot()["deltas_applied"] == 1
             assert service.warehouse.stats()["chain_records"] == 1
 
@@ -166,12 +165,7 @@ class TestWorkloadOps:
         assert alice.version.version == 0
         assert bob.version.version == 1 and len(bob.db) == len(alice.db) + 2
         assert carol.version.version == 2 and len(carol.db) == len(bob.db) - 2
-        assert carol.version.parent_fingerprint == bob.version.fingerprint()
-
-    def test_parse_workload_compat_filters_ops_but_applies_them(self):
-        requests = parse_workload(self._spec())
-        assert [r.tenant for r in requests] == ["alice", "bob", "carol"]
-        assert requests[2].version.version == 2
+        assert carol.version.parent.fingerprint() == bob.version.fingerprint()
 
     @pytest.mark.parametrize(
         ("entry", "message"),

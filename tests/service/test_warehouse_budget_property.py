@@ -4,7 +4,7 @@ Entries rest full and are condensed only under budget pressure; a hit on
 a condensed entry is promoted back to full when that fits, or served
 from an expansion the warehouse does not keep. Over random sequences of
 ``put`` (full or pre-condensed), ``get``, ``best_feedstock``,
-``ancestor_feedstock``, ``drop_entry``, ``migrate`` and reopening over
+``ancestor_feedstock``, ``migrate`` and reopening over
 the same directory, with budgets from smaller than one condensed entry
 to a few full ones and every representation, after every step:
 
@@ -63,7 +63,6 @@ OPS = st.one_of(
     st.tuples(st.just("get"), keys),
     st.tuples(st.just("best"), keys),
     st.tuples(st.just("ancestor"), keys),
-    st.tuples(st.just("drop"), keys),
     st.tuples(st.just("migrate"), st.none()),
     st.tuples(st.just("reopen"), st.none()),
 )
@@ -147,9 +146,6 @@ def test_resident_bytes_stay_within_budget(representation, budget, on_disk, ops)
                 else:
                     assert hit.absolute_support == max(below)
                     assert hit.patterns == FULL[(index, hit.absolute_support)]
-            elif kind == "drop":
-                index, support = key
-                warehouse.drop_entry(fingerprint(index), support)
             elif kind == "migrate":
                 warehouse.migrate()
             elif directory is not None:

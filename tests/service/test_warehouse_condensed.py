@@ -60,6 +60,16 @@ def full(db):
     return mine_hmine(db, 4)
 
 
+def held_representation(warehouse, fingerprint, support):
+    """The representation ``describe_entries`` lists for one entry."""
+    (row,) = [
+        row
+        for row in warehouse.describe_entries()
+        if (row["fingerprint"], row["absolute_support"]) == (fingerprint, support)
+    ]
+    return row["representation"]
+
+
 def condensed_size(db, full, representation):
     return patterns_byte_size(
         CondensedPatternSet.condense(
@@ -162,7 +172,7 @@ class TestPressureRule:
         stats = warehouse.stats()
         assert (stats["evictions"], stats["pressure_condensations"]) == (0, 1)
         assert stats["resident_bytes"] == stats["stored_bytes"] <= budget
-        assert warehouse.get_condensed(db.fingerprint(), 4).representation == "closed"
+        assert held_representation(warehouse, db.fingerprint(), 4) == "closed"
         # Condensing in memory re-wrote no file: one write per put.
         assert len(writes) == 2
         path = tmp_path / f"{db.fingerprint()}-4.patterns"
@@ -192,8 +202,7 @@ class TestPressureRule:
         # entry's condensation restored the budget, so nothing left.
         stats = warehouse.stats()
         assert (stats["evictions"], stats["pressure_condensations"]) == (0, 1)
-        kept = warehouse.get_condensed(chain_db.fingerprint(), 1)
-        assert kept.representation == "full"
+        assert held_representation(warehouse, chain_db.fingerprint(), 1) == "full"
         calls = []
         closed_entries = CondensedPatternSet._closed_entries
 
@@ -233,20 +242,24 @@ class TestPressureRule:
         assert not warehouse.put(db.fingerprint(), 4, full)
         assert warehouse.stats()["pressure_condensations"] == 0
 
-    def test_hit_promotes_when_the_full_form_fits(self, db, full, other):
-        other_db, other_full = other
-        warehouse = PatternWarehouse(byte_budget=patterns_byte_size(full))
+    def test_hit_promotes_when_the_full_form_fits(self, db, full):
+        other_db = TransactionDatabase([[5, 6, 7]] * 4 + [[5]] * 4)
+        other_full = mine_hmine(other_db, 4)
+        other_closed = CondensedPatternSet.condense(other_full, 4, "closed")
+        budget = patterns_byte_size(full) + patterns_byte_size(other_closed)
+        warehouse = PatternWarehouse(byte_budget=budget)
         warehouse.put(db.fingerprint(), 4, full, n_transactions=len(db))
         warehouse.put(other_db.fingerprint(), 4, other_full)
         assert warehouse.stats()["condensed_entries"] == 1
-        # No room while the other entry is held: served, not promoted.
+        # No room while the other entry is held full: served, not promoted.
         assert warehouse.get(db.fingerprint(), 4) == full
         assert warehouse.stats()["promotions"] == 0
-        assert warehouse.drop_entry(other_db.fingerprint(), 4)
+        # Put again pre-condensed, the other entry makes the room.
+        warehouse.put(other_db.fingerprint(), 4, other_closed)
         assert warehouse.best_feedstock(db.fingerprint(), 4).patterns == full
         stats = warehouse.stats()
-        assert (stats["promotions"], stats["condensed_entries"]) == (1, 0)
-        assert stats["resident_bytes"] == patterns_byte_size(full)
+        assert (stats["promotions"], stats["condensed_entries"]) == (1, 1)
+        assert stats["resident_bytes"] == budget
 
     def test_reload_condenses_a_file_larger_than_the_budget(
         self, tmp_path, db, full
@@ -314,7 +327,7 @@ class TestBackCompat:
         before = path.read_text()
         warehouse = PatternWarehouse(directory=tmp_path, representation="closed")
         assert path.read_text() == before
-        assert warehouse.get_condensed(db.fingerprint(), 4).representation == "full"
+        assert held_representation(warehouse, db.fingerprint(), 4) == "full"
         assert warehouse.get(db.fingerprint(), 4) == full
 
     def test_legacy_file_in_ndi_warehouse_falls_back_to_closed(
@@ -367,8 +380,7 @@ class TestRoundTrips:
         reborn = PatternWarehouse(
             directory=tmp_path, representation=representation
         )
-        stored = reborn.get_condensed(db.fingerprint(), 4)
-        assert stored.representation == representation
+        assert held_representation(reborn, db.fingerprint(), 4) == representation
         assert reborn.get(db.fingerprint(), 4) == full
         # Unbudgeted, the first get promoted the entry in memory only.
         assert reborn.stats()["promotions"] == (representation != "full")

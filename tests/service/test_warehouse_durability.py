@@ -1,5 +1,5 @@
 """Warehouse-level durability: restart recovery, chain-record hygiene on
-drop/evict/quarantine, persisted chains, fsyncs per hop, and the GC
+evict/quarantine, persisted chains, fsyncs per hop, and the GC
 entry point."""
 
 from __future__ import annotations
@@ -100,24 +100,23 @@ class TestRestartRecovery:
 
 
 class TestLineageHygiene:
-    def test_drop_entry_cleans_dangling_lineage(self, tmp_path):
-        # Dropping the only warehoused entry a chain reaches must not
-        # leave its chain records dangling forever.
+    def test_eviction_keeps_links_other_entries_justify(self, tmp_path):
         db = make_db()
-        warehouse, (v0, v1, v2) = seed_warehouse(tmp_path, db)
-        assert warehouse.stats()["chain_records"] == 2
-        assert warehouse.drop_entry(v0.fingerprint(), 6)
-        assert warehouse.restore_version(v2.db) is None
-        assert warehouse.gc_dropped_chains == 2
-        assert warehouse.stats()["chain_records"] == 0
-        assert list((tmp_path / "chains").glob("*.chain")) == []
-
-    def test_drop_entry_keeps_links_other_entries_justify(self, tmp_path):
-        db = make_db()
-        warehouse, (v0, v1, v2) = seed_warehouse(tmp_path, db)
+        v0, _v1, v2 = build_chain(db)
+        at_6, at_10 = mine_hmine(db, 6), mine_hmine(db, 10)
+        # Room for both v0 entries: a third put evicts the older one.
+        warehouse = PatternWarehouse(
+            directory=tmp_path,
+            representation="full",
+            byte_budget=patterns_byte_size(at_6) + patterns_byte_size(at_10),
+        )
+        warehouse.put(v0.fingerprint(), 6, at_6)
+        warehouse.put(v0.fingerprint(), 10, at_10)
+        warehouse.record_version(v2)
+        warehouse.put("b" * 64, 10, at_10)
+        assert warehouse.evictions == 1
+        assert (v0.fingerprint(), 6) not in warehouse
         # A second support level at v0 keeps the ancestor warehoused.
-        warehouse.put(v0.fingerprint(), 10, mine_hmine(db, 10))
-        warehouse.drop_entry(v0.fingerprint(), 6)
         assert warehouse.stats()["chain_records"] == 2
 
     def test_eviction_is_lineage_aware(self, tmp_path):
@@ -250,7 +249,7 @@ class TestFsyncsPerHop:
         assert warehouse.put(db.fingerprint(), 6, mine_hmine(db, 6))
         assert fsyncs == [False]
 
-    def test_eviction_and_drop_fsync_the_directory_once(self, tmp_path, monkeypatch):
+    def test_eviction_fsyncs_the_directory_once(self, tmp_path, monkeypatch):
         db = make_db()
         patterns = mine_hmine(db, 6)
         # Room for one full entry: the second put evicts the first.
@@ -264,10 +263,9 @@ class TestFsyncsPerHop:
         warehouse.put("f" * 64, 6, patterns)
         assert warehouse.evictions == 1
         assert fsyncs == [True, False]  # the eviction, then the put
-        fsyncs.clear()
-        assert warehouse.drop_entry("f" * 64, 6)
-        assert fsyncs == [True]
-        assert list(tmp_path.glob("*.patterns")) == []
+        assert [p.name for p in tmp_path.glob("*.patterns")] == [
+            f"{'f' * 64}-6.patterns"
+        ]
 
     def test_apply_delta_fsyncs_once_per_journal_line_and_chain_file(
         self, tmp_path, monkeypatch

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.io import (
-    read_patterns_with_support,
+    read_warehouse_entry,
     write_patterns_with_support,
 )
 from repro.data.synthetic import QuestParams, quest_database
@@ -136,8 +136,8 @@ class TestBackCompat:
             )
         )
         path.write_text(f"# absolute_support=10\n{body}")
-        loaded, support = read_patterns_with_support(path)
-        assert support == 10 and loaded == patterns
+        entry, _ = read_warehouse_entry(path)
+        assert entry.absolute_support == 10 and entry.expand() == patterns
         warehouse = PatternWarehouse(directory=tmp_path)
         assert len(warehouse) == 1 and not warehouse.quarantined
 
@@ -229,14 +229,3 @@ class TestIntegrityAudit:
         warehouse.put("fp", 5, bad)
         report = warehouse.verify_entry("fp", 5)
         assert any("derivability" in v for v in report.violations)
-
-    def test_drop_entry_removes_entry_and_file(self, db, tmp_path):
-        warehouse = PatternWarehouse(directory=tmp_path)
-        fingerprint = db.fingerprint()
-        warehouse.put(fingerprint, 10, mine_hmine(db, 10))
-        path = tmp_path / f"{fingerprint}-10.patterns"
-        assert path.exists()
-        assert warehouse.drop_entry(fingerprint, 10)
-        assert not path.exists()
-        assert warehouse.get(fingerprint, 10) is None
-        assert not warehouse.drop_entry(fingerprint, 10)

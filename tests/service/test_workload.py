@@ -10,8 +10,7 @@ from repro.errors import DataError
 from repro.mining.hmine import mine_hmine
 from repro.service import MiningService, PatternWarehouse
 from repro.service.workload import (
-    load_workload,
-    parse_workload,
+    load_workload_items,
     parse_workload_items,
     serve_workload,
 )
@@ -35,10 +34,10 @@ class TestParsing:
         """Top-level keys are defaults; the retired miner keys, top-level
         or per request, are ignored, so old files parse to the same
         requests (and therefore the same answers)."""
-        plain = parse_workload(_spec(jobs=2))
+        plain = parse_workload_items(_spec(jobs=2))
         legacy = _spec(jobs=2, algorithm="fpgrowth", strategy="mlp")
         legacy["requests"][1]["algorithm"] = "eclat"
-        requests = parse_workload(legacy)
+        requests = parse_workload_items(legacy)
         assert [r.tenant for r in requests] == ["alice", "bob"]
         assert [
             (r.tenant, r.support, r.jobs, r.db.fingerprint()) for r in requests
@@ -47,7 +46,7 @@ class TestParsing:
     def test_requests_share_one_database_object(self):
         """Same (dataset, seed) must resolve to one object, so fingerprint
         and encoding are computed once."""
-        requests = parse_workload(_spec())
+        requests = parse_workload_items(_spec())
         assert requests[0].db is requests[1].db
 
     def test_per_request_overrides(self):
@@ -55,13 +54,13 @@ class TestParsing:
         spec["requests"].append(
             {"tenant": "carol", "support": 0.9, "dataset": "connect4"}
         )
-        requests = parse_workload(spec)
+        requests = parse_workload_items(spec)
         assert requests[2].db is not requests[0].db
 
     def test_anonymous_tenants_get_indexed_names(self):
         spec = _spec()
         spec["requests"] = [{"support": 0.5}]
-        assert parse_workload(spec)[0].tenant == "user-0"
+        assert parse_workload_items(spec)[0].tenant == "user-0"
 
     @pytest.mark.parametrize(
         "mutation, message",
@@ -91,7 +90,7 @@ class TestParsing:
         if spec.get("dataset") is None:
             del spec["dataset"]
         with pytest.raises(DataError, match=message):
-            parse_workload(spec)
+            parse_workload_items(spec)
 
     @pytest.mark.parametrize(
         "op",
@@ -112,29 +111,29 @@ class TestParsing:
     def test_load_workload_file(self, tmp_path):
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(_spec()), encoding="utf-8")
-        assert len(load_workload(path)) == 2
+        assert len(load_workload_items(path)) == 2
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(DataError, match="not valid JSON"):
-            load_workload(path)
+            load_workload_items(path)
 
     def test_load_rejects_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
-            load_workload(tmp_path / "absent.json")
+            load_workload_items(tmp_path / "absent.json")
 
     def test_load_rejects_invalid_utf8(self, tmp_path):
         path = tmp_path / "binary.json"
         path.write_bytes(b'{"requests": [\xff\xfe]}')
         with pytest.raises(DataError, match="cannot read"):
-            load_workload(path)
+            load_workload_items(path)
 
     def test_load_rejects_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000, encoding="utf-8")
         with pytest.raises(DataError, match="not valid JSON"):
-            load_workload(path)
+            load_workload_items(path)
 
 
 class TestSupportConvention:
@@ -149,7 +148,7 @@ class TestSupportConvention:
         ]
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
-        relative, absolute = load_workload(path)
+        relative, absolute = load_workload_items(path)
         assert isinstance(relative.support, float) and relative.support == 0.5
         assert isinstance(absolute.support, int) and absolute.support == 5
         assert absolute.absolute_support() == 5
@@ -160,7 +159,7 @@ class TestSupportConvention:
         """``1.0`` means "all transactions" (relative), not "count 1"."""
         spec = _spec()
         spec["requests"] = [{"support": 1.0}]
-        request = parse_workload(spec)[0]
+        request = parse_workload_items(spec)[0]
         assert isinstance(request.support, float)
         assert request.absolute_support() == len(request.db)
 
@@ -168,7 +167,7 @@ class TestSupportConvention:
         spec = _spec()
         spec["requests"] = [{"support": True}]
         with pytest.raises(DataError, match="must be a number"):
-            parse_workload(spec)
+            parse_workload_items(spec)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_support_rejected(self, literal):
@@ -183,32 +182,32 @@ class TestSupportConvention:
 class TestParsingEdgeCases:
     def test_non_object_spec_rejected(self):
         with pytest.raises(DataError, match="JSON object"):
-            parse_workload(["not", "a", "dict"])
+            parse_workload_items(["not", "a", "dict"])
 
     def test_non_object_request_entry_rejected(self):
         spec = _spec()
         spec["requests"] = ["oops"]
         with pytest.raises(DataError, match="must be an object"):
-            parse_workload(spec)
+            parse_workload_items(spec)
 
     def test_missing_tenant_defaults_stay_distinct_per_index(self):
         spec = _spec()
         spec["requests"] = [{"support": 0.5}, {"support": 0.4}]
-        tenants = [r.tenant for r in parse_workload(spec)]
+        tenants = [r.tenant for r in parse_workload_items(spec)]
         assert tenants == ["user-0", "user-1"]
         assert len(set(tenants)) == 2  # fairness needs distinct identities
 
     def test_per_request_seed_materializes_a_distinct_database(self):
         spec = _spec()
         spec["requests"].append({"tenant": "dana", "support": 0.5, "seed": 9})
-        requests = parse_workload(spec)
+        requests = parse_workload_items(spec)
         assert requests[2].db is not requests[0].db
         assert requests[2].db.fingerprint() != requests[0].db.fingerprint()
 
     def test_jobs_default_and_override(self):
         spec = _spec(jobs=2)
         spec["requests"].append({"tenant": "erin", "support": 0.5, "jobs": 1})
-        requests = parse_workload(spec)
+        requests = parse_workload_items(spec)
         assert [r.jobs for r in requests] == [2, 2, 1]
 
 
@@ -216,7 +215,7 @@ class TestReplay:
     def test_replay_is_deterministic_across_runs(self):
         """Two replays of the same trace return responses in the same
         arrival order with identical pattern sets, workers or not."""
-        requests = parse_workload(_spec())
+        requests = parse_workload_items(_spec())
 
         def run():
             with MiningService(
@@ -231,7 +230,7 @@ class TestReplay:
             assert a.absolute_support == b.absolute_support
 
     def test_replay_is_exact_and_ordered(self):
-        requests = parse_workload(_spec())
+        requests = parse_workload_items(_spec())
         with MiningService(warehouse=PatternWarehouse(), max_workers=2) as service:
             responses = serve_workload(service, requests)
         assert [r.tenant for r in responses] == ["alice", "bob"]

@@ -50,7 +50,6 @@ class TestSnapshotArchive:
         assert archive.benches() == ["parallel", "warehouse"]
         grouped = archive.by_bench()
         assert set(grouped) == {"parallel", "warehouse"}
-        assert archive.load_bench("parallel") == grouped["parallel"]
 
 
 class TestWriteBenchmarkSnapshot:
