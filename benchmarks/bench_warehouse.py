@@ -1,15 +1,15 @@
 """Warehouse footprint before/after condensation on the dense datasets.
 
 One table per dataset, one row per pattern representation (``full``,
-``closed``, ``ndi``), every run replaying the same interleaved
+``closed``), every run replaying the same interleaved
 multi-tenant sweep against an identically budgeted warehouse
 (:data:`~repro.bench.experiments.DEFAULT_WAREHOUSE_BUDGET`). The budget
 is the whole experiment: it is sized so a dense dataset's condensed
 entries all fit while its full-set entries are too large to bank, so the
 ``full`` row shows what the service loses when every entry bounces off
 the budget (warm-path hit rate collapses to the coalescing floor) and
-the ``closed``/``ndi`` rows show the same workload served almost
-entirely warm from entries 10-50x smaller.
+the ``closed`` row shows the same workload served almost entirely warm
+from entries 10-50x smaller.
 
 Pumsb rides along as the negative control: its surrogate's supports are
 all distinct (probabilistic correlation, no deterministic implications),

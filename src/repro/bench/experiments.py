@@ -811,7 +811,6 @@ def warehouse_rows(
     seed: int = 0,
     tenants: int = 3,
     byte_budget: int = DEFAULT_WAREHOUSE_BUDGET,
-    representations: Sequence[str] | None = None,
 ) -> list[dict[str, object]]:
     """Warehouse footprint and warm-path hit rate per representation.
 
@@ -825,7 +824,7 @@ def warehouse_rows(
     bytes, bytes per entry, and the condensation ratio (what the same
     entries would cost as full sets, over what they actually cost) — so
     the before/after of condensation is read straight off the ``full``
-    row versus the ``closed``/``ndi`` rows.
+    row versus the ``closed`` row.
     """
     from repro.data.patterns import REPRESENTATIONS
     from repro.service import MineRequest, MiningService, PatternWarehouse
@@ -840,7 +839,7 @@ def warehouse_rows(
         for rel in supports
     }
     rows: list[dict[str, object]] = []
-    for representation in representations or REPRESENTATIONS:
+    for representation in REPRESENTATIONS:
         warehouse = PatternWarehouse(
             byte_budget=byte_budget, representation=representation
         )

@@ -38,6 +38,7 @@ from repro.core.compression import compress
 from repro.core.recycle import recycle_mine_detailed
 from repro.data.datasets import DATASETS, get_dataset
 from repro.data.io import read_patterns, read_transactions, write_patterns
+from repro.data.patterns import REPRESENTATIONS
 from repro.data.transactions import TransactionDatabase
 from repro.errors import ReproError, StorageError
 from repro.metrics.counters import CostCounters
@@ -683,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cold", action="store_true",
                        help="disable the warehouse (every request mines)")
     serve.add_argument("--representation", default="closed",
-                       choices=("full", "closed", "ndi"),
+                       choices=REPRESENTATIONS,
                        help="the form warehouse entries are condensed to "
                             "when --byte-budget needs the room; entries are "
                             "stored full otherwise, and full never "
@@ -725,11 +726,9 @@ def build_parser() -> argparse.ArgumentParser:
     warehouse.add_argument("--dir", required=True,
                            help="the warehouse directory to inspect")
     warehouse.add_argument("--representation", default="closed",
-                           choices=("full", "closed", "ndi"),
+                           choices=REPRESENTATIONS,
                            help="with migrate: the representation entries "
-                                "are re-written in (default: closed; ndi "
-                                "falls back to closed for entries without "
-                                "a transaction count)")
+                                "are re-written in (default: closed)")
     warehouse.add_argument("--gc", action="store_true",
                            help="garbage-collect dead chain records and "
                                 "compact ancient chain hops")

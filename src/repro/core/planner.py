@@ -112,8 +112,7 @@ def plan_support_path(
     the session cache and the pattern warehouse maintain. It may be a
     condensed warehouse entry; condensation is lossless, so the case
     analysis is unchanged (a condensed entry is empty exactly when the
-    full set is: maximal patterns are closed, and frequent singletons
-    are non-derivable).
+    full set is: maximal patterns are closed).
     """
     if feedstock is None or feedstock_support is None:
         return MiningPlan(PATH_MINE)

@@ -18,7 +18,7 @@ iteration :class:`IterationReport` history so experiments (and users) can
 see what each path cost. Pattern sets can be exported/imported, which is
 how one user's mining output becomes another user's recycling input on a
 multi-user platform (Section 2). The session holds its feedstock as the
-full frequent set: a condensed (closed/NDI) seed or save file is
+full frequent set: a condensed (closed) seed or save file is
 expanded when it is adopted.
 """
 
@@ -251,7 +251,7 @@ class MiningSession:
 
         ``absolute_support`` is the threshold those patterns were mined
         at; the next :meth:`mine` call will filter or recycle from them
-        instead of mining from scratch. Condensed sets (a closed/NDI
+        instead of mining from scratch. Condensed sets (a closed
         warehouse entry) are expanded to the full set on adoption.
         """
         if len(patterns) == 0:

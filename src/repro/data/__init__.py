@@ -18,12 +18,10 @@ from repro.data.io import (
 )
 from repro.data.items import Item, ItemTable
 from repro.data.patterns import (
-    NDI_RULE_DEPTH,
     REPRESENTATIONS,
     CondensedPatternSet,
     Pattern,
     PatternSet,
-    derivability_bounds,
     pattern,
 )
 from repro.data.synthetic import (
@@ -43,7 +41,6 @@ __all__ = [
     "EncodedDatabase",
     "Item",
     "ItemTable",
-    "NDI_RULE_DEPTH",
     "Pattern",
     "PatternSet",
     "QuestParams",
@@ -53,7 +50,6 @@ __all__ = [
     "attribute_value_database",
     "bit_positions",
     "connect4_like",
-    "derivability_bounds",
     "pattern",
     "forest_like",
     "get_dataset",

@@ -77,7 +77,7 @@ class EncodedDatabase:
     (5, 9, 7)
     >>> bin(enc.bitmap_for_item(5))
     '0b11'
-    >>> enc.pattern_bitmap([5, 9]).bit_count()
+    >>> (enc.bitmap_for_item(5) & enc.bitmap_for_item(9)).bit_count()
     1
     """
 
@@ -244,26 +244,3 @@ class EncodedDatabase:
     def support(self, code: int) -> int:
         """Cached support of the item with dense code ``code``."""
         return self._supports[code]
-
-    def pattern_bitmap(self, items: Iterable[int]) -> int:
-        """Intersection of the item bitmaps: the pattern's tidset.
-
-        Items are intersected in ascending-support order so the working
-        mask narrows as fast as possible; an item that never occurs
-        short-circuits to 0. The empty pattern maps to :attr:`universe`.
-        """
-        codes = []
-        for item in items:
-            code = self._code_of.get(item)
-            if code is None:
-                return 0
-            codes.append(code)
-        if not codes:
-            return self._universe
-        codes.sort(reverse=True)  # highest code = lowest support first
-        mask = self._bitmaps[codes[0]]
-        for code in codes[1:]:
-            mask &= self._bitmaps[code]
-            if not mask:
-                break
-        return mask

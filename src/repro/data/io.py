@@ -24,7 +24,6 @@ from typing import TextIO
 from repro.data.transactions import TransactionDatabase
 from repro.errors import DataError, MiningError
 from repro.data.patterns import (
-    NDI_RULE_DEPTH,
     REPRESENTATIONS,
     CondensedPatternSet,
     PatternSet,
@@ -128,18 +127,15 @@ SUPPORT_HEADER_PREFIX = "# absolute_support="
 CHECKSUM_HEADER_PREFIX = "# sha256="
 
 #: Header recording which representation the body's rows are: ``full``
-#: (every frequent pattern), ``closed`` or ``ndi`` (condensed entries
-#: only). Absent on files predating condensation, which are read as
-#: ``full`` — the original format unchanged.
+#: (every frequent pattern) or ``closed`` (condensed entries only).
+#: Absent on files predating condensation, which are read as ``full`` —
+#: the original format unchanged. Any other value is rejected at this
+#: line.
 REPR_HEADER_PREFIX = "# repr="
 
-#: Transaction count of the mined database; required by ``repr=ndi``
-#: (the empty-set deduction rules use ``supp({}) = |D|``).
+#: Transaction count of the mined database, recorded when known. No
+#: reader needs it to reconstruct the frequent set.
 NTRANS_HEADER_PREFIX = "# n_transactions="
-
-#: Deduction-rule depth an ``ndi`` body was condensed with. Expansion
-#: must replay the same depth, so it travels in the file.
-NDI_DEPTH_HEADER_PREFIX = "# ndi_depth="
 
 #: Byte-model size of the *expanded* set at write time — a gauge header
 #: so warehouses can report condensation ratios without expanding.
@@ -212,9 +208,8 @@ def warehouse_entry_text(
 
     Extends the :func:`write_patterns_with_support` layout with the
     representation headers: ``# repr=`` names how to read the body's
-    rows, ``ndi`` entries carry ``# n_transactions=`` and
-    ``# ndi_depth=`` (both needed to replay the deduction rules
-    losslessly), and an optional ``# full_bytes=`` gauge records the
+    rows, ``# n_transactions=`` records the mined database's size when
+    known, and an optional ``# full_bytes=`` gauge records the
     expanded set's byte-model size. Metadata headers sit *between* the
     support header and the checksum, so the checksum still covers
     exactly the body rows. The rows are written in held order (entry
@@ -237,8 +232,6 @@ def warehouse_entry_text(
     ]
     if condensed.n_transactions is not None:
         headers.append(f"{NTRANS_HEADER_PREFIX}{condensed.n_transactions}")
-    if condensed.representation == "ndi":
-        headers.append(f"{NDI_DEPTH_HEADER_PREFIX}{condensed.ndi_depth}")
     if full_bytes is not None:
         headers.append(f"{FULL_BYTES_HEADER_PREFIX}{full_bytes}")
     headers.append(f"{CHECKSUM_HEADER_PREFIX}{pattern_body_checksum(body)}")
@@ -268,9 +261,11 @@ def read_warehouse_entry(
     gauge header when present. Files predating condensation — with or
     without the checksum header — parse as ``repr=full``, so every
     pre-existing ``.patterns`` file remains readable. Any malformed or
-    inconsistent header, checksum mismatch, or entry below the threshold
-    raises :class:`~repro.errors.DataError`; the warehouse turns that
-    into quarantine instead of serving corrupt feedstock.
+    inconsistent header, an unknown ``# repr=`` value (``ndi`` included:
+    that representation is no longer read), checksum mismatch, or entry
+    below the threshold raises :class:`~repro.errors.DataError`; the
+    warehouse turns that into quarantine instead of serving corrupt
+    feedstock.
     """
     path = Path(path)
     try:
@@ -290,7 +285,6 @@ def read_warehouse_entry(
 
     representation = "full"
     n_transactions: int | None = None
-    ndi_depth = NDI_RULE_DEPTH
     full_bytes: int | None = None
     checksum: str | None = None
     metadata_seen = False
@@ -306,12 +300,13 @@ def read_warehouse_entry(
         line = lines[index].rstrip("\n")
         if line.startswith(REPR_HEADER_PREFIX):
             representation = line[len(REPR_HEADER_PREFIX):].strip()
+            if representation not in REPRESENTATIONS:
+                raise DataError(
+                    f"{path}: unknown representation {representation!r}"
+                )
             metadata_seen = True
         elif line.startswith(NTRANS_HEADER_PREFIX):
             n_transactions = int_header(line, NTRANS_HEADER_PREFIX)
-            metadata_seen = True
-        elif line.startswith(NDI_DEPTH_HEADER_PREFIX):
-            ndi_depth = int_header(line, NDI_DEPTH_HEADER_PREFIX)
             metadata_seen = True
         elif line.startswith(FULL_BYTES_HEADER_PREFIX):
             full_bytes = int_header(line, FULL_BYTES_HEADER_PREFIX)
@@ -342,10 +337,6 @@ def read_warehouse_entry(
                 f"{path}: body checksum mismatch (expected {checksum}, got "
                 f"{actual}) — the file is corrupt or truncated"
             )
-    if representation not in REPRESENTATIONS:
-        raise DataError(
-            f"{path}: unknown representation {representation!r} in repr header"
-        )
     entries = parse_patterns(io.StringIO(body))
     for items, support in entries.items():
         if support < absolute_support:
@@ -359,7 +350,6 @@ def read_warehouse_entry(
             entries.as_dict(),
             absolute_support,
             n_transactions=n_transactions,
-            ndi_depth=ndi_depth,
         )
     except MiningError as exc:
         raise DataError(f"{path}: invalid condensed entry: {exc}") from exc

@@ -13,7 +13,6 @@ name.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import MiningError
@@ -191,54 +190,8 @@ class PatternSet:
 
 #: Representations a warehouse entry (or pattern file) can use. ``full``
 #: stores every frequent pattern; ``closed`` stores only patterns with no
-#: superset of identical support; ``ndi`` stores only the non-derivable
-#: patterns of Calders & Goethals, whose supports cannot be deduced from
-#: their subsets' supports.
-REPRESENTATIONS = ("full", "closed", "ndi")
-
-#: Default deduction-rule depth for the ``ndi`` representation. Depth d
-#: evaluates the inclusion–exclusion rules that remove up to d items from
-#: the target set: depth 1 is the subset upper bound
-#: ``supp(I) <= supp(I \ {a})``, depth 2 adds the pair lower bound
-#: ``supp(I) >= supp(I\a) + supp(I\b) - supp(I\ab)`` — the same bound
-#: ``PatternWarehouse.verify_entry`` audits. Full Calders–Goethals rules
-#: cost 3^|I| dictionary probes per itemset; depth 2 keeps condensation
-#: linear in |I|^2 while still collapsing most dense-data redundancy.
-#: Condensing and expanding with the *same* depth is what makes the
-#: representation lossless, so the depth travels with the object and is
-#: recorded in the file header.
-NDI_RULE_DEPTH = 2
-
-
-def derivability_bounds(
-    items: Iterable[int],
-    lookup: Callable[[Pattern], int],
-    depth: int = NDI_RULE_DEPTH,
-) -> tuple[int, int]:
-    """Calders–Goethals deduction bounds ``(lower, upper)`` for a pattern.
-
-    ``lookup`` must return the exact support of every proper subset the
-    rules touch (sets obtained by removing at most ``depth`` items), with
-    ``lookup(frozenset())`` answering the transaction count. Removing an
-    odd number of items yields an upper bound, an even number a lower
-    bound; the pattern's support is *derivable* exactly when the two
-    bounds meet.
-    """
-    itemset = frozenset(items)
-    lower, upper = 0, lookup(frozenset())
-    ordered = sorted(itemset)
-    for d in range(1, min(depth, len(itemset)) + 1):
-        for removed in combinations(ordered, d):
-            delta = 0
-            for size in range(1, d + 1):
-                sign = 1 if size % 2 == 1 else -1
-                for gone in combinations(removed, size):
-                    delta += sign * lookup(itemset.difference(gone))
-            if d % 2 == 1:
-                upper = min(upper, delta)
-            else:
-                lower = max(lower, delta)
-    return max(lower, 0), upper
+#: superset of identical support.
+REPRESENTATIONS = ("full", "closed")
 
 
 class CondensedPatternSet:
@@ -246,13 +199,13 @@ class CondensedPatternSet:
 
     The object is a drop-in warehouse payload: it remembers only the
     *entries* of its representation (all patterns for ``full``, the
-    closed patterns for ``closed``, the non-derivable patterns for
-    ``ndi``) plus the metadata needed to reconstruct the exact frequent
-    set — the mining threshold, and for ``ndi`` the transaction count and
-    rule depth. :meth:`expand` is lossless and cached.
+    closed patterns for ``closed``) plus the mining threshold, which is
+    all it takes to reconstruct the exact frequent set; the optional
+    transaction count of the mined database only rides along.
+    :meth:`expand` is lossless and cached.
 
-    Both condensations are *threshold independent*: whether a pattern is
-    closed (or derivable) does not change when the support threshold is
+    The closed condensation is *threshold independent*: whether a
+    pattern is closed does not change when the support threshold is
     raised, so :meth:`filter_min_support` can tighten the threshold by
     filtering the entries alone. (The planner's filter path instead
     filters :meth:`expand` of the entry it was handed: a full entry's
@@ -274,7 +227,6 @@ class CondensedPatternSet:
         absolute_support: int,
         *,
         n_transactions: int | None = None,
-        ndi_depth: int = NDI_RULE_DEPTH,
         expanded_count: int | None = None,
     ) -> None:
         if representation not in REPRESENTATIONS:
@@ -284,18 +236,9 @@ class CondensedPatternSet:
             )
         if absolute_support < 0:
             raise MiningError(f"negative absolute_support {absolute_support}")
-        if representation == "ndi":
-            if n_transactions is None:
-                raise MiningError(
-                    "the ndi representation needs n_transactions: the "
-                    "empty-set deduction rules use supp({}) = |D|"
-                )
-            if ndi_depth < 1:
-                raise MiningError(f"ndi_depth must be >= 1, got {ndi_depth}")
         self.representation = representation
         self.absolute_support = absolute_support
         self.n_transactions = n_transactions
-        self.ndi_depth = ndi_depth
         self._entries: dict[Pattern, int] = {}
         for items, support in entries.items():
             key = frozenset(items)
@@ -321,7 +264,6 @@ class CondensedPatternSet:
         absolute_support: int,
         *,
         n_transactions: int | None = None,
-        ndi_depth: int = NDI_RULE_DEPTH,
         expanded_count: int | None = None,
     ) -> "CondensedPatternSet":
         """Adopt ``entries`` without copying or re-validating them.
@@ -336,7 +278,6 @@ class CondensedPatternSet:
         result.representation = representation
         result.absolute_support = absolute_support
         result.n_transactions = n_transactions
-        result.ndi_depth = ndi_depth
         result._entries = entries
         result._expanded = None
         result._expanded_count = expanded_count
@@ -354,7 +295,6 @@ class CondensedPatternSet:
             self._entries,
             self.absolute_support,
             n_transactions=self.n_transactions,
-            ndi_depth=self.ndi_depth,
             expanded_count=self.known_expanded_count(),
         )
 
@@ -373,7 +313,6 @@ class CondensedPatternSet:
             expanded._supports,
             self.absolute_support,
             n_transactions=self.n_transactions,
-            ndi_depth=self.ndi_depth,
             expanded_count=len(expanded),
         )
 
@@ -385,24 +324,17 @@ class CondensedPatternSet:
         representation: str,
         *,
         n_transactions: int | None = None,
-        ndi_depth: int = NDI_RULE_DEPTH,
     ) -> "CondensedPatternSet":
         """Condense an exact frequent set into the chosen representation.
 
         ``patterns`` must be a complete (downward-closed) frequent set at
         ``absolute_support`` — exactly what every miner in the registry
-        produces. For ``ndi`` the caller must supply ``n_transactions``.
+        produces.
         """
         if representation == "full":
             entries = patterns.as_dict()
         elif representation == "closed":
             entries = cls._closed_entries(patterns)
-        elif representation == "ndi":
-            if n_transactions is None:
-                raise MiningError(
-                    "condensing to ndi requires n_transactions"
-                )
-            entries = cls._ndi_entries(patterns, n_transactions, ndi_depth)
         else:
             raise MiningError(
                 f"unknown representation {representation!r}; "
@@ -413,7 +345,6 @@ class CondensedPatternSet:
             entries,
             absolute_support,
             n_transactions=n_transactions,
-            ndi_depth=ndi_depth,
             expanded_count=len(patterns),
         )
 
@@ -449,34 +380,6 @@ class CondensedPatternSet:
                     if support_of(sub) == support:
                         non_closed.add(sub)
         return {p: s for p, s in supports.items() if masks[p] not in non_closed}
-
-    @staticmethod
-    def _ndi_entries(
-        patterns: PatternSet, n_transactions: int, ndi_depth: int
-    ) -> dict[Pattern, int]:
-        """Non-derivable patterns under depth-limited deduction rules."""
-        supports = patterns.as_dict()
-
-        def lookup(subset: Pattern) -> int:
-            if not subset:
-                return n_transactions
-            try:
-                return supports[subset]
-            except KeyError:
-                raise MiningError(
-                    f"cannot condense to ndi: subset {sorted(subset)} is "
-                    "missing — the input is not a downward-closed frequent set"
-                ) from None
-
-        entries: dict[Pattern, int] = {}
-        for items, support in supports.items():
-            if len(items) == 1:
-                entries[items] = support
-                continue
-            lower, upper = derivability_bounds(items, lookup, ndi_depth)
-            if lower != upper:
-                entries[items] = support
-        return entries
 
     # ------------------------------------------------------------------
     # mapping-ish protocol over the condensed entries
@@ -516,7 +419,6 @@ class CondensedPatternSet:
             self.representation == other.representation
             and self.absolute_support == other.absolute_support
             and self.n_transactions == other.n_transactions
-            and self.ndi_depth == other.ndi_depth
             and self._entries == other._entries
         )
 
@@ -571,10 +473,8 @@ class CondensedPatternSet:
         if self._expanded is None:
             if self.representation == "full":
                 expanded = PatternSet._trusted(self._entries)
-            elif self.representation == "closed":
-                expanded = self._expand_closed()
             else:
-                expanded = self._expand_ndi()
+                expanded = self._expand_closed()
             self._expanded = expanded
             self._expanded_count = len(expanded)
         return self._expanded
@@ -609,62 +509,13 @@ class CondensedPatternSet:
                             stack.append((sub, index + 1))
         return PatternSet._trusted(expanded)
 
-    def _expand_ndi(self) -> PatternSet:
-        """Level-wise reconstruction: derive where possible, look up the rest.
-
-        Apriori candidate generation over the already-reconstructed
-        level; a candidate whose depth-limited bounds meet is derivable
-        (support = the bound), otherwise its support must be stored — and
-        a non-derivable candidate absent from the entries was infrequent,
-        which is what prunes the search.
-        """
-        n = self.n_transactions
-        assert n is not None  # enforced in __init__
-        threshold = self.absolute_support
-        supports: dict[Pattern, int] = {}
-
-        def lookup(subset: Pattern) -> int:
-            return n if not subset else supports[subset]
-
-        current = {
-            p: s
-            for p, s in self._entries.items()
-            if len(p) == 1 and s >= threshold
-        }
-        supports.update(current)
-        while current:
-            next_level: dict[Pattern, int] = {}
-            rows = sorted(tuple(sorted(p)) for p in current)
-            candidates: set[Pattern] = set()
-            for i, head in enumerate(rows):
-                for j in range(i + 1, len(rows)):
-                    if rows[j][:-1] != head[:-1]:
-                        break
-                    candidates.add(frozenset(head) | frozenset(rows[j]))
-            for cand in candidates:
-                if any(cand.difference((x,)) not in current for x in cand):
-                    continue
-                lower, upper = derivability_bounds(cand, lookup, self.ndi_depth)
-                if lower == upper:
-                    support = lower
-                else:
-                    stored = self._entries.get(cand)
-                    if stored is None:
-                        continue
-                    support = stored
-                if support >= threshold:
-                    next_level[cand] = support
-            supports.update(next_level)
-            current = next_level
-        return PatternSet._trusted(supports)
-
     # ------------------------------------------------------------------
     # filtering
     # ------------------------------------------------------------------
     def filter_min_support(self, min_support: int) -> "CondensedPatternSet":
         """The condensed representation at a tightened threshold.
 
-        Closedness and derivability do not depend on the threshold, so
+        Closedness does not depend on the threshold, so
         filtering the entries yields exactly the condensed form of the
         filtered full set, without expanding anything. The result is a
         new object with no expansion cached.
@@ -676,5 +527,4 @@ class CondensedPatternSet:
             entries,
             threshold,
             n_transactions=self.n_transactions,
-            ndi_depth=self.ndi_depth,
         )

@@ -12,7 +12,7 @@ planner runs: the full frequent-pattern set at the minimum support is a
 superset of the set at every member's (higher-or-equal) support, so a
 support filter over it *is* each member's answer, bit for bit. The
 batching-correctness property test pins this across warehouse
-representations (closed / NDI).
+representations (full / closed).
 
 The economics are the paper's recycle-and-reuse argument applied at
 request granularity: the warehouse amortizes mining across *time* (one

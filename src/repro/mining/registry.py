@@ -11,8 +11,8 @@ pick a miner:
     ``"recycling"`` (mines a :class:`CompressedDatabase` — the paper's
     phase 2), or ``"condensed"`` (mines a :class:`TransactionDatabase`
     directly into a
-    :class:`~repro.data.patterns.CondensedPatternSet` — closed or
-    non-derivable entries, the warehouse's storage representation).
+    :class:`~repro.data.patterns.CondensedPatternSet` of closed
+    entries, the warehouse's condensed representation).
 ``fn``
     ``fn(source, min_support, counters=None) -> PatternSet`` (a
     ``CondensedPatternSet`` for the ``"condensed"`` kind).
@@ -210,7 +210,7 @@ def _register_builtins() -> None:
     from repro.core.recycle_treeprojection import mine_recycle_treeprojection
     from repro.mining.apriori import mine_apriori
     from repro.mining.bruteforce import mine_bruteforce
-    from repro.mining.condensed import mine_closed_bitset, mine_ndi_bitset
+    from repro.mining.condensed import mine_closed_bitset
     from repro.mining.eclat import mine_eclat, mine_eclat_bitset
     from repro.mining.fptree import mine_fpgrowth
     from repro.mining.hmine import mine_hmine
@@ -298,12 +298,6 @@ def _register_builtins() -> None:
             kind="condensed",
             fn=mine_closed_bitset,
             description="closed itemsets via LCM-style closure extension",
-        ),
-        MinerSpec(
-            name="ndi",
-            kind="condensed",
-            fn=mine_ndi_bitset,
-            description="non-derivable itemsets (Calders-Goethals rules)",
         ),
     ):
         register(spec)

@@ -15,8 +15,8 @@ support-level :class:`~repro.mining.patterns.PatternSet`s keyed by
   much as the mine it would save, and expanding it back on the first
   hit costs as much again (``docs/service.md``). The warehouse's
   ``representation`` — ``closed`` (no superset with equal support) by
-  default, ``ndi`` (Calders–Goethals non-derivable itemsets), or
-  ``full`` (never condense) — names the form an entry is condensed *to*
+  default, or ``full`` (never condense) — names the form an entry is
+  condensed *to*
   when the byte budget needs the room, which shrinks dense-data entries
   by an order of magnitude or more.
 * **The byte budget bounds everything held.** Every entry is charged
@@ -197,14 +197,12 @@ class PatternWarehouse:
         the store, the ``persist.*`` points).
     representation:
         The form an entry is condensed to when the byte budget needs
-        the room: ``"closed"`` (default), ``"ndi"``, or ``"full"``,
-        which never condenses. Entries are put full, so an unbudgeted
-        warehouse never condenses anything. A condensed entry is kept
-        only when it is strictly smaller than the full one; reads
-        expand it, so every consumer still sees exact full sets. An
-        ``ndi`` warehouse condenses to ``closed`` instead when the entry
-        carries no transaction count for the deduction rules. Loaded
-        entries keep their file's representation until pressure
+        the room: ``"closed"`` (default) or ``"full"``, which never
+        condenses. Entries are put full, so an unbudgeted warehouse
+        never condenses anything. A condensed entry is kept only when
+        it is strictly smaller than the full one; reads expand it, so
+        every consumer still sees exact full sets. Loaded entries keep
+        their file's representation until pressure
         condenses them, a hit promotes them, or :meth:`migrate`
         re-writes them.
     repair_on_load:
@@ -305,8 +303,8 @@ class PatternWarehouse:
         the fingerprinted database at ``absolute_support`` — the
         warehouse invariant every lookup path relies on. A plain
         :class:`PatternSet` is stored full (one copy of its mapping;
-        ``n_transactions`` rides along for a later ``ndi``
-        condensation); an already-condensed set is stored as-is. An
+        ``n_transactions``, when given, is recorded in the entry's file
+        header); an already-condensed set is stored as-is. An
         entry larger than the whole budget is condensed, and rejected
         when that does not make it fit; otherwise storing makes room
         under the budget rule (condense, then evict, least recently used
@@ -326,7 +324,7 @@ class PatternWarehouse:
                 patterns, absolute_support, "full", n_transactions=n_transactions
             )
         entry = _Entry.holding(patterns)
-        if tie_free and self._target(patterns) == "closed":
+        if tie_free and self.representation == "closed":
             entry.shrinks = False
         with self._lock:
             if not self._insert((fingerprint, absolute_support), entry):
@@ -527,11 +525,9 @@ class PatternWarehouse:
         A violation proves the entry is *not* a genuine full frequent-
         pattern set — bit rot that survived the checksum, a buggy
         writer, or a tampered file. A condensed entry is audited through
-        an expansion the warehouse does not keep: the deduction rules
-        that reconstruct the full set are exactly the consistency
-        conditions being checked, so corrupt condensed entries surface
-        here too. The audit only reports: it never quarantines or
-        drops the entry.
+        an expansion the warehouse does not keep, so the checks apply to
+        the full set it would serve. The audit only reports: it never
+        quarantines or drops the entry.
         """
         with self._lock:
             entry = self._entries.get((fingerprint, absolute_support))
@@ -753,14 +749,12 @@ class PatternWarehouse:
         ``full``, to expand it). Each rewrite goes through the store's
         atomic, fsynced entry write, and a failure raises, leaving every
         file in its old or new form. A re-written entry is then held as
-        written — as a reload would hold it — under the budget rule. A
-        legacy file has no transaction count for the NDI deduction rules
-        (``supp({}) = |D|``), so ``ndi`` falls back to ``closed`` for it.
+        written — as a reload would hold it — under the budget rule.
         """
+        target = self.representation
         migrated = 0
         with self._lock:
             for key, entry in list(self._entries.items()):
-                target = self._target(entry.stored)
                 if entry.written == target:
                     continue
                 rewritten = entry.stored
@@ -775,7 +769,6 @@ class PatternWarehouse:
                             full.absolute_support,
                             target,
                             n_transactions=full.n_transactions,
-                            ndi_depth=full.ndi_depth,
                         )
                 self._store.write_entry(*key, rewritten, full_bytes=entry.full_bytes)
                 size = patterns_byte_size(rewritten)
@@ -788,13 +781,6 @@ class PatternWarehouse:
     # ------------------------------------------------------------------
     # internals (callers hold the lock)
     # ------------------------------------------------------------------
-    def _target(self, stored: CondensedPatternSet) -> str:
-        """The representation ``stored`` condenses to here: ``ndi``
-        needs a transaction count, else it falls back to ``closed``."""
-        if self.representation == "ndi" and stored.n_transactions is None:
-            return "closed"
-        return self.representation
-
     def _condensed(self, entry: _Entry) -> tuple[CondensedPatternSet, int] | None:
         """The entry condensed and its size, when that strictly shrinks it.
 
@@ -813,9 +799,8 @@ class PatternWarehouse:
         condensed = CondensedPatternSet.condense(
             stored.expand(),
             stored.absolute_support,
-            self._target(stored),
+            self.representation,
             n_transactions=stored.n_transactions,
-            ndi_depth=stored.ndi_depth,
         )
         size = patterns_byte_size(condensed)
         if size >= entry.size:

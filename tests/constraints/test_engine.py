@@ -13,7 +13,6 @@ from repro.constraints.support import (
     MinSupport,
 )
 from repro.errors import ConstraintError
-from repro.mining.patterns import PatternSet
 
 CONTEXT = ConstraintContext(db_size=100)
 

@@ -6,7 +6,7 @@ The load-bearing invariants, over hypothesis-generated databases:
    representation.
 2. **Feedstock equivalence** — every recycling miner, under every
    strategy, produces bit-identical results whether its feedstock is
-   the exact frequent set or its closed/NDI condensation.
+   the exact frequent set or a condensed set (full or closed).
 3. **Condensed miners** — the registry's condensed miners equal
    condensing a from-scratch full mine.
 4. **Closed expansion by definition** — the set-enumeration walk of
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.recycle import recycle_mine
-from repro.data.patterns import CondensedPatternSet
+from repro.data.patterns import REPRESENTATIONS, CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.mining.bruteforce import mine_bruteforce
 from repro.mining.registry import get_miner, iter_miners
@@ -41,7 +41,7 @@ small_databases = st.lists(
 @given(
     transactions=small_databases,
     xi=st.integers(1, 5),
-    representation=st.sampled_from(["full", "closed", "ndi"]),
+    representation=st.sampled_from(REPRESENTATIONS),
 )
 @settings(max_examples=60, deadline=None)
 def test_expand_of_condense_is_identity(transactions, xi, representation):
@@ -58,7 +58,7 @@ def test_expand_of_condense_is_identity(transactions, xi, representation):
     xi_old=st.integers(2, 5),
     xi_new=st.integers(1, 3),
     strategy=st.sampled_from(["mcp", "mlp"]),
-    representation=st.sampled_from(["closed", "ndi"]),
+    representation=st.sampled_from(REPRESENTATIONS),
 )
 @settings(max_examples=60, deadline=None)
 def test_condensed_feedstock_is_bit_identical_to_exact(

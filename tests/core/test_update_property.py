@@ -22,7 +22,7 @@ from repro.core.planner import (
     plan_update_path,
 )
 from repro.core.session import MiningSession
-from repro.data.patterns import CondensedPatternSet
+from repro.data.patterns import REPRESENTATIONS, CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.mining.bruteforce import mine_bruteforce
@@ -57,7 +57,7 @@ def _condensed(patterns, support, representation, db_size):
     xi_old=st.integers(1, 5),
     xi_new=st.integers(1, 5),
     strategy=st.sampled_from(["mcp", "mlp"]),
-    representation=st.sampled_from(["full", "closed", "ndi"]),
+    representation=st.sampled_from(REPRESENTATIONS),
 )
 @settings(max_examples=60, deadline=None)
 def test_update_path_is_bit_identical_to_scratch(

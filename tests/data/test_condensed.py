@@ -1,4 +1,4 @@
-"""Tests for the condensed pattern representations (closed / NDI).
+"""Tests for the condensed pattern representations (full / closed).
 
 The contract under test: a :class:`CondensedPatternSet` is a *lossless*
 stand-in for the full frequent set — ``expand()`` reconstructs it bit
@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data.patterns import (
-    NDI_RULE_DEPTH,
-    REPRESENTATIONS,
-    CondensedPatternSet,
-    derivability_bounds,
-    pattern,
-)
+from repro.data.patterns import REPRESENTATIONS, CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError
 from repro.mining.hmine import mine_hmine
@@ -49,12 +43,12 @@ class TestCondense:
         assert len(condensed) < len(full)
 
     def test_unknown_representation_rejected(self, full):
-        with pytest.raises(MiningError, match="representation"):
-            CondensedPatternSet.condense(full, 4, "lossy")
-
-    def test_ndi_requires_n_transactions(self, full):
-        with pytest.raises(MiningError, match="n_transactions"):
-            CondensedPatternSet.condense(full, 4, "ndi")
+        # "ndi" (non-derivable itemsets) was a representation once.
+        for representation in ("lossy", "ndi"):
+            with pytest.raises(MiningError, match="representation"):
+                CondensedPatternSet.condense(full, 4, representation)
+            with pytest.raises(MiningError, match="representation"):
+                CondensedPatternSet(representation, {}, 4, n_transactions=8)
 
     def test_empty_set_condenses_to_empty(self, db, full):
         empty = full.filter_min_support(10**6)
@@ -92,21 +86,6 @@ class TestQueries:
         entries = condensed.entry_patterns()
         for items, support in entries.items():
             assert full.support(items) == support
-
-
-class TestDerivabilityBounds:
-    def test_pair_rule_matches_inclusion_exclusion(self):
-        # supports: a=4, b=3, ab=2 in a 6-transaction db; bounds on ab
-        # from depth-2 rules must bracket the true support.
-        supports = {pattern([1]): 4, pattern([2]): 3, pattern([1, 2]): 2}
-
-        def lookup(items):
-            if not items:
-                return 6
-            return supports.get(pattern(items))
-
-        lower, upper = derivability_bounds((1, 2), lookup, NDI_RULE_DEPTH)
-        assert lower <= 2 <= upper
 
 
 class TestPickling:

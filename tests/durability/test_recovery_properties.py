@@ -14,6 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.patterns import REPRESENTATIONS
 from repro.data.synthetic import QuestParams, quest_database
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
@@ -21,7 +22,6 @@ from repro.mining.registry import get_miner
 from repro.resilience import PERSIST_FAULT_POINTS, FaultInjector
 from repro.service import MineRequest, MiningService, PatternWarehouse
 
-REPRESENTATIONS = ("full", "closed", "ndi")
 SUPPORT = 8
 
 

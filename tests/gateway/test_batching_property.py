@@ -5,7 +5,7 @@ compatible requests served through one gateway batch (one mine at the
 group-minimum support, members served by ``filter_min_support``) must
 equal — pattern for pattern, support count for support count — the
 responses an isolated synchronous :class:`MiningService` produces for
-the same requests, across warehouse representations (closed / NDI).
+the same requests, across warehouse representations (full / closed).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.patterns import REPRESENTATIONS
 from repro.data.transactions import TransactionDatabase
 from repro.gateway import MiningGateway
 from repro.service import MineRequest, MiningService, PatternWarehouse
@@ -27,7 +28,7 @@ small_databases = st.lists(
 @given(
     transactions=small_databases,
     supports=st.lists(st.integers(1, 8), min_size=2, max_size=5),
-    representation=st.sampled_from(["closed", "ndi"]),
+    representation=st.sampled_from(REPRESENTATIONS),
 )
 @settings(max_examples=25, deadline=None)
 def test_batched_group_equals_independent_serving(

@@ -58,12 +58,11 @@ class TestLookup:
         assert get_miner("eclat-bitset", kind="baseline").fn is mine_eclat_bitset
 
     def test_condensed_miners_run_on_bitmaps(self):
-        from repro.mining.condensed import mine_closed_bitset, mine_ndi_bitset
+        from repro.mining.condensed import mine_closed_bitset
 
-        assert miner_names("condensed") == ["closed", "ndi"]
+        assert miner_names("condensed") == ["closed"]
         assert get_miner("closed", kind="condensed").fn is mine_closed_bitset
-        assert get_miner("ndi", kind="condensed").fn is mine_ndi_bitset
-        assert len(MINERS) == 13
+        assert len(MINERS) == 12
 
     def test_registry_mapping_protocol(self):
         assert ("baseline", "hmine") in MINERS

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.core.compression import compress
-from repro.core.groups import Group, GroupedDatabase
+from repro.core.groups import GroupedDatabase
 from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError
 from repro.mining.bruteforce import mine_bruteforce

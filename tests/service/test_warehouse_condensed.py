@@ -14,14 +14,14 @@ Five concerns, one per class:
 * **Back-compat**: pre-condensation full-set ``.patterns`` files (with
   and without the ``# sha256=`` integrity header) still load, unchanged
   on disk, and :meth:`PatternWarehouse.migrate` (``repro warehouse
-  migrate``) re-writes them condensed, falling back from ndi to closed
-  for header-less transaction counts; corrupt condensed files are
-  quarantined exactly like corrupt full-set files.
+  migrate``) re-writes them condensed; corrupt condensed files are
+  quarantined exactly like corrupt full-set files, and so is a file of
+  the retired ``ndi`` representation, for its unknown ``# repr=``.
 * **Audits**: ``verify_entry`` still runs its checks against the exact
   expansion of a condensed entry.
 * **The kernel's tie-free verdict**: a set ``mine_eclat_bitset`` proved
   tie-free is never condensed to closed (rejected or evicted without
-  one), while ndi warehouses and flag-less sets condense as before, and
+  one), while flag-less sets condense as before, and
   ``futile_condensations`` counts the condensations thrown away.
 """
 
@@ -31,13 +31,15 @@ import pytest
 
 from repro.data.io import (
     read_warehouse_entry,
+    warehouse_entry_text,
     write_patterns_with_support,
     write_warehouse_entry,
 )
-from repro.data.patterns import CondensedPatternSet
+from repro.data.patterns import REPRESENTATIONS, CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.mining.eclat import mine_eclat_bitset
 from repro.mining.hmine import mine_hmine
+from repro.resilience import REASON_FEEDSTOCK_QUARANTINED
 from repro.service import MineRequest, MiningService
 from repro.service.warehouse import PatternWarehouse
 from repro.storage.disk import (
@@ -46,6 +48,32 @@ from repro.storage.disk import (
     RECORD_OVERHEAD_BYTES,
     patterns_byte_size,
 )
+
+
+#: Entry files of ``db`` at support 4 exactly as the writer that still
+#: had the ``ndi`` (non-derivable itemsets) representation rendered
+#: them: ``ndi`` carried a ``# ndi_depth=`` header, and every form
+#: carried ``# n_transactions=``.
+PRE_RETIREMENT_ENTRIES = {
+    "ndi": (
+        "# absolute_support=4\n# repr=ndi\n# n_transactions=8\n"
+        "# ndi_depth=2\n# sha256=bd684ebc6032e323088ce167415e536e"
+        "6e7bc8243dd45aee9e6090252e7283f0\n"
+        "3 : 4\n3 4 : 4\n4 : 4\n1 : 8\n2 : 8\n"
+    ),
+    "closed": (
+        "# absolute_support=4\n# repr=closed\n# n_transactions=8\n"
+        "# sha256=96e5baa890ffeda6c82b50bb68225de005e1fa9ab87e445a6762e4c"
+        "e5400c0b8\n1 2 3 4 : 4\n1 2 : 8\n"
+    ),
+    "full": (
+        "# absolute_support=4\n# repr=full\n# n_transactions=8\n"
+        "# sha256=eee2efeb33b6407134c0a52befefd2bbbd970c7da35803382596e48"
+        "ced5e652c\n3 : 4\n3 4 : 4\n1 3 4 : 4\n1 2 3 4 : 4\n"
+        "2 3 4 : 4\n1 3 : 4\n1 2 3 : 4\n2 3 : 4\n4 : 4\n1 4 : 4\n"
+        "1 2 4 : 4\n2 4 : 4\n1 : 8\n1 2 : 8\n2 : 8\n"
+    ),
+}
 
 
 @pytest.fixture
@@ -269,18 +297,14 @@ class TestPressureRule:
         )
         (path,) = tmp_path.glob("*.patterns")
         before = path.read_bytes()
-        size = condensed_size(db, full, "ndi")
-        reborn = PatternWarehouse(
-            byte_budget=size, directory=tmp_path, representation="ndi"
-        )
+        size = condensed_size(db, full, "closed")
+        reborn = PatternWarehouse(byte_budget=size, directory=tmp_path)
         stats = reborn.stats()
         assert (stats["entries"], stats["stored_bytes"]) == (1, size)
         assert stats["pressure_condensations"] == 1
         assert reborn.get(db.fingerprint(), 4) == full
         assert path.read_bytes() == before
-        too_small = PatternWarehouse(
-            byte_budget=size - 1, directory=tmp_path, representation="ndi"
-        )
+        too_small = PatternWarehouse(byte_budget=size - 1, directory=tmp_path)
         assert (len(too_small), too_small.rejections) == (0, 1)
 
 
@@ -330,17 +354,61 @@ class TestBackCompat:
         assert held_representation(warehouse, db.fingerprint(), 4) == "full"
         assert warehouse.get(db.fingerprint(), 4) == full
 
-    def test_legacy_file_in_ndi_warehouse_falls_back_to_closed(
-        self, tmp_path, db, full
+    @pytest.mark.parametrize("representation", ["full", "closed"])
+    def test_pre_retirement_files_load_unchanged(
+        self, tmp_path, db, full, representation
     ):
-        """A legacy file has no transaction count, and the NDI deduction
-        rules need supp({}) = |D| — so the migration lands on closed."""
-        path = self._legacy_file(tmp_path, db, full, checksum=True)
-        warehouse = PatternWarehouse(directory=tmp_path, representation="ndi")
-        assert warehouse.migrate() == 1
-        condensed, _ = read_warehouse_entry(path)
-        assert condensed.representation == "closed"
+        """``full`` and ``closed`` files written beside ``ndi`` ones,
+        ``# n_transactions=`` header included, load as the same entries,
+        and today's writer renders them byte for byte."""
+        text = PRE_RETIREMENT_ENTRIES[representation]
+        path = tmp_path / f"{db.fingerprint()}-4.patterns"
+        path.write_text(text)
+        expected = CondensedPatternSet.condense(
+            full, 4, representation, n_transactions=len(db)
+        )
+        assert read_warehouse_entry(path) == (expected, None)
+        assert warehouse_entry_text(expected) == text
+        warehouse = PatternWarehouse(directory=tmp_path)
+        assert warehouse.quarantined == []
+        assert held_representation(warehouse, db.fingerprint(), 4) == representation
         assert warehouse.get(db.fingerprint(), 4) == full
+
+    def test_ndi_file_is_quarantined_and_the_rest_served(self, tmp_path, db, full):
+        """An ``ndi`` file is rejected at its ``# repr=`` line; every other
+        entry still loads, and a miss on its key names the quarantine."""
+        name = f"{db.fingerprint()}-4.patterns"
+        (tmp_path / name).write_text(PRE_RETIREMENT_ENTRIES["ndi"])
+        above = mine_hmine(db, 5)
+        write_warehouse_entry(
+            CondensedPatternSet.condense(above, 5, "full", n_transactions=len(db)),
+            tmp_path / f"{db.fingerprint()}-5.patterns",
+        )
+        other = TransactionDatabase([[5, 6, 7]] * 4 + [[5, 6]] * 4)
+        other_full = mine_hmine(other, 4)
+        write_warehouse_entry(
+            CondensedPatternSet.condense(
+                other_full, 4, "closed", n_transactions=len(other)
+            ),
+            tmp_path / f"{other.fingerprint()}-4.patterns",
+        )
+        warehouse = PatternWarehouse(directory=tmp_path)
+        ((quarantined, reason),) = warehouse.quarantined
+        assert quarantined == name
+        assert reason.endswith("unknown representation 'ndi'")
+        assert (tmp_path / "quarantine" / name).exists()
+        assert sorted(warehouse.keys()) == sorted(
+            [(db.fingerprint(), 5), (other.fingerprint(), 4)]
+        )
+        assert warehouse.get(db.fingerprint(), 5) == above
+        assert warehouse.get(other.fingerprint(), 4) == other_full
+        with MiningService(warehouse=warehouse, max_workers=1) as service:
+            response = service.execute(MineRequest(db=db, support=4))
+        assert response.path == "mine"
+        assert response.degradation.reasons() == [
+            f"feedstock→mine: {REASON_FEEDSTOCK_QUARANTINED}"
+        ]
+        assert response.patterns == full
 
     def test_corrupt_condensed_file_quarantined(self, tmp_path, db, full):
         condensed = CondensedPatternSet.condense(
@@ -368,7 +436,7 @@ class TestBackCompat:
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("representation", ["full", "closed", "ndi"])
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
     def test_disk_round_trip_preserves_representation(
         self, tmp_path, db, full, representation
     ):
@@ -392,7 +460,7 @@ class TestRoundTrips:
         (path,) = tmp_path.glob("*.patterns")
         stored, full_bytes = read_warehouse_entry(path)
         assert stored.representation == "full"
-        assert stored.n_transactions == len(db)  # kept for a later ndi
+        assert stored.n_transactions == len(db)
         assert full_bytes == patterns_byte_size(full)
 
     def test_best_feedstock_serves_condensed(self, db, full):
@@ -425,7 +493,7 @@ class TestRoundTrips:
 
 
 class TestAudits:
-    @pytest.mark.parametrize("representation", ["full", "closed", "ndi"])
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
     def test_genuine_entries_audit_clean(self, db, full, representation):
         warehouse = pressed(db, full, representation)
         report = warehouse.verify_entry(db.fingerprint(), 4)
@@ -448,24 +516,16 @@ class TestTieFreeVerdict:
 
     @pytest.fixture
     def condensations(self, monkeypatch):
-        """Every closed and ndi condensation computed, by representation."""
+        """Every closed condensation computed."""
         calls = []
         closed_entries = CondensedPatternSet._closed_entries
-        ndi_entries = CondensedPatternSet._ndi_entries
 
         def counted_closed(patterns):
             calls.append("closed")
             return closed_entries(patterns)
 
-        def counted_ndi(patterns, n_transactions, ndi_depth):
-            calls.append("ndi")
-            return ndi_entries(patterns, n_transactions, ndi_depth)
-
         monkeypatch.setattr(
             CondensedPatternSet, "_closed_entries", staticmethod(counted_closed)
-        )
-        monkeypatch.setattr(
-            CondensedPatternSet, "_ndi_entries", staticmethod(counted_ndi)
         )
         return calls
 
@@ -491,21 +551,6 @@ class TestTieFreeVerdict:
         assert warehouse.keys() == [(twin.fingerprint(), 1)]
         stats = warehouse.stats()
         assert (stats["evictions"], stats["futile_condensations"]) == (1, 0)
-
-    def test_ndi_warehouse_still_condenses_a_tie_free_set(
-        self, tie_free, condensations
-    ):
-        """A tie-free set can still hold derivable itemsets, so the
-        verdict says nothing about its ndi form."""
-        chain, patterns = tie_free
-        warehouse = PatternWarehouse(
-            byte_budget=patterns_byte_size(patterns) - 1, representation="ndi"
-        )
-        assert not warehouse.put(
-            chain.fingerprint(), 1, patterns, n_transactions=len(chain)
-        )
-        assert condensations == ["ndi"]
-        assert warehouse.stats()["futile_condensations"] == 1
 
     @pytest.mark.parametrize("form", ["filtered", "condensed"])
     def test_flagless_sets_are_condensed_as_before(

@@ -169,11 +169,11 @@ class TestMiners:
         assert "bitset" in out
         assert "compressed" in out
 
-    def test_condensed_miners_are_closed_and_ndi(self, capsys):
+    def test_condensed_miner_is_closed(self, capsys):
         assert main(["miners"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         condensed = [row[0] for row in rows if row[1:2] == ["condensed"]]
-        assert condensed == ["closed", "ndi"]
+        assert condensed == ["closed"]
 
     def test_kind_filter(self, capsys):
         for kind in KINDS:
@@ -184,7 +184,7 @@ class TestMiners:
             names = [row[0] for row in listed]
             assert names == miner_names(kind)
             if kind == "condensed":
-                assert names == ["closed", "ndi"]
+                assert names == ["closed"]
 
 
 class TestServeBatch:
@@ -457,10 +457,9 @@ class TestWarehouseCommand:
         path = tmp_path / f"{db.fingerprint()}-4.patterns"
         write_patterns_with_support(mine_hmine(db, 4), path, 4)
         argv = ["warehouse", "migrate", "--dir", str(tmp_path),
-                "--representation", "ndi"]
+                "--representation", "closed"]
         assert main(argv) == 0
-        assert "1 of 1 entries re-written as ndi" in capsys.readouterr().out
-        # No transaction count in a legacy file: ndi falls back to closed.
+        assert "1 of 1 entries re-written as closed" in capsys.readouterr().out
         condensed, _full_bytes = read_warehouse_entry(path)
         assert condensed.representation == "closed"
         assert condensed.expand() == mine_hmine(db, 4)
@@ -612,6 +611,19 @@ class TestParser:
     def test_bench_requires_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench"])
+
+    @pytest.mark.parametrize("argv", [
+        ["serve-batch", "--workload", "w.json"],
+        ["warehouse", "migrate", "--dir", "wh"],
+    ])
+    def test_representation_is_full_or_closed(self, argv, capsys):
+        for representation in ("full", "closed"):
+            args = build_parser().parse_args([*argv, "--representation", representation])
+            assert args.representation == representation
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, "--representation", "ndi"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'ndi'" in capsys.readouterr().err
 
     def test_bench_help_lists_every_experiment_family(self):
         from repro.bench.experiments import EXPERIMENT_FAMILIES

@@ -16,6 +16,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,7 @@ from repro.data.patterns import CondensedPatternSet, PatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.durability import chain_record_text, read_chain_record, record_from_node
-from repro.errors import ReproError
+from repro.errors import DataError, ReproError
 from repro.service import PatternWarehouse
 from repro.service.workload import load_workload_items
 
@@ -52,7 +53,7 @@ LEGACY_ENTRY = b"# absolute_support=2\n1 2 : 3\n1 : 4\n2 : 3\n"
 
 ENTRY = warehouse_entry_text(
     CondensedPatternSet.condense(
-        PatternSet({(1,): 4, (2,): 3, (1, 2): 3}), 2, "ndi", n_transactions=5
+        PatternSet({(1,): 4, (2,): 3, (1, 2): 3}), 2, "closed", n_transactions=5
     ),
     full_bytes=120,
 ).encode()
@@ -94,22 +95,33 @@ _rows = st.lists(
 )
 
 
+#: ``repr`` values no reader accepts: ``ndi`` (non-derivable itemsets)
+#: is a retired representation whose files also carried ``ndi_depth``.
+UNKNOWN_REPRESENTATIONS = ("ndi", "bogus")
+
+
 @st.composite
-def checksummed_entries(draw) -> bytes:
-    """Entries whose body checksum holds, with arbitrary headers and rows."""
+def checksummed_entries(draw, representations=None) -> bytes:
+    """Entries whose body checksum holds, with arbitrary headers and rows.
+
+    Given ``representations``, every entry has a ``repr`` header drawn
+    from them; otherwise the header is optional like the others.
+    """
     body = "".join(
         f"{' '.join(map(str, items))} : {support}\n"
         for items, support in draw(_rows)
     )
     headers = [f"# absolute_support={draw(st.integers(-1, 6))}"]
     optional = {
-        "repr": st.sampled_from(("full", "closed", "ndi", "bogus")),
+        "repr": st.sampled_from(
+            representations or ("full", "closed", *UNKNOWN_REPRESENTATIONS)
+        ),
         "n_transactions": st.integers(-1, 12),
         "ndi_depth": st.integers(-1, 4),
         "full_bytes": st.integers(-1, 10**6),
     }
     for name, values in optional.items():
-        if draw(st.booleans()):
+        if (name == "repr" and representations) or draw(st.booleans()):
             headers.append(f"# {name}={draw(values)}")
     headers.append(f"# sha256={pattern_body_checksum(body)}")
     return ("\n".join(headers) + "\n" + body).encode()
@@ -142,6 +154,16 @@ def test_workload_loader(data):
 @given(data=st.one_of(fuzzed(LEGACY_ENTRY, ENTRY), checksummed_entries()))
 def test_pattern_entry_reader(data):
     parse_or_reject(read_warehouse_entry, data, "entry.patterns")
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=checksummed_entries(UNKNOWN_REPRESENTATIONS))
+def test_unknown_representation_is_rejected_at_its_header(data):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "entry.patterns"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match="unknown representation"):
+            read_warehouse_entry(path)
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError
 from repro.mining.bruteforce import mine_bruteforce
-from repro.mining.patterns import PatternSet
 from repro.rules.generation import filter_rules, generate_rules
 
 
