@@ -1,15 +1,12 @@
-"""One-shot comparison of python loops and big-int bitmaps.
-
-Times the two counting implementations against each other:
+"""One-shot record of the bitmap kernels, and of python loops against them.
 
 * eclat mining, on the dense datasets (where vertical bitmaps pay
-  off) — ``mine_eclat`` (per-element tidset intersections) vs
-  ``mine_eclat_bitset`` (one ``&`` + ``bit_count()`` per candidate);
-  both run one search, so the row also records each miner's
-  ``tidset_intersections`` (a machine-independent count; they match)
-  and ``bitset_python_calls``, the interpreter calls of one
-  ``mine_eclat_bitset`` run as cProfile counts them (also
-  machine-independent: it moves only when the search's code does);
+  off) — ``mine_eclat_bitset`` (one ``&`` + ``bit_count()`` per
+  candidate). The row records its wall time, its
+  ``tidset_intersections`` (a machine-independent count) and
+  ``bitset_python_calls``, the interpreter calls of one run as cProfile
+  counts them (also machine-independent: it moves only when the
+  search's code does);
 * grouped mining, on *all* datasets — the shared Phase 2 group kernel
   (``mine_grouped``) over the MCP-compressed database at the middle
   sweep ``xi_new``. The kernel picks its engine from its input: the
@@ -17,10 +14,11 @@ Times the two counting implementations against each other:
   groups passed bare (``list(compressed.groups)``) run the python
   tail-scans. Both must stay bit-identical everywhere.
 
-Each comparison asserts the results are bit-identical before reporting
-the speedup. Results go to ``BENCH_backends.json`` at the repo root and
-are archived as a stamped snapshot under ``.bench_history/<commit>/``
-for the trend pipeline (``repro report``).
+The grouped comparison asserts the results are bit-identical before
+reporting the speedup. Results go to ``BENCH_backends.json`` at the repo
+root and are archived as a stamped snapshot under
+``.bench_history/<commit>/`` for the trend pipeline (``repro report``),
+unless tracked source files differ from that commit.
 
 Run directly (not collected by pytest; tier-1 only collects ``tests/``)::
 
@@ -39,7 +37,7 @@ from pathlib import Path
 from repro.core.compression import compress
 from repro.data.datasets import DATASETS
 from repro.metrics.counters import CostCounters
-from repro.mining.eclat import mine_eclat, mine_eclat_bitset
+from repro.mining.eclat import mine_eclat_bitset
 from repro.mining.hmine import mine_hmine
 from repro.storage.projection import mine_grouped
 from repro.trends import write_benchmark_snapshot
@@ -75,20 +73,14 @@ def python_calls(mine, db, support: int) -> int:
 
 
 def bench_eclat(db, support: int) -> dict:
-    python_s, python_patterns = best_of(mine_eclat, db, support)
     bitset_s, bitset_patterns = best_of(mine_eclat_bitset, db, support)
-    assert python_patterns == bitset_patterns, "miners disagree on patterns"
     return {
         "task": "eclat",
         "min_support": support,
-        "patterns": len(python_patterns),
-        "python_tidset_intersections": intersections(mine_eclat, db, support),
+        "patterns": len(bitset_patterns),
         "bitset_tidset_intersections": intersections(mine_eclat_bitset, db, support),
         "bitset_python_calls": python_calls(mine_eclat_bitset, db, support),
-        "python_seconds": round(python_s, 4),
         "bitset_seconds": round(bitset_s, 4),
-        "speedup": round(python_s / bitset_s, 2),
-        "identical": True,
     }
 
 
@@ -136,12 +128,13 @@ def main() -> int:
                 **row,
             }
             results.append(row)
-            print(
-                f"{spec.name:>9} {row['task']:<11} "
-                f"python {row['python_seconds']:.3f}s  "
-                f"bitset {row['bitset_seconds']:.3f}s  "
-                f"speedup {row['speedup']:.2f}x"
-            )
+            line = f"{spec.name:>9} {row['task']:<11} "
+            if "python_seconds" in row:
+                line += f"python {row['python_seconds']:.3f}s  "
+            line += f"bitset {row['bitset_seconds']:.3f}s"
+            if "speedup" in row:
+                line += f"  speedup {row['speedup']:.2f}x"
+            print(line)
 
     legacy_path, archive_path = write_benchmark_snapshot(
         "backends",
@@ -149,7 +142,8 @@ def main() -> int:
         repo_root=REPO_ROOT,
     )
     print(f"wrote {legacy_path}")
-    print(f"archived {archive_path}")
+    if archive_path is not None:
+        print(f"archived {archive_path}")
     return 0
 
 

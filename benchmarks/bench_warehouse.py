@@ -93,7 +93,8 @@ def main() -> int:
         repo_root=REPO_ROOT,
     )
     print(f"wrote {legacy_path}")
-    print(f"archived {archive_path}")
+    if archive_path is not None:
+        print(f"archived {archive_path}")
     return 0
 
 

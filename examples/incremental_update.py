@@ -6,7 +6,8 @@ classic incremental miners need — yesterday's pattern set compresses
 today's database and the recycling miner recounts exactly. Works when
 batches are large, when the distribution shifts, and even when tuples
 are *deleted* (the cases Section 6 lists as failure modes of prior
-incremental techniques).
+incremental techniques). Each day is one ``DatabaseDelta`` applied to a
+``VersionedDatabase``, so every surviving tuple keeps its tid.
 
 Run:  python examples/incremental_update.py
 """
@@ -15,14 +16,15 @@ from __future__ import annotations
 
 import time
 
-from repro import QuestParams, quest_database, mine_hmine, incremental_mine
-from repro.core.incremental import apply_deletions, apply_insertions
+from repro import QuestParams, quest_database, mine_hmine, recycle_mine
+from repro.data import DatabaseDelta, VersionedDatabase
 
 
 def main() -> None:
     params = QuestParams(n_transactions=800, n_items=100, avg_transaction_length=8,
                          n_patterns=35, avg_pattern_length=4)
-    db = quest_database(params, seed=30)
+    version = VersionedDatabase.initial(quest_database(params, seed=30))
+    db = version.db
     support_fraction = 0.015
 
     xi = max(1, int(support_fraction * len(db)))
@@ -40,14 +42,16 @@ def main() -> None:
                         n_patterns=35, avg_pattern_length=4),
             seed=30 + day,
         )
-        db = apply_insertions(db, batch.transactions)
-        if day == 5:
-            db = apply_deletions(db, tids=list(db.tids[:400]))
+        expired = db.tids[:400] if day == 5 else ()
+        version = version.apply(
+            DatabaseDelta(appends=batch.transactions, deletes=expired)
+        )
+        db = version.db
 
         xi = max(1, int(support_fraction * len(db)))
 
         started = time.perf_counter()
-        recycled = incremental_mine(db, patterns, xi, algorithm="hmine")
+        recycled = recycle_mine(db, patterns, xi, algorithm="hmine")
         recycle_seconds = time.perf_counter() - started
 
         started = time.perf_counter()

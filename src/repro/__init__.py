@@ -31,17 +31,15 @@ from repro.constraints import (
     mine_constrained,
 )
 from repro.core import (
-    CompressedDatabase,
     CompressionResult,
+    GroupedDatabase,
     MiningSession,
     compress,
-    filter_min_support,
     fup_update,
-    incremental_mine,
+    mine_grouped,
     mine_recycle_fptree,
     mine_recycle_hmine,
     mine_recycle_treeprojection,
-    mine_rp,
     recycle_mine,
     recycle_mine_detailed,
 )
@@ -83,19 +81,18 @@ from repro.service import (
     PatternWarehouse,
 )
 from repro.mining import (
-    MINERS,
     FList,
     MinerSpec,
     PatternSet,
     get_miner,
     iter_miners,
     mine_apriori,
-    mine_eclat,
     mine_eclat_bitset,
     mine_fpgrowth,
     mine_hmine,
     mine_top_k,
     mine_treeprojection,
+    mine_with_budget,
     miner_names,
     register,
 )
@@ -104,7 +101,6 @@ from repro.storage import (
     megabytes,
     mine_hmine_with_memory_budget,
     mine_rp_with_memory_budget,
-    mine_with_memory_budget,
 )
 
 __version__ = "1.0.0"
@@ -112,7 +108,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AggregateConstraint",
     "BenchmarkError",
-    "CompressedDatabase",
     "CompressionError",
     "CompressionResult",
     "ConstraintContext",
@@ -124,7 +119,7 @@ __all__ = [
     "DataError",
     "EncodedDatabase",
     "FList",
-    "MINERS",
+    "GroupedDatabase",
     "MinerSpec",
     "Item",
     "ItemTable",
@@ -149,31 +144,28 @@ __all__ = [
     "TransactionDatabase",
     "compress",
     "connect4_like",
-    "filter_min_support",
     "filter_rules",
     "forest_like",
     "fup_update",
     "generate_rules",
     "get_dataset",
     "get_miner",
-    "incremental_mine",
     "iter_miners",
     "megabytes",
     "mine_apriori",
     "mine_constrained",
-    "mine_eclat",
     "mine_eclat_bitset",
     "mine_fpgrowth",
+    "mine_grouped",
     "mine_hmine",
     "mine_hmine_with_memory_budget",
     "mine_recycle_fptree",
     "mine_recycle_hmine",
     "mine_recycle_treeprojection",
-    "mine_rp",
     "mine_rp_with_memory_budget",
     "mine_top_k",
     "mine_treeprojection",
-    "mine_with_memory_budget",
+    "mine_with_budget",
     "miner_names",
     "pumsb_like",
     "register",

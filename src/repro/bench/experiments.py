@@ -26,14 +26,13 @@ from repro.bench.runner import (
     timed,
 )
 from repro.bench.workloads import prepare_workload
-from repro.core.naive import mine_rp
 from repro.core.utility import STRATEGIES
 from repro.core.compression import compress
 from repro.errors import BenchmarkError
-from repro.mining.registry import iter_miners
+from repro.mining.registry import iter_miners, mine_with_budget
 from repro.storage.disk import DiskModel, SimulatedDisk, transactions_byte_size
 from repro.storage.memory import estimate_transactions_bytes
-from repro.storage.projection import mine_grouped, mine_with_memory_budget
+from repro.storage.projection import mine_grouped
 
 #: Paper figure number -> (dataset, base algorithm). Figures 21-24 are the
 #: memory-limited family, handled by :func:`memory_limited_figure`.
@@ -242,7 +241,7 @@ def memory_limited_figure(
             base_disk = SimulatedDisk(counters=None)
             base = timed(
                 "hmine-budget",
-                lambda counters: mine_with_memory_budget(
+                lambda counters: mine_with_budget(
                     "hmine", "baseline", db, absolute, budget,
                     disk=base_disk, counters=counters,
                 ),
@@ -250,7 +249,7 @@ def memory_limited_figure(
             rp_disk = SimulatedDisk(counters=None)
             mcp = timed(
                 "hm-mcp-budget",
-                lambda counters: mine_with_memory_budget(
+                lambda counters: mine_with_budget(
                     "naive",
                     "recycling",
                     workload.compressions["mcp"].compressed,
@@ -346,7 +345,7 @@ def ablation_strategies(
         compression = compress(workload.db, workload.old_patterns, name, seed=seed)
         run = timed(
             f"rp-{name}",
-            lambda counters: mine_rp(compression.compressed, absolute, counters),
+            lambda counters: mine_grouped(compression.compressed, absolute, counters),
         )
         if reference is None:
             reference = run
@@ -386,11 +385,11 @@ def ablation_single_group_shortcut(
         absolute = workload.absolute_support(relative)
         with_run = timed(
             "rp-shortcut",
-            lambda counters: mine_rp(compressed, absolute, counters),
+            lambda counters: mine_grouped(compressed, absolute, counters),
         )
         without_run = timed(
             "rp-no-shortcut",
-            lambda counters: mine_rp(
+            lambda counters: mine_grouped(
                 compressed, absolute, counters, single_group_shortcut=False
             ),
         )
@@ -1081,7 +1080,7 @@ def incremental_rows(
       fup_applicable` certifies the feedstock/threshold pair (``fup_work
       = None`` otherwise, mirroring how the planner would refuse the
       mode);
-    * **recycle** — :func:`~repro.core.incremental.incremental_mine`,
+    * **recycle** — :func:`~repro.core.recycle.recycle_mine`,
       compressing the grown database with the old patterns and running
       a recycling miner.
 
@@ -1094,7 +1093,7 @@ def incremental_rows(
     post-delta request on the ``update`` path.
     """
     from repro.core.fup import fup_applicable, fup_update_delta
-    from repro.core.incremental import incremental_mine
+    from repro.core.recycle import recycle_mine
     from repro.data.versioned import DatabaseDelta, VersionedDatabase
     from repro.metrics.counters import CostCounters
     from repro.mining.hmine import mine_hmine
@@ -1142,7 +1141,7 @@ def incremental_rows(
 
         recycle_counters = CostCounters()
         started = time.perf_counter()
-        recycled = incremental_mine(
+        recycled = recycle_mine(
             new_db, old_patterns, new_support, counters=recycle_counters
         )
         recycle_wall = time.perf_counter() - started

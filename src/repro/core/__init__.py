@@ -1,25 +1,16 @@
 """The paper's contribution: recycling frequent patterns via compression.
 
-The Phase 2 miners (``naive`` and the three ``recycle_*`` modules) are
-exposed lazily (PEP 562): they import the shared group kernel from
+The Phase 2 miners (the grouped kernel ``mine_grouped``, which is the
+naive RP-Mine, and the three ``recycle_*`` modules) are exposed lazily
+(PEP 562): they import or live in the shared group kernel of
 :mod:`repro.storage.projection`, which in turn imports
 :mod:`repro.core.groups` — eager imports here would re-enter that chain
 whenever :mod:`repro.storage` is imported first. Everything cycle-free
-(groups, compression, filtering, sessions, utilities) stays eager.
+(groups, compression, sessions, utilities) stays eager.
 """
 
-from repro.core.compression import (
-    CompressedDatabase,
-    CompressionResult,
-    compress,
-)
-from repro.core.filtering import filter_min_support
+from repro.core.compression import CompressionResult, compress
 from repro.core.groups import Group, GroupedDatabase, to_grouped
-from repro.core.incremental import (
-    apply_deletions,
-    apply_insertions,
-    incremental_mine,
-)
 from repro.core.recycle import (
     RecycleOutcome,
     recycle_mine,
@@ -41,7 +32,7 @@ from repro.core.utility import (
 
 #: name -> (module, attribute) for the lazily exposed Phase 2 miners.
 _LAZY_EXPORTS = {
-    "mine_rp": ("repro.core.naive", "mine_rp"),
+    "mine_grouped": ("repro.storage.projection", "mine_grouped"),
     "mine_recycle_fptree": ("repro.core.recycle_fptree", "mine_recycle_fptree"),
     "mine_recycle_hmine": ("repro.core.recycle_hmine", "mine_recycle_hmine"),
     "mine_recycle_treeprojection": (
@@ -69,7 +60,6 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "ARRIVAL",
-    "CompressedDatabase",
     "CompressionResult",
     "CompressionStrategy",
     "Group",
@@ -81,20 +71,16 @@ __all__ = [
     "RANDOM",
     "RecycleOutcome",
     "STRATEGIES",
-    "apply_deletions",
-    "apply_insertions",
     "compress",
-    "filter_min_support",
     "fup_applicable",
     "fup_update",
     "fup_update_delta",
     "get_strategy",
-    "incremental_mine",
     "mcp_utility",
+    "mine_grouped",
     "mine_recycle_fptree",
     "mine_recycle_hmine",
     "mine_recycle_treeprojection",
-    "mine_rp",
     "mlp_utility",
     "recycle_mine",
     "recycle_mine_detailed",

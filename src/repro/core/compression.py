@@ -36,11 +36,6 @@ from repro.errors import CompressionError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
 
-#: The compressed-database container now lives in :mod:`repro.core.groups`
-#: under its unified name; this alias keeps the historical import working.
-CompressedDatabase = GroupedDatabase
-
-
 @dataclass(frozen=True)
 class CompressionResult:
     """A compressed database plus the statistics Table 3 reports."""

@@ -23,9 +23,10 @@ Every frequent pattern of the grown database has frequent subsets, so
 the search needs no level loop and no candidate-count cutoff: it stops
 where no sibling pair stays frequent.
 
-Contrast with recycling (:mod:`repro.core.incremental`): FUP needs the
-old support of every pattern, only handles insertions, and degrades when
-the support threshold changes; recycling needs none of that. The
+Contrast with recycling (:func:`~repro.core.recycle.recycle_mine`): FUP
+needs the old support of every pattern, only handles insertions, and
+degrades when the support threshold changes; recycling needs none of
+that. The
 ``bench_incremental_baselines`` benchmark measures both sides.
 """
 
@@ -170,8 +171,8 @@ def fup_update_delta(
     This wrapper refuses — it records ``update→mine: fup_insert_only``
     on ``degradation`` (when given) and raises
     :class:`~repro.errors.MiningError` so the caller falls back to a
-    sound path (recycling-based :func:`~repro.core.incremental.
-    incremental_mine`, or a scratch mine) instead.
+    sound path (:func:`~repro.core.recycle.recycle_mine`, or a scratch
+    mine) instead.
     """
     if not delta.is_insert_only:
         if degradation is not None:

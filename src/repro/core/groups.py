@@ -3,7 +3,7 @@
 The seed carried two parallel group types: ``Group`` (compression output,
 with tids and full tails) and ``CGroup`` (the Phase 2 mining row, with a
 count and only the non-empty tails). Every recycling miner then owned a
-private ``CompressedDatabase | list[CGroup]`` conversion. This module
+private conversion from either. This module
 collapses all of that into a single :class:`Group` dataclass and a
 :class:`GroupedDatabase` container that every layer — compression, the
 shared mining kernel in :mod:`repro.storage.projection`, the planner, the
@@ -121,7 +121,6 @@ class Group:
 class GroupedDatabase:
     """A database in group representation: the unit Phase 2 mines.
 
-    Replaces (and keeps the name of) the seed's ``CompressedDatabase``.
     Iterating yields :class:`Group` objects, non-empty-pattern groups
     first (largest first) and the residual group (pattern ``()``) last
     when present.  When built from a source

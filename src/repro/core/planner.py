@@ -21,9 +21,8 @@ problem statement): **update** — patch a pattern set warehoused for a
 chain *ancestor* using the :class:`~repro.data.versioned.DatabaseDelta`
 between the versions. :func:`plan_update_path` arbitrates it against the
 trichotomy with a churn cost model, and picks between two patch engines:
-FUP (exact old supports, insert-only, cheap) and recycling-based
-``incremental_mine`` (any delta, full recount over the compressed new
-database).
+FUP (exact old supports, insert-only, cheap) and ``recycle_mine``
+(any delta, full recount over the compressed new database).
 
 The planner is pure (no I/O, no mining); :func:`execute_plan` carries a
 plan out.  Splitting the two keeps the decision testable in isolation
@@ -155,7 +154,7 @@ def plan_update_path(
       increment;
     * anything else — **update/recycle**: the old patterns compress the
       *new* database and a recycling miner recounts exactly
-      (:func:`~repro.core.incremental.incremental_mine`'s engine), sound
+      (:func:`~repro.core.recycle.recycle_mine`), sound
       for deletions, mixed deltas and threshold drops alike.
     """
     if feedstock is None or feedstock_support is None or delta is None:
@@ -259,7 +258,7 @@ def execute_plan(
                     counters,
                     degradation,
                 )
-            # UPDATE_RECYCLE: incremental_mine's engine — the
+            # UPDATE_RECYCLE: recycle_mine — the
             # ancestor's patterns compress the *new* database and the
             # recycling miner recounts every support exactly, so stale
             # feedstock supports cost performance, never correctness.

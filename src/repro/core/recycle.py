@@ -18,18 +18,10 @@ from repro.core.compression import CompressionResult, compress
 from repro.core.utility import CompressionStrategy
 from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
-from repro.errors import MiningError, RecycleError
+from repro.errors import RecycleError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
 from repro.mining.registry import get_miner, has_miner, miner_names
-
-
-def get_miner_spec(algorithm: str):
-    """The full recycling :class:`~repro.mining.registry.MinerSpec`."""
-    try:
-        return get_miner(algorithm, kind="recycling")
-    except MiningError as exc:
-        raise RecycleError(str(exc).replace("miner", "algorithm", 1)) from None
 
 
 def resolve_recycling_algorithm(algorithm: str | None) -> str:
@@ -97,7 +89,7 @@ def recycle_mine_detailed(
     the compressor directly, without expanding the full set. (Phase 2
     re-counts exactly; the feedstock subset never changes the answer.)
     """
-    spec = get_miner_spec(resolve_recycling_algorithm(algorithm))
+    spec = get_miner(resolve_recycling_algorithm(algorithm), kind="recycling")
     if isinstance(old_patterns, CondensedPatternSet):
         old_patterns = old_patterns.entry_patterns()
     if len(old_patterns) == 0:

@@ -40,9 +40,10 @@ class PatternSet:
     1
     """
 
-    #: True only on a set the bitset Eclat kernel proved free of support
-    #: ties (no pattern has an extension of equal support), so its closed
-    #: form is the set itself. Derived sets and copies never inherit it.
+    #: True only on a set the Eclat kernel (``eclat-bitset``) proved free
+    #: of support ties (no pattern has an extension of equal support), so
+    #: its closed form is the set itself. Every other miner's result, and
+    #: every derived set or copy, reports False.
     tie_free = False
 
     def __init__(self, patterns: Mapping[Pattern, int] | None = None) -> None:

@@ -281,17 +281,6 @@ class TransactionDatabase:
             _checked_tids((self._tids[i] for i in indices), len(indices)),
         )
 
-    def extend(self, more: Iterable[Iterable[int]]) -> "TransactionDatabase":
-        """A new database with ``more`` transactions appended (fresh tids).
-
-        >>> TransactionDatabase([[1]]).extend([[None, 1]])  # doctest: +ELLIPSIS
-        Traceback (most recent call last):
-        ...
-        repro.errors.DataError: transaction [None, 1] has bad items ...
-        """
-        added = tuple(normalize_row(raw, "transaction") for raw in more)
-        return TransactionDatabase._trusted(self._transactions + added)
-
     def relative_to_absolute(self, min_support: float) -> int:
         """Convert a relative min-support in (0, 1] to an absolute count.
 

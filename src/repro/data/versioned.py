@@ -18,8 +18,7 @@ Two invariants make the chain usable as a cache-key lineage:
 * **Tids are stable and never reused.** Applying a delta preserves the
   tids of surviving transactions and assigns appended transactions fresh
   tids past the chain-wide maximum, so a tid means the same tuple in
-  every version that contains it. (Contrast
-  :meth:`TransactionDatabase.extend`, which renumbers.)
+  every version that contains it.
 * **Append-only growth is fingerprint-compatible with direct
   construction.** A fresh database uses tids ``0..n-1``; appending ``m``
   transactions yields tids ``0..n+m-1`` — exactly what building the

@@ -269,27 +269,15 @@ class MiningGateway:
         with self._cv:
             now = self._clock()
             expired = self._queue.purge_expired(now)
-            leader = self._queue.pop()
-            members: list[QueueEntry] = []
-            if leader is not None and self.config.batching:
-                limit = (
-                    None
-                    if self.config.max_batch_size is None
-                    else self.config.max_batch_size - 1
-                )
-                members = self._queue.take_compatible(
-                    leader.gateway_request.batch_key(), limit
-                )
-            self._note_depth_locked()
+            plan = self._take_plan_locked()
         resolved = 0
         for entry in expired:
             self._resolve_unserved(
                 entry, STATUS_EXPIRED, REASON_DEADLINE_EXPIRED
             )
             resolved += 1
-        if leader is None:
+        if plan is None:
             return resolved
-        plan = plan_batch(leader, members)
         try:
             shared = self._service.execute(plan.shared_request())
         except BaseException as exc:
@@ -366,6 +354,28 @@ class MiningGateway:
     def _note_depth_locked(self) -> None:
         self.stats.note_queue_depth(self._queue.depth, self._queue.high_water)
 
+    def _take_plan_locked(self) -> BatchPlan | None:
+        """Pop the next leader and its compatible queue-mates into a plan.
+
+        Caller holds ``_cv``. With batching on, the leader pulls up to
+        ``max_batch_size - 1`` members sharing its batch key. The queue
+        depth is noted after the take, so the gauge sees the drained
+        queue. None when the queue is empty.
+        """
+        leader = self._queue.pop()
+        members: list[QueueEntry] = []
+        if leader is not None and self.config.batching:
+            limit = (
+                None
+                if self.config.max_batch_size is None
+                else self.config.max_batch_size - 1
+            )
+            members = self._queue.take_compatible(
+                leader.gateway_request.batch_key(), limit
+            )
+        self._note_depth_locked()
+        return None if leader is None else plan_batch(leader, members)
+
     def _resolve_unserved(
         self, entry: QueueEntry, status: str, reason: str
     ) -> None:
@@ -427,19 +437,7 @@ class MiningGateway:
                         self._queue.depth
                         and self._inflight < self.config.max_inflight
                     ):
-                        leader = self._queue.pop()
-                        members: list[QueueEntry] = []
-                        if self.config.batching:
-                            limit = (
-                                None
-                                if self.config.max_batch_size is None
-                                else self.config.max_batch_size - 1
-                            )
-                            members = self._queue.take_compatible(
-                                leader.gateway_request.batch_key(), limit
-                            )
-                        self._note_depth_locked()
-                        plan = plan_batch(leader, members)
+                        plan = self._take_plan_locked()
                         dispatched_at = now
                         self._inflight += 1
                         break

@@ -10,17 +10,17 @@ optional :class:`~repro.metrics.counters.CostCounters` accounting.
 
 from repro.mining.apriori import mine_apriori
 from repro.mining.bruteforce import mine_bruteforce
-from repro.mining.eclat import mine_eclat, mine_eclat_bitset
+from repro.mining.eclat import mine_eclat_bitset
 from repro.mining.flist import FList
 from repro.mining.fptree import FPNode, FPTree, mine_fpgrowth
 from repro.mining.hmine import build_hstruct, mine_hmine, mine_hmine_suffixes
 from repro.mining.patterns import Pattern, PatternSet, pattern
 from repro.mining.registry import (
-    MINERS,
     MinerSpec,
     get_miner,
     has_miner,
     iter_miners,
+    mine_with_budget,
     miner_names,
     register,
 )
@@ -29,7 +29,6 @@ from repro.mining.treeprojection import mine_treeprojection
 
 __all__ = [
     "FList",
-    "MINERS",
     "MinerSpec",
     "FPNode",
     "FPTree",
@@ -41,13 +40,13 @@ __all__ = [
     "iter_miners",
     "mine_apriori",
     "mine_bruteforce",
-    "mine_eclat",
     "mine_eclat_bitset",
     "mine_fpgrowth",
     "mine_hmine",
     "mine_hmine_suffixes",
     "mine_top_k",
     "mine_treeprojection",
+    "mine_with_budget",
     "miner_names",
     "pattern",
     "register",

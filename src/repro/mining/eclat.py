@@ -20,63 +20,45 @@ baseline: it shares neither layout (vertical vs. horizontal) nor traversal
 code with the projected-database miners, which makes cross-checking
 results meaningful.
 
-Two backends run the identical search (:func:`_search`), so they report
-equal ``tidset_intersections``:
+One backend runs the search (:func:`_search`): :func:`mine_eclat_bitset`
+over the shared :class:`~repro.data.encoded.EncodedDatabase` big-int
+bitmaps, where an intersection is one ``&`` and a support count one
+``bit_count()``. It is registered as ``"eclat-bitset"``, the serving
+kernel.
 
-* :func:`mine_eclat` — pure-Python ``set[int]`` tidsets, support by
-  ``len`` (registry backend ``"python"``);
-* :func:`mine_eclat_bitset` — the shared
-  :class:`~repro.data.encoded.EncodedDatabase` big-int bitmaps, where an
-  intersection is one ``&`` and a support count one ``bit_count()``
-  (registry backend ``"bitset"``).
-
-The bitset search also returns a verdict, ``PatternSet.tie_free``: True
-proves that no pattern has an extension of equal support, so every
-pattern is closed and a closed condensation cannot shrink the set. It
-is the closure test (a pattern is closed iff no item's cover contains
-its cover) run on covers the search already holds: no perfect extension
-and no two leaves with the same tidset (proof in :func:`_search`). The
-python backend reports False, as does every set derived from a mined
-one.
+The search also returns a verdict, ``PatternSet.tie_free``: True proves
+that no pattern has an extension of equal support, so every pattern is
+closed and a closed condensation cannot shrink the set. It is the
+closure test (a pattern is closed iff no item's cover contains its
+cover) run on covers the search already holds: no perfect extension and
+no two leaves with the same tidset (proof in :func:`_search`). Every set
+derived from a mined one reports False.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Any, Callable
 
 from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import Pattern, PatternSet
 
-# A candidate extension: (item, tidset, support). The tidset is a
-# ``set[int]`` or a big-int bitmap; both intersect with ``&``.
-Candidate = tuple[int, Any, int]
-
-
-def _vertical_layout(db: TransactionDatabase) -> dict[int, set[int]]:
-    """Build ``{item: tidset}`` over transaction positions."""
-    tidsets: dict[int, set[int]] = {}
-    for tid, tx in enumerate(db):
-        for item in tx:
-            tidsets.setdefault(item, set()).add(tid)
-    return tidsets
+# A candidate extension: (item, tidset bitmap, support).
+Candidate = tuple[int, int, int]
 
 
 def _search(
     db: TransactionDatabase,
     roots: list[Candidate],
     min_support: int,
-    count: Callable[[Any], int],
     counters: CostCounters | None,
-    prove_tie_free: bool = False,
 ) -> PatternSet:
-    """Eclat with perfect-extension pruning over ``db``'s tidsets.
+    """Eclat with perfect-extension pruning over ``db``'s tidset bitmaps.
 
-    ``roots`` are the frequent items in ascending-support order and
-    ``count`` the support of a tidset. A node with ``n`` candidates
-    intersects each pair once, so it costs ``n * (n - 1) / 2``.
+    ``roots`` are the frequent items in ascending-support order. A node
+    with ``n`` candidates intersects each pair once, so it costs
+    ``n * (n - 1) / 2``.
 
     Each node writes its ``2^|own|`` patterns (itself joined with every
     subset of its perfect extensions ``own``) straight into a plain
@@ -90,8 +72,7 @@ def _search(
     the dict holds that many patterns, which catches any pattern emitted
     twice (a repeated root item, say), even at the same support.
 
-    With ``prove_tie_free`` (hashable tidsets only) the result's
-    ``tie_free`` is True iff the search saw no perfect extension and no
+    The result's ``tie_free`` is True iff the search saw no perfect extension and no
     two *leaves* — nodes whose narrowed candidate list is empty — with
     equal tidsets; then no pattern X has an extension X ∪ {i} of equal
     support, so every pattern is closed. The converse is direct: a
@@ -113,9 +94,10 @@ def _search(
     supports: dict[Pattern, int] = {}
     emitted = 0
     intersections = 0
-    # Hashes of the leaves' tidsets; None once a tie is seen (or when
-    # not proving), which also stops the hashing.
-    leaves: set[int] | None = set() if prove_tie_free else None
+    count = int.bit_count
+    # Hashes of the leaves' tidsets; None once a tie is seen, which also
+    # stops the hashing.
+    leaves: set[int] | None = set()
 
     def joined(node: tuple[int, ...], own: tuple[int, ...], support: int) -> int:
         """Emit ``node`` joined with each non-empty subset of ``own``."""
@@ -179,46 +161,23 @@ def _search(
     return result
 
 
-def mine_eclat(
-    db: TransactionDatabase,
-    min_support: int,
-    counters: CostCounters | None = None,
-) -> PatternSet:
-    """All patterns with support >= ``min_support`` via tidset intersection."""
-    if min_support < 1:
-        raise MiningError(f"min_support must be >= 1, got {min_support}")
-
-    tidsets = _vertical_layout(db)
-    frequent_items = sorted(
-        (item for item, tids in tidsets.items() if len(tids) >= min_support),
-        key=lambda item: (len(tidsets[item]), item),
-    )
-    return _search(
-        db,
-        [(item, tidsets[item], len(tidsets[item])) for item in frequent_items],
-        min_support,
-        len,
-        counters,
-    )
-
-
 def mine_eclat_bitset(
     db: TransactionDatabase,
     min_support: int,
     counters: CostCounters | None = None,
 ) -> PatternSet:
-    """Eclat over the shared encoded database's vertical bitmaps.
+    """All patterns with support >= ``min_support`` via tidset intersection.
 
-    Bit-identical output to :func:`mine_eclat`; the tidsets are big-int
-    bitmaps from :meth:`TransactionDatabase.encoded`, so intersections and
-    support counts run word-parallel instead of element by element. The
-    result carries the search's ``tie_free`` verdict (see :func:`_search`).
+    The tidsets are big-int bitmaps from
+    :meth:`TransactionDatabase.encoded`, so intersections and support
+    counts run word-parallel instead of element by element. The result
+    carries the search's ``tie_free`` verdict (see :func:`_search`).
     """
     if min_support < 1:
         raise MiningError(f"min_support must be >= 1, got {min_support}")
 
     enc = db.encoded()
-    # Ascending support (ties by item id), as in the python backend.
+    # Ascending support, ties by item id.
     order = sorted(
         (code for code in range(enc.item_count()) if enc.support(code) >= min_support),
         key=lambda code: (enc.support(code), enc.item_of(code)),
@@ -227,7 +186,5 @@ def mine_eclat_bitset(
         db,
         [(enc.item_of(code), enc.bitmap(code), enc.support(code)) for code in order],
         min_support,
-        int.bit_count,
         counters,
-        prove_tie_free=True,
     )

@@ -109,7 +109,8 @@ def mine_hmine(
     """All patterns with support >= ``min_support`` using H-Mine.
 
     For the memory-limited variant the paper evaluates in Section 5.3, use
-    :func:`repro.storage.projection.mine_with_memory_budget`.
+    :func:`repro.mining.registry.mine_with_budget` (registered driver
+    :func:`repro.storage.projection.mine_hmine_with_memory_budget`).
     """
     if min_support < 1:
         raise MiningError(f"min_support must be >= 1, got {min_support}")

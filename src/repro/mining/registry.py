@@ -1,17 +1,17 @@
 """The capability-aware miner registry: one dispatch surface for all miners.
 
-Every miner resolves through the single :data:`MINERS` registry of
-:class:`MinerSpec` entries. A spec records everything a driver needs to
-pick a miner:
+Every miner resolves through one registry of :class:`MinerSpec`
+entries, read with :func:`get_miner` and :func:`iter_miners`. A spec
+records everything a driver needs to pick a miner:
 
 ``name``
     CLI-facing identifier, unique per kind.
 ``kind``
     ``"baseline"`` (mines a :class:`TransactionDatabase` from scratch),
-    ``"recycling"`` (mines a :class:`CompressedDatabase` — the paper's
-    phase 2), or ``"condensed"`` (mines a :class:`TransactionDatabase`
-    directly into a
-    :class:`~repro.data.patterns.CondensedPatternSet` of closed
+    ``"recycling"`` (mines a
+    :class:`~repro.core.groups.GroupedDatabase` — the paper's phase 2),
+    or ``"condensed"`` (mines a :class:`TransactionDatabase` directly
+    into a :class:`~repro.data.patterns.CondensedPatternSet` of closed
     entries, the warehouse's condensed representation).
 ``fn``
     ``fn(source, min_support, counters=None) -> PatternSet`` (a
@@ -33,17 +33,18 @@ registers a new miner with :func:`register` and every driver — CLI,
 :class:`MiningSession`, ``recycle_mine``, the benchmark harness — picks
 it up without further wiring.
 
-The built-in miners live in :mod:`repro.mining` and :mod:`repro.core`;
-to avoid import cycles they are registered lazily on first lookup
-(:func:`_bootstrap`), so importing this module stays cheap and safe from
-anywhere in the package.
+The built-in miners live in :mod:`repro.mining`, :mod:`repro.core` and
+:mod:`repro.storage.projection` (the grouped kernel, registered as the
+``naive`` recycler); to avoid import cycles they are registered lazily
+on first lookup (:func:`_bootstrap`), so importing this module stays
+cheap and safe from anywhere in the package.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import MiningError
 
@@ -140,29 +141,6 @@ def iter_miners(kind: str | None = None) -> list[MinerSpec]:
     ]
 
 
-class _Registry(Mapping[tuple[str, str], MinerSpec]):
-    """Read-only mapping view over the full registry, keyed (kind, name)."""
-
-    def __getitem__(self, key: tuple[str, str]) -> MinerSpec:
-        _bootstrap()
-        return _MINERS[key]
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        _bootstrap()
-        return iter(sorted(_MINERS))
-
-    def __len__(self) -> int:
-        _bootstrap()
-        return len(_MINERS)
-
-    def __repr__(self) -> str:
-        return f"MINERS({len(self)} registered)"
-
-
-#: The single registry every dispatch surface resolves through.
-MINERS = _Registry()
-
-
 def mine_with_budget(
     name: str,
     kind: str,
@@ -204,18 +182,18 @@ def _bootstrap() -> None:
 
 
 def _register_builtins() -> None:
-    from repro.core.naive import mine_rp
     from repro.core.recycle_fptree import mine_recycle_fptree
     from repro.core.recycle_hmine import mine_recycle_hmine
     from repro.core.recycle_treeprojection import mine_recycle_treeprojection
     from repro.mining.apriori import mine_apriori
     from repro.mining.bruteforce import mine_bruteforce
     from repro.mining.condensed import mine_closed_bitset
-    from repro.mining.eclat import mine_eclat, mine_eclat_bitset
+    from repro.mining.eclat import mine_eclat_bitset
     from repro.mining.fptree import mine_fpgrowth
     from repro.mining.hmine import mine_hmine
     from repro.mining.treeprojection import mine_treeprojection
     from repro.storage.projection import (
+        mine_grouped,
         mine_hmine_with_memory_budget,
         mine_rp_with_memory_budget,
     )
@@ -232,12 +210,6 @@ def _register_builtins() -> None:
             kind="baseline",
             fn=mine_bruteforce,
             description="exhaustive subset enumeration (test oracle)",
-        ),
-        MinerSpec(
-            name="eclat",
-            kind="baseline",
-            fn=mine_eclat,
-            description="vertical tidset intersection",
         ),
         MinerSpec(
             name="eclat-bitset",
@@ -267,7 +239,7 @@ def _register_builtins() -> None:
         MinerSpec(
             name="naive",
             kind="recycling",
-            fn=mine_rp,
+            fn=mine_grouped,
             needs_compressed=True,
             budget_fn=mine_rp_with_memory_budget,
             description="RP-Mine over compressed groups (Figure 3)",

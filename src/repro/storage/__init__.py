@@ -15,7 +15,6 @@ from repro.storage.memory import (
 from repro.storage.projection import (
     mine_hmine_with_memory_budget,
     mine_rp_with_memory_budget,
-    mine_with_memory_budget,
 )
 
 __all__ = [
@@ -28,6 +27,5 @@ __all__ = [
     "megabytes",
     "mine_hmine_with_memory_budget",
     "mine_rp_with_memory_budget",
-    "mine_with_memory_budget",
     "transactions_byte_size",
 ]

@@ -20,10 +20,11 @@ python
     per-item loops. Used for everything else: bare hand-built group
     lists and the memory-limited partitions.
 
-Both engines produce bit-identical pattern sets. Every recycling miner
-(`naive`, Recycle-HM/FP/TP/Eclat) routes its shared pieces — global
-F-list counting, root normalization, the single-group enumerator —
-through this kernel instead of private copies.
+Both engines produce bit-identical pattern sets. :func:`mine_grouped`
+is itself the `naive` recycler, RP-Mine (Figure 3); Recycle-HM/FP/TP
+route their shared pieces — global F-list counting, root normalization,
+the single-group enumerator — through this kernel instead of private
+copies.
 
 The second half is the memory-limited *parallel projection* machinery of
 Sections 3.3 and 5.3: when the mining structure exceeds the budget, one
@@ -388,27 +389,6 @@ def mine_grouped(
 # ----------------------------------------------------------------------
 # memory-limited drivers (Sections 3.3 / 5.3, Figures 21-24)
 # ----------------------------------------------------------------------
-def mine_with_memory_budget(
-    algorithm: str,
-    kind: str,
-    source: TransactionDatabase | GroupedDatabase | list[Group],
-    min_support: int,
-    memory_budget_bytes: int,
-    **kwargs: object,
-) -> PatternSet:
-    """Run the memory-limited driver of a registered miner.
-
-    Resolves ``(kind, algorithm)`` through the miner registry and invokes
-    the spec's ``budget_fn``; raises :class:`~repro.errors.MiningError`
-    for miners without the memory-budget capability.
-    """
-    from repro.mining.registry import mine_with_budget
-
-    return mine_with_budget(
-        algorithm, kind, source, min_support, memory_budget_bytes, **kwargs
-    )
-
-
 def mine_hmine_with_memory_budget(
     db: TransactionDatabase,
     min_support: int,

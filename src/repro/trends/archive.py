@@ -36,6 +36,10 @@ from repro.trends.schema import (
 #: Default archive directory name, relative to the repo root.
 HISTORY_DIR = ".bench_history"
 
+#: Tracked trees whose uncommitted edits make a run's figures something
+#: other than HEAD's, so such a run is not archived under HEAD's hash.
+SOURCE_DIRS = ("src", "benchmarks")
+
 
 def _git(repo_root: Path, *args: str) -> str | None:
     """Run one git command; None when git or the repo is unavailable."""
@@ -56,6 +60,16 @@ def git_head(repo_root: Path) -> str:
     """The current commit hash, or ``unknown`` outside a git checkout."""
     out = _git(repo_root, "rev-parse", "HEAD")
     return out.strip() if out else UNKNOWN
+
+
+def _dirty_sources(repo_root: Path) -> list[str]:
+    """Tracked files under :data:`SOURCE_DIRS` that differ from HEAD.
+
+    Staged and unstaged edits both count; untracked files do not. Empty
+    outside a git checkout, where there is no HEAD to misattribute.
+    """
+    out = _git(repo_root, "diff", "HEAD", "--name-only", "--", *SOURCE_DIRS)
+    return out.splitlines() if out else []
 
 
 def _file_commits(repo_root: Path, relative: str) -> list[tuple[str, str]]:
@@ -132,13 +146,18 @@ def write_benchmark_snapshot(
     repo_root: str | Path,
     history_dir: str | Path | None = None,
     legacy: bool = True,
-) -> tuple[Path | None, Path]:
+) -> tuple[Path | None, Path | None]:
     """Stamp and persist one benchmark run; returns (legacy path, archive path).
 
     The legacy root file keeps the exact pre-archive body (payload only,
     two-space JSON, trailing newline) so everything that reads
     ``BENCH_*.json`` today is untouched; the archived copy wraps the same
     payload in the stamped snapshot envelope.
+
+    A run whose tracked ``src/`` or ``benchmarks/`` files differ from
+    HEAD (:func:`_dirty_sources`) measured code HEAD does not hold, so it
+    is not archived under HEAD's hash: the legacy file is still written,
+    the reason goes to stderr and the archive path is None.
     """
     if bench not in LEGACY_FILES:
         raise TrendsError(
@@ -160,6 +179,16 @@ def write_benchmark_snapshot(
         legacy_path.write_text(
             json.dumps(dict(payload), indent=2) + "\n", encoding="utf-8"
         )
+    dirty = _dirty_sources(repo_root)
+    if dirty:
+        print(
+            f"not archived: {len(dirty)} tracked file(s) under "
+            f"{' or '.join(SOURCE_DIRS)} differ from HEAD {snapshot.commit[:12]} "
+            f"({', '.join(dirty[:3])}{', ...' if len(dirty) > 3 else ''}); "
+            "commit them and re-run to archive this run",
+            file=sys.stderr,
+        )
+        return legacy_path, None
     archive = SnapshotArchive(history_dir or repo_root / HISTORY_DIR)
     return legacy_path, archive.write(snapshot)
 

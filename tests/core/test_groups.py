@@ -3,8 +3,8 @@
 Covers the Group dataclass (legacy positional compatibility, the byte
 size model, compaction), the GroupedDatabase container (constructors,
 size model, bitset eligibility, decompression) and the to_grouped
-coercion point, plus the deprecation shims left behind in
-repro.core.naive. The empty/all-residual edge cases pinned here are
+coercion point, plus the absence of the retired CGroup-era shims. The
+empty/all-residual edge cases pinned here are
 regression tests: compression_ratio must be 1.0 (not ZeroDivisionError)
 for an empty database, and an all-residual compression must round-trip.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.compression import CompressedDatabase, compress
+from repro.core.compression import compress
 from repro.core.groups import (
     ITEM_BYTES,
     RECORD_OVERHEAD_BYTES,
@@ -81,9 +81,6 @@ class TestGroup:
 
 
 class TestGroupedDatabase:
-    def test_compressed_database_is_an_alias(self):
-        assert CompressedDatabase is GroupedDatabase
-
     def test_from_database_single_residual_group(self, tiny_db):
         grouped = GroupedDatabase.from_database(tiny_db)
         assert len(grouped) == 1
@@ -186,11 +183,10 @@ class TestRetiredShims:
 
     def test_retired_names_are_absent(self):
         import repro.core
-        import repro.core.naive as naive
 
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.naive  # noqa: F401
         for name in ("CGroup", "compressed_to_cgroups", "database_to_cgroups"):
-            with pytest.raises(AttributeError):
-                getattr(naive, name)
             with pytest.raises(AttributeError):
                 getattr(repro.core, name)
             assert name not in repro.core.__all__

@@ -1,4 +1,8 @@
-"""Tests for the naive RP-Mine algorithm (Figure 3) and group machinery."""
+"""Tests for the naive RP-Mine algorithm (Figure 3) and group machinery.
+
+RP-Mine is the grouped kernel ``mine_grouped``, registered as the
+``naive`` recycler.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +10,12 @@ import pytest
 
 from repro.core.compression import compress
 from repro.core.groups import Group, to_grouped
-from repro.core.naive import mine_rp
 from repro.errors import MiningError
 from repro.metrics.counters import CostCounters
 from repro.mining.apriori import mine_apriori
 from repro.storage.projection import (
     count_group_supports,
+    mine_grouped,
     normalize_groups,
     project_groups,
 )
@@ -30,18 +34,18 @@ class TestPaperExample3:
     def test_full_result_matches_uncompressed_mining(
         self, paper_db, paper_compressed
     ):
-        assert mine_rp(paper_compressed, 2) == mine_apriori(paper_db, 2)
+        assert mine_grouped(paper_compressed, 2) == mine_apriori(paper_db, 2)
 
     def test_d_extension_patterns(self, paper_compressed):
         """Step 1 of Example 3: the patterns containing d, all support 2:
         {dc, df, dg, dcf, dgc, dfg, dcfg}."""
-        patterns = mine_rp(paper_compressed, 2)
+        patterns = mine_grouped(paper_compressed, 2)
         for items in ((D, C), (D, F), (D, G), (D, C, F), (D, G, C), (D, F, G), (D, C, F, G)):
             assert patterns.support(items) == 2, f"missing d-pattern {items}"
 
     def test_f_extension_patterns(self, paper_compressed):
         """Step 2: fg:3, fe:2, fc:3, fge:2, fgc:3, fec:2, fgec:2."""
-        patterns = mine_rp(paper_compressed, 2)
+        patterns = mine_grouped(paper_compressed, 2)
         assert patterns.support({F, G}) == 3
         assert patterns.support({F, E}) == 2
         assert patterns.support({F, C}) == 3
@@ -52,7 +56,7 @@ class TestPaperExample3:
 
     def test_a_extension_patterns(self, paper_compressed):
         """Step 4: ae:3, aec:2, ac:2."""
-        patterns = mine_rp(paper_compressed, 2)
+        patterns = mine_grouped(paper_compressed, 2)
         assert patterns.support({A, E}) == 3
         assert patterns.support({A, E, C}) == 2
         assert patterns.support({A, C}) == 2
@@ -61,12 +65,12 @@ class TestPaperExample3:
         """In the d-projected database every frequent occurrence sits in
         group fgc — Lemma 3.1 must kick in at least once."""
         counters = CostCounters()
-        mine_rp(paper_compressed, 2, counters)
+        mine_grouped(paper_compressed, 2, counters)
         assert counters.single_group_enumerations >= 1
 
     def test_shortcut_disabled_gives_identical_result(self, paper_compressed):
-        fast = mine_rp(paper_compressed, 2)
-        slow = mine_rp(paper_compressed, 2, single_group_shortcut=False)
+        fast = mine_grouped(paper_compressed, 2)
+        slow = mine_grouped(paper_compressed, 2, single_group_shortcut=False)
         assert fast == slow
 
 
@@ -75,7 +79,7 @@ class TestGroupHelpers:
         """Mining an uncompressed database wrapped as residual groups
         equals plain mining — the degenerate recycling case."""
         groups = to_grouped(paper_db).mining_groups()
-        assert mine_rp(groups, 2) == mine_apriori(paper_db, 2)
+        assert mine_grouped(groups, 2) == mine_apriori(paper_db, 2)
 
     def test_count_group_supports_uses_group_counts(self):
         stats = {"group_counts": 0, "tuple_scans": 0, "item_visits": 0}
@@ -125,7 +129,7 @@ class TestGroupHelpers:
 
     def test_invalid_support_rejected(self, paper_compressed):
         with pytest.raises(MiningError):
-            mine_rp(paper_compressed, 0)
+            mine_grouped(paper_compressed, 0)
 
 
 class TestCountersAccounting:
@@ -138,6 +142,6 @@ class TestCountersAccounting:
         mine_hmine(paper_db, 2, baseline)
         recycled = CostCounters()
         compressed = compress(paper_db, paper_old_patterns, "mcp").compressed
-        mine_rp(compressed, 2, recycled)
+        mine_grouped(compressed, 2, recycled)
         assert recycled.item_visits < baseline.item_visits
         assert recycled.group_counts > 0

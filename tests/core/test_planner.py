@@ -76,7 +76,7 @@ class TestExecution:
 
     def test_mine_path_honors_algorithm(self, db):
         plan = plan_support_path(6, None, None)
-        result = execute_plan(plan, db, 6, algorithm="eclat")
+        result = execute_plan(plan, db, 6, algorithm="eclat-bitset")
         assert result == mine_hmine(db, 6)
 
 
@@ -137,12 +137,12 @@ class TestAlgorithmResolution:
         assert resolve_recycling_algorithm("hmine") == "hmine"
 
     @pytest.mark.parametrize(
-        "algorithm", ["eclat-bitset", "eclat", "apriori", "bruteforce"]
+        "algorithm", ["eclat-bitset", "apriori", "bruteforce"]
     )
     def test_no_recycler_of_its_own_runs_rp_mine(self, algorithm):
         assert resolve_recycling_algorithm(algorithm) == "naive"
 
-    @pytest.mark.parametrize("algorithm", ["bogus", "closed", "ndi"])
+    @pytest.mark.parametrize("algorithm", ["bogus", "closed", "ndi", "eclat"])
     def test_neither_baseline_nor_recycler_raises(self, algorithm):
         with pytest.raises(RecycleError, match="unknown algorithm"):
             resolve_recycling_algorithm(algorithm)

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compression import compress
-from repro.core.naive import mine_rp
 from repro.core.recycle_fptree import mine_recycle_fptree
 from repro.core.recycle_hmine import mine_recycle_hmine
 from repro.core.recycle_treeprojection import mine_recycle_treeprojection
@@ -24,6 +23,7 @@ from repro.data.transactions import TransactionDatabase
 from repro.mining.apriori import mine_apriori
 from repro.mining.bruteforce import mine_bruteforce
 from repro.mining.registry import get_miner, miner_names
+from repro.storage.projection import mine_grouped
 
 ALL_RECYCLERS = miner_names("recycling")
 
@@ -137,7 +137,7 @@ class TestCornerCases:
         ghost = PatternSet({frozenset({7, 8, 9}): 3, frozenset({1, 2}): 1})
         reference = mine_apriori(db, 2)
         compressed = compress(db, ghost, "mcp").compressed
-        assert mine_rp(compressed, 2) == reference
+        assert mine_grouped(compressed, 2) == reference
         assert mine_recycle_hmine(compressed, 2) == reference
         assert mine_recycle_fptree(compressed, 2) == reference
         assert mine_recycle_treeprojection(compressed, 2) == reference

@@ -68,7 +68,9 @@ class TestPathSelection:
 
 
 class TestAlgorithms:
-    @pytest.mark.parametrize("algorithm", ["naive", "hmine", "fpgrowth", "treeprojection", "eclat"])
+    @pytest.mark.parametrize(
+        "algorithm", ["naive", "hmine", "fpgrowth", "treeprojection", "eclat-bitset"]
+    )
     @pytest.mark.parametrize("strategy", ["mcp", "mlp"])
     def test_all_combinations_exact(self, db, algorithm, strategy):
         session = MiningSession(db, algorithm=algorithm, strategy=strategy)

@@ -14,7 +14,9 @@ _DB = random_database(n_transactions=60, n_items=12, max_transaction_length=8, s
 
 @given(
     supports=st.lists(st.integers(min_value=2, max_value=30), min_size=1, max_size=6),
-    algorithm=st.sampled_from(["naive", "hmine", "fpgrowth", "treeprojection", "eclat"]),
+    algorithm=st.sampled_from(
+        ["naive", "hmine", "fpgrowth", "treeprojection", "eclat-bitset"]
+    ),
 )
 @settings(max_examples=25, deadline=None)
 def test_any_support_walk_is_exact(supports, algorithm):

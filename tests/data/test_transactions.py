@@ -118,39 +118,9 @@ class TestDerivedDatabases:
         sampled = tiny_db.sample([0, 2])
         assert sampled.transactions == ((1, 2, 3), (2, 3))
 
-    def test_extend_appends_with_fresh_tids(self, tiny_db):
-        grown = tiny_db.extend([[4, 5]])
-        assert len(grown) == 5
-        assert grown[4] == (4, 5)
-        assert grown.tids == (0, 1, 2, 3, 4)
-
-    @pytest.mark.parametrize("row", [[None, 1], ["a"], [-2], [True]])
-    def test_extend_rejects_bad_rows_with_data_error(self, tiny_db, row):
-        with pytest.raises(DataError, match="bad items"):
-            tiny_db.extend([row])
-
-    def test_extend_normalizes_each_row_once(self, tiny_db, monkeypatch):
-        from repro.data import transactions
-
-        calls = []
-        normalize_row = transactions.normalize_row
-
-        def counting(raw, what):
-            calls.append(raw)
-            return normalize_row(raw, what)
-
-        monkeypatch.setattr(transactions, "normalize_row", counting)
-        grown = tiny_db.extend([[5, 4, 5]])
-        assert calls == [[5, 4, 5]]
-        assert grown[-1] == (4, 5)
-
     def test_sample_rejects_repeated_positions(self, tiny_db):
         with pytest.raises(DataError, match="unique"):
             tiny_db.sample([0, 0])
-
-    def test_extend_does_not_mutate_original(self, tiny_db):
-        tiny_db.extend([[9]])
-        assert len(tiny_db) == 4
 
 
 class TestRelativeSupport:

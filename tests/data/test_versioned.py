@@ -103,6 +103,21 @@ class TestVersionedChain:
         assert v2.db.tids == (0, 1, 2, 3, 5)
         assert v2.db.transactions[-1] == (9,)
 
+    def test_delete_then_append_equals_the_combined_delta(self):
+        """Two hops keep every surviving tid and land exactly where one
+        combined delta does: same rows, same tids, same fingerprint."""
+        base = TransactionDatabase([[1], [2], [3], [4]])
+        shrunk = DatabaseDelta.delete([1]).apply(base)
+        two_hops = DatabaseDelta.append([[5]]).apply(shrunk)
+        combined = DatabaseDelta(appends=[[5]], deletes=[1]).apply(base)
+        assert two_hops.tids == combined.tids == (0, 2, 3, 4)
+        assert two_hops.transactions == combined.transactions
+        assert two_hops.fingerprint() == combined.fingerprint()
+        # Renumbering the survivors would be a different database.
+        renumbered = TransactionDatabase(two_hops.transactions)
+        assert renumbered.tids == (0, 1, 2, 3)
+        assert renumbered.fingerprint() != two_hops.fingerprint()
+
     def test_delta_from_reconstructs_multi_hop_change(self, db):
         v0 = VersionedDatabase.initial(db)
         v1 = v0.apply(DatabaseDelta(appends=((8, 9),), deletes=frozenset({0})))

@@ -9,7 +9,7 @@ from repro.errors import MiningError
 from repro.metrics.counters import CostCounters
 from repro.mining.apriori import mine_apriori
 from repro.mining.bruteforce import mine_bruteforce
-from repro.mining.eclat import mine_eclat
+from repro.mining.eclat import mine_eclat_bitset
 from repro.mining.fptree import mine_fpgrowth
 from repro.mining.hmine import build_hstruct, mine_hmine
 from repro.mining.flist import FList
@@ -90,7 +90,7 @@ class TestHMineInternals:
 class TestAlgorithmSpecificCounters:
     def test_eclat_counts_intersections(self, paper_db):
         counters = CostCounters()
-        mine_eclat(paper_db, 2, counters)
+        mine_eclat_bitset(paper_db, 2, counters)
         assert counters.as_dict()["tidset_intersections"] > 0
 
     def test_treeprojection_counts_matrix_updates(self, paper_db):

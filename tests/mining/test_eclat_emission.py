@@ -15,7 +15,7 @@ from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError
 from repro.metrics.counters import CostCounters
 from repro.mining.bruteforce import mine_bruteforce
-from repro.mining.eclat import _search, mine_eclat, mine_eclat_bitset
+from repro.mining.eclat import _search, mine_eclat_bitset
 
 
 def test_lone_child_joins_every_subset_of_inherited_perfect_extensions():
@@ -25,34 +25,26 @@ def test_lone_child_joins_every_subset_of_inherited_perfect_extensions():
     db = TransactionDatabase(
         [[1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3], [2], [3], [4], [2, 3, 4]]
     )
-    for mine in (mine_eclat, mine_eclat_bitset):
-        counters = CostCounters()
-        patterns = mine(db, 2, counters)
-        assert patterns == mine_bruteforce(db, 2)
-        below_child = {
-            items: support for items, support in patterns.items()
-            if {1, 4} <= items
-        }
-        assert below_child == {
-            frozenset({1, 4}): 2,
-            frozenset({1, 2, 4}): 2,
-            frozenset({1, 3, 4}): 2,
-            frozenset({1, 2, 3, 4}): 2,
-        }
-        assert counters.patterns_emitted == len(patterns)
+    counters = CostCounters()
+    patterns = mine_eclat_bitset(db, 2, counters)
+    assert patterns == mine_bruteforce(db, 2)
+    below_child = {
+        items: support for items, support in patterns.items()
+        if {1, 4} <= items
+    }
+    assert below_child == {
+        frozenset({1, 4}): 2,
+        frozenset({1, 2, 4}): 2,
+        frozenset({1, 3, 4}): 2,
+        frozenset({1, 2, 3, 4}): 2,
+    }
+    assert counters.patterns_emitted == len(patterns)
 
 
-@pytest.mark.parametrize("bitset", [False, True], ids=["python", "bitset"])
-def test_repeated_root_item_trips_the_aggregate_guard(bitset):
+def test_repeated_root_item_trips_the_aggregate_guard():
     """Item 1 twice among the roots is emitted three times at the same
     support, which no per-pattern support check would notice."""
     db = TransactionDatabase([[1, 2], [1]])
-    if bitset:
-        enc = db.encoded()
-        root = (1, enc.bitmap_for_item(1), 2)
-        count = int.bit_count
-    else:
-        root = (1, {0, 1}, 2)
-        count = len
+    root = (1, db.encoded().bitmap_for_item(1), 2)
     with pytest.raises(MiningError, match="emitted 3 patterns but 1 are distinct"):
-        _search(db, [root, root], 1, count, None, prove_tie_free=bitset)
+        _search(db, [root, root], 1, None)

@@ -5,7 +5,7 @@ unchanged is a perfect extension: it leaves the node's candidates and
 every pattern below the node is emitted with and without it. The
 property below builds databases where such items are common (duplicated
 item columns, an item present in every row), so perfect extensions nest
-and are inherited down the tree, and holds both backends to the
+and are inherited down the tree, and holds the search to the
 brute-force oracle. The pinned counts are machine-independent, so CI
 can check them.
 """
@@ -22,9 +22,7 @@ from repro.data.datasets import DATASETS
 from repro.data.transactions import TransactionDatabase
 from repro.metrics.counters import CostCounters
 from repro.mining.bruteforce import mine_bruteforce
-from repro.mining.eclat import mine_eclat, mine_eclat_bitset
-
-BACKENDS = (mine_eclat, mine_eclat_bitset)
+from repro.mining.eclat import mine_eclat_bitset
 
 #: An item no base row holds; present in every row when ``universal``.
 EVERYWHERE = 99
@@ -56,14 +54,12 @@ def tied_databases(draw) -> TransactionDatabase:
 @settings(max_examples=60, deadline=None)
 @given(db=tied_databases(), min_support=st.integers(min_value=1, max_value=4))
 def test_pruned_eclat_matches_the_oracle(db, min_support):
-    expected = mine_bruteforce(db, min_support)
-    for mine in BACKENDS:
-        assert mine(db, min_support) == expected, mine.__name__
+    assert mine_eclat_bitset(db, min_support) == mine_bruteforce(db, min_support)
 
 
-def _mine_counted(mine, db, min_support):
+def _mine_counted(db, min_support):
     counters = CostCounters()
-    result = mine(db, min_support, counters)
+    result = mine_eclat_bitset(db, min_support, counters)
     return result, counters.as_dict()["tidset_intersections"]
 
 
@@ -71,32 +67,19 @@ def _dense_db() -> TransactionDatabase:
     return DATASETS["connect4"].load(31)
 
 
-@pytest.mark.parametrize("source", ["paper", "dense"])
-def test_backends_run_the_identical_search(source, paper_db):
-    db, min_support = (
-        (paper_db, 2) if source == "paper" else (_dense_db(), math.ceil(0.91 * 1500))
-    )
-    python, python_intersections = _mine_counted(mine_eclat, db, min_support)
-    bitset, bitset_intersections = _mine_counted(mine_eclat_bitset, db, min_support)
-    assert python == bitset
-    assert python_intersections == bitset_intersections
-
-
-@pytest.mark.parametrize("mine", BACKENDS, ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
-def test_identical_items_cost_one_intersection_per_pair(mine, k):
+def test_identical_items_cost_one_intersection_per_pair(k):
     # Three rows hold all k items, one holds none: every item is a
     # perfect extension of each item before it.
     db = TransactionDatabase([list(range(k))] * 3 + [[k]])
-    result, intersections = _mine_counted(mine, db, 2)
+    result, intersections = _mine_counted(db, 2)
     assert intersections == k * (k - 1) // 2
     assert len(result) == 2**k - 1
     assert set(result.items()) == {(p, 3) for p in result}
 
 
-@pytest.mark.parametrize("mine", BACKENDS, ids=lambda fn: fn.__name__)
-def test_connect4_intersections_are_pinned(mine):
+def test_connect4_intersections_are_pinned():
     """Seed 31 at xi 0.93: 45 intersections (502 without the pruning)."""
     db = _dense_db()
-    result, intersections = _mine_counted(mine, db, math.ceil(0.93 * len(db)))
+    result, intersections = _mine_counted(db, math.ceil(0.93 * len(db)))
     assert (len(result), intersections) == (511, 45)

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.metrics.counters import CostCounters
-from repro.mining.eclat import mine_eclat, mine_eclat_bitset
+from repro.mining.apriori import mine_apriori
+from repro.mining.eclat import mine_eclat_bitset
 
 rows = st.lists(
     st.lists(st.integers(min_value=0, max_value=5), max_size=5, unique=True),
@@ -89,6 +90,6 @@ def test_the_verdict_is_never_inherited():
     db = TransactionDatabase([[1, 2], [1], [1], [2, 3], [3], [3], [3]])
     patterns = mine_eclat_bitset(db, 1)
     assert patterns.tie_free
-    assert not mine_eclat(db, 1).tie_free  # the python backend never proves
+    assert not mine_apriori(db, 1).tie_free  # only the Eclat kernel proves
     assert not patterns.filter_min_support(1).tie_free
     assert not patterns.filter(lambda items, support: True).tie_free

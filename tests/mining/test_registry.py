@@ -10,7 +10,7 @@ import pytest
 from repro.errors import MiningError
 from repro.mining import registry
 from repro.mining.registry import (
-    MINERS,
+    KINDS,
     MinerSpec,
     get_miner,
     has_miner,
@@ -23,10 +23,10 @@ from repro.mining.registry import (
 
 class TestLookup:
     def test_at_least_nine_miners_registered(self):
-        assert len(MINERS) >= 9
+        assert len(iter_miners()) >= 9
 
     def test_every_seed_name_still_resolves(self):
-        for name in ("apriori", "eclat", "hmine", "fpgrowth", "treeprojection"):
+        for name in ("apriori", "hmine", "fpgrowth", "treeprojection"):
             assert get_miner(name, kind="baseline").kind == "baseline"
         for name in ("naive", "hmine", "fpgrowth", "treeprojection"):
             spec = get_miner(name, kind="recycling")
@@ -49,24 +49,26 @@ class TestLookup:
     def test_iter_miners_filters_by_kind(self):
         kinds = {spec.kind for spec in iter_miners("baseline")}
         assert kinds == {"baseline"}
-        assert len(iter_miners()) == len(MINERS)
+        assert len(iter_miners()) == sum(len(iter_miners(kind)) for kind in KINDS)
 
     def test_bitset_backend_registered(self):
-        from repro.mining.eclat import mine_eclat, mine_eclat_bitset
+        from repro.mining.eclat import mine_eclat_bitset
 
-        assert get_miner("eclat", kind="baseline").fn is mine_eclat
         assert get_miner("eclat-bitset", kind="baseline").fn is mine_eclat_bitset
+        # The python-set Eclat twin is retired; no name maps to it.
+        assert not has_miner("eclat", kind="baseline")
+
+    def test_naive_recycler_is_the_grouped_kernel(self):
+        from repro.storage.projection import mine_grouped
+
+        assert get_miner("naive", kind="recycling").fn is mine_grouped
 
     def test_condensed_miners_run_on_bitmaps(self):
         from repro.mining.condensed import mine_closed_bitset
 
         assert miner_names("condensed") == ["closed"]
         assert get_miner("closed", kind="condensed").fn is mine_closed_bitset
-        assert len(MINERS) == 12
-
-    def test_registry_mapping_protocol(self):
-        assert ("baseline", "hmine") in MINERS
-        assert MINERS[("recycling", "naive")].name == "naive"
+        assert len(iter_miners()) == 11
 
 
 class TestRegistration:

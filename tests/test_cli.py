@@ -132,7 +132,8 @@ class TestRecycleAndCompress:
         out_path = tmp_path / "recycled.txt"
         code = main(
             ["recycle", "--input", str(path), "--old-support", "4",
-             "--support", "2", "--algorithm", "eclat", "--output", str(out_path)]
+             "--support", "2", "--algorithm", "eclat-bitset",
+             "--output", str(out_path)]
         )
         assert code == 0
         assert read_patterns(out_path) == mine_apriori(db, 2)
@@ -145,7 +146,8 @@ class TestRecycleAndCompress:
             )
 
         assert choices("recycle") == choices("update")
-        assert "naive" in choices("recycle") and "eclat" in choices("recycle")
+        assert "naive" in choices("recycle")
+        assert "eclat-bitset" in choices("recycle")
 
     def test_any_registered_recycler_accepted(self, db_file, capsys):
         from repro.mining.registry import miner_names

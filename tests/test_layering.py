@@ -77,7 +77,7 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
     # a bench script or a property test with no service machinery in
     # scope. FUP's depth-first search needs no sharding helper either.
     "repro.core.fup": ("repro.gateway", "repro.parallel", "repro.service"),
-    "repro.core.incremental": ("repro.gateway", "repro.service"),
+    "repro.core.recycle": ("repro.gateway", "repro.service"),
     "repro.mining": (
         "repro.durability",
         "repro.gateway",

@@ -171,3 +171,50 @@ class TestIngestLegacy:
         (git_repo / "BENCH_parallel.json").write_text("{oops")
         with pytest.raises(TrendsError, match="not JSON"):
             ingest_legacy(git_repo, benches=["parallel"])
+
+
+class TestDirtyTree:
+    """A run is archived under HEAD's hash only when HEAD holds its code."""
+
+    @pytest.fixture
+    def source_repo(self, git_repo):
+        source = git_repo / "src" / "kernel.py"
+        source.parent.mkdir()
+        source.write_text("SPEED = 1\n")
+        _git(git_repo, "add", "-A")
+        _git(git_repo, "commit", "-q", "-m", "source")
+        return git_repo
+
+    def _head(self, repo):
+        return subprocess.run(
+            ["git", "-C", str(repo), "rev-parse", "HEAD"],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    def test_clean_tree_is_archived_under_head(self, source_repo, capsys):
+        payload = {"seed": 0, "results": [{"dataset": "connect4", "speedup": 4.0}]}
+        legacy_path, archive_path = write_benchmark_snapshot(
+            "backends", payload, repo_root=source_repo
+        )
+        assert archive_path == (
+            source_repo / ".bench_history" / self._head(source_repo) / "backends.json"
+        )
+        assert archive_path.is_file()
+        assert json.loads(legacy_path.read_text("utf-8")) == payload
+        assert "not archived" not in capsys.readouterr().err
+
+    def test_dirty_tree_writes_the_root_file_but_no_snapshot(
+        self, source_repo, capsys
+    ):
+        (source_repo / "src" / "kernel.py").write_text("SPEED = 2\n")
+        payload = {"seed": 0, "results": [{"dataset": "connect4", "speedup": 5.0}]}
+        legacy_path, archive_path = write_benchmark_snapshot(
+            "backends", payload, repo_root=source_repo
+        )
+        assert archive_path is None
+        assert not (source_repo / ".bench_history").exists()
+        assert json.loads(legacy_path.read_text("utf-8")) == payload
+        err = capsys.readouterr().err
+        assert "not archived" in err
+        assert "src/kernel.py" in err
+        assert self._head(source_repo)[:12] in err
