@@ -16,9 +16,8 @@
 
 The grouped comparison asserts the results are bit-identical before
 reporting the speedup. Results go to ``BENCH_backends.json`` at the repo
-root and are archived as a stamped snapshot under
-``.bench_history/<commit>/`` for the trend pipeline (``repro report``),
-unless tracked source files differ from that commit.
+root; ``repro report archive`` adds its committed versions to the trend
+pipeline.
 
 Run directly (not collected by pytest; tier-1 only collects ``tests/``)::
 
@@ -136,14 +135,12 @@ def main() -> int:
                 line += f"  speedup {row['speedup']:.2f}x"
             print(line)
 
-    legacy_path, archive_path = write_benchmark_snapshot(
+    path = write_benchmark_snapshot(
         "backends",
         {"repeats": REPEATS, "seed": SEED, "results": results},
         repo_root=REPO_ROOT,
     )
-    print(f"wrote {legacy_path}")
-    if archive_path is not None:
-        print(f"archived {archive_path}")
+    print(f"wrote {path}")
     return 0
 
 

@@ -3,9 +3,8 @@
 Replays the ``incremental-<dataset>`` churn sweep
 (:func:`repro.bench.experiments.incremental_rows`) on connect4 — the
 dense surrogate the figures gate on — plus weather as the sparse
-control, and writes ``BENCH_incremental.json`` at the repo root (plus a
-stamped snapshot under ``.bench_history/<commit>/`` for ``repro
-report``):
+control, and writes ``BENCH_incremental.json`` at the repo root (``repro report
+archive`` adds its committed versions to the trend pipeline):
 
 * per-churn work and wall for scratch / FUP / recycle-update, every
   contender verified bit-identical to a from-scratch re-mine;
@@ -86,7 +85,7 @@ def main() -> int:
                else "update path won the whole sweep")
         )
 
-    legacy_path, archive_path = write_benchmark_snapshot(
+    path = write_benchmark_snapshot(
         "incremental",
         {
             "seed": SEED,
@@ -96,9 +95,7 @@ def main() -> int:
         },
         repo_root=REPO_ROOT,
     )
-    print(f"wrote {legacy_path}")
-    if archive_path is not None:
-        print(f"archived {archive_path}")
+    print(f"wrote {path}")
     return 0
 
 

@@ -26,9 +26,8 @@ mine for either task (the service never recycles).
 It is the number a sharded run must beat to be worth serving; the
 service answers every request in-process because none does.
 
-Results go to ``BENCH_parallel.json`` at the repo root and are archived
-as a stamped snapshot under ``.bench_history/<commit>/`` for the trend
-pipeline (``repro report``).
+Results go to ``BENCH_parallel.json`` at the repo root; ``repro report
+archive`` adds its committed versions to the trend pipeline.
 
 Run directly (not collected by pytest; tier-1 only collects ``tests/``)::
 
@@ -81,7 +80,7 @@ def main() -> int:
     if best_dense < 1.7:
         print("WARNING: below the 1.7x acceptance bar on dense datasets")
 
-    legacy_path, archive_path = write_benchmark_snapshot(
+    path = write_benchmark_snapshot(
         "parallel",
         {
             "seed": SEED,
@@ -91,9 +90,7 @@ def main() -> int:
         },
         repo_root=REPO_ROOT,
     )
-    print(f"wrote {legacy_path}")
-    if archive_path is not None:
-        print(f"archived {archive_path}")
+    print(f"wrote {path}")
     return 0
 
 

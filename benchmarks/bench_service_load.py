@@ -30,9 +30,9 @@ clocks):
   bit-identical to a cold from-scratch mine inside
   :func:`~repro.bench.experiments.service_load_rows`.
 
-Results go to ``BENCH_service_load.json`` at the repo root and are
-archived as a stamped snapshot under ``.bench_history/<commit>/`` for
-the trend pipeline (``repro report``).
+Results go to ``BENCH_service_load.json`` at the repo root;
+``repro report archive`` adds its committed versions to the trend
+pipeline.
 
 Run directly (not collected by pytest; tier-1 only collects ``tests/``)::
 
@@ -122,14 +122,12 @@ def main() -> int:
                 f"({accounted}/{row['requests']} accounted)"
             )
 
-    legacy_path, archive_path = write_benchmark_snapshot(
+    path = write_benchmark_snapshot(
         "service_load",
         {"seed": SEED, "datasets": list(DATASETS), "results": results},
         repo_root=REPO_ROOT,
     )
-    print(f"wrote {legacy_path}")
-    if archive_path is not None:
-        print(f"archived {archive_path}")
+    print(f"wrote {path}")
     if ok:
         print(
             "acceptance: batching reduces work; admission bounds the queue "

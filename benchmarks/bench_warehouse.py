@@ -25,9 +25,9 @@ support ties (board-gravity implications) condensation feeds on:
 * closed entries condense the stored footprint >= 10x, and
 * the closed warm-path hit rate strictly beats the full-set one.
 
-Results go to ``BENCH_warehouse.json`` at the repo root and are
-archived as a stamped snapshot under ``.bench_history/<commit>/`` for
-the trend pipeline (``repro report``).
+Results go to ``BENCH_warehouse.json`` at the repo root;
+``repro report archive`` adds its committed versions to the trend
+pipeline.
 
 Run directly (not collected by pytest; tier-1 only collects ``tests/``)::
 
@@ -83,7 +83,7 @@ def main() -> int:
     if by_repr["closed"]["warm_hit_rate"] <= by_repr["full"]["warm_hit_rate"]:
         print("WARNING: condensed entries did not improve warm-path hit rate")
 
-    legacy_path, archive_path = write_benchmark_snapshot(
+    path = write_benchmark_snapshot(
         "warehouse",
         {
             "seed": SEED,
@@ -92,9 +92,7 @@ def main() -> int:
         },
         repo_root=REPO_ROOT,
     )
-    print(f"wrote {legacy_path}")
-    if archive_path is not None:
-        print(f"archived {archive_path}")
+    print(f"wrote {path}")
     return 0
 
 

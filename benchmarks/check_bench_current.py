@@ -35,6 +35,23 @@ WALL_CLOCK: dict[str, frozenset[str]] = {
     "BENCH_incremental.json": frozenset(
         {"fup_wall_s", "recycle_wall_s", "scratch_wall_s"}
     ),
+    # The paper's per-miner seconds (HM/FP/TP, with and without -MCP and
+    # -MLP), every other ``*_s`` column, and the speedups and savings
+    # computed from them.
+    "BENCH_paper.json": frozenset(
+        {
+            f"{tag}{variant}_s"
+            for tag in ("HM", "FP", "TP")
+            for variant in ("", "-MCP", "-MLP")
+        }
+        | {
+            "time_pipeline_s", "time_io_s", "xi_old_mine_s", "compress_s",
+            "investment_s", "saving_s", "saving/investment", "mine_s",
+            "with_shortcut_s", "without_shortcut_s", "phase_1_s", "phase_2_s",
+            "phase_3_s", "total_s", "time_s", "scratch_wall_s", "fup_wall_s",
+            "recycle_wall_s", "speedup", "speedup_mcp", "speedup_mlp",
+        }
+    ),
     "BENCH_service_load.json": frozenset({"elapsed_seconds", "interactive_p99_s"}),
 }
 

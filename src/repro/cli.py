@@ -19,14 +19,13 @@ Examples::
     repro warehouse migrate --dir ./wh --representation closed
     repro warehouse --dir ./wh --gc --dry-run
     repro report archive --git-history
-    repro report render --from-cached-data --output-dir report
+    repro report render --output-dir report
     repro report gate --policy trends/policy.toml
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import textwrap
 import time
@@ -53,21 +52,6 @@ def _load_database(args: argparse.Namespace) -> TransactionDatabase:
     raise ReproError("provide either --dataset or --input")
 
 
-def _absolute_support(db: TransactionDatabase, value: float) -> int:
-    """Absolute threshold from a CLI support value.
-
-    Values in ``(0, 1]`` are relative fractions of the database (so
-    ``1.0`` means 100 percent, not absolute support 1); values above 1
-    are absolute counts. The relative threshold rounds up, matching
-    "support >= fraction" semantics.
-    """
-    if value <= 0:
-        raise ReproError(f"support must be positive, got {value}")
-    if value <= 1.0:
-        return max(1, math.ceil(value * len(db)))
-    return int(value)
-
-
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset", choices=sorted(DATASETS), help="built-in synthetic dataset"
@@ -78,7 +62,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _command_mine(args: argparse.Namespace) -> int:
     db = _load_database(args)
-    support = _absolute_support(db, args.support)
+    support = db.relative_to_absolute(args.support)
     started = time.perf_counter()
     patterns = get_miner(args.algorithm, kind="baseline").fn(db, support)
     elapsed = time.perf_counter() - started
@@ -94,7 +78,7 @@ def _command_mine(args: argparse.Namespace) -> int:
 
 def _command_compress(args: argparse.Namespace) -> int:
     db = _load_database(args)
-    old_support = _absolute_support(db, args.old_support)
+    old_support = db.relative_to_absolute(args.old_support)
     old_patterns = (
         read_patterns(args.patterns)
         if args.patterns
@@ -113,8 +97,8 @@ def _command_compress(args: argparse.Namespace) -> int:
 
 def _command_recycle(args: argparse.Namespace) -> int:
     db = _load_database(args)
-    old_support = _absolute_support(db, args.old_support)
-    support = _absolute_support(db, args.support)
+    old_support = db.relative_to_absolute(args.old_support)
+    support = db.relative_to_absolute(args.support)
     old_patterns = (
         read_patterns(args.patterns)
         if args.patterns
@@ -183,7 +167,7 @@ def _command_update(args: argparse.Namespace) -> int:
         args.algorithm if args.algorithm != "naive" else "hmine", kind="baseline"
     ).fn
     scratch_patterns = miner(
-        session.db, _absolute_support(session.db, args.support), scratch
+        session.db, session.db.relative_to_absolute(args.support), scratch
     )
     if scratch_patterns != patterns:
         raise ReproError("update path diverged from scratch mining")
@@ -541,10 +525,16 @@ def _command_report_archive(args: argparse.Namespace) -> int:
 
 def _command_report_render(args: argparse.Namespace) -> int:
     """Render markdown + HTML trend reports from archived snapshots."""
-    from repro.trends import SnapshotArchive, build_report_data, write_report
+    from repro.trends import (
+        SnapshotArchive,
+        build_report_data,
+        load_policy,
+        write_report,
+    )
 
+    series = [entry.metric for entry in load_policy(args.policy).metrics]
     snapshots = SnapshotArchive(args.history_dir).load_all()
-    data = build_report_data(snapshots)
+    data = build_report_data(snapshots, series)
     md_path, html_path = write_report(data, args.output_dir)
     benches = len(data["benches"])
     print(
@@ -753,6 +743,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="snapshot archive directory (default: .bench_history)",
         )
 
+    def _add_policy(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument(
+            "--policy", default="trends/policy.toml",
+            help="policy file naming the trend series the report draws "
+                 "and the gate judges (default: trends/policy.toml)",
+        )
+
     archive = verbs.add_parser(
         "archive",
         help="backfill the archive from the legacy root BENCH_*.json files",
@@ -777,10 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--output-dir", default="report",
                         help="directory for trends.md / trends.html "
                              "(default: report)")
-    render.add_argument("--from-cached-data", action="store_true",
-                        help="render purely from the archive (always true: "
-                             "rendering never re-runs benchmarks; the flag "
-                             "matches the fuzzbench pipeline idiom)")
+    _add_policy(render)
     render.set_defaults(handler=_command_report_render)
 
     gate = verbs.add_parser(
@@ -789,8 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
              "past the policy budget against the best archived baseline",
     )
     _add_history_dir(gate)
-    gate.add_argument("--policy", default="trends/policy.toml",
-                      help="gate policy file (default: trends/policy.toml)")
+    _add_policy(gate)
     gate.set_defaults(handler=_command_report_gate)
 
     miners = commands.add_parser(

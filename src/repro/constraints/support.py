@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import math
-
 from repro.constraints.base import Category, ChangeKind, Constraint, ConstraintContext
+from repro.data.transactions import absolute_support
 from repro.errors import ConstraintError
 from repro.mining.patterns import Pattern
 
@@ -12,9 +11,10 @@ from repro.mining.patterns import Pattern
 class MinSupport(Constraint):
     """``sup(X) >= threshold`` — the essential anti-monotone constraint.
 
-    ``threshold`` may be absolute (int >= 1) or relative (float in
-    (0, 1)); relative thresholds resolve against the context's database
-    size, rounding up.
+    ``threshold`` follows :func:`~repro.data.transactions.absolute_support`:
+    a float in ``(0, 1]`` is relative (``1.0`` is every row) and resolves
+    against the context's database size, rounding up; an int, or a float
+    above 1, is an absolute count.
     """
 
     def __init__(self, threshold: float) -> None:
@@ -28,9 +28,7 @@ class MinSupport(Constraint):
 
     def absolute(self, db_size: int) -> int:
         """Resolve to an absolute count for a database of ``db_size``."""
-        if self.threshold < 1:
-            return max(1, math.ceil(self.threshold * db_size))
-        return int(self.threshold)
+        return absolute_support(self.threshold, db_size)
 
     def satisfied(self, pattern: Pattern, support: int, context: ConstraintContext) -> bool:
         return support >= self.absolute(context.db_size)

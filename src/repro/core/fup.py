@@ -26,8 +26,8 @@ where no sibling pair stays frequent.
 Contrast with recycling (:func:`~repro.core.recycle.recycle_mine`): FUP
 needs the old support of every pattern, only handles insertions, and
 degrades when the support threshold changes; recycling needs none of
-that. The
-``bench_incremental_baselines`` benchmark measures both sides.
+that. The ``incremental-weather`` rows of ``benchmarks/bench_paper.py``
+measure both sides.
 """
 
 from __future__ import annotations

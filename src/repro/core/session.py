@@ -83,7 +83,7 @@ class MiningSession:
         recycling adaptation for later runs. Any baseline name in the
         miner registry is accepted ("naive" recycles with RP-Mine but
         runs the initial iteration with H-Mine); a name with no recycling
-        adaptation of its own (``eclat``, ``eclat-bitset``, ``apriori``,
+        adaptation of its own (``eclat-bitset``, ``apriori``,
         ``bruteforce``) recycles with RP-Mine. Any other name raises
         :class:`~repro.errors.RecycleError`.
     strategy:
@@ -168,9 +168,12 @@ class MiningSession:
     def mine(self, constraints: ConstraintSet | float) -> PatternSet:
         """Run one iteration under ``constraints``.
 
-        A bare number is shorthand for a support-only constraint set.
-        Returns the patterns satisfying every constraint; internally
-        caches the support-level pattern set for future recycling.
+        A bare number is shorthand for a support-only constraint set; it
+        follows the library's one support rule
+        (:func:`~repro.data.transactions.absolute_support`: ``1.0`` is
+        every row, ``1`` is one row). Returns the patterns satisfying
+        every constraint; internally caches the support-level pattern set
+        for future recycling.
         """
         if not isinstance(constraints, ConstraintSet):
             constraints = ConstraintSet.min_support(constraints)

@@ -23,6 +23,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.data.encoded import EncodedDatabase
 
 
+def absolute_support(min_support: float, n_rows: int) -> int:
+    """The absolute count a support threshold means over ``n_rows`` rows.
+
+    The library's one support rule. The type disambiguates the boundary:
+    a *float* in ``(0, 1]`` is a relative fraction (``1.0`` means 100% —
+    every row), while an *int* is an absolute count (``1`` means one
+    row). Floats above 1 and all other ints pass through as absolute
+    counts, so callers can use either convention. A fraction is rounded
+    up, matching the usual "support greater than or equal to" semantics.
+    Raises :class:`DataError` for a threshold that is not finite or not
+    positive.
+    """
+    if isinstance(min_support, float) and not math.isfinite(min_support):
+        raise DataError(f"min_support must be finite, got {min_support}")
+    if min_support <= 0:
+        raise DataError(f"min_support must be positive, got {min_support}")
+    if isinstance(min_support, float) and min_support <= 1.0:
+        return max(1, math.ceil(min_support * n_rows))
+    return int(min_support)
+
+
 def normalize_row(raw: Iterable[int], what: str) -> tuple[int, ...]:
     """``raw`` as a sorted tuple of distinct non-negative ints.
 
@@ -282,20 +303,5 @@ class TransactionDatabase:
         )
 
     def relative_to_absolute(self, min_support: float) -> int:
-        """Convert a relative min-support in (0, 1] to an absolute count.
-
-        The type disambiguates the boundary: a *float* in ``(0, 1]`` is a
-        relative fraction (``1.0`` means 100% — every transaction), while
-        an *int* is an absolute count (``1`` means one transaction).
-        Floats above 1 and all other ints pass through as absolute
-        counts, so callers can use either convention. The absolute
-        threshold is rounded up, matching the usual "support greater than
-        or equal to" semantics on fractions.
-        """
-        if isinstance(min_support, float) and not math.isfinite(min_support):
-            raise DataError(f"min_support must be finite, got {min_support}")
-        if min_support <= 0:
-            raise DataError(f"min_support must be positive, got {min_support}")
-        if isinstance(min_support, float) and min_support <= 1.0:
-            return max(1, math.ceil(min_support * len(self)))
-        return int(min_support)
+        """:func:`absolute_support` over this database's row count."""
+        return absolute_support(min_support, len(self))

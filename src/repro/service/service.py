@@ -88,9 +88,10 @@ from repro.service.warehouse import PatternWarehouse
 class MineRequest:
     """One tenant's mining request.
 
-    ``support`` follows the library convention: values in ``(0, 1)`` are
-    relative fractions of the database, values ``>= 1`` are absolute
-    counts.
+    ``support`` follows the library's one rule
+    (:func:`~repro.data.transactions.absolute_support`): a float in
+    ``(0, 1]`` is a relative fraction of the database (``1.0`` is every
+    row); an int, or a float above 1, is an absolute count.
 
     ``version`` optionally places ``db`` in a
     :class:`~repro.data.versioned.VersionedDatabase` chain. A versioned

@@ -305,21 +305,25 @@ class _BitsetGroupEngine:
             return
         frequent = sorted(counts, key=lambda i: (counts[i], i))
 
-        # Lemma 3.1, vertically: when every frequent item is a pattern
-        # item of every live state, the states merge into one tail-free
-        # group under normalization (exactly the python engine's merged
-        # single-group condition), with count = total live members.
-        if self.single_group_shortcut and all(
-            frequent_item in pattern_set
-            for pattern_set, _mask in states
-            for frequent_item in frequent
-        ):
-            stats["single_group_enumerations"] += 1
-            total_members = sum(mask.bit_count() for _pattern, mask in states)
-            enumerate_single_group(
-                tuple(frequent), total_members, prefix, self.result
+        # Lemma 3.1, vertically: the states whose pattern holds every
+        # frequent item merge into one tail-free group under
+        # normalization. When they hold every occurrence of every
+        # frequent item, the other states hold none and drop out, so
+        # that group is the only one (exactly the python engine's
+        # single-group condition), with count = its members. Every
+        # frequent item then has that count, so unequal counts (first
+        # and last of the count-sorted list) rule it out at once.
+        count = counts[frequent[0]]
+        if self.single_group_shortcut and counts[frequent[-1]] == count:
+            merged = sum(
+                mask.bit_count()
+                for pattern_set, mask in states
+                if pattern_set.issuperset(frequent)
             )
-            return
+            if merged == count:
+                stats["single_group_enumerations"] += 1
+                enumerate_single_group(tuple(frequent), count, prefix, self.result)
+                return
 
         for position, item in enumerate(frequent):
             new_prefix = prefix + (item,)

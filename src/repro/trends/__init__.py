@@ -3,11 +3,13 @@
 The observability layer over the benchmarks (see docs/observability.md),
 modeled on fuzzbench's report pipeline: **archive** (versioned
 snapshots under ``.bench_history/<commit>/<bench>.json``, stamped with
-commit / timestamp / seed / python / platform) → **queries**
+commit / commit time / seed) → **queries**
 (dataframe-free series extraction) → **rendering** (markdown + HTML
-with inline SVG, regenerable offline via ``--from-cached-data``) →
-**gate** (a declarative policy failing CI when a machine-independent
-counter worsens past budget; wall-clock strictly advisory).
+with inline SVG, regenerable offline from the archive) → **gate** (a
+declarative policy failing CI when a machine-independent counter
+worsens past budget; wall-clock strictly advisory). The archive has
+one writer, ``repro report archive`` (:func:`ingest_legacy`), and the
+report and the gate read one series list, the policy file.
 
 Sits above :mod:`repro.bench` in the layer map: it may import
 metrics/bench, never service/gateway (enforced by
@@ -33,7 +35,6 @@ from repro.trends.gate import (
 )
 from repro.trends.queries import (
     AGGREGATIONS,
-    TREND_METRICS,
     TrendMetric,
     aggregate,
     category_bars,
@@ -69,7 +70,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "Snapshot",
     "SnapshotArchive",
-    "TREND_METRICS",
     "TrendMetric",
     "aggregate",
     "bar_chart",

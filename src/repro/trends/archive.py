@@ -4,23 +4,18 @@ Three jobs:
 
 * :class:`SnapshotArchive` — write/load validated snapshots, one file
   per (commit, bench), ordered by timestamp for the trend queries;
-* :func:`write_benchmark_snapshot` — the single writer every
-  ``benchmarks/bench_*.py`` script calls: stamps commit / timestamp /
-  seed / python / platform and double-writes the legacy root
-  ``BENCH_*.json`` body byte-for-byte as before, so downstream readers
-  of the root files keep working;
-* :func:`ingest_legacy` — backfill the archive from the legacy root
-  files, recovering each file's commit (and, with ``git_history=True``,
-  every historical version of it) from git so pre-archive benchmark
-  runs become trend points instead of dead weight.
+* :func:`write_benchmark_snapshot` — the root ``BENCH_*.json`` writer
+  every ``benchmarks/bench_*.py`` script calls; it writes nothing here;
+* :func:`ingest_legacy` (``repro report archive``) — the archive's only
+  writer: it stamps each committed version of the root files with the
+  commit that holds it (every version with ``git_history=True``), so a
+  run is archived only once its code and its file are committed.
 """
 
 from __future__ import annotations
 
 import json
-import platform as platform_module
 import subprocess
-import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -35,10 +30,6 @@ from repro.trends.schema import (
 
 #: Default archive directory name, relative to the repo root.
 HISTORY_DIR = ".bench_history"
-
-#: Tracked trees whose uncommitted edits make a run's figures something
-#: other than HEAD's, so such a run is not archived under HEAD's hash.
-SOURCE_DIRS = ("src", "benchmarks")
 
 
 def _git(repo_root: Path, *args: str) -> str | None:
@@ -55,21 +46,6 @@ def _git(repo_root: Path, *args: str) -> str | None:
     if completed.returncode != 0:
         return None
     return completed.stdout
-
-def git_head(repo_root: Path) -> str:
-    """The current commit hash, or ``unknown`` outside a git checkout."""
-    out = _git(repo_root, "rev-parse", "HEAD")
-    return out.strip() if out else UNKNOWN
-
-
-def _dirty_sources(repo_root: Path) -> list[str]:
-    """Tracked files under :data:`SOURCE_DIRS` that differ from HEAD.
-
-    Staged and unstaged edits both count; untracked files do not. Empty
-    outside a git checkout, where there is no HEAD to misattribute.
-    """
-    out = _git(repo_root, "diff", "HEAD", "--name-only", "--", *SOURCE_DIRS)
-    return out.splitlines() if out else []
 
 
 def _file_commits(repo_root: Path, relative: str) -> list[tuple[str, str]]:
@@ -140,57 +116,23 @@ class SnapshotArchive:
 
 
 def write_benchmark_snapshot(
-    bench: str,
-    payload: Mapping[str, Any],
-    *,
-    repo_root: str | Path,
-    history_dir: str | Path | None = None,
-    legacy: bool = True,
-) -> tuple[Path | None, Path | None]:
-    """Stamp and persist one benchmark run; returns (legacy path, archive path).
+    bench: str, payload: Mapping[str, Any], *, repo_root: str | Path
+) -> Path:
+    """Write one benchmark run's root ``BENCH_*.json``; returns its path.
 
-    The legacy root file keeps the exact pre-archive body (payload only,
-    two-space JSON, trailing newline) so everything that reads
-    ``BENCH_*.json`` today is untouched; the archived copy wraps the same
-    payload in the stamped snapshot envelope.
-
-    A run whose tracked ``src/`` or ``benchmarks/`` files differ from
-    HEAD (:func:`_dirty_sources`) measured code HEAD does not hold, so it
-    is not archived under HEAD's hash: the legacy file is still written,
-    the reason goes to stderr and the archive path is None.
+    The body is the bare payload (two-space JSON, trailing newline). The
+    archive is not written here: :func:`ingest_legacy` (``repro report
+    archive``) stamps the committed versions of this file, so an
+    uncommitted run is never attributed to a commit that does not hold
+    its code.
     """
     if bench not in LEGACY_FILES:
         raise TrendsError(
             f"unknown bench {bench!r} (known: {sorted(LEGACY_FILES)})"
         )
-    repo_root = Path(repo_root)
-    snapshot = snapshot_from_legacy(
-        bench,
-        payload,
-        commit=git_head(repo_root),
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        python=platform_module.python_version(),
-        platform=f"{platform_module.system()}-{platform_module.machine()} "
-        f"(cpython {sys.version_info.major}.{sys.version_info.minor})",
-    )
-    legacy_path: Path | None = None
-    if legacy:
-        legacy_path = repo_root / LEGACY_FILES[bench]
-        legacy_path.write_text(
-            json.dumps(dict(payload), indent=2) + "\n", encoding="utf-8"
-        )
-    dirty = _dirty_sources(repo_root)
-    if dirty:
-        print(
-            f"not archived: {len(dirty)} tracked file(s) under "
-            f"{' or '.join(SOURCE_DIRS)} differ from HEAD {snapshot.commit[:12]} "
-            f"({', '.join(dirty[:3])}{', ...' if len(dirty) > 3 else ''}); "
-            "commit them and re-run to archive this run",
-            file=sys.stderr,
-        )
-        return legacy_path, None
-    archive = SnapshotArchive(history_dir or repo_root / HISTORY_DIR)
-    return legacy_path, archive.write(snapshot)
+    path = Path(repo_root) / LEGACY_FILES[bench]
+    path.write_text(json.dumps(dict(payload), indent=2) + "\n", encoding="utf-8")
+    return path
 
 
 def ingest_legacy(

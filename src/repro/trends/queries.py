@@ -97,7 +97,8 @@ def series(
 
 @dataclass(frozen=True)
 class TrendMetric:
-    """One named, regression-gateable series over the archive.
+    """One named series over the archive, as ``trends/policy.toml``
+    declares it for both the report and the gate.
 
     ``direction`` says which way is better; ``advisory`` marks
     wall-clock-derived metrics that render in reports and gate output
@@ -128,92 +129,6 @@ class TrendMetric:
 
     def trend(self, snapshots: Sequence[Snapshot]) -> list[dict[str, Any]]:
         return series(snapshots, self.field, self.where, self.agg)
-
-
-#: The default trend set rendered by reports. `trends/policy.toml`
-#: mirrors these for the gate; machine-independent counters and gauges
-#: gate, wall-clock-derived speedups ride along as advisory.
-TREND_METRICS: tuple[TrendMetric, ...] = (
-    TrendMetric(
-        name="service-load: batched total work (connect4)",
-        bench="service_load",
-        field="total_work",
-        where={"dataset": "connect4", "scenario": "batched"},
-        direction="lower",
-    ),
-    TrendMetric(
-        name="service-load: batched computations (connect4)",
-        bench="service_load",
-        field="computations",
-        where={"dataset": "connect4", "scenario": "batched"},
-        direction="lower",
-    ),
-    TrendMetric(
-        name="service-load: interactive p99 work under admission (connect4)",
-        bench="service_load",
-        field="interactive_p99_work",
-        where={"dataset": "connect4", "scenario": "admission"},
-        direction="lower",
-    ),
-    TrendMetric(
-        name="warehouse: closed condensation ratio (connect4)",
-        bench="warehouse",
-        field="condensation_ratio",
-        where={"dataset": "connect4", "representation": "closed"},
-        direction="higher",
-    ),
-    TrendMetric(
-        name="warehouse: closed warm-hit rate (connect4)",
-        bench="warehouse",
-        field="warm_hit_rate",
-        where={"dataset": "connect4", "representation": "closed"},
-        direction="higher",
-    ),
-    TrendMetric(
-        name="warehouse: closed warm-path work (connect4)",
-        bench="warehouse",
-        field="work",
-        where={"dataset": "connect4", "representation": "closed"},
-        direction="lower",
-    ),
-    TrendMetric(
-        name="incremental: FUP work at 1% connect4 churn",
-        bench="incremental",
-        field="fup_work",
-        where={"dataset": "connect4", "churn": 0.01},
-        direction="lower",
-    ),
-    TrendMetric(
-        name="incremental: update-path hit total",
-        bench="incremental",
-        field="update_path_hits",
-        agg="sum",
-        direction="higher",
-    ),
-    TrendMetric(
-        name="backends: eclat-bitset tidset intersections (connect4)",
-        bench="backends",
-        field="bitset_tidset_intersections",
-        where={"dataset": "connect4", "task": "eclat"},
-        direction="lower",
-    ),
-    TrendMetric(
-        name="backends: grouped-kernel bitset speedup (connect4, wall)",
-        bench="backends",
-        field="speedup",
-        where={"dataset": "connect4", "task": "grouped"},
-        direction="higher",
-        advisory=True,
-    ),
-    TrendMetric(
-        name="parallel: cold-mine jobs=4 speedup (connect4, wall)",
-        bench="parallel",
-        field="speedup",
-        where={"dataset": "connect4", "task": "mine", "jobs": 4},
-        direction="higher",
-        advisory=True,
-    ),
-)
 
 
 def _labelled_series(

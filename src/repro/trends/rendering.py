@@ -3,9 +3,10 @@
 Mirrors fuzzbench's ``generate_report`` split: the archive supplies
 cached data, :mod:`repro.trends.queries` extracts series, this module
 renders them. Both outputs are built from the same report-data dict, so
-``repro report render --from-cached-data`` regenerates them offline
-from the archive alone — no benchmark re-runs, no network, no plotting
-dependency (charts are inline SVG from :mod:`repro.trends.svg`).
+``repro report render`` regenerates them offline from the archive alone
+— no benchmark re-runs, no network, no plotting dependency (charts are
+inline SVG from :mod:`repro.trends.svg`). The trend series are the
+gate policy's, so the report and the gate read one list.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Any, Mapping, Sequence
 from repro.bench.report import format_cell
 from repro.errors import TrendsError
 from repro.trends.queries import (
-    TREND_METRICS,
     TrendMetric,
     category_bars,
     speedup_vs_jobs,
@@ -115,10 +115,10 @@ def _bench_charts(bench: str, latest: Snapshot) -> list[dict[str, str]]:
 
 
 def build_report_data(
-    snapshots: Sequence[Snapshot],
-    metrics: Sequence[TrendMetric] = TREND_METRICS,
+    snapshots: Sequence[Snapshot], metrics: Sequence[TrendMetric]
 ) -> dict[str, Any]:
-    """Everything both renderers need, extracted once."""
+    """Everything both renderers need, extracted once; ``metrics`` are
+    the trend series (the gate policy's)."""
     if not snapshots:
         raise TrendsError(
             "no archived snapshots to report on — run `repro report archive` "

@@ -24,12 +24,12 @@ from repro.errors import TrendsError
 #: below the version they know.
 SCHEMA_VERSION = 1
 
-#: Snapshot name -> the legacy root file its benchmark historically wrote.
-#: These five are the snapshot-writing benchmarks converted onto
+#: Snapshot name -> the root file its benchmark writes through
 #: :func:`repro.trends.archive.write_benchmark_snapshot`.
 LEGACY_FILES: dict[str, str] = {
     "backends": "BENCH_backends.json",
     "incremental": "BENCH_incremental.json",
+    "paper": "BENCH_paper.json",
     "parallel": "BENCH_parallel.json",
     "service_load": "BENCH_service_load.json",
     "warehouse": "BENCH_warehouse.json",
@@ -131,8 +131,6 @@ def snapshot_from_legacy(
     *,
     commit: str = UNKNOWN,
     timestamp: str = "",
-    python: str = UNKNOWN,
-    platform: str = UNKNOWN,
 ) -> Snapshot:
     """Wrap a legacy root ``BENCH_*.json`` body into a snapshot.
 
@@ -150,7 +148,7 @@ def snapshot_from_legacy(
         commit=commit or UNKNOWN,
         timestamp=timestamp or datetime.now(timezone.utc).isoformat(),
         seed=seed,
-        python=python,
-        platform=platform,
+        python=UNKNOWN,
+        platform=UNKNOWN,
         payload=dict(payload),
     )

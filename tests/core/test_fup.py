@@ -173,3 +173,17 @@ def test_fup_equals_remine_at_absolute_support(update):
     assert fup_update_delta(old_db, delta, old_patterns, xi_new) == mine_bruteforce(
         delta.apply(old_db), xi_new
     )
+
+
+@pytest.mark.parametrize(
+    ("delta", "feedstock_support", "new_support", "reason"),
+    [
+        # Support drop: the relaxed threshold admits patterns the old run
+        # never materialized; FUP's pruning lemma cannot recover them.
+        (DatabaseDelta.append([[1, 2], [2, 3]]), 150, 30, "support drop"),
+        # Deletion: old supports only bound inserted rows.
+        (DatabaseDelta.delete([0, 1, 2]), 100, 100, "deletion delta"),
+    ],
+)
+def test_fup_refuses_off_turf(delta, feedstock_support, new_support, reason):
+    assert not fup_applicable(delta, feedstock_support, new_support, 1000), reason

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.compression import compress
 from repro.core.groups import Group, to_grouped
+from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError
 from repro.metrics.counters import CostCounters
 from repro.mining.apriori import mine_apriori
@@ -67,6 +68,20 @@ class TestPaperExample3:
         counters = CostCounters()
         mine_grouped(paper_compressed, 2, counters)
         assert counters.single_group_enumerations >= 1
+
+    def test_both_engines_fire_the_shortcut_alike(self):
+        """A group holding none of the frequent items drops out under
+        normalization, so it must not stop the bitset engine's shortcut
+        where the python engine's fires."""
+        db = TransactionDatabase([[1, 2]] * 5 + [[3, 4]] * 3)
+        compressed = compress(db, mine_apriori(db, 3), "mcp").compressed
+        bitset, python = CostCounters(), CostCounters()
+        found = mine_grouped(compressed, 5, bitset)
+        assert mine_grouped(list(compressed.groups), 5, python) == found
+        # Both fire at the root, so neither projects at all.
+        assert python.single_group_enumerations == 1 and python.projections == 0
+        assert bitset.single_group_enumerations == 1 and bitset.projections == 0
+        assert found == mine_apriori(db, 5)
 
     def test_shortcut_disabled_gives_identical_result(self, paper_compressed):
         fast = mine_grouped(paper_compressed, 2)

@@ -524,13 +524,13 @@ class TestReport:
         assert code == 1
         assert "nothing to archive" in capsys.readouterr().out
 
-    def test_render_from_cached_data(self, archived_history, capsys):
-        tmp_path, _archive, _policy = archived_history
+    def test_render_draws_the_policy_series(self, archived_history, capsys):
+        tmp_path, _archive, policy = archived_history
         out_dir = tmp_path / "report"
         code = main([
             "report", "render",
             "--history-dir", str(tmp_path / ".bench_history"),
-            "--output-dir", str(out_dir), "--from-cached-data",
+            "--output-dir", str(out_dir), "--policy", str(policy),
         ])
         assert code == 0
         md = (out_dir / "trends.md").read_text("utf-8")
@@ -538,6 +538,21 @@ class TestReport:
         assert "2 commit(s)" in capsys.readouterr().out
         assert "aaaaaaaaaa" in md and "bbbbbbbbbb" in md
         assert "<svg" in html
+        # The trend section lists exactly the policy's one series.
+        assert [line for line in md.splitlines() if line.startswith("### ")] == [
+            "### batched work"
+        ]
+
+    def test_render_rejects_a_missing_policy(self, archived_history, capsys):
+        tmp_path, _archive, _policy = archived_history
+        code = main([
+            "report", "render",
+            "--history-dir", str(tmp_path / ".bench_history"),
+            "--output-dir", str(tmp_path / "report"),
+            "--policy", str(tmp_path / "absent.toml"),
+        ])
+        assert code == 1
+        assert "cannot read gate policy" in capsys.readouterr().err
 
     def test_render_empty_archive_errors(self, tmp_path, capsys):
         code = main([

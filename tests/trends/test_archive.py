@@ -53,40 +53,17 @@ class TestSnapshotArchive:
 
 
 class TestWriteBenchmarkSnapshot:
-    def test_double_writes_legacy_and_archive(self, tmp_path):
+    def test_writes_the_root_file_and_no_snapshot(self, tmp_path):
         payload = {"seed": 3, "results": [{"dataset": "connect4", "work": 10}]}
-        legacy_path, archive_path = write_benchmark_snapshot(
-            "warehouse", payload, repo_root=tmp_path
-        )
-        assert legacy_path == tmp_path / "BENCH_warehouse.json"
-        # Legacy body is the bare payload, byte-for-byte as before the
-        # archive existed: two-space JSON plus trailing newline.
-        assert legacy_path.read_text("utf-8") == json.dumps(payload, indent=2) + "\n"
-        snap = SnapshotArchive(tmp_path / ".bench_history").load_all()[0]
-        assert archive_path.is_file()
-        assert snap.payload == payload
-        assert snap.seed == 3
-        assert snap.bench == "warehouse"
-        assert snap.python != "unknown"
-        assert snap.timestamp
-
-    def test_legacy_false_skips_root_file(self, tmp_path):
-        legacy_path, _ = write_benchmark_snapshot(
-            "parallel", {"seed": 0, "results": []}, repo_root=tmp_path,
-            legacy=False,
-        )
-        assert legacy_path is None
-        assert not (tmp_path / "BENCH_parallel.json").exists()
+        path = write_benchmark_snapshot("warehouse", payload, repo_root=tmp_path)
+        assert path == tmp_path / "BENCH_warehouse.json"
+        # The body is the bare payload: two-space JSON plus trailing newline.
+        assert path.read_text("utf-8") == json.dumps(payload, indent=2) + "\n"
+        assert not (tmp_path / ".bench_history").exists()
 
     def test_unknown_bench_rejected(self, tmp_path):
         with pytest.raises(TrendsError, match="unknown bench"):
             write_benchmark_snapshot("mystery", {}, repo_root=tmp_path)
-
-    def test_outside_git_commit_is_unknown(self, tmp_path):
-        _, archive_path = write_benchmark_snapshot(
-            "backends", {"seed": 0, "results": []}, repo_root=tmp_path
-        )
-        assert "unknown" in str(archive_path)
 
 
 def _git(cwd, *args):
@@ -174,7 +151,7 @@ class TestIngestLegacy:
 
 
 class TestDirtyTree:
-    """A run is archived under HEAD's hash only when HEAD holds its code."""
+    """A run never reaches the archive; only committed files do."""
 
     @pytest.fixture
     def source_repo(self, git_repo):
@@ -191,30 +168,25 @@ class TestDirtyTree:
             check=True, capture_output=True, text=True,
         ).stdout.strip()
 
-    def test_clean_tree_is_archived_under_head(self, source_repo, capsys):
+    def test_clean_tree_is_archived_under_head(self, source_repo):
         payload = {"seed": 0, "results": [{"dataset": "connect4", "speedup": 4.0}]}
-        legacy_path, archive_path = write_benchmark_snapshot(
-            "backends", payload, repo_root=source_repo
-        )
-        assert archive_path == (
-            source_repo / ".bench_history" / self._head(source_repo) / "backends.json"
-        )
-        assert archive_path.is_file()
-        assert json.loads(legacy_path.read_text("utf-8")) == payload
-        assert "not archived" not in capsys.readouterr().err
+        write_benchmark_snapshot("backends", payload, repo_root=source_repo)
+        assert not (source_repo / ".bench_history").exists()
+        _git(source_repo, "commit", "-q", "-am", "rerun")
+        [snapshot] = ingest_legacy(source_repo, benches=["backends"])
+        assert snapshot.commit == self._head(source_repo)
+        assert snapshot.payload == payload
+        assert (
+            source_repo / ".bench_history" / snapshot.commit / "backends.json"
+        ).is_file()
 
-    def test_dirty_tree_writes_the_root_file_but_no_snapshot(
-        self, source_repo, capsys
-    ):
+    def test_dirty_tree_writes_the_root_file_but_no_snapshot(self, source_repo):
         (source_repo / "src" / "kernel.py").write_text("SPEED = 2\n")
         payload = {"seed": 0, "results": [{"dataset": "connect4", "speedup": 5.0}]}
-        legacy_path, archive_path = write_benchmark_snapshot(
-            "backends", payload, repo_root=source_repo
-        )
-        assert archive_path is None
+        path = write_benchmark_snapshot("backends", payload, repo_root=source_repo)
+        assert json.loads(path.read_text("utf-8")) == payload
         assert not (source_repo / ".bench_history").exists()
-        assert json.loads(legacy_path.read_text("utf-8")) == payload
-        err = capsys.readouterr().err
-        assert "not archived" in err
-        assert "src/kernel.py" in err
-        assert self._head(source_repo)[:12] in err
+        # Archiving reads the committed body, not the uncommitted run.
+        [snapshot] = ingest_legacy(source_repo, benches=["backends"])
+        assert snapshot.rows()[0]["speedup"] == 3.0
+        assert snapshot.commit != self._head(source_repo)

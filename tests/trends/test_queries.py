@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import TrendsError
 from repro.trends import (
-    TREND_METRICS,
     TrendMetric,
     aggregate,
     category_bars,
+    load_policy,
     metric_value,
     select,
     series,
@@ -18,6 +20,8 @@ from repro.trends import (
 )
 
 from tests.trends.conftest import make_snapshot
+
+POLICY = Path(__file__).resolve().parents[2] / "trends" / "policy.toml"
 
 
 class TestSelect:
@@ -103,13 +107,13 @@ class TestTrendMetric:
         assert metric.trend([snapshot])[0]["value"] == 1000.0
 
     def test_default_set_is_wall_clock_safe(self):
-        # Every advisory default is a wall-clock-derived speedup; every
-        # gating default is a counter or gauge.
-        advisory = {m.field for m in TREND_METRICS if m.advisory}
+        # Every advisory series of the policy (which the report and the
+        # gate both read) is a wall-clock-derived speedup; every gating
+        # series is a counter or gauge.
+        metrics = [entry.metric for entry in load_policy(POLICY).metrics]
+        advisory = {m.field for m in metrics if m.advisory}
         assert advisory == {"speedup"}
-        assert all(
-            m.field != "speedup" for m in TREND_METRICS if not m.advisory
-        )
+        assert all(m.field != "speedup" for m in metrics if not m.advisory)
 
 
 class TestChartExtractors:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import TrendsError
@@ -9,12 +11,21 @@ from repro.trends import (
     bar_chart,
     build_report_data,
     line_chart,
+    load_policy,
     render_html,
     render_markdown,
     write_report,
 )
 
 from tests.trends.conftest import make_snapshot
+
+#: The series the report draws: the shipped policy's, as the CLI reads it.
+SERIES = [
+    entry.metric
+    for entry in load_policy(
+        Path(__file__).resolve().parents[2] / "trends" / "policy.toml"
+    ).metrics
+]
 
 
 def _two_commit_history():
@@ -48,10 +59,10 @@ def _two_commit_history():
 class TestBuildReportData:
     def test_empty_archive_rejected(self):
         with pytest.raises(TrendsError, match="no archived snapshots"):
-            build_report_data([])
+            build_report_data([], SERIES)
 
     def test_shape(self):
-        data = build_report_data(_two_commit_history())
+        data = build_report_data(_two_commit_history(), SERIES)
         assert data["snapshot_count"] == 3
         assert data["commits"] == ["a" * 10, "b" * 10]
         assert set(data["benches"]) == {"parallel", "service_load"}
@@ -70,14 +81,14 @@ class TestBuildReportData:
             {"b_col": 1, "a_col": 2},
             {"b_col": 1, "z_extra": 3, "c_extra": 4},
         ])
-        data = build_report_data([snap])
+        data = build_report_data([snap], SERIES)
         headers = data["benches"]["service_load"]["headers"]
         assert headers == ["b_col", "a_col", "c_extra", "z_extra"]
 
 
 class TestRenderers:
     def test_markdown_from_two_commits(self):
-        md = render_markdown(build_report_data(_two_commit_history()))
+        md = render_markdown(build_report_data(_two_commit_history(), SERIES))
         assert md.startswith("# Benchmark trends")
         assert "`aaaaaaaaaa`" in md and "`bbbbbbbbbb`" in md
         assert "## service_load" in md
@@ -86,7 +97,7 @@ class TestRenderers:
         assert "advisory" in md  # wall-clock series are labelled
 
     def test_html_is_self_contained_with_inline_svg(self):
-        html = render_html(build_report_data(_two_commit_history()))
+        html = render_html(build_report_data(_two_commit_history(), SERIES))
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html
         assert "</html>" in html
@@ -97,11 +108,11 @@ class TestRenderers:
 
     def test_markdown_pipe_escaping(self):
         snap = make_snapshot(rows=[{"name": "a|b", "v": 1}])
-        md = render_markdown(build_report_data([snap]))
+        md = render_markdown(build_report_data([snap], SERIES))
         assert "a\\|b" in md
 
     def test_write_report(self, tmp_path):
-        data = build_report_data(_two_commit_history())
+        data = build_report_data(_two_commit_history(), SERIES)
         md_path, html_path = write_report(data, tmp_path / "report")
         assert md_path.read_text("utf-8").startswith("# Benchmark trends")
         assert "<svg" in html_path.read_text("utf-8")

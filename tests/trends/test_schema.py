@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import TrendsError
@@ -123,8 +125,12 @@ class TestLegacyWrap:
         with pytest.raises(TrendsError, match="not a JSON object"):
             snapshot_from_legacy("backends", [1, 2, 3])
 
-    def test_legacy_file_map_covers_the_five_benches(self):
+    def test_legacy_file_map_covers_every_bench_file(self):
         assert sorted(LEGACY_FILES) == [
-            "backends", "incremental", "parallel", "service_load", "warehouse",
+            "backends", "incremental", "paper", "parallel", "service_load",
+            "warehouse",
         ]
-        assert all(v.startswith("BENCH_") for v in LEGACY_FILES.values())
+        repo = Path(__file__).resolve().parents[2]
+        assert set(LEGACY_FILES.values()) == {
+            path.name for path in repo.glob("BENCH_*.json")
+        }
