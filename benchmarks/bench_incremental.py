@@ -1,7 +1,7 @@
 """Update-path economics on the dense acceptance dataset.
 
-Replays the ``incremental-<dataset>`` churn sweep
-(:func:`repro.bench.experiments.incremental_rows`) on connect4 — the
+Replays the churn sweep of
+:func:`repro.bench.experiments.incremental_rows` on connect4 — the
 dense surrogate the figures gate on — plus weather as the sparse
 control, and writes ``BENCH_incremental.json`` at the repo root (``repro report
 archive`` adds its committed versions to the trend pipeline):

@@ -14,7 +14,6 @@ from repro.bench.experiments import (
     table3,
     two_step_cold_start,
 )
-from repro.bench.plotting import chart_from_figure_rows, render_chart
 from repro.bench.report import format_table, render_report
 from repro.bench.runner import (
     MiningRun,
@@ -33,7 +32,6 @@ __all__ = [
     "Workload",
     "ablation_single_group_shortcut",
     "ablation_strategies",
-    "chart_from_figure_rows",
     "figure",
     "figure_series",
     "format_table",
@@ -41,7 +39,6 @@ __all__ = [
     "miner_sweep",
     "observations",
     "prepare_workload",
-    "render_chart",
     "render_report",
     "run_baseline",
     "run_condensed",

@@ -1,10 +1,13 @@
 """Experiment generators: one function per paper table / figure group.
 
-Each function returns ``(headers, rows)`` ready for
-:func:`repro.bench.report.render_report`; the benchmark modules under
-``benchmarks/`` call these and print the result. The mapping from paper
-artifact to function lives in :data:`FIGURES` and is mirrored in
-DESIGN.md's experiment index.
+Each paper experiment returns ``(headers, rows)`` ready for
+:func:`repro.bench.report.render_report`; ``benchmarks/bench_paper.py``
+runs them all and ``repro bench --experiment`` runs one by name. The
+system benches (service load, warehouse, parallel, incremental) return
+dict rows from their ``*_rows`` function, and each runs only from its
+``benchmarks/bench_*.py`` script. The mapping from paper artifact to
+function lives in :data:`FIGURES` and is mirrored in DESIGN.md's
+experiment index.
 
 All experiments verify the correctness invariant as they run: every
 recycling variant must produce exactly the baseline's pattern set. A
@@ -29,6 +32,8 @@ from repro.bench.workloads import prepare_workload
 from repro.core.utility import STRATEGIES
 from repro.core.compression import compress
 from repro.errors import BenchmarkError
+from repro.mining.flist import FList
+from repro.mining.hmine import build_hstruct
 from repro.mining.registry import iter_miners, mine_with_budget
 from repro.storage.disk import DiskModel, SimulatedDisk, transactions_byte_size
 from repro.storage.memory import estimate_transactions_bytes
@@ -69,12 +74,6 @@ EXPERIMENT_FAMILIES: tuple[str, ...] = (
     "ablation-shortcut-<ds>",
     "two-step-<ds>",
     "miners-<ds>",
-    "service-<ds>",
-    "service-load-<ds>",
-    "warehouse-<ds>",
-    "grouped-<ds>",
-    "parallel-<ds>",
-    "incremental-<ds>",
 )
 
 _ALGORITHM_TAGS = {"hmine": "HM", "fpgrowth": "FP", "treeprojection": "TP"}
@@ -208,9 +207,12 @@ def memory_limited_figure(
     """H-Mine vs HM-MCP under memory budgets, with simulated I/O.
 
     The paper fixes 4 MB / 8 MB on datasets of tens of MB; our stand-ins
-    are ~100x smaller, so budgets are expressed as fractions of the full
-    H-struct footprint (defaults chosen to match the paper's ~10-25%
-    regime). Reported times add the simulated disk model's transfer time
+    are ~100x smaller, so budgets are expressed as fractions of the
+    H-struct H-Mine builds at the sweep's highest support: frequent items
+    only, the smallest structure it builds over the sweep, so a fraction
+    below 1 spills at every point. Measured against the full H-struct the
+    defaults are a few percent on the dense sets, tighter than the
+    paper's. Reported times add the simulated disk model's transfer time
     to the measured CPU time, mirroring how the paper's wall-clock
     includes real I/O.
     """
@@ -226,16 +228,17 @@ def memory_limited_figure(
         dataset = number_or_dataset
     workload = prepare_workload(dataset, seed)
     db = workload.db
-    full_bytes = estimate_transactions_bytes(list(db.transactions), db.item_count())
+    points = sweep if sweep is not None else workload.spec.xi_new_sweep
+    flist = FList.from_database(db, workload.absolute_support(max(points)))
+    struct_bytes = estimate_transactions_bytes(build_hstruct(db, flist), len(flist))
     headers = [
         "xi_new", "budget_bytes",
         "HM_s", "HM_io_mb", "HM-MCP_s", "HM-MCP_io_mb",
         "speedup", "patterns",
     ]
     rows: list[list[object]] = []
-    points = sweep if sweep is not None else workload.spec.xi_new_sweep
     for fraction in budget_fractions:
-        budget = max(1, int(full_bytes * fraction))
+        budget = max(1, int(struct_bytes * fraction))
         for relative in points:
             absolute = workload.absolute_support(relative)
             base_disk = SimulatedDisk(counters=None)
@@ -487,126 +490,6 @@ def miner_sweep(dataset: str, seed: int = 0) -> tuple[list[str], list[list[objec
     return headers, rows
 
 
-def grouped_kernel_benchmark(
-    dataset: str, seed: int = 0
-) -> tuple[list[str], list[list[object]]]:
-    """Group-kernel engine comparison: python loops vs vertical bitmaps.
-
-    Runs the shared Phase 2 kernel (:func:`mine_grouped`) at every sweep
-    support twice: over the MCP-compressed database (the bitset engine)
-    and over the same groups passed bare (the python engine). The result
-    sets must be bit-identical — the engines differ only in how they
-    count group members (tail scans vs one ``&`` + popcount per
-    candidate), which is where dense data rewards the vertical layout.
-    """
-    workload = prepare_workload(dataset, seed)
-    compressed = workload.compressions["mcp"].compressed
-    bare_groups = list(compressed.groups)
-    headers = [
-        "xi_new", "abs_sup", "patterns",
-        "python_s", "bitset_s", "speedup",
-        "shortcut_fires", "group_counts",
-    ]
-    rows: list[list[object]] = []
-    for relative in workload.spec.xi_new_sweep:
-        absolute = workload.absolute_support(relative)
-        python_run = timed(
-            "grouped-python",
-            lambda counters: mine_grouped(bare_groups, absolute, counters),
-        )
-        bitset_run = timed(
-            "grouped-bitset",
-            lambda counters: mine_grouped(compressed, absolute, counters),
-        )
-        _check_same(python_run, bitset_run, f"grouped {dataset} xi={relative}")
-        rows.append(
-            [
-                relative,
-                absolute,
-                python_run.pattern_count,
-                python_run.seconds,
-                bitset_run.seconds,
-                speedup(python_run, bitset_run),
-                bitset_run.counters.single_group_enumerations,
-                bitset_run.counters.group_counts,
-            ]
-        )
-    return headers, rows
-
-
-def service_benchmark(
-    dataset: str,
-    seed: int = 0,
-    tenants: int = 3,
-    sweep: Sequence[float] | None = None,
-) -> tuple[list[str], list[list[object]]]:
-    """Warm-warehouse service vs cold mining on a multi-tenant sweep.
-
-    Replays an interleaved workload — ``tenants`` users each requesting
-    every support in the dataset's sweep, highest first — through a
-    warehouse-backed :class:`~repro.service.MiningService`, and charges
-    each request the machine-independent ``CostCounters.total_work()``.
-    The cold column is what a warehouse-less platform pays: a full
-    baseline mine per request (computed once per distinct support, since
-    cold mining is deterministic). The first request at each new lowest
-    support pays mine/recycle cost; every later tenant's request is a
-    filter hit, which is where the warehouse's amortization shows up.
-    """
-    from repro.service import MineRequest, MiningService, PatternWarehouse
-
-    workload = prepare_workload(dataset, seed)
-    db = workload.db
-    headers = [
-        "tenant", "xi_new", "abs_sup", "path", "feedstock",
-        "work_warm", "work_cold", "patterns",
-    ]
-    supports = sorted(
-        sweep if sweep is not None else workload.spec.xi_new_sweep, reverse=True
-    )
-    cold_runs = {
-        workload.absolute_support(rel): run_baseline(
-            "hmine", db, workload.absolute_support(rel)
-        )
-        for rel in supports
-    }
-    rows: list[list[object]] = []
-    total_warm = 0
-    total_cold = 0
-    warehouse = PatternWarehouse()
-    with MiningService(warehouse=warehouse, max_workers=1) as service:
-        for relative in supports:
-            absolute = workload.absolute_support(relative)
-            cold = cold_runs[absolute]
-            for tenant_index in range(tenants):
-                response = service.execute(
-                    MineRequest(db=db, support=absolute, tenant=f"user-{tenant_index}")
-                )
-                if response.patterns != cold.patterns:
-                    raise BenchmarkError(
-                        f"service {dataset} xi={relative}: warm result disagreed "
-                        f"with cold mining ({response.pattern_count} vs "
-                        f"{cold.pattern_count} patterns)"
-                    )
-                warm_work = response.counters.total_work() if not response.coalesced else 0
-                cold_work = cold.counters.total_work()
-                total_warm += warm_work
-                total_cold += cold_work
-                rows.append(
-                    [
-                        response.tenant,
-                        relative,
-                        absolute,
-                        response.path,
-                        response.feedstock_support or "-",
-                        warm_work,
-                        cold_work,
-                        response.pattern_count,
-                    ]
-                )
-    rows.append(["TOTAL", "-", "-", "-", "-", total_warm, total_cold, "-"])
-    return headers, rows
-
-
 #: The four traffic scenarios the service-load bench compares. The first
 #: pair isolates cross-request batching (same FIFO arrival order, merge
 #: on/off); the second pair isolates admission control (same paced
@@ -770,34 +653,6 @@ def service_load_rows(
     return rows
 
 
-def service_load_benchmark(
-    dataset: str, seed: int = 0
-) -> tuple[list[str], list[list[object]]]:
-    """CLI-report wrapper around :func:`service_load_rows`."""
-    headers = [
-        "scenario", "served", "shed", "rejected", "computations",
-        "queue_HWM", "total_work", "work_per_served",
-        "int_p99_work", "int_p99_s", "seconds",
-    ]
-    rows = [
-        [
-            row["scenario"],
-            row["served"],
-            row["shed"],
-            row["rejected"],
-            row["computations"],
-            row["queue_high_water"],
-            row["total_work"],
-            round(float(row["work_per_served"]), 1),
-            row["interactive_p99_work"],
-            row["interactive_p99_s"],
-            row["elapsed_seconds"],
-        ]
-        for row in service_load_rows(dataset, seed)
-    ]
-    return headers, rows
-
-
 #: Byte budget the warehouse bench charges every representation against.
 #: Sized so a dense dataset's condensed entries all fit while its
 #: full-set entries are too large to bank — the regime where the
@@ -813,9 +668,10 @@ def warehouse_rows(
 ) -> list[dict[str, object]]:
     """Warehouse footprint and warm-path hit rate per representation.
 
-    Replays the same interleaved multi-tenant sweep as
-    :func:`service_benchmark` once per pattern representation, every run
-    against an identically budgeted warehouse. Every response is checked
+    Replays an interleaved multi-tenant sweep (``tenants`` users each
+    requesting every support of the dataset's sweep, highest first) once
+    per pattern representation, every run against an identically
+    budgeted warehouse. Every response is checked
     bit-identical to a cold from-scratch mine before it counts. A request
     is a *warm hit* when the warehouse served it (the ``filter`` path: the
     service never recycles); ``mine`` means the platform paid full price. The
@@ -888,32 +744,6 @@ def warehouse_rows(
             }
         )
     return rows
-
-
-def warehouse_benchmark(
-    dataset: str, seed: int = 0
-) -> tuple[list[str], list[list[object]]]:
-    """CLI-report wrapper around :func:`warehouse_rows`."""
-    headers = [
-        "repr", "warm_hits", "requests", "hit_rate", "work",
-        "entries", "stored_B", "B_per_entry", "ratio", "rejections",
-    ]
-    rows = [
-        [
-            row["representation"],
-            row["warm_hits"],
-            row["requests"],
-            row["warm_hit_rate"],
-            row["work"],
-            row["entries"],
-            row["stored_bytes"],
-            row["bytes_per_entry"],
-            row["condensation_ratio"],
-            row["rejections"],
-        ]
-        for row in warehouse_rows(dataset, seed)
-    ]
-    return headers, rows
 
 
 def parallel_speedup_rows(
@@ -1029,28 +859,6 @@ def parallel_speedup_rows(
             }
         )
     return rows
-
-
-def parallel_benchmark(
-    dataset: str, seed: int = 0
-) -> tuple[list[str], list[list[object]]]:
-    """CLI-report wrapper around :func:`parallel_speedup_rows`."""
-    headers = [
-        "jobs", "shards", "wall_s", "critical_s", "basis", "speedup", "patterns",
-    ]
-    rows = [
-        [
-            row["jobs"],
-            row["shards"],
-            row["wall_seconds"],
-            row["critical_path_seconds"],
-            row["speedup_basis"],
-            row["speedup"],
-            row["patterns"],
-        ]
-        for row in parallel_speedup_rows(dataset, seed)
-    ]
-    return headers, rows
 
 
 #: Delta sizes (fraction of the base database appended) swept by the
@@ -1200,33 +1008,6 @@ def incremental_crossover(rows: Sequence[dict[str, object]]) -> float | None:
     return None
 
 
-def incremental_benchmark(
-    dataset: str, seed: int = 0
-) -> tuple[list[str], list[list[object]]]:
-    """CLI-report wrapper around :func:`incremental_rows`."""
-    headers = [
-        "churn", "delta_rows", "patterns", "scratch_work", "fup_work",
-        "recycle_work", "winner", "scratch_s", "fup_s", "recycle_s", "update_hit",
-    ]
-    rows = [
-        [
-            row["churn"],
-            row["delta_rows"],
-            row["patterns"],
-            row["scratch_work"],
-            row["fup_work"] if row["fup_work"] is not None else "n/a",
-            row["recycle_work"],
-            row["winner"],
-            row["scratch_wall_s"],
-            row["fup_wall_s"] if row["fup_wall_s"] is not None else "n/a",
-            row["recycle_wall_s"],
-            f"{row['update_path_hits']}/{row['update_path_requests']}",
-        ]
-        for row in incremental_rows(dataset, seed)
-    ]
-    return headers, rows
-
-
 def run_experiment(name: str, seed: int = 0) -> tuple[list[str], list[list[object]]]:
     """Dispatch an experiment by CLI-friendly name."""
     if name == "table3":
@@ -1248,18 +1029,6 @@ def run_experiment(name: str, seed: int = 0) -> tuple[list[str], list[list[objec
         return two_step_cold_start(name.rsplit("-", 1)[1], seed)
     if name.startswith("miners-"):
         return miner_sweep(name.split("-", 1)[1], seed)
-    if name.startswith("service-load-"):
-        return service_load_benchmark(name.split("-", 2)[2], seed)
-    if name.startswith("service-"):
-        return service_benchmark(name.split("-", 1)[1], seed)
-    if name.startswith("warehouse-"):
-        return warehouse_benchmark(name.split("-", 1)[1], seed)
-    if name.startswith("grouped-"):
-        return grouped_kernel_benchmark(name.split("-", 1)[1], seed)
-    if name.startswith("parallel-"):
-        return parallel_benchmark(name.split("-", 1)[1], seed)
-    if name.startswith("incremental-"):
-        return incremental_benchmark(name.split("-", 1)[1], seed)
     raise BenchmarkError(
         f"unknown experiment {name!r} — try {', '.join(EXPERIMENT_FAMILIES)}"
     )

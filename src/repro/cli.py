@@ -568,27 +568,6 @@ def _command_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_plot(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import FIGURES, figure
-    from repro.bench.plotting import chart_from_figure_rows
-
-    if args.figure not in FIGURES:
-        raise ReproError(
-            f"figure {args.figure} is not plottable (known: {sorted(FIGURES)})"
-        )
-    dataset, algorithm = FIGURES[args.figure]
-    headers, rows = figure(args.figure, args.seed)
-    print(
-        chart_from_figure_rows(
-            headers,
-            rows,
-            title=f"Figure {args.figure} — {dataset} / {algorithm}",
-            log_y=args.log,
-        )
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -647,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     update.set_defaults(handler=_command_update)
 
     # argparse wraps help at hyphens, splitting names like
-    # service-load-<ds>; the list is wrapped here at spaces only, 54
+    # ablation-strategies-<ds>; the list is wrapped here at spaces only, 54
     # wide, so each line fits 80 columns after argparse's indent of 24.
     bench = commands.add_parser("bench", help="run a paper experiment",
                                 formatter_class=argparse.RawTextHelpFormatter)
@@ -793,15 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict the listing to one kind")
     miners.set_defaults(handler=_command_miners)
 
-    plot = commands.add_parser(
-        "plot", help="render a figure experiment as an ASCII chart"
-    )
-    plot.add_argument("--figure", type=int, required=True,
-                      help="paper figure number (9-20)")
-    plot.add_argument("--seed", type=int, default=0)
-    plot.add_argument("--log", action="store_true",
-                      help="log-scale y axis (the paper uses it on dense data)")
-    plot.set_defaults(handler=_command_plot)
     return parser
 
 

@@ -85,7 +85,7 @@ class AggregateConstraint(Constraint):
             return False
         return value <= self.value if self.op == "<=" else value >= self.value
 
-    def compare(self, other: Constraint) -> ChangeKind:
+    def compare(self, other: Constraint, db_size: int) -> ChangeKind:
         if (
             not isinstance(other, AggregateConstraint)
             or other.aggregate != self.aggregate

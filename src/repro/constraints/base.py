@@ -65,13 +65,15 @@ class Constraint(ABC):
         """True when the pattern meets this constraint."""
 
     @abstractmethod
-    def compare(self, other: "Constraint") -> ChangeKind:
+    def compare(self, other: "Constraint", db_size: int) -> ChangeKind:
         """How ``other`` (the *new* constraint) relates to ``self``.
 
         ``TIGHTENED`` means every pattern satisfying ``other`` also
         satisfies ``self`` (solution space shrank); ``RELAXED`` the
         reverse; ``INCOMPARABLE`` when neither containment holds or the
-        constraints are of different kinds.
+        constraints are of different kinds. ``db_size`` is the database
+        the constraints run over; support bounds compare as absolute
+        counts on it.
         """
 
     def is_anti_monotone(self) -> bool:

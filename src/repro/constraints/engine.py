@@ -80,11 +80,11 @@ class ConstraintSet:
     # ------------------------------------------------------------------
     # change classification
     # ------------------------------------------------------------------
-    def classify_change(self, new: "ConstraintSet") -> ChangeKind:
-        """How ``new`` relates to this (older) constraint set.
+    def classify_change(self, new: "ConstraintSet", db_size: int) -> ChangeKind:
+        """How ``new`` relates to this (older) constraint set over a
+        database of ``db_size`` rows (see :meth:`Constraint.compare`).
 
-        Pairs up constraints greedily by best comparison result. Any
-        relaxed or unmatched-in-old constraint... more precisely:
+        Pairs up constraints greedily by best comparison result; then:
 
         * every new constraint tightens-or-equals a matched old one, and
           no old constraint was dropped -> ``TIGHTENED`` (or ``SAME``);
@@ -100,7 +100,7 @@ class ConstraintSet:
             match_kind: ChangeKind | None = None
             match_index: int | None = None
             for index, old_constraint in enumerate(old_constraints):
-                kind = old_constraint.compare(new_constraint)
+                kind = old_constraint.compare(new_constraint, db_size)
                 if kind is ChangeKind.INCOMPARABLE:
                     continue
                 if match_kind is None or kind is ChangeKind.SAME:

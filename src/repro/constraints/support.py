@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.constraints.base import Category, ChangeKind, Constraint, ConstraintContext
-from repro.data.transactions import absolute_support
+from repro.data.transactions import absolute_support, is_relative_support
 from repro.errors import ConstraintError
 from repro.mining.patterns import Pattern
+
+
+def _bound_change(
+    old: "MinSupport | MaxSupport",
+    new: "MinSupport | MaxSupport",
+    db_size: int,
+    higher_is_tighter: bool,
+) -> ChangeKind:
+    """How ``new``'s support bound relates to ``old``'s, compared as
+    absolute counts over ``db_size`` rows."""
+    before, after = old.absolute(db_size), new.absolute(db_size)
+    if after == before:
+        return ChangeKind.SAME
+    tightened = after > before if higher_is_tighter else after < before
+    return ChangeKind.TIGHTENED if tightened else ChangeKind.RELAXED
 
 
 class MinSupport(Constraint):
@@ -33,19 +50,22 @@ class MinSupport(Constraint):
     def satisfied(self, pattern: Pattern, support: int, context: ConstraintContext) -> bool:
         return support >= self.absolute(context.db_size)
 
-    def compare(self, other: Constraint) -> ChangeKind:
+    def compare(self, other: Constraint, db_size: int) -> ChangeKind:
         if not isinstance(other, MinSupport):
             return ChangeKind.INCOMPARABLE
-        if other.threshold == self.threshold:
-            return ChangeKind.SAME
-        return ChangeKind.TIGHTENED if other.threshold > self.threshold else ChangeKind.RELAXED
+        return _bound_change(self, other, db_size, higher_is_tighter=True)
 
     def __repr__(self) -> str:
         return f"MinSupport({self.threshold})"
 
 
 class MaxSupport(Constraint):
-    """``sup(X) <= threshold`` — monotone (rare-pattern mining)."""
+    """``sup(X) <= threshold`` — monotone (rare-pattern mining).
+
+    ``threshold`` follows the same support rule as :class:`MinSupport`,
+    except that a fraction rounds *down*: a max bound must not admit a
+    support above it.
+    """
 
     def __init__(self, threshold: float) -> None:
         if threshold <= 0:
@@ -57,19 +77,18 @@ class MaxSupport(Constraint):
         return frozenset({Category.MONOTONE})
 
     def absolute(self, db_size: int) -> int:
-        if self.threshold < 1:
-            return int(self.threshold * db_size)
-        return int(self.threshold)
+        """Resolve to an absolute count for a database of ``db_size``."""
+        if is_relative_support(self.threshold):
+            return math.floor(self.threshold * db_size)
+        return absolute_support(self.threshold, db_size)
 
     def satisfied(self, pattern: Pattern, support: int, context: ConstraintContext) -> bool:
         return support <= self.absolute(context.db_size)
 
-    def compare(self, other: Constraint) -> ChangeKind:
+    def compare(self, other: Constraint, db_size: int) -> ChangeKind:
         if not isinstance(other, MaxSupport):
             return ChangeKind.INCOMPARABLE
-        if other.threshold == self.threshold:
-            return ChangeKind.SAME
-        return ChangeKind.TIGHTENED if other.threshold < self.threshold else ChangeKind.RELAXED
+        return _bound_change(self, other, db_size, higher_is_tighter=False)
 
     def __repr__(self) -> str:
         return f"MaxSupport({self.threshold})"
@@ -90,7 +109,7 @@ class MinLength(Constraint):
     def satisfied(self, pattern: Pattern, support: int, context: ConstraintContext) -> bool:
         return len(pattern) >= self.length
 
-    def compare(self, other: Constraint) -> ChangeKind:
+    def compare(self, other: Constraint, db_size: int) -> ChangeKind:
         if not isinstance(other, MinLength):
             return ChangeKind.INCOMPARABLE
         if other.length == self.length:
@@ -116,7 +135,7 @@ class MaxLength(Constraint):
     def satisfied(self, pattern: Pattern, support: int, context: ConstraintContext) -> bool:
         return len(pattern) <= self.length
 
-    def compare(self, other: Constraint) -> ChangeKind:
+    def compare(self, other: Constraint, db_size: int) -> ChangeKind:
         if not isinstance(other, MaxLength):
             return ChangeKind.INCOMPARABLE
         if other.length == self.length:
@@ -142,7 +161,7 @@ class ItemsWithin(Constraint):
     def satisfied(self, pattern: Pattern, support: int, context: ConstraintContext) -> bool:
         return pattern <= self.allowed
 
-    def compare(self, other: Constraint) -> ChangeKind:
+    def compare(self, other: Constraint, db_size: int) -> ChangeKind:
         if not isinstance(other, ItemsWithin):
             return ChangeKind.INCOMPARABLE
         if other.allowed == self.allowed:
@@ -172,7 +191,7 @@ class ItemsRequired(Constraint):
     def satisfied(self, pattern: Pattern, support: int, context: ConstraintContext) -> bool:
         return pattern >= self.required
 
-    def compare(self, other: Constraint) -> ChangeKind:
+    def compare(self, other: Constraint, db_size: int) -> ChangeKind:
         if not isinstance(other, ItemsRequired):
             return ChangeKind.INCOMPARABLE
         if other.required == self.required:

@@ -193,7 +193,7 @@ class MiningSession:
             # The database moved since the feedstock was mined: patch
             # the cached patterns across the delta instead of treating
             # them as same-database feedstock (which would be unsound).
-            change = self._constraints.classify_change(constraints)
+            change = self._constraints.classify_change(constraints, len(self.db))
             assert self._mined_version is not None
             delta = self._version.delta_from(self._mined_version)
             plan = plan_update_path(
@@ -206,7 +206,7 @@ class MiningSession:
             )
             path = plan.path
         else:
-            change = self._constraints.classify_change(constraints)
+            change = self._constraints.classify_change(constraints, len(self.db))
             plan = plan_support_path(
                 new_support, self._support_patterns, self._absolute_support
             )

@@ -39,9 +39,15 @@ def absolute_support(min_support: float, n_rows: int) -> int:
         raise DataError(f"min_support must be finite, got {min_support}")
     if min_support <= 0:
         raise DataError(f"min_support must be positive, got {min_support}")
-    if isinstance(min_support, float) and min_support <= 1.0:
+    if is_relative_support(min_support):
         return max(1, math.ceil(min_support * n_rows))
     return int(min_support)
+
+
+def is_relative_support(threshold: float) -> bool:
+    """Whether the support rule reads ``threshold`` as a fraction of the
+    rows (a float at most 1) rather than as an absolute count."""
+    return isinstance(threshold, float) and threshold <= 1.0
 
 
 def normalize_row(raw: Iterable[int], what: str) -> tuple[int, ...]:

@@ -17,8 +17,9 @@ The subsystem in three modules, one per pass boundary:
 The engine sits above :mod:`repro.core`, whose miners it runs inside
 workers. No library or CLI entry point reaches it: the serial serving
 kernel beat it on every measured input but one (``docs/parallel.md``,
-"Verdict"), and the only caller left is ``repro bench parallel-<ds>``,
-which produces that recorded negative result.
+"Verdict"), and the only caller left is ``benchmarks/bench_parallel.py``
+(through :func:`repro.bench.experiments.parallel_speedup_rows`), which
+records that negative result.
 """
 
 from repro.parallel.executor import (

@@ -44,7 +44,7 @@ plus the grouped kernel on every measured input (``docs/service.md``). A
 request's ``jobs`` is validated but does not change how it is computed:
 on these kernels the two-pass sharded scheme lost to one serial pass on
 every measured input but one (``docs/parallel.md``), and only
-``repro bench parallel-<dataset>`` still runs it. The registry's miners
+``benchmarks/bench_parallel.py`` still runs it. The registry's miners
 all return the same pattern sets, so the choice changes cost, never the
 answer. The paper's miner comparison stays available through
 :func:`~repro.core.recycle.recycle_mine`,

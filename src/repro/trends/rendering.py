@@ -21,6 +21,7 @@ from repro.errors import TrendsError
 from repro.trends.queries import (
     TrendMetric,
     category_bars,
+    select,
     speedup_vs_jobs,
     work_by_churn,
 )
@@ -108,6 +109,28 @@ def _bench_charts(bench: str, latest: Snapshot) -> list[dict[str, str]]:
                     "title": field_name.replace("_", " "),
                     "svg": bar_chart(
                         labels, values, title=chart_title, y_label=field_name
+                    ),
+                }
+            )
+    elif bench == "paper":
+        # The paper's runtime figures: one curve per seconds column (the
+        # baseline miner and its -MCP and -MLP recycling runs) over the
+        # support sweep, in the order the sweep ran.
+        for number in range(9, 21):
+            experiment = f"fig{number}"
+            rows = select(latest.rows(), {"experiment": experiment})
+            if not rows:
+                continue
+            columns = [name for name in rows[0] if name.endswith("_s")]
+            charts.append(
+                {
+                    "title": experiment,
+                    "svg": line_chart(
+                        [row["xi_new"] for row in rows],
+                        {name: [row[name] for row in rows] for name in columns},
+                        title=f"{experiment}: runtime vs xi_new "
+                        "(wall clock, advisory)",
+                        y_label="seconds",
                     ),
                 }
             )

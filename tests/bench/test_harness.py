@@ -19,7 +19,6 @@ from repro.bench.experiments import (
     memory_limited_figure,
     parallel_speedup_rows,
     run_experiment,
-    service_benchmark,
     service_load_rows,
     table3,
     two_step_cold_start,
@@ -93,6 +92,9 @@ class TestExperimentShapes:
         )
         assert len(rows) == 1
         assert len(headers) == len(rows[0])
+        # The budget is a fraction of the structure H-Mine builds, so it
+        # spills.
+        assert rows[0][headers.index("HM_io_mb")] > 0
 
     def test_table3_shape(self):
         headers, rows = table3()
@@ -186,12 +188,6 @@ class TestExperimentShapes:
             "ablation-shortcut-connect4": "ablation_single_group_shortcut",
             "two-step-connect4": "two_step_cold_start",
             "miners-connect4": "miner_sweep",
-            "service-connect4": "service_benchmark",
-            "service-load-connect4": "service_load_benchmark",
-            "warehouse-connect4": "warehouse_benchmark",
-            "grouped-connect4": "grouped_kernel_benchmark",
-            "parallel-connect4": "parallel_benchmark",
-            "incremental-connect4": "incremental_benchmark",
         }
         names = []
         for family in EXPERIMENT_FAMILIES:
@@ -247,51 +243,21 @@ class TestExperimentShapes:
             assert accounted == row["requests"] == 12
 
     def test_service_load_dispatch(self, monkeypatch):
-        """``service-load-<ds>`` must route past the ``service-`` prefix
-        to the load benchmark (full-scale runs are bench territory)."""
+        """The system benches run only from their ``benchmarks/`` script:
+        ``service-load-<ds>`` no longer reaches :func:`service_load_rows`,
+        and it and the other retired families fail listing the kept
+        ones."""
         import repro.bench.experiments as experiments
 
-        seen = {}
+        def fail(*args, **kwargs):
+            raise AssertionError("repro bench ran a system bench")
 
-        def fake_rows(dataset, seed=0, **kwargs):
-            seen["dataset"] = dataset
-            return [
-                {
-                    "scenario": "per-request",
-                    "served": 0,
-                    "shed": 0,
-                    "rejected": 0,
-                    "computations": 0,
-                    "merged_batches": 0,
-                    "queue_high_water": 0,
-                    "total_work": 0,
-                    "work_per_served": 0.0,
-                    "interactive_p99_work": 0.0,
-                    "interactive_p99_s": 0.0,
-                    "elapsed_seconds": 0.0,
-                }
-            ]
-
-        monkeypatch.setattr(experiments, "service_load_rows", fake_rows)
-        headers, rows = run_experiment("service-load-connect4", seed=0)
-        assert seen["dataset"] == "connect4"
-        assert headers[0] == "scenario"
-        assert rows[0][0] == "per-request"
-
-    def test_service_benchmark_warm_beats_cold(self):
-        headers, rows = service_benchmark("connect4", tenants=2, sweep=(0.93, 0.91))
-        assert headers[0] == "tenant"
-        body, total = rows[:-1], rows[-1]
-        assert total[0] == "TOTAL"
-        warm_column = headers.index("work_warm")
-        cold_column = headers.index("work_cold")
-        # The acceptance claim: warm-warehouse requests are cheaper than
-        # cold mining on total_work — per request and in aggregate.
-        for row in body:
-            assert row[warm_column] <= row[cold_column]
-        assert total[warm_column] < total[cold_column]
-        # The first request mines; every later tenant at the same support
-        # is a filter hit off the warehouse.
-        paths = [row[3] for row in body]
-        assert paths[0] == "mine"
-        assert "filter" in paths
+        monkeypatch.setattr(experiments, "service_load_rows", fail)
+        for name in (
+            "service-load-connect4", "service-connect4", "warehouse-connect4",
+            "grouped-connect4", "parallel-connect4", "incremental-connect4",
+        ):
+            with pytest.raises(BenchmarkError, match="unknown experiment") as error:
+                run_experiment(name)
+            for family in EXPERIMENT_FAMILIES:
+                assert family in str(error.value)

@@ -76,18 +76,18 @@ class TestCategories:
 class TestCompare:
     def test_le_direction(self):
         base = AggregateConstraint("sum", "price", "<=", 100)
-        assert base.compare(AggregateConstraint("sum", "price", "<=", 50)) is ChangeKind.TIGHTENED
-        assert base.compare(AggregateConstraint("sum", "price", "<=", 200)) is ChangeKind.RELAXED
+        assert base.compare(AggregateConstraint("sum", "price", "<=", 50), 100) is ChangeKind.TIGHTENED
+        assert base.compare(AggregateConstraint("sum", "price", "<=", 200), 100) is ChangeKind.RELAXED
 
     def test_ge_direction(self):
         base = AggregateConstraint("min", "price", ">=", 10)
-        assert base.compare(AggregateConstraint("min", "price", ">=", 20)) is ChangeKind.TIGHTENED
-        assert base.compare(AggregateConstraint("min", "price", ">=", 5)) is ChangeKind.RELAXED
+        assert base.compare(AggregateConstraint("min", "price", ">=", 20), 100) is ChangeKind.TIGHTENED
+        assert base.compare(AggregateConstraint("min", "price", ">=", 5), 100) is ChangeKind.RELAXED
 
     def test_different_kinds_incomparable(self):
         base = AggregateConstraint("sum", "price", "<=", 100)
-        assert base.compare(AggregateConstraint("max", "price", "<=", 100)) is ChangeKind.INCOMPARABLE
-        assert base.compare(AggregateConstraint("sum", "weight", "<=", 100)) is ChangeKind.INCOMPARABLE
+        assert base.compare(AggregateConstraint("max", "price", "<=", 100), 100) is ChangeKind.INCOMPARABLE
+        assert base.compare(AggregateConstraint("sum", "weight", "<=", 100), 100) is ChangeKind.INCOMPARABLE
 
 
 # Property tests: the categories must actually hold on random item sets.

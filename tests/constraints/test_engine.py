@@ -51,39 +51,39 @@ class TestEvaluation:
 class TestClassifyChange:
     def test_same(self):
         old = ConstraintSet.min_support(5)
-        assert old.classify_change(ConstraintSet.min_support(5)) is ChangeKind.SAME
+        assert old.classify_change(ConstraintSet.min_support(5), 100) is ChangeKind.SAME
 
     def test_support_tightened_and_relaxed(self):
         old = ConstraintSet.min_support(5)
-        assert old.classify_change(ConstraintSet.min_support(8)) is ChangeKind.TIGHTENED
-        assert old.classify_change(ConstraintSet.min_support(3)) is ChangeKind.RELAXED
+        assert old.classify_change(ConstraintSet.min_support(8), 100) is ChangeKind.TIGHTENED
+        assert old.classify_change(ConstraintSet.min_support(3), 100) is ChangeKind.RELAXED
 
     def test_added_constraint_tightens(self):
         old = ConstraintSet.min_support(5)
         new = ConstraintSet.of(MinSupport(5), MaxLength(3))
-        assert old.classify_change(new) is ChangeKind.TIGHTENED
+        assert old.classify_change(new, 100) is ChangeKind.TIGHTENED
 
     def test_dropped_constraint_relaxes(self):
         old = ConstraintSet.of(MinSupport(5), MaxLength(3))
         new = ConstraintSet.min_support(5)
-        assert old.classify_change(new) is ChangeKind.RELAXED
+        assert old.classify_change(new, 100) is ChangeKind.RELAXED
 
     def test_mixed_changes_are_incomparable(self):
         old = ConstraintSet.of(MinSupport(5), MaxLength(3))
         new = ConstraintSet.of(MinSupport(3), MaxLength(2))  # relax + tighten
-        assert old.classify_change(new) is ChangeKind.INCOMPARABLE
+        assert old.classify_change(new, 100) is ChangeKind.INCOMPARABLE
 
     def test_multiple_constraints_all_tightened(self):
         old = ConstraintSet.of(MinSupport(5), ItemsWithin({1, 2, 3}))
         new = ConstraintSet.of(MinSupport(6), ItemsWithin({1, 2}))
-        assert old.classify_change(new) is ChangeKind.TIGHTENED
+        assert old.classify_change(new, 100) is ChangeKind.TIGHTENED
 
     def test_replaced_incomparable_constraint(self):
         old = ConstraintSet.of(MinSupport(5), ItemsWithin({1, 2}))
         new = ConstraintSet.of(MinSupport(5), ItemsWithin({3, 4}))
         # Disjoint allowed-sets: new constraint unmatched (tighten) + old
         # dropped (relax) -> incomparable.
-        assert old.classify_change(new) is ChangeKind.INCOMPARABLE
+        assert old.classify_change(new, 100) is ChangeKind.INCOMPARABLE
 
 
 class TestFilterVsRemineSemantics:
@@ -98,5 +98,5 @@ class TestFilterVsRemineSemantics:
         new_constraints = ConstraintSet.of(MinSupport(3), MaxLength(2))
         filtered = new_constraints.filter_patterns(old_result, context)
         remined = new_constraints.filter_patterns(mine_hmine(paper_db, 3), context)
-        assert old_constraints.classify_change(new_constraints) is ChangeKind.TIGHTENED
+        assert old_constraints.classify_change(new_constraints, len(paper_db)) is ChangeKind.TIGHTENED
         assert filtered == remined

@@ -35,10 +35,10 @@ class TestMinSupport:
 
     def test_compare_tighten_and_relax(self):
         base = MinSupport(5)
-        assert base.compare(MinSupport(7)) is ChangeKind.TIGHTENED
-        assert base.compare(MinSupport(3)) is ChangeKind.RELAXED
-        assert base.compare(MinSupport(5)) is ChangeKind.SAME
-        assert base.compare(MaxSupport(5)) is ChangeKind.INCOMPARABLE
+        assert base.compare(MinSupport(7), 100) is ChangeKind.TIGHTENED
+        assert base.compare(MinSupport(3), 100) is ChangeKind.RELAXED
+        assert base.compare(MinSupport(5), 100) is ChangeKind.SAME
+        assert base.compare(MaxSupport(5), 100) is ChangeKind.INCOMPARABLE
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ConstraintError):
@@ -57,8 +57,8 @@ class TestMaxSupport:
     def test_compare_direction_inverted(self):
         # Lower max-support bound = fewer patterns = tightened.
         base = MaxSupport(10)
-        assert base.compare(MaxSupport(5)) is ChangeKind.TIGHTENED
-        assert base.compare(MaxSupport(20)) is ChangeKind.RELAXED
+        assert base.compare(MaxSupport(5), 100) is ChangeKind.TIGHTENED
+        assert base.compare(MaxSupport(20), 100) is ChangeKind.RELAXED
 
 
 class TestLengths:
@@ -75,9 +75,9 @@ class TestLengths:
         assert Category.ANTI_MONOTONE in constraint.categories
 
     def test_compare(self):
-        assert MinLength(2).compare(MinLength(3)) is ChangeKind.TIGHTENED
-        assert MaxLength(3).compare(MaxLength(2)) is ChangeKind.TIGHTENED
-        assert MaxLength(3).compare(MaxLength(4)) is ChangeKind.RELAXED
+        assert MinLength(2).compare(MinLength(3), 100) is ChangeKind.TIGHTENED
+        assert MaxLength(3).compare(MaxLength(2), 100) is ChangeKind.TIGHTENED
+        assert MaxLength(3).compare(MaxLength(4), 100) is ChangeKind.RELAXED
 
     def test_invalid_rejected(self):
         with pytest.raises(ConstraintError):
@@ -99,15 +99,15 @@ class TestItemMembership:
 
     def test_subset_comparisons(self):
         base = ItemsWithin({1, 2, 3})
-        assert base.compare(ItemsWithin({1, 2})) is ChangeKind.TIGHTENED
-        assert base.compare(ItemsWithin({1, 2, 3, 4})) is ChangeKind.RELAXED
+        assert base.compare(ItemsWithin({1, 2}), 100) is ChangeKind.TIGHTENED
+        assert base.compare(ItemsWithin({1, 2, 3, 4}), 100) is ChangeKind.RELAXED
         # Overlapping but incomparable item sets.
-        assert base.compare(ItemsWithin({1, 9})) is ChangeKind.INCOMPARABLE
+        assert base.compare(ItemsWithin({1, 9}), 100) is ChangeKind.INCOMPARABLE
 
     def test_required_comparisons(self):
         base = ItemsRequired({1})
-        assert base.compare(ItemsRequired({1, 2})) is ChangeKind.TIGHTENED
-        assert ItemsRequired({1, 2}).compare(ItemsRequired({1})) is ChangeKind.RELAXED
+        assert base.compare(ItemsRequired({1, 2}), 100) is ChangeKind.TIGHTENED
+        assert ItemsRequired({1, 2}).compare(ItemsRequired({1}), 100) is ChangeKind.RELAXED
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ConstraintError):

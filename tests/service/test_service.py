@@ -29,6 +29,8 @@ class TestSingleRequests:
             assert first.path == "mine" and not first.coalesced
             again = service.execute(MineRequest(db=db, support=12, tenant="bob"))
             assert again.path == "filter" and again.feedstock_support == 12
+            # The hit charges less work than the mine it replaces.
+            assert again.counters.total_work() < first.counters.total_work()
             # The entry at 12 is a subset of the answer at 5: not feedstock.
             relaxed = service.execute(MineRequest(db=db, support=5, tenant="carol"))
             assert relaxed.path == "mine" and relaxed.feedstock_support is None

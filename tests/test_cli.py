@@ -629,6 +629,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench"])
 
+    def test_plot_is_not_a_command(self, capsys):
+        """The paper's figures are charts in the trend report now."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["plot", "--figure", "15"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'plot'" in capsys.readouterr().err
+
+    def test_system_bench_families_are_not_experiments(self, capsys):
+        """Each system bench runs only from its ``benchmarks/`` script."""
+        assert main(["bench", "--experiment", "service-weather"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown experiment 'service-weather'" in err
+        assert "miners-<ds>" in err
+
     @pytest.mark.parametrize("argv", [
         ["serve-batch", "--workload", "w.json"],
         ["warehouse", "migrate", "--dir", "wh"],
@@ -652,7 +666,8 @@ class TestParser:
         )
         for family in EXPERIMENT_FAMILIES:
             assert family in text
-        assert "service-load-<ds>" in text and "parallel-<ds>" in text
+        assert "ablation-strategies-<ds>" in text and "miners-<ds>" in text
+        assert "service-load-<ds>" not in text and "parallel-<ds>" not in text
 
     def test_bench_help_keeps_each_family_on_one_line(self, monkeypatch, capsys):
         from repro.bench.experiments import EXPERIMENT_FAMILIES
@@ -674,7 +689,8 @@ class TestParser:
         ],
     )
     def test_no_command_takes_jobs(self, argv):
-        """The sharded engine is reachable only from ``repro bench``."""
+        """The sharded engine is reachable only from
+        ``benchmarks/bench_parallel.py``."""
         with pytest.raises(SystemExit):
             build_parser().parse_args([*argv, "--jobs", "2"])
         build_parser().parse_args(argv)
@@ -693,25 +709,3 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([*argv, "--backend", "python"])
         build_parser().parse_args(argv)
-
-
-class TestPlot:
-    def test_plot_rejects_memory_figures(self, capsys):
-        assert main(["plot", "--figure", "21"]) == 1
-        assert "not plottable" in capsys.readouterr().err
-
-    def test_plot_renders_chart(self, capsys, monkeypatch):
-        import repro.bench.experiments as experiments
-
-        def fake_figure(number, seed=0, sweep=None):
-            headers = ["xi_new", "abs", "patterns", "HM_s", "HM-MCP_s",
-                       "HM-MLP_s", "s1", "s2", "w1", "w2"]
-            rows = [[0.9, 10, 5, 1.0, 0.5, 0.6, 2.0, 1.7, 1, 1],
-                    [0.8, 8, 9, 2.0, 0.7, 0.8, 2.9, 2.5, 1, 1]]
-            return headers, rows
-
-        monkeypatch.setattr(experiments, "figure", fake_figure)
-        assert main(["plot", "--figure", "15", "--log"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 15" in out
-        assert "HM-MCP_s" in out

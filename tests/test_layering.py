@@ -27,7 +27,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: layers: it may use data/core/mining/storage but never the service.
 #: Nothing but the benchmark harness may import it back: ``repro.core``,
 #: ``repro.service``, ``repro.gateway`` and ``repro.cli`` are forbidden
-#: to reach it, so ``repro bench parallel-<ds>`` is its only front door.
+#: to reach it, so ``benchmarks/bench_parallel.py`` (through
+#: ``repro.bench.experiments.parallel_speedup_rows``) is its only front
+#: door.
 #: ``repro.resilience`` is deliberately the lowest non-trivial layer: it
 #: may import only ``repro.errors`` / ``repro.metrics`` (so the fault
 #: injector and degradation ladder can be threaded through

@@ -12,6 +12,8 @@ import math
 import pytest
 
 from repro.cli import main
+from repro.constraints.base import ChangeKind
+from repro.constraints.support import MaxSupport, MinSupport
 from repro.core.session import MiningSession
 from repro.data.io import write_transactions
 from repro.data.transactions import TransactionDatabase
@@ -53,3 +55,39 @@ def test_every_entry_point_resolves_support_alike(support, expected, tmp_path, c
     # The CLI parses every value as a float, so "1" is 100% there.
     cli_expected = len(DB) if support == 1 else expected
     assert f"at support {cli_expected} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    ("threshold", "expected"),
+    [(1.0, 10), (0.55, 5), (5, 5), (5.0, 5)],
+)
+def test_max_support_resolves_by_the_rule_rounding_down(threshold, expected):
+    """A max bound is a fraction or a count as a min bound is, but a
+    fraction rounds down so the bound never admits more than it says."""
+    assert MaxSupport(threshold).absolute(len(DB)) == expected
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_max_support_rejects_a_threshold_that_is_not_finite(threshold):
+    with pytest.raises(ReproError, match="finite"):
+        MaxSupport(threshold).absolute(len(DB))
+
+
+def test_session_classifies_a_change_on_resolved_supports():
+    """Count 5 then 100% is a rise from 5 rows to 10: a tightening."""
+    session = MiningSession(DB)
+    session.mine(5)
+    session.mine(1.0)
+    assert session.last_report.absolute_support == 10
+    assert session.last_report.change is ChangeKind.TIGHTENED
+    session.mine(0.5)
+    assert session.last_report.change is ChangeKind.RELAXED
+    session.mine(5)
+    assert session.last_report.change is ChangeKind.SAME
+
+
+def test_support_bounds_compare_as_counts_on_the_database():
+    assert MinSupport(5).compare(MinSupport(1.0), 10) is ChangeKind.TIGHTENED
+    assert MinSupport(5).compare(MinSupport(0.5), 10) is ChangeKind.SAME
+    assert MaxSupport(5).compare(MaxSupport(1.0), 10) is ChangeKind.RELAXED
+    assert MaxSupport(1.0).compare(MaxSupport(0.55), 10) is ChangeKind.TIGHTENED

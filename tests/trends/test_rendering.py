@@ -85,6 +85,35 @@ class TestBuildReportData:
         headers = data["benches"]["service_load"]["headers"]
         assert headers == ["b_col", "a_col", "c_extra", "z_extra"]
 
+    def test_paper_snapshot_charts_each_runtime_figure(self):
+        """One line chart per Fig. 9-20, its curves the figure's seconds
+        columns over xi_new; the memory figures and tables draw none."""
+        tags = {9: "HM", 13: "FP", 20: "TP"}
+        rows = [{"experiment": "table3", "dataset": "weather", "ratio": 0.5}]
+        for number in range(9, 21):
+            tag = tags.get(number, "HM")
+            for xi, seconds in ((0.9, 1.0), (0.8, 2.0)):
+                rows.append({
+                    "experiment": f"fig{number}", "xi_new": xi, "patterns": 5,
+                    f"{tag}_s": seconds, f"{tag}-MCP_s": seconds / 2,
+                    f"{tag}-MLP_s": seconds / 3, "speedup_mcp": 2.0,
+                    "work_base": 10, "work_mcp": 4,
+                })
+        rows.append({"experiment": "fig23", "xi_new": 0.93, "budget_bytes": 1,
+                     "HM_s": 1.0, "HM-MCP_s": 0.5})
+        data = build_report_data([make_snapshot(bench="paper", rows=rows)], SERIES)
+        charts = data["benches"]["paper"]["charts"]
+        assert [chart["title"] for chart in charts] == [
+            f"fig{number}" for number in range(9, 21)
+        ]
+        fig13 = charts[13 - 9]["svg"]
+        assert "fig13: runtime vs xi_new (wall clock, advisory)" in fig13
+        for curve in ("FP_s", "FP-MCP_s", "FP-MLP_s"):
+            assert f">{curve}</text>" in fig13
+        assert "speedup_mcp" not in fig13 and "work_base" not in fig13
+        assert fig13.count("<polyline") == 3
+        assert ">0.9</text>" in fig13 and ">0.8</text>" in fig13
+
 
 class TestRenderers:
     def test_markdown_from_two_commits(self):
