@@ -16,8 +16,8 @@
 
 The grouped comparison asserts the results are bit-identical before
 reporting the speedup. Results go to ``BENCH_backends.json`` at the repo
-root; ``repro report archive`` adds its committed versions to the trend
-pipeline.
+root; ``repro report render`` and ``repro report gate`` read its committed
+versions out of git.
 
 Run directly (not collected by pytest; tier-1 only collects ``tests/``)::
 

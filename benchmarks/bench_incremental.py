@@ -4,7 +4,7 @@ Replays the churn sweep of
 :func:`repro.bench.experiments.incremental_rows` on connect4 — the
 dense surrogate the figures gate on — plus weather as the sparse
 control, and writes ``BENCH_incremental.json`` at the repo root (``repro report
-archive`` adds its committed versions to the trend pipeline):
+render`` and ``repro report gate`` read its committed versions out of git):
 
 * per-churn work and wall for scratch / FUP / recycle-update, every
   contender verified bit-identical to a from-scratch re-mine;

@@ -27,7 +27,7 @@ It is the number a sharded run must beat to be worth serving; the
 service answers every request in-process because none does.
 
 Results go to ``BENCH_parallel.json`` at the repo root; ``repro report
-archive`` adds its committed versions to the trend pipeline.
+render`` and ``repro report gate`` read its committed versions out of git.
 
 Run directly (not collected by pytest; tier-1 only collects ``tests/``)::
 

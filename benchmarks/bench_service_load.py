@@ -31,8 +31,8 @@ clocks):
   :func:`~repro.bench.experiments.service_load_rows`.
 
 Results go to ``BENCH_service_load.json`` at the repo root;
-``repro report archive`` adds its committed versions to the trend
-pipeline.
+``repro report render`` and ``repro report gate`` read its committed
+versions out of git.
 
 Run directly (not collected by pytest; tier-1 only collects ``tests/``)::
 

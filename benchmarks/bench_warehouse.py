@@ -26,8 +26,8 @@ support ties (board-gravity implications) condensation feeds on:
 * the closed warm-path hit rate strictly beats the full-set one.
 
 Results go to ``BENCH_warehouse.json`` at the repo root;
-``repro report archive`` adds its committed versions to the trend
-pipeline.
+``repro report render`` and ``repro report gate`` read its committed
+versions out of git.
 
 Run directly (not collected by pytest; tier-1 only collects ``tests/``)::
 

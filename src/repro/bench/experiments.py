@@ -1012,13 +1012,12 @@ def run_experiment(name: str, seed: int = 0) -> tuple[list[str], list[list[objec
     """Dispatch an experiment by CLI-friendly name."""
     if name == "table3":
         return table3(seed)
-    if name.startswith("fig"):
+    if name.startswith("fig") and name[3:].isdecimal():
         number = int(name[3:])
         if number in FIGURES:
             return figure(number, seed)
         if number in MEMORY_FIGURES:
             return memory_limited_figure(number, seed)
-        raise BenchmarkError(f"unknown figure {number}")
     if name == "observations":
         return observations(seed)
     if name.startswith("ablation-strategies-"):

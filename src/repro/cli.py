@@ -18,7 +18,6 @@ Examples::
     repro warehouse recover --dir ./wh
     repro warehouse migrate --dir ./wh --representation closed
     repro warehouse --dir ./wh --gc --dry-run
-    repro report archive --git-history
     repro report render --output-dir report
     repro report gate --policy trends/policy.toml
 """
@@ -501,40 +500,17 @@ def _warehouse_gc(args: argparse.Namespace, warehouse) -> None:
     )
 
 
-def _command_report_archive(args: argparse.Namespace) -> int:
-    """Backfill the snapshot archive from the legacy root BENCH files."""
-    from repro.trends import ingest_legacy
-
-    written = ingest_legacy(
-        args.root,
-        history_dir=args.history_dir,
-        benches=args.bench or None,
-        git_history=args.git_history,
-    )
-    if not written:
-        print("nothing to archive: no legacy BENCH_*.json files found")
-        return 1
-    for snapshot in written:
-        print(
-            f"archived {snapshot.bench} @ {snapshot.commit_short} "
-            f"({snapshot.timestamp})"
-        )
-    print(f"{len(written)} snapshot(s) archived under {args.history_dir}")
-    return 0
-
-
 def _command_report_render(args: argparse.Namespace) -> int:
-    """Render markdown + HTML trend reports from archived snapshots."""
+    """Render markdown + HTML trend reports from the committed BENCH files."""
     from repro.trends import (
-        SnapshotArchive,
         build_report_data,
+        load_history,
         load_policy,
         write_report,
     )
 
     series = [entry.metric for entry in load_policy(args.policy).metrics]
-    snapshots = SnapshotArchive(args.history_dir).load_all()
-    data = build_report_data(snapshots, series)
+    data = build_report_data(load_history(args.root), series)
     md_path, html_path = write_report(data, args.output_dir)
     benches = len(data["benches"])
     print(
@@ -547,17 +523,15 @@ def _command_report_render(args: argparse.Namespace) -> int:
 
 
 def _command_report_gate(args: argparse.Namespace) -> int:
-    """Run the counter-based regression gate against the archive."""
+    """Run the counter-based regression gate against the committed history."""
     from repro.trends import (
-        SnapshotArchive,
         evaluate_gate,
         format_gate,
+        load_history,
         load_policy,
     )
 
-    policy = load_policy(args.policy)
-    snapshots = SnapshotArchive(args.history_dir).load_all()
-    result = evaluate_gate(snapshots, policy)
+    result = evaluate_gate(load_history(args.root), load_policy(args.policy))
     print(format_gate(result))
     return 0 if result.ok else 1
 
@@ -711,15 +685,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = commands.add_parser(
         "report",
-        help="benchmark trend pipeline: archive snapshots, render trend "
-             "reports, run the counter regression gate",
+        help="benchmark trend pipeline over the git history of the "
+             "BENCH_*.json files: render trend reports, run the counter "
+             "regression gate",
     )
     verbs = report.add_subparsers(dest="verb", required=True)
 
-    def _add_history_dir(sub: argparse.ArgumentParser) -> None:
+    def _add_root(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
-            "--history-dir", default=".bench_history",
-            help="snapshot archive directory (default: .bench_history)",
+            "--root", default=".",
+            help="git checkout whose committed BENCH_*.json versions are "
+                 "the history (default: current directory)",
         )
 
     def _add_policy(sub: argparse.ArgumentParser) -> None:
@@ -729,27 +705,12 @@ def build_parser() -> argparse.ArgumentParser:
                  "and the gate judges (default: trends/policy.toml)",
         )
 
-    archive = verbs.add_parser(
-        "archive",
-        help="backfill the archive from the legacy root BENCH_*.json files",
-    )
-    _add_history_dir(archive)
-    archive.add_argument("--root", default=".",
-                         help="repository root holding the BENCH files "
-                              "(default: current directory)")
-    archive.add_argument("--bench", action="append",
-                         help="restrict to one bench name (repeatable)")
-    archive.add_argument("--git-history", action="store_true",
-                         help="replay every historical version of each "
-                              "BENCH file out of git, one snapshot per "
-                              "touching commit")
-    archive.set_defaults(handler=_command_report_archive)
-
     render = verbs.add_parser(
         "render",
-        help="render markdown + HTML trend reports from archived snapshots",
+        help="render markdown + HTML trend reports from the committed "
+             "BENCH_*.json versions",
     )
-    _add_history_dir(render)
+    _add_root(render)
     render.add_argument("--output-dir", default="report",
                         help="directory for trends.md / trends.html "
                              "(default: report)")
@@ -759,9 +720,9 @@ def build_parser() -> argparse.ArgumentParser:
     gate = verbs.add_parser(
         "gate",
         help="fail (exit 1) when a machine-independent counter regressed "
-             "past the policy budget against the best archived baseline",
+             "past the policy budget against the best committed baseline",
     )
-    _add_history_dir(gate)
+    _add_root(gate)
     _add_policy(gate)
     gate.set_defaults(handler=_command_report_gate)
 

@@ -5,7 +5,11 @@ from __future__ import annotations
 import math
 
 from repro.constraints.base import Category, ChangeKind, Constraint, ConstraintContext
-from repro.data.transactions import absolute_support, is_relative_support
+from repro.data.transactions import (
+    absolute_support,
+    fraction_of_rows,
+    is_relative_support,
+)
 from repro.errors import ConstraintError
 from repro.mining.patterns import Pattern
 
@@ -79,7 +83,7 @@ class MaxSupport(Constraint):
     def absolute(self, db_size: int) -> int:
         """Resolve to an absolute count for a database of ``db_size``."""
         if is_relative_support(self.threshold):
-            return math.floor(self.threshold * db_size)
+            return math.floor(fraction_of_rows(self.threshold, db_size))
         return absolute_support(self.threshold, db_size)
 
     def satisfied(self, pattern: Pattern, support: int, context: ConstraintContext) -> bool:

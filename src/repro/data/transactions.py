@@ -31,16 +31,16 @@ def absolute_support(min_support: float, n_rows: int) -> int:
     every row), while an *int* is an absolute count (``1`` means one
     row). Floats above 1 and all other ints pass through as absolute
     counts, so callers can use either convention. A fraction is rounded
-    up, matching the usual "support greater than or equal to" semantics.
-    Raises :class:`DataError` for a threshold that is not finite or not
-    positive.
+    up (:func:`fraction_of_rows`), matching the usual "support greater
+    than or equal to" semantics. Raises :class:`DataError` for a
+    threshold that is not finite or not positive.
     """
     if isinstance(min_support, float) and not math.isfinite(min_support):
         raise DataError(f"min_support must be finite, got {min_support}")
     if min_support <= 0:
         raise DataError(f"min_support must be positive, got {min_support}")
     if is_relative_support(min_support):
-        return max(1, math.ceil(min_support * n_rows))
+        return max(1, math.ceil(fraction_of_rows(min_support, n_rows)))
     return int(min_support)
 
 
@@ -48,6 +48,17 @@ def is_relative_support(threshold: float) -> bool:
     """Whether the support rule reads ``threshold`` as a fraction of the
     rows (a float at most 1) rather than as an absolute count."""
     return isinstance(threshold, float) and threshold <= 1.0
+
+
+def fraction_of_rows(fraction: float, n_rows: int) -> float:
+    """``fraction * n_rows`` rounded to 9 decimals, for the rule to round.
+
+    The float product carries representation error (``0.07 * 100`` is
+    ``7.000000000000001``, ``0.29 * 100`` is ``28.999999999999996``);
+    rounding it first lets the ceil of a min bound and the floor of a
+    max bound land on the exact count.
+    """
+    return round(fraction * n_rows, 9)
 
 
 def normalize_row(raw: Iterable[int], what: str) -> tuple[int, ...]:

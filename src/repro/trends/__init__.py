@@ -1,27 +1,21 @@
-"""Benchmark snapshot archive, perf-trend reports and the regression gate.
+"""Benchmark history, perf-trend reports and the regression gate.
 
 The observability layer over the benchmarks (see docs/observability.md),
-modeled on fuzzbench's report pipeline: **archive** (versioned
-snapshots under ``.bench_history/<commit>/<bench>.json``, stamped with
-commit / commit time / seed) → **queries**
-(dataframe-free series extraction) → **rendering** (markdown + HTML
-with inline SVG, regenerable offline from the archive) → **gate** (a
-declarative policy failing CI when a machine-independent counter
-worsens past budget; wall-clock strictly advisory). The archive has
-one writer, ``repro report archive`` (:func:`ingest_legacy`), and the
-report and the gate read one series list, the policy file.
+modeled on fuzzbench's report pipeline: **history** (every committed
+version of the root ``BENCH_*.json`` files, read out of git by
+:func:`load_history` and stamped with commit / commit time / seed) →
+**queries** (dataframe-free series extraction) → **rendering**
+(markdown + HTML with inline SVG, regenerable offline from the
+history) → **gate** (a declarative policy failing CI when a
+machine-independent counter worsens past budget; wall-clock strictly
+advisory). The report and the gate read one history and one series
+list, the policy file.
 
 Sits above :mod:`repro.bench` in the layer map: it may import
 metrics/bench, never service/gateway (enforced by
 ``tests/test_layering.py``).
 """
 
-from repro.trends.archive import (
-    HISTORY_DIR,
-    SnapshotArchive,
-    ingest_legacy,
-    write_benchmark_snapshot,
-)
 from repro.trends.gate import (
     DEFAULT_MAX_REGRESSION_PCT,
     GatePolicy,
@@ -33,6 +27,7 @@ from repro.trends.gate import (
     load_policy,
     parse_minimal_toml,
 )
+from repro.trends.history import load_history, write_benchmark_snapshot
 from repro.trends.queries import (
     AGGREGATIONS,
     TrendMetric,
@@ -52,7 +47,6 @@ from repro.trends.rendering import (
 )
 from repro.trends.schema import (
     LEGACY_FILES,
-    SCHEMA_VERSION,
     Snapshot,
     snapshot_from_legacy,
 )
@@ -63,13 +57,10 @@ __all__ = [
     "DEFAULT_MAX_REGRESSION_PCT",
     "GatePolicy",
     "GateResult",
-    "HISTORY_DIR",
     "LEGACY_FILES",
     "MetricVerdict",
     "PolicyMetric",
-    "SCHEMA_VERSION",
     "Snapshot",
-    "SnapshotArchive",
     "TrendMetric",
     "aggregate",
     "bar_chart",
@@ -77,8 +68,8 @@ __all__ = [
     "category_bars",
     "evaluate_gate",
     "format_gate",
-    "ingest_legacy",
     "line_chart",
+    "load_history",
     "load_policy",
     "metric_value",
     "parse_minimal_toml",

@@ -1,9 +1,9 @@
 """The counter-based regression gate.
 
 A declarative policy (``trends/policy.toml``) names metrics over the
-archive — bench, field, row filter, aggregation, direction — and a
-regression budget. The gate compares each metric's value in the
-*candidate* (the newest archived snapshot of that bench) against the
+benchmark history — bench, field, row filter, aggregation, direction —
+and a regression budget. The gate compares each metric's value in the
+*candidate* (the newest committed snapshot of that bench) against the
 *best* value any strictly older snapshot achieved, and fails when a
 non-advisory metric worsened by more than the budget. Wall-clock
 metrics are declared ``advisory = true``: they print in the gate output
@@ -102,11 +102,10 @@ def _worsening_pct(
 def evaluate_gate(
     snapshots: Sequence[Snapshot], policy: GatePolicy
 ) -> GateResult:
-    """Judge every policy metric against the archive."""
+    """Judge every policy metric against ``snapshots``, oldest first
+    (as :func:`repro.trends.history.load_history` returns them)."""
     by_bench: dict[str, list[Snapshot]] = {}
-    for snapshot in sorted(
-        snapshots, key=lambda s: (s.sort_time(), s.commit, s.bench)
-    ):
+    for snapshot in snapshots:
         by_bench.setdefault(snapshot.bench, []).append(snapshot)
     verdicts = []
     for entry in policy.metrics:

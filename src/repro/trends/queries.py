@@ -1,4 +1,4 @@
-"""Dataframe-free queries over archived snapshots.
+"""Dataframe-free queries over benchmark snapshots.
 
 Everything here works on plain dicts and lists: a snapshot's payload
 ``results`` rows are filtered with a subset-match ``where`` clause, a
@@ -97,7 +97,7 @@ def series(
 
 @dataclass(frozen=True)
 class TrendMetric:
-    """One named series over the archive, as ``trends/policy.toml``
+    """One named series over the history, as ``trends/policy.toml``
     declares it for both the report and the gate.
 
     ``direction`` says which way is better; ``advisory`` marks

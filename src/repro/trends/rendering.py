@@ -1,12 +1,13 @@
 """Markdown and self-contained HTML trend reports.
 
-Mirrors fuzzbench's ``generate_report`` split: the archive supplies
-cached data, :mod:`repro.trends.queries` extracts series, this module
-renders them. Both outputs are built from the same report-data dict, so
-``repro report render`` regenerates them offline from the archive alone
-— no benchmark re-runs, no network, no plotting dependency (charts are
-inline SVG from :mod:`repro.trends.svg`). The trend series are the
-gate policy's, so the report and the gate read one list.
+Mirrors fuzzbench's ``generate_report`` split: the git history of the
+root ``BENCH_*.json`` files supplies the data, :mod:`repro.trends.queries`
+extracts series, this module renders them. Both outputs are built from
+the same report-data dict, so ``repro report render`` regenerates them
+offline from the committed files alone — no benchmark re-runs, no
+network, no plotting dependency (charts are inline SVG from
+:mod:`repro.trends.svg`). The trend series are the gate policy's, so
+the report and the gate read one list.
 """
 
 from __future__ import annotations
@@ -140,19 +141,19 @@ def _bench_charts(bench: str, latest: Snapshot) -> list[dict[str, str]]:
 def build_report_data(
     snapshots: Sequence[Snapshot], metrics: Sequence[TrendMetric]
 ) -> dict[str, Any]:
-    """Everything both renderers need, extracted once; ``metrics`` are
-    the trend series (the gate policy's)."""
+    """Everything both renderers need, extracted once; ``snapshots`` are
+    oldest first (as :func:`repro.trends.history.load_history` returns
+    them) and ``metrics`` are the trend series (the gate policy's)."""
     if not snapshots:
         raise TrendsError(
-            "no archived snapshots to report on — run `repro report archive` "
-            "(or a benchmark) first"
+            "no benchmark snapshots to report on — commit a root "
+            "BENCH_*.json file first"
         )
-    ordered = sorted(snapshots, key=lambda s: (s.sort_time(), s.commit, s.bench))
     by_bench: dict[str, list[Snapshot]] = {}
-    for snapshot in ordered:
+    for snapshot in snapshots:
         by_bench.setdefault(snapshot.bench, []).append(snapshot)
     commits: list[str] = []
-    for snapshot in ordered:
+    for snapshot in snapshots:
         if snapshot.commit_short not in commits:
             commits.append(snapshot.commit_short)
     trends = [
@@ -172,7 +173,7 @@ def build_report_data(
         }
     return {
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "snapshot_count": len(ordered),
+        "snapshot_count": len(snapshots),
         "commits": commits,
         "benches": benches,
         "trends": trends,
@@ -195,7 +196,7 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 
 def _trend_summary(points: Sequence[Mapping[str, Any]], metric: TrendMetric) -> str:
     if not points:
-        return "no archived data for this metric yet."
+        return "no data for this metric yet."
     latest = points[-1]["value"]
     note = f"latest {format_cell(latest)} @ {points[-1]['commit_short']}"
     if len(points) > 1:
@@ -211,7 +212,7 @@ def render_markdown(data: Mapping[str, Any]) -> str:
     parts = [
         "# Benchmark trends",
         "",
-        f"Generated {data['generated']} from {data['snapshot_count']} archived "
+        f"Generated {data['generated']} from {data['snapshot_count']} "
         f"snapshot(s) across {len(data['commits'])} commit(s): "
         + ", ".join(f"`{c}`" for c in data["commits"])
         + ".",
@@ -250,7 +251,7 @@ def render_markdown(data: Mapping[str, Any]) -> str:
             "",
             f"{section['snapshot_count']} snapshot(s); latest from commit "
             f"`{latest.commit_short}` at {latest.timestamp} "
-            f"(seed {latest.seed}, python {latest.python}).",
+            f"(seed {latest.seed}).",
         ]
         if section["rows"]:
             headers = section["headers"]
@@ -280,7 +281,7 @@ def render_html(data: Mapping[str, Any]) -> str:
     parts = [head, "<h1>Benchmark trends</h1>"]
     parts.append(
         f"<p class=\"meta\">Generated {escape(data['generated'])} from "
-        f"{data['snapshot_count']} archived snapshot(s) across "
+        f"{data['snapshot_count']} snapshot(s) across "
         f"{len(data['commits'])} commit(s): "
         + ", ".join(f"<code>{escape(c)}</code>" for c in data["commits"])
         + ".</p>"
@@ -311,8 +312,7 @@ def render_html(data: Mapping[str, Any]) -> str:
         parts.append(
             f"<p class=\"meta\">{section['snapshot_count']} snapshot(s); "
             f"latest from commit <code>{escape(latest.commit_short)}</code> "
-            f"at {escape(latest.timestamp)} (seed {latest.seed}, python "
-            f"{escape(latest.python)}, {escape(latest.platform)}).</p>"
+            f"at {escape(latest.timestamp)} (seed {latest.seed}).</p>"
         )
         for chart in section["charts"]:
             parts.append("<figure>" + chart["svg"] + "</figure>")

@@ -1,15 +1,13 @@
-"""The versioned benchmark-snapshot schema.
+"""The benchmark snapshot: one committed ``BENCH_*.json`` version.
 
 A *snapshot* is one benchmark's full result payload stamped with the
 provenance the trend pipeline needs to compare runs across history:
-commit hash, commit/run timestamp, generator seed, python version and
-platform. The payload itself is exactly what the benchmark used to
-write to its legacy root ``BENCH_*.json`` file — a dict whose
-``results`` key holds the row dicts the queries layer consumes — so a
-legacy file wraps into a snapshot losslessly.
+commit hash, commit timestamp and generator seed. The payload is
+exactly the body of the root ``BENCH_*.json`` file — a dict whose
+``results`` key holds the row dicts the queries layer consumes.
 
-Pure value objects and validation only; filesystem and git live in
-:mod:`repro.trends.archive`.
+Pure value objects only; filesystem and git live in
+:mod:`repro.trends.history`.
 """
 
 from __future__ import annotations
@@ -20,12 +18,8 @@ from typing import Any, Mapping
 
 from repro.errors import TrendsError
 
-#: Bumped when the envelope changes shape. Loaders accept anything at or
-#: below the version they know.
-SCHEMA_VERSION = 1
-
 #: Snapshot name -> the root file its benchmark writes through
-#: :func:`repro.trends.archive.write_benchmark_snapshot`.
+#: :func:`repro.trends.history.write_benchmark_snapshot`.
 LEGACY_FILES: dict[str, str] = {
     "backends": "BENCH_backends.json",
     "incremental": "BENCH_incremental.json",
@@ -35,8 +29,7 @@ LEGACY_FILES: dict[str, str] = {
     "warehouse": "BENCH_warehouse.json",
 }
 
-#: Provenance value when a stamp cannot be recovered (no git, ingested
-#: history whose interpreter/platform was never recorded).
+#: The commit stamp of a file no commit holds (no git, or not committed).
 UNKNOWN = "unknown"
 
 
@@ -46,10 +39,8 @@ class Snapshot:
 
     bench: str
     commit: str
-    timestamp: str  # ISO-8601; commit time for ingested history, run time else
+    timestamp: str  # ISO-8601 commit time; the file's mtime when uncommitted
     seed: int | None
-    python: str
-    platform: str
     payload: dict[str, Any]
 
     @property
@@ -73,57 +64,6 @@ class Snapshot:
             parsed = parsed.replace(tzinfo=timezone.utc)
         return parsed.timestamp()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "bench": self.bench,
-            "commit": self.commit,
-            "timestamp": self.timestamp,
-            "seed": self.seed,
-            "python": self.python,
-            "platform": self.platform,
-            "payload": self.payload,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], *, source: str = "") -> "Snapshot":
-        """Validate and build a snapshot; raises :class:`TrendsError`."""
-        where = f" in {source}" if source else ""
-        if not isinstance(data, Mapping):
-            raise TrendsError(f"snapshot{where} is not a JSON object")
-        version = data.get("schema_version")
-        if not isinstance(version, int) or version < 1:
-            raise TrendsError(f"snapshot{where} has no integer schema_version")
-        if version > SCHEMA_VERSION:
-            raise TrendsError(
-                f"snapshot{where} has schema_version {version}; this build "
-                f"reads up to {SCHEMA_VERSION}"
-            )
-        bench = data.get("bench")
-        if not isinstance(bench, str) or not bench:
-            raise TrendsError(f"snapshot{where} has no bench name")
-        commit = data.get("commit")
-        if not isinstance(commit, str) or not commit:
-            raise TrendsError(f"snapshot{where} has no commit stamp")
-        timestamp = data.get("timestamp")
-        if not isinstance(timestamp, str) or not timestamp:
-            raise TrendsError(f"snapshot{where} has no timestamp stamp")
-        seed = data.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise TrendsError(f"snapshot{where} has a non-integer seed")
-        payload = data.get("payload")
-        if not isinstance(payload, dict):
-            raise TrendsError(f"snapshot{where} has no payload object")
-        return cls(
-            bench=bench,
-            commit=commit,
-            timestamp=timestamp,
-            seed=seed,
-            python=str(data.get("python", UNKNOWN)),
-            platform=str(data.get("platform", UNKNOWN)),
-            payload=payload,
-        )
-
 
 def snapshot_from_legacy(
     bench: str,
@@ -132,11 +72,10 @@ def snapshot_from_legacy(
     commit: str = UNKNOWN,
     timestamp: str = "",
 ) -> Snapshot:
-    """Wrap a legacy root ``BENCH_*.json`` body into a snapshot.
+    """Wrap a root ``BENCH_*.json`` body into a snapshot.
 
-    The legacy files never recorded interpreter or platform, so those
-    stamps default to ``unknown``; the seed is lifted from the payload
-    where the benchmarks always stored it.
+    The seed is lifted from the payload, where the benchmarks always
+    store it.
     """
     if not isinstance(payload, Mapping):
         raise TrendsError(f"legacy {bench} payload is not a JSON object")
@@ -148,7 +87,5 @@ def snapshot_from_legacy(
         commit=commit or UNKNOWN,
         timestamp=timestamp or datetime.now(timezone.utc).isoformat(),
         seed=seed,
-        python=UNKNOWN,
-        platform=UNKNOWN,
         payload=dict(payload),
     )

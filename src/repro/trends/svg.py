@@ -2,7 +2,7 @@
 
 The HTML trend report embeds these directly, so a rendered report is a
 single self-contained file — no plotting library, no external assets,
-regenerable offline from cached archive data. Series may contain
+regenerable offline from the committed benchmark files. Series may contain
 ``None`` gaps (a commit that predates a metric); line charts break the
 polyline there instead of interpolating through the hole.
 """

@@ -470,24 +470,28 @@ class TestWarehouseCommand:
 
 
 class TestReport:
-    @pytest.fixture
-    def archived_history(self, tmp_path):
-        """A two-commit archive plus a policy file, no git required."""
-        from repro.trends import Snapshot, SnapshotArchive
+    @staticmethod
+    def _commit_work(repo, work, date):
+        from tests.trends.conftest import commit_bench_file
 
-        archive = SnapshotArchive(tmp_path / ".bench_history")
-        for commit, stamp, work in (
-            ("a" * 40, "2026-01-01T00:00:00+00:00", 1000),
-            ("b" * 40, "2026-02-01T00:00:00+00:00", 900),
-        ):
-            archive.write(Snapshot(
-                bench="service_load", commit=commit, timestamp=stamp,
-                seed=0, python="3.11", platform="test",
-                payload={"seed": 0, "results": [{
-                    "dataset": "connect4", "scenario": "batched",
-                    "total_work": work, "wall_s": 1.0,
-                }]},
-            ))
+        commit_bench_file(repo, "BENCH_service_load.json", {
+            "seed": 0, "results": [{
+                "dataset": "connect4", "scenario": "batched",
+                "total_work": work, "wall_s": 1.0,
+            }],
+        }, date)
+
+    @pytest.fixture
+    def committed_history(self, tmp_path):
+        """A git repo whose BENCH_service_load.json has two committed
+        versions, plus a policy file."""
+        from tests.trends.conftest import git
+
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        git(repo, "init", "-q")
+        self._commit_work(repo, 1000, "2026-01-01T00:00:00+00:00")
+        self._commit_work(repo, 900, "2026-02-01T00:00:00+00:00")
         policy = tmp_path / "policy.toml"
         policy.write_text(
             "[gate]\nmax_regression_pct = 10.0\n\n"
@@ -499,113 +503,77 @@ class TestReport:
             'direction = "lower"\n',
             encoding="utf-8",
         )
-        return tmp_path, archive, policy
+        return repo, policy
 
-    def test_archive_ingests_legacy_files(self, tmp_path, capsys):
-        import json
+    def test_archive_is_not_a_verb(self, capsys):
+        """Render and gate read the git history; nothing archives it."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["report", "archive"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'archive'" in capsys.readouterr().err
 
-        (tmp_path / "BENCH_parallel.json").write_text(
-            json.dumps({"seed": 0, "results": [{"jobs": 1, "speedup": 1.0}]})
-        )
+    def test_render_draws_the_policy_series(self, committed_history, capsys):
+        repo, policy = committed_history
+        out_dir = repo.parent / "report"
         code = main([
-            "report", "archive", "--root", str(tmp_path),
-            "--history-dir", str(tmp_path / ".bench_history"),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "archived parallel" in out
-        assert (tmp_path / ".bench_history").is_dir()
-
-    def test_archive_empty_root_errors(self, tmp_path, capsys):
-        code = main([
-            "report", "archive", "--root", str(tmp_path),
-            "--history-dir", str(tmp_path / ".bench_history"),
-        ])
-        assert code == 1
-        assert "nothing to archive" in capsys.readouterr().out
-
-    def test_render_draws_the_policy_series(self, archived_history, capsys):
-        tmp_path, _archive, policy = archived_history
-        out_dir = tmp_path / "report"
-        code = main([
-            "report", "render",
-            "--history-dir", str(tmp_path / ".bench_history"),
+            "report", "render", "--root", str(repo),
             "--output-dir", str(out_dir), "--policy", str(policy),
         ])
         assert code == 0
         md = (out_dir / "trends.md").read_text("utf-8")
         html = (out_dir / "trends.html").read_text("utf-8")
         assert "2 commit(s)" in capsys.readouterr().out
-        assert "aaaaaaaaaa" in md and "bbbbbbbbbb" in md
         assert "<svg" in html
-        # The trend section lists exactly the policy's one series.
+        # The trend section lists exactly the policy's one series, with
+        # one point per committed version.
         assert [line for line in md.splitlines() if line.startswith("### ")] == [
             "### batched work"
         ]
+        assert "| 1,000 |" in md and "| 900.000 |" in md
+        assert not (repo / ".bench_history").exists()
 
-    def test_render_rejects_a_missing_policy(self, archived_history, capsys):
-        tmp_path, _archive, _policy = archived_history
+    def test_render_rejects_a_missing_policy(self, committed_history, capsys):
+        repo, _policy = committed_history
         code = main([
-            "report", "render",
-            "--history-dir", str(tmp_path / ".bench_history"),
-            "--output-dir", str(tmp_path / "report"),
-            "--policy", str(tmp_path / "absent.toml"),
+            "report", "render", "--root", str(repo),
+            "--output-dir", str(repo.parent / "report"),
+            "--policy", str(repo.parent / "absent.toml"),
         ])
         assert code == 1
         assert "cannot read gate policy" in capsys.readouterr().err
 
     def test_render_empty_archive_errors(self, tmp_path, capsys):
         code = main([
-            "report", "render",
-            "--history-dir", str(tmp_path / "absent"),
+            "report", "render", "--root", str(tmp_path),
             "--output-dir", str(tmp_path / "report"),
         ])
         assert code == 1
-        assert "no archived snapshots" in capsys.readouterr().err
+        assert "no benchmark snapshots" in capsys.readouterr().err
 
-    def test_gate_passes_on_improvement(self, archived_history, capsys):
-        tmp_path, _archive, policy = archived_history
-        code = main([
-            "report", "gate",
-            "--history-dir", str(tmp_path / ".bench_history"),
-            "--policy", str(policy),
-        ])
+    def test_gate_passes_on_improvement(self, committed_history, capsys):
+        repo, policy = committed_history
+        code = main(["report", "gate", "--root", str(repo), "--policy", str(policy)])
         assert code == 0
         assert "gate: PASS" in capsys.readouterr().out
 
     def test_gate_exits_nonzero_on_counter_regression(
-        self, archived_history, capsys
+        self, committed_history, capsys
     ):
-        from repro.trends import Snapshot
-
-        tmp_path, archive, policy = archived_history
-        # A third snapshot whose machine-independent counter is 50% worse
+        repo, policy = committed_history
+        # A third commit whose machine-independent counter is 50% worse
         # than the best baseline; wall clock unchanged.
-        archive.write(Snapshot(
-            bench="service_load", commit="c" * 40,
-            timestamp="2026-03-01T00:00:00+00:00",
-            seed=0, python="3.11", platform="test",
-            payload={"seed": 0, "results": [{
-                "dataset": "connect4", "scenario": "batched",
-                "total_work": 1350, "wall_s": 1.0,
-            }]},
-        ))
-        code = main([
-            "report", "gate",
-            "--history-dir", str(tmp_path / ".bench_history"),
-            "--policy", str(policy),
-        ])
+        self._commit_work(repo, 1350, "2026-03-01T00:00:00+00:00")
+        code = main(["report", "gate", "--root", str(repo), "--policy", str(policy)])
         assert code == 1
         out = capsys.readouterr().out
         assert "gate: FAIL" in out
         assert "+50.0% worse" in out
 
-    def test_gate_missing_policy_errors(self, archived_history, capsys):
-        tmp_path, _archive, _policy = archived_history
+    def test_gate_missing_policy_errors(self, committed_history, capsys):
+        repo, _policy = committed_history
         code = main([
-            "report", "gate",
-            "--history-dir", str(tmp_path / ".bench_history"),
-            "--policy", str(tmp_path / "absent.toml"),
+            "report", "gate", "--root", str(repo),
+            "--policy", str(repo.parent / "absent.toml"),
         ])
         assert code == 1
         assert "cannot read gate policy" in capsys.readouterr().err

@@ -41,12 +41,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: below ``repro.bench`` — benchmarks drive the gateway, never the
 #: reverse.
 #: ``repro.trends`` is the observability roof over the benchmarks: it
-#: reads archived snapshots and renders/gates them, so it may import
+#: reads the committed benchmark files and renders/gates them, so it may import
 #: the leaf utilities and ``repro.bench`` (table formatting) but never
 #: the engine, service or gateway — a trend report must be computable
-#: from cached data alone, with no mining machinery in scope. The
+#: from committed data alone, with no mining machinery in scope. The
 #: reverse edge is banned too: ``repro.bench`` stays runnable without
-#: the archive (benchmark scripts call the snapshot writer themselves,
+#: the trend pipeline (benchmark scripts call the snapshot writer themselves,
 #: from outside the package).
 #: ``repro.durability`` is the crash-safe persistence layer between the
 #: leaves and the service: it composes ``repro.data`` (formats, deltas,

@@ -16,7 +16,7 @@ from repro.constraints.base import ChangeKind
 from repro.constraints.support import MaxSupport, MinSupport
 from repro.core.session import MiningSession
 from repro.data.io import write_transactions
-from repro.data.transactions import TransactionDatabase
+from repro.data.transactions import TransactionDatabase, absolute_support
 from repro.errors import ReproError
 from repro.service import MineRequest
 
@@ -65,6 +65,15 @@ def test_max_support_resolves_by_the_rule_rounding_down(threshold, expected):
     """A max bound is a fraction or a count as a min bound is, but a
     fraction rounds down so the bound never admits more than it says."""
     assert MaxSupport(threshold).absolute(len(DB)) == expected
+
+
+def test_a_fraction_resolves_to_its_exact_count():
+    """k/100 of 100 rows is k rows for a min bound (rounding up) and a
+    max bound (rounding down) alike, although as floats 0.07 * 100 is
+    7.000000000000001 and 0.29 * 100 is 28.999999999999996."""
+    for k in range(1, 101):
+        assert absolute_support(k / 100, 100) == k, k
+        assert MaxSupport(k / 100).absolute(100) == k, k
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf])

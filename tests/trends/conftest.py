@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+
 import pytest
 
 from repro.trends import Snapshot
@@ -29,8 +33,6 @@ def make_snapshot(
         commit=commit,
         timestamp=timestamp,
         seed=0,
-        python="3.11.0",
-        platform="test",
         payload={"seed": 0, "results": rows, **payload_extra},
     )
 
@@ -38,3 +40,31 @@ def make_snapshot(
 @pytest.fixture
 def snapshot() -> Snapshot:
     return make_snapshot()
+
+
+def git(repo, *args, date="2026-01-01T00:00:00+00:00"):
+    """Run git in ``repo`` as a fixed test identity, committing at ``date``."""
+    subprocess.run(
+        ["git", "-C", str(repo), *args], check=True, capture_output=True,
+        env={
+            "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
+            "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t",
+            "GIT_AUTHOR_DATE": date, "GIT_COMMITTER_DATE": date,
+            "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+            "HOME": str(repo),
+        },
+    )
+
+
+def commit_bench_file(repo, name, payload, date):
+    """Write the root file ``name`` and commit it at ``date``."""
+    (repo / name).write_text(json.dumps(payload), encoding="utf-8")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", f"{name} @ {date}", date=date)
+
+
+def head(repo) -> str:
+    return subprocess.run(
+        ["git", "-C", str(repo), "rev-parse", "HEAD"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()

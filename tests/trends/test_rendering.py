@@ -58,7 +58,7 @@ def _two_commit_history():
 
 class TestBuildReportData:
     def test_empty_archive_rejected(self):
-        with pytest.raises(TrendsError, match="no archived snapshots"):
+        with pytest.raises(TrendsError, match="no benchmark snapshots"):
             build_report_data([], SERIES)
 
     def test_shape(self):
