@@ -105,8 +105,8 @@ def main() -> int:
     results = []
     for spec in ALL_DATASETS:
         db = spec.load(SEED)
-        xi_old = math.ceil(spec.xi_old * len(db))
-        xi_new = math.ceil(spec.xi_new_sweep[len(spec.xi_new_sweep) // 2] * len(db))
+        xi_old = db.relative_to_absolute(spec.xi_old)
+        xi_new = db.relative_to_absolute(spec.xi_new_sweep[len(spec.xi_new_sweep) // 2])
         # The encoded index is built once per database and shared by every
         # bitset consumer; warm it outside the timed region but report its
         # one-off cost alongside the per-call numbers.

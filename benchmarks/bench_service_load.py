@@ -44,7 +44,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from repro.bench.experiments import service_load_rows
+from repro.bench.experiments import SERVICE_LOAD_QUEUE_DEPTH, service_load_rows
 from repro.trends import write_benchmark_snapshot
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -92,7 +92,7 @@ def main() -> int:
 
     admission = by_scenario["admission"]
     no_admission = by_scenario["no-admission"]
-    bound = 8  # service_load_rows' queue_depth default
+    bound = SERVICE_LOAD_QUEUE_DEPTH
     if admission["queue_high_water"] > bound:
         ok = False
         print("FAIL: admission queue depth exceeded its bound")

@@ -27,7 +27,7 @@ def main() -> None:
     db = version.db
     support_fraction = 0.015
 
-    xi = max(1, int(support_fraction * len(db)))
+    xi = db.relative_to_absolute(support_fraction)
     patterns = mine_hmine(db, xi)
     print(f"day 0: {len(db)} tuples, support {xi} -> {len(patterns)} patterns "
           "(mined from scratch, once)\n")
@@ -48,7 +48,7 @@ def main() -> None:
         )
         db = version.db
 
-        xi = max(1, int(support_fraction * len(db)))
+        xi = db.relative_to_absolute(support_fraction)
 
         started = time.perf_counter()
         recycled = recycle_mine(db, patterns, xi, algorithm="hmine")

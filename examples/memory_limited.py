@@ -27,8 +27,8 @@ from repro.storage.memory import estimate_transactions_bytes
 
 def main() -> None:
     db = connect4_like()
-    xi_old = int(0.95 * len(db))
-    xi_new = int(0.90 * len(db))
+    xi_old = db.relative_to_absolute(0.95)
+    xi_new = db.relative_to_absolute(0.90)
 
     old_patterns = mine_hmine(db, xi_old)
     compressed = compress(db, old_patterns, "mcp").compressed

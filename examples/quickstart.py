@@ -28,7 +28,7 @@ def main() -> None:
 
     # Iteration 1 — the user starts conservatively at 90% support (this
     # census-style stand-in is dense; see the paper's Table 3).
-    xi_old = int(0.90 * len(db))
+    xi_old = db.relative_to_absolute(0.90)
     started = time.perf_counter()
     old_patterns = mine_hmine(db, xi_old)
     first_seconds = time.perf_counter() - started
@@ -38,7 +38,7 @@ def main() -> None:
     # The 90% results look too coarse; relax to 82%. Instead of mining
     # from scratch, recycle: compress the database with the patterns we
     # already paid for, then mine the compressed database.
-    xi_new = int(0.82 * len(db))
+    xi_new = db.relative_to_absolute(0.82)
 
     started = time.perf_counter()
     from_scratch = mine_hmine(db, xi_new)

@@ -31,11 +31,12 @@ from repro.bench.runner import (
 from repro.bench.workloads import prepare_workload
 from repro.core.utility import STRATEGIES
 from repro.core.compression import compress
+from repro.data.transactions import absolute_support
 from repro.errors import BenchmarkError
 from repro.mining.flist import FList
 from repro.mining.hmine import build_hstruct
 from repro.mining.registry import iter_miners, mine_with_budget
-from repro.storage.disk import DiskModel, SimulatedDisk, transactions_byte_size
+from repro.storage.disk import SimulatedDisk, transactions_byte_size, transfer_time
 from repro.storage.memory import estimate_transactions_bytes
 from repro.storage.projection import mine_grouped
 
@@ -103,7 +104,6 @@ def table3(seed: int = 0) -> tuple[list[str], list[list[object]]]:
         "patterns", "max_len", "strategy",
         "time_pipeline_s", "time_io_s", "ratio",
     ]
-    model = DiskModel()
     rows: list[list[object]] = []
     for dataset in ("weather", "forest", "connect4", "pumsb"):
         workload = prepare_workload(dataset, seed)
@@ -112,7 +112,7 @@ def table3(seed: int = 0) -> tuple[list[str], list[list[object]]]:
         for strategy in ("mcp", "mlp"):
             compression = workload.compressions[strategy]
             compressed_bytes = int(raw_bytes * compression.ratio)
-            io_seconds = compression.elapsed_seconds + model.transfer_time(
+            io_seconds = compression.elapsed_seconds + transfer_time(
                 raw_bytes + compressed_bytes, 2
             )
             rows.append(
@@ -136,9 +136,7 @@ def table3(seed: int = 0) -> tuple[list[str], list[list[object]]]:
 # ----------------------------------------------------------------------
 # Figures 9-20 — runtime vs xi_new, baseline vs MCP/MLP recycling
 # ----------------------------------------------------------------------
-def figure(
-    number: int, seed: int = 0, sweep: Sequence[float] | None = None
-) -> tuple[list[str], list[list[object]]]:
+def figure(number: int, seed: int = 0) -> tuple[list[str], list[list[object]]]:
     """One runtime-vs-support figure: baseline, -MCP and -MLP series."""
     try:
         dataset, algorithm = FIGURES[number]
@@ -147,14 +145,11 @@ def figure(
             f"unknown figure {number} (known: {sorted(FIGURES)} and "
             f"{sorted(MEMORY_FIGURES)} via memory_limited_figure)"
         ) from None
-    return figure_series(dataset, algorithm, seed, sweep)
+    return figure_series(dataset, algorithm, seed)
 
 
 def figure_series(
-    dataset: str,
-    algorithm: str,
-    seed: int = 0,
-    sweep: Sequence[float] | None = None,
+    dataset: str, algorithm: str, seed: int = 0
 ) -> tuple[list[str], list[list[object]]]:
     """The three series of one figure over the dataset's support sweep."""
     workload = prepare_workload(dataset, seed)
@@ -166,8 +161,7 @@ def figure_series(
         "work_base", "work_mcp",
     ]
     rows: list[list[object]] = []
-    points = sweep if sweep is not None else workload.spec.xi_new_sweep
-    for relative in points:
+    for relative in workload.spec.xi_new_sweep:
         absolute = workload.absolute_support(relative)
         base = run_baseline(algorithm, workload.db, absolute)
         mcp = run_recycling(
@@ -502,17 +496,13 @@ SERVICE_LOAD_SCENARIOS = (
     "admission",
 )
 
+#: The ``admission`` scenario's queue-depth bound; the paced pair's
+#: bursts of 8 arrive faster than the gateway's 4 pumps per burst, so
+#: the ``no-admission`` backlog grows past it.
+SERVICE_LOAD_QUEUE_DEPTH = 8
 
-def service_load_rows(
-    dataset: str,
-    seed: int = 0,
-    requests: int = 32,
-    tenants: int = 6,
-    burst_length: int = 8,
-    queue_depth: int = 8,
-    pumps_per_burst: int = 4,
-    sweep: Sequence[float] | None = None,
-) -> list[dict[str, object]]:
+
+def service_load_rows(dataset: str, seed: int = 0) -> list[dict[str, object]]:
     """Gateway load benchmark: throughput and tail latency per scenario.
 
     Replays one seeded heavy-traffic trace
@@ -529,15 +519,17 @@ def service_load_rows(
       delta is batching's amortization: one mine at the burst-minimum
       support versus a mine-or-recycle per distinct support.
     * ``no-admission`` / ``admission`` — bursts arrive faster than the
-      gateway pumps (``pumps_per_burst`` < ``burst_length``), so a
-      backlog builds. ``no-admission`` is the naive front end: FIFO,
-      unbounded queue, everything eventually served. ``admission`` is
-      the gateway doing its job: priority lanes, a depth bound of
-      ``queue_depth``, lowest-priority work shed under pressure.
+      gateway pumps (4 pumps per burst of 8), so a backlog builds.
+      ``no-admission`` is the naive front end: FIFO, unbounded queue,
+      everything eventually served. ``admission`` is the gateway doing
+      its job: priority lanes, a depth bound of
+      :data:`SERVICE_LOAD_QUEUE_DEPTH`, lowest-priority work shed under
+      pressure.
       Batching is off in both so the latency comparison isolates
       scheduling and shedding.
 
-    Latency rows carry both bases: wall seconds (machine-dependent,
+    The trace is 32 requests from 6 tenants over the dataset's support
+    sweep. Latency rows carry both bases: wall seconds (machine-dependent,
     advisory) and **work position** — the gateway's cumulative
     machine-independent work counter at resolution — which is what the
     acceptance bars gate on. Every served response is verified
@@ -555,18 +547,17 @@ def service_load_rows(
 
     spec = get_dataset(dataset)
     db = spec.load(seed)
-    points = sweep if sweep is not None else spec.xi_new_sweep
     supports = sorted(
-        {db.relative_to_absolute(rel) for rel in points}, reverse=True
+        {db.relative_to_absolute(rel) for rel in spec.xi_new_sweep}, reverse=True
     )
     trace = synthesize_traffic(
         db,
         supports,
         TrafficConfig(
-            requests=requests,
-            tenants=tenants,
+            requests=32,
+            tenants=6,
             seed=seed * 7919 + 13,
-            burst_length=burst_length,
+            burst_length=8,
             deadline_fraction=0.0,
         ),
     )
@@ -581,7 +572,9 @@ def service_load_rows(
         "batched": GatewayConfig(batching=True, fifo=True),
         "no-admission": GatewayConfig(batching=False, fifo=True),
         "admission": GatewayConfig(
-            batching=False, max_queue_depth=queue_depth, shed_on_full=True
+            batching=False,
+            max_queue_depth=SERVICE_LOAD_QUEUE_DEPTH,
+            shed_on_full=True,
         ),
     }
     #: The drain-fully pair vs the paced-backlog pair.
@@ -599,7 +592,8 @@ def service_load_rows(
             for burst in arrival_bursts:
                 futures.extend(gateway.submit(req) for req in burst)
                 if scenario in paced:
-                    for _ in range(pumps_per_burst):
+                    # Half a burst's worth of pumps: a backlog builds.
+                    for _ in range(4):
                         gateway.pump_once()
                 else:
                     gateway.drain()
@@ -663,12 +657,11 @@ DEFAULT_WAREHOUSE_BUDGET = 8 * 1024
 def warehouse_rows(
     dataset: str,
     seed: int = 0,
-    tenants: int = 3,
     byte_budget: int = DEFAULT_WAREHOUSE_BUDGET,
 ) -> list[dict[str, object]]:
     """Warehouse footprint and warm-path hit rate per representation.
 
-    Replays an interleaved multi-tenant sweep (``tenants`` users each
+    Replays an interleaved multi-tenant sweep (three users each
     requesting every support of the dataset's sweep, highest first) once
     per pattern representation, every run against an identically
     budgeted warehouse. Every response is checked
@@ -705,7 +698,7 @@ def warehouse_rows(
             for relative in supports:
                 absolute = workload.absolute_support(relative)
                 cold = cold_runs[absolute]
-                for tenant_index in range(tenants):
+                for tenant_index in range(3):
                     response = service.execute(
                         MineRequest(
                             db=db, support=absolute, tenant=f"user-{tenant_index}"
@@ -867,11 +860,7 @@ def parallel_speedup_rows(
 INCREMENTAL_CHURNS: tuple[float, ...] = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
 
 
-def incremental_rows(
-    dataset: str,
-    seed: int = 0,
-    churns: Sequence[float] | None = None,
-) -> list[dict[str, object]]:
+def incremental_rows(dataset: str, seed: int = 0) -> list[dict[str, object]]:
     """Update-path economics: FUP vs recycle-update vs scratch per churn.
 
     For each churn level an insert-only delta of ``churn * |db|``
@@ -913,7 +902,7 @@ def incremental_rows(
     old_patterns = workload.old_patterns
     base_rows = db.transactions
     rows: list[dict[str, object]] = []
-    for churn in churns or INCREMENTAL_CHURNS:
+    for churn in INCREMENTAL_CHURNS:
         delta_size = max(1, int(churn * len(db)))
         appended = tuple(
             base_rows[index % len(base_rows)] for index in range(delta_size)
@@ -924,7 +913,7 @@ def incremental_rows(
         new_db = v1.db
         # Constant relative support: the threshold the feedstock was
         # mined at, rescaled to the grown database.
-        new_support = max(1, int(workload.spec.xi_old * len(new_db)))
+        new_support = absolute_support(workload.spec.xi_old, len(new_db))
 
         scratch_counters = CostCounters()
         started = time.perf_counter()

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from repro.core.compression import CompressionResult, compress
 from repro.data.datasets import DatasetSpec, get_dataset
-from repro.data.transactions import TransactionDatabase
+from repro.data.transactions import TransactionDatabase, absolute_support
 from repro.mining.hmine import mine_hmine
 from repro.mining.patterns import PatternSet
 
@@ -38,23 +38,22 @@ class Workload:
         return self.spec.name
 
     def absolute_support(self, relative: float) -> int:
-        """Convert a relative support to the absolute threshold used here."""
-        return max(1, int(relative * len(self.db)))
+        """The absolute threshold a relative support means over this
+        database, by the library's support rule."""
+        return absolute_support(relative, len(self.db))
 
 
 @lru_cache(maxsize=None)
-def prepare_workload(
-    dataset: str, seed: int = 0, strategies: tuple[str, ...] = ("mcp", "mlp")
-) -> Workload:
+def prepare_workload(dataset: str, seed: int = 0) -> Workload:
     """Load a dataset, mine at ``xi_old`` and compress under each strategy."""
     spec = get_dataset(dataset)
     db = spec.load(seed)
-    xi_old = max(1, int(spec.xi_old * len(db)))
+    xi_old = absolute_support(spec.xi_old, len(db))
     started = time.perf_counter()
     old_patterns = mine_hmine(db, xi_old)
     old_seconds = time.perf_counter() - started
     compressions = {
-        strategy: compress(db, old_patterns, strategy) for strategy in strategies
+        strategy: compress(db, old_patterns, strategy) for strategy in ("mcp", "mlp")
     }
     return Workload(
         spec=spec,

@@ -34,8 +34,8 @@ class MinSupport(Constraint):
 
     ``threshold`` follows :func:`~repro.data.transactions.absolute_support`:
     a float in ``(0, 1]`` is relative (``1.0`` is every row) and resolves
-    against the context's database size, rounding up; an int, or a float
-    above 1, is an absolute count.
+    against the context's database size; an int, or a float above 1, is
+    an absolute count. Both round up: ``MinSupport(2.5)`` needs 3 rows.
     """
 
     def __init__(self, threshold: float) -> None:
@@ -67,7 +67,8 @@ class MaxSupport(Constraint):
     """``sup(X) <= threshold`` — monotone (rare-pattern mining).
 
     ``threshold`` follows the same support rule as :class:`MinSupport`,
-    except that a fraction rounds *down*: a max bound must not admit a
+    except that it rounds *down*, a fraction and a fractional count alike
+    (``MaxSupport(2.5)`` admits 2 rows): a max bound must not admit a
     support above it.
     """
 
@@ -84,7 +85,9 @@ class MaxSupport(Constraint):
         """Resolve to an absolute count for a database of ``db_size``."""
         if is_relative_support(self.threshold):
             return math.floor(fraction_of_rows(self.threshold, db_size))
-        return absolute_support(self.threshold, db_size)
+        # The shared rule raises DataError for a count that is not finite.
+        absolute_support(self.threshold, db_size)
+        return math.floor(self.threshold)
 
     def satisfied(self, pattern: Pattern, support: int, context: ConstraintContext) -> bool:
         return support <= self.absolute(context.db_size)

@@ -218,7 +218,6 @@ def _enumerate_single_branch(
     prefix: tuple[int, ...],
     min_support: int,
     result: PatternSet,
-    stats: dict[str, int] | None = None,
 ) -> None:
     """Emit all frequent subsets of one branch without recursion.
 

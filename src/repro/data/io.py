@@ -238,18 +238,13 @@ def warehouse_entry_text(
     return "".join(f"{line}\n" for line in headers) + body
 
 
-def write_warehouse_entry(
-    condensed: CondensedPatternSet,
-    path: str | Path,
-    *,
-    full_bytes: int | None = None,
-) -> None:
+def write_warehouse_entry(condensed: CondensedPatternSet, path: str | Path) -> None:
     """Atomically persist a (possibly condensed) warehouse entry.
 
     Renders :func:`warehouse_entry_text` once and writes it through
     :func:`_write_atomically`, like :func:`write_patterns_with_support`.
     """
-    _write_atomically(path, warehouse_entry_text(condensed, full_bytes=full_bytes))
+    _write_atomically(path, warehouse_entry_text(condensed))
 
 
 def read_warehouse_entry(

@@ -228,7 +228,6 @@ class CondensedPatternSet:
         absolute_support: int,
         *,
         n_transactions: int | None = None,
-        expanded_count: int | None = None,
     ) -> None:
         if representation not in REPRESENTATIONS:
             raise MiningError(
@@ -252,7 +251,7 @@ class CondensedPatternSet:
             # them up front and quarantine the file.
             self._entries[key] = support
         self._expanded: PatternSet | None = None
-        self._expanded_count = expanded_count
+        self._expanded_count: int | None = None
 
     # ------------------------------------------------------------------
     # construction

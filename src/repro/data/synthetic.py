@@ -51,9 +51,9 @@ class QuestParams:
 
     ``n_items`` is the item-universe size, ``avg_transaction_length`` the
     mean basket size, ``n_patterns``/``avg_pattern_length`` shape the pool
-    of potential frequent patterns, ``correlation`` the fraction of items
-    a pattern inherits from its predecessor and ``corruption_mean`` the
-    average per-pattern item-drop rate.
+    of potential frequent patterns. Each pattern inherits half its items
+    from its predecessor, drops each item at a rate drawn around 0.5, and
+    items are drawn Zipf(1) by id.
     """
 
     n_transactions: int = 1000
@@ -61,9 +61,6 @@ class QuestParams:
     avg_transaction_length: float = 10.0
     n_patterns: int = 50
     avg_pattern_length: float = 4.0
-    correlation: float = 0.5
-    corruption_mean: float = 0.5
-    item_skew: float = 1.0
 
 
 def quest_database(params: QuestParams | None = None, seed: int = 0) -> TransactionDatabase:
@@ -73,22 +70,22 @@ def quest_database(params: QuestParams | None = None, seed: int = 0) -> Transact
         raise DataError(f"degenerate Quest parameters: {params}")
     rng = random.Random(seed)
 
-    item_weights = _zipf_weights(params.n_items, params.item_skew)
+    item_weights = _zipf_weights(params.n_items, 1.0)
     items = list(range(params.n_items))
 
-    # Potential patterns: each inherits `correlation` of the previous one.
+    # Potential patterns: each inherits half of the previous one.
     patterns: list[list[int]] = []
     corruptions: list[float] = []
     previous: list[int] = []
     for _ in range(params.n_patterns):
         length = max(1, _poisson(rng, params.avg_pattern_length))
-        inherited_count = min(len(previous), int(round(length * params.correlation)))
+        inherited_count = min(len(previous), int(round(length * 0.5)))
         chosen = set(rng.sample(previous, inherited_count)) if inherited_count else set()
         while len(chosen) < length:
             chosen.add(rng.choices(items, weights=item_weights, k=1)[0])
         pattern_items = sorted(chosen)
         patterns.append(pattern_items)
-        corruptions.append(min(0.95, max(0.0, rng.gauss(params.corruption_mean, 0.1))))
+        corruptions.append(min(0.95, max(0.0, rng.gauss(0.5, 0.1))))
         previous = pattern_items
 
     # Exponential pattern weights, as in the original generator.

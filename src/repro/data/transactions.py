@@ -29,11 +29,12 @@ def absolute_support(min_support: float, n_rows: int) -> int:
     The library's one support rule. The type disambiguates the boundary:
     a *float* in ``(0, 1]`` is a relative fraction (``1.0`` means 100% —
     every row), while an *int* is an absolute count (``1`` means one
-    row). Floats above 1 and all other ints pass through as absolute
-    counts, so callers can use either convention. A fraction is rounded
-    up (:func:`fraction_of_rows`), matching the usual "support greater
-    than or equal to" semantics. Raises :class:`DataError` for a
-    threshold that is not finite or not positive.
+    row). Floats above 1 and all other ints are absolute counts, so
+    callers can use either convention. Both round up, matching the usual
+    "support greater than or equal to" semantics: a fraction after
+    :func:`fraction_of_rows`, and a fractional count too (``2.5`` means
+    3 rows). Raises :class:`DataError` for a threshold that is not finite
+    or not positive.
     """
     if isinstance(min_support, float) and not math.isfinite(min_support):
         raise DataError(f"min_support must be finite, got {min_support}")
@@ -41,7 +42,7 @@ def absolute_support(min_support: float, n_rows: int) -> int:
         raise DataError(f"min_support must be positive, got {min_support}")
     if is_relative_support(min_support):
         return max(1, math.ceil(fraction_of_rows(min_support, n_rows)))
-    return int(min_support)
+    return math.ceil(min_support)
 
 
 def is_relative_support(threshold: float) -> bool:

@@ -30,7 +30,7 @@ from repro.gateway.request import (
 )
 from repro.gateway.stats import GatewayStats
 from repro.gateway.traffic import (
-    DEFAULT_PRIORITY_MIX,
+    PRIORITY_MIX,
     TrafficConfig,
     bursts,
     synthesize_traffic,
@@ -38,7 +38,6 @@ from repro.gateway.traffic import (
 
 __all__ = [
     "BatchPlan",
-    "DEFAULT_PRIORITY_MIX",
     "GatewayConfig",
     "GatewayRequest",
     "GatewayResponse",
@@ -47,6 +46,7 @@ __all__ = [
     "PRIORITY_BATCH",
     "PRIORITY_CLASSES",
     "PRIORITY_INTERACTIVE",
+    "PRIORITY_MIX",
     "PRIORITY_RANKS",
     "PRIORITY_STANDARD",
     "PriorityRequestQueue",

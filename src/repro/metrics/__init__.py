@@ -1,6 +1,6 @@
 """Machine-independent cost accounting for experiments."""
 
 from repro.metrics.counters import CostCounters
-from repro.metrics.reservoir import DEFAULT_RESERVOIR_CAPACITY, LatencyReservoir
+from repro.metrics.reservoir import RESERVOIR_CAPACITY, LatencyReservoir
 
-__all__ = ["CostCounters", "DEFAULT_RESERVOIR_CAPACITY", "LatencyReservoir"]
+__all__ = ["CostCounters", "RESERVOIR_CAPACITY", "LatencyReservoir"]

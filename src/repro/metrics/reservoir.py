@@ -9,22 +9,23 @@ being in the sample. Quantiles read off the sorted sample.
 
 Two deliberate properties:
 
-* **Deterministic.** The replacement RNG is seeded from the capacity at
+* **Deterministic.** The replacement RNG is seeded with a constant at
   construction, so the same observation sequence always yields the same
   sample — service stats stay reproducible, which the benchmark
   acceptance gates rely on.
-* **Exact until full.** While fewer than ``capacity`` values have been
-  recorded the sample *is* the population, so small test workloads see
-  exact quantiles and nothing changes for existing callers.
+* **Exact until full.** While fewer than :data:`RESERVOIR_CAPACITY`
+  values have been recorded the sample *is* the population, so small
+  test workloads see exact quantiles and nothing changes for existing
+  callers.
 """
 
 from __future__ import annotations
 
 import random
 
-#: Default sample size: large enough that p99 over the sample tracks the
+#: Sample size: large enough that p99 over the sample tracks the
 #: population p99 closely, small enough to be memory-irrelevant.
-DEFAULT_RESERVOIR_CAPACITY = 2048
+RESERVOIR_CAPACITY = 2048
 
 
 class LatencyReservoir:
@@ -36,24 +37,21 @@ class LatencyReservoir:
     unbounded list this replaces.
     """
 
-    def __init__(self, capacity: int = DEFAULT_RESERVOIR_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.count = 0  # observations ever recorded, not just retained
         self._sample: list[float] = []
-        # Seeded from the capacity so two reservoirs with the same shape
-        # fed the same stream retain the same sample.
-        self._rng = random.Random(capacity * 0x5EED + 1)
+        # Seeded alike so two reservoirs fed the same stream retain the
+        # same sample.
+        self._rng = random.Random(RESERVOIR_CAPACITY * 0x5EED + 1)
 
     def add(self, value: float) -> None:
         """Record one observation (kept with probability capacity/count)."""
         self.count += 1
-        if len(self._sample) < self.capacity:
+        if len(self._sample) < RESERVOIR_CAPACITY:
             self._sample.append(value)
             return
         slot = self._rng.randrange(self.count)
-        if slot < self.capacity:
+        if slot < RESERVOIR_CAPACITY:
             self._sample[slot] = value
 
     def quantile(self, q: float) -> float:

@@ -54,7 +54,6 @@ def generate_rules(
     patterns: PatternSet,
     db_size: int,
     min_confidence: float = 0.5,
-    max_consequent_size: int | None = None,
 ) -> list[AssociationRule]:
     """All rules meeting ``min_confidence`` from a frequent-pattern set.
 
@@ -63,7 +62,7 @@ def generate_rules(
     subset raises, it is never guessed.
 
     Rules are generated per pattern by splitting off every non-empty
-    proper consequent (optionally capped in size), using the
+    proper consequent, using the
     anti-monotonicity of confidence in the consequent: if ``A -> C``
     fails min-confidence, so does every ``A' -> C'`` with ``C ⊂ C'``
     from the same pattern — those splits are pruned.
@@ -78,9 +77,7 @@ def generate_rules(
         if len(items) < 2:
             continue
         rules.extend(
-            _rules_for_pattern(
-                items, support, patterns, db_size, min_confidence, max_consequent_size
-            )
+            _rules_for_pattern(items, support, patterns, db_size, min_confidence)
         )
     rules.sort(key=lambda r: (-r.confidence, -r.support, sorted(r.antecedent)))
     return rules
@@ -92,16 +89,12 @@ def _rules_for_pattern(
     patterns: PatternSet,
     db_size: int,
     min_confidence: float,
-    max_consequent_size: int | None,
 ) -> Iterator[AssociationRule]:
     sorted_items = sorted(items)
-    limit = len(items) - 1
-    if max_consequent_size is not None:
-        limit = min(limit, max_consequent_size)
     # Grow consequents level-wise; prune a consequent's supersets once it
     # fails (confidence only drops as the antecedent shrinks).
     alive: set[Pattern] = {frozenset()}
-    for size in range(1, limit + 1):
+    for size in range(1, len(items)):
         next_alive: set[Pattern] = set()
         for consequent_tuple in combinations(sorted_items, size):
             consequent = frozenset(consequent_tuple)
@@ -135,18 +128,9 @@ def _rules_for_pattern(
 
 
 def filter_rules(
-    rules: list[AssociationRule],
-    min_lift: float | None = None,
-    min_leverage: float | None = None,
-    required_consequent: Pattern | None = None,
+    rules: list[AssociationRule], min_lift: float | None = None
 ) -> list[AssociationRule]:
-    """Post-filter rules on secondary measures or a target consequent."""
-    result = rules
-    if min_lift is not None:
-        result = [r for r in result if r.lift >= min_lift]
-    if min_leverage is not None:
-        result = [r for r in result if r.leverage >= min_leverage]
-    if required_consequent is not None:
-        target = frozenset(required_consequent)
-        result = [r for r in result if target <= r.consequent]
-    return result
+    """Post-filter rules on lift."""
+    if min_lift is None:
+        return rules
+    return [r for r in rules if r.lift >= min_lift]

@@ -1,7 +1,6 @@
 """Simulated disk, memory estimation and memory-limited mining drivers."""
 
 from repro.storage.disk import (
-    DiskModel,
     SimulatedDisk,
     cgroups_byte_size,
     transactions_byte_size,
@@ -18,7 +17,6 @@ from repro.storage.projection import (
 )
 
 __all__ = [
-    "DiskModel",
     "SimulatedDisk",
     "cgroups_byte_size",
     "estimate_hstruct_bytes",

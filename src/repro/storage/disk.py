@@ -11,33 +11,31 @@ time model that experiments can report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.groups import ITEM_BYTES, RECORD_OVERHEAD_BYTES
 from repro.errors import StorageError
 from repro.metrics.counters import CostCounters
 
 __all__ = [
+    "BYTES_PER_SECOND",
     "CONDENSED_HEADER_BYTES",
-    "DiskModel",
     "ITEM_BYTES",
     "RECORD_OVERHEAD_BYTES",
+    "SEEK_SECONDS",
     "SimulatedDisk",
     "cgroups_byte_size",
     "patterns_byte_size",
     "transactions_byte_size",
+    "transfer_time",
 ]
 
+#: The timing model: a seek per operation plus a linear transfer.
+SEEK_SECONDS = 0.005
+BYTES_PER_SECOND = 40_000_000.0
 
-@dataclass(frozen=True)
-class DiskModel:
-    """Timing model: per-operation seek cost plus linear transfer cost."""
 
-    seek_seconds: float = 0.005
-    bytes_per_second: float = 40_000_000.0
-
-    def transfer_time(self, total_bytes: int, operations: int) -> float:
-        return operations * self.seek_seconds + total_bytes / self.bytes_per_second
+def transfer_time(total_bytes: int, operations: int) -> float:
+    """Modelled seconds to move ``total_bytes`` in ``operations`` I/Os."""
+    return operations * SEEK_SECONDS + total_bytes / BYTES_PER_SECOND
 
 
 def transactions_byte_size(transactions: list[tuple[int, ...]]) -> int:
@@ -98,8 +96,7 @@ class SimulatedDisk:
     actually being "stored", not Python object overhead.
     """
 
-    def __init__(self, model: DiskModel | None = None, counters: CostCounters | None = None) -> None:
-        self.model = model or DiskModel()
+    def __init__(self, counters: CostCounters | None = None) -> None:
         self.counters = counters
         self._store: dict[str, object] = {}
         self._sizes: dict[str, int] = {}
@@ -116,7 +113,7 @@ class SimulatedDisk:
             raise StorageError(f"negative byte size {byte_size} for {key!r}")
         self._store[key] = payload
         self._sizes[key] = byte_size
-        self.simulated_seconds += self.model.transfer_time(byte_size, 1)
+        self.simulated_seconds += transfer_time(byte_size, 1)
         self.total_bytes_written += byte_size
         self.write_ops += 1
         self.peak_stored_bytes = max(self.peak_stored_bytes, self.stored_bytes())
@@ -131,7 +128,7 @@ class SimulatedDisk:
         except KeyError:
             raise StorageError(f"no object stored under {key!r}") from None
         byte_size = self._sizes[key]
-        self.simulated_seconds += self.model.transfer_time(byte_size, 1)
+        self.simulated_seconds += transfer_time(byte_size, 1)
         self.total_bytes_read += byte_size
         self.read_ops += 1
         if self.counters is not None:

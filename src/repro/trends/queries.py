@@ -186,16 +186,13 @@ def work_by_churn(snapshot: Snapshot) -> tuple[list[float], dict]:
 
 
 def category_bars(
-    snapshot: Snapshot,
-    y_field: str,
-    label_fields: Sequence[str],
-    where: Mapping[str, Any] | None = None,
+    snapshot: Snapshot, y_field: str, label_fields: Sequence[str]
 ) -> tuple[list[str], list[float]]:
     """One bar per row: labels from ``label_fields``, heights from
     ``y_field``."""
     labels: list[str] = []
     values: list[float] = []
-    for row in select(snapshot.rows(), where):
+    for row in snapshot.rows():
         y = _numeric(row.get(y_field))
         if y is None:
             continue

@@ -23,6 +23,9 @@ _PALETTE = (
     "#be185d",
     "#4d7c0f",
 )
+#: Every chart's size in pixels.
+_WIDTH = 640
+_HEIGHT = 300
 _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 34
@@ -50,30 +53,30 @@ def _finite(values: Sequence[float | None]) -> list[float]:
     ]
 
 
-def _empty(title: str, width: int, height: int, reason: str) -> str:
+def _empty(title: str, reason: str) -> str:
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" role="img">'
-        f'<text x="{width / 2}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}" role="img">'
+        f'<text x="{_WIDTH / 2}" y="20" text-anchor="middle" '
         f'font-size="13" font-weight="bold">{escape(title)}</text>'
-        f'<text x="{width / 2}" y="{height / 2}" text-anchor="middle" '
+        f'<text x="{_WIDTH / 2}" y="{_HEIGHT / 2}" text-anchor="middle" '
         f'font-size="12" fill="#6b7280">{escape(reason)}</text></svg>'
     )
 
 
 def _frame(
-    title: str, y_label: str, width: int, height: int, lo: float, hi: float
+    title: str, y_label: str, lo: float, hi: float
 ) -> tuple[list[str], float, float, "_Scale"]:
     """Shared chart chrome: title, axes, y gridlines. Returns the open
     element list, plot-area origin, and the y scale."""
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     scale = _Scale(lo, hi, _MARGIN_TOP, plot_h)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" role="img" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}" role="img" '
         f'font-family="system-ui, sans-serif">',
-        f'<text x="{width / 2}" y="18" text-anchor="middle" font-size="13" '
+        f'<text x="{_WIDTH / 2}" y="18" text-anchor="middle" font-size="13" '
         f'font-weight="bold">{escape(title)}</text>',
     ]
     if y_label:
@@ -113,20 +116,16 @@ def line_chart(
     *,
     title: str = "",
     y_label: str = "",
-    width: int = 640,
-    height: int = 300,
 ) -> str:
     """Multi-series line chart over ordinal x positions."""
     flat = [v for values in series.values() for v in _finite(values)]
     if not x_labels or not flat:
-        return _empty(title, width, height, "no data points")
+        return _empty(title, "no data points")
     lo, hi = min(flat), max(flat)
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
     pad = (hi - lo) * 0.05
-    parts, left, plot_w, scale = _frame(
-        title, y_label, width, height, lo - pad, hi + pad
-    )
+    parts, left, plot_w, scale = _frame(title, y_label, lo - pad, hi + pad)
     n = len(x_labels)
     xs = [left + plot_w * (0.5 if n == 1 else i / (n - 1)) for i in range(n)]
     for index, (name, values) in enumerate(sorted(series.items())):
@@ -153,8 +152,8 @@ def line_chart(
                     f'<polyline points="{" ".join(points)}" fill="none" '
                     f'stroke="{color}" stroke-width="2"/>'
                 )
-    _x_axis_labels(parts, x_labels, xs, height)
-    _legend(parts, sorted(series), width)
+    _x_axis_labels(parts, x_labels, xs)
+    _legend(parts, sorted(series))
     parts.append("</svg>")
     return "".join(parts)
 
@@ -165,17 +164,15 @@ def bar_chart(
     *,
     title: str = "",
     y_label: str = "",
-    width: int = 640,
-    height: int = 300,
 ) -> str:
     """Single-series bar chart with a zero baseline."""
     finite = _finite(values)
     if not labels or not finite:
-        return _empty(title, width, height, "no data points")
+        return _empty(title, "no data points")
     lo, hi = min(0.0, min(finite)), max(0.0, max(finite))
     if lo == hi:
         hi = lo + 1.0
-    parts, left, plot_w, scale = _frame(title, y_label, width, height, lo, hi)
+    parts, left, plot_w, scale = _frame(title, y_label, lo, hi)
     n = len(labels)
     slot = plot_w / n
     bar_w = max(4.0, slot * 0.6)
@@ -198,7 +195,7 @@ def bar_chart(
             f'fill="#374151" text-anchor="middle">'
             f"{escape(_fmt(float(value)))}</text>"
         )
-    _x_axis_labels(parts, labels, centers, height)
+    _x_axis_labels(parts, labels, centers)
     parts.append("</svg>")
     return "".join(parts)
 
@@ -207,9 +204,8 @@ def _x_axis_labels(
     parts: list[str],
     labels: Sequence[object],
     positions: Sequence[float],
-    height: int,
 ) -> None:
-    y = height - _MARGIN_BOTTOM + 14
+    y = _HEIGHT - _MARGIN_BOTTOM + 14
     step = max(1, math.ceil(len(labels) / 16))
     for i in range(0, min(len(labels), len(positions)), step):
         text = str(labels[i])
@@ -222,7 +218,7 @@ def _x_axis_labels(
         )
 
 
-def _legend(parts: list[str], names: Sequence[str], width: int) -> None:
+def _legend(parts: list[str], names: Sequence[str]) -> None:
     x = _MARGIN_LEFT
     y = 30
     for index, name in enumerate(names):
@@ -236,6 +232,6 @@ def _legend(parts: list[str], names: Sequence[str], width: int) -> None:
             f'fill="#111827">{escape(label)}</text>'
         )
         x += 18 + 6 * len(label)
-        if x > width - 120:
+        if x > _WIDTH - 120:
             x = _MARGIN_LEFT
             y += 14

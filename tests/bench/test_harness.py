@@ -1,12 +1,15 @@
 """Tests for the benchmark harness (runner, workloads, experiment dispatch).
 
 Experiment functions run full sweeps over the calibrated datasets, which
-is benchmark territory; here they are exercised on a tiny custom sweep
-(or the micro Quest workload) so the tests stay fast while still
-covering row shapes and the built-in consistency checks.
+is benchmark territory; here they are exercised on a dataset whose sweep
+is cut to one or two points (or on the paper's example database) so the
+tests stay fast while still covering row shapes and the built-in
+consistency checks.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -71,7 +74,9 @@ class TestWorkloads:
         assert workload.name == "connect4"
         assert len(workload.old_patterns) > 0
         assert set(workload.compressions) == {"mcp", "mlp"}
+        # The library's support rule: a fraction rounds up.
         assert workload.absolute_support(0.5) == len(workload.db) // 2
+        assert workload.absolute_support(0.9999) == len(workload.db)
 
 
 class TestExperimentShapes:
@@ -79,8 +84,13 @@ class TestExperimentShapes:
         assert sorted(FIGURES) == list(range(9, 21))
         assert sorted(MEMORY_FIGURES) == list(range(21, 25))
 
-    def test_figure_series_tiny_sweep(self):
-        headers, rows = figure_series("connect4", "hmine", sweep=(0.93,))
+    def test_figure_series_tiny_sweep(self, monkeypatch):
+        workload = prepare_workload("connect4")
+        tiny = dataclasses.replace(
+            workload, spec=dataclasses.replace(workload.spec, xi_new_sweep=(0.93,))
+        )
+        monkeypatch.setattr(experiments, "prepare_workload", lambda *a, **k: tiny)
+        headers, rows = figure_series("connect4", "hmine")
         assert len(rows) == 1
         assert len(headers) == len(rows[0])
         assert rows[0][0] == 0.93
@@ -133,8 +143,6 @@ class TestExperimentShapes:
     def test_miner_sweep_skips_the_bruteforce_oracle(self, monkeypatch, paper_db):
         """The oracle enumerates every subset of every row, which
         exhausts memory on the stand-ins; every other miner gets a row."""
-        import dataclasses
-
         import repro.bench.experiments as experiments
         from repro.core.compression import compress
         from repro.data.datasets import DatasetSpec
@@ -209,19 +217,18 @@ class TestExperimentShapes:
             for family in EXPERIMENT_FAMILIES:
                 assert family in str(error.value), name
 
-    def test_service_load_smoke(self):
-        """Tiny-scale gateway load bench: the acceptance signals must
-        already show at smoke scale — batching reduces work and
-        computations, admission bounds the queue, nothing goes missing."""
-        rows = service_load_rows(
-            "connect4",
-            requests=12,
-            tenants=3,
-            burst_length=4,
-            queue_depth=4,
-            pumps_per_burst=2,
-            sweep=(0.93, 0.91),
+    def test_service_load_smoke(self, monkeypatch):
+        """Gateway load bench over a two-point sweep: the acceptance
+        signals must already show at smoke scale — batching reduces work
+        and computations, admission bounds the queue, nothing goes
+        missing."""
+        import repro.data.datasets as datasets
+
+        spec = dataclasses.replace(
+            datasets.get_dataset("connect4"), xi_new_sweep=(0.93, 0.91)
         )
+        monkeypatch.setattr(datasets, "get_dataset", lambda name: spec)
+        rows = service_load_rows("connect4")
         by_scenario = {row["scenario"]: row for row in rows}
         assert set(by_scenario) == {
             "per-request", "batched", "no-admission", "admission",
@@ -234,13 +241,22 @@ class TestExperimentShapes:
             by_scenario["batched"]["computations"]
             < by_scenario["per-request"]["computations"]
         )
-        assert by_scenario["admission"]["queue_high_water"] <= 4
-        assert by_scenario["no-admission"]["queue_high_water"] > 4
+        bound = experiments.SERVICE_LOAD_QUEUE_DEPTH
+        assert by_scenario["admission"]["queue_high_water"] <= bound
+        assert by_scenario["no-admission"]["queue_high_water"] > bound
         for row in rows:
             accounted = (
                 row["served"] + row["shed"] + row["rejected"] + row["expired"]
             )
-            assert accounted == row["requests"] == 12
+            assert accounted == row["requests"] == 32
+
+    def test_incremental_threshold_follows_the_support_rule(self, monkeypatch):
+        """The churned connect4 database (1,515 rows at 1% churn) is mined
+        at xi_old .95 of its rows: 1,439.25 rounds up to 1,440."""
+        monkeypatch.setattr(experiments, "INCREMENTAL_CHURNS", (0.01,))
+        (row,) = experiments.incremental_rows("connect4")
+        assert row["delta_rows"] == 15
+        assert row["new_support"] == 1440
 
     def test_service_load_dispatch(self, monkeypatch):
         """The system benches run only from their ``benchmarks/`` script:

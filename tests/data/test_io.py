@@ -209,9 +209,9 @@ class TestEntryBodyOrder:
         patterns = self._unsorted()
         entry = CondensedPatternSet.condense(patterns, 2, "full", n_transactions=6)
         path = tmp_path / "e.patterns"
-        write_warehouse_entry(entry, path, full_bytes=99)
+        write_warehouse_entry(entry, path)
         text = path.read_text()
-        assert text == warehouse_entry_text(entry, full_bytes=99)
+        assert text == warehouse_entry_text(entry)
         checksum_line = next(
             line for line in text.splitlines() if line.startswith(CHECKSUM_HEADER_PREFIX)
         )
@@ -222,9 +222,13 @@ class TestEntryBodyOrder:
         assert body.splitlines() == expected_rows  # entry order, not sorted
         assert checksum_line == CHECKSUM_HEADER_PREFIX + pattern_body_checksum(body)
         loaded, full_bytes = read_warehouse_entry(path)
-        assert loaded == entry and full_bytes == 99
+        assert loaded == entry and full_bytes is None
         assert loaded.expand() == patterns
-        assert warehouse_entry_text(loaded, full_bytes=99) == text
+        assert warehouse_entry_text(loaded) == text
+        # The durable store's gauge header reads back too.
+        gauged = tmp_path / "gauged.patterns"
+        gauged.write_text(warehouse_entry_text(entry, full_bytes=99))
+        assert read_warehouse_entry(gauged) == (entry, 99)
 
     def test_plain_writers_keep_canonical_order(self, tmp_path):
         from repro.data.io import pattern_body_checksum

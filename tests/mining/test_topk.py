@@ -29,11 +29,6 @@ class TestMineTopK:
                 above = mine_bruteforce(paper_db, threshold + 1)
                 assert len(above) < k
 
-    def test_min_length(self, paper_db):
-        patterns, threshold = mine_top_k(paper_db, k=4, min_length=2)
-        assert all(len(p) >= 2 for p in patterns)
-        assert len(patterns) >= 4
-
     def test_too_many_requested(self):
         db = TransactionDatabase([[1], [2]])
         with pytest.raises(MiningError, match="fewer than k"):
@@ -42,19 +37,6 @@ class TestMineTopK:
     def test_invalid_parameters(self, paper_db):
         with pytest.raises(MiningError):
             mine_top_k(paper_db, k=0)
-        with pytest.raises(MiningError):
-            mine_top_k(paper_db, k=1, min_length=0)
-
-    def test_custom_miner_is_used(self, paper_db):
-        calls = []
-
-        def probe_miner(db, min_support):
-            calls.append(min_support)
-            return mine_bruteforce(db, min_support)
-
-        patterns, _threshold = mine_top_k(paper_db, k=3, miner=probe_miner)
-        assert len(calls) >= 1
-        assert len(patterns) >= 3
 
 
 class TestProbeSearch:

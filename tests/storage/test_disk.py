@@ -8,9 +8,10 @@ from repro.core.groups import Group
 from repro.errors import StorageError
 from repro.metrics.counters import CostCounters
 from repro.storage.disk import (
+    BYTES_PER_SECOND,
     ITEM_BYTES,
     RECORD_OVERHEAD_BYTES,
-    DiskModel,
+    SEEK_SECONDS,
     SimulatedDisk,
     cgroups_byte_size,
     transactions_byte_size,
@@ -59,10 +60,12 @@ class TestSimulatedDisk:
         assert disk.total_bytes_read == 100
 
     def test_simulated_time_uses_model(self):
-        model = DiskModel(seek_seconds=1.0, bytes_per_second=100.0)
-        disk = SimulatedDisk(model=model)
+        disk = SimulatedDisk()
         disk.write("k", "x", 200)
-        assert disk.simulated_seconds == pytest.approx(1.0 + 2.0)
+        disk.read("k")
+        assert disk.simulated_seconds == pytest.approx(
+            2 * (SEEK_SECONDS + 200 / BYTES_PER_SECOND)
+        )
 
     def test_delete_frees_without_io(self):
         disk = SimulatedDisk()

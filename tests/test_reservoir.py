@@ -2,53 +2,46 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.metrics.reservoir import LatencyReservoir
+from repro.metrics.reservoir import RESERVOIR_CAPACITY, LatencyReservoir
 
 
 class TestLatencyReservoir:
     def test_exact_until_capacity(self):
-        reservoir = LatencyReservoir(capacity=100)
-        for value in range(1, 51):
+        reservoir = LatencyReservoir()
+        for value in range(1, RESERVOIR_CAPACITY + 1):
             reservoir.add(float(value))
-        assert len(reservoir) == 50
-        assert reservoir.count == 50
+        assert len(reservoir) == reservoir.count == RESERVOIR_CAPACITY
         # Nearest-rank over the full population: exact quantiles.
-        assert reservoir.quantile(0.50) == 25.0
-        assert reservoir.quantile(1.0) == 50.0
+        assert reservoir.quantile(0.50) == RESERVOIR_CAPACITY / 2
+        assert reservoir.quantile(1.0) == RESERVOIR_CAPACITY
 
     def test_empty_quantile_is_zero(self):
         assert LatencyReservoir().quantile(0.99) == 0.0
 
     def test_memory_is_bounded(self):
-        reservoir = LatencyReservoir(capacity=64)
+        reservoir = LatencyReservoir()
         for value in range(10_000):
             reservoir.add(float(value))
-        assert len(reservoir) == 64
+        assert len(reservoir) == RESERVOIR_CAPACITY
         assert reservoir.count == 10_000
 
     def test_sample_tracks_population_quantiles(self):
         """On a uniform stream of 10k values, the sampled p50/p99 must
         land inside the population's central region — a loose bound, but
         one that fails loudly if sampling ever becomes biased."""
-        reservoir = LatencyReservoir(capacity=512)
+        reservoir = LatencyReservoir()
         for value in range(10_000):
             reservoir.add(float(value))
         assert 3_000 <= reservoir.quantile(0.50) <= 7_000
         assert reservoir.quantile(0.99) >= 8_000
 
     def test_deterministic_given_stream(self):
-        first = LatencyReservoir(capacity=32)
-        second = LatencyReservoir(capacity=32)
-        for value in range(1_000):
+        first = LatencyReservoir()
+        second = LatencyReservoir()
+        for value in range(10_000):
             first.add(float(value))
             second.add(float(value))
         assert first.values() == second.values()
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            LatencyReservoir(capacity=0)
 
 
 class TestServiceStatsHardening:
@@ -79,14 +72,13 @@ class TestServiceStatsHardening:
         assert snapshot["latency_p50_s"] == 50.0
 
     def test_latency_memory_is_bounded(self):
-        from repro.metrics.reservoir import DEFAULT_RESERVOIR_CAPACITY
         from repro.service import ServiceStats
 
         stats = ServiceStats()
-        for i in range(DEFAULT_RESERVOIR_CAPACITY + 500):
+        for i in range(RESERVOIR_CAPACITY + 500):
             stats.record(self._response(1.0))
-        assert len(stats._latencies) == DEFAULT_RESERVOIR_CAPACITY
-        assert stats._latencies.count == DEFAULT_RESERVOIR_CAPACITY + 500
+        assert len(stats._latencies) == RESERVOIR_CAPACITY
+        assert stats._latencies.count == RESERVOIR_CAPACITY + 500
 
     def test_attach_gauges_merges_into_snapshot(self):
         from repro.service import ServiceStats

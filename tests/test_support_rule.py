@@ -1,8 +1,9 @@
 """One support rule behind the session, the service and the CLI.
 
 A float in ``(0, 1]`` is a fraction of the database (``1.0`` is every
-row); an int, or a float above 1, is an absolute count; a threshold
-that is not finite is a typed :class:`ReproError`.
+row); an int, or a float above 1, is an absolute count; a min bound
+rounds either up and a max bound rounds either down; a threshold that is
+not finite is a typed :class:`ReproError`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ DB = TransactionDatabase([[1, 2], [1, 2, 3], [1], [2, 3], [1, 3]] * 2)
         (1.0, 10),
         (0.5, 5),
         (5.0, 5),
+        (2.5, 3),
         (math.nan, None),
         (math.inf, None),
     ],
@@ -59,7 +61,7 @@ def test_every_entry_point_resolves_support_alike(support, expected, tmp_path, c
 
 @pytest.mark.parametrize(
     ("threshold", "expected"),
-    [(1.0, 10), (0.55, 5), (5, 5), (5.0, 5)],
+    [(1.0, 10), (0.55, 5), (5, 5), (5.0, 5), (2.5, 2)],
 )
 def test_max_support_resolves_by_the_rule_rounding_down(threshold, expected):
     """A max bound is a fraction or a count as a min bound is, but a
@@ -74,6 +76,21 @@ def test_a_fraction_resolves_to_its_exact_count():
     for k in range(1, 101):
         assert absolute_support(k / 100, 100) == k, k
         assert MaxSupport(k / 100).absolute(100) == k, k
+
+
+def test_a_fractional_count_rounds_like_a_fraction():
+    """2.5 rows is a count, not a fraction: a min bound needs 3 rows, a
+    max bound admits 2, and a miner at the resolved support returns no
+    pattern below 2.5."""
+    from repro.mining.eclat import mine_eclat_bitset
+
+    assert absolute_support(2.5, 10) == 3
+    assert MinSupport(2.5).absolute(10) == 3
+    assert MaxSupport(2.5).absolute(10) == 2
+    db = TransactionDatabase([[1, 2], [1, 2], [1]])
+    assert dict(mine_eclat_bitset(db, db.relative_to_absolute(2.5)).items()) == {
+        frozenset({1}): 3
+    }
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf])
