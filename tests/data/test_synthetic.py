@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.datasets import DATASETS
 from repro.data.synthetic import (
     QuestParams,
     attribute_value_database,
@@ -13,6 +14,66 @@ from repro.data.synthetic import (
     random_database,
 )
 from repro.errors import DataError
+
+
+# Full fingerprints of generator output, taken before the generators were
+# rewritten to draw from precomputed cumulative weights. Every stand-in,
+# paper bench and e2e setup builds on these streams, so a change to the
+# draw order (or to any draw's arithmetic) must fail here, by name.
+STAND_IN_DIGESTS = {
+    "weather": "2ba0f6320d1b71b13b240296bf68bbc2f6e30df4506556fd1306795aec6ed340",
+    "forest": "da3c21e9fe9ff382ead3a25b044015a20233eb15ea4f3af429cc1062274e9a4c",
+    "connect4": "8703b3179c6a38e5e550db432d03b72e83427355f9ba6f611feeff610805ac79",
+    "pumsb": "973027b31e953673bc3e8035253e07579238dc4753530be9fc69a60dfb5658be",
+}
+
+QUEST_DIGEST = "788bc23d14ed8ac23fe8a78336bcd1cee3216a3df69b982c2828dc981c385136"
+
+ATTRIBUTE_VALUE_CASES = {
+    "missing": (
+        dict(
+            n_transactions=300, domain_sizes=[4, 7, 2, 9], value_skew=1.1,
+            missing_rate=0.25, seed=5,
+        ),
+        "8017e02f066297ee6098b3a3fa578fc2ebb46dc60d66c584035eb3884e6095c7",
+    ),
+    "implications": (
+        dict(
+            n_transactions=300, domain_sizes=[3] * 6,
+            value_skew=[3.0, 1.0, 2.0, 0.5, 4.0, 1.5],
+            implications=((0, 1), (1, 2), (3, 5)), seed=6,
+        ),
+        "9f8e494532761e35d6a11cc54b6ae5ea3fb87c5ad1ef0359852993e16c5699c0",
+    ),
+    "no-classes": (
+        dict(
+            n_transactions=300, domain_sizes=[5, 5, 5], n_classes=0,
+            class_coherence=0.8, seed=7,
+        ),
+        "9be91d8bda25db0422c648fae91bf29489d95b289b0ddadbe5377991ef2127fa",
+    ),
+    "scalar-skew": (
+        dict(
+            n_transactions=300, domain_sizes=[1, 6, 11], value_skew=0.7,
+            class_coherence=0.0, seed=8,
+        ),
+        "b1a3338a5a745bd68ad1e7234719319df1ae566c865b5a1e26475cae07f8cc8d",
+    ),
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", sorted(STAND_IN_DIGESTS))
+    def test_stand_in_at_seed_zero(self, name):
+        assert DATASETS[name].load(0).fingerprint() == STAND_IN_DIGESTS[name]
+
+    def test_quest_defaults_at_seed_zero(self):
+        assert quest_database(QuestParams(), seed=0).fingerprint() == QUEST_DIGEST
+
+    @pytest.mark.parametrize("case", sorted(ATTRIBUTE_VALUE_CASES))
+    def test_attribute_value_case(self, case):
+        kwargs, digest = ATTRIBUTE_VALUE_CASES[case]
+        assert attribute_value_database(**kwargs).fingerprint() == digest
 
 
 class TestQuest:

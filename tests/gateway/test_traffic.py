@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -33,6 +34,18 @@ class TestDeterminism:
         first = synthesize_traffic(DB, MENU, cfg)
         second = synthesize_traffic(DB, MENU, cfg)
         assert fingerprint(first) == fingerprint(second)
+
+    def test_trace_is_pinned(self):
+        """One seed's trace, digested; a change to the draw order fails here."""
+        cfg = TrafficConfig(requests=40, seed=9, deadline_fraction=0.4)
+        rows = fingerprint(synthesize_traffic(DB, MENU, cfg))
+        assert rows[:2] == [
+            (0.0, "tenant-02", 5, "standard", 0.5),
+            (0.001, "tenant-02", 3, "standard", None),
+        ]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "f0c3648ec28e9a913d0abc2f4b6f01dc00604832ab7899a1be2dd6f045f02c7d"
+        )
 
     def test_different_seed_different_trace(self):
         a = synthesize_traffic(DB, MENU, TrafficConfig(requests=40, seed=1))
