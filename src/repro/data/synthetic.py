@@ -13,15 +13,23 @@ Two families:
   Forest/Covertype, Connect-4, Pumsb are all attribute-value tables), so
   the calibrated stand-ins in :mod:`repro.data.datasets` build on it.
 
-All generators take an explicit seed and are fully deterministic.
+All generators take an explicit seed and are deterministic: a seed fixes
+the output bit for bit. ``tests/data/test_synthetic.py`` pins the full
+fingerprint of each stand-in at seed 0, of the default Quest database
+and of attribute-value configurations with missing values, implications,
+no latent classes and scalar or per-attribute skews. Weighted draws go
+through :func:`_drawer`, which makes exactly the draws
+``random.Random.choices`` would.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 from repro.data.transactions import TransactionDatabase
 from repro.errors import DataError
@@ -45,6 +53,30 @@ def _zipf_weights(n: int, skew: float) -> list[float]:
     return [w / total for w in weights]
 
 
+def _drawer(rng: random.Random, weights: Sequence[float]) -> Callable[[], int]:
+    """A draw of an index into ``weights``, in proportion to its weight.
+
+    Each call returns what ``rng.choices(range(len(weights)),
+    weights=weights, k=1)[0]`` would: the same one ``rng.random()`` call
+    scaled by the same cumulative total and bisected the same way. The
+    cumulative sums are built once here instead of on every draw.
+
+    >>> weights = [0.5, 0.2, 0.2, 0.1]
+    >>> draw = _drawer(random.Random(7), weights)
+    >>> ours = [draw() for _ in range(12)]
+    >>> rng = random.Random(7)
+    >>> ours == [rng.choices(range(4), weights=weights, k=1)[0] for _ in range(12)]
+    True
+    >>> ours
+    [0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0]
+    """
+    cum_weights = list(accumulate(weights))
+    total = cum_weights[-1] + 0.0
+    hi = len(cum_weights) - 1
+    uniform = rng.random
+    return lambda: bisect(cum_weights, uniform() * total, 0, hi)
+
+
 @dataclass(frozen=True)
 class QuestParams:
     """Parameters of the Quest generator (defaults ≈ T10I4).
@@ -66,23 +98,24 @@ class QuestParams:
 def quest_database(params: QuestParams | None = None, seed: int = 0) -> TransactionDatabase:
     """Generate a market-basket database in the style of IBM Quest."""
     params = params or QuestParams()
-    if params.n_items < 2 or params.n_transactions < 1:
+    if params.n_items < 2 or params.n_transactions < 1 or params.n_patterns < 1:
         raise DataError(f"degenerate Quest parameters: {params}")
     rng = random.Random(seed)
 
-    item_weights = _zipf_weights(params.n_items, 1.0)
-    items = list(range(params.n_items))
+    draw_item = _drawer(rng, _zipf_weights(params.n_items, 1.0))
 
     # Potential patterns: each inherits half of the previous one.
     patterns: list[list[int]] = []
     corruptions: list[float] = []
     previous: list[int] = []
     for _ in range(params.n_patterns):
-        length = max(1, _poisson(rng, params.avg_pattern_length))
+        # A pattern cannot outgrow the universe; an uncapped draw would
+        # spin forever looking for an item it has not chosen yet.
+        length = min(params.n_items, max(1, _poisson(rng, params.avg_pattern_length)))
         inherited_count = min(len(previous), int(round(length * 0.5)))
         chosen = set(rng.sample(previous, inherited_count)) if inherited_count else set()
         while len(chosen) < length:
-            chosen.add(rng.choices(items, weights=item_weights, k=1)[0])
+            chosen.add(draw_item())
         pattern_items = sorted(chosen)
         patterns.append(pattern_items)
         corruptions.append(min(0.95, max(0.0, rng.gauss(0.5, 0.1))))
@@ -91,23 +124,23 @@ def quest_database(params: QuestParams | None = None, seed: int = 0) -> Transact
     # Exponential pattern weights, as in the original generator.
     pattern_weights = [rng.expovariate(1.0) for _ in patterns]
     total_weight = sum(pattern_weights)
-    pattern_weights = [w / total_weight for w in pattern_weights]
+    draw_pattern = _drawer(rng, [w / total_weight for w in pattern_weights])
 
-    transactions: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     for _ in range(params.n_transactions):
         target = max(1, _poisson(rng, params.avg_transaction_length))
         basket: set[int] = set()
         attempts = 0
         while len(basket) < target and attempts < 8 * target:
             attempts += 1
-            index = rng.choices(range(len(patterns)), weights=pattern_weights, k=1)[0]
+            index = draw_pattern()
             for item in patterns[index]:
                 if rng.random() >= corruptions[index]:
                     basket.add(item)
         if not basket:
-            basket.add(rng.choices(items, weights=item_weights, k=1)[0])
-        transactions.append(sorted(basket))
-    return TransactionDatabase(transactions)
+            basket.add(draw_item())
+        rows.append(tuple(sorted(basket)))
+    return TransactionDatabase._trusted(tuple(rows))
 
 
 def attribute_value_database(
@@ -142,13 +175,21 @@ def attribute_value_database(
     alone, however strong, almost never produces them. Rules cascade in
     attribute order, so a chain models a column of a board. The empty
     tuple (default) leaves the generator's stream untouched.
+
+    Item ids strictly increase with the attribute, so every row comes out
+    sorted and duplicate-free; a row whose attributes are all missing is
+    dropped.
     """
+    if n_transactions < 1:
+        raise DataError(f"n_transactions must be >= 1: {n_transactions}")
     if not domain_sizes:
         raise DataError("domain_sizes must be non-empty")
     if any(d < 1 for d in domain_sizes):
         raise DataError(f"domain sizes must be >= 1: {domain_sizes}")
     if not 0.0 <= class_coherence <= 1.0:
         raise DataError(f"class_coherence must be in [0, 1]: {class_coherence}")
+    if not 0.0 <= missing_rate < 1.0:
+        raise DataError(f"missing_rate must be in [0, 1): {missing_rate}")
     n_attributes = len(domain_sizes)
     for source, derived in implications:
         if not (0 <= source < n_attributes and 0 <= derived < n_attributes):
@@ -178,41 +219,38 @@ def attribute_value_database(
         offsets.append(running)
         running += size
 
-    per_attribute_weights = [
-        _zipf_weights(size, skew) for size, skew in zip(domain_sizes, skews)
+    draws = [
+        _drawer(rng, _zipf_weights(size, skew))
+        for size, skew in zip(domain_sizes, skews)
     ]
     # Each latent class prefers one concrete value per attribute, drawn
     # from the attribute's own distribution (classes agree on dominant
     # values, diverge on the tail).
-    preferred = [
-        [
-            rng.choices(range(size), weights=per_attribute_weights[attr], k=1)[0]
-            for attr, size in enumerate(domain_sizes)
-        ]
-        for _ in range(max(1, n_classes))
-    ]
-    class_weights = _zipf_weights(max(1, n_classes), 1.0)
+    preferred = [[draw() for draw in draws] for _ in range(max(1, n_classes))]
+    draw_class = _drawer(rng, _zipf_weights(max(1, n_classes), 1.0))
 
-    transactions: list[list[int]] = []
+    uniform = rng.random
+    sources = [forced_by.get(attr) for attr in range(n_attributes)]
+    columns = list(enumerate(zip(offsets, draws, sources)))
+    rows: list[tuple[int, ...]] = []
     for _ in range(n_transactions):
-        klass = rng.choices(range(len(preferred)), weights=class_weights, k=1)[0]
-        tx: list[int] = []
-        values: dict[int, int] = {}
-        for attr, size in enumerate(domain_sizes):
-            if missing_rate and rng.random() < missing_rate:
+        prefers = preferred[draw_class()]
+        row: list[int] = []
+        values = [-1] * n_attributes
+        for attr, (offset, draw, source) in columns:
+            if missing_rate and uniform() < missing_rate:
                 continue
-            source = forced_by.get(attr)
-            if source is not None and values.get(source) == 0:
+            if source is not None and values[source] == 0:
                 value = 0  # deterministic rule, no draw
-            elif rng.random() < class_coherence:
-                value = preferred[klass][attr]
+            elif uniform() < class_coherence:
+                value = prefers[attr]
             else:
-                value = rng.choices(range(size), weights=per_attribute_weights[attr], k=1)[0]
+                value = draw()
             values[attr] = value
-            tx.append(offsets[attr] + value)
-        if tx:
-            transactions.append(tx)
-    return TransactionDatabase(transactions)
+            row.append(offset + value)
+        if row:
+            rows.append(tuple(row))
+    return TransactionDatabase._trusted(tuple(rows))
 
 
 def random_database(
@@ -222,6 +260,8 @@ def random_database(
     seed: int = 0,
 ) -> TransactionDatabase:
     """Uniformly random small databases — used by randomized tests."""
+    if n_transactions < 1:
+        raise DataError(f"n_transactions must be >= 1: {n_transactions}")
     if n_items < 1 or max_transaction_length < 1:
         raise DataError("need at least one item and positive length")
     rng = random.Random(seed)

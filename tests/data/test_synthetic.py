@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.data.datasets import DATASETS
 from repro.data.synthetic import (
     QuestParams,
+    _drawer,
     attribute_value_database,
     quest_database,
     random_database,
@@ -76,6 +79,23 @@ class TestPinnedOutput:
         assert attribute_value_database(**kwargs).fingerprint() == digest
 
 
+class TestDrawer:
+    @given(
+        weights=st.lists(
+            st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=40
+        ),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_draws_equal_random_choices(self, weights, seed):
+        """Same seed, same draws as ``rng.choices`` over the same weights."""
+        draw = _drawer(random.Random(seed), weights)
+        rng = random.Random(seed)
+        population = range(len(weights))
+        for _ in range(25):
+            assert draw() == rng.choices(population, weights=weights, k=1)[0]
+
+
 class TestQuest:
     def test_deterministic_for_seed(self):
         params = QuestParams(n_transactions=50, n_items=30)
@@ -99,6 +119,16 @@ class TestQuest:
     def test_degenerate_params_rejected(self):
         with pytest.raises(DataError):
             quest_database(QuestParams(n_transactions=0))
+
+    def test_pattern_longer_than_universe_is_capped(self):
+        params = QuestParams(n_transactions=20, n_items=3, avg_pattern_length=6)
+        db = quest_database(params, seed=0)
+        assert len(db) == 20
+        assert db.items() <= {0, 1, 2}
+
+    def test_empty_pattern_pool_rejected(self):
+        with pytest.raises(DataError):
+            quest_database(QuestParams(n_patterns=0))
 
 
 class TestAttributeValue:
@@ -154,6 +184,16 @@ class TestAttributeValue:
         with pytest.raises(DataError):
             attribute_value_database(10, [3], class_coherence=1.5)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_transaction_count_rejected(self, n):
+        with pytest.raises(DataError, match="n_transactions"):
+            attribute_value_database(n, [3])
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+    def test_missing_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(DataError, match="missing_rate"):
+            attribute_value_database(10, [3, 3], missing_rate=rate)
+
 
 class TestRandomDatabase:
     @given(
@@ -172,3 +212,8 @@ class TestRandomDatabase:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(DataError):
             random_database(5, 0, 3)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_non_positive_transaction_count_rejected(self, n):
+        with pytest.raises(DataError, match="n_transactions"):
+            random_database(n, 3, 2)
