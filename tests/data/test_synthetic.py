@@ -19,10 +19,10 @@ from repro.data.synthetic import (
 from repro.errors import DataError
 
 
-# Full fingerprints of generator output, taken before the generators were
-# rewritten to draw from precomputed cumulative weights. Every stand-in,
-# paper bench and e2e setup builds on these streams, so a change to the
-# draw order (or to any draw's arithmetic) must fail here, by name.
+# Full fingerprints of generator output, as drawn by random.Random.choices.
+# Every stand-in, paper bench and e2e setup builds on these streams, so a
+# change to the draw order (or to any draw's arithmetic) must fail here, by
+# name. Never regenerate a digest to make a change pass.
 STAND_IN_DIGESTS = {
     "weather": "2ba0f6320d1b71b13b240296bf68bbc2f6e30df4506556fd1306795aec6ed340",
     "forest": "da3c21e9fe9ff382ead3a25b044015a20233eb15ea4f3af429cc1062274e9a4c",
