@@ -11,8 +11,8 @@ Examples::
     repro compress --dataset connect4 --old-support 0.95 --strategy mlp
     repro bench --experiment table3
     repro miners --kind baseline
-    repro serve-batch --workload traffic.json --workers 8 --byte-budget 1000000
-    repro serve-batch --workload traffic.json --gateway --queue-depth 32 \
+    repro serve-batch --workload traffic.json --byte-budget 1000000
+    repro serve-batch --workload traffic.json --queue-depth 32 \
         --deadline 5 --priority interactive
     repro warehouse --dir ./wh --verify
     repro warehouse recover --dir ./wh
@@ -28,6 +28,7 @@ import argparse
 import sys
 import textwrap
 import time
+from collections import Counter
 from pathlib import Path
 
 from repro.bench.experiments import EXPERIMENT_FAMILIES, run_experiment
@@ -201,16 +202,21 @@ def _command_miners(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_through_gateway(args: argparse.Namespace, service, requests) -> None:
-    """Replay a workload through the traffic-management gateway.
+def _command_serve_batch(args: argparse.Namespace) -> int:
+    """Replay a workload through a manual-mode gateway.
 
-    Manual (pumped) mode, so the replay is deterministic: everything is
-    submitted up front — giving cross-request batching the same shot
-    concurrent users would — then the queue drains in priority/fairness
-    order.
+    The mining requests between two database operations are queued
+    together, so contemporaries batch, and served before the operation
+    registers its version: ops are barriers, and a request after an
+    append is planned against the answers banked before it. Manual mode
+    computes each plan on this thread, so the replay is deterministic
+    unless ``--deadline`` lets wall-clock time expire requests.
     """
     from repro.gateway import PRIORITY_CLASSES, GatewayConfig, MiningGateway
+    from repro.service import DeltaOp, MiningService, PatternWarehouse
+    from repro.service.workload import load_workload_items
 
+    items = load_workload_items(args.workload)
     config = GatewayConfig(
         max_queue_depth=args.queue_depth,
         batching=not args.no_batching,
@@ -218,8 +224,31 @@ def _serve_through_gateway(args: argparse.Namespace, service, requests) -> None:
         default_priority=args.priority,
         default_deadline_seconds=args.deadline,
     )
-    gateway = MiningGateway(service, config, start=False)
-    outcomes = gateway.execute_many(requests)
+    warehouse = (
+        None
+        if args.cold
+        else PatternWarehouse(
+            byte_budget=args.byte_budget,
+            directory=args.warehouse_dir,
+            representation=args.representation,
+        )
+    )
+    started = time.perf_counter()
+    with MiningService(warehouse=warehouse) as service:
+        with MiningGateway(service, config, start=False) as gateway:
+            outcomes = []
+            pending = []
+            for item in items:
+                if isinstance(item, DeltaOp):
+                    outcomes += gateway.execute_many(pending)
+                    pending = []
+                    service.register_version(item.version)
+                    service.stats.record_delta_applied()
+                else:
+                    pending.append(item)
+            outcomes += gateway.execute_many(pending)
+        elapsed = time.perf_counter() - started
+        stats = service.stats.snapshot()
     headers = [
         "tenant", "priority", "status", "support",
         "path", "batch", "patterns", "work", "seconds",
@@ -242,17 +271,21 @@ def _serve_through_gateway(args: argparse.Namespace, service, requests) -> None:
                 response.elapsed_seconds if response else "-",
             ]
         )
-    print(render_report(f"serve-batch (gateway): {args.workload}", headers, rows))
+    print(render_report(f"serve-batch: {args.workload}", headers, rows))
     gauges = gateway.stats.gauges()
+    paths = Counter(outcome.response.path for outcome in outcomes if outcome.ok)
     print(
-        f"gateway: {gauges['gateway_served']:.0f} served / "
+        f"{len(outcomes)} requests in {elapsed:.2f}s — "
+        f"{gauges['gateway_served']:.0f} served / "
         f"{gauges['gateway_shed']:.0f} shed / "
         f"{gauges['gateway_rejected']:.0f} rejected / "
-        f"{gauges['gateway_expired']:.0f} expired, "
-        f"queue depth HWM {gauges['gateway_queue_high_water']:.0f}"
+        f"{gauges['gateway_expired']:.0f} expired; "
+        f"{paths['filter']} filter / {paths['update']} update / "
+        f"{paths['mine']} mine"
     )
     print(
-        f"gateway: {gauges['gateway_batches']:.0f} dispatches, "
+        f"gateway: queue depth HWM {gauges['gateway_queue_high_water']:.0f}, "
+        f"{gauges['gateway_batches']:.0f} dispatches, "
         f"{gauges['gateway_merged_batches']:.0f} merged batches covering "
         f"{gauges['gateway_batched_requests']:.0f} requests, "
         f"{gauges['gateway_work_executed']:.0f} work executed"
@@ -262,80 +295,18 @@ def _serve_through_gateway(args: argparse.Namespace, service, requests) -> None:
         p99 = gauges[f"gateway_p99_{cls}_s"]
         if p50 or p99:
             print(f"gateway {cls}: p50 {p50:.4f}s, p99 {p99:.4f}s")
-    gateway.close()
-
-
-def _command_serve_batch(args: argparse.Namespace) -> int:
-    from repro.service import DeltaOp, MineRequest, MiningService, PatternWarehouse
-    from repro.service.workload import load_workload_items, serve_workload
-
-    items = load_workload_items(args.workload)
-    warehouse = (
-        None
-        if args.cold
-        else PatternWarehouse(
-            byte_budget=args.byte_budget,
-            directory=args.warehouse_dir,
-            representation=args.representation,
-        )
-    )
-    started = time.perf_counter()
-    with MiningService(warehouse=warehouse, max_workers=args.workers) as service:
-        if args.gateway:
-            # The gateway consumes mining requests only; database
-            # operations are registered on the service first so the
-            # warehouse records every request's chain.
-            mine_requests: list[MineRequest] = []
-            for item in items:
-                if isinstance(item, DeltaOp):
-                    service.register_version(item.version)
-                    service.stats.record_delta_applied()
-                else:
-                    mine_requests.append(item)
-            _serve_through_gateway(args, service, mine_requests)
-            elapsed = time.perf_counter() - started
-        else:
-            responses = serve_workload(service, items)
-            elapsed = time.perf_counter() - started
-            headers = [
-                "tenant", "support", "path", "feedstock",
-                "coalesced", "patterns", "work", "seconds",
-            ]
-            rows: list[list[object]] = [
-                [
-                    response.tenant,
-                    response.absolute_support,
-                    response.path,
-                    response.feedstock_support if response.feedstock_support else "-",
-                    "yes" if response.coalesced else "-",
-                    response.pattern_count,
-                    response.counters.total_work(),
-                    response.elapsed_seconds,
-                ]
-                for response in responses
-            ]
-            print(render_report(f"serve-batch: {args.workload}", headers, rows))
-        stats = service.stats.snapshot()
-    summary = (
-        f"{stats['requests']:.0f} requests in {elapsed:.2f}s — "
-        f"{stats['filter_hits']:.0f} filter / {stats['updates']:.0f} update / "
-        f"{stats['misses']:.0f} mine, {stats['coalesced']:.0f} coalesced, "
-        f"p50 {stats['latency_p50_s']:.4f}s, p95 {stats['latency_p95_s']:.4f}s"
-    )
-    print(summary)
-    if stats["deltas_applied"] or stats["updates"]:
+    if stats["deltas_applied"] or paths["update"]:
         print(
             f"incremental: {stats['deltas_applied']:.0f} deltas applied, "
             f"{stats['versions_registered']:.0f} versions registered, "
-            f"{stats['updates']:.0f} update-path responses "
-            f"(rate {stats['update_rate']:.2f})"
+            f"{paths['update']} update-path responses"
         )
     if stats["degraded"]:
         degradations = service.stats.degradation_summary()
         details = ", ".join(
             f"{label} ×{count}" for label, count in degradations.items()
         )
-        print(f"degraded: {stats['degraded']:.0f} responses ({details})")
+        print(f"degraded: {stats['degraded']:.0f} computations ({details})")
     if warehouse is not None:
         wh = warehouse.stats()
         print(
@@ -614,28 +585,23 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve-batch",
         help="replay a JSON workload of multi-tenant requests through the "
-             "mining service",
+             "gateway and the mining service",
     )
     serve.add_argument("--workload", required=True,
                        help="workload JSON file (see repro.service.workload)")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="worker-pool width")
     serve.add_argument("--byte-budget", type=int, default=None,
                        help="warehouse byte budget (default: unbounded)")
     serve.add_argument("--warehouse-dir", default=None,
                        help="directory for a disk-backed (persistent) warehouse")
     serve.add_argument("--cold", action="store_true",
-                       help="disable the warehouse (every request mines)")
+                       help="disable the warehouse; with --no-batching, "
+                            "each request mines once")
     serve.add_argument("--representation", default="closed",
                        choices=REPRESENTATIONS,
                        help="the form warehouse entries are condensed to "
                             "when --byte-budget needs the room; entries are "
                             "stored full otherwise, and full never "
                             "condenses (default: closed)")
-    serve.add_argument("--gateway", action="store_true",
-                       help="serve through the traffic-management gateway "
-                            "(priority queueing, admission control, "
-                            "cross-request batching)")
     serve.add_argument("--queue-depth", type=int, default=None,
                        help="gateway admission bound: arrivals beyond this "
                             "queue depth shed lower-priority work or are "

@@ -64,6 +64,7 @@ from repro.gateway.request import (
     STATUS_SHED,
     GatewayRequest,
     GatewayResponse,
+    _check_deadline,
 )
 from repro.gateway.stats import GatewayStats
 from repro.resilience import (
@@ -128,14 +129,7 @@ class GatewayConfig:
             raise GatewayError(f"max_inflight must be >= 1, got {max_inflight}")
         if default_priority not in PRIORITY_RANKS:
             raise GatewayError(f"unknown priority {default_priority!r}")
-        if (
-            default_deadline_seconds is not None
-            and default_deadline_seconds <= 0
-        ):
-            raise GatewayError(
-                "default_deadline_seconds must be positive, "
-                f"got {default_deadline_seconds}"
-            )
+        _check_deadline("default_deadline_seconds", default_deadline_seconds)
         self.max_queue_depth = max_queue_depth
         self.shed_on_full = shed_on_full
         self.batching = batching

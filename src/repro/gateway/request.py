@@ -18,6 +18,7 @@ as errors a caller has to catch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import GatewayError
@@ -46,6 +47,16 @@ STATUS_REJECTED = "rejected"
 STATUS_EXPIRED = "expired"
 
 
+def _check_deadline(name: str, seconds: float | None) -> None:
+    """A deadline is ``None`` (wait forever) or finite and positive.
+
+    NaN would never expire and infinity overflows the dispatcher's
+    timed wait, so both are refused with zero and negatives.
+    """
+    if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
+        raise GatewayError(f"{name} must be finite and positive, got {seconds}")
+
+
 @dataclass(frozen=True)
 class GatewayRequest:
     """One tenant's request plus its traffic-management envelope.
@@ -66,10 +77,7 @@ class GatewayRequest:
                 f"unknown priority {self.priority!r} "
                 f"(known: {', '.join(PRIORITY_CLASSES)})"
             )
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise GatewayError(
-                f"deadline_seconds must be positive, got {self.deadline_seconds}"
-            )
+        _check_deadline("deadline_seconds", self.deadline_seconds)
 
     @property
     def rank(self) -> int:

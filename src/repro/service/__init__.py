@@ -5,8 +5,9 @@ The shared-platform scenario of Section 2, as a subsystem: a
 keyed by database fingerprint, and a :class:`MiningService` plans each
 incoming request against it — filter a cached superset, FUP-patch a
 chain ancestor's entry, or mine from scratch — with single-flight
-coalescing for identical concurrent requests. :mod:`repro.service.workload` replays
-JSON request traces through a service (the ``repro serve-batch`` CLI).
+coalescing for identical concurrent requests. :mod:`repro.service.workload` parses
+JSON request traces, which ``repro serve-batch`` replays through a
+manual-mode :class:`~repro.gateway.MiningGateway` in front of a service.
 """
 
 from repro.service.service import (
@@ -20,7 +21,6 @@ from repro.service.workload import (
     DeltaOp,
     load_workload_items,
     parse_workload_items,
-    serve_workload,
 )
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "WarehouseHit",
     "load_workload_items",
     "parse_workload_items",
-    "serve_workload",
 ]

@@ -513,11 +513,6 @@ class MiningService:
             feedstock_distance=computation.feedstock_distance,
         )
 
-    def execute_many(self, requests: list[MineRequest]) -> list[MineResponse]:
-        """Submit every request up front, then gather in request order."""
-        futures = [self.submit(request) for request in requests]
-        return [future.result() for future in futures]
-
     # ------------------------------------------------------------------
     # version-chain operations
     # ------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 A workload file describes an interleaved stream of mining requests from
 several users — the shared-platform traffic of Section 2 — so service
-behaviour (warehouse hits, coalescing, eviction pressure) can be
-reproduced from a plain text artifact::
+behaviour (warehouse hits, batching, eviction pressure) can be
+reproduced from a plain text artifact; ``repro serve-batch`` replays one
+through a manual-mode gateway::
 
     {
       "dataset": "weather",
@@ -39,7 +40,9 @@ Each operation advances that (dataset, seed) pair's
 :class:`~repro.data.versioned.VersionedDatabase` chain; every mining
 entry after it is built against the *current* version (and carries the
 chain, so the service can serve it from a warehoused ancestor through
-the planner's update path).
+the planner's update path). The replay treats an operation as a
+barrier: the requests before it are served, and their answers banked,
+before any request after it is planned.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from pathlib import Path
 from repro.data.datasets import DATASETS, get_dataset
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.errors import DataError
-from repro.service.service import MineRequest, MineResponse, MiningService
+from repro.service.service import MineRequest
 
 
 @dataclass(frozen=True)
@@ -166,9 +169,9 @@ def _parse_op(
         )
     try:
         delta = make_delta(rows)
+        version = resolve_version(dataset, seed).apply(delta)
     except DataError as exc:
         raise DataError(f"request #{index}: {exc}") from None
-    version = resolve_version(dataset, seed).apply(delta)
     versions[(dataset, seed)] = version
     return DeltaOp(
         kind=str(op), dataset=dataset, seed=seed, delta=delta, version=version
@@ -191,41 +194,3 @@ def _load_spec(path: str | Path) -> dict:
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
-
-def serve_workload(
-    service: MiningService, requests: "list[MineRequest | DeltaOp]"
-) -> list[MineResponse]:
-    """Replay a workload through a service, preserving arrival order.
-
-    A workload without delta operations is submitted all up front (so
-    concurrent duplicates can coalesce, exactly like simultaneous
-    users) and gathered in order. A workload *with* operations is a
-    version chain, and its order is semantic: a request after an op
-    targets the post-op database, so it executes after the requests
-    before the op have completed and banked their patterns — otherwise
-    every versioned request would race past the warehouse write it is
-    meant to recycle and mine from scratch. Ops register their
-    (parse-time materialized) versions with the warehouse and
-    count on :class:`ServiceStats`.
-    """
-    if not any(isinstance(item, DeltaOp) for item in requests):
-        return service.execute_many(
-            [item for item in requests if isinstance(item, MineRequest)]
-        )
-    responses: list[MineResponse] = []
-    pending: list[MineRequest] = []
-
-    def flush() -> None:
-        if pending:
-            responses.extend(service.execute_many(pending))
-            pending.clear()
-
-    for item in requests:
-        if isinstance(item, DeltaOp):
-            flush()
-            service.register_version(item.version)
-            service.stats.record_delta_applied()
-        else:
-            pending.append(item)
-    flush()
-    return responses

@@ -9,6 +9,8 @@ projected-database patterns — against the numbers printed in the paper.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.data.transactions import TransactionDatabase
@@ -19,6 +21,25 @@ A, B, C, D, E, F, G, H, I = 1, 2, 3, 4, 5, 6, 7, 8, 9
 
 #: Human-readable names, for assertion messages.
 ITEM_NAMES = {A: "a", B: "b", C: "c", D: "d", E: "e", F: "f", G: "g", H: "h", I: "i"}
+
+
+@pytest.fixture
+def serve_batch(tmp_path, capsys):
+    """Replay a workload dict with ``repro serve-batch``; returns the
+    printed output and the whitespace-split rows of its request table."""
+    from repro.cli import main
+
+    def run(spec: dict, *flags: str) -> tuple[str, list[list[str]]]:
+        path = tmp_path / "serve-batch.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["serve-batch", "--workload", str(path), *flags]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("---"))
+        end = lines.index("", start)
+        return out, [line.split() for line in lines[start + 1:end]]
+
+    return run
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ sequence; auto mode gets end-to-end coverage on top.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.data.synthetic import QuestParams, quest_database
@@ -289,10 +291,12 @@ class TestLifecycle:
             GatewayRequest(
                 request=MineRequest(db=db, support=10), priority="vip"
             )
-        with pytest.raises(GatewayError, match="deadline"):
-            GatewayRequest(
-                request=MineRequest(db=db, support=10), deadline_seconds=0.0
-            )
+        for deadline in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(GatewayError, match="deadline"):
+                GatewayRequest(
+                    request=MineRequest(db=db, support=10),
+                    deadline_seconds=deadline,
+                )
         gw.close()
 
     def test_config_validation(self):
@@ -304,6 +308,9 @@ class TestLifecycle:
             GatewayConfig(max_inflight=0)
         with pytest.raises(GatewayError, match="priority"):
             GatewayConfig(default_priority="vip")
+        for deadline in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(GatewayError, match="default_deadline_seconds"):
+                GatewayConfig(default_deadline_seconds=deadline)
 
     def test_service_failure_propagates_to_every_member(self, db):
         service = MiningService(max_workers=1)

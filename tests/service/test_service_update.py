@@ -14,7 +14,6 @@ from repro.service import (
     MiningService,
     PatternWarehouse,
     parse_workload_items,
-    serve_workload,
 )
 from repro.service.workload import DeltaOp
 
@@ -174,6 +173,8 @@ class TestWorkloadOps:
             ({"op": "append", "transactions": []}, "transactions"),
             ({"op": "delete"}, "tids"),
             ({"op": "compact"}, "unknown op"),
+            ({"op": "delete", "tids": [10**9]},
+             r"^request #0: delta deletes unknown tids"),
         ],
     )
     def test_malformed_ops_rejected(self, entry, message):
@@ -181,16 +182,13 @@ class TestWorkloadOps:
         with pytest.raises(DataError, match=message):
             parse_workload_items(spec)
 
-    def test_serve_workload_registers_ops_and_serves_updates(self):
+    def test_serve_batch_registers_ops_and_serves_updates(self, serve_batch):
         items = parse_workload_items(self._spec())
         carol = [item for item in items if isinstance(item, MineRequest)][2]
-        with MiningService(warehouse=PatternWarehouse()) as service:
-            responses = serve_workload(service, items)
-            assert len(responses) == 3
-            snapshot = service.stats.snapshot()
-            assert snapshot["deltas_applied"] == 2
-            assert snapshot["versions_registered"] == 2
-            # Ops are barriers: alice banks before bob plans, bob before
-            # carol. Bob's append is FUP-patched; carol's delete mines.
-            assert [r.path for r in responses] == ["mine", "update", "mine"]
-            assert responses[2].patterns == mine_hmine(carol.db, 800)
+        out, rows = serve_batch(self._spec())
+        assert len(rows) == 3
+        assert "incremental: 2 deltas applied, 2 versions registered" in out
+        # Ops are barriers: alice banks before bob plans, bob before
+        # carol. Bob's append is FUP-patched; carol's delete mines.
+        assert [row[4] for row in rows] == ["mine", "update", "mine"]
+        assert int(rows[2][6]) == len(mine_hmine(carol.db, 800))

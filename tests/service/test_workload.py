@@ -8,12 +8,8 @@ import pytest
 
 from repro.errors import DataError
 from repro.mining.hmine import mine_hmine
-from repro.service import MiningService, PatternWarehouse
-from repro.service.workload import (
-    load_workload_items,
-    parse_workload_items,
-    serve_workload,
-)
+from repro.service import PatternWarehouse
+from repro.service.workload import load_workload_items, parse_workload_items
 
 
 def _spec(**overrides) -> dict:
@@ -212,28 +208,46 @@ class TestParsingEdgeCases:
 
 
 class TestReplay:
-    def test_replay_is_deterministic_across_runs(self):
-        """Two replays of the same trace return responses in the same
-        arrival order with identical pattern sets, workers or not."""
-        requests = parse_workload_items(_spec())
+    def test_replay_is_deterministic_across_runs(self, serve_batch):
+        """Two replays of a multi-tenant trace over two datasets, with an
+        op between its halves, print identical rows apart from the
+        seconds column."""
+        spec = {
+            "seed": 0,
+            "requests": [
+                {"tenant": "alice", "dataset": "weather", "support": 0.5},
+                {"tenant": "bob", "dataset": "connect4", "support": 0.95},
+                {"tenant": "carol", "dataset": "weather", "support": 0.4},
+                {"tenant": "alice", "dataset": "connect4", "support": 0.93},
+                {"op": "append", "dataset": "weather",
+                 "transactions": [[1, 2, 5], [3, 4]]},
+                {"tenant": "bob", "dataset": "weather", "support": 0.45},
+                {"tenant": "carol", "dataset": "connect4", "support": 0.95},
+                {"tenant": "alice", "dataset": "weather", "support": 0.5},
+            ],
+        }
 
         def run():
-            with MiningService(
-                warehouse=PatternWarehouse(), max_workers=4
-            ) as service:
-                return serve_workload(service, requests)
+            _out, rows = serve_batch(spec)
+            return [row[:-1] for row in rows]
 
         first, second = run(), run()
-        assert [r.tenant for r in first] == [r.tenant for r in second]
-        for a, b in zip(first, second):
-            assert a.patterns == b.patterns
-            assert a.absolute_support == b.absolute_support
+        assert len(first) == 7
+        assert first == second
 
-    def test_replay_is_exact_and_ordered(self):
+    def test_replay_is_exact_and_ordered(self, serve_batch, tmp_path):
+        """Rows come back in arrival order, each with the oracle's
+        pattern count, and the one mined entry equals the oracle's set."""
         requests = parse_workload_items(_spec())
-        with MiningService(warehouse=PatternWarehouse(), max_workers=2) as service:
-            responses = serve_workload(service, requests)
-        assert [r.tenant for r in responses] == ["alice", "bob"]
-        for request, response in zip(requests, responses):
+        store = tmp_path / "warehouse"
+        _out, rows = serve_batch(_spec(), "--warehouse-dir", str(store))
+        assert [row[0] for row in rows] == ["alice", "bob"]
+        for request, row in zip(requests, rows):
             expected = mine_hmine(request.db, request.absolute_support())
-            assert response.patterns == expected
+            assert int(row[3]) == request.absolute_support()
+            assert int(row[6]) == len(expected)
+        fingerprint = requests[0].db.fingerprint()
+        bob_support = requests[1].absolute_support()
+        assert PatternWarehouse(directory=store).get(
+            fingerprint, bob_support
+        ) == mine_hmine(requests[1].db, bob_support)

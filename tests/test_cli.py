@@ -189,37 +189,74 @@ class TestMiners:
                 assert names == ["closed"]
 
 
+#: Three weather requests that batching serves with one mine.
+TRACE = {
+    "dataset": "weather",
+    "requests": [
+        {"tenant": "alice", "support": 0.5},
+        {"tenant": "bob", "support": 0.5},
+        {"tenant": "carol", "support": 0.4},
+    ],
+}
+
+
 class TestServeBatch:
     @pytest.fixture
     def workload_file(self, tmp_path):
         import json
 
         path = tmp_path / "trace.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "dataset": "weather",
-                    "requests": [
-                        {"tenant": "alice", "support": 0.5},
-                        {"tenant": "bob", "support": 0.5},
-                        {"tenant": "carol", "support": 0.4},
-                    ],
-                }
-            ),
-            encoding="utf-8",
-        )
+        path.write_text(json.dumps(TRACE), encoding="utf-8")
         return path
 
     def test_replays_workload_with_warehouse(self, workload_file, capsys):
-        code = main(
-            ["serve-batch", "--workload", str(workload_file), "--workers", "2"]
-        )
+        code = main(["serve-batch", "--workload", str(workload_file)])
         assert code == 0
         out = capsys.readouterr().out
         for tenant in ("alice", "bob", "carol"):
             assert tenant in out
         assert "warehouse:" in out
         assert "requests in" in out
+
+    def test_summary_counts_every_request(self, serve_batch):
+        """One merged batch serves all three requests; the summary counts
+        the three rows, not the one computation behind them."""
+        out, rows = serve_batch(TRACE)
+        assert "3 requests in" in out
+        assert "3 served / 0 shed / 0 rejected / 0 expired" in out
+        assert "2 filter / 0 update / 1 mine" in out
+        assert [row[4] for row in rows] == ["filter", "filter", "mine"]
+
+    def test_ops_are_barriers(self, serve_batch):
+        """A request after an append is served after the requests before
+        it, whatever the tenant fairness order, so it patches their
+        answer instead of mining the new version cold."""
+        out, rows = serve_batch(
+            {
+                "requests": [
+                    {"tenant": "a", "dataset": "forest", "support": 0.5},
+                    {"tenant": "a", "dataset": "connect4", "support": 0.95},
+                    {"op": "append", "dataset": "connect4",
+                     "transactions": [[1, 2, 3], [4, 5]]},
+                    {"tenant": "b", "dataset": "connect4", "support": 0.95},
+                ],
+            }
+        )
+        assert [(row[0], row[4]) for row in rows] == [
+            ("a", "mine"), ("a", "mine"), ("b", "update"),
+        ]
+        assert "incremental: 1 deltas applied" in out
+
+    @pytest.mark.parametrize("deadline", ["nan", "inf", "-inf", "0"])
+    def test_deadline_must_be_finite_and_positive(
+        self, workload_file, deadline, capsys
+    ):
+        argv = ["serve-batch", "--workload", str(workload_file),
+                f"--deadline={deadline}"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: default_deadline_seconds must be")
 
     def test_cold_mode_disables_warehouse(self, workload_file, capsys):
         code = main(["serve-batch", "--workload", str(workload_file), "--cold"])
@@ -266,8 +303,9 @@ class TestServeBatch:
 
     def test_condensation_gauges_printed(self, dense_workload, capsys):
         """Under a budget that holds one entry full and one closed, the
-        summary names the mix; unbudgeted, nothing is condensed."""
-        argv = ["serve-batch", "--workload", str(dense_workload), "--workers", "1"]
+        summary names the mix; unbudgeted, nothing is condensed. Without
+        batching each request computes, and banks, its own entry."""
+        argv = ["serve-batch", "--workload", str(dense_workload), "--no-batching"]
         assert main(argv + ["--byte-budget", "16000"]) == 0
         out = capsys.readouterr().out
         assert "condensation ×" in out
@@ -279,7 +317,7 @@ class TestServeBatch:
     def test_full_representation_suppresses_gauges(self, dense_workload, capsys):
         code = main(
             [
-                "serve-batch", "--workload", str(dense_workload),
+                "serve-batch", "--workload", str(dense_workload), "--no-batching",
                 "--representation", "full", "--byte-budget", "16000",
             ]
         )
@@ -294,41 +332,31 @@ class TestServeBatch:
         code = main(
             [
                 "serve-batch", "--workload", str(workload_file),
-                "--gateway", "--queue-depth", "8",
-                "--priority", "interactive",
+                "--queue-depth", "8", "--priority", "interactive",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "serve-batch (gateway)" in out
+        assert f"serve-batch: {workload_file}" in out
         assert "queue depth HWM" in out
         assert "merged batches" in out
         assert "gateway interactive: p50" in out
         # All three tenants queued together → one merged batch.
         assert "1 merged batches covering 3 requests" in out
 
-    def test_gateway_admission_rejects_overflow(self, workload_file, capsys):
-        code = main(
-            [
-                "serve-batch", "--workload", str(workload_file),
-                "--gateway", "--queue-depth", "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "2 rejected" in out
-        status_rows = [
-            line
-            for line in out.splitlines()
-            if " rejected " in line and not line.startswith("gateway:")
+    def test_gateway_admission_rejects_overflow(self, serve_batch):
+        out, rows = serve_batch(TRACE, "--queue-depth", "1")
+        assert "3 requests in" in out
+        assert "1 served / 0 shed / 2 rejected / 0 expired" in out
+        assert [row[2] for row in rows] == [
+            "served", "rejected", "rejected",
         ]
-        assert len(status_rows) == 2  # per-request status rows
 
     def test_gateway_no_batching_serves_singly(self, workload_file, capsys):
         code = main(
             [
                 "serve-batch", "--workload", str(workload_file),
-                "--gateway", "--no-batching",
+                "--no-batching",
             ]
         )
         assert code == 0
@@ -661,6 +689,16 @@ class TestParser:
         ``benchmarks/bench_parallel.py``."""
         with pytest.raises(SystemExit):
             build_parser().parse_args([*argv, "--jobs", "2"])
+        build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--gateway"]])
+    def test_serve_batch_has_one_replay_path(self, flag):
+        """serve-batch always replays through a manual-mode gateway,
+        which computes on the caller's thread: no pool to size, no mode
+        to pick."""
+        argv = ["serve-batch", "--workload", "w.json"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, *flag])
         build_parser().parse_args(argv)
 
     @pytest.mark.parametrize(
